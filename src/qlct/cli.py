@@ -32,9 +32,9 @@ EXIT_VERIFY_FAIL = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
 
-VERIFY_NAMES = ["plancherel", "gabor-plancherel", "heisenberg", "log",
-                "lemma-log", "lieb", "young", "hausdorff-young",
-                "concentration", "eps-concentration", "moment-concentration"]
+#: Largest coefficient array `gabor analyze` writes without --force: the
+#: stride-1 field of a 32x32 signal, 32^4 quaternions of 32 bytes.
+COEFF_BUDGET_BYTES = 32**4 * 32
 
 
 @dataclass
@@ -45,6 +45,9 @@ class VerifyConfig:
     seed: int = 0
     trials: int | None = None
     method: str = "fast"
+
+    def n_trials(self, default: int) -> int:
+        return self.trials if self.trials is not None else default
 
     def grid(self, n: int | None = None) -> Grid2D:
         if n is not None:
@@ -111,10 +114,13 @@ def cmd_qlct(args) -> int:
 def cmd_gabor_analyze(args) -> int:
     p = _parse_params(args)
     f = signal.load(args.input)
-    if args.stride == 1 and f.grid.n1 * f.grid.n2 > 32 * 32 and not args.force:
-        print(f"error: stride-1 analysis of a {f.grid.n1}x{f.grid.n2} signal "
-              f"stores {f.grid.n1 * f.grid.n2}^2 quaternions; pass --force or "
-              "use --stride > 1", file=sys.stderr)
+    y = gabor.translation_grid(f.grid, args.stride)
+    nbytes = f.grid.n1 * f.grid.n2 * y.n1 * y.n2 * 32
+    if nbytes > COEFF_BUDGET_BYTES and not args.force:
+        print(f"error: stride-{args.stride} analysis of a {f.grid.n1}x{f.grid.n2} "
+              f"signal stores {nbytes} bytes ({nbytes / 2**20:.1f} MiB) of "
+              f"coefficients, above the {COEFF_BUDGET_BYTES} byte budget; "
+              "pass --force or use a larger --stride", file=sys.stderr)
         return EXIT_IO
     spec = parse_window_spec(args.window)
     phi = signal.make_window(spec, f.grid)
@@ -155,65 +161,98 @@ def cmd_gabor_spectrogram(args) -> int:
 # ---------------------------------------------------------------------------
 # verification suites
 
-def _tag(rep: report.InequalityReport, trial: int | None = None, **extra):
-    if trial is not None:
-        rep.params["trial"] = trial
-    rep.params.update(extra)
-    return rep
+class Collector:
+    """Reports and failures of one suite run.
+
+    `add` stamps a report with the run's seed and its tags and keeps it;
+    `fail_if` records a failure message when its condition holds.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.reports: list[report.InequalityReport] = []
+        self.failures: list[str] = []
+
+    def add(self, rep: report.InequalityReport, trial: int | None = None,
+            **tags) -> report.InequalityReport:
+        if trial is not None:
+            rep.params["trial"] = trial
+        rep.params.update(tags)
+        rep.seed = self.seed
+        self.reports.append(rep)
+        return rep
+
+    def fail_if(self, bad: bool, msg: str) -> None:
+        if bad:
+            self.failures.append(msg)
 
 
-def suite_plancherel(cfg: VerifyConfig):
-    reports, failures = [], []
-    rng = np.random.default_rng(cfg.seed)
-    grid64 = Grid2D.centered(64, 64, 0.25, 0.25)
-    f64 = families.gaussian(grid64, 1.0)
-    for name, p in families.PARAM_SETS.items():
-        rep = _tag(qlct_plancherel_check(f64, p, cfg.method), family=f"gaussian-{name}")
-        rep.seed = cfg.seed
-        reports.append(rep)
-        if not 0.999 <= rep.ratio <= 1.001:
-            failures.append(f"plancherel gaussian {name}: ratio {rep.ratio!r}")
-    grid = cfg.grid()
-    trials = cfg.trials if cfg.trials is not None else 20
-    for k in range(trials):
-        f = families.random_smooth(grid, rng)
-        for name in ("fourier", "generic"):
-            rep = _tag(qlct_plancherel_check(f, families.PARAM_SETS[name], cfg.method),
-                       trial=k, family=f"random-smooth-{name}")
-            rep.seed = cfg.seed
-            reports.append(rep)
-            if not 0.99 <= rep.ratio <= 1.01:
-                failures.append(f"plancherel random trial {k} {name}: ratio {rep.ratio!r}")
-    return reports, failures
+#: Fourier matrices on both axes: the two-sided quaternion Fourier transform.
+QFT = families.PARAM_SETS["fourier"]
 
 
-def suite_gabor_plancherel(cfg: VerifyConfig):
-    reports, failures = [], []
-    grid = cfg.grid(32)
-    f = families.gaussian(grid, 1.0)
-    phi = signal.make_window(WindowSpec("gaussian", (1.0, 1.0)), grid)
-    p = families.PARAM_SETS["fourier"]
-    rep = _tag(gabor.gabor_plancherel_check(f, phi, p, cfg.method), family="gaussian")
-    rep.seed = cfg.seed
-    reports.append(rep)
-    if not 0.98 <= rep.ratio <= 1.02:
-        failures.append(f"gabor-plancherel gaussian: ratio {rep.ratio!r}")
-    # single-cell window: the discrete substitution is near-exact
+def _gabor_windows(grid: Grid2D) -> tuple[signal.QSignal2D, signal.QSignal2D]:
+    """Unit Gaussian window and the single-cell window at the grid centre."""
     cell = np.zeros((grid.n1, grid.n2, 4))
     cell[grid.n1 // 2, grid.n2 // 2, 0] = 1.0
-    tiny = signal.QSignal2D(grid, cell)
-    rep = _tag(gabor.gabor_plancherel_check(f, tiny, p, cfg.method), family="single-cell")
-    rep.seed = cfg.seed
-    reports.append(rep)
-    if not 0.95 <= rep.ratio <= 1.05:
-        failures.append(f"gabor-plancherel single-cell: ratio {rep.ratio!r}")
-    return reports, failures
+    return (signal.make_window(WindowSpec("gaussian", (1.0, 1.0)), grid),
+            signal.QSignal2D(grid, cell))
 
 
-def suite_heisenberg(cfg: VerifyConfig):
-    reports, failures = [], []
+def _gaussian_constants(cfg: VerifyConfig, out: Collector, check):
+    """Run check(f, f, QFT, 1, method) on normalized unit Gaussians at
+    32^2 and 64^2 and on normalized dilates t in (0.5, 1, 2) on cfg.grid();
+    return the empirical constants keyed by n and by t."""
+    sized, dilated = {}, {}
+    for n in (32, 64):
+        f = families.normalized(families.gaussian(cfg.grid(n), 1.0))
+        rep = out.add(check(f, f, QFT, 1.0, cfg.method), family=f"gaussian-{n}")
+        sized[n] = rep.empirical_constant
+    for t in (0.5, 1.0, 2.0):
+        f = families.normalized(families.dilated_gaussian(cfg.grid(), t))
+        rep = out.add(check(f, f, QFT, 1.0, cfg.method), family=f"dilated-{t}")
+        dilated[t] = rep.empirical_constant
+    return sized, dilated
+
+
+def _unit_gaussian_field(cfg: VerifyConfig):
+    """Normalized 32^2 Gaussian and its stride-1 Gabor field against itself."""
+    f = families.normalized(families.gaussian(cfg.grid(32), 1.0))
+    return f, gabor.gabor_analyze(f, f, QFT, 1, cfg.method)
+
+
+def suite_plancherel(cfg: VerifyConfig, out: Collector):
     rng = np.random.default_rng(cfg.seed)
-    trials = cfg.trials if cfg.trials is not None else 50
+    f64 = families.gaussian(Grid2D.centered(64, 64, 0.25, 0.25), 1.0)
+    for name, p in families.PARAM_SETS.items():
+        rep = out.add(qlct_plancherel_check(f64, p, cfg.method), family=f"gaussian-{name}")
+        out.fail_if(not 0.999 <= rep.ratio <= 1.001,
+                    f"plancherel gaussian {name}: ratio {rep.ratio!r}")
+    grid = cfg.grid()
+    for k in range(cfg.n_trials(20)):
+        f = families.random_smooth(grid, rng)
+        for name in ("fourier", "generic"):
+            rep = out.add(qlct_plancherel_check(f, families.PARAM_SETS[name], cfg.method),
+                          trial=k, family=f"random-smooth-{name}")
+            out.fail_if(not 0.99 <= rep.ratio <= 1.01,
+                        f"plancherel random trial {k} {name}: ratio {rep.ratio!r}")
+
+
+def suite_gabor_plancherel(cfg: VerifyConfig, out: Collector):
+    grid = cfg.grid(32)
+    f = families.gaussian(grid, 1.0)
+    gauss, cell = _gabor_windows(grid)
+    # single-cell window: the discrete substitution is near-exact
+    for family, phi, lo, hi in (("gaussian", gauss, 0.98, 1.02),
+                                ("single-cell", cell, 0.95, 1.05)):
+        rep = out.add(gabor.gabor_plancherel_check(f, phi, QFT, cfg.method), family=family)
+        out.fail_if(not lo <= rep.ratio <= hi,
+                    f"gabor-plancherel {family}: ratio {rep.ratio!r}")
+
+
+def suite_heisenberg(cfg: VerifyConfig, out: Collector):
+    rng = np.random.default_rng(cfg.seed)
+    trials = cfg.n_trials(50)
     worst = 0.0
     for _ in range(trials):
         A = float(rng.uniform(0.1, 10.0))
@@ -221,224 +260,117 @@ def suite_heisenberg(cfg: VerifyConfig):
         s = float(rng.uniform(0.25, 3.0))
         _, _, rel = uncertainty.amgm_dilation_identity(A, B, s)
         worst = max(worst, rel)
-    rep = report.upper_bound("heisenberg-amgm", worst, 1e-10,
-                             params={"trials": trials}, seed=cfg.seed)
-    reports.append(rep)
-    if worst > 1e-10:
-        failures.append(f"heisenberg AM-GM identity worst residual {worst!r}")
-    p = families.PARAM_SETS["fourier"]
-    consts = {}
-    for n in (32, 64):
-        grid = cfg.grid(n)
-        f = families.normalized(families.gaussian(grid, 1.0))
-        rep = _tag(uncertainty.heisenberg_check(f, f, p, 1.0, cfg.method),
-                   family=f"gaussian-{n}")
-        rep.seed = cfg.seed
-        reports.append(rep)
-        consts[n] = rep.empirical_constant
-        if not rep.empirical_constant > 0:
-            failures.append(f"heisenberg C at {n}: not positive")
-    if abs(consts[32] / consts[64] - 1.0) > 0.05:
-        failures.append(f"heisenberg C grid stability: {consts[32]!r} vs {consts[64]!r}")
-    grid = cfg.grid()
-    dil = {}
-    for t in (0.5, 1.0, 2.0):
-        f = families.normalized(families.dilated_gaussian(grid, t))
-        rep = _tag(uncertainty.heisenberg_check(f, f, p, 1.0, cfg.method),
-                   family=f"dilated-{t}")
-        rep.seed = cfg.seed
-        reports.append(rep)
-        dil[t] = rep.empirical_constant
+    out.add(report.upper_bound("heisenberg-amgm", worst, 1e-10, params={"trials": trials}))
+    out.fail_if(worst > 1e-10, f"heisenberg AM-GM identity worst residual {worst!r}")
+    consts, dil = _gaussian_constants(cfg, out, uncertainty.heisenberg_check)
+    for n, c in consts.items():
+        out.fail_if(not c > 0, f"heisenberg C at {n}: not positive")
+    out.fail_if(abs(consts[32] / consts[64] - 1.0) > 0.05,
+                f"heisenberg C grid stability: {consts[32]!r} vs {consts[64]!r}")
     mean = sum(dil.values()) / len(dil)
-    if any(abs(v / mean - 1.0) > 0.02 for v in dil.values()):
-        failures.append(f"heisenberg C dilation stability: {dil!r}")
-    return reports, failures
+    out.fail_if(any(abs(v / mean - 1.0) > 0.02 for v in dil.values()),
+                f"heisenberg C dilation stability: {dil!r}")
 
 
-def suite_log(cfg: VerifyConfig):
-    reports, failures = [], []
+def suite_log(cfg: VerifyConfig, out: Collector):
     grid = cfg.grid(32)
-    p = families.PARAM_SETS["fourier"]
     phi = families.normalized(families.gaussian(grid, 1.0))
     cases = [("gaussian", families.normalized(families.gaussian(grid, 1.0)))]
     cases += [(f"dilated-{t}", families.normalized(families.dilated_gaussian(grid, t)))
               for t in (0.5, 2.0)]
     for name, f in cases:
-        rep = _tag(uncertainty.log_check(f, phi, p, cfg.method), family=name)
-        rep.seed = cfg.seed
-        reports.append(rep)
-        if rep.margin < -1e-3:
-            failures.append(f"log {name}: margin {rep.margin!r}")
-    return reports, failures
+        rep = out.add(uncertainty.log_check(f, phi, QFT, cfg.method), family=name)
+        out.fail_if(rep.margin < -1e-3, f"log {name}: margin {rep.margin!r}")
 
 
-def suite_lemma_log(cfg: VerifyConfig):
-    reports, failures = [], []
+def suite_lemma_log(cfg: VerifyConfig, out: Collector):
     grid = cfg.grid(32)
-    p = families.PARAM_SETS["fourier"]
     f = families.gaussian(grid, 1.0)
-    phi = signal.make_window(WindowSpec("gaussian", (1.0, 1.0)), grid)
-    rep = _tag(uncertainty.lemma_log_identity_check(f, phi, p), family="gaussian")
-    rep.seed = cfg.seed
-    reports.append(rep)
-    if rep.params["rel_gap"] > 2e-2:
-        failures.append(f"lemma-log gaussian: rel gap {rep.params['rel_gap']!r}")
-    cell = np.zeros((grid.n1, grid.n2, 4))
-    cell[grid.n1 // 2, grid.n2 // 2, 0] = 1.0
-    rep = _tag(uncertainty.lemma_log_identity_check(
-        f, signal.QSignal2D(grid, cell), p), family="single-cell")
-    rep.seed = cfg.seed
-    reports.append(rep)
-    if rep.params["rel_gap"] > 1e-12:
-        failures.append(f"lemma-log single cell: rel gap {rep.params['rel_gap']!r}")
-    return reports, failures
+    gauss, cell = _gabor_windows(grid)
+    for family, label, phi, tol in (("gaussian", "gaussian", gauss, 2e-2),
+                                    ("single-cell", "single cell", cell, 1e-12)):
+        rep = out.add(uncertainty.lemma_log_identity_check(f, phi, QFT), family=family)
+        gap = rep.params["rel_gap"]
+        out.fail_if(gap > tol, f"lemma-log {label}: rel gap {gap!r}")
 
 
-def suite_lieb(cfg: VerifyConfig):
-    reports, failures = [], []
-    p = families.PARAM_SETS["fourier"]
+def suite_lieb(cfg: VerifyConfig, out: Collector):
     grid = cfg.grid(32)
     f = families.gaussian(grid, 1.0)
     phi = families.gaussian(grid, 1.0)
-    base = _tag(uncertainty.lieb_check(f, phi, p, 1.5, cfg.method), family="gaussian")
-    base.seed = cfg.seed
-    reports.append(base)
-    scaled = uncertainty.lieb_check(f.scaled(2.0), phi.scaled(3.0), p, 1.5, cfg.method)
+    base = out.add(uncertainty.lieb_check(f, phi, QFT, 1.5, cfg.method), family="gaussian")
+    scaled = uncertainty.lieb_check(f.scaled(2.0), phi.scaled(3.0), QFT, 1.5, cfg.method)
     rel = abs(scaled.empirical_constant / base.empirical_constant - 1.0)
-    rep = report.upper_bound("lieb-homogeneity", rel, 1e-10,
-                             params={"p_prime": 1.5}, seed=cfg.seed)
-    reports.append(rep)
-    if rel > 1e-10:
-        failures.append(f"lieb homogeneity: relative change {rel!r}")
+    out.add(report.upper_bound("lieb-homogeneity", rel, 1e-10, params={"p_prime": 1.5}))
+    out.fail_if(rel > 1e-10, f"lieb homogeneity: relative change {rel!r}")
     consts = {}
     for n in (32, 64):
-        g = cfg.grid(n)
-        fg = families.gaussian(g, 1.0)
-        rep = _tag(uncertainty.lieb_check(fg, fg, p, 1.5, cfg.method),
-                   family=f"gaussian-{n}")
-        rep.seed = cfg.seed
-        reports.append(rep)
+        fg = families.gaussian(cfg.grid(n), 1.0)
+        rep = out.add(uncertainty.lieb_check(fg, fg, QFT, 1.5, cfg.method),
+                      family=f"gaussian-{n}")
         consts[n] = rep.empirical_constant
-    if abs(consts[32] / consts[64] - 1.0) > 0.05:
-        failures.append(f"lieb stability: {consts!r}")
-    rep2 = _tag(uncertainty.lieb_check(f, phi, p, 2.0, cfg.method), family="pprime-2")
-    rep2.seed = cfg.seed
-    reports.append(rep2)
+    out.fail_if(abs(consts[32] / consts[64] - 1.0) > 0.05, f"lieb stability: {consts!r}")
+    rep2 = out.add(uncertainty.lieb_check(f, phi, QFT, 2.0, cfg.method), family="pprime-2")
     plancherel_rhs = f.l2_norm_sq() * phi.l2_norm_sq()
-    if abs(rep2.lhs - plancherel_rhs) > 1e-9 * plancherel_rhs:
-        failures.append(f"lieb p'=2 does not reproduce Plancherel: "
-                        f"{rep2.lhs!r} vs {plancherel_rhs!r}")
-    if not rep2.notes:
-        failures.append("lieb p'=2 report does not flag the printed constant")
-    return reports, failures
+    out.fail_if(abs(rep2.lhs - plancherel_rhs) > 1e-9 * plancherel_rhs,
+                f"lieb p'=2 does not reproduce Plancherel: "
+                f"{rep2.lhs!r} vs {plancherel_rhs!r}")
+    out.fail_if(not rep2.notes, "lieb p'=2 report does not flag the printed constant")
 
 
-def suite_young(cfg: VerifyConfig):
-    reports, failures = [], []
+def suite_young(cfg: VerifyConfig, out: Collector):
     rng = np.random.default_rng(cfg.seed)
-    trials = cfg.trials if cfg.trials is not None else 100
     grid = cfg.grid(16)
     phi = signal.make_window(WindowSpec("gaussian", (1.0, 1.0)), grid)
-    p = families.PARAM_SETS["fourier"]
-    for k in range(trials):
+    for k in range(cfg.n_trials(100)):
         f = families.random_smooth(grid, rng)
         for hp in (2.0, 4.0):
-            rep = _tag(uncertainty.young_sup_check(f, phi, p, hp, cfg.method),
-                       trial=k)
-            rep.seed = cfg.seed
-            reports.append(rep)
-            if rep.margin < -1e-6:
-                failures.append(f"young trial {k} p={hp}: margin {rep.margin!r}")
-    return reports, failures
+            rep = out.add(uncertainty.young_sup_check(f, phi, QFT, hp, cfg.method), trial=k)
+            out.fail_if(rep.margin < -1e-6, f"young trial {k} p={hp}: margin {rep.margin!r}")
 
 
-def suite_hausdorff_young(cfg: VerifyConfig):
-    reports, failures = [], []
-    grid = cfg.grid(32)
-    p = families.PARAM_SETS["fourier"]
-    f = families.gaussian_chirp(grid)
-    base_ratio = None
-    for pp in (2.0, 3.0, 4.0):
-        rep = _tag(uncertainty.hausdorff_young_check(f, p, pp, cfg.method),
-                   family="gaussian-chirp")
-        rep.seed = cfg.seed
-        reports.append(rep)
-        if pp == 2.0:
-            base_ratio = rep.ratio
-    scaled = uncertainty.hausdorff_young_check(f.scaled(2.5), p, 2.0, cfg.method)
-    rel = abs(scaled.ratio / base_ratio - 1.0)
-    rep = report.upper_bound("hausdorff-young-scaling", rel, 1e-10, seed=cfg.seed)
-    reports.append(rep)
-    if rel > 1e-10:
-        failures.append(f"hausdorff-young scaling invariance: {rel!r}")
-    return reports, failures
+def suite_hausdorff_young(cfg: VerifyConfig, out: Collector):
+    f = families.gaussian_chirp(cfg.grid(32))
+    reps = [out.add(uncertainty.hausdorff_young_check(f, QFT, pp, cfg.method),
+                    family="gaussian-chirp") for pp in (2.0, 3.0, 4.0)]
+    scaled = uncertainty.hausdorff_young_check(f.scaled(2.5), QFT, 2.0, cfg.method)
+    rel = abs(scaled.ratio / reps[0].ratio - 1.0)
+    out.add(report.upper_bound("hausdorff-young-scaling", rel, 1e-10))
+    out.fail_if(rel > 1e-10, f"hausdorff-young scaling invariance: {rel!r}")
 
 
-def suite_concentration(cfg: VerifyConfig):
-    reports, failures = [], []
+def suite_concentration(cfg: VerifyConfig, out: Collector):
     rng = np.random.default_rng(cfg.seed)
-    grid = cfg.grid(32)
-    p = families.PARAM_SETS["fourier"]
-    f = families.normalized(families.gaussian(grid, 1.0))
-    G = gabor.gabor_analyze(f, f, p, 1, cfg.method)
+    f, G = _unit_gaussian_field(cfg)
     for m in (0.25, 0.5, 0.9):
         mask = uncertainty.random_mask(G, m, rng)
-        rep = _tag(uncertainty.concentration_check(G, mask, f.l2_norm(), f.l2_norm()),
-                   family=f"random-mask-{m}")
-        rep.seed = cfg.seed
-        reports.append(rep)
-        if rep.margin < -1e-6:
-            failures.append(f"concentration measure {m}: margin {rep.margin!r}")
-    return reports, failures
+        rep = out.add(uncertainty.concentration_check(G, mask, f.l2_norm(), f.l2_norm()),
+                      family=f"random-mask-{m}")
+        out.fail_if(rep.margin < -1e-6,
+                    f"concentration measure {m}: margin {rep.margin!r}")
 
 
-def suite_eps_concentration(cfg: VerifyConfig):
-    reports, failures = [], []
-    grid = cfg.grid(32)
-    p = families.PARAM_SETS["fourier"]
-    f = families.normalized(families.gaussian(grid, 1.0))
-    G = gabor.gabor_analyze(f, f, p, 1, cfg.method)
+def suite_eps_concentration(cfg: VerifyConfig, out: Collector):
+    _, G = _unit_gaussian_field(cfg)
     measures = {}
     for eps in (0.5, 0.1):
         mask = uncertainty.greedy_minimal_mask(G, 1.0 - eps)
-        rep = _tag(uncertainty.epsilon_concentration_check(G, mask, eps),
-                   family=f"greedy-{eps}")
-        rep.seed = cfg.seed
-        reports.append(rep)
+        rep = out.add(uncertainty.epsilon_concentration_check(G, mask, eps),
+                      family=f"greedy-{eps}")
         measures[eps] = mask.measure
-        if rep.margin < 0:
-            failures.append(f"eps-concentration eps={eps}: margin {rep.margin!r}")
-    if measures[0.1] < measures[0.5]:
-        failures.append(f"greedy mask measure not monotone: {measures!r}")
-    return reports, failures
+        out.fail_if(rep.margin < 0, f"eps-concentration eps={eps}: margin {rep.margin!r}")
+    out.fail_if(measures[0.1] < measures[0.5],
+                f"greedy mask measure not monotone: {measures!r}")
 
 
-def suite_moment_concentration(cfg: VerifyConfig):
-    reports, failures = [], []
-    p = families.PARAM_SETS["fourier"]
-    consts = {}
-    for n in (32, 64):
-        grid = cfg.grid(n)
-        f = families.normalized(families.gaussian(grid, 1.0))
-        rep = _tag(uncertainty.moment_concentration_check(f, f, p, 1.0, cfg.method),
-                   family=f"gaussian-{n}")
-        rep.seed = cfg.seed
-        reports.append(rep)
-        consts[n] = rep.empirical_constant
-        if not rep.empirical_constant > 0:
-            failures.append(f"moment-concentration C at {n} not positive")
-    if abs(consts[32] / consts[64] - 1.0) > 0.05:
-        failures.append(f"moment-concentration stability: {consts!r}")
-    grid = cfg.grid()
-    for t in (0.5, 1.0, 2.0):
-        f = families.normalized(families.dilated_gaussian(grid, t))
-        rep = _tag(uncertainty.moment_concentration_check(f, f, p, 1.0, cfg.method),
-                   family=f"dilated-{t}")
-        rep.seed = cfg.seed
-        reports.append(rep)
-        if not rep.empirical_constant > 0:
-            failures.append(f"moment-concentration C at t={t} not positive")
-    return reports, failures
+def suite_moment_concentration(cfg: VerifyConfig, out: Collector):
+    consts, dil = _gaussian_constants(cfg, out, uncertainty.moment_concentration_check)
+    for n, c in consts.items():
+        out.fail_if(not c > 0, f"moment-concentration C at {n} not positive")
+    out.fail_if(abs(consts[32] / consts[64] - 1.0) > 0.05,
+                f"moment-concentration stability: {consts!r}")
+    for t, c in dil.items():
+        out.fail_if(not c > 0, f"moment-concentration C at t={t} not positive")
 
 
 SUITES = {
@@ -454,6 +386,7 @@ SUITES = {
     "eps-concentration": suite_eps_concentration,
     "moment-concentration": suite_moment_concentration,
 }
+VERIFY_NAMES = list(SUITES)
 
 
 def cmd_verify(args) -> int:
@@ -466,16 +399,17 @@ def cmd_verify(args) -> int:
     all_reports: list[report.InequalityReport] = []
     all_failures: list[str] = []
     for name in names:
-        reports, failures = SUITES[name](cfg)
-        for rep in reports:
+        out = Collector(cfg.seed)
+        SUITES[name](cfg, out)
+        for rep in out.reports:
             extra = ("" if rep.empirical_constant is None
                      else f" C={rep.empirical_constant!r}")
             print(f"report {rep.name}: lhs={rep.lhs!r} rhs={rep.rhs!r} "
                   f"margin={rep.margin!r} ratio={rep.ratio!r}{extra}")
-        print(f"suite {name}: {'FAIL' if failures else 'pass'} "
-              f"({len(reports)} reports)")
-        all_reports.extend(reports)
-        all_failures.extend(failures)
+        print(f"suite {name}: {'FAIL' if out.failures else 'pass'} "
+              f"({len(out.reports)} reports)")
+        all_reports.extend(out.reports)
+        all_failures.extend(out.failures)
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(report.reports_to_json(all_reports))
@@ -524,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="window spec, e.g. gaussian:sigma=1.0,1.0")
     sp.add_argument("--stride", type=int, default=1)
     sp.add_argument("--force", action="store_true",
-                    help="allow stride-1 analysis above 32x32")
+                    help="allow a coefficient array above the 32 MiB budget")
     sp.set_defaults(func=cmd_gabor_analyze)
     sp = gsub.add_parser("synthesize")
     sp.add_argument("-i", "--input", required=True, help="coefficient directory")

@@ -28,9 +28,10 @@ import numpy as np
 from . import report
 from .lct1d import LCTParams
 from .quat import from_complex_pair, qabs_sq, qconj, qmul, to_complex_pair
-from .qlct2d import (QLCTParams, _axis_grids, _join_grids, _two_sided_fast,
-                     forward_grid, qlct_forward_direct)
-from .signal import Grid2D, GridMismatchError, QSignal2D, load, save, translate
+from .qlct2d import (QLCTParams, _axis_grids, _two_sided_fast, forward_grid,
+                     qlct_forward_direct, qlct_forward_fast)
+from .signal import (FormatError, Grid2D, GridMismatchError, QSignal2D, load,
+                     save, shift_slices, translate)
 
 
 @dataclass
@@ -76,19 +77,6 @@ def translation_grid(grid: Grid2D, stride: int = 1) -> Grid2D:
                   -(grid.n1 // 2) * grid.dx1, -(grid.n2 // 2) * grid.dx2)
 
 
-def _shift_cells(y: tuple[float, float], grid: Grid2D) -> tuple[int, int]:
-    out = []
-    for yk, dxk in zip(y, (grid.dx1, grid.dx2)):
-        lk = round(yk / dxk)
-        if abs(yk - lk * dxk) > 1e-9 * max(dxk, abs(yk)):
-            near = (round(y[0] / grid.dx1) * grid.dx1,
-                    round(y[1] / grid.dx2) * grid.dx2)
-            raise ValueError(f"translation {y} is not grid-aligned; "
-                             f"nearest aligned value is {near}")
-        out.append(lk)
-    return out[0], out[1]
-
-
 def gabor_analyze_at(f: QSignal2D, phi: QSignal2D, y: tuple[float, float],
                      p: QLCTParams, method: str = "fast") -> QSignal2D:
     """Gabor field at a single translation: QLCT of f(.) * conj(phi(. - y))."""
@@ -96,10 +84,7 @@ def gabor_analyze_at(f: QSignal2D, phi: QSignal2D, y: tuple[float, float],
         raise GridMismatchError("signal and window must share a grid")
     windowed = QSignal2D(f.grid, qmul(f.samples, qconj(translate(phi, y).samples)))
     if method == "fast":
-        g1, g2 = _axis_grids(f.grid)
-        fa, fb = to_complex_pair(windowed.samples)
-        fa, fb, o1, o2 = _two_sided_fast(p, fa, fb, g1, g2)
-        return QSignal2D(_join_grids(o1, o2), from_complex_pair(fa, fb))
+        return qlct_forward_fast(windowed, p)
     if method != "direct":
         raise ValueError(f"method must be 'fast' or 'direct', got {method!r}")
     return qlct_forward_direct(windowed, p)
@@ -108,15 +93,10 @@ def gabor_analyze_at(f: QSignal2D, phi: QSignal2D, y: tuple[float, float],
 def _shifted_block(arr: np.ndarray, m1: int, m2_list, n1: int, n2: int):
     """Zero-padded translates arr(x - y) for one y1 row, all kept y2."""
     block = np.zeros((len(m2_list), n1, n2, 4))
-    d1 = slice(max(m1, 0), min(n1 + m1, n1))
-    s1 = slice(max(-m1, 0), min(n1 - m1, n1))
-    if d1.start >= d1.stop:
-        return block
+    d1, s1 = shift_slices(m1, n1)
     for idx, m2 in enumerate(m2_list):
-        d2 = slice(max(m2, 0), min(n2 + m2, n2))
-        s2 = slice(max(-m2, 0), min(n2 - m2, n2))
-        if d2.start < d2.stop:
-            block[idx, d1, d2] = arr[s1, s2]
+        d2, s2 = shift_slices(m2, n2)
+        block[idx, d1, d2] = arr[s1, s2]
     return block
 
 
@@ -170,7 +150,7 @@ def gabor_synthesize(G: GaborCoefficients, phi: QSignal2D) -> QSignal2D:
         raise ValueError("synthesis requires stride-1 coefficients "
                          "covering every translation cell")
     norm_sq = phi.l2_norm_sq()
-    if abs(norm_sq - G.window_norm_sq) > 1e-12:
+    if abs(norm_sq - G.window_norm_sq) > 1e-9 * max(norm_sq, G.window_norm_sq):
         raise ValueError(
             f"window mismatch: ||phi||^2 = {norm_sq!r} but coefficients "
             f"were built with {G.window_norm_sq!r}")
@@ -265,19 +245,43 @@ def save_coefficients(G: GaborCoefficients, dirpath) -> str:
 
 
 def load_coefficients(dirpath) -> GaborCoefficients:
-    with open(os.path.join(dirpath, "manifest.json")) as fh:
+    """Read a directory written by `save_coefficients`. A manifest with a
+    missing key, a translation cell listed out of range or other than
+    exactly once, or a slice off `omega_grid` raises FormatError."""
+    path = os.path.join(dirpath, "manifest.json")
+    with open(path) as fh:
         manifest = json.load(fh)
-    omega_grid = Grid2D.from_dict(manifest["omega_grid"])
-    y_grid = Grid2D.from_dict(manifest["y_grid"])
-    params = QLCTParams(LCTParams(*manifest["params"]["A1"]),
-                        LCTParams(*manifest["params"]["A2"]))
+    try:
+        omega_grid = Grid2D.from_dict(manifest["omega_grid"])
+        y_grid = Grid2D.from_dict(manifest["y_grid"])
+        params = QLCTParams(LCTParams(*manifest["params"]["A1"]),
+                            LCTParams(*manifest["params"]["A2"]))
+        window_norm_sq = float(manifest["window_norm_sq"])
+        stride = int(manifest["stride"])
+        files = {}
+        for entry in manifest["slices"]:
+            cell = (int(entry["iy1"]), int(entry["iy2"]))
+            if not (0 <= cell[0] < y_grid.n1 and 0 <= cell[1] < y_grid.n2):
+                raise FormatError(f"{path}: slice {cell} is outside the "
+                                  f"{y_grid.n1}x{y_grid.n2} translation grid")
+            if cell in files:
+                raise FormatError(f"{path}: slice {cell} is listed twice")
+            files[cell] = str(entry["file"])
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: malformed manifest "
+                          f"({type(exc).__name__}: {exc})") from None
+    if len(files) != y_grid.n1 * y_grid.n2:
+        raise FormatError(f"{path}: {len(files)} slices listed for a "
+                          f"{y_grid.n1}x{y_grid.n2} translation grid")
     coeffs = np.zeros((omega_grid.n1, omega_grid.n2, y_grid.n1, y_grid.n2, 4))
-    for entry in manifest["slices"]:
-        sig = load(os.path.join(dirpath, entry["file"]))
-        coeffs[:, :, entry["iy1"], entry["iy2"], :] = sig.samples
+    for (iy1, iy2), fname in files.items():
+        sig = load(os.path.join(dirpath, fname))
+        if sig.grid != omega_grid:
+            raise FormatError(f"{fname}: slice grid {sig.grid} is not the "
+                              f"manifest's omega_grid {omega_grid}")
+        coeffs[:, :, iy1, iy2, :] = sig.samples
     return GaborCoefficients(omega_grid, y_grid, coeffs, params,
-                             float(manifest["window_norm_sq"]),
-                             int(manifest["stride"]))
+                             window_norm_sq, stride)
 
 
 def export_pgm(field: np.ndarray, path) -> None:

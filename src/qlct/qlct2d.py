@@ -74,26 +74,18 @@ def forward_grid(grid: Grid2D, p: QLCTParams) -> Grid2D:
 # ---------------------------------------------------------------------------
 # fast path (symplectic split, batch-friendly: arrays (..., n1, n2))
 
-def _fast_axis(p, sign, arr, gin, gout, axis):
+def _axis_lct(p, sign, arr, gin, gout, axis):
+    """Complex transform along one axis: the b = 0 rescaling branch or
+    chirp-FFT-chirp."""
     moved = np.moveaxis(arr, axis, -1)
-    out, g = lct_fast(p, sign, moved, gin, gout)
-    return np.moveaxis(out, -1, axis), g
-
-
-def _scale_axis(p, sign, arr, gin, gout, axis):
-    moved = np.moveaxis(arr, axis, -1)
-    out, g = lct_scale_chirp(p, sign, moved, gin, gout)
+    out, g = (lct_scale_chirp if p.b == 0 else lct_fast)(p, sign, moved, gin, gout)
     return np.moveaxis(out, -1, axis), g
 
 
 def _left_fast(p, fa, fb, gin, gout, axis):
     """Left i-plane kernel: the same complex transform on both planes."""
-    if p.b == 0:
-        fa, g = _scale_axis(p, 1, fa, gin, gout, axis)
-        fb, _ = _scale_axis(p, 1, fb, gin, gout, axis)
-    else:
-        fa, g = _fast_axis(p, 1, fa, gin, gout, axis)
-        fb, _ = _fast_axis(p, 1, fb, gin, gout, axis)
+    fa, g = _axis_lct(p, 1, fa, gin, gout, axis)
+    fb, _ = _axis_lct(p, 1, fb, gin, gout, axis)
     return fa, fb, g
 
 
@@ -112,10 +104,10 @@ def _right_fast(p, fa, fb, gin, gout, axis):
             fa = np.flip(fa, axis=axis)
             fb = np.flip(fb, axis=axis)
         return fa * cosv - fb * sinv, fa * sinv + fb * cosv, g
-    pa, g = _fast_axis(p, 1, fa, gin, gout, axis)
-    ma, _ = _fast_axis(p, -1, fa, gin, gout, axis)
-    pb, _ = _fast_axis(p, 1, fb, gin, gout, axis)
-    mb, _ = _fast_axis(p, -1, fb, gin, gout, axis)
+    pa, g = _axis_lct(p, 1, fa, gin, gout, axis)
+    ma, _ = _axis_lct(p, -1, fa, gin, gout, axis)
+    pb, _ = _axis_lct(p, 1, fb, gin, gout, axis)
+    mb, _ = _axis_lct(p, -1, fb, gin, gout, axis)
     ca, sa = (pa + ma) / 2, (pa - ma) / 2j
     cb, sb = (pb + mb) / 2, (pb - mb) / 2j
     return ca - sb, sa + cb, g
@@ -215,11 +207,11 @@ def qlct_inverse(F: QSignal2D, p: QLCTParams, method: str = "fast",
     grids inverse(forward(f)) is exact to rounding.
     """
     w1, w2 = _axis_grids(F.grid)
-    if x_grid is not None:
-        x1, x2 = _axis_grids(x_grid)
-    else:
-        x1 = scale_chirp_grid(p.A1.inverse(), w1) if p.A1.b == 0 else conjugate_grid(w1, p.A1.b)
-        x2 = scale_chirp_grid(p.A2.inverse(), w2) if p.A2.b == 0 else conjugate_grid(w2, p.A2.b)
+    if x_grid is None:
+        # conjugate_grid depends on |b| only, so the forward grid of the
+        # inverse matrices is the matched reconstruction grid
+        x_grid = forward_grid(F.grid, p.inverse())
+    x1, x2 = _axis_grids(x_grid)
     if method == "fast":
         fa, fb = to_complex_pair(F.samples)
         fa, fb, o1, o2 = _two_sided_fast(p.inverse(), fa, fb, w1, w2, x1, x2)

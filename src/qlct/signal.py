@@ -222,6 +222,13 @@ def inner_product(f: QSignal2D, g: QSignal2D) -> np.ndarray:
     return np.sum(prod, axis=(0, 1)) * f.grid.cell_area
 
 
+def shift_slices(m: int, n: int) -> tuple[slice, slice]:
+    """(dst, src) slices of one axis of n samples such that out[dst] = a[src]
+    is the zero-padded shift out[k] = a[k - m]; both are empty for |m| >= n."""
+    m = max(-n, min(m, n))
+    return slice(max(m, 0), n + min(m, 0)), slice(max(-m, 0), n - max(m, 0))
+
+
 def translate(f: QSignal2D, y: tuple[float, float]) -> QSignal2D:
     """Shift f by y with zero padding. y must be an integer multiple of the
     grid spacings; samples shifted off the grid are dropped."""
@@ -234,15 +241,10 @@ def translate(f: QSignal2D, y: tuple[float, float]) -> QSignal2D:
             raise ValueError(
                 f"translation {y} is not grid-aligned; nearest aligned value is {near}")
         shifts.append(lk)
-    l1, l2 = shifts
+    d1, s1 = shift_slices(shifts[0], f.grid.n1)
+    d2, s2 = shift_slices(shifts[1], f.grid.n2)
     out = np.zeros_like(f.samples)
-    n1, n2 = f.grid.n1, f.grid.n2
-    s1 = slice(max(l1, 0), min(n1 + l1, n1))
-    s2 = slice(max(l2, 0), min(n2 + l2, n2))
-    t1 = slice(max(-l1, 0), min(n1 - l1, n1))
-    t2 = slice(max(-l2, 0), min(n2 - l2, n2))
-    if s1.start < s1.stop and s2.start < s2.stop:
-        out[s1, s2] = f.samples[t1, t2]
+    out[d1, d2] = f.samples[s1, s2]
     return QSignal2D(f.grid, out)
 
 

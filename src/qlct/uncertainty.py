@@ -23,7 +23,7 @@ from . import report
 from .gabor import GaborCoefficients, forward_grid, iter_gabor_blocks, translation_grid
 from .qlct2d import QLCTParams, qlct_forward_direct, qlct_forward_fast
 from .quat import qabs_sq
-from .signal import QSignal2D
+from .signal import QSignal2D, shift_slices
 
 EULER_GAMMA = 0.5772156649015329
 PSI_HALF = -EULER_GAMMA - 2.0 * math.log(2.0)
@@ -251,17 +251,10 @@ def lemma_log_identity_check(f: QSignal2D, phi: QSignal2D,
     # W(x) = sum_y |phi(x - y)|^2 dy over the zero-padded translation sweep
     w = np.zeros((n1, n2))
     for l1 in range(n1):
-        m1 = l1 - n1 // 2
-        d1 = slice(max(m1, 0), min(n1 + m1, n1))
-        s1 = slice(max(-m1, 0), min(n1 - m1, n1))
-        if d1.start >= d1.stop:
-            continue
+        d1, s1 = shift_slices(l1 - n1 // 2, n1)
         for l2 in range(n2):
-            m2 = l2 - n2 // 2
-            d2 = slice(max(m2, 0), min(n2 + m2, n2))
-            s2 = slice(max(-m2, 0), min(n2 - m2, n2))
-            if d2.start < d2.stop:
-                w[d1, d2] += phi_mod2[s1, s2]
+            d2, s2 = shift_slices(l2 - n2 // 2, n2)
+            w[d1, d2] += phi_mod2[s1, s2]
     w *= grid.cell_area
     lhs = float(np.sum(log_x * f_mod2 * w) * grid.cell_area)
     rhs = phi.l2_norm_sq() * float(np.sum(log_x * f_mod2) * grid.cell_area)

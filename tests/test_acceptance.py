@@ -6,6 +6,7 @@ as ordinary assertion errors with the measured values.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,3 +304,29 @@ def test_criterion_14_determinism(verify_all_runs):
     reports = json.loads(first)
     assert len(reports) > 0
     _ok(14, f"verify all twice: byte-identical JSON ({len(reports)} reports)")
+
+
+def _assert_report_close(got, want, where="report"):
+    """Keys, strings and ints equal; floats to rel 1e-12 / abs 1e-14."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _assert_report_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_report_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), f"{where}: {got!r} is not a float"
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14), \
+            f"{where}: {got!r} vs pinned {want!r}"
+    else:
+        assert type(got) is type(want) and got == want, \
+            f"{where}: {got!r} vs pinned {want!r}"
+
+
+def test_verify_all_matches_pinned_report(verify_all_runs):
+    """The seed-0 `verify all --grid 32x32` report equals the committed one."""
+    _, first, _ = verify_all_runs
+    pinned = Path(__file__).parent / "data" / "verify_all_seed0.json"
+    _assert_report_close(json.loads(first), json.loads(pinned.read_text()))

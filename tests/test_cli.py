@@ -128,6 +128,57 @@ def test_gabor_memory_refusal_and_force(tmp_path, capsys):
                  "-o", str(tmp_path / "coef2")]) == 0
 
 
+def test_gabor_memory_guard_counts_bytes_at_any_stride(tmp_path, capsys):
+    src = tmp_path / "f.qsig"
+    write_gaussian(src, n=48, dx=0.25)
+    code = main(["gabor", "analyze", "-i", str(src), "--stride", "2",
+                 "-o", str(tmp_path / "coef")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--force" in err
+    assert str(48 * 48 * 24 * 24 * 32) in err  # the estimate in bytes
+    assert not (tmp_path / "coef").exists()
+
+
+def _drop_slice(manifest, coef):
+    del manifest["slices"][5]
+
+
+def _slice_out_of_range(manifest, coef):
+    manifest["slices"][5]["iy1"] = 99
+
+
+def _slice_without_file(manifest, coef):
+    del manifest["slices"][5]["file"]
+
+
+def _slice_on_other_grid(manifest, coef):
+    name = manifest["slices"][5]["file"]
+    sig = load(coef / name)
+    save(coef / name, QSignal2D(Grid2D.centered(8, 8, 0.3, 0.3), sig.samples))
+
+
+@pytest.mark.parametrize("corrupt", [_drop_slice, _slice_out_of_range,
+                                     _slice_without_file, _slice_on_other_grid])
+def test_gabor_synthesize_rejects_malformed_manifest(tmp_path, capsys, corrupt):
+    src = tmp_path / "f.qsig"
+    write_gaussian(src, n=8)
+    coef = tmp_path / "coef"
+    assert main(["gabor", "analyze", "-i", str(src), "-o", str(coef)]) == 0
+    path = coef / "manifest.json"
+    manifest = json.loads(path.read_text())
+    corrupt(manifest, coef)
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = main(["gabor", "synthesize", "-i", str(coef),
+                 "-o", str(tmp_path / "back.qsig")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "back.qsig").exists()
+
+
 def test_verify_young_writes_reports(tmp_path, capsys):
     rpt = tmp_path / "young.json"
     code = main(["verify", "young", "--trials", "5", "--seed", "7",

@@ -190,6 +190,11 @@ def test_synthesize_rejects_stride_and_window_mismatch():
     other = make_window(WindowSpec("gaussian", (0.7, 0.7)), grid)
     with pytest.raises(ValueError, match="window mismatch"):
         gabor_synthesize(G, other)
+    # norms far below any absolute tolerance still have to match
+    tiny = phi.scaled(1e-7)
+    G_tiny = gabor_analyze(f, tiny, p, 1)
+    with pytest.raises(ValueError, match="window mismatch"):
+        gabor_synthesize(G_tiny, tiny.scaled(2.0))
 
 
 def test_plancherel_ratio_and_monotone_refinement():

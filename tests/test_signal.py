@@ -5,7 +5,7 @@ from qlct.quat import qconj, qmul, quaternion
 from qlct.signal import (FormatError, Grid2D, GridMismatchError, QSignal2D,
                          WindowSpec, export_csv, import_csv, inner_product,
                          load, make_window, parse_window_spec, sample, save,
-                         translate)
+                         shift_slices, translate)
 
 
 def grid4():
@@ -129,6 +129,25 @@ def test_translate_round_trip_on_interior_cells():
     back = translate(translate(f, (2.0, -1.0)), (-2.0, 1.0))
     # cells that never left the grid are recovered exactly
     np.testing.assert_array_equal(back.samples[:6, 1:], f.samples[:6, 1:])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_shift_slices_match_naive_shift(n):
+    a = np.arange(1.0, n + 1.0)
+    for m in range(-n - 2, n + 3):
+        dst, src = shift_slices(m, n)
+        out = np.zeros(n)
+        out[dst] = a[src]
+        naive = [a[k - m] if 0 <= k - m < n else 0.0 for k in range(n)]
+        np.testing.assert_array_equal(out, naive, err_msg=f"m={m}")
+
+
+def test_translate_beyond_grid_is_zero():
+    rng = np.random.default_rng(9)
+    g = Grid2D.centered(5, 5, 1.0, 1.0)
+    f = QSignal2D(g, rng.standard_normal((5, 5, 4)))
+    for y in [(5.0, 0.0), (-7.0, 1.0), (0.0, 6.0), (-5.0, -5.0)]:
+        assert not translate(f, y).samples.any(), y
 
 
 def test_translate_rejects_off_grid_with_suggestion():
