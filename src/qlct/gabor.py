@@ -145,10 +145,19 @@ def gabor_synthesize(G: GaborCoefficients, phi: QSignal2D) -> QSignal2D:
 
     f(x) = (1/||phi||^2) sum_{omega,y} Kinv_i G(omega,y) Kinv_j phi(x-y)
            * domega * dy
+
+    G.y_grid and G.omega_grid must be the grids that analysis against phi
+    produces; any other grid raises ValueError.
     """
-    if G.stride != 1 or (G.y_grid.n1, G.y_grid.n2) != (phi.grid.n1, phi.grid.n2):
+    if G.stride != 1:
         raise ValueError("synthesis requires stride-1 coefficients "
                          "covering every translation cell")
+    if not G.y_grid.approx_eq(translation_grid(phi.grid, G.stride)):
+        raise ValueError(f"y_grid {G.y_grid} is not the translation grid "
+                         f"of the window grid {phi.grid}")
+    if not G.omega_grid.approx_eq(forward_grid(phi.grid, G.params)):
+        raise ValueError(f"omega_grid {G.omega_grid} is not the forward grid "
+                         f"of the window grid {phi.grid}")
     norm_sq = phi.l2_norm_sq()
     if abs(norm_sq - G.window_norm_sq) > 1e-9 * max(norm_sq, G.window_norm_sq):
         raise ValueError(

@@ -41,7 +41,8 @@ class ZeroBError(ValueError):
 
 
 class MatchedSamplingError(ValueError):
-    """Output grid violates dx * dw = 2*pi*|b| / N."""
+    """Output grid is not one the axis admits: off dx * dw = 2*pi*|b| / N
+    for b != 0, or off the scaled input grid for b = 0."""
 
 
 def _fft_workers() -> int | None:
@@ -133,7 +134,21 @@ def kernel_value(p: LCTParams, sign: int, x, w) -> np.ndarray:
     return np.exp(1j * sign * phase) / np.sqrt(2 * np.pi * abs(p.b))
 
 
-def _resolve_out_grid(p: LCTParams, grid_in: Grid1D, grid_out: Grid1D | None) -> Grid1D:
+def _resolve_out_grid(p: LCTParams, grid_in: Grid1D,
+                      grid_out: Grid1D | None = None) -> Grid1D:
+    """The output grid an axis admits: for b != 0 any grid of n samples at
+    the matched spacing dw = 2*pi*|b| / (n*dx) (centered by default), for
+    b = 0 only the scaled input grid. A requested grid off that rule raises
+    MatchedSamplingError."""
+    if p.b == 0:
+        admissible = scale_chirp_grid(p, grid_in)
+        if grid_out is None:
+            return admissible
+        if not grid_out.approx_eq(admissible):
+            raise MatchedSamplingError(
+                f"d*u falls off the input grid; admissible output grid has "
+                f"n = {admissible.n}, dx = {admissible.dx!r}, x0 = {admissible.x0!r}")
+        return grid_out
     if grid_out is None:
         return conjugate_grid(grid_in, p.b)
     required = 2 * np.pi * abs(p.b) / (grid_in.n * grid_in.dx)
@@ -219,13 +234,7 @@ def lct_scale_chirp(p: LCTParams, sign: int, f: np.ndarray, grid_in: Grid1D,
     _check_sign(sign)
     if p.b != 0:
         raise ValueError(f"lct_scale_chirp requires b = 0, got b = {p.b!r}")
-    admissible = scale_chirp_grid(p, grid_in)
-    if grid_out is None:
-        grid_out = admissible
-    elif not grid_out.approx_eq(admissible):
-        raise ValueError(
-            f"d*u falls off the input grid; admissible output grid has "
-            f"n = {admissible.n}, dx = {admissible.dx!r}, x0 = {admissible.x0!r}")
+    grid_out = _resolve_out_grid(p, grid_in, grid_out)
     f = np.asarray(f, dtype=complex)
     if f.shape[-1] != grid_in.n:
         raise ValueError(f"last axis has {f.shape[-1]} samples, grid has {grid_in.n}")

@@ -14,11 +14,14 @@ Two independent realizations are provided:
   matrices multiplied with `qmul`. This is the quadrature oracle.
 * `qlct_forward_fast` / method="fast": symplectic split f = qa + qb*j.
   The left kernel is an ordinary complex LCT acting on qa and qb
-  independently. The right kernel e^{j*beta} mixes the planes through
-  cos/sin sums assembled from two complex LCTs with kernel signs +1 and
-  -1, using (qa + qb*j)*e^{j*beta}
-  = (qa*cos(beta) - qb*sin(beta)) + (qa*sin(beta) + qb*cos(beta))*j,
-  which follows from Hamilton's rules. Cost O(N^2 log N).
+  independently. The right kernel e^{j*beta} mixes the planes:
+  (qa + qb*j)*e^{j*beta}
+  = (qa*cos(beta) - qb*sin(beta)) + (qa*sin(beta) + qb*cos(beta))*j
+  by Hamilton's rules. Writing cos and sin through e^{+-i*beta} folds
+  this into two complex LCTs with kernel signs +1 and -1,
+  P = K+((qa + i*qb)/2) and M = K-((qa - i*qb)/2), giving the planes
+  P + M and -i*(P - M); this holds for b = 0 axes too. Four complex
+  LCTs per transform, cost O(N^2 log N).
 
 Inversion uses the conjugate kernels (kernel sign -1); on matched grids
 the discrete round trip is exact up to rounding, which is far inside the
@@ -32,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import report
-from .lct1d import (Grid1D, LCTParams, conjugate_grid, kernel_value,
-                    lct_fast, lct_scale_chirp, scale_chirp_grid)
+from .lct1d import (Grid1D, LCTParams, _resolve_out_grid, kernel_value,
+                    lct_fast, lct_scale_chirp)
 from .quat import from_complex_pair, qmul, to_complex_pair
 from .signal import Grid2D, QSignal2D
 
@@ -61,14 +64,10 @@ def _join_grids(g1: Grid1D, g2: Grid1D) -> Grid2D:
     return Grid2D(g1.n, g2.n, g1.dx, g2.dx, g1.x0, g2.x0)
 
 
-def _axis_out_grid(p: LCTParams, gin: Grid1D) -> Grid1D:
-    return scale_chirp_grid(p, gin) if p.b == 0 else conjugate_grid(gin, p.b)
-
-
 def forward_grid(grid: Grid2D, p: QLCTParams) -> Grid2D:
     """Output grid of the forward transform (per-axis conjugate or scaled)."""
     g1, g2 = _axis_grids(grid)
-    return _join_grids(_axis_out_grid(p.A1, g1), _axis_out_grid(p.A2, g2))
+    return _join_grids(_resolve_out_grid(p.A1, g1), _resolve_out_grid(p.A2, g2))
 
 
 # ---------------------------------------------------------------------------
@@ -90,27 +89,12 @@ def _left_fast(p, fa, fb, gin, gout, axis):
 
 
 def _right_fast(p, fa, fb, gin, gout, axis):
-    """Right j-plane kernel via cos/sin sums of the +1 and -1 sign kernels."""
-    if p.b == 0:
-        g = scale_chirp_grid(p, gin) if gout is None else gout
-        u = g.coords()
-        theta = (p.c * p.d / 2) * u**2
-        shape = [1] * fa.ndim
-        shape[axis] = g.n
-        amp = np.sqrt(abs(p.d))
-        cosv = (amp * np.cos(theta)).reshape(shape)
-        sinv = (amp * np.sin(theta)).reshape(shape)
-        if p.a < 0:
-            fa = np.flip(fa, axis=axis)
-            fb = np.flip(fb, axis=axis)
-        return fa * cosv - fb * sinv, fa * sinv + fb * cosv, g
-    pa, g = _axis_lct(p, 1, fa, gin, gout, axis)
-    ma, _ = _axis_lct(p, -1, fa, gin, gout, axis)
-    pb, _ = _axis_lct(p, 1, fb, gin, gout, axis)
-    mb, _ = _axis_lct(p, -1, fb, gin, gout, axis)
-    ca, sa = (pa + ma) / 2, (pa - ma) / 2j
-    cb, sb = (pb + mb) / 2, (pb - mb) / 2j
-    return ca - sb, sa + cb, g
+    """Right j-plane kernel from the +1 and -1 sign kernels K+ and K-:
+    P = K+((fa + i*fb)/2) and M = K-((fa - i*fb)/2) give the planes
+    P + M and -i*(P - M)."""
+    P, g = _axis_lct(p, 1, (fa + 1j * fb) / 2, gin, gout, axis)
+    M, _ = _axis_lct(p, -1, (fa - 1j * fb) / 2, gin, gout, axis)
+    return P + M, -1j * (P - M), g
 
 
 def _two_sided_fast(p: QLCTParams, fa, fb, g1in, g2in, g1out=None, g2out=None):
@@ -154,12 +138,11 @@ def _left_direct(p, sign, samples, gin, gout, transposed):
     (the forward orientation); transposed=True puts the output coordinate
     in the kernel's first slot, the orientation of the inversion formula.
     """
+    g = _resolve_out_grid(p, gin, gout)
     if p.b == 0:
-        g = scale_chirp_grid(p, gin) if gout is None else gout
         kq = _iquat(_chirp_complex(p, sign, g))
         rows = samples if p.a > 0 else samples[::-1]
         return qmul(kq[:, None, :], rows), g
-    g = conjugate_grid(gin, p.b) if gout is None else gout
     xin = gin.coords()
     wout = g.coords()
     if transposed:
@@ -173,12 +156,11 @@ def _left_direct(p, sign, samples, gin, gout, transposed):
 
 def _right_direct(p, sign, samples, gin, gout, transposed):
     """Contract K (right factor) against axis 1 of samples (n1, n2, 4)."""
+    g = _resolve_out_grid(p, gin, gout)
     if p.b == 0:
-        g = scale_chirp_grid(p, gin) if gout is None else gout
         kq = _jquat(_chirp_complex(p, sign, g))
         cols = samples if p.a > 0 else samples[:, ::-1]
         return qmul(cols, kq[None, :, :]), g
-    g = conjugate_grid(gin, p.b) if gout is None else gout
     xin = gin.coords()
     wout = g.coords()
     if transposed:

@@ -330,3 +330,13 @@ def test_verify_all_matches_pinned_report(verify_all_runs):
     _, first, _ = verify_all_runs
     pinned = Path(__file__).parent / "data" / "verify_all_seed0.json"
     _assert_report_close(json.loads(first), json.loads(pinned.read_text()))
+
+
+def test_qlct_plancherel_residuals_hold_the_identity(verify_all_runs):
+    """On matched grids the discrete Plancherel identity is exact, so each
+    residual must stay at rounding level whatever digits the pin holds."""
+    _, first, _ = verify_all_runs
+    reports = [r for r in json.loads(first) if r["name"] == "qlct-plancherel"]
+    assert reports
+    for r in reports:
+        assert abs(r["lhs"] - r["rhs"]) <= 1e-12 * r["lhs"], r["params"]

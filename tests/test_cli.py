@@ -158,8 +158,13 @@ def _slice_on_other_grid(manifest, coef):
     save(coef / name, QSignal2D(Grid2D.centered(8, 8, 0.3, 0.3), sig.samples))
 
 
+def _y_grid_spacing_edited(manifest, coef):
+    manifest["y_grid"]["dx1"] *= 2
+
+
 @pytest.mark.parametrize("corrupt", [_drop_slice, _slice_out_of_range,
-                                     _slice_without_file, _slice_on_other_grid])
+                                     _slice_without_file, _slice_on_other_grid,
+                                     _y_grid_spacing_edited])
 def test_gabor_synthesize_rejects_malformed_manifest(tmp_path, capsys, corrupt):
     src = tmp_path / "f.qsig"
     write_gaussian(src, n=8)

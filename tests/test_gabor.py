@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -195,6 +196,11 @@ def test_synthesize_rejects_stride_and_window_mismatch():
     G_tiny = gabor_analyze(f, tiny, p, 1)
     with pytest.raises(ValueError, match="window mismatch"):
         gabor_synthesize(G_tiny, tiny.scaled(2.0))
+    # an omega_grid other than forward_grid(phi.grid, p)
+    og = G.omega_grid
+    shifted = dataclasses.replace(og, x0_1=og.x0_1 + og.dx1)
+    with pytest.raises(ValueError, match="omega_grid"):
+        gabor_synthesize(dataclasses.replace(G, omega_grid=shifted), phi)
 
 
 def test_plancherel_ratio_and_monotone_refinement():

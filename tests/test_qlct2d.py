@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qlct.families import (FOURIER, PARAM_SETS, default_grid, gaussian,
                            gaussian_chirp, impulse, random_quaternion_signal,
                            random_smooth)
-from qlct.lct1d import LCTParams, kernel_value
+from qlct.lct1d import LCTParams, MatchedSamplingError, kernel_value
 from qlct.qlct2d import (QLCTParams, forward_grid, qlct_forward_direct,
                          qlct_forward_fast, qlct_inverse,
                          qlct_plancherel_check)
@@ -168,6 +172,61 @@ def test_degenerate_axis_routing(name):
         back = qlct_inverse(Ff if method == "fast" else Fd, p, method)
         assert rel_l2(back.samples, f.samples) <= 1e-8
     assert Ff.grid.approx_eq(forward_grid(grid, p))
+
+
+@pytest.mark.parametrize("name", ["b1-zero", "b2-zero", "generic"])
+@pytest.mark.parametrize("axis", [1, 2])
+@pytest.mark.parametrize("method", ["fast", "direct"])
+def test_inverse_rejects_grid_off_the_axis_rule(name, axis, method):
+    # both paths resolve every axis output grid through one rule
+    p = {**MIXED_CASES, **PARAM_SETS}[name]
+    grid = default_grid(8)
+    F = qlct_forward_fast(random_quaternion_signal(grid, np.random.default_rng(25)), p)
+    dx = f"dx{axis}"
+    bad = dataclasses.replace(grid, **{dx: 2 * getattr(grid, dx)})
+    with pytest.raises(MatchedSamplingError):
+        qlct_inverse(F, p, method=method, x_grid=bad)
+
+
+_MAGNITUDE = st.floats(0.4, 2.5)
+_SIGN = st.sampled_from([1.0, -1.0])
+
+
+@st.composite
+def _axis_params(draw):
+    """Unimodular axis matrix: b < 0, b = 0 with a < 0, or any signs."""
+    kind = draw(st.sampled_from(["b<0", "b=0", "generic"]))
+    if kind == "b=0":
+        a = -draw(_MAGNITUDE)
+        return LCTParams(a, 0.0, draw(st.floats(-1.0, 1.0)), 1 / a)
+    a = draw(_MAGNITUDE) * draw(_SIGN)
+    d = draw(_MAGNITUDE) * draw(_SIGN)
+    b = draw(_MAGNITUDE) * (-1.0 if kind == "b<0" else draw(_SIGN))
+    return LCTParams(a, b, (a * d - 1) / b, d)
+
+
+@st.composite
+def _grids(draw):
+    n1 = draw(st.integers(4, 24))
+    n2 = draw(st.integers(4, 23))
+    n2 += n2 >= n1  # n2 != n1
+    return Grid2D.centered(n1, n2, draw(st.floats(0.2, 1.0)),
+                           draw(st.floats(0.2, 1.0)))
+
+
+@given(_axis_params(), _axis_params(), _grids(), st.integers(0, 2**32 - 1))
+def test_random_params_fast_matches_direct_and_round_trips(A1, A2, grid, seed):
+    p = QLCTParams(A1, A2)
+    f = random_quaternion_signal(grid, np.random.default_rng(seed))
+    Ff = qlct_forward_fast(f, p)
+    Fd = qlct_forward_direct(f, p)
+    assert Ff.grid.approx_eq(Fd.grid)
+    assert np.max(np.abs(Ff.samples - Fd.samples)) <= 1e-9
+    scale = np.max(np.abs(f.samples))
+    for method in ("fast", "direct"):
+        back = qlct_inverse(Ff, p, method)
+        assert back.grid.approx_eq(grid)
+        assert np.max(np.abs(back.samples - f.samples)) <= 1e-8 * scale
 
 
 def test_plancherel_gaussian_and_zero():
