@@ -64,10 +64,10 @@ def _parse_matrix(text: str, name: str) -> LCTParams:
         a, b, c, d = (float(v) for v in parts)
     except ValueError:
         raise FormatError(f"{name} has a non-numeric entry in {text!r}") from None
-    det = a * d - b * c
-    if abs(det - 1.0) > 1e-9:
-        raise FormatError(f"det({name}) != 1 (got {det!r}) for {text!r}")
-    return LCTParams(a, b, c, d)
+    try:
+        return LCTParams(a, b, c, d)
+    except ValueError as exc:
+        raise FormatError(f"det({name}) != 1 for {text!r}: {exc}") from None
 
 
 def _parse_params(args) -> QLCTParams:
@@ -391,10 +391,11 @@ VERIFY_NAMES = list(SUITES)
 
 def cmd_verify(args) -> int:
     cfg = VerifyConfig(seed=args.seed, trials=args.trials, method=args.method)
-    if args.grid:
+    if args.grid is not None:
         cfg.n1, cfg.n2 = _parse_grid(args.grid)
-    if args.dx:
+    if args.dx is not None:
         cfg.dx = args.dx
+    cfg.grid()  # a bad --grid or --dx fails here, before any suite runs
     names = VERIFY_NAMES if args.suite == "all" else [args.suite]
     all_reports: list[report.InequalityReport] = []
     all_failures: list[str] = []

@@ -28,8 +28,8 @@ import numpy as np
 from . import report
 from .lct1d import LCTParams
 from .quat import from_complex_pair, qabs_sq, qconj, qmul, to_complex_pair
-from .qlct2d import (QLCTParams, _axis_grids, _two_sided_fast, forward_grid,
-                     qlct_forward_direct, qlct_forward_fast)
+from .qlct2d import (QLCTParams, _axis_grids, _check_method, _two_sided_fast,
+                     forward_grid, qlct_forward_direct, qlct_forward_fast)
 from .signal import (FormatError, Grid2D, GridMismatchError, QSignal2D, load,
                      save, shift_slices, translate)
 
@@ -83,11 +83,8 @@ def gabor_analyze_at(f: QSignal2D, phi: QSignal2D, y: tuple[float, float],
     if not f.grid.approx_eq(phi.grid):
         raise GridMismatchError("signal and window must share a grid")
     windowed = QSignal2D(f.grid, qmul(f.samples, qconj(translate(phi, y).samples)))
-    if method == "fast":
-        return qlct_forward_fast(windowed, p)
-    if method != "direct":
-        raise ValueError(f"method must be 'fast' or 'direct', got {method!r}")
-    return qlct_forward_direct(windowed, p)
+    fwd = qlct_forward_fast if _check_method(method) == "fast" else qlct_forward_direct
+    return fwd(windowed, p)
 
 
 def _shifted_block(arr: np.ndarray, m1: int, m2_list, n1: int, n2: int):
@@ -106,8 +103,7 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     a time, without materializing the full 4D field."""
     if not f.grid.approx_eq(phi.grid):
         raise GridMismatchError("signal and window must share a grid")
-    if method not in ("fast", "direct"):
-        raise ValueError(f"method must be 'fast' or 'direct', got {method!r}")
+    _check_method(method)
     grid = f.grid
     g1, g2 = _axis_grids(grid)
     phi_conj = qconj(phi.samples)

@@ -6,10 +6,13 @@ A = [[a, b], [c, d]]. For b != 0 the kernel evaluated here is
     K(x, w) = exp(sign*1j*((a/(2b))x^2 - x*w/b + (d/(2b))w^2 - (pi/4)*sgn(b)))
               / sqrt(2*pi*|b|)
 
-with sign = +1 for the defining kernel and sign = -1 for its conjugate
-(the inversion kernel). The amplitude 1/sqrt(2*pi*|b|) together with the
-constant phase -(pi/4)*sgn(b) is the principal branch of 1/sqrt(2*pi*1j*b),
-which keeps the transform unitary for either sign of b.
+with sign = +1 for the defining kernel and sign = -1 for its conjugate,
+which the two-sided transform needs only to split its j-plane kernel into
+complex transforms. Inversion needs no conjugate kernel: the inverse is
+the sign +1 transform with A^-1, since K_{A^-1}(x, w) = conj K_A(w, x).
+The amplitude 1/sqrt(2*pi*|b|) together with the constant phase
+-(pi/4)*sgn(b) is the principal branch of 1/sqrt(2*pi*1j*b), which keeps
+the transform unitary for either sign of b.
 
 For b = 0 the transform degenerates to a chirp-weighted rescaling
 
@@ -64,17 +67,11 @@ class LCTParams:
 
     def __post_init__(self):
         det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > DET_TOL:
+        if not abs(det - 1.0) <= DET_TOL:  # also rejects NaN and inf entries
             raise ValueError(f"det(A) = {det!r} != 1 for A = {self.astuple()}")
 
     def astuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
-
-    def swapped(self) -> "LCTParams":
-        """a and d exchanged; used to run a transform in the reverse
-        direction (the conjugate kernel read with input and output slots
-        interchanged)."""
-        return LCTParams(self.d, self.b, self.c, self.a)
 
     def inverse(self) -> "LCTParams":
         return LCTParams(self.d, -self.b, -self.c, self.a)

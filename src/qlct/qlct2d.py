@@ -23,9 +23,10 @@ Two independent realizations are provided:
   P + M and -i*(P - M); this holds for b = 0 axes too. Four complex
   LCTs per transform, cost O(N^2 log N).
 
-Inversion uses the conjugate kernels (kernel sign -1); on matched grids
-the discrete round trip is exact up to rounding, which is far inside the
-stated tolerances.
+For unimodular A the inversion kernel is K_{A^-1}(x, w) = conj K_A(w, x),
+so the inverse transform is the forward transform with A^-1 on each axis,
+on either path. On matched grids the discrete round trip is exact up to
+rounding, which is far inside the stated tolerances.
 """
 
 from __future__ import annotations
@@ -70,6 +71,12 @@ def forward_grid(grid: Grid2D, p: QLCTParams) -> Grid2D:
     return _join_grids(_resolve_out_grid(p.A1, g1), _resolve_out_grid(p.A2, g2))
 
 
+def _check_method(method: str) -> str:
+    if method not in ("fast", "direct"):
+        raise ValueError(f"method must be 'fast' or 'direct', got {method!r}")
+    return method
+
+
 # ---------------------------------------------------------------------------
 # fast path (symplectic split, batch-friendly: arrays (..., n1, n2))
 
@@ -103,14 +110,6 @@ def _two_sided_fast(p: QLCTParams, fa, fb, g1in, g2in, g1out=None, g2out=None):
     return fa, fb, o1, o2
 
 
-def qlct_forward_fast(f: QSignal2D, p: QLCTParams) -> QSignal2D:
-    """Forward transform, O(N^2 log N); equals the direct oracle to 1e-9."""
-    g1, g2 = _axis_grids(f.grid)
-    fa, fb = to_complex_pair(f.samples)
-    fa, fb, o1, o2 = _two_sided_fast(p, fa, fb, g1, g2)
-    return QSignal2D(_join_grids(o1, o2), from_complex_pair(fa, fb))
-
-
 # ---------------------------------------------------------------------------
 # direct path (explicit quaternion kernel matrices, the oracle)
 
@@ -126,101 +125,76 @@ def _jquat(c: np.ndarray) -> np.ndarray:
     return np.stack([c.real, z, c.imag, z], axis=-1)
 
 
-def _chirp_complex(p: LCTParams, sign: int, g: Grid1D) -> np.ndarray:
-    u = g.coords()
-    return np.sqrt(abs(p.d)) * np.exp(1j * sign * (p.c * p.d / 2) * u**2)
-
-
-def _left_direct(p, sign, samples, gin, gout, transposed):
-    """Contract K (left factor) against axis 0 of samples (n1, n2, 4).
-
-    transposed=False builds K[out, in] = kernel_value(p, sign, x_in, w_out)
-    (the forward orientation); transposed=True puts the output coordinate
-    in the kernel's first slot, the orientation of the inversion formula.
-    """
+def _left_direct(p, samples, gin, gout):
+    """Contract K[out, in] = kernel_value(p, 1, x_in, w_out) (left factor)
+    against axis 0 of samples (n1, n2, 4)."""
     g = _resolve_out_grid(p, gin, gout)
     if p.b == 0:
-        kq = _iquat(_chirp_complex(p, sign, g))
+        kq = _iquat(kernel_value(p, 1, 0.0, g.coords()))
         rows = samples if p.a > 0 else samples[::-1]
         return qmul(kq[:, None, :], rows), g
-    xin = gin.coords()
-    wout = g.coords()
-    if transposed:
-        kc = kernel_value(p, sign, wout[:, None], xin[None, :])
-    else:
-        kc = kernel_value(p, sign, xin[None, :], wout[:, None])
-    kq = _iquat(kc)  # (n_out, n_in, 4)
+    kq = _iquat(kernel_value(p, 1, gin.coords()[None, :], g.coords()[:, None]))
     out = qmul(kq[:, :, None, :], samples[None, :, :, :]).sum(axis=1) * gin.dx
     return out, g
 
 
-def _right_direct(p, sign, samples, gin, gout, transposed):
-    """Contract K (right factor) against axis 1 of samples (n1, n2, 4)."""
+def _right_direct(p, samples, gin, gout):
+    """Contract K[in, out] = kernel_value(p, 1, x_in, w_out) (right factor)
+    against axis 1 of samples (n1, n2, 4)."""
     g = _resolve_out_grid(p, gin, gout)
     if p.b == 0:
-        kq = _jquat(_chirp_complex(p, sign, g))
+        kq = _jquat(kernel_value(p, 1, 0.0, g.coords()))
         cols = samples if p.a > 0 else samples[:, ::-1]
         return qmul(cols, kq[None, :, :]), g
-    xin = gin.coords()
-    wout = g.coords()
-    if transposed:
-        kc = kernel_value(p, sign, wout[None, :], xin[:, None])
-    else:
-        kc = kernel_value(p, sign, xin[:, None], wout[None, :])
-    kq = _jquat(kc)  # (n_in, n_out, 4)
+    kq = _jquat(kernel_value(p, 1, gin.coords()[:, None], g.coords()[None, :]))
     out = qmul(samples[:, :, None, :], kq[None, :, :, :]).sum(axis=1) * gin.dx
     return out, g
 
 
+# ---------------------------------------------------------------------------
+# both paths
+
+def _two_sided(f: QSignal2D, p: QLCTParams, method: str,
+               out_grid: Grid2D | None = None) -> QSignal2D:
+    """Transform f with the axis matrices p by either path onto out_grid
+    (default: the grid each axis rule resolves)."""
+    g1, g2 = _axis_grids(f.grid)
+    o1, o2 = (None, None) if out_grid is None else _axis_grids(out_grid)
+    if method == "fast":
+        fa, fb = to_complex_pair(f.samples)
+        fa, fb, o1, o2 = _two_sided_fast(p, fa, fb, g1, g2, o1, o2)
+        return QSignal2D(_join_grids(o1, o2), from_complex_pair(fa, fb))
+    h, o1 = _left_direct(p.A1, f.samples, g1, o1)
+    out, o2 = _right_direct(p.A2, h, g2, o2)
+    return QSignal2D(_join_grids(o1, o2), out)
+
+
+def qlct_forward_fast(f: QSignal2D, p: QLCTParams) -> QSignal2D:
+    """Forward transform, O(N^2 log N); equals the direct oracle to 1e-9."""
+    return _two_sided(f, p, "fast")
+
+
 def qlct_forward_direct(f: QSignal2D, p: QLCTParams) -> QSignal2D:
     """Forward transform by explicit kernel quadrature (reference path)."""
-    g1, g2 = _axis_grids(f.grid)
-    h, o1 = _left_direct(p.A1, 1, f.samples, g1, None, transposed=False)
-    out, o2 = _right_direct(p.A2, 1, h, g2, None, transposed=False)
-    return QSignal2D(_join_grids(o1, o2), out)
+    return _two_sided(f, p, "direct")
 
 
 def qlct_inverse(F: QSignal2D, p: QLCTParams, method: str = "fast",
                  x_grid: Grid2D | None = None) -> QSignal2D:
-    """Inverse transform with the conjugate kernels (kernel sign -1).
+    """Inverse transform: the forward transform with the inverse matrices.
 
     The default reconstruction grid is the centered grid matched to F's;
     pass x_grid when the forward input grid was not centered. On matched
     grids inverse(forward(f)) is exact to rounding.
     """
-    w1, w2 = _axis_grids(F.grid)
-    if x_grid is None:
-        # conjugate_grid depends on |b| only, so the forward grid of the
-        # inverse matrices is the matched reconstruction grid
-        x_grid = forward_grid(F.grid, p.inverse())
-    x1, x2 = _axis_grids(x_grid)
-    if method == "fast":
-        fa, fb = to_complex_pair(F.samples)
-        fa, fb, o1, o2 = _two_sided_fast(p.inverse(), fa, fb, w1, w2, x1, x2)
-        return QSignal2D(_join_grids(o1, o2), from_complex_pair(fa, fb))
-    if method != "direct":
-        raise ValueError(f"method must be 'fast' or 'direct', got {method!r}")
-    # Literal conjugate-kernel sums: K^{-i}(x1, u1) on the left, summed over
-    # the input u with the output x in the kernel's first slot. For b = 0
-    # axes the inverse matrix with the defining kernel is the exact inverse.
-    if p.A1.b == 0:
-        h, o1 = _left_direct(p.A1.inverse(), 1, F.samples, w1, x1, transposed=False)
-    else:
-        h, o1 = _left_direct(p.A1, -1, F.samples, w1, x1, transposed=True)
-    if p.A2.b == 0:
-        out, o2 = _right_direct(p.A2.inverse(), 1, h, w2, x2, transposed=False)
-    else:
-        out, o2 = _right_direct(p.A2, -1, h, w2, x2, transposed=True)
-    return QSignal2D(_join_grids(o1, o2), out)
+    return _two_sided(F, p.inverse(), _check_method(method), x_grid)
 
 
 def qlct_plancherel_check(f: QSignal2D, p: QLCTParams,
                           method: str = "fast") -> report.InequalityReport:
     """Energy equality between a signal and its transform."""
-    if method == "fast":
-        F = qlct_forward_fast(f, p)
-    else:
-        F = qlct_forward_direct(f, p)
+    fwd = qlct_forward_fast if _check_method(method) == "fast" else qlct_forward_direct
+    F = fwd(f, p)
     lhs = f.l2_norm_sq()
     rhs = F.l2_norm_sq()
     return report.equality("qlct-plancherel", lhs, rhs,

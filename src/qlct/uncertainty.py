@@ -21,7 +21,7 @@ import numpy as np
 
 from . import report
 from .gabor import GaborCoefficients, forward_grid, iter_gabor_blocks, translation_grid
-from .qlct2d import QLCTParams, qlct_forward_direct, qlct_forward_fast
+from .qlct2d import QLCTParams, _check_method, qlct_forward_direct, qlct_forward_fast
 from .quat import qabs_sq
 from .signal import QSignal2D, shift_slices
 
@@ -325,7 +325,7 @@ def hausdorff_young_check(f: QSignal2D, p: QLCTParams, pp: float,
     hp = pp / (pp - 1.0) if math.isfinite(pp) else 1.0
     if abs(1.0 / hp + 1.0 / pp - 1.0) > 1e-9:
         raise ValueError("exponents must satisfy 1/p + 1/pp = 1")
-    fwd = qlct_forward_fast if method == "fast" else qlct_forward_direct
+    fwd = qlct_forward_fast if _check_method(method) == "fast" else qlct_forward_direct
     comp_abs = None
     for c in range(4):
         comp = np.zeros_like(f.samples)

@@ -50,6 +50,20 @@ def test_non_unimodular_matrix_exits_2(tmp_path, capsys):
     assert "det(A1) != 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+@pytest.mark.parametrize("command", [["forward"], ["gabor", "analyze"]],
+                         ids=["forward", "gabor-analyze"])
+def test_non_finite_matrix_exits_2(tmp_path, capsys, command, entry):
+    src = tmp_path / "f.qsig"
+    write_gaussian(src, n=8)
+    code = main([*command, "--a1", f"{entry},1,-1,0", "-i", str(src),
+                 "-o", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "det(A1) != 1" in err
+    assert err.count("\n") == 1
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     code = main(["forward", "-i", str(tmp_path / "nope.qsig"),
                  "-o", str(tmp_path / "F.qsig")])
@@ -218,3 +232,12 @@ def test_verify_grid_and_dx_flags(tmp_path):
                  "--report", str(rpt)]) == 0
     reports = json.loads(rpt.read_text())
     assert all(r["grid"]["n1"] == 32 for r in reports)  # log suite pins 32x32
+
+
+@pytest.mark.parametrize("flag", [["--dx", "0"], ["--grid", "1x1"]])
+def test_verify_rejects_bad_grid_before_any_suite(capsys, flag):
+    # hausdorff-young runs at fixed sizes, so it never reads cfg.grid() itself
+    assert main(["verify", "hausdorff-young", *flag]) == 2
+    out = capsys.readouterr()
+    assert "suite" not in out.out
+    assert out.err.count("\n") == 1

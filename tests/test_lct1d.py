@@ -250,7 +250,7 @@ def test_round_trip_and_plancherel(p):
     g = Grid1D.centered(64, 0.25)
     f = np.exp(-g.coords()**2 / 2).astype(complex)
     F, go = lct_fast(p, 1, f, g)
-    back, _ = lct_fast(p.swapped(), -1, F, go, g)
+    back, _ = lct_fast(p.inverse(), 1, F, go, g)
     rel = np.linalg.norm(back - f) / np.linalg.norm(f)
     assert rel <= 1e-8
     norm_in = np.sum(np.abs(f)**2) * g.dx

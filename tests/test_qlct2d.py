@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from qlct.families import (FOURIER, PARAM_SETS, default_grid, gaussian,
                            gaussian_chirp, impulse, random_quaternion_signal,
                            random_smooth)
-from qlct.lct1d import LCTParams, MatchedSamplingError, kernel_value
+from qlct.gabor import gabor_analyze_at, iter_gabor_blocks
+from qlct.lct1d import (Grid1D, LCTParams, MatchedSamplingError,
+                        conjugate_grid, kernel_value)
 from qlct.qlct2d import (QLCTParams, forward_grid, qlct_forward_direct,
                          qlct_forward_fast, qlct_inverse,
                          qlct_plancherel_check)
 from qlct.signal import Grid2D, QSignal2D
+from qlct.uncertainty import hausdorff_young_check
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +191,50 @@ def test_inverse_rejects_grid_off_the_axis_rule(name, axis, method):
         qlct_inverse(F, p, method=method, x_grid=bad)
 
 
+@pytest.mark.parametrize("name", list(MIXED_CASES) + ["generic", "neg-b"])
+@pytest.mark.parametrize("method", ["fast", "direct"])
+def test_inverse_onto_off_centre_grid_round_trips(name, method):
+    p = {**MIXED_CASES, **PARAM_SETS}[name]
+    grid = Grid2D(12, 10, 0.5, 0.4, -1.3, 0.7)
+    f = random_quaternion_signal(grid, np.random.default_rng(26))
+    fwd = qlct_forward_fast if method == "fast" else qlct_forward_direct
+    back = qlct_inverse(fwd(f, p), p, method, x_grid=grid)
+    assert back.grid.approx_eq(grid)
+    assert np.max(np.abs(back.samples - f.samples)) <= 1e-8 * np.max(np.abs(f.samples))
+
+
+def _assert_inverse_kernel_is_conjugate_transpose(A, grid):
+    # the inverse transform is the forward one with A^-1 because
+    # K_{A^-1}(x, w) = conj K_A(w, x) for unimodular A
+    x = grid.coords()[:, None]
+    w = conjugate_grid(grid, A.b).coords()[None, :]
+    inv = kernel_value(A.inverse(), 1, x, w)
+    fwd = kernel_value(A, 1, w, x)
+    assert np.max(np.abs(inv - np.conj(fwd))) <= 1e-12 * np.max(np.abs(fwd))
+
+
+@pytest.mark.parametrize("A", [getattr(p, axis) for p in PARAM_SETS.values()
+                               for axis in ("A1", "A2")
+                               if getattr(p, axis).b != 0])
+def test_inverse_kernel_is_conjugate_transpose(A):
+    grid = Grid1D.centered(64, np.sqrt(2 * np.pi / 64))
+    _assert_inverse_kernel_is_conjugate_transpose(A, grid)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, p, m: qlct_inverse(qlct_forward_fast(f, p), p, m),
+    lambda f, p, m: qlct_plancherel_check(f, p, m),
+    lambda f, p, m: next(iter_gabor_blocks(f, f, p, 1, m)),
+    lambda f, p, m: gabor_analyze_at(f, f, (0.0, 0.0), p, m),
+    lambda f, p, m: hausdorff_young_check(f, p, 2.0, m),
+], ids=["qlct_inverse", "qlct_plancherel_check", "iter_gabor_blocks",
+        "gabor_analyze_at", "hausdorff_young_check"])
+def test_unknown_method_is_rejected(call):
+    f = gaussian(default_grid(8), 1.0)
+    with pytest.raises(ValueError, match="method must be 'fast' or 'direct'"):
+        call(f, PARAM_SETS["fourier"], "bogus")
+
+
 _MAGNITUDE = st.floats(0.4, 2.5)
 _SIGN = st.sampled_from([1.0, -1.0])
 
@@ -227,6 +274,12 @@ def test_random_params_fast_matches_direct_and_round_trips(A1, A2, grid, seed):
         back = qlct_inverse(Ff, p, method)
         assert back.grid.approx_eq(grid)
         assert np.max(np.abs(back.samples - f.samples)) <= 1e-8 * scale
+
+
+@given(_axis_params().filter(lambda A: A.b != 0), st.integers(4, 24),
+       st.floats(0.2, 1.0))
+def test_random_inverse_kernel_is_conjugate_transpose(A, n, dx):
+    _assert_inverse_kernel_is_conjugate_transpose(A, Grid1D.centered(n, dx))
 
 
 def test_plancherel_gaussian_and_zero():
