@@ -52,7 +52,8 @@ class VerifyConfig:
     def grid(self, n: int | None = None) -> Grid2D:
         if n is not None:
             return families.default_grid(n)
-        dx = self.dx if self.dx is not None else float(np.sqrt(2 * np.pi / self.n1))
+        # max(n1, 1) leaves a bad --grid to the grid rule, not to a division by 0
+        dx = self.dx if self.dx is not None else float(np.sqrt(2 * np.pi / max(self.n1, 1)))
         return Grid2D.centered(self.n1, self.n2, dx, dx)
 
 
@@ -86,8 +87,9 @@ class NumericError(RuntimeError):
     """Numeric contract violation: non-finite values produced."""
 
 
-def _finite_or_die(sig: signal.QSignal2D, stage: str) -> None:
-    if not np.isfinite(sig.samples).all():
+def _finite_or_die(values: np.ndarray, stage: str) -> None:
+    # min and max propagate NaN and expose +-inf, without a full-size mask
+    if not np.isfinite([values.min(), values.max()]).all():
         raise NumericError(f"non-finite output at stage {stage!r}")
 
 
@@ -102,7 +104,7 @@ def cmd_qlct(args) -> int:
                else qlct_forward_direct)(f, p)
     else:
         out = qlct_inverse(f, p, method=args.method)
-    _finite_or_die(out, args.command)
+    _finite_or_die(out.samples, args.command)
     signal.save(args.output, out)
     if args.check:
         rep = qlct_plancherel_check(f if args.command == "forward" else out, p,
@@ -125,6 +127,7 @@ def cmd_gabor_analyze(args) -> int:
     spec = parse_window_spec(args.window)
     phi = signal.make_window(spec, f.grid)
     G = gabor.gabor_analyze(f, phi, p, args.stride, args.method)
+    _finite_or_die(G.coeffs, "gabor analyze")
     manifest = gabor.save_coefficients(G, args.output)
     signal.save(os.path.join(args.output, "window.qsig"), phi)
     print(f"wrote {G.y_grid.n1 * G.y_grid.n2} slices to {manifest}")
@@ -135,7 +138,7 @@ def cmd_gabor_synthesize(args) -> int:
     G = gabor.load_coefficients(args.input)
     phi = signal.load(os.path.join(args.input, "window.qsig"))
     out = gabor.gabor_synthesize(G, phi)
-    _finite_or_die(out, "synthesize")
+    _finite_or_die(out.samples, "synthesize")
     signal.save(args.output, out)
     return EXIT_OK
 
@@ -396,6 +399,8 @@ def cmd_verify(args) -> int:
     if args.dx is not None:
         cfg.dx = args.dx
     cfg.grid()  # a bad --grid or --dx fails here, before any suite runs
+    if cfg.trials is not None and cfg.trials < 1:
+        raise FormatError(f"--trials must be at least 1, got {cfg.trials}")
     names = VERIFY_NAMES if args.suite == "all" else [args.suite]
     all_reports: list[report.InequalityReport] = []
     all_failures: list[str] = []

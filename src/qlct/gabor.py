@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import report
-from .lct1d import LCTParams
+from .lct1d import Grid1D, LCTParams
 from .quat import from_complex_pair, qabs_sq, qconj, qmul, to_complex_pair
-from .qlct2d import (QLCTParams, _axis_grids, _check_method, _two_sided_fast,
-                     forward_grid, qlct_forward_direct, qlct_forward_fast)
+from .qlct2d import (QLCTParams, _check_method, _two_sided_fast, forward_grid,
+                     qlct_forward_direct, qlct_forward_fast)
 from .signal import (FormatError, Grid2D, GridMismatchError, QSignal2D, load,
                      save, shift_slices, translate)
 
@@ -71,10 +71,9 @@ def translation_grid(grid: Grid2D, stride: int = 1) -> Grid2D:
     grid once with y = 0 included (at cell index n//2 for stride 1)."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    n1 = len(range(0, grid.n1, stride))
-    n2 = len(range(0, grid.n2, stride))
-    return Grid2D(n1, n2, stride * grid.dx1, stride * grid.dx2,
-                  -(grid.n1 // 2) * grid.dx1, -(grid.n2 // 2) * grid.dx2)
+    y1, y2 = (Grid1D(len(range(0, g.n, stride)), stride * g.dx, -(g.n // 2) * g.dx)
+              for g in grid.axes)
+    return Grid2D.from_axes(y1, y2)
 
 
 def gabor_analyze_at(f: QSignal2D, phi: QSignal2D, y: tuple[float, float],
@@ -105,7 +104,6 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
         raise GridMismatchError("signal and window must share a grid")
     _check_method(method)
     grid = f.grid
-    g1, g2 = _axis_grids(grid)
     phi_conj = qconj(phi.samples)
     l1_list = range(0, grid.n1, y_stride)
     l2_list = range(0, grid.n2, y_stride)
@@ -116,7 +114,7 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
         products = qmul(f.samples[None, :, :, :], shifted)
         if method == "fast":
             fa, fb = to_complex_pair(products)
-            fa, fb, _, _ = _two_sided_fast(p, fa, fb, g1, g2)
+            fa, fb, _, _ = _two_sided_fast(p, fa, fb, *grid.axes)
             yield iy1, from_complex_pair(fa, fb)
         else:
             rows = [qlct_forward_direct(QSignal2D(grid, products[i]), p).samples
@@ -160,8 +158,6 @@ def gabor_synthesize(G: GaborCoefficients, phi: QSignal2D) -> QSignal2D:
             f"window mismatch: ||phi||^2 = {norm_sq!r} but coefficients "
             f"were built with {G.window_norm_sq!r}")
     grid = phi.grid
-    g1, g2 = _axis_grids(grid)
-    w1, w2 = _axis_grids(G.omega_grid)
     pinv = G.params.inverse()
     acc = np.zeros((grid.n1, grid.n2, 4))
     m2_list = [l2 - grid.n2 // 2 for l2 in range(grid.n2)]
@@ -169,7 +165,7 @@ def gabor_synthesize(G: GaborCoefficients, phi: QSignal2D) -> QSignal2D:
     for iy1 in range(G.y_grid.n1):
         block = np.moveaxis(G.coeffs[:, :, iy1], 2, 0)  # (ny2, nw1, nw2, 4)
         fa, fb = to_complex_pair(block)
-        fa, fb, _, _ = _two_sided_fast(pinv, fa, fb, w1, w2, g1, g2)
+        fa, fb, _, _ = _two_sided_fast(pinv, fa, fb, *G.omega_grid.axes, *grid.axes)
         h = from_complex_pair(fa, fb)
         m1 = iy1 - grid.n1 // 2
         shifted = _shifted_block(phi_plain, m1, m2_list, grid.n1, grid.n2)
@@ -278,12 +274,14 @@ def load_coefficients(dirpath) -> GaborCoefficients:
     if len(files) != y_grid.n1 * y_grid.n2:
         raise FormatError(f"{path}: {len(files)} slices listed for a "
                           f"{y_grid.n1}x{y_grid.n2} translation grid")
-    coeffs = np.zeros((omega_grid.n1, omega_grid.n2, y_grid.n1, y_grid.n2, 4))
+    coeffs = None
     for (iy1, iy2), fname in files.items():
         sig = load(os.path.join(dirpath, fname))
         if sig.grid != omega_grid:
             raise FormatError(f"{fname}: slice grid {sig.grid} is not the "
                               f"manifest's omega_grid {omega_grid}")
+        if coeffs is None:  # sized only once a slice on disk confirms omega_grid
+            coeffs = np.zeros((omega_grid.n1, omega_grid.n2, y_grid.n1, y_grid.n2, 4))
         coeffs[:, :, iy1, iy2, :] = sig.samples
     return GaborCoefficients(omega_grid, y_grid, coeffs, params,
                              window_norm_sq, stride)

@@ -29,6 +29,7 @@ dx * dw = 2*pi*|b| / N.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -79,7 +80,9 @@ class LCTParams:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform 1D sampling grid: sample k sits at x0 + k*dx."""
+    """Uniform 1D sampling grid: sample k sits at x0 + k*dx. Valid when
+    n >= 2, dx > 0 and (|x0| + n*dx)^2 is finite, since the kernels square
+    x; each `signal.Grid2D` axis and each resolved output grid is one."""
 
     n: int
     dx: float
@@ -90,6 +93,11 @@ class Grid1D:
             raise ValueError(f"grid needs at least 2 samples, got {self.n}")
         if not self.dx > 0:
             raise ValueError(f"grid spacing must be positive, got {self.dx}")
+        extent = abs(float(self.x0)) + float(self.n) * float(self.dx)
+        if not math.isfinite(extent * extent):
+            raise ValueError(f"grid extent |x0| + n*dx = {extent!r} squares to a "
+                             f"non-finite value (n = {self.n}, dx = {self.dx!r}, "
+                             f"x0 = {self.x0!r})")
 
     @staticmethod
     def centered(n: int, dx: float) -> "Grid1D":
@@ -137,21 +145,19 @@ def _resolve_out_grid(p: LCTParams, grid_in: Grid1D,
     the matched spacing dw = 2*pi*|b| / (n*dx) (centered by default), for
     b = 0 only the scaled input grid. A requested grid off that rule raises
     MatchedSamplingError."""
+    admissible = (scale_chirp_grid(p, grid_in) if p.b == 0
+                  else conjugate_grid(grid_in, p.b))
+    if grid_out is None:
+        return admissible
     if p.b == 0:
-        admissible = scale_chirp_grid(p, grid_in)
-        if grid_out is None:
-            return admissible
         if not grid_out.approx_eq(admissible):
             raise MatchedSamplingError(
                 f"d*u falls off the input grid; admissible output grid has "
                 f"n = {admissible.n}, dx = {admissible.dx!r}, x0 = {admissible.x0!r}")
-        return grid_out
-    if grid_out is None:
-        return conjugate_grid(grid_in, p.b)
-    required = 2 * np.pi * abs(p.b) / (grid_in.n * grid_in.dx)
-    if grid_out.n != grid_in.n or abs(grid_out.dx - required) > MATCH_TOL * required:
+    elif (grid_out.n != admissible.n
+          or abs(grid_out.dx - admissible.dx) > MATCH_TOL * admissible.dx):
         raise MatchedSamplingError(
-            f"matched sampling requires n = {grid_in.n}, dw = {required!r}; "
+            f"matched sampling requires n = {admissible.n}, dw = {admissible.dx!r}; "
             f"got n = {grid_out.n}, dw = {grid_out.dx!r}")
     return grid_out
 

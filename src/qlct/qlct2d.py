@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import report
-from .lct1d import (Grid1D, LCTParams, _resolve_out_grid, kernel_value,
-                    lct_fast, lct_scale_chirp)
+from .lct1d import (LCTParams, _resolve_out_grid, kernel_value, lct_fast,
+                    lct_scale_chirp)
 from .quat import from_complex_pair, qmul, to_complex_pair
 from .signal import Grid2D, QSignal2D
 
@@ -56,19 +56,10 @@ class QLCTParams:
         return {"A1": list(self.A1.astuple()), "A2": list(self.A2.astuple())}
 
 
-def _axis_grids(grid: Grid2D) -> tuple[Grid1D, Grid1D]:
-    return (Grid1D(grid.n1, grid.dx1, grid.x0_1),
-            Grid1D(grid.n2, grid.dx2, grid.x0_2))
-
-
-def _join_grids(g1: Grid1D, g2: Grid1D) -> Grid2D:
-    return Grid2D(g1.n, g2.n, g1.dx, g2.dx, g1.x0, g2.x0)
-
-
 def forward_grid(grid: Grid2D, p: QLCTParams) -> Grid2D:
     """Output grid of the forward transform (per-axis conjugate or scaled)."""
-    g1, g2 = _axis_grids(grid)
-    return _join_grids(_resolve_out_grid(p.A1, g1), _resolve_out_grid(p.A2, g2))
+    g1, g2 = grid.axes
+    return Grid2D.from_axes(_resolve_out_grid(p.A1, g1), _resolve_out_grid(p.A2, g2))
 
 
 def _check_method(method: str) -> str:
@@ -158,15 +149,15 @@ def _two_sided(f: QSignal2D, p: QLCTParams, method: str,
                out_grid: Grid2D | None = None) -> QSignal2D:
     """Transform f with the axis matrices p by either path onto out_grid
     (default: the grid each axis rule resolves)."""
-    g1, g2 = _axis_grids(f.grid)
-    o1, o2 = (None, None) if out_grid is None else _axis_grids(out_grid)
+    g1, g2 = f.grid.axes
+    o1, o2 = (None, None) if out_grid is None else out_grid.axes
     if method == "fast":
         fa, fb = to_complex_pair(f.samples)
         fa, fb, o1, o2 = _two_sided_fast(p, fa, fb, g1, g2, o1, o2)
-        return QSignal2D(_join_grids(o1, o2), from_complex_pair(fa, fb))
+        return QSignal2D(Grid2D.from_axes(o1, o2), from_complex_pair(fa, fb))
     h, o1 = _left_direct(p.A1, f.samples, g1, o1)
     out, o2 = _right_direct(p.A2, h, g2, o2)
-    return QSignal2D(_join_grids(o1, o2), out)
+    return QSignal2D(Grid2D.from_axes(o1, o2), out)
 
 
 def qlct_forward_fast(f: QSignal2D, p: QLCTParams) -> QSignal2D:

@@ -1,9 +1,11 @@
 """Sampled 2D quaternion signals: grids, quadrature, windows, and file I/O.
 
-A signal lives on a uniform rectangular grid. Sample k on an axis sits at
-x = x0 + k*dx. The centered factory puts x0 = -(n/2 - 1/2)*dx so the origin
-falls between the two middle samples and no sample has |x| = 0, which keeps
-log-weighted integrals finite. All L^2 quantities are Riemann sums with
+A signal lives on a uniform rectangular grid whose two axes are each a
+`lct1d.Grid1D`: sample k on an axis sits at x = x0 + k*dx, and that class
+alone decides whether an axis is valid and when two axes match. The
+centered factory puts x0 = -(n/2 - 1/2)*dx so the origin falls between the
+two middle samples and no sample has |x| = 0, which keeps log-weighted
+integrals finite. All L^2 quantities are Riemann sums with
 weight dx1*dx2.
 
 On-disk formats:
@@ -21,10 +23,11 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .lct1d import Grid1D
 from .quat import qconj, qmul
 
 _QSIG_MAGIC = b"QSIG"
@@ -43,7 +46,8 @@ class GridMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Uniform 2D sampling grid."""
+    """Uniform 2D sampling grid: the product of two `Grid1D` axes, which
+    decide what a valid grid is and when two grids match."""
 
     n1: int
     n2: int
@@ -52,25 +56,27 @@ class Grid2D:
     x0_1: float
     x0_2: float
 
+    axes: tuple[Grid1D, Grid1D] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
-        if self.n1 < 2 or self.n2 < 2:
-            raise ValueError(f"grid needs at least 2 samples per axis, got {self.n1}x{self.n2}")
-        if not (self.dx1 > 0 and self.dx2 > 0):
-            raise ValueError(f"grid spacings must be positive, got ({self.dx1}, {self.dx2})")
+        # building the axes validates them
+        object.__setattr__(self, "axes", (Grid1D(self.n1, self.dx1, self.x0_1),
+                                          Grid1D(self.n2, self.dx2, self.x0_2)))
 
     @staticmethod
-    def centered(n1: int, n2: int, dx1: float, dx2: float | None = None) -> "Grid2D":
+    def from_axes(g1: Grid1D, g2: Grid1D) -> "Grid2D":
+        return Grid2D(g1.n, g2.n, g1.dx, g2.dx, g1.x0, g2.x0)
+
+    @staticmethod
+    def centered(n1: int, n2: int, dx1: float, dx2: float) -> "Grid2D":
         """Grid with the origin centered between the two middle samples."""
-        if dx2 is None:
-            dx2 = dx1
-        return Grid2D(n1, n2, dx1, dx2,
-                      -(n1 / 2 - 0.5) * dx1, -(n2 / 2 - 0.5) * dx2)
+        return Grid2D.from_axes(Grid1D.centered(n1, dx1), Grid1D.centered(n2, dx2))
 
     def coords1(self) -> np.ndarray:
-        return self.x0_1 + self.dx1 * np.arange(self.n1)
+        return self.axes[0].coords()
 
     def coords2(self) -> np.ndarray:
-        return self.x0_2 + self.dx2 * np.arange(self.n2)
+        return self.axes[1].coords()
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.coords1(), self.coords2(), indexing="ij")
@@ -84,13 +90,7 @@ class Grid2D:
         return (self.n1, self.n2)
 
     def approx_eq(self, other: "Grid2D", tol: float = 1e-9) -> bool:
-        if (self.n1, self.n2) != (other.n1, other.n2):
-            return False
-        scale = max(abs(self.dx1), abs(self.dx2), 1e-300)
-        return (abs(self.dx1 - other.dx1) <= tol * scale
-                and abs(self.dx2 - other.dx2) <= tol * scale
-                and abs(self.x0_1 - other.x0_1) <= tol * scale * max(self.n1, self.n2)
-                and abs(self.x0_2 - other.x0_2) <= tol * scale * max(self.n1, self.n2))
+        return all(a.approx_eq(b, tol) for a, b in zip(self.axes, other.axes))
 
     def to_dict(self) -> dict:
         return {"n1": self.n1, "n2": self.n2, "dx1": self.dx1, "dx2": self.dx2,
@@ -296,8 +296,12 @@ def load(path) -> QSignal2D:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != _QSIG_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    if n1 < 2 or n2 < 2 or n1 > _MAX_DIM or n2 > _MAX_DIM:
+    if n1 > _MAX_DIM or n2 > _MAX_DIM:
         raise FormatError(f"{path}: dimension overflow ({n1}x{n2})")
+    try:
+        grid = Grid2D(n1, n2, dx1, dx2, x0_1, x0_2)
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad grid geometry: {exc}") from None
     need = n1 * n2 * 4 * 8
     body = raw[_QSIG_HEADER.size:]
     if len(body) < need:
@@ -308,7 +312,7 @@ def load(path) -> QSignal2D:
     samples = np.frombuffer(body, dtype="<f8").reshape(n1, n2, 4)
     if not np.isfinite(samples).all():
         raise FormatError(f"{path}: non-finite values in payload")
-    return QSignal2D(Grid2D(n1, n2, dx1, dx2, x0_1, x0_2), samples.astype(float))
+    return QSignal2D(grid, samples.astype(float))
 
 
 def export_csv(path, f: QSignal2D) -> None:

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -89,6 +90,37 @@ def test_overflowing_signal_exits_3(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_gabor_analyze_of_overflowing_signal_exits_3(tmp_path, capsys):
+    grid = Grid2D.centered(8, 8, 0.5, 0.5)
+    save(tmp_path / "huge.qsig", QSignal2D(grid, np.full((8, 8, 4), 1e308)))
+    code = main(["gabor", "analyze", "-i", str(tmp_path / "huge.qsig"),
+                 "-o", str(tmp_path / "coef")])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "coef").exists()
+
+
+# byte offsets of x0_1 and dx1 in the QSIG header
+@pytest.mark.parametrize("offset, value", [(16, float("nan")), (32, float("inf")),
+                                           (32, 1e-320)],
+                         ids=["x0-nan", "dx-inf", "dx-subnormal"])
+@pytest.mark.parametrize("command", [["forward"], ["gabor", "analyze"]],
+                         ids=["forward", "gabor-analyze"])
+def test_bad_qsig_geometry_exits_2(tmp_path, capsys, command, offset, value):
+    src = tmp_path / "f.qsig"
+    write_gaussian(src, n=8)
+    raw = bytearray(src.read_bytes())
+    struct.pack_into("<d", raw, offset, value)
+    src.write_bytes(bytes(raw))
+    code = main([*command, "-i", str(src), "-o", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_gabor_analyze_synthesize_spectrogram(tmp_path, capsys):
     src = tmp_path / "f.qsig"
     write_gaussian(src, n=16, dx=0.5)
@@ -176,9 +208,14 @@ def _y_grid_spacing_edited(manifest, coef):
     manifest["y_grid"]["dx1"] *= 2
 
 
+def _omega_grid_enlarged(manifest, coef):
+    # 10^12 cells per slice: must be refused before any allocation
+    manifest["omega_grid"]["n1"] = manifest["omega_grid"]["n2"] = 10**6
+
+
 @pytest.mark.parametrize("corrupt", [_drop_slice, _slice_out_of_range,
                                      _slice_without_file, _slice_on_other_grid,
-                                     _y_grid_spacing_edited])
+                                     _y_grid_spacing_edited, _omega_grid_enlarged])
 def test_gabor_synthesize_rejects_malformed_manifest(tmp_path, capsys, corrupt):
     src = tmp_path / "f.qsig"
     write_gaussian(src, n=8)
@@ -234,7 +271,9 @@ def test_verify_grid_and_dx_flags(tmp_path):
     assert all(r["grid"]["n1"] == 32 for r in reports)  # log suite pins 32x32
 
 
-@pytest.mark.parametrize("flag", [["--dx", "0"], ["--grid", "1x1"]])
+@pytest.mark.parametrize("flag", [["--dx", "0"], ["--grid", "1x1"], ["--dx", "1e200"],
+                                  ["--dx", "inf"], ["--trials", "0"], ["--trials", "-3"],
+                                  ["--grid", "0x0"]])
 def test_verify_rejects_bad_grid_before_any_suite(capsys, flag):
     # hausdorff-young runs at fixed sizes, so it never reads cfg.grid() itself
     assert main(["verify", "hausdorff-young", *flag]) == 2

@@ -17,10 +17,34 @@ def const_one(grid):
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        Grid2D(1, 4, 1.0, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        Grid2D(4, 4, -1.0, 1.0, 0.0, 0.0)
+    nan, inf = float("nan"), float("inf")
+    for bad in [(1, 4, 1.0, 1.0, 0.0, 0.0), (4, 4, -1.0, 1.0, 0.0, 0.0),
+                (4, 4, 1.0, nan, 0.0, 0.0), (4, 4, inf, 1.0, 0.0, 0.0),
+                (4, 4, 1.0, 1.0, nan, 0.0), (4, 4, 1.0, 1.0, 0.0, -inf),
+                (4, 4, 1e200, 1.0, 0.0, 0.0), (4, 4, 1.0, 1.0, 0.0, 2e154)]:
+        with pytest.raises(ValueError):
+            Grid2D(*bad)
+
+
+def test_grid_approx_eq_holds_each_axis_to_its_own_spacing():
+    g = Grid2D(8, 8, 1.0, 1e-3, -3.5, -3.5e-3)
+    assert g.approx_eq(Grid2D(8, 8, 1.0, 1e-3 * (1 + 1e-10), -3.5, -3.5e-3))
+    # each axis is held to its own spacing, not to the larger of the two
+    assert not g.approx_eq(Grid2D(8, 8, 1.0, 1e-3 * (1 + 1e-7), -3.5, -3.5e-3))
+    assert not g.approx_eq(Grid2D(8, 8, 1.0, 1e-3, -3.5, -3.5e-3 + 4e-9))
+    assert Grid2D.from_axes(*g.axes) == g
+
+
+@pytest.mark.parametrize("n1, n2, dx1, dx2", [
+    (4, 4, 1.0, 1.0), (8, 8, 0.5, 0.5), (64, 64, 0.25, 0.25), (6, 5, 0.7, 0.4),
+    (4, 4, 0.5, 0.5), (6, 6, 0.5, 0.5), (32, 32, 0.25, 0.25), (5, 5, 1.0, 1.0),
+    (8, 8, 1.0, 1.0), (16, 16, 0.25, 0.25), (8, 8, 0.37, 0.11), (5, 7, 0.3, 0.9),
+    (8, 8, 0.6, 0.6)])
+def test_centered_grid_is_bitwise_the_closed_form(n1, n2, dx1, dx2):
+    g = Grid2D.centered(n1, n2, dx1, dx2)
+    assert g == Grid2D(n1, n2, dx1, dx2, -(n1 / 2 - 0.5) * dx1, -(n2 / 2 - 0.5) * dx2)
+    assert np.array_equal(g.coords1(), g.x0_1 + g.dx1 * np.arange(n1))
+    assert np.array_equal(g.coords2(), g.x0_2 + g.dx2 * np.arange(n2))
 
 
 def test_centered_grid_avoids_origin():
