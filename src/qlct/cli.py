@@ -23,8 +23,8 @@ import numpy as np
 
 from . import families, gabor, report, signal, uncertainty
 from .lct1d import LCTParams
-from .qlct2d import QLCTParams, qlct_forward_direct, qlct_forward_fast, \
-    qlct_inverse, qlct_plancherel_check
+from .qlct2d import (QLCTParams, forward_grid, qlct_forward_direct,
+                     qlct_forward_fast, qlct_inverse, qlct_plancherel_check)
 from .signal import FormatError, Grid2D, WindowSpec, parse_window_spec
 
 EXIT_OK = 0
@@ -87,6 +87,12 @@ class NumericError(RuntimeError):
     """Numeric contract violation: non-finite values produced."""
 
 
+def _quiet_overflow():
+    """Silence numpy's overflow and invalid-value warnings inside a
+    transform; `_finite_or_die` then reports the result in one line."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _finite_or_die(values: np.ndarray, stage: str) -> None:
     # min and max propagate NaN and expose +-inf, without a full-size mask
     if not np.isfinite([values.min(), values.max()]).all():
@@ -99,11 +105,12 @@ def _finite_or_die(values: np.ndarray, stage: str) -> None:
 def cmd_qlct(args) -> int:
     p = _parse_params(args)
     f = signal.load(args.input)
-    if args.command == "forward":
-        out = (qlct_forward_fast if args.method == "fast"
-               else qlct_forward_direct)(f, p)
-    else:
-        out = qlct_inverse(f, p, method=args.method)
+    with _quiet_overflow():
+        if args.command == "forward":
+            out = (qlct_forward_fast if args.method == "fast"
+                   else qlct_forward_direct)(f, p)
+        else:
+            out = qlct_inverse(f, p, method=args.method)
     _finite_or_die(out.samples, args.command)
     signal.save(args.output, out)
     if args.check:
@@ -126,7 +133,8 @@ def cmd_gabor_analyze(args) -> int:
         return EXIT_IO
     spec = parse_window_spec(args.window)
     phi = signal.make_window(spec, f.grid)
-    G = gabor.gabor_analyze(f, phi, p, args.stride, args.method)
+    with _quiet_overflow():
+        G = gabor.gabor_analyze(f, phi, p, args.stride, args.method)
     _finite_or_die(G.coeffs, "gabor analyze")
     manifest = gabor.save_coefficients(G, args.output)
     signal.save(os.path.join(args.output, "window.qsig"), phi)
@@ -137,7 +145,8 @@ def cmd_gabor_analyze(args) -> int:
 def cmd_gabor_synthesize(args) -> int:
     G = gabor.load_coefficients(args.input)
     phi = signal.load(os.path.join(args.input, "window.qsig"))
-    out = gabor.gabor_synthesize(G, phi)
+    with _quiet_overflow():
+        out = gabor.gabor_synthesize(G, phi)
     _finite_or_die(out.samples, "synthesize")
     signal.save(args.output, out)
     return EXIT_OK
@@ -398,7 +407,8 @@ def cmd_verify(args) -> int:
         cfg.n1, cfg.n2 = _parse_grid(args.grid)
     if args.dx is not None:
         cfg.dx = args.dx
-    cfg.grid()  # a bad --grid or --dx fails here, before any suite runs
+    # a bad --grid or --dx fails here, before any suite runs
+    forward_grid(cfg.grid(), QFT)
     if cfg.trials is not None and cfg.trials < 1:
         raise FormatError(f"--trials must be at least 1, got {cfg.trials}")
     names = VERIFY_NAMES if args.suite == "all" else [args.suite]

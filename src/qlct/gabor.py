@@ -12,6 +12,18 @@ Synthesis divides by the squared window L^2 norm; with stride-1
 translations and interior windows the reconstruction error is an edge
 truncation effect that shrinks as the padding margin grows.
 
+The fast path keeps the field in symplectic form G = Ga + Gb*j, as two
+complex planes, from the windowing product to its consumer. The product
+is formed plane-wise,
+
+    (fa + fb*j)(pa + pb*j) = (fa*pa - fb*conj(pb)) + (fa*pb + fb*conj(pa))*j,
+
+with conj(phi) = conj(pa) - pb*j. Its planes go straight into the
+two-sided transform, and consumers read |G|^2 = |Ga|^2 + |Gb|^2 from them.
+No quaternion array is built per row. The direct path windows with `qmul`
+and transforms with the quaternion kernel oracle, and splits each row only
+when it yields, so it stays an independent check.
+
 Full coefficient storage is (n1*n2)^2 quaternions: about 33 MB for a
 32x32 signal and 16x that for 64x64. Larger runs should subsample with
 y_stride or stream through `iter_gabor_blocks`.
@@ -27,7 +39,8 @@ import numpy as np
 
 from . import report
 from .lct1d import Grid1D, LCTParams
-from .quat import from_complex_pair, qabs_sq, qconj, qmul, to_complex_pair
+from .quat import (from_complex_pair, pair_abs_sq, qabs_sq, qconj, qmul,
+                   to_complex_pair)
 from .qlct2d import (QLCTParams, _check_method, _two_sided_fast, forward_grid,
                      qlct_forward_direct, qlct_forward_fast)
 from .signal import (FormatError, Grid2D, GridMismatchError, QSignal2D, load,
@@ -86,40 +99,57 @@ def gabor_analyze_at(f: QSignal2D, phi: QSignal2D, y: tuple[float, float],
     return fwd(windowed, p)
 
 
-def _shifted_block(arr: np.ndarray, m1: int, m2_list, n1: int, n2: int):
-    """Zero-padded translates arr(x - y) for one y1 row, all kept y2."""
-    block = np.zeros((len(m2_list), n1, n2, 4))
+def _shifted_block(planes: np.ndarray, m1: int, m2_list):
+    """Zero-padded translates plane(x - y) of each plane in planes
+    (k, n1, n2) for one y1 row and all kept y2: shape (k, ny2, n1, n2)."""
+    k, n1, n2 = planes.shape
+    block = np.zeros((k, len(m2_list), n1, n2), dtype=planes.dtype)
     d1, s1 = shift_slices(m1, n1)
     for idx, m2 in enumerate(m2_list):
         d2, s2 = shift_slices(m2, n2)
-        block[idx, d1, d2] = arr[s1, s2]
+        block[:, idx, d1, d2] = planes[:, s1, s2]
     return block
+
+
+def _pair_mul(xa, xb, ya, yb):
+    """Hamilton product in symplectic form:
+    (xa + xb*j)(ya + yb*j) = (xa*ya - xb*conj(yb)) + (xa*yb + xb*conj(ya))*j.
+    Each conj buffer takes its product in place, which saves two fresh
+    row-block allocations."""
+    ga, t = xa * ya, np.conj(yb)
+    ga -= np.multiply(xb, t, out=t)
+    gb, t = xa * yb, np.conj(ya)
+    gb += np.multiply(xb, t, out=t)
+    return ga, gb
 
 
 def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
                       y_stride: int = 1, method: str = "fast"):
-    """Yield (iy1, block) with block shape (ny2, nw1, nw2, 4), one y1 row at
-    a time, without materializing the full 4D field."""
+    """Yield (iy1, Ga, Gb), the symplectic planes of G = Ga + Gb*j, each of
+    shape (ny2, nw1, nw2), one y1 row at a time, without materializing the
+    full 4D field."""
     if not f.grid.approx_eq(phi.grid):
         raise GridMismatchError("signal and window must share a grid")
     _check_method(method)
     grid = f.grid
-    phi_conj = qconj(phi.samples)
-    l1_list = range(0, grid.n1, y_stride)
-    l2_list = range(0, grid.n2, y_stride)
-    m2_list = [l2 - grid.n2 // 2 for l2 in l2_list]
-    for iy1, l1 in enumerate(l1_list):
-        m1 = l1 - grid.n1 // 2
-        shifted = _shifted_block(phi_conj, m1, m2_list, grid.n1, grid.n2)
-        products = qmul(f.samples[None, :, :, :], shifted)
+    m2_list = [l2 - grid.n2 // 2 for l2 in range(0, grid.n2, y_stride)]
+    if method == "fast":
+        fa, fb = to_complex_pair(f.samples)
+        pa, pb = to_complex_pair(phi.samples)
+        phi_conj = np.array([np.conj(pa), -pb])  # conj(phi) = conj(pa) - pb*j
+    else:
+        phi_conj = np.moveaxis(qconj(phi.samples), -1, 0)
+    for iy1, l1 in enumerate(range(0, grid.n1, y_stride)):
+        shifted = _shifted_block(phi_conj, l1 - grid.n1 // 2, m2_list)
         if method == "fast":
-            fa, fb = to_complex_pair(products)
-            fa, fb, _, _ = _two_sided_fast(p, fa, fb, *grid.axes)
-            yield iy1, from_complex_pair(fa, fb)
+            ga, gb = _pair_mul(fa, fb, *shifted)
+            ga, gb, _, _ = _two_sided_fast(p, ga, gb, *grid.axes)
+            yield iy1, ga, gb
         else:
-            rows = [qlct_forward_direct(QSignal2D(grid, products[i]), p).samples
-                    for i in range(products.shape[0])]
-            yield iy1, np.stack(rows, axis=0)
+            products = qmul(f.samples[None], np.moveaxis(shifted, 0, -1))
+            rows = [qlct_forward_direct(QSignal2D(grid, prod), p).samples
+                    for prod in products]
+            yield (iy1, *to_complex_pair(np.stack(rows, axis=0)))
 
 
 def gabor_analyze(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
@@ -128,8 +158,10 @@ def gabor_analyze(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     omega_grid = forward_grid(f.grid, p)
     y_grid = translation_grid(f.grid, y_stride)
     coeffs = np.empty((omega_grid.n1, omega_grid.n2, y_grid.n1, y_grid.n2, 4))
-    for iy1, block in iter_gabor_blocks(f, phi, p, y_stride, method):
-        coeffs[:, :, iy1, :, :] = np.moveaxis(block, 0, 2)
+    pairs = coeffs.view(complex)  # [..., 0] = w + x*i, [..., 1] = y + z*i
+    for iy1, ga, gb in iter_gabor_blocks(f, phi, p, y_stride, method):
+        pairs[:, :, iy1, :, 0] = np.moveaxis(ga, 0, 2)
+        pairs[:, :, iy1, :, 1] = np.moveaxis(gb, 0, 2)
     return GaborCoefficients(omega_grid, y_grid, coeffs, p,
                              phi.l2_norm_sq(), y_stride)
 
@@ -159,17 +191,20 @@ def gabor_synthesize(G: GaborCoefficients, phi: QSignal2D) -> QSignal2D:
             f"were built with {G.window_norm_sq!r}")
     grid = phi.grid
     pinv = G.params.inverse()
-    acc = np.zeros((grid.n1, grid.n2, 4))
+    acc_a = np.zeros((grid.n1, grid.n2), dtype=complex)
+    acc_b = np.zeros((grid.n1, grid.n2), dtype=complex)
     m2_list = [l2 - grid.n2 // 2 for l2 in range(grid.n2)]
-    phi_plain = phi.samples
+    phi_planes = np.array(to_complex_pair(phi.samples))
+    pairs = np.ascontiguousarray(G.coeffs, dtype=float).view(complex)
     for iy1 in range(G.y_grid.n1):
-        block = np.moveaxis(G.coeffs[:, :, iy1], 2, 0)  # (ny2, nw1, nw2, 4)
-        fa, fb = to_complex_pair(block)
-        fa, fb, _, _ = _two_sided_fast(pinv, fa, fb, *G.omega_grid.axes, *grid.axes)
-        h = from_complex_pair(fa, fb)
-        m1 = iy1 - grid.n1 // 2
-        shifted = _shifted_block(phi_plain, m1, m2_list, grid.n1, grid.n2)
-        acc += qmul(h, shifted).sum(axis=0)
+        ha = np.moveaxis(pairs[:, :, iy1, :, 0], 2, 0)  # (ny2, nw1, nw2)
+        hb = np.moveaxis(pairs[:, :, iy1, :, 1], 2, 0)
+        ha, hb, _, _ = _two_sided_fast(pinv, ha, hb, *G.omega_grid.axes, *grid.axes)
+        shifted = _shifted_block(phi_planes, iy1 - grid.n1 // 2, m2_list)
+        ha, hb = _pair_mul(ha, hb, *shifted)
+        acc_a += ha.sum(axis=0)
+        acc_b += hb.sum(axis=0)
+    acc = from_complex_pair(acc_a, acc_b)
     acc *= G.y_grid.cell_area / norm_sq
     return QSignal2D(grid, acc)
 
@@ -181,8 +216,8 @@ def gabor_plancherel_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     y_grid = translation_grid(f.grid, 1)
     cellvol = omega_grid.cell_area * y_grid.cell_area
     energy = 0.0
-    for _, block in iter_gabor_blocks(f, phi, p, 1, method):
-        energy += float(np.sum(block * block))
+    for _, ga, gb in iter_gabor_blocks(f, phi, p, 1, method):
+        energy += float(np.sum(pair_abs_sq(ga, gb)))
     lhs = energy * cellvol
     rhs = f.l2_norm_sq() * phi.l2_norm_sq()
     return report.equality("gabor-plancherel", lhs, rhs,

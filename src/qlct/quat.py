@@ -8,8 +8,11 @@ is (n1, n2, 4).
 
 The symplectic split writes q = qa + qb*j with qa = w + x*i and
 qb = y + z*i held as ordinary complex numbers in the i-plane. It is a pure
-reinterpretation of the same four doubles, used by the fast transform
-paths; `to_complex_pair` / `from_complex_pair` round-trip bit-identically.
+reinterpretation of the same four doubles; `to_complex_pair` /
+`from_complex_pair` round-trip bit-identically. The fast transform splits
+its input once and joins its output once. The fast Gabor pipeline stays in
+pair form from the windowing product to |G|^2 (`pair_abs_sq`), so it
+converts only its inputs and its dense output.
 """
 
 from __future__ import annotations
@@ -74,6 +77,16 @@ def qexp_axis(axis: str, theta) -> np.ndarray:
     if axis == "j":
         return np.stack([c, zero, s, zero], axis=-1)
     raise ValueError(f"axis must be 'i' or 'j', got {axis!r}")
+
+
+def pair_abs_sq(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Squared modulus of q = qa + qb*j, summed in the order of qabs_sq
+    (w^2 + x^2 + y^2 + z^2), so both give bit-identical results."""
+    out = np.square(qa.real)
+    out += np.square(qa.imag)
+    out += np.square(qb.real)
+    out += np.square(qb.imag)
+    return out
 
 
 def to_complex_pair(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -331,6 +331,8 @@ def export_csv(path, f: QSignal2D) -> None:
 
 
 def _infer_axis(vals: np.ndarray, name: str, path) -> tuple[int, float, float]:
+    if not np.isfinite(vals).all():
+        raise FormatError(f"{path}: {name} axis has non-finite coordinates")
     uniq = []
     for v in vals:
         if not uniq or v != uniq[-1]:

@@ -22,7 +22,7 @@ import numpy as np
 from . import report
 from .gabor import GaborCoefficients, forward_grid, iter_gabor_blocks, translation_grid
 from .qlct2d import QLCTParams, _check_method, qlct_forward_direct, qlct_forward_fast
-from .quat import qabs_sq
+from .quat import pair_abs_sq, qabs_sq
 from .signal import QSignal2D, shift_slices
 
 EULER_GAMMA = 0.5772156649015329
@@ -129,8 +129,8 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
         "log_omega_sum": 0.0,
         "omega_grid": omega_grid, "y_grid": y_grid, "cell_volume": cellvol,
     }
-    for iy1, block in iter_gabor_blocks(f, phi, p, y_stride, method):
-        mod2 = qabs_sq(block)  # (ny2, nw1, nw2)
+    for iy1, ga, gb in iter_gabor_blocks(f, phi, p, y_stride, method):
+        mod2 = pair_abs_sq(ga, gb)  # (ny2, nw1, nw2)
         stats["energy"] += float(mod2.sum())
         stats["max_abs"] = max(stats["max_abs"], float(mod2.max()))
         y_r2 = (y1c[iy1]**2 + y_r2_row)[:, None, None]

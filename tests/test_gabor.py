@@ -12,9 +12,10 @@ from qlct.gabor import (GaborCoefficients, export_field_csv, export_pgm,
                         gabor_plancherel_check, gabor_synthesize,
                         load_coefficients, save_coefficients, spectrogram,
                         translation_grid)
-from qlct.qlct2d import forward_grid, qlct_forward_fast
+from qlct.qlct2d import forward_grid, qlct_forward_fast, qlct_inverse
 from qlct.signal import Grid2D, QSignal2D, WindowSpec, make_window, translate
 from qlct.quat import qconj, qmul
+from qlct.uncertainty import gabor_field_stats
 
 
 def rel_l2(a, b):
@@ -201,6 +202,66 @@ def test_synthesize_rejects_stride_and_window_mismatch():
     shifted = dataclasses.replace(og, x0_1=og.x0_1 + og.dx1)
     with pytest.raises(ValueError, match="omega_grid"):
         gabor_synthesize(dataclasses.replace(G, omega_grid=shifted), phi)
+
+
+# ---------------------------------------------------------------------------
+# quaternion-valued windows: every term of the symplectic windowing product
+
+def quaternion_window(grid):
+    """Gaussian scaled by the quaternion (1, 0.3, -0.2, 0.5), so both
+    symplectic planes of the window are nonzero."""
+    vals = gaussian(grid, 0.8).samples[..., :1] * np.array([1.0, 0.3, -0.2, 0.5])
+    return QSignal2D(grid, vals)
+
+
+def synthesize_qmul_reference(G, phi):
+    """Stride-1 synthesis with quaternion-array products: each slice is
+    inverted on its own and multiplied by the translated window with qmul."""
+    grid = phi.grid
+    y1, y2 = G.y_grid.coords1(), G.y_grid.coords2()
+    acc = np.zeros((grid.n1, grid.n2, 4))
+    for i1 in range(G.y_grid.n1):
+        for i2 in range(G.y_grid.n2):
+            slice_ = QSignal2D(G.omega_grid, G.coeffs[:, :, i1, i2])
+            h = qlct_inverse(slice_, G.params, x_grid=grid).samples
+            acc += qmul(h, translate(phi, (y1[i1], y2[i2])).samples)
+    return acc * G.y_grid.cell_area / phi.l2_norm_sq()
+
+
+def test_quaternion_window_fast_matches_direct():
+    grid = Grid2D.centered(8, 8, 0.6, 0.6)
+    f = random_quaternion_signal(grid, np.random.default_rng(60))
+    phi = quaternion_window(grid)
+    assert np.all(np.abs(phi.samples[..., 2:]).max(axis=(0, 1)) > 0)
+    p = PARAM_SETS["generic"]
+
+    fast = gabor_analyze(f, phi, p, 1, "fast").coeffs
+    direct = gabor_analyze(f, phi, p, 1, "direct").coeffs
+    assert np.max(np.abs(fast - direct)) <= 1e-9 * np.max(np.abs(direct))
+
+    kwargs = dict(s_values=(0.5, 1.0), pprimes=(1.5, 2.0), log_omega=True)
+    sf = gabor_field_stats(f, phi, p, method="fast", **kwargs)
+    sd = gabor_field_stats(f, phi, p, method="direct", **kwargs)
+    for key in ("energy", "max_abs", "log_omega_sum"):
+        assert sf[key] == pytest.approx(sd[key], rel=1e-9), key
+    for key in ("moment_omega", "moment_y", "moment_joint", "power_sums"):
+        for k in sd[key]:
+            assert sf[key][k] == pytest.approx(sd[key][k], rel=1e-9), (key, k)
+
+    rf = gabor_plancherel_check(f, phi, p, "fast")
+    rd = gabor_plancherel_check(f, phi, p, "direct")
+    assert rf.lhs == pytest.approx(rd.lhs, rel=1e-9)
+    assert rf.rhs == rd.rhs
+
+
+def test_quaternion_window_synthesis_matches_qmul_reference():
+    grid = Grid2D.centered(8, 8, 0.6, 0.6)
+    f = random_quaternion_signal(grid, np.random.default_rng(61))
+    phi = quaternion_window(grid)
+    G = gabor_analyze(f, phi, PARAM_SETS["generic"], 1)
+    got = gabor_synthesize(G, phi).samples
+    want = synthesize_qmul_reference(G, phi)
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_plancherel_ratio_and_monotone_refinement():

@@ -290,6 +290,10 @@ def test_csv_error_names_row(tmp_path):
     path.write_text("wrong,header\n")
     with pytest.raises(FormatError, match="bad header"):
         import_csv(path)
+    path.write_text("x1,x2,qw,qx,qy,qz\n0,0,1,0,0,0\n0,inf,1,0,0,0\n"
+                    "1,0,1,0,0,0\n1,inf,1,0,0,0\n")
+    with pytest.raises(FormatError, match="bad.csv.*x2 axis has non-finite"):
+        import_csv(path)
 
 
 def test_quadrature_linearity():

@@ -6,12 +6,13 @@ import scipy.special
 
 from qlct.families import (PARAM_SETS, default_grid, dilated_gaussian,
                            gaussian, gaussian_chirp, normalized,
-                           random_smooth)
-from qlct.gabor import GaborCoefficients, gabor_analyze
-from qlct.qlct2d import qlct_forward_fast
+                           random_quaternion_signal, random_smooth)
+from qlct.gabor import GaborCoefficients, gabor_analyze, translation_grid
+from qlct.qlct2d import _two_sided_fast, forward_grid, qlct_forward_fast
+from qlct.quat import from_complex_pair, qabs_sq, qconj, qmul, to_complex_pair
 from qlct.report import (equality, lower_bound, reports_to_csv,
                          reports_to_json, upper_bound)
-from qlct.signal import Grid2D, QSignal2D, WindowSpec, make_window
+from qlct.signal import Grid2D, QSignal2D, WindowSpec, make_window, translate
 from qlct.uncertainty import (D_LOG, RegionMask, amgm_dilation_identity,
                               concentration_check, epsilon_concentration_check,
                               gabor_field_stats, greedy_minimal_mask,
@@ -94,6 +95,45 @@ def test_streamed_stats_match_dense_moments():
     mod = np.sqrt(G.modulus_sq())
     assert stats["power_sums"][1.5] == pytest.approx(
         float(np.sum(mod**1.5)) * G.cell_volume, rel=1e-12)
+
+
+def test_streamed_stats_keep_the_qabs_sq_summation_order():
+    """Energy and moments bit-equal to a reference that windows with qmul,
+    transforms the quaternion row block and reads |G|^2 with qabs_sq, so
+    the seed-0 verify report keeps every digit."""
+    grid = default_grid(32)
+    f = random_quaternion_signal(grid, np.random.default_rng(70))
+    phi = normalized(gaussian(grid, 1.0))
+    s_values = (0.5, 1.0)
+    stats = gabor_field_stats(f, phi, FOURIER2, s_values=s_values)
+
+    og = forward_grid(grid, FOURIER2)
+    yg = translation_grid(grid)
+    w1, w2 = og.meshgrid()
+    omega_r2 = w1**2 + w2**2
+    y1, y2 = yg.coords1(), yg.coords2()
+    energy = 0.0
+    mo = dict.fromkeys(s_values, 0.0)
+    my = dict.fromkeys(s_values, 0.0)
+    mj = dict.fromkeys(s_values, 0.0)
+    for i1 in range(yg.n1):
+        shifted = np.stack([translate(phi, (y1[i1], y2[i2])).samples
+                            for i2 in range(yg.n2)])
+        fa, fb = to_complex_pair(qmul(f.samples[None], qconj(shifted)))
+        fa, fb, _, _ = _two_sided_fast(FOURIER2, fa, fb, *grid.axes)
+        mod2 = qabs_sq(from_complex_pair(fa, fb))
+        energy += float(mod2.sum())
+        y_r2 = (y1[i1]**2 + y2**2)[:, None, None]
+        for s in s_values:
+            mo[s] += float((omega_r2[None]**s * mod2).sum())
+            my[s] += float((y_r2**s * mod2).sum())
+            mj[s] += float(((omega_r2[None] + y_r2)**s * mod2).sum())
+    cellvol = og.cell_area * yg.cell_area
+    assert stats["energy"] == energy * cellvol
+    for s in s_values:
+        assert stats["moment_omega"][s] == mo[s] * cellvol
+        assert stats["moment_y"][s] == my[s] * cellvol
+        assert stats["moment_joint"][s] == mj[s] * cellvol
 
 
 # ---------------------------------------------------------------------------
