@@ -7,8 +7,8 @@ from .lct1d import (Grid1D, LCTParams, MatchedSamplingError, ZeroBError,
                     conjugate_grid, kernel_value, lct_direct, lct_fast,
                     lct_scale_chirp)
 from .signal import (FormatError, Grid2D, GridMismatchError, QSignal2D,
-                     WindowSpec, export_csv, import_csv, inner_product, load,
-                     make_window, parse_window_spec, sample, save, translate)
+                     WindowSpec, inner_product, load, make_window,
+                     parse_window_spec, sample, save, translate)
 from .qlct2d import (QLCTParams, forward_grid, qlct_forward_direct,
                      qlct_forward_fast, qlct_inverse, qlct_plancherel_check)
 from .gabor import (GaborCoefficients, gabor_analyze, gabor_analyze_at,
@@ -31,10 +31,10 @@ __all__ = [
     "GridMismatchError", "InequalityReport", "LCTParams",
     "MatchedSamplingError", "QLCTParams", "QSignal2D", "RegionMask",
     "WindowSpec", "ZeroBError", "amgm_dilation_identity", "concentration_check",
-    "conjugate_grid", "epsilon_concentration_check", "export_csv",
+    "conjugate_grid", "epsilon_concentration_check",
     "forward_grid", "gabor_analyze", "gabor_analyze_at", "gabor_field_stats",
     "gabor_plancherel_check", "gabor_synthesize", "greedy_minimal_mask",
-    "hausdorff_young_check", "heisenberg_check", "import_csv", "inner_product",
+    "hausdorff_young_check", "heisenberg_check", "inner_product",
     "kernel_value", "lct_direct", "lct_fast", "lct_scale_chirp", "lieb_check",
     "lemma_log_identity_check", "load", "load_coefficients", "log_check",
     "make_window", "moment", "moment_concentration_check", "parse_window_spec",

@@ -3,8 +3,9 @@
 Subcommands:
 
 * ``forward`` / ``inverse``: transform a QSIG file.
-* ``gabor analyze|synthesize|spectrogram``: windowed analysis to a slice
-  directory, reconstruction from it, and squared-modulus exports.
+* ``gabor analyze|synthesize|spectrogram``: windowed analysis to a
+  coefficient directory (see `gabor`), reconstruction from it, and
+  squared-modulus exports.
 * ``verify <suite>``: run the seeded verification families for one named
   inequality suite (or ``all``) and write JSON + CSV reports.
 
@@ -94,8 +95,7 @@ def _quiet_overflow():
 
 
 def _finite_or_die(values: np.ndarray, stage: str) -> None:
-    # min and max propagate NaN and expose +-inf, without a full-size mask
-    if not np.isfinite([values.min(), values.max()]).all():
+    if not signal.all_finite(values):
         raise NumericError(f"non-finite output at stage {stage!r}")
 
 
@@ -136,15 +136,13 @@ def cmd_gabor_analyze(args) -> int:
     with _quiet_overflow():
         G = gabor.gabor_analyze(f, phi, p, args.stride, args.method)
     _finite_or_die(G.coeffs, "gabor analyze")
-    manifest = gabor.save_coefficients(G, args.output)
-    signal.save(os.path.join(args.output, "window.qsig"), phi)
-    print(f"wrote {G.y_grid.n1 * G.y_grid.n2} slices to {manifest}")
+    manifest = gabor.save_coefficients(G, phi, args.output)
+    print(f"wrote {G.y_grid.n1 * G.y_grid.n2} translations to {manifest}")
     return EXIT_OK
 
 
 def cmd_gabor_synthesize(args) -> int:
-    G = gabor.load_coefficients(args.input)
-    phi = signal.load(os.path.join(args.input, "window.qsig"))
+    G, phi = gabor.load_coefficients(args.input)
     with _quiet_overflow():
         out = gabor.gabor_synthesize(G, phi)
     _finite_or_die(out.samples, "synthesize")
@@ -153,7 +151,7 @@ def cmd_gabor_synthesize(args) -> int:
 
 
 def cmd_gabor_spectrogram(args) -> int:
-    G = gabor.load_coefficients(args.input)
+    G, _ = gabor.load_coefficients(args.input)
     kind, _, idx = args.slice.partition("=")
     index = None
     if kind in ("fix_y", "fix_omega"):
@@ -162,7 +160,9 @@ def cmd_gabor_spectrogram(args) -> int:
         except ValueError:
             raise FormatError(f"slice {args.slice!r} needs =I,J indices") from None
         index = (i1, i2)
-    field = gabor.spectrogram(G, kind, index)
+    with _quiet_overflow():
+        field = gabor.spectrogram(G, kind, index)
+    _finite_or_die(field, "spectrogram")
     gabor.export_pgm(field, args.output)
     gabor.export_field_csv(field, str(args.output) + ".csv")
     print(f"wrote {args.output} ({field.shape[0]}x{field.shape[1]}), "

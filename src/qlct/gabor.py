@@ -27,6 +27,10 @@ when it yields, so it stays an independent check.
 Full coefficient storage is (n1*n2)^2 quaternions: about 33 MB for a
 32x32 signal and 16x that for 64x64. Larger runs should subsample with
 y_stride or stream through `iter_gabor_blocks`.
+
+A coefficient directory, known to this module only, holds `coeffs.f64`
+(the raw little-endian float64 field, shaped by the manifest's grids),
+`window.qsig` and, written last, `manifest.json`.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .quat import (from_complex_pair, pair_abs_sq, qabs_sq, qconj, qmul,
 from .qlct2d import (QLCTParams, _check_method, _two_sided_fast, forward_grid,
                      qlct_forward_direct, qlct_forward_fast)
 from .signal import (FormatError, Grid2D, GridMismatchError, QSignal2D, load,
-                     save, shift_slices, translate)
+                     read_payload, save, shift_slices, translate, write_payload)
 
 
 @dataclass
@@ -256,23 +260,19 @@ def spectrogram(G: GaborCoefficients, kind: str,
 # ---------------------------------------------------------------------------
 # exports
 
-def save_coefficients(G: GaborCoefficients, dirpath) -> str:
-    """Write one QSIG file per translation cell plus a JSON manifest."""
+def save_coefficients(G: GaborCoefficients, phi: QSignal2D, dirpath) -> str:
+    """Write the payload, then the window, then the manifest; return the
+    manifest's path."""
     os.makedirs(dirpath, exist_ok=True)
-    slices = []
-    for iy1 in range(G.y_grid.n1):
-        for iy2 in range(G.y_grid.n2):
-            fname = f"slice_{iy1:04d}_{iy2:04d}.qsig"
-            save(os.path.join(dirpath, fname),
-                 QSignal2D(G.omega_grid, G.coeffs[:, :, iy1, iy2, :]))
-            slices.append({"iy1": iy1, "iy2": iy2, "file": fname})
+    with open(os.path.join(dirpath, "coeffs.f64"), "wb") as fh:
+        write_payload(fh, G.coeffs)
+    save(os.path.join(dirpath, "window.qsig"), phi)
     manifest = {
         "omega_grid": G.omega_grid.to_dict(),
         "y_grid": G.y_grid.to_dict(),
         "params": G.params.to_dict(),
         "window_norm_sq": G.window_norm_sq,
         "stride": G.stride,
-        "slices": slices,
     }
     path = os.path.join(dirpath, "manifest.json")
     with open(path, "w") as fh:
@@ -280,10 +280,10 @@ def save_coefficients(G: GaborCoefficients, dirpath) -> str:
     return path
 
 
-def load_coefficients(dirpath) -> GaborCoefficients:
-    """Read a directory written by `save_coefficients`. A manifest with a
-    missing key, a translation cell listed out of range or other than
-    exactly once, or a slice off `omega_grid` raises FormatError."""
+def load_coefficients(dirpath) -> tuple[GaborCoefficients, QSignal2D]:
+    """Read a directory written by `save_coefficients` as (G, phi). A
+    manifest with a missing or malformed entry, or a payload whose size is
+    not the one its grids give, raises FormatError."""
     path = os.path.join(dirpath, "manifest.json")
     with open(path) as fh:
         manifest = json.load(fh)
@@ -294,32 +294,14 @@ def load_coefficients(dirpath) -> GaborCoefficients:
                             LCTParams(*manifest["params"]["A2"]))
         window_norm_sq = float(manifest["window_norm_sq"])
         stride = int(manifest["stride"])
-        files = {}
-        for entry in manifest["slices"]:
-            cell = (int(entry["iy1"]), int(entry["iy2"]))
-            if not (0 <= cell[0] < y_grid.n1 and 0 <= cell[1] < y_grid.n2):
-                raise FormatError(f"{path}: slice {cell} is outside the "
-                                  f"{y_grid.n1}x{y_grid.n2} translation grid")
-            if cell in files:
-                raise FormatError(f"{path}: slice {cell} is listed twice")
-            files[cell] = str(entry["file"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed manifest "
                           f"({type(exc).__name__}: {exc})") from None
-    if len(files) != y_grid.n1 * y_grid.n2:
-        raise FormatError(f"{path}: {len(files)} slices listed for a "
-                          f"{y_grid.n1}x{y_grid.n2} translation grid")
-    coeffs = None
-    for (iy1, iy2), fname in files.items():
-        sig = load(os.path.join(dirpath, fname))
-        if sig.grid != omega_grid:
-            raise FormatError(f"{fname}: slice grid {sig.grid} is not the "
-                              f"manifest's omega_grid {omega_grid}")
-        if coeffs is None:  # sized only once a slice on disk confirms omega_grid
-            coeffs = np.zeros((omega_grid.n1, omega_grid.n2, y_grid.n1, y_grid.n2, 4))
-        coeffs[:, :, iy1, iy2, :] = sig.samples
-    return GaborCoefficients(omega_grid, y_grid, coeffs, params,
-                             window_norm_sq, stride)
+    payload = os.path.join(dirpath, "coeffs.f64")
+    with open(payload, "rb") as fh:
+        coeffs = read_payload(fh, (*omega_grid.shape, *y_grid.shape, 4), payload)
+    G = GaborCoefficients(omega_grid, y_grid, coeffs, params, window_norm_sq, stride)
+    return G, load(os.path.join(dirpath, "window.qsig"))
 
 
 def export_pgm(field: np.ndarray, path) -> None:

@@ -8,20 +8,21 @@ two middle samples and no sample has |x| = 0, which keeps log-weighted
 integrals finite. All L^2 quantities are Riemann sums with
 weight dx1*dx2.
 
-On-disk formats:
+On disk a signal is a QSIG file (binary, little-endian): magic "QSIG",
+u32 version = 1, u32 n1, u32 n2, f64 x0_1, f64 x0_2, f64 dx1, f64 dx2,
+then n1*n2 records of 4 f64 (w, x, y, z), row-major with axis 1
+outermost. Lossless.
 
-* QSIG (binary, little-endian): magic "QSIG", u32 version = 1, u32 n1,
-  u32 n2, f64 x0_1, f64 x0_2, f64 dx1, f64 dx2, then n1*n2 records of
-
-  4 f64 (w, x, y, z), row-major with axis 1 outermost. Lossless.
-* CSV: header ``x1,x2,qw,qx,qy,qz``, one row per sample in the same
-  row-major order; grid geometry is inferred and must be uniform to 1e-9
-  relative.
+QSIG bodies and the Gabor coefficient payload share one float64 writer and
+one reader; the reader checks the file's size against the expected shape
+before it allocates, so no header or manifest can make it allocate more
+than the file holds.
 """
 
 from __future__ import annotations
 
-import csv
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -37,7 +38,7 @@ _MAX_DIM = 2**24  # per-axis sanity cap for file headers
 
 
 class FormatError(ValueError):
-    """Malformed QSIG or CSV payload."""
+    """Malformed QSIG file or coefficient directory."""
 
 
 class GridMismatchError(ValueError):
@@ -275,107 +276,55 @@ def make_window(spec: WindowSpec, grid: Grid2D) -> QSignal2D:
     return QSignal2D(grid, full)
 
 
+def all_finite(values: np.ndarray) -> bool:
+    # min and max propagate NaN and expose +-inf, without a full-size mask
+    return bool(np.isfinite([values.min(), values.max()]).all())
+
+
+def write_payload(fh, values: np.ndarray) -> None:
+    """Write values to fh as raw little-endian float64, without a bytes copy."""
+    np.ascontiguousarray(values, dtype="<f8").tofile(fh)
+
+
+def read_payload(fh, shape: tuple[int, ...], name) -> np.ndarray:
+    """Read the rest of fh as finite little-endian float64 values of shape;
+    its size is checked before anything is allocated."""
+    need = math.prod(shape) * 8  # Python ints: no overflow
+    have = os.fstat(fh.fileno()).st_size - fh.tell()
+    if have < need:
+        raise FormatError(f"{name}: truncated payload ({have} bytes, expected {need})")
+    if have > need:
+        raise FormatError(f"{name}: trailing data ({have - need} extra bytes)")
+    values = np.fromfile(fh, dtype="<f8", count=need // 8).reshape(shape)
+    if not all_finite(values):
+        raise FormatError(f"{name}: non-finite values in payload")
+    return values
+
+
 def save(path, f: QSignal2D) -> None:
     """Write the QSIG binary format (lossless round trip)."""
     g = f.grid
-    header = _QSIG_HEADER.pack(_QSIG_MAGIC, _QSIG_VERSION, g.n1, g.n2,
-                               g.x0_1, g.x0_2, g.dx1, g.dx2)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(f.samples, dtype="<f8").tobytes())
+        fh.write(_QSIG_HEADER.pack(_QSIG_MAGIC, _QSIG_VERSION, g.n1, g.n2,
+                                   g.x0_1, g.x0_2, g.dx1, g.dx2))
+        write_payload(fh, f.samples)
 
 
 def load(path) -> QSignal2D:
     """Read the QSIG binary format with distinct diagnostics per failure."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _QSIG_HEADER.size:
-        raise FormatError(f"{path}: bad magic (file shorter than the header)")
-    magic, version, n1, n2, x0_1, x0_2, dx1, dx2 = _QSIG_HEADER.unpack_from(raw)
-    if magic != _QSIG_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != _QSIG_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if n1 > _MAX_DIM or n2 > _MAX_DIM:
-        raise FormatError(f"{path}: dimension overflow ({n1}x{n2})")
-    try:
-        grid = Grid2D(n1, n2, dx1, dx2, x0_1, x0_2)
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad grid geometry: {exc}") from None
-    need = n1 * n2 * 4 * 8
-    body = raw[_QSIG_HEADER.size:]
-    if len(body) < need:
-        raise FormatError(f"{path}: truncated payload "
-                          f"({len(body)} bytes, expected {need})")
-    if len(body) > need:
-        raise FormatError(f"{path}: trailing data ({len(body) - need} extra bytes)")
-    samples = np.frombuffer(body, dtype="<f8").reshape(n1, n2, 4)
-    if not np.isfinite(samples).all():
-        raise FormatError(f"{path}: non-finite values in payload")
-    return QSignal2D(grid, samples.astype(float))
-
-
-def export_csv(path, f: QSignal2D) -> None:
-    """Write the CSV format (17 significant digits, round trips to 1e-15)."""
-    x1 = f.grid.coords1()
-    x2 = f.grid.coords2()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "qw", "qx", "qy", "qz"])
-        for k1 in range(f.grid.n1):
-            for k2 in range(f.grid.n2):
-                q = f.samples[k1, k2]
-                writer.writerow([f"{x1[k1]:.17g}", f"{x2[k2]:.17g}",
-                                 f"{q[0]:.17g}", f"{q[1]:.17g}",
-                                 f"{q[2]:.17g}", f"{q[3]:.17g}"])
-
-
-def _infer_axis(vals: np.ndarray, name: str, path) -> tuple[int, float, float]:
-    if not np.isfinite(vals).all():
-        raise FormatError(f"{path}: {name} axis has non-finite coordinates")
-    uniq = []
-    for v in vals:
-        if not uniq or v != uniq[-1]:
-            uniq.append(v)
-    n = len(uniq)
-    if n < 2:
-        raise FormatError(f"{path}: {name} axis has fewer than 2 distinct values")
-    steps = np.diff(uniq)
-    d = float(np.mean(steps))
-    if d <= 0 or np.any(np.abs(steps - d) > 1e-9 * abs(d)):
-        raise FormatError(f"{path}: {name} axis is not uniform to 1e-9 relative")
-    return n, d, float(uniq[0])
-
-
-def import_csv(path) -> QSignal2D:
-    """Read the CSV format, inferring the grid geometry from the rows."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        header = fh.read(_QSIG_HEADER.size)
+        if len(header) < _QSIG_HEADER.size:
+            raise FormatError(f"{path}: bad magic (file shorter than the header)")
+        magic, version, n1, n2, x0_1, x0_2, dx1, dx2 = _QSIG_HEADER.unpack(header)
+        if magic != _QSIG_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != _QSIG_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if n1 > _MAX_DIM or n2 > _MAX_DIM:
+            raise FormatError(f"{path}: dimension overflow ({n1}x{n2})")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ["x1", "x2", "qw", "qx", "qy", "qz"]:
-            raise FormatError(f"{path}: bad header {header}")
-        rows = []
-        for idx, row in enumerate(reader, start=2):
-            if len(row) != 6:
-                raise FormatError(f"{path}: row {idx}: expected 6 fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise FormatError(f"{path}: row {idx}: non-numeric field") from None
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
-    data = np.array(rows)
-    # axis 1 outermost: x1 is constant within each block of n2 rows
-    n2, dx2, x0_2 = _infer_axis(data[data[:, 0] == data[0, 0], 1], "x2", path)
-    if len(data) % n2 != 0:
-        raise FormatError(f"{path}: {len(data)} rows is not a multiple of n2={n2}")
-    n1, dx1, x0_1 = _infer_axis(data[::n2, 0], "x1", path)
-    if n1 * n2 != len(data):
-        raise FormatError(f"{path}: row count {len(data)} != {n1}x{n2}")
-    samples = data[:, 2:6].reshape(n1, n2, 4)
-    if not np.isfinite(samples).all():
-        raise FormatError(f"{path}: non-finite values")
-    return QSignal2D(Grid2D(n1, n2, dx1, dx2, x0_1, x0_2), samples)
+            grid = Grid2D(n1, n2, dx1, dx2, x0_1, x0_2)
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad grid geometry: {exc}") from None
+        return QSignal2D(grid, read_payload(fh, (n1, n2, 4), path))

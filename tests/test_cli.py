@@ -4,8 +4,9 @@ import struct
 import numpy as np
 import pytest
 
+from qlct import gabor
 from qlct.cli import main
-from qlct.families import gaussian, impulse
+from qlct.families import PARAM_SETS, gaussian, impulse
 from qlct.signal import Grid2D, QSignal2D, load, save
 
 
@@ -128,9 +129,11 @@ def test_gabor_analyze_synthesize_spectrogram(tmp_path, capsys):
     assert main(["gabor", "analyze", "-i", str(src), "-o", str(coef),
                  "--window", "gaussian:sigma=1.0,1.0"]) == 0
     out = capsys.readouterr().out
-    assert "256 slices" in out
-    manifest = json.loads((coef / "manifest.json").read_text())
-    assert len(manifest["slices"]) == 256
+    assert "256 translations" in out
+    assert sorted(p.name for p in coef.iterdir()) == ["coeffs.f64", "manifest.json",
+                                                      "window.qsig"]
+    G = gabor.gabor_analyze(load(src), load(coef / "window.qsig"), PARAM_SETS["fourier"])
+    assert (coef / "coeffs.f64").read_bytes() == G.coeffs.astype("<f8").tobytes()
 
     back = tmp_path / "back.qsig"
     assert main(["gabor", "synthesize", "-i", str(coef), "-o", str(back)]) == 0
@@ -186,36 +189,53 @@ def test_gabor_memory_guard_counts_bytes_at_any_stride(tmp_path, capsys):
     assert not (tmp_path / "coef").exists()
 
 
-def _drop_slice(manifest, coef):
-    del manifest["slices"][5]
+# Each corruption edits the manifest dict (written back afterwards) or the
+# files in coef, and returns a fragment of the error it must cause.
+
+def _payload_8_bytes_short(manifest, coef):
+    with open(coef / "coeffs.f64", "r+b") as fh:
+        fh.truncate(fh.seek(0, 2) - 8)
+    return "truncated payload"
 
 
-def _slice_out_of_range(manifest, coef):
-    manifest["slices"][5]["iy1"] = 99
+def _payload_1_extra_byte(manifest, coef):
+    with open(coef / "coeffs.f64", "ab") as fh:
+        fh.write(b"\0")
+    return "trailing data"
 
 
-def _slice_without_file(manifest, coef):
-    del manifest["slices"][5]["file"]
+def _payload_missing(manifest, coef):
+    (coef / "coeffs.f64").unlink()
+    return "coeffs.f64"
 
 
-def _slice_on_other_grid(manifest, coef):
-    name = manifest["slices"][5]["file"]
-    sig = load(coef / name)
-    save(coef / name, QSignal2D(Grid2D.centered(8, 8, 0.3, 0.3), sig.samples))
+def _payload_nan_at_byte_800(manifest, coef):
+    with open(coef / "coeffs.f64", "r+b") as fh:
+        fh.seek(800)
+        fh.write(struct.pack("<d", float("nan")))
+    return "non-finite"
+
+
+def _omega_grid_n1_is_9(manifest, coef):
+    manifest["omega_grid"]["n1"] = 9
+    return "truncated payload"
 
 
 def _y_grid_spacing_edited(manifest, coef):
     manifest["y_grid"]["dx1"] *= 2
+    return "translation grid"
 
 
 def _omega_grid_enlarged(manifest, coef):
-    # 10^12 cells per slice: must be refused before any allocation
+    # 10^12 cells per translation: the size check refuses it before any allocation
     manifest["omega_grid"]["n1"] = manifest["omega_grid"]["n2"] = 10**6
+    return "truncated payload"
 
 
-@pytest.mark.parametrize("corrupt", [_drop_slice, _slice_out_of_range,
-                                     _slice_without_file, _slice_on_other_grid,
-                                     _y_grid_spacing_edited, _omega_grid_enlarged])
+@pytest.mark.parametrize("corrupt", [_payload_8_bytes_short, _payload_1_extra_byte,
+                                     _payload_missing, _payload_nan_at_byte_800,
+                                     _omega_grid_n1_is_9, _y_grid_spacing_edited,
+                                     _omega_grid_enlarged])
 def test_gabor_synthesize_rejects_malformed_manifest(tmp_path, capsys, corrupt):
     src = tmp_path / "f.qsig"
     write_gaussian(src, n=8)
@@ -223,7 +243,7 @@ def test_gabor_synthesize_rejects_malformed_manifest(tmp_path, capsys, corrupt):
     assert main(["gabor", "analyze", "-i", str(src), "-o", str(coef)]) == 0
     path = coef / "manifest.json"
     manifest = json.loads(path.read_text())
-    corrupt(manifest, coef)
+    expected = corrupt(manifest, coef)
     path.write_text(json.dumps(manifest))
     capsys.readouterr()
     code = main(["gabor", "synthesize", "-i", str(coef),
@@ -231,6 +251,7 @@ def test_gabor_synthesize_rejects_malformed_manifest(tmp_path, capsys, corrupt):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected in err
     assert "Traceback" not in err
     assert not (tmp_path / "back.qsig").exists()
 

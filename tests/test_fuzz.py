@@ -1,0 +1,128 @@
+"""Fuzzed inputs to the two payload readers, through the CLI.
+
+An 8x8 QSIG file goes through `forward`, and an 8x8 coefficient directory
+through `gabor synthesize` and `gabor spectrogram`, after a truncation, a single-bit flip, or an
+edit of one header field or manifest entry. Whatever the damage, the run
+must end with a documented exit code (0, 2 or 3) and at most one line on
+stderr; any exception or warning escaping `main` fails the test.
+"""
+
+import contextlib
+import io
+import json
+import os
+import struct
+import tempfile
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qlct.cli import main
+from qlct.families import gaussian
+from qlct.signal import Grid2D, save
+
+FILES = ("coeffs.f64", "manifest.json", "window.qsig")
+
+MANIFEST_ENTRIES = [("omega_grid", "n1"), ("omega_grid", "dx2"),
+                    ("omega_grid", "x0_1"), ("y_grid", "n2"), ("y_grid", "dx1"),
+                    ("params", "A1"), ("params",), ("window_norm_sq",),
+                    ("stride",)]
+
+json_values = st.one_of(st.none(), st.booleans(),
+                        st.integers(-2**70, 2**70), st.floats(),
+                        st.text(max_size=3), st.lists(st.floats(), max_size=5))
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """A directory holding an 8x8 QSIG signal and its coefficient directory."""
+    root = tmp_path_factory.mktemp("pristine")
+    save(root / "f.qsig", gaussian(Grid2D.centered(8, 8, 0.5, 0.5), 1.0))
+    assert _run(["gabor", "analyze", "-i", str(root / "f.qsig"),
+                 "-o", str(root / "coef")])[0] == 0
+    return root
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _check(code, err):
+    assert code in (0, 2, 3), err
+    assert err.count("\n") <= 1, err
+    assert "Traceback" not in err
+
+
+def _damage(data: bytes, kind: str, at: int) -> bytes:
+    if kind == "truncate":
+        return data[:at % len(data)]
+    bit = at % (8 * len(data))
+    raw = bytearray(data)
+    raw[bit // 8] ^= 1 << (bit % 8)
+    return bytes(raw)
+
+
+damage = st.tuples(st.sampled_from(["truncate", "flip"]), st.integers(0, 2**40))
+
+
+@settings(max_examples=50)
+@given(edit=st.one_of(
+    damage,
+    # version, n1, n2; then x0_1, x0_2, dx1, dx2
+    st.tuples(st.just("<I"), st.sampled_from([4, 8, 12]), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("<d"), st.sampled_from([16, 24, 32, 40]), st.floats())))
+def test_fuzzed_qsig_through_forward(pristine, edit):
+    data = (pristine / "f.qsig").read_bytes()
+    if edit[0] in ("<I", "<d"):
+        raw = bytearray(data)
+        struct.pack_into(edit[0], raw, edit[1], edit[2])
+        data = bytes(raw)
+    else:
+        data = _damage(data, *edit)
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "f.qsig")
+        with open(src, "wb") as fh:
+            fh.write(data)
+        _check(*_run(["forward", "-i", src, "-o", os.path.join(tmp, "F.qsig")]))
+
+
+@settings(max_examples=50)
+@given(edit=st.one_of(
+    st.tuples(st.sampled_from(FILES), damage),
+    st.tuples(st.just("manifest"), st.sampled_from(MANIFEST_ENTRIES),
+              st.one_of(st.just("delete"), json_values))))
+# the top exponent bit of the first coefficient: |G|^2 overflows to inf,
+# which spectrogram once wrote to a PGM with exit 0 and numpy warnings
+@example(edit=("coeffs.f64", ("flip", 62)))
+# int(inf) raises OverflowError, which must read as a malformed manifest
+@example(edit=("manifest", ("omega_grid", "n1"), float("inf")))
+def test_fuzzed_coefficient_directory_through_synthesize_and_spectrogram(pristine, edit):
+    files = {name: (pristine / "coef" / name).read_bytes() for name in FILES}
+    if edit[0] == "manifest":
+        path, value = edit[1:]
+        manifest = json.loads(files["manifest.json"])
+        node = manifest
+        for key in path[:-1]:
+            node = node[key]
+        if value == "delete":
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        files["manifest.json"] = json.dumps(manifest).encode()
+    else:
+        name, (kind, at) = edit
+        files[name] = _damage(files[name], kind, at)
+    with tempfile.TemporaryDirectory() as tmp:
+        coef = os.path.join(tmp, "coef")
+        os.mkdir(coef)
+        for name, data in files.items():
+            with open(os.path.join(coef, name), "wb") as fh:
+                fh.write(data)
+        _check(*_run(["gabor", "synthesize", "-i", coef,
+                      "-o", os.path.join(tmp, "back.qsig")]))
+        _check(*_run(["gabor", "spectrogram", "-i", coef,
+                      "-o", os.path.join(tmp, "spec.pgm")]))

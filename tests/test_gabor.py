@@ -346,14 +346,20 @@ def test_coefficient_save_load_round_trip(tmp_path):
     phi = make_window(WindowSpec("gaussian", (0.8, 0.8)), grid)
     G = gabor_analyze(f, phi, PARAM_SETS["generic"], 1)
     outdir = tmp_path / "coef"
-    manifest = save_coefficients(G, outdir)
+    manifest = save_coefficients(G, phi, outdir)
     with open(manifest) as fh:
         data = json.load(fh)
-    assert len(data["slices"]) == 64
-    back = load_coefficients(outdir)
+    assert Grid2D.from_dict(data["omega_grid"]) == G.omega_grid
+    assert sorted(os.listdir(outdir)) == ["coeffs.f64", "manifest.json",
+                                          "window.qsig"]
+    assert (outdir / "coeffs.f64").read_bytes() == G.coeffs.astype("<f8").tobytes()
+    back, phi_back = load_coefficients(outdir)
     assert np.array_equal(back.coeffs, G.coeffs)
+    assert back.omega_grid == G.omega_grid and back.y_grid == G.y_grid
     assert back.params == G.params
     assert back.window_norm_sq == G.window_norm_sq
+    assert back.stride == G.stride
+    assert np.array_equal(phi_back.samples, phi.samples)
 
 
 def test_pgm_and_csv_export(tmp_path):

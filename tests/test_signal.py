@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qlct.quat import qconj, qmul, quaternion
 from qlct.signal import (FormatError, Grid2D, GridMismatchError, QSignal2D,
-                         WindowSpec, export_csv, import_csv, inner_product,
-                         load, make_window, parse_window_spec, sample, save,
-                         shift_slices, translate)
+                         WindowSpec, inner_product, load, make_window,
+                         parse_window_spec, sample, save, shift_slices,
+                         translate)
 
 
 def grid4():
@@ -271,29 +273,19 @@ def test_qsig_error_diagnostics(tmp_path):
         load(tmp_path / "nan.qsig")
 
 
-def test_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(10)
-    g = Grid2D.centered(5, 7, 0.3, 0.9)
-    f = QSignal2D(g, rng.standard_normal((5, 7, 4)))
-    path = tmp_path / "f.csv"
-    export_csv(path, f)
-    back = import_csv(path)
-    assert back.grid.approx_eq(f.grid)
-    np.testing.assert_allclose(back.samples, f.samples, rtol=1e-15, atol=1e-15)
-
-
-def test_csv_error_names_row(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("x1,x2,qw,qx,qy,qz\n0,0,1,0,0,0\n1,0,1,0,0\n")
-    with pytest.raises(FormatError, match="row 3"):
-        import_csv(path)
-    path.write_text("wrong,header\n")
-    with pytest.raises(FormatError, match="bad header"):
-        import_csv(path)
-    path.write_text("x1,x2,qw,qx,qy,qz\n0,0,1,0,0,0\n0,inf,1,0,0,0\n"
-                    "1,0,1,0,0,0\n1,inf,1,0,0,0\n")
-    with pytest.raises(FormatError, match="bad.csv.*x2 axis has non-finite"):
-        import_csv(path)
+def test_qsig_load_checks_size_before_allocating(tmp_path):
+    path = tmp_path / "sparse.qsig"
+    save(path, const_one(Grid2D.centered(2, 2, 1.0, 1.0)))
+    with open(path, "r+b") as fh:  # a 64 MiB hole after the 2x2 body
+        fh.truncate(path.stat().st_size + 64 * 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="trailing data"):
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_quadrature_linearity():
