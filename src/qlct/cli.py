@@ -228,9 +228,10 @@ def _gaussian_constants(cfg: VerifyConfig, out: Collector, check):
 
 
 def _unit_gaussian_field(cfg: VerifyConfig):
-    """Normalized 32^2 Gaussian and its stride-1 Gabor field against itself."""
+    """Normalized 32^2 Gaussian and its stride-1 Gabor field against itself,
+    built once per run (`uncertainty.field_memo`)."""
     f = families.normalized(families.gaussian(cfg.grid(32), 1.0))
-    return f, gabor.gabor_analyze(f, f, QFT, 1, cfg.method)
+    return f, uncertainty.memo_gabor_analyze(f, f, QFT, 1, cfg.method)
 
 
 def suite_plancherel(cfg: VerifyConfig, out: Collector):
@@ -414,18 +415,20 @@ def cmd_verify(args) -> int:
     names = VERIFY_NAMES if args.suite == "all" else [args.suite]
     all_reports: list[report.InequalityReport] = []
     all_failures: list[str] = []
-    for name in names:
-        out = Collector(cfg.seed)
-        SUITES[name](cfg, out)
-        for rep in out.reports:
-            extra = ("" if rep.empirical_constant is None
-                     else f" C={rep.empirical_constant!r}")
-            print(f"report {rep.name}: lhs={rep.lhs!r} rhs={rep.rhs!r} "
-                  f"margin={rep.margin!r} ratio={rep.ratio!r}{extra}")
-        print(f"suite {name}: {'FAIL' if out.failures else 'pass'} "
-              f"({len(out.reports)} reports)")
-        all_reports.extend(out.reports)
-        all_failures.extend(out.failures)
+    # one sweep per distinct Gabor field in this run; entries end with it
+    with uncertainty.field_memo():
+        for name in names:
+            out = Collector(cfg.seed)
+            SUITES[name](cfg, out)
+            for rep in out.reports:
+                extra = ("" if rep.empirical_constant is None
+                         else f" C={rep.empirical_constant!r}")
+                print(f"report {rep.name}: lhs={rep.lhs!r} rhs={rep.rhs!r} "
+                      f"margin={rep.margin!r} ratio={rep.ratio!r}{extra}")
+            print(f"suite {name}: {'FAIL' if out.failures else 'pass'} "
+                  f"({len(out.reports)} reports)")
+            all_reports.extend(out.reports)
+            all_failures.extend(out.failures)
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(report.reports_to_json(all_reports))

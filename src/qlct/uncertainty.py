@@ -9,17 +9,21 @@ equality, so callers assert positivity and stability, never a fixed value.
 
 Moment and p-norm accumulations over the Gabor field stream through
 `iter_gabor_blocks`, so grids larger than the dense-storage budget are
-fine.
+fine. Inside `field_memo` each distinct field is swept once: the checks
+share one pass per field, and `memo_gabor_analyze` one dense build.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import report
+from . import gabor, report
 from .gabor import GaborCoefficients, forward_grid, iter_gabor_blocks, translation_grid
 from .qlct2d import QLCTParams, _check_method, qlct_forward_direct, qlct_forward_fast
 from .quat import pair_abs_sq, qabs_sq
@@ -110,7 +114,13 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
                       method: str = "fast", y_stride: int = 1) -> dict:
     """One streamed pass over the Gabor field collecting the weighted sums
     every check needs: total energy, sup |G|, |omega|/|y|/joint moments,
-    p'-th power sums, and the ln|omega| weighted energy."""
+    p'-th power sums, and the ln|omega| weighted energy.
+
+    Every call is a fresh pass. The checks reach it through
+    `memo_field_stats`, which inside a `field_memo` scope serves a repeat
+    request for the same (f, phi, grids, p, method, y_stride) from the
+    scope's entry. Each sum is independent of the others requested with
+    it, so a value is the same bits whichever request collected it."""
     omega_grid = forward_grid(f.grid, p)
     y_grid = translation_grid(f.grid, y_stride)
     cellvol = omega_grid.cell_area * y_grid.cell_area
@@ -148,6 +158,75 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
         stats[key] = {k: v * cellvol for k, v in stats[key].items()}
     stats["log_omega_sum"] *= cellvol
     return stats
+
+
+#: Entries of the enclosing `field_memo` scope; None outside any scope.
+_FIELD_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "qlct_field_memo", default=None)
+
+
+@contextlib.contextmanager
+def field_memo():
+    """Scope in which each distinct Gabor field is swept at most once by
+    `memo_field_stats` and built at most once by `memo_gabor_analyze`.
+
+    Entries live in a context variable, so they are dropped when the scope
+    exits and never shared with calls outside it (`qlct verify` opens one
+    scope per run)."""
+    token = _FIELD_MEMO.set({})
+    try:
+        yield
+    finally:
+        _FIELD_MEMO.reset(token)
+
+
+def _memo_entries(kind: str, f: QSignal2D, phi: QSignal2D, p: QLCTParams,
+                  method: str, y_stride: int) -> tuple[dict, tuple]:
+    """The scope's entries (a throwaway dict outside any scope, so every
+    call there misses) and the key of one field: digests of both sample
+    arrays, both grids (equal samples on another spacing are another
+    field), the params, the method and the translation stride."""
+    memo = _FIELD_MEMO.get()
+    key = (kind, hashlib.sha256(f.samples).hexdigest(),
+           hashlib.sha256(phi.samples).hexdigest(),
+           repr(f.grid.to_dict()), repr(phi.grid.to_dict()),
+           repr(p.to_dict()), method, y_stride)
+    return ({} if memo is None else memo), key
+
+
+def memo_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
+                     s_values: tuple[float, ...] = (),
+                     pprimes: tuple[float, ...] = (),
+                     log_omega: bool = False,
+                     method: str = "fast", y_stride: int = 1) -> dict:
+    """`gabor_field_stats`, served from the enclosing `field_memo` scope.
+
+    A field's entry records the s values, p' values and ln|omega| flag its
+    pass collected. A request inside those is a hit; any other runs one
+    pass over the union of both requests and replaces the entry. Outside
+    a scope every call is its own pass."""
+    memo, key = _memo_entries("stats", f, phi, p, method, y_stride)
+    have, stats = memo.get(key, (((), (), False), None))
+    want = (tuple(dict.fromkeys((*have[0], *s_values))),
+            tuple(dict.fromkeys((*have[1], *pprimes))), have[2] or log_omega)
+    if stats is None or want != have:
+        stats = gabor_field_stats(f, phi, p, s_values=want[0], pprimes=want[1],
+                                  log_omega=want[2], method=method,
+                                  y_stride=y_stride)
+        memo[key] = (want, stats)
+    return stats
+
+
+def memo_gabor_analyze(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
+                       y_stride: int = 1, method: str = "fast") -> GaborCoefficients:
+    """`gabor.gabor_analyze` with read-only coefficients, built once per
+    distinct field (keyed as in `memo_field_stats`) inside a `field_memo`
+    scope; outside one, every call builds its own."""
+    memo, key = _memo_entries("dense", f, phi, p, method, y_stride)
+    if key not in memo:
+        memo[key] = gabor.gabor_analyze(f, phi, p, y_stride, method)
+        memo[key].coeffs.flags.writeable = False
+    return memo[key]
 
 
 def _abs_b_product(p: QLCTParams) -> float:
@@ -191,7 +270,7 @@ def heisenberg_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams, s: float,
     The bound constant is existential; the report records the empirical
     constant lhs/rhs and the optimal-dilation identity residual."""
     _require_nonzero(f, phi)
-    stats = gabor_field_stats(f, phi, p, s_values=(s,), method=method)
+    stats = memo_field_stats(f, phi, p, s_values=(s,), method=method)
     A = stats["moment_omega"][s]
     B = stats["moment_y"][s]
     lhs = math.sqrt(A) * math.sqrt(B)
@@ -221,7 +300,7 @@ def log_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
         raise ValueError("log_check requires b != 0 on both axes")
     log_x = _log_radius(f.grid)
     _log_radius(forward_grid(f.grid, p))  # reject omega samples at the origin
-    stats = gabor_field_stats(f, phi, p, log_omega=True, method=method)
+    stats = memo_field_stats(f, phi, p, log_omega=True, method=method)
     phi_sq = phi.l2_norm_sq()
     f_sq = f.l2_norm_sq()
     x_term = float(np.sum(log_x * qabs_sq(f.samples)) * f.grid.cell_area)
@@ -276,7 +355,7 @@ def lieb_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams, p_prime: float,
     _require_nonzero(f, phi)
     if not 1.0 < p_prime <= 2.0:
         raise ValueError(f"p_prime must lie in (1, 2], got {p_prime}")
-    stats = gabor_field_stats(f, phi, p, pprimes=(p_prime,), method=method)
+    stats = memo_field_stats(f, phi, p, pprimes=(p_prime,), method=method)
     lhs = stats["power_sums"][p_prime]
     babs = _abs_b_product(p)
     norms = (f.l2_norm() * phi.l2_norm())**p_prime
@@ -305,7 +384,7 @@ def young_sup_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
         holder_q = holder_p / (holder_p - 1.0)
         f_norm = f.lp_norm(holder_q)
     phi_norm = phi.lp_norm(holder_p)
-    stats = gabor_field_stats(f, phi, p, method=method)
+    stats = memo_field_stats(f, phi, p, method=method)
     lhs = stats["max_abs"]
     rhs = _abs_b_product(p)**-0.5 / (2 * math.pi) * f_norm * phi_norm
     return report.upper_bound("young", lhs, rhs,
@@ -385,7 +464,7 @@ def moment_concentration_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     """||f|| ||phi|| against the joint-radius moment; the constant is
     existential, so only the empirical constant is recorded."""
     _require_nonzero(f, phi)
-    stats = gabor_field_stats(f, phi, p, s_values=(s,), method=method)
+    stats = memo_field_stats(f, phi, p, s_values=(s,), method=method)
     joint = stats["moment_joint"][s]
     lhs = f.l2_norm() * phi.l2_norm()
     rhs = math.sqrt(joint)

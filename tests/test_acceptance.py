@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qlct import uncertainty
 from qlct.cli import main
 from qlct.families import (PARAM_SETS, default_grid, dilated_gaussian,
                            gaussian, normalized, random_quaternion_signal,
@@ -258,17 +259,38 @@ def test_criterion_12_lieb():
             f"p'=2 reproduces Plancherel and is flagged")
 
 
+#: Gabor field passes of one seed-0 `verify all --grid 32x32` run: 109
+#: distinct fields, plus the union passes that add ln|omega| (log) and
+#: p' = 2 (lieb) to fields an earlier suite swept.
+VERIFY_ALL_PASSES = 111
+
+
 @pytest.fixture(scope="module")
-def verify_all_runs(tmp_path_factory):
+def verify_all_passes():
+    """Gabor field passes of each `verify_all_runs` run, in run order."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def verify_all_runs(tmp_path_factory, verify_all_passes):
     tmp = tmp_path_factory.mktemp("verify")
     paths = [tmp / "run1.json", tmp / "run2.json"]
     elapsed = []
-    for path in paths:
-        start = time.perf_counter()
-        code = main(["verify", "all", "--grid", "32x32", "--seed", "0",
-                     "--report", str(path)])
-        elapsed.append(time.perf_counter() - start)
-        assert code == 0, f"verify all exited {code}"
+    original = uncertainty.gabor_field_stats
+
+    def counted(*args, **kwargs):
+        verify_all_passes[-1] += 1
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uncertainty, "gabor_field_stats", counted)
+        for path in paths:
+            verify_all_passes.append(0)
+            start = time.perf_counter()
+            code = main(["verify", "all", "--grid", "32x32", "--seed", "0",
+                         "--report", str(path)])
+            elapsed.append(time.perf_counter() - start)
+            assert code == 0, f"verify all exited {code}"
     return elapsed, paths[0].read_bytes(), paths[1].read_bytes()
 
 
@@ -304,6 +326,11 @@ def test_criterion_14_determinism(verify_all_runs):
     reports = json.loads(first)
     assert len(reports) > 0
     _ok(14, f"verify all twice: byte-identical JSON ({len(reports)} reports)")
+
+
+def test_verify_all_sweeps_each_distinct_field_once(verify_all_runs,
+                                                    verify_all_passes):
+    assert verify_all_passes == [VERIFY_ALL_PASSES] * 2, verify_all_passes
 
 
 def _assert_report_close(got, want, where="report"):

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from qlct import gabor
+from qlct import gabor, uncertainty
 from qlct.cli import main
 from qlct.families import PARAM_SETS, gaussian, impulse
 from qlct.signal import Grid2D, QSignal2D, load, save
@@ -267,6 +267,22 @@ def test_verify_young_writes_reports(tmp_path, capsys):
     assert len(reports) == 10  # 5 trials x 2 exponent pairs
     assert min(r["margin"] for r in reports) >= -1e-6
     assert (tmp_path / "young.csv").exists()
+
+
+def test_verify_runs_share_no_field_entries(monkeypatch, capsys):
+    passes = []
+    original = uncertainty.gabor_field_stats
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(uncertainty, "gabor_field_stats", counted)
+    for run in (1, 2):
+        assert main(["verify", "young", "--trials", "3", "--grid", "16x16"]) == 0
+        assert "suite young: pass (6 reports)" in capsys.readouterr().out
+        # one pass per trial field serves both Hoelder exponents
+        assert len(passes) == 3 * run
 
 
 def test_verify_unknown_suite_rejected(capsys):

@@ -13,12 +13,15 @@ from qlct.quat import from_complex_pair, qabs_sq, qconj, qmul, to_complex_pair
 from qlct.report import (equality, lower_bound, reports_to_csv,
                          reports_to_json, upper_bound)
 from qlct.signal import Grid2D, QSignal2D, WindowSpec, make_window, translate
+from qlct import uncertainty
 from qlct.uncertainty import (D_LOG, RegionMask, amgm_dilation_identity,
                               concentration_check, epsilon_concentration_check,
-                              gabor_field_stats, greedy_minimal_mask,
-                              hausdorff_young_check, heisenberg_check,
-                              lemma_log_identity_check, lieb_check, log_check,
-                              moment, moment_concentration_check, random_mask,
+                              field_memo, gabor_field_stats,
+                              greedy_minimal_mask, hausdorff_young_check,
+                              heisenberg_check, lemma_log_identity_check,
+                              lieb_check, log_check, memo_field_stats,
+                              memo_gabor_analyze, moment,
+                              moment_concentration_check, random_mask,
                               young_sup_check)
 
 FOURIER2 = PARAM_SETS["fourier"]
@@ -134,6 +137,102 @@ def test_streamed_stats_keep_the_qabs_sq_summation_order():
         assert stats["moment_omega"][s] == mo[s] * cellvol
         assert stats["moment_y"][s] == my[s] * cellvol
         assert stats["moment_joint"][s] == mj[s] * cellvol
+
+
+# ---------------------------------------------------------------------------
+# run-scoped field memo
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Requests that reach `gabor_field_stats`, i.e. real field passes."""
+    calls = []
+    original = uncertainty.gabor_field_stats
+
+    def counted(f, phi, p, **kwargs):
+        calls.append(kwargs)
+        return original(f, phi, p, **kwargs)
+
+    monkeypatch.setattr(uncertainty, "gabor_field_stats", counted)
+    return calls
+
+
+def test_memo_key_separates_every_field_input(passes):
+    """Same samples on another spacing, another window, other params,
+    the direct method and stride 2 are each a field of their own."""
+    grid = default_grid(8)
+    f = normalized(gaussian(grid, 1.0))
+    wide = Grid2D.centered(8, 8, 1.5 * grid.dx1, 1.5 * grid.dx2)
+    requests = [
+        (f, f, FOURIER2, {}),
+        (QSignal2D(wide, f.samples), QSignal2D(wide, f.samples), FOURIER2, {}),
+        (f, normalized(gaussian(grid, 0.7)), FOURIER2, {}),
+        (f, f, PARAM_SETS["generic"], {}),
+        (f, f, FOURIER2, {"method": "direct"}),
+        (f, f, FOURIER2, {"y_stride": 2}),
+    ]
+    with field_memo():
+        for k, (sig, win, p, kw) in enumerate(requests, start=1):
+            memo_field_stats(sig, win, p, s_values=(1.0,), **kw)
+            assert len(passes) == k
+        for sig, win, p, kw in requests:
+            memo_field_stats(sig, win, p, s_values=(1.0,), **kw)
+    assert len(passes) == len(requests)
+
+
+def test_memo_union_entry_is_bit_equal_to_fresh_passes(passes):
+    grid = default_grid(8)
+    f = random_smooth(grid, np.random.default_rng(80))
+    phi = normalized(gaussian(grid, 1.0))
+    with field_memo():
+        memo_field_stats(f, phi, FOURIER2, s_values=(1.0,))
+        memo_field_stats(f, phi, FOURIER2, pprimes=(1.5,), log_omega=True)
+        assert len(passes) == 2
+        assert passes[1] == {"s_values": (1.0,), "pprimes": (1.5,),
+                             "log_omega": True, "method": "fast", "y_stride": 1}
+        served = [memo_field_stats(f, phi, FOURIER2, s_values=(1.0,)),
+                  memo_field_stats(f, phi, FOURIER2, pprimes=(1.5,)),
+                  memo_field_stats(f, phi, FOURIER2, log_omega=True)]
+        assert len(passes) == 2
+    fresh = [gabor_field_stats(f, phi, FOURIER2, s_values=(1.0,)),
+             gabor_field_stats(f, phi, FOURIER2, pprimes=(1.5,)),
+             gabor_field_stats(f, phi, FOURIER2, log_omega=True)]
+    for got, want in zip(served, fresh):
+        assert (got["energy"], got["max_abs"]) == (want["energy"], want["max_abs"])
+        for key in ("moment_omega", "moment_y", "moment_joint", "power_sums"):
+            for k, v in want[key].items():
+                assert got[key][k] == v, (key, k)
+    assert served[2]["log_omega_sum"] == fresh[2]["log_omega_sum"]
+
+
+def test_checks_outside_a_memo_scope_each_make_one_pass(passes):
+    grid = default_grid(8)
+    f = normalized(gaussian(grid, 1.0))
+    calls = [lambda: heisenberg_check(f, f, FOURIER2, 1.0),
+             lambda: moment_concentration_check(f, f, FOURIER2, 1.0),
+             lambda: log_check(f, f, FOURIER2),
+             lambda: lieb_check(f, f, FOURIER2, 1.5),
+             lambda: young_sup_check(f, f, FOURIER2, 2.0)]
+    for call in calls + calls:
+        call()
+    assert len(passes) == 2 * len(calls)
+    with field_memo():
+        for call in calls + calls:
+            call()
+    # s = 1 first, then unions for ln|omega| and p' = 1.5
+    assert len(passes) == 2 * len(calls) + 3
+
+
+def test_memo_gabor_analyze_builds_each_field_once_per_scope():
+    grid = default_grid(8)
+    f = normalized(gaussian(grid, 1.0))
+    assert memo_gabor_analyze(f, f, FOURIER2) is not memo_gabor_analyze(f, f, FOURIER2)
+    with field_memo():
+        G = memo_gabor_analyze(f, f, FOURIER2)
+        assert memo_gabor_analyze(f, f, FOURIER2) is G
+        assert not G.coeffs.flags.writeable
+        assert memo_gabor_analyze(f, f, FOURIER2, 2) is not G
+        assert np.array_equal(G.coeffs, gabor_analyze(f, f, FOURIER2, 1).coeffs)
+    assert memo_gabor_analyze(f, f, FOURIER2) is not G
 
 
 # ---------------------------------------------------------------------------
