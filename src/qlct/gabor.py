@@ -29,14 +29,16 @@ Full coefficient storage is (n1*n2)^2 quaternions: about 33 MB for a
 y_stride or stream through `iter_gabor_blocks`.
 
 A coefficient directory, known to this module only, holds `coeffs.f64`
-(the raw little-endian float64 field, shaped by the manifest's grids),
-`window.qsig` and, written last, `manifest.json`.
+(the raw little-endian float64 field, shaped by the manifest's grids and
+checked against its crc32), `window.qsig` and, written last,
+`manifest.json`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,10 +164,10 @@ def gabor_analyze(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     omega_grid = forward_grid(f.grid, p)
     y_grid = translation_grid(f.grid, y_stride)
     coeffs = np.empty((omega_grid.n1, omega_grid.n2, y_grid.n1, y_grid.n2, 4))
-    pairs = coeffs.view(complex)  # [..., 0] = w + x*i, [..., 1] = y + z*i
+    ca, cb = to_complex_pair(coeffs)
     for iy1, ga, gb in iter_gabor_blocks(f, phi, p, y_stride, method):
-        pairs[:, :, iy1, :, 0] = np.moveaxis(ga, 0, 2)
-        pairs[:, :, iy1, :, 1] = np.moveaxis(gb, 0, 2)
+        ca[:, :, iy1, :] = np.moveaxis(ga, 0, 2)
+        cb[:, :, iy1, :] = np.moveaxis(gb, 0, 2)
     return GaborCoefficients(omega_grid, y_grid, coeffs, p,
                              phi.l2_norm_sq(), y_stride)
 
@@ -199,10 +201,10 @@ def gabor_synthesize(G: GaborCoefficients, phi: QSignal2D) -> QSignal2D:
     acc_b = np.zeros((grid.n1, grid.n2), dtype=complex)
     m2_list = [l2 - grid.n2 // 2 for l2 in range(grid.n2)]
     phi_planes = np.array(to_complex_pair(phi.samples))
-    pairs = np.ascontiguousarray(G.coeffs, dtype=float).view(complex)
+    ga, gb = to_complex_pair(G.coeffs)
     for iy1 in range(G.y_grid.n1):
-        ha = np.moveaxis(pairs[:, :, iy1, :, 0], 2, 0)  # (ny2, nw1, nw2)
-        hb = np.moveaxis(pairs[:, :, iy1, :, 1], 2, 0)
+        ha = np.moveaxis(ga[:, :, iy1, :], 2, 0)  # (ny2, nw1, nw2)
+        hb = np.moveaxis(gb[:, :, iy1, :], 2, 0)
         ha, hb, _, _ = _two_sided_fast(pinv, ha, hb, *G.omega_grid.axes, *grid.axes)
         shifted = _shifted_block(phi_planes, iy1 - grid.n1 // 2, m2_list)
         ha, hb = _pair_mul(ha, hb, *shifted)
@@ -264,8 +266,9 @@ def save_coefficients(G: GaborCoefficients, phi: QSignal2D, dirpath) -> str:
     """Write the payload, then the window, then the manifest; return the
     manifest's path."""
     os.makedirs(dirpath, exist_ok=True)
+    payload = np.ascontiguousarray(G.coeffs, dtype="<f8")
     with open(os.path.join(dirpath, "coeffs.f64"), "wb") as fh:
-        write_payload(fh, G.coeffs)
+        write_payload(fh, payload)
     save(os.path.join(dirpath, "window.qsig"), phi)
     manifest = {
         "omega_grid": G.omega_grid.to_dict(),
@@ -273,6 +276,7 @@ def save_coefficients(G: GaborCoefficients, phi: QSignal2D, dirpath) -> str:
         "params": G.params.to_dict(),
         "window_norm_sq": G.window_norm_sq,
         "stride": G.stride,
+        "payload_crc32": zlib.crc32(payload),
     }
     path = os.path.join(dirpath, "manifest.json")
     with open(path, "w") as fh:
@@ -283,7 +287,8 @@ def save_coefficients(G: GaborCoefficients, phi: QSignal2D, dirpath) -> str:
 def load_coefficients(dirpath) -> tuple[GaborCoefficients, QSignal2D]:
     """Read a directory written by `save_coefficients` as (G, phi). A
     manifest with a missing or malformed entry, or a payload whose size is
-    not the one its grids give, raises FormatError."""
+    not the one its grids give or whose crc32 is not the manifest's,
+    raises FormatError."""
     path = os.path.join(dirpath, "manifest.json")
     with open(path) as fh:
         manifest = json.load(fh)
@@ -294,12 +299,15 @@ def load_coefficients(dirpath) -> tuple[GaborCoefficients, QSignal2D]:
                             LCTParams(*manifest["params"]["A2"]))
         window_norm_sq = float(manifest["window_norm_sq"])
         stride = int(manifest["stride"])
+        crc = int(manifest["payload_crc32"])
     except (KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed manifest "
                           f"({type(exc).__name__}: {exc})") from None
     payload = os.path.join(dirpath, "coeffs.f64")
     with open(payload, "rb") as fh:
         coeffs = read_payload(fh, (*omega_grid.shape, *y_grid.shape, 4), payload)
+    if zlib.crc32(coeffs) != crc:
+        raise FormatError(f"{payload}: crc32 does not match the manifest's")
     G = GaborCoefficients(omega_grid, y_grid, coeffs, params, window_norm_sq, stride)
     return G, load(os.path.join(dirpath, "window.qsig"))
 

@@ -7,12 +7,12 @@ leading axes, so a single quaternion is shape (4,) and a sampled 2D field
 is (n1, n2, 4).
 
 The symplectic split writes q = qa + qb*j with qa = w + x*i and
-qb = y + z*i held as ordinary complex numbers in the i-plane. It is a pure
-reinterpretation of the same four doubles; `to_complex_pair` /
-`from_complex_pair` round-trip bit-identically. The fast transform splits
-its input once and joins its output once. The fast Gabor pipeline stays in
-pair form from the windowing product to |G|^2 (`pair_abs_sq`), so it
-converts only its inputs and its dense output.
+qb = y + z*i held as ordinary complex numbers in the i-plane. Only this
+module maps the stored layout to the pair: (..., 4) float64 read as
+(..., 2) complex128. `to_complex_pair` returns zero-copy views and
+`from_complex_pair` views one complex buffer as floats, so the round trip
+is bit-exact for every double (signed zeros and infinities included).
+|q|^2 is `pair_abs_sq`, which `qabs_sq` and `qabs` read through the views.
 """
 
 from __future__ import annotations
@@ -54,14 +54,12 @@ def qconj(q: np.ndarray) -> np.ndarray:
 
 def qabs(q: np.ndarray) -> np.ndarray:
     """Modulus |q| = sqrt(w^2 + x^2 + y^2 + z^2)."""
-    q = np.asarray(q, dtype=float)
-    return np.sqrt(np.sum(q * q, axis=-1))
+    return np.sqrt(qabs_sq(q))
 
 
 def qabs_sq(q: np.ndarray) -> np.ndarray:
     """Squared modulus, cheaper than qabs when the root is not needed."""
-    q = np.asarray(q, dtype=float)
-    return np.sum(q * q, axis=-1)
+    return pair_abs_sq(*to_complex_pair(q))
 
 
 def qexp_axis(axis: str, theta) -> np.ndarray:
@@ -80,8 +78,8 @@ def qexp_axis(axis: str, theta) -> np.ndarray:
 
 
 def pair_abs_sq(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """Squared modulus of q = qa + qb*j, summed in the order of qabs_sq
-    (w^2 + x^2 + y^2 + z^2), so both give bit-identical results."""
+    """Squared modulus of q = qa + qb*j, summed as w^2 + x^2 + y^2 + z^2
+    in that order."""
     out = np.square(qa.real)
     out += np.square(qa.imag)
     out += np.square(qb.real)
@@ -90,15 +88,15 @@ def pair_abs_sq(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
 
 
 def to_complex_pair(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split q = qa + qb*j into i-plane complex arrays (qa, qb)."""
-    q = np.asarray(q, dtype=float)
-    qa = q[..., 0] + 1j * q[..., 1]
-    qb = q[..., 2] + 1j * q[..., 3]
-    return qa, qb
+    """Split q = qa + qb*j into i-plane complex arrays (qa, qb); views of
+    q itself when q is C-contiguous float64, else of a converted copy."""
+    pairs = np.ascontiguousarray(q, dtype=float).view(complex)
+    return pairs[..., 0], pairs[..., 1]
 
 
 def from_complex_pair(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """Inverse of to_complex_pair; exact on the four underlying doubles."""
-    qa = np.asarray(qa, dtype=complex)
-    qb = np.asarray(qb, dtype=complex)
-    return np.stack([qa.real, qa.imag, qb.real, qb.imag], axis=-1)
+    """Inverse of to_complex_pair: a fresh (..., 4) array of the same doubles."""
+    pairs = np.empty((*np.shape(qa), 2), complex)
+    pairs[..., 0] = qa
+    pairs[..., 1] = qb
+    return pairs.view(float)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lct1d import Grid1D
-from .quat import qconj, qmul
+from .quat import qabs, qconj, qmul
 
 _QSIG_MAGIC = b"QSIG"
 _QSIG_VERSION = 1
@@ -131,11 +131,10 @@ class QSignal2D:
 
     def lp_norm(self, p: float) -> float:
         """Quadrature p-norm of the pointwise quaternion modulus."""
-        mod = np.sqrt(np.sum(self.samples * self.samples, axis=-1))
-        return float(np.sum(mod**p) * self.grid.cell_area) ** (1.0 / p)
+        return float(np.sum(self.modulus()**p) * self.grid.cell_area) ** (1.0 / p)
 
     def modulus(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.samples * self.samples, axis=-1))
+        return qabs(self.samples)
 
     def scaled(self, alpha: float) -> "QSignal2D":
         return QSignal2D(self.grid, self.samples * float(alpha))

@@ -126,7 +126,7 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
     cellvol = omega_grid.cell_area * y_grid.cell_area
     w1, w2 = omega_grid.meshgrid()
     omega_r2 = w1**2 + w2**2
-    log_w = 0.5 * np.log(omega_r2) if log_omega else None
+    log_w = _log_radius(omega_grid) if log_omega else None
     y1c = y_grid.coords1()
     y2c = y_grid.coords2()
     y_r2_row = y2c**2
@@ -299,7 +299,6 @@ def log_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     if p.A1.b == 0 or p.A2.b == 0:
         raise ValueError("log_check requires b != 0 on both axes")
     log_x = _log_radius(f.grid)
-    _log_radius(forward_grid(f.grid, p))  # reject omega samples at the origin
     stats = memo_field_stats(f, phi, p, log_omega=True, method=method)
     phi_sq = phi.l2_norm_sq()
     f_sq = f.l2_norm_sq()

@@ -103,6 +103,20 @@ def test_gabor_analyze_of_overflowing_signal_exits_3(tmp_path, capsys):
     assert not (tmp_path / "coef").exists()
 
 
+def test_gabor_spectrogram_of_overflowing_field_exits_3(tmp_path, capsys):
+    # a finite field whose |G|^2 overflows, written with a valid checksum
+    f = gaussian(Grid2D.centered(8, 8, 0.5, 0.5), 1.0)
+    G = gabor.gabor_analyze(f, f, PARAM_SETS["fourier"])
+    gabor.save_coefficients(G.scaled(1e300), f, tmp_path / "coef")
+    code = main(["gabor", "spectrogram", "-i", str(tmp_path / "coef"),
+                 "-o", str(tmp_path / "spec.pgm")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-finite" in err
+    assert not (tmp_path / "spec.pgm").exists()
+
+
 # byte offsets of x0_1 and dx1 in the QSIG header
 @pytest.mark.parametrize("offset, value", [(16, float("nan")), (32, float("inf")),
                                            (32, 1e-320)],
@@ -216,6 +230,21 @@ def _payload_nan_at_byte_800(manifest, coef):
     return "non-finite"
 
 
+def _payload_bit_62_flipped(manifest, coef):
+    # the first value stays finite (about 1e302), so only the checksum sees it
+    with open(coef / "coeffs.f64", "r+b") as fh:
+        first = bytearray(fh.read(8))
+        first[7] ^= 0x40
+        fh.seek(0)
+        fh.write(first)
+    return "crc32"
+
+
+def _payload_crc32_missing(manifest, coef):
+    del manifest["payload_crc32"]
+    return "malformed manifest"
+
+
 def _omega_grid_n1_is_9(manifest, coef):
     manifest["omega_grid"]["n1"] = 9
     return "truncated payload"
@@ -234,6 +263,7 @@ def _omega_grid_enlarged(manifest, coef):
 
 @pytest.mark.parametrize("corrupt", [_payload_8_bytes_short, _payload_1_extra_byte,
                                      _payload_missing, _payload_nan_at_byte_800,
+                                     _payload_bit_62_flipped, _payload_crc32_missing,
                                      _omega_grid_n1_is_9, _y_grid_spacing_edited,
                                      _omega_grid_enlarged])
 def test_gabor_synthesize_rejects_malformed_manifest(tmp_path, capsys, corrupt):

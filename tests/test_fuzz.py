@@ -4,7 +4,9 @@ An 8x8 QSIG file goes through `forward`, and an 8x8 coefficient directory
 through `gabor synthesize` and `gabor spectrogram`, after a truncation, a single-bit flip, or an
 edit of one header field or manifest entry. Whatever the damage, the run
 must end with a documented exit code (0, 2 or 3) and at most one line on
-stderr; any exception or warning escaping `main` fails the test.
+stderr; any exception or warning escaping `main` fails the test. Any
+damage to the coefficient payload must exit 2: the manifest's crc32
+catches the flips that leave every value finite.
 """
 
 import contextlib
@@ -27,7 +29,7 @@ FILES = ("coeffs.f64", "manifest.json", "window.qsig")
 MANIFEST_ENTRIES = [("omega_grid", "n1"), ("omega_grid", "dx2"),
                     ("omega_grid", "x0_1"), ("y_grid", "n2"), ("y_grid", "dx1"),
                     ("params", "A1"), ("params",), ("window_norm_sq",),
-                    ("stride",)]
+                    ("stride",), ("payload_crc32",)]
 
 json_values = st.one_of(st.none(), st.booleans(),
                         st.integers(-2**70, 2**70), st.floats(),
@@ -55,6 +57,7 @@ def _check(code, err):
     assert code in (0, 2, 3), err
     assert err.count("\n") <= 1, err
     assert "Traceback" not in err
+    return code
 
 
 def _damage(data: bytes, kind: str, at: int) -> bytes:
@@ -95,8 +98,9 @@ def test_fuzzed_qsig_through_forward(pristine, edit):
     st.tuples(st.sampled_from(FILES), damage),
     st.tuples(st.just("manifest"), st.sampled_from(MANIFEST_ENTRIES),
               st.one_of(st.just("delete"), json_values))))
-# the top exponent bit of the first coefficient: |G|^2 overflows to inf,
-# which spectrogram once wrote to a PGM with exit 0 and numpy warnings
+# the top exponent bit of the first coefficient: a finite 1e302-sized
+# value that synthesize once turned into wrong output and spectrogram into
+# an inf-scaled PGM, both with exit 0
 @example(edit=("coeffs.f64", ("flip", 62)))
 # int(inf) raises OverflowError, which must read as a malformed manifest
 @example(edit=("manifest", ("omega_grid", "n1"), float("inf")))
@@ -122,7 +126,9 @@ def test_fuzzed_coefficient_directory_through_synthesize_and_spectrogram(pristin
         for name, data in files.items():
             with open(os.path.join(coef, name), "wb") as fh:
                 fh.write(data)
-        _check(*_run(["gabor", "synthesize", "-i", coef,
-                      "-o", os.path.join(tmp, "back.qsig")]))
-        _check(*_run(["gabor", "spectrogram", "-i", coef,
-                      "-o", os.path.join(tmp, "spec.pgm")]))
+        codes = [_check(*_run(["gabor", "synthesize", "-i", coef,
+                               "-o", os.path.join(tmp, "back.qsig")])),
+                 _check(*_run(["gabor", "spectrogram", "-i", coef,
+                               "-o", os.path.join(tmp, "spec.pgm")]))]
+    if edit[0] == "coeffs.f64":
+        assert codes == [2, 2], edit

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -352,7 +353,9 @@ def test_coefficient_save_load_round_trip(tmp_path):
     assert Grid2D.from_dict(data["omega_grid"]) == G.omega_grid
     assert sorted(os.listdir(outdir)) == ["coeffs.f64", "manifest.json",
                                           "window.qsig"]
-    assert (outdir / "coeffs.f64").read_bytes() == G.coeffs.astype("<f8").tobytes()
+    payload = (outdir / "coeffs.f64").read_bytes()
+    assert payload == G.coeffs.astype("<f8").tobytes()
+    assert data["payload_crc32"] == zlib.crc32(payload)
     back, phi_back = load_coefficients(outdir)
     assert np.array_equal(back.coeffs, G.coeffs)
     assert back.omega_grid == G.omega_grid and back.y_grid == G.y_grid

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qlct.quat import (I, J, K, ONE, from_complex_pair, qabs, qconj, qexp_axis,
-                       qmul, quaternion, to_complex_pair)
+from qlct.quat import (I, J, K, ONE, from_complex_pair, qabs, qabs_sq, qconj,
+                       qexp_axis, qmul, quaternion, to_complex_pair)
+from qlct.signal import Grid2D, QSignal2D
 
 
 def test_hamilton_multiplication_table():
@@ -87,6 +90,41 @@ def test_complex_pair_roundtrip_bit_identical():
     qa, qb = to_complex_pair(q)
     back = from_complex_pair(qa, qb)
     assert np.array_equal(back, q)
+
+
+def test_complex_pair_roundtrip_keeps_signed_zeros_and_infinities():
+    q = np.array([[-0.0, 0.0, -0.0, 1.0],
+                  [np.inf, 1.0, -np.inf, -0.0],
+                  [1.0, -np.inf, 2.0, np.inf]])
+    back = from_complex_pair(*to_complex_pair(q))
+    assert back.tobytes() == q.tobytes()
+
+
+def test_complex_pair_is_a_view_of_the_quaternion_array():
+    q = np.random.default_rng(49).standard_normal((4, 5, 4))
+    qa, qb = to_complex_pair(q)
+    assert np.shares_memory(q, qa) and np.shares_memory(q, qb)
+    qb[1, 2] = 7 - 3j
+    assert q[1, 2, 2:].tolist() == [7.0, -3.0]
+
+
+def test_qabs_sq_allocates_little_beyond_its_output():
+    q = np.random.default_rng(50).standard_normal((16, 16, 16, 16, 4))
+    out_bytes = q.nbytes // 4
+    tracemalloc.start()
+    try:
+        mod2 = qabs_sq(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(mod2, np.sum(q * q, axis=-1))
+    assert peak < 2.5 * out_bytes, peak / out_bytes
+
+
+def test_signal_modulus_is_qabs():
+    q = np.random.default_rng(51).standard_normal((6, 7, 4))
+    f = QSignal2D(Grid2D.centered(6, 7, 0.5, 0.5), q)
+    assert f.modulus().tobytes() == qabs(q).tobytes()
 
 
 def test_symplectic_commutation_rule():

@@ -318,6 +318,14 @@ def test_log_check_rejects_grid_with_origin_sample():
         log_check(f, f, FOURIER2)
 
 
+def test_field_stats_log_weights_reject_an_omega_sample_at_the_origin():
+    # on an odd grid the centered omega grid samples the origin, where
+    # ln|omega| would be -inf
+    f = gaussian(Grid2D.centered(9, 9, 0.5, 0.5), 1.0)
+    with pytest.raises(ValueError, match="origin"):
+        gabor_field_stats(f, f, FOURIER2, log_omega=True)
+
+
 def test_lemma_log_identity():
     grid = default_grid(32)
     f = gaussian(grid, 1.0)
