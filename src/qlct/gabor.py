@@ -8,6 +8,8 @@ every grid-aligned translation y:
 
 Translations are zero padded (the analysis lives on R^2, not a torus), so
 windows are expected to have effective support in the grid interior.
+Every translate comes from one sweep, `_translates`: a read-only strided
+view of the window placed once in a zero buffer of twice its extent.
 Synthesis divides by the squared window L^2 norm; with stride-1
 translations and interior windows the reconstruction error is an edge
 truncation effect that shrinks as the padding margin grows.
@@ -50,7 +52,7 @@ from .quat import (from_complex_pair, pair_abs_sq, qabs_sq, qconj, qmul,
 from .qlct2d import (QLCTParams, _check_method, _two_sided_fast, forward_grid,
                      qlct_forward_direct, qlct_forward_fast)
 from .signal import (FormatError, Grid2D, GridMismatchError, QSignal2D, load,
-                     read_payload, save, shift_slices, translate, write_payload)
+                     read_payload, save, translate, write_payload)
 
 
 @dataclass
@@ -75,9 +77,6 @@ class GaborCoefficients:
 
     def modulus_sq(self) -> np.ndarray:
         return qabs_sq(self.coeffs)
-
-    def energy(self) -> float:
-        return float(np.sum(self.coeffs * self.coeffs) * self.cell_volume)
 
     def scaled(self, alpha: float) -> "GaborCoefficients":
         return GaborCoefficients(self.omega_grid, self.y_grid,
@@ -105,16 +104,16 @@ def gabor_analyze_at(f: QSignal2D, phi: QSignal2D, y: tuple[float, float],
     return fwd(windowed, p)
 
 
-def _shifted_block(planes: np.ndarray, m1: int, m2_list):
-    """Zero-padded translates plane(x - y) of each plane in planes
-    (k, n1, n2) for one y1 row and all kept y2: shape (k, ny2, n1, n2)."""
-    k, n1, n2 = planes.shape
-    block = np.zeros((k, len(m2_list), n1, n2), dtype=planes.dtype)
-    d1, s1 = shift_slices(m1, n1)
-    for idx, m2 in enumerate(m2_list):
-        d2, s2 = shift_slices(m2, n2)
-        block[:, idx, d1, d2] = planes[:, s1, s2]
-    return block
+def _translates(planes: np.ndarray, stride: int = 1) -> np.ndarray:
+    """Read-only view (k, ny1, ny2, n1, n2) of the zero-padded translates
+    plane(x - y) of planes (k, n1, n2) for each kept y of
+    `translation_grid(grid, stride)`: the translate with cell index l (a
+    shift of l - n//2) is the window at n - 1 - l of the 2n - 1 padding."""
+    _, n1, n2 = planes.shape
+    padded = np.pad(planes, ((0, 0), (n1 - 1 - n1 // 2, n1 // 2),
+                             (n2 - 1 - n2 // 2, n2 // 2)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (n1, n2), axis=(1, 2))
+    return windows[:, ::-1, ::-1][:, ::stride, ::stride]
 
 
 def _pair_mul(xa, xb, ya, yb):
@@ -138,15 +137,13 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
         raise GridMismatchError("signal and window must share a grid")
     _check_method(method)
     grid = f.grid
-    m2_list = [l2 - grid.n2 // 2 for l2 in range(0, grid.n2, y_stride)]
     if method == "fast":
         fa, fb = to_complex_pair(f.samples)
         pa, pb = to_complex_pair(phi.samples)
         phi_conj = np.array([np.conj(pa), -pb])  # conj(phi) = conj(pa) - pb*j
     else:
         phi_conj = np.moveaxis(qconj(phi.samples), -1, 0)
-    for iy1, l1 in enumerate(range(0, grid.n1, y_stride)):
-        shifted = _shifted_block(phi_conj, l1 - grid.n1 // 2, m2_list)
+    for iy1, shifted in enumerate(_translates(phi_conj, y_stride).swapaxes(0, 1)):
         if method == "fast":
             ga, gb = _pair_mul(fa, fb, *shifted)
             ga, gb, _, _ = _two_sided_fast(p, ga, gb, *grid.axes)
@@ -199,15 +196,13 @@ def gabor_synthesize(G: GaborCoefficients, phi: QSignal2D) -> QSignal2D:
     pinv = G.params.inverse()
     acc_a = np.zeros((grid.n1, grid.n2), dtype=complex)
     acc_b = np.zeros((grid.n1, grid.n2), dtype=complex)
-    m2_list = [l2 - grid.n2 // 2 for l2 in range(grid.n2)]
-    phi_planes = np.array(to_complex_pair(phi.samples))
+    translates = _translates(np.array(to_complex_pair(phi.samples)))
     ga, gb = to_complex_pair(G.coeffs)
     for iy1 in range(G.y_grid.n1):
         ha = np.moveaxis(ga[:, :, iy1, :], 2, 0)  # (ny2, nw1, nw2)
         hb = np.moveaxis(gb[:, :, iy1, :], 2, 0)
         ha, hb, _, _ = _two_sided_fast(pinv, ha, hb, *G.omega_grid.axes, *grid.axes)
-        shifted = _shifted_block(phi_planes, iy1 - grid.n1 // 2, m2_list)
-        ha, hb = _pair_mul(ha, hb, *shifted)
+        ha, hb = _pair_mul(ha, hb, *translates[:, iy1])
         acc_a += ha.sum(axis=0)
         acc_b += hb.sum(axis=0)
     acc = from_complex_pair(acc_a, acc_b)

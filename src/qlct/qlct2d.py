@@ -89,10 +89,20 @@ def _left_fast(p, fa, fb, gin, gout, axis):
 def _right_fast(p, fa, fb, gin, gout, axis):
     """Right j-plane kernel from the +1 and -1 sign kernels K+ and K-:
     P = K+((fa + i*fb)/2) and M = K-((fa - i*fb)/2) give the planes
-    P + M and -i*(P - M)."""
-    P, g = _axis_lct(p, 1, (fa + 1j * fb) / 2, gin, gout, axis)
-    M, _ = _axis_lct(p, -1, (fa - 1j * fb) / 2, gin, gout, axis)
-    return P + M, -1j * (P - M), g
+    P + M and -i*(P - M), with about three full-size temporaries."""
+    v = 1j * fb
+    u = fa + v
+    u /= 2
+    np.subtract(fa, v, out=v)
+    v /= 2
+    P, g = _axis_lct(p, 1, u, gin, gout, axis)
+    del u
+    M, _ = _axis_lct(p, -1, v, gin, gout, axis)
+    del v
+    S = P + M
+    P -= M
+    P *= -1j
+    return S, P, g
 
 
 def _two_sided_fast(p: QLCTParams, fa, fb, g1in, g2in, g1out=None, g2out=None):

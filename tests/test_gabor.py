@@ -8,8 +8,8 @@ import pytest
 
 from qlct.families import (PARAM_SETS, gaussian, impulse, normalized,
                            random_quaternion_signal)
-from qlct.gabor import (GaborCoefficients, export_field_csv, export_pgm,
-                        gabor_analyze, gabor_analyze_at,
+from qlct.gabor import (GaborCoefficients, _translates, export_field_csv,
+                        export_pgm, gabor_analyze, gabor_analyze_at,
                         gabor_plancherel_check, gabor_synthesize,
                         load_coefficients, save_coefficients, spectrogram,
                         translation_grid)
@@ -387,3 +387,21 @@ def test_translation_grid_contains_zero():
     assert yg.n1 == 16 and yg.dx1 == grid.dx1
     yg2 = translation_grid(grid, 2)
     assert 0.0 in yg2.coords1()
+
+
+@pytest.mark.parametrize("n1,n2", [(8, 6), (7, 5)])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_translates_equal_translate_at_every_kept_y(n1, n2, stride):
+    grid = Grid2D.centered(n1, n2, 0.5, 0.25)
+    rng = np.random.default_rng(n1 * 10 + stride)
+    phi = QSignal2D(grid, rng.standard_normal((n1, n2, 4)))
+    yg = translation_grid(grid, stride)
+    view = _translates(np.moveaxis(phi.samples, -1, 0), stride)
+    assert view.shape == (4, *yg.shape, n1, n2)
+    for i1, y1 in enumerate(yg.coords1()):
+        for i2, y2 in enumerate(yg.coords2()):
+            np.testing.assert_array_equal(np.moveaxis(view[:, i1, i2], 0, -1),
+                                          translate(phi, (y1, y2)).samples)
+    assert not view.flags.writeable
+    with pytest.raises(ValueError):
+        view[0, 0, 0, 0, 0] = 2.0

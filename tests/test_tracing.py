@@ -28,5 +28,9 @@ def test_tracer_counts_one_field_pass_of_a_young_check():
     tracer = tracing.Tracer()
     with tracer.recording(0):
         uncertainty.young_sup_check(f, f, PARAM_SETS["fourier"], 2.0)
+        qlct2d.qlct_forward_fast(f, PARAM_SETS["generic"])
     metrics = tracing.layer_metrics(tracer, [0], 1, 1.0)
     assert metrics["uncertainty.field_stats.calls"] == 1
+    # the halved right kernel: two LCTs per side, per row and per transform
+    assert metrics["gabor.lct_calls_per_row"] == 4
+    assert metrics["qlct2d.lct_calls_per_transform"] == 4

@@ -7,12 +7,14 @@ import scipy.special
 from qlct.families import (PARAM_SETS, default_grid, dilated_gaussian,
                            gaussian, gaussian_chirp, normalized,
                            random_quaternion_signal, random_smooth)
-from qlct.gabor import GaborCoefficients, gabor_analyze, translation_grid
+from qlct.gabor import (GaborCoefficients, gabor_analyze, gabor_plancherel_check,
+                        translation_grid)
 from qlct.qlct2d import _two_sided_fast, forward_grid, qlct_forward_fast
 from qlct.quat import from_complex_pair, qabs_sq, qconj, qmul, to_complex_pair
 from qlct.report import (equality, lower_bound, reports_to_csv,
                          reports_to_json, upper_bound)
-from qlct.signal import Grid2D, QSignal2D, WindowSpec, make_window, translate
+from qlct.signal import (Grid2D, GridMismatchError, QSignal2D, WindowSpec,
+                         make_window, translate)
 from qlct import uncertainty
 from qlct.uncertainty import (D_LOG, RegionMask, amgm_dilation_identity,
                               concentration_check, epsilon_concentration_check,
@@ -87,7 +89,8 @@ def test_streamed_stats_match_dense_moments():
     G = gabor_analyze(f, phi, FOURIER2, 1)
     stats = gabor_field_stats(f, phi, FOURIER2, s_values=(1.0,),
                               pprimes=(1.5,), log_omega=True)
-    assert stats["energy"] == pytest.approx(G.energy(), rel=1e-12)
+    energy = float(np.sum(G.coeffs * G.coeffs) * G.cell_volume)
+    assert stats["energy"] == pytest.approx(energy, rel=1e-12)
     assert stats["moment_omega"][1.0] == pytest.approx(moment(G, "omega", 1.0),
                                                        rel=1e-12)
     assert stats["moment_y"][1.0] == pytest.approx(moment(G, "y", 1.0), rel=1e-12)
@@ -585,3 +588,20 @@ def test_region_mask_measure():
     assert rm.measure == 0.5
     with pytest.raises(ValueError, match="4D"):
         RegionMask(np.zeros((2, 2)), 1.0)
+
+
+@pytest.mark.parametrize("check", [
+    lambda f, phi: heisenberg_check(f, phi, FOURIER2, 1.0),
+    lambda f, phi: log_check(f, phi, FOURIER2),
+    lambda f, phi: lemma_log_identity_check(f, phi, FOURIER2),
+    lambda f, phi: lieb_check(f, phi, FOURIER2, 1.5),
+    lambda f, phi: young_sup_check(f, phi, FOURIER2, 2.0),
+    lambda f, phi: moment_concentration_check(f, phi, FOURIER2, 1.0),
+    lambda f, phi: gabor_plancherel_check(f, phi, FOURIER2),
+], ids=["heisenberg", "log", "lemma-log", "lieb", "young",
+        "moment-concentration", "gabor-plancherel"])
+def test_gabor_checks_reject_a_window_on_another_spacing(check):
+    f = gaussian(Grid2D.centered(16, 16, 0.5, 0.5), 1.0)
+    phi = gaussian(Grid2D.centered(16, 16, 0.25, 0.25), 1.0)
+    with pytest.raises(GridMismatchError):
+        check(f, phi)
