@@ -8,8 +8,9 @@ A = [[a, b], [c, d]]. For b != 0 the kernel evaluated here is
 
 with sign = +1 for the defining kernel and sign = -1 for its conjugate,
 which the two-sided transform needs only to split its j-plane kernel into
-complex transforms. Inversion needs no conjugate kernel: the inverse is
-the sign +1 transform with A^-1, since K_{A^-1}(x, w) = conj K_A(w, x).
+two separable 2D transforms. Inversion needs no conjugate kernel: the
+inverse is the sign +1 transform with A^-1, since K_{A^-1}(x, w) =
+conj K_A(w, x).
 The amplitude 1/sqrt(2*pi*|b|) together with the constant phase
 -(pi/4)*sgn(b) is the principal branch of 1/sqrt(2*pi*1j*b), which keeps
 the transform unitary for either sign of b.
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -180,37 +182,67 @@ def lct_direct(p: LCTParams, sign: int, f: np.ndarray, grid_in: Grid1D,
     return out, grid_out
 
 
-def lct_fast(p: LCTParams, sign: int, f: np.ndarray, grid_in: Grid1D,
-             grid_out: Grid1D | None = None) -> tuple[np.ndarray, Grid1D]:
-    """Chirp-FFT-chirp transform along the last axis.
+class AxisPlan(NamedTuple):
+    """One axis of a fast transform, post * step(pre * f) onto grid_out, for
+    `lct_fast`, `lct_scale_chirp` and `qlct2d`: pre is all ones for b = 0,
+    step one of "fft", "ifft" (unscaled), "flip" or None."""
 
-    Exactly re-factors the lct_direct sum on matched grids:
-    the cross term exp(-sign*1j*x*w/b) splits into grid-offset chirps and
-    the pure DFT kernel exp(-sign*sgn(b)*2j*pi*n*m/N). Cost O(N log N).
-    """
+    pre: np.ndarray
+    step: str | None
+    post: np.ndarray
+    grid_out: Grid1D
+
+
+def axis_plan(p: LCTParams, sign: int, grid_in: Grid1D,
+              grid_out: Grid1D | None = None) -> AxisPlan:
+    """The sign kernel of p onto an admissible grid_out. For b != 0 the
+    cross term exp(-sign*1j*x*w/b) splits into grid-offset chirps and the
+    pure DFT kernel exp(-sign*sgn(b)*2j*pi*n*m/N), exactly on matched grids;
+    for b = 0 output sample u reads the input at d*u."""
     _check_sign(sign)
-    if p.b == 0:
-        raise ZeroBError("lct_fast requires b != 0; use lct_scale_chirp")
     grid_out = _resolve_out_grid(p, grid_in, grid_out)
-    f = np.asarray(f, dtype=complex)
-    n = grid_in.n
-    if f.shape[-1] != n:
-        raise ValueError(f"last axis has {f.shape[-1]} samples, grid has {n}")
-    x = grid_in.coords()
     w = grid_out.coords()
-    idx = np.arange(n)
+    if p.b == 0:
+        post = np.sqrt(abs(p.d)) * np.exp(1j * sign * (p.c * p.d / 2) * w**2)
+        return AxisPlan(np.ones(grid_in.n), None if p.a > 0 else "flip", post, grid_out)
+    x = grid_in.coords()
+    idx = np.arange(grid_in.n)
     pre = np.exp(1j * sign * ((p.a / (2 * p.b)) * x**2
                               - (idx * grid_in.dx) * grid_out.x0 / p.b))
     post = np.exp(1j * sign * ((p.d / (2 * p.b)) * w**2 - grid_in.x0 * w / p.b
                                - (np.pi / 4) * np.sign(p.b)))
     post = post * (grid_in.dx / np.sqrt(2 * np.pi * abs(p.b)))
-    g = f * pre
-    workers = _fft_workers()
-    if sign * np.sign(p.b) > 0:
-        spec = scipy.fft.fft(g, axis=-1, workers=workers)
-    else:
-        spec = scipy.fft.ifft(g, axis=-1, workers=workers) * n
-    return post * spec, grid_out
+    return AxisPlan(pre, "fft" if sign * p.b > 0 else "ifft", post, grid_out)
+
+
+def axis_step(g: np.ndarray, step: str | None, axis: int) -> np.ndarray:
+    """A plan's step along one axis of g, which the FFTs may overwrite;
+    "flip" and None return views of g."""
+    if step in (None, "flip"):
+        return g if step is None else np.flip(g, axis=axis)
+    fft = scipy.fft.fft if step == "fft" else scipy.fft.ifft
+    return fft(g, axis=axis, norm="forward" if step == "ifft" else None,
+               overwrite_x=True, workers=_fft_workers())
+
+
+def _run_plan(plan: AxisPlan, f) -> tuple[np.ndarray, Grid1D]:
+    f = np.asarray(f, dtype=complex)
+    n = plan.grid_out.n
+    if f.shape[-1] != n:
+        raise ValueError(f"last axis has {f.shape[-1]} samples, grid has {n}")
+    return plan.post * axis_step(f * plan.pre, plan.step, -1), plan.grid_out
+
+
+def lct_fast(p: LCTParams, sign: int, f: np.ndarray, grid_in: Grid1D,
+             grid_out: Grid1D | None = None) -> tuple[np.ndarray, Grid1D]:
+    """Chirp-FFT-chirp transform along the last axis.
+
+    Exactly re-factors the lct_direct sum on matched grids (see
+    `axis_plan`). Cost O(N log N).
+    """
+    if p.b == 0:
+        raise ZeroBError("lct_fast requires b != 0; use lct_scale_chirp")
+    return _run_plan(axis_plan(p, sign, grid_in, grid_out), f)
 
 
 def scale_chirp_grid(p: LCTParams, grid_in: Grid1D) -> Grid1D:
@@ -234,14 +266,6 @@ def lct_scale_chirp(p: LCTParams, sign: int, f: np.ndarray, grid_in: Grid1D,
     admissible output grid is the input grid scaled by a. A mismatching
     requested grid is rejected rather than interpolated.
     """
-    _check_sign(sign)
     if p.b != 0:
         raise ValueError(f"lct_scale_chirp requires b = 0, got b = {p.b!r}")
-    grid_out = _resolve_out_grid(p, grid_in, grid_out)
-    f = np.asarray(f, dtype=complex)
-    if f.shape[-1] != grid_in.n:
-        raise ValueError(f"last axis has {f.shape[-1]} samples, grid has {grid_in.n}")
-    u = grid_out.coords()
-    chirp = np.sqrt(abs(p.d)) * np.exp(1j * sign * (p.c * p.d / 2) * u**2)
-    vals = f if p.a > 0 else f[..., ::-1]
-    return chirp * vals, grid_out
+    return _run_plan(axis_plan(p, sign, grid_in, grid_out), f)

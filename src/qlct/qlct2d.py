@@ -20,8 +20,9 @@ Two independent realizations are provided:
   by Hamilton's rules. Writing cos and sin through e^{+-i*beta} folds
   this into two complex LCTs with kernel signs +1 and -1,
   P = K+((qa + i*qb)/2) and M = K-((qa - i*qb)/2), giving the planes
-  P + M and -i*(P - M); this holds for b = 0 axes too. Four complex
-  LCTs per transform, cost O(N^2 log N).
+  P + M and -i*(P - M); this holds for b = 0 axes too. The left kernel
+  is complex-linear, so it commutes with the mixing: two separable 2D
+  transforms (chirp * FFT2 * chirp) per transform, cost O(N^2 log N).
 
 For unimodular A the inversion kernel is K_{A^-1}(x, w) = conj K_A(w, x),
 so the inverse transform is the forward transform with A^-1 on each axis,
@@ -34,10 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from . import report
-from .lct1d import (LCTParams, _resolve_out_grid, kernel_value, lct_fast,
-                    lct_scale_chirp)
+from .lct1d import (LCTParams, _fft_workers, _resolve_out_grid, axis_plan,
+                    axis_step, kernel_value)
+# bench/tracing.py wraps these names here; no qlct2d code calls them
+from .lct1d import lct_fast, lct_scale_chirp  # noqa: F401
 from .quat import from_complex_pair, qmul, to_complex_pair
 from .signal import Grid2D, QSignal2D
 
@@ -71,70 +75,54 @@ def _check_method(method: str) -> str:
 # ---------------------------------------------------------------------------
 # fast path (symplectic split, batch-friendly: arrays (..., n1, n2))
 
-def _axis_lct(p, sign, arr, gin, gout, axis):
-    """Complex transform along one axis: the b = 0 rescaling branch or
-    chirp-FFT-chirp."""
-    moved = np.moveaxis(arr, axis, -1)
-    out, g = (lct_scale_chirp if p.b == 0 else lct_fast)(p, sign, moved, gin, gout)
-    return np.moveaxis(out, -1, axis), g
-
-
-def _left_fast(p, fa, fb, gin, gout, axis):
-    """Left i-plane kernel: the same complex transform on both planes."""
-    fa, g = _axis_lct(p, 1, fa, gin, gout, axis)
-    fb, _ = _axis_lct(p, 1, fb, gin, gout, axis)
-    return fa, fb, g
-
-
-def _right_fast(p, fa, fb, gin, gout, axis):
-    """Right j-plane kernel from the +1 and -1 sign kernels K+ and K-:
-    P = K+((fa + i*fb)/2) and M = K-((fa - i*fb)/2) give the planes
-    P + M and -i*(P - M), with about three full-size temporaries."""
-    v = 1j * fb
-    u = fa + v
-    u /= 2
-    np.subtract(fa, v, out=v)
-    v /= 2
-    P, g = _axis_lct(p, 1, u, gin, gout, axis)
-    del u
-    M, _ = _axis_lct(p, -1, v, gin, gout, axis)
-    del v
-    S = P + M
-    P -= M
-    P *= -1j
-    return S, P, g
+def _lct2d(plan1, plan2, g):
+    """One separable 2D transform of g (..., n1, n2), which it overwrites:
+    pre-chirp, one FFT2 when both axes run the same FFT (else each axis's
+    step), post-chirp. The result is C-contiguous."""
+    g *= np.multiply.outer(plan1.pre, plan2.pre)
+    workers = _fft_workers()
+    if plan1.step == plan2.step == "fft":
+        spec = scipy.fft.fft2(g, overwrite_x=True, workers=workers)
+    elif plan1.step == plan2.step == "ifft":
+        spec = scipy.fft.ifft2(g, norm="forward", overwrite_x=True, workers=workers)
+    else:
+        spec = axis_step(axis_step(g, plan1.step, -2), plan2.step, -1)
+    out = spec if spec.flags.c_contiguous else np.empty(spec.shape, complex)
+    return np.multiply(spec, np.multiply.outer(plan1.post, plan2.post), out=out)
 
 
 def _two_sided_fast(p: QLCTParams, fa, fb, g1in, g2in, g1out=None, g2out=None):
-    fa, fb, o1 = _left_fast(p.A1, fa, fb, g1in, g1out, axis=-2)
-    fa, fb, o2 = _right_fast(p.A2, fa, fb, g2in, g2out, axis=-1)
-    return fa, fb, o1, o2
+    """Planes P + M and -i*(P - M) of the transform of fa + fb*j over the
+    last two axes, and their grids, from P = K(A1,+1; A2,+1)(fa + i*fb)/2
+    and M = K(A1,+1; A2,-1)(fa - i*fb)/2; the exact 1/2 rides on the left
+    post-chirp."""
+    left = axis_plan(p.A1, 1, g1in, g1out)
+    left = left._replace(post=left.post / 2)
+    plus = axis_plan(p.A2, 1, g2in, g2out)
+    minus = axis_plan(p.A2, -1, g2in, g2out)
+    # C-ordered halves let both FFTs and the post-chirps run in place
+    v = np.multiply(1j, fb, out=np.empty(np.shape(fb), complex))
+    P = _lct2d(left, plus, np.add(fa, v, out=np.empty_like(v)))
+    M = _lct2d(left, minus, np.subtract(fa, v, out=v))
+    S = P + M
+    P -= M
+    P *= -1j
+    return S, P, left.grid_out, plus.grid_out
 
 
 # ---------------------------------------------------------------------------
 # direct path (explicit quaternion kernel matrices, the oracle)
-
-def _iquat(c: np.ndarray) -> np.ndarray:
-    """Complex array -> i-plane quaternion array (re, im, 0, 0)."""
-    z = np.zeros_like(c.real)
-    return np.stack([c.real, c.imag, z, z], axis=-1)
-
-
-def _jquat(c: np.ndarray) -> np.ndarray:
-    """Complex array -> j-plane quaternion array (re, 0, im, 0)."""
-    z = np.zeros_like(c.real)
-    return np.stack([c.real, z, c.imag, z], axis=-1)
-
 
 def _left_direct(p, samples, gin, gout):
     """Contract K[out, in] = kernel_value(p, 1, x_in, w_out) (left factor)
     against axis 0 of samples (n1, n2, 4)."""
     g = _resolve_out_grid(p, gin, gout)
     if p.b == 0:
-        kq = _iquat(kernel_value(p, 1, 0.0, g.coords()))
+        kq = from_complex_pair(kernel_value(p, 1, 0.0, g.coords()), 0)
         rows = samples if p.a > 0 else samples[::-1]
         return qmul(kq[:, None, :], rows), g
-    kq = _iquat(kernel_value(p, 1, gin.coords()[None, :], g.coords()[:, None]))
+    kq = from_complex_pair(kernel_value(p, 1, gin.coords()[None, :],
+                                        g.coords()[:, None]), 0)
     out = qmul(kq[:, :, None, :], samples[None, :, :, :]).sum(axis=1) * gin.dx
     return out, g
 
@@ -144,10 +132,12 @@ def _right_direct(p, samples, gin, gout):
     against axis 1 of samples (n1, n2, 4)."""
     g = _resolve_out_grid(p, gin, gout)
     if p.b == 0:
-        kq = _jquat(kernel_value(p, 1, 0.0, g.coords()))
+        k = kernel_value(p, 1, 0.0, g.coords())
+        kq = from_complex_pair(k.real, k.imag)  # the j-plane quaternion
         cols = samples if p.a > 0 else samples[:, ::-1]
         return qmul(cols, kq[None, :, :]), g
-    kq = _jquat(kernel_value(p, 1, gin.coords()[:, None], g.coords()[None, :]))
+    k = kernel_value(p, 1, gin.coords()[:, None], g.coords()[None, :])
+    kq = from_complex_pair(k.real, k.imag)
     out = qmul(samples[:, :, None, :], kq[None, :, :, :]).sum(axis=1) * gin.dx
     return out, g
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 from qlct.families import (FOURIER, PARAM_SETS, default_grid, gaussian,
                            gaussian_chirp, impulse, random_quaternion_signal,
                            random_smooth)
-from qlct.gabor import gabor_analyze_at, iter_gabor_blocks
+from qlct.gabor import (_pair_mul, _translates, gabor_analyze_at,
+                        iter_gabor_blocks)
 from qlct.lct1d import (Grid1D, LCTParams, MatchedSamplingError,
                         conjugate_grid, kernel_value)
-from qlct.qlct2d import (QLCTParams, forward_grid, qlct_forward_direct,
-                         qlct_forward_fast, qlct_inverse,
+from qlct.qlct2d import (QLCTParams, _two_sided_fast, forward_grid,
+                         qlct_forward_direct, qlct_forward_fast, qlct_inverse,
                          qlct_plancherel_check)
+from qlct.quat import to_complex_pair
 from qlct.signal import Grid2D, QSignal2D
 from qlct.uncertainty import hausdorff_young_check
 
@@ -175,6 +178,62 @@ def test_degenerate_axis_routing(name):
         back = qlct_inverse(Ff if method == "fast" else Fd, p, method)
         assert rel_l2(back.samples, f.samples) <= 1e-8
     assert Ff.grid.approx_eq(forward_grid(grid, p))
+
+
+def _row_block_layouts(grid, rng):
+    """(k, n1, n2) plane pairs in the layouts the Gabor path hands the fast
+    kernel: a windowed row (`_pair_mul` of a signal and `_translates`
+    views, laid out (n1, k, n2)) and a synthesis row (a strided moveaxis
+    of the coefficient planes)."""
+    f = random_quaternion_signal(grid, rng)
+    phi = random_quaternion_signal(grid, rng)
+    row = _translates(np.array(to_complex_pair(phi.samples)))[:, 1]
+    coeffs = rng.standard_normal((grid.n1, grid.n2, 5, 4))
+    return {"windowed": _pair_mul(*to_complex_pair(f.samples), *row),
+            "synthesis": [np.moveaxis(c, 2, 0) for c in to_complex_pair(coeffs)]}
+
+
+@pytest.mark.parametrize("name", [*PARAM_SETS, *MIXED_CASES])
+def test_fast_kernel_takes_any_batch_layout(name):
+    # each slice of a batch in any memory layout transforms bit for bit as
+    # it does alone, and the planes come back C-contiguous, so sums over
+    # them keep one order
+    p = {**PARAM_SETS, **MIXED_CASES}[name]
+    grid = Grid2D.centered(8, 6, 0.5, 0.6)
+    blocks = _row_block_layouts(grid, np.random.default_rng(27))
+    for layout, (ba, bb) in blocks.items():
+        assert not ba.flags.c_contiguous, layout
+        ga, gb, _, _ = _two_sided_fast(p, ba, bb, *grid.axes)
+        assert ga.flags.c_contiguous and gb.flags.c_contiguous, layout
+        for i in range(len(ba)):
+            sa, sb, _, _ = _two_sided_fast(p, ba[i].copy(), bb[i].copy(),
+                                           *grid.axes)
+            np.testing.assert_array_equal(ga[i], sa, err_msg=layout)
+            np.testing.assert_array_equal(gb[i], sb, err_msg=layout)
+
+
+@pytest.mark.parametrize("name", list(PARAM_SETS))
+def test_fft_threads_leave_every_bit(name, monkeypatch):
+    f = random_quaternion_signal(default_grid(64), np.random.default_rng(28))
+    monkeypatch.delenv("QLCT_THREADS", raising=False)
+    single = qlct_forward_fast(f, PARAM_SETS[name]).samples
+    monkeypatch.setenv("QLCT_THREADS", "2")
+    threaded = qlct_forward_fast(f, PARAM_SETS[name]).samples
+    np.testing.assert_array_equal(threaded, single)
+
+
+@pytest.mark.parametrize("name", list(PARAM_SETS))
+def test_fast_transform_peak_memory(name):
+    # the half planes, their temporaries and the output within 3x the input
+    f = random_quaternion_signal(default_grid(256), np.random.default_rng(29))
+    qlct_forward_fast(f, PARAM_SETS[name])
+    tracemalloc.start()
+    try:
+        qlct_forward_fast(f, PARAM_SETS[name])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * f.samples.nbytes, peak / f.samples.nbytes
 
 
 @pytest.mark.parametrize("name", ["b1-zero", "b2-zero", "generic"])

@@ -23,14 +23,19 @@ def test_tracer_installs_and_restores_every_binding():
     assert qlct2d.qlct_inverse is before
 
 
-def test_tracer_counts_one_field_pass_of_a_young_check():
+def test_tracer_counts_one_field_pass_of_a_young_check(monkeypatch):
     f = gaussian(Grid2D.centered(8, 8, 0.5, 0.5), 1.0)
+    kernels = []
+    lct2d = qlct2d._lct2d
+    monkeypatch.setattr(qlct2d, "_lct2d",
+                        lambda *args: kernels.append(args) or lct2d(*args))
     tracer = tracing.Tracer()
     with tracer.recording(0):
         uncertainty.young_sup_check(f, f, PARAM_SETS["fourier"], 2.0)
         qlct2d.qlct_forward_fast(f, PARAM_SETS["generic"])
     metrics = tracing.layer_metrics(tracer, [0], 1, 1.0)
     assert metrics["uncertainty.field_stats.calls"] == 1
-    # the halved right kernel: two LCTs per side, per row and per transform
-    assert metrics["gabor.lct_calls_per_row"] == 4
-    assert metrics["qlct2d.lct_calls_per_transform"] == 4
+    rows, transforms = metrics["gabor.rows.calls"], metrics["qlct2d.forward.calls"]
+    assert (rows, transforms) == (8, 1)
+    # two separable 2D transforms, P and M, per Gabor row and per transform
+    assert len(kernels) == 2 * (rows + transforms)
