@@ -114,8 +114,9 @@ def cmd_qlct(args) -> int:
     _finite_or_die(out.samples, args.command)
     signal.save(args.output, out)
     if args.check:
-        rep = qlct_plancherel_check(f if args.command == "forward" else out, p,
-                                    method=args.method)
+        # Plancherel from the two signals already held: no second transform
+        x, F = (f, out) if args.command == "forward" else (out, f)
+        rep = report.equality("qlct-plancherel", x.l2_norm_sq(), F.l2_norm_sq())
         print(f"plancherel ratio {rep.ratio!r}")
     return EXIT_OK
 

@@ -14,17 +14,16 @@ Synthesis divides by the squared window L^2 norm; with stride-1
 translations and interior windows the reconstruction error is an edge
 truncation effect that shrinks as the padding margin grows.
 
-The fast path keeps the field in symplectic form G = Ga + Gb*j, as two
-complex planes, from the windowing product to its consumer. The product
-is formed plane-wise,
-
-    (fa + fb*j)(pa + pb*j) = (fa*pa - fb*conj(pb)) + (fa*pb + fb*conj(pa))*j,
-
-with conj(phi) = conj(pa) - pb*j. Its planes go straight into the
-two-sided transform, and consumers read |G|^2 = |Ga|^2 + |Gb|^2 from them.
-No quaternion array is built per row. The direct path windows with `qmul`
-and transforms with the quaternion kernel oracle, and splits each row only
-when it yields, so it stays an independent check.
+The fast path holds each row of the field as the transform halves P and
+M of `qlct2d` (Ga = P + M, Gb = -i*(P - M) for G = Ga + Gb*j). With the
+window halves alpha = conj(pa) - i*pb and beta = conj(pa) + i*pb of
+phi = pa + pb*j, f*conj(phi) has the halves fa*alpha + i*fb*conj(beta)
+and fa*beta - i*fb*conj(alpha), formed from one `_translates` sweep of
+the four window planes. Consumers read |G|^2 = 2(|P|^2 + |M|^2), only
+`gabor_analyze` joins the planes, and synthesis windows the inverse
+halves directly: H*phi = (P*conj(alpha) + M*conj(beta))
+- i*(P*beta - M*alpha)*j. The direct path evaluates each translation
+with `gabor_analyze_at`, so it checks the sweep as well as the transform.
 
 Full coefficient storage is (n1*n2)^2 quaternions: about 33 MB for a
 32x32 signal and 16x that for 64x64. Larger runs should subsample with
@@ -49,8 +48,8 @@ from . import report
 from .lct1d import Grid1D, LCTParams
 from .quat import (from_complex_pair, pair_abs_sq, qabs_sq, qconj, qmul,
                    to_complex_pair)
-from .qlct2d import (QLCTParams, _check_method, _two_sided_fast, forward_grid,
-                     qlct_forward_direct, qlct_forward_fast)
+from .qlct2d import (QLCTParams, _check_method, _halves, _two_sided_fast,
+                     forward_grid, qlct_forward_direct, qlct_forward_fast)
 from .signal import (FormatError, Grid2D, GridMismatchError, QSignal2D, load,
                      read_payload, save, translate, write_payload)
 
@@ -116,43 +115,37 @@ def _translates(planes: np.ndarray, stride: int = 1) -> np.ndarray:
     return windows[:, ::-1, ::-1][:, ::stride, ::stride]
 
 
-def _pair_mul(xa, xb, ya, yb):
-    """Hamilton product in symplectic form:
-    (xa + xb*j)(ya + yb*j) = (xa*ya - xb*conj(yb)) + (xa*yb + xb*conj(ya))*j.
-    Each conj buffer takes its product in place, which saves two fresh
-    row-block allocations."""
-    ga, t = xa * ya, np.conj(yb)
-    ga -= np.multiply(xb, t, out=t)
-    gb, t = xa * yb, np.conj(ya)
-    gb += np.multiply(xb, t, out=t)
-    return ga, gb
+def _window_halves(phi: QSignal2D) -> np.ndarray:
+    """Planes (alpha, beta, conj(alpha), conj(beta)) of phi = pa + pb*j,
+    where conj(alpha) and conj(beta) are the halves pa +- i*conj(pb)."""
+    pa, pb = to_complex_pair(phi.samples)
+    calpha, cbeta = _halves(pa, np.conj(pb))
+    return np.array([np.conj(calpha), np.conj(cbeta), calpha, cbeta])
 
 
 def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
                       y_stride: int = 1, method: str = "fast"):
-    """Yield (iy1, Ga, Gb), the symplectic planes of G = Ga + Gb*j, each of
-    shape (ny2, nw1, nw2), one y1 row at a time, without materializing the
-    full 4D field."""
+    """Yield (iy1, P, M), the transform halves of one y1 row of the field
+    (Ga = P + M, Gb = -i*(P - M), |G|^2 = 2(|P|^2 + |M|^2)), each of
+    shape (ny2, nw1, nw2), without materializing the full 4D field."""
     if not f.grid.approx_eq(phi.grid):
         raise GridMismatchError("signal and window must share a grid")
-    _check_method(method)
-    grid = f.grid
-    if method == "fast":
-        fa, fb = to_complex_pair(f.samples)
-        pa, pb = to_complex_pair(phi.samples)
-        phi_conj = np.array([np.conj(pa), -pb])  # conj(phi) = conj(pa) - pb*j
-    else:
-        phi_conj = np.moveaxis(qconj(phi.samples), -1, 0)
-    for iy1, shifted in enumerate(_translates(phi_conj, y_stride).swapaxes(0, 1)):
-        if method == "fast":
-            ga, gb = _pair_mul(fa, fb, *shifted)
-            ga, gb, _, _ = _two_sided_fast(p, ga, gb, *grid.axes)
-            yield iy1, ga, gb
-        else:
-            products = qmul(f.samples[None], np.moveaxis(shifted, 0, -1))
-            rows = [qlct_forward_direct(QSignal2D(grid, prod), p).samples
-                    for prod in products]
-            yield (iy1, *to_complex_pair(np.stack(rows, axis=0)))
+    if _check_method(method) == "direct":
+        y_grid = translation_grid(f.grid, y_stride)
+        for iy1, y1 in enumerate(y_grid.coords1()):
+            rows = np.stack([gabor_analyze_at(f, phi, (y1, y2), p, "direct").samples
+                             for y2 in y_grid.coords2()])
+            yield (iy1, *(h / 2 for h in _halves(*to_complex_pair(rows))))
+        return
+    fa, fb = to_complex_pair(f.samples)
+    ifb = 1j * fb
+    sweep = _translates(_window_halves(phi), y_stride).swapaxes(0, 1)
+    for iy1, (alpha, beta, calpha, cbeta) in enumerate(sweep):
+        u = fa * alpha
+        u += ifb * cbeta
+        v = fa * beta
+        v -= ifb * calpha
+        yield (iy1, *_two_sided_fast(p, u, v, *f.grid.axes)[:2])
 
 
 def gabor_analyze(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
@@ -162,9 +155,11 @@ def gabor_analyze(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     y_grid = translation_grid(f.grid, y_stride)
     coeffs = np.empty((omega_grid.n1, omega_grid.n2, y_grid.n1, y_grid.n2, 4))
     ca, cb = to_complex_pair(coeffs)
-    for iy1, ga, gb in iter_gabor_blocks(f, phi, p, y_stride, method):
-        ca[:, :, iy1, :] = np.moveaxis(ga, 0, 2)
-        cb[:, :, iy1, :] = np.moveaxis(gb, 0, 2)
+    for iy1, P, M in iter_gabor_blocks(f, phi, p, y_stride, method):
+        # in the coefficients' axis order, so that each write runs along y2
+        P, M = np.moveaxis(P, 0, 2), np.moveaxis(M, 0, 2)
+        np.add(P, M, out=ca[:, :, iy1])
+        np.multiply(np.subtract(P, M, out=P), -1j, out=cb[:, :, iy1])  # -i*(P - M)
     return GaborCoefficients(omega_grid, y_grid, coeffs, p,
                              phi.l2_norm_sq(), y_stride)
 
@@ -196,16 +191,14 @@ def gabor_synthesize(G: GaborCoefficients, phi: QSignal2D) -> QSignal2D:
     pinv = G.params.inverse()
     acc_a = np.zeros((grid.n1, grid.n2), dtype=complex)
     acc_b = np.zeros((grid.n1, grid.n2), dtype=complex)
-    translates = _translates(np.array(to_complex_pair(phi.samples)))
+    sweep = _translates(_window_halves(phi)).swapaxes(0, 1)
     ga, gb = to_complex_pair(G.coeffs)
-    for iy1 in range(G.y_grid.n1):
-        ha = np.moveaxis(ga[:, :, iy1, :], 2, 0)  # (ny2, nw1, nw2)
-        hb = np.moveaxis(gb[:, :, iy1, :], 2, 0)
-        ha, hb, _, _ = _two_sided_fast(pinv, ha, hb, *G.omega_grid.axes, *grid.axes)
-        ha, hb = _pair_mul(ha, hb, *translates[:, iy1])
-        acc_a += ha.sum(axis=0)
-        acc_b += hb.sum(axis=0)
-    acc = from_complex_pair(acc_a, acc_b)
+    for iy1, (alpha, beta, calpha, cbeta) in enumerate(sweep):
+        halves = _halves(*(np.moveaxis(c[:, :, iy1], 2, 0) for c in (ga, gb)))
+        P, M, _, _ = _two_sided_fast(pinv, *halves, *G.omega_grid.axes, *grid.axes)
+        acc_a += (P * calpha + M * cbeta).sum(axis=0)
+        acc_b += (P * beta - M * alpha).sum(axis=0)
+    acc = from_complex_pair(acc_a, -1j * acc_b)
     acc *= G.y_grid.cell_area / norm_sq
     return QSignal2D(grid, acc)
 
@@ -217,8 +210,8 @@ def gabor_plancherel_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     y_grid = translation_grid(f.grid, 1)
     cellvol = omega_grid.cell_area * y_grid.cell_area
     energy = 0.0
-    for _, ga, gb in iter_gabor_blocks(f, phi, p, 1, method):
-        energy += float(np.sum(pair_abs_sq(ga, gb)))
+    for _, P, M in iter_gabor_blocks(f, phi, p, 1, method):
+        energy += 2 * float(np.sum(pair_abs_sq(P, M)))
     lhs = energy * cellvol
     rhs = f.l2_norm_sq() * phi.l2_norm_sq()
     return report.equality("gabor-plancherel", lhs, rhs,

@@ -18,11 +18,12 @@ Two independent realizations are provided:
   (qa + qb*j)*e^{j*beta}
   = (qa*cos(beta) - qb*sin(beta)) + (qa*sin(beta) + qb*cos(beta))*j
   by Hamilton's rules. Writing cos and sin through e^{+-i*beta} folds
-  this into two complex LCTs with kernel signs +1 and -1,
-  P = K+((qa + i*qb)/2) and M = K-((qa - i*qb)/2), giving the planes
-  P + M and -i*(P - M); this holds for b = 0 axes too. The left kernel
-  is complex-linear, so it commutes with the mixing: two separable 2D
-  transforms (chirp * FFT2 * chirp) per transform, cost O(N^2 log N).
+  this into two complex LCTs with kernel signs +1 and -1 on the halves
+  u = qa + i*qb and v = qa - i*qb, P = K+(u/2) and M = K-(v/2), giving
+  the planes P + M and -i*(P - M); this holds for b = 0 axes too. The
+  left kernel is complex-linear, so it commutes with the mixing: two
+  separable 2D transforms (chirp * FFT2 * chirp) per transform, cost
+  O(N^2 log N). The kernel maps halves to halves.
 
 For unimodular A the inversion kernel is K_{A^-1}(x, w) = conj K_A(w, x),
 so the inverse transform is the forward transform with A^-1 on each axis,
@@ -91,23 +92,23 @@ def _lct2d(plan1, plan2, g):
     return np.multiply(spec, np.multiply.outer(plan1.post, plan2.post), out=out)
 
 
-def _two_sided_fast(p: QLCTParams, fa, fb, g1in, g2in, g1out=None, g2out=None):
-    """Planes P + M and -i*(P - M) of the transform of fa + fb*j over the
-    last two axes, and their grids, from P = K(A1,+1; A2,+1)(fa + i*fb)/2
-    and M = K(A1,+1; A2,-1)(fa - i*fb)/2; the exact 1/2 rides on the left
-    post-chirp."""
+def _halves(qa, qb):
+    """The halves qa + i*qb and qa - i*qb of qa + qb*j, C-ordered so that
+    both FFTs and the post-chirps of `_two_sided_fast` run in place."""
+    v = np.multiply(1j, qb, out=np.empty(np.shape(qb), complex))
+    return np.add(qa, v, out=np.empty_like(v)), np.subtract(qa, v, out=v)
+
+
+def _two_sided_fast(p: QLCTParams, u, v, g1in, g2in, g1out=None, g2out=None):
+    """Halves P = K(A1,+1; A2,+1)u/2 and M = K(A1,+1; A2,-1)v/2, which
+    overwrite the input halves u and v, over the last two axes, and their
+    grids; the exact 1/2 rides on the left post-chirp."""
     left = axis_plan(p.A1, 1, g1in, g1out)
     left = left._replace(post=left.post / 2)
     plus = axis_plan(p.A2, 1, g2in, g2out)
     minus = axis_plan(p.A2, -1, g2in, g2out)
-    # C-ordered halves let both FFTs and the post-chirps run in place
-    v = np.multiply(1j, fb, out=np.empty(np.shape(fb), complex))
-    P = _lct2d(left, plus, np.add(fa, v, out=np.empty_like(v)))
-    M = _lct2d(left, minus, np.subtract(fa, v, out=v))
-    S = P + M
-    P -= M
-    P *= -1j
-    return S, P, left.grid_out, plus.grid_out
+    return (_lct2d(left, plus, u), _lct2d(left, minus, v),
+            left.grid_out, plus.grid_out)
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +153,12 @@ def _two_sided(f: QSignal2D, p: QLCTParams, method: str,
     g1, g2 = f.grid.axes
     o1, o2 = (None, None) if out_grid is None else out_grid.axes
     if method == "fast":
-        fa, fb = to_complex_pair(f.samples)
-        fa, fb, o1, o2 = _two_sided_fast(p, fa, fb, g1, g2, o1, o2)
-        return QSignal2D(Grid2D.from_axes(o1, o2), from_complex_pair(fa, fb))
+        halves = _halves(*to_complex_pair(f.samples))
+        P, M, o1, o2 = _two_sided_fast(p, *halves, g1, g2, o1, o2)
+        S = P + M
+        P -= M
+        P *= -1j
+        return QSignal2D(Grid2D.from_axes(o1, o2), from_complex_pair(S, P))
     h, o1 = _left_direct(p.A1, f.samples, g1, o1)
     out, o2 = _right_direct(p.A2, h, g2, o2)
     return QSignal2D(Grid2D.from_axes(o1, o2), out)

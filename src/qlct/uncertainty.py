@@ -89,8 +89,8 @@ def moment(G: GaborCoefficients, which: str, s: float) -> float:
     which selects the |omega|, |y|, or joint |(omega, y)| radius, with
     |(omega, y)|^2 = |omega|^2 + |y|^2.
     """
-    if s <= 0:
-        raise ValueError(f"moment order s must be positive, got {s}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"moment order s must be positive and finite, got {s}")
     mod2 = G.modulus_sq()
     w1, w2 = G.omega_grid.meshgrid()
     y1, y2 = G.y_grid.meshgrid()
@@ -121,6 +121,8 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
     request for the same (f, phi, grids, p, method, y_stride) from the
     scope's entry. Each sum is independent of the others requested with
     it, so a value is the same bits whichever request collected it."""
+    if not all(0.0 < s < math.inf for s in s_values):
+        raise ValueError(f"moment orders s must be positive and finite, got {s_values}")
     omega_grid = forward_grid(f.grid, p)
     y_grid = translation_grid(f.grid, y_stride)
     cellvol = omega_grid.cell_area * y_grid.cell_area
@@ -139,8 +141,9 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
         "log_omega_sum": 0.0,
         "omega_grid": omega_grid, "y_grid": y_grid, "cell_volume": cellvol,
     }
-    for iy1, ga, gb in iter_gabor_blocks(f, phi, p, y_stride, method):
-        mod2 = pair_abs_sq(ga, gb)  # (ny2, nw1, nw2)
+    for iy1, P, M in iter_gabor_blocks(f, phi, p, y_stride, method):
+        mod2 = pair_abs_sq(P, M)  # (ny2, nw1, nw2)
+        mod2 *= 2  # |G|^2 = 2(|P|^2 + |M|^2), exactly
         stats["energy"] += float(mod2.sum())
         stats["max_abs"] = max(stats["max_abs"], float(mod2.max()))
         y_r2 = (y1c[iy1]**2 + y_r2_row)[:, None, None]
@@ -368,8 +371,8 @@ def lieb_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams, p_prime: float,
 def young_sup_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
                     holder_p: float, method: str = "fast") -> report.InequalityReport:
     """sup |G| against |b1 b2|^{-1/2} / (2 pi) ||f||_q ||phi||_p."""
-    if holder_p < 1.0:
-        raise ValueError(f"holder_p must be >= 1, got {holder_p}")
+    if not 1.0 <= holder_p < math.inf:
+        raise ValueError(f"holder_p must be finite and >= 1, got {holder_p}")
     if holder_p == 1.0:
         holder_q = math.inf
         f_norm = float(f.modulus().max())
@@ -392,11 +395,9 @@ def hausdorff_young_check(f: QSignal2D, p: QLCTParams, pp: float,
 
     The transform-side norm sums the moduli of the four real-component
     transforms before raising to the p'-th power."""
-    if pp < 2.0:
-        raise ValueError(f"pp must be >= 2, got {pp}")
-    hp = pp / (pp - 1.0) if math.isfinite(pp) else 1.0
-    if abs(1.0 / hp + 1.0 / pp - 1.0) > 1e-9:
-        raise ValueError("exponents must satisfy 1/p + 1/pp = 1")
+    if not 2.0 <= pp < math.inf:
+        raise ValueError(f"pp must be finite and >= 2, got {pp}")
+    hp = pp / (pp - 1.0)
     fwd = qlct_forward_fast if _check_method(method) == "fast" else qlct_forward_direct
     comp_abs = None
     for c in range(4):

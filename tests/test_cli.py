@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from qlct import gabor, uncertainty
+from qlct import gabor, qlct2d, uncertainty
 from qlct.cli import main
 from qlct.families import PARAM_SETS, gaussian, impulse
 from qlct.signal import Grid2D, QSignal2D, load, save
@@ -34,6 +34,29 @@ def test_forward_inverse_file_round_trip(tmp_path, capsys):
     f = load(src)
     f2 = load(back)
     assert rel_l2(f2.samples, f.samples) <= 1e-8
+
+
+@pytest.mark.parametrize("command", ["forward", "inverse"])
+def test_transform_check_reuses_the_signals_it_holds(tmp_path, capsys, monkeypatch,
+                                                     command):
+    # --check reads the energies of the input and the output, so the
+    # command's one transform makes the only two 2D kernel calls
+    src, dst = tmp_path / "f.qsig", tmp_path / "F.qsig"
+    write_gaussian(src)
+    kernels = []
+    lct2d = qlct2d._lct2d
+    monkeypatch.setattr(qlct2d, "_lct2d",
+                        lambda *args: kernels.append(args) or lct2d(*args))
+    assert main([command, "--a1", "0,1,-1,0", "--a2", "0,1,-1,0",
+                 "-i", str(src), "-o", str(dst), "--check"]) == 0
+    assert len(kernels) == 2
+    monkeypatch.undo()
+    f, out = load(src), load(dst)
+    if command == "forward":
+        ratio = qlct2d.qlct_plancherel_check(f, PARAM_SETS["fourier"]).ratio
+    else:
+        ratio = out.l2_norm_sq() / f.l2_norm_sq()
+    assert capsys.readouterr().out == f"plancherel ratio {ratio!r}\n"
 
 
 def test_forward_direct_method(tmp_path):

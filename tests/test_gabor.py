@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from qlct import gabor
 from qlct.families import (PARAM_SETS, gaussian, impulse, normalized,
                            random_quaternion_signal)
 from qlct.gabor import (GaborCoefficients, _translates, export_field_csv,
@@ -253,6 +254,24 @@ def test_quaternion_window_fast_matches_direct():
     rd = gabor_plancherel_check(f, phi, p, "direct")
     assert rf.lhs == pytest.approx(rd.lhs, rel=1e-9)
     assert rf.rhs == rd.rhs
+
+
+def test_fast_sweep_one_cell_off_disagrees_with_direct(monkeypatch):
+    # the direct branch windows with `translate`, not the fast path's
+    # sweep, so a sweep whose every translate sits one cell off shows up
+    # in the fast-vs-direct comparison of the field statistics
+    grid = Grid2D.centered(8, 8, 0.6, 0.6)
+    f = random_quaternion_signal(grid, np.random.default_rng(60))
+    phi = quaternion_window(grid)
+    p = PARAM_SETS["generic"]
+    sweep = gabor._translates
+    monkeypatch.setattr(gabor, "_translates", lambda planes, stride=1:
+                        np.roll(sweep(planes, stride), 1, axis=-1))
+    sf = gabor_field_stats(f, phi, p, method="fast", s_values=(1.0,))
+    sd = gabor_field_stats(f, phi, p, method="direct", s_values=(1.0,))
+    for key in ("energy", "max_abs"):
+        assert sf[key] != pytest.approx(sd[key], rel=1e-9), key
+    assert sf["moment_y"][1.0] != pytest.approx(sd["moment_y"][1.0], rel=1e-9)
 
 
 def test_quaternion_window_synthesis_matches_qmul_reference():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qlct.families import (FOURIER, PARAM_SETS, default_grid, gaussian,
                            gaussian_chirp, impulse, random_quaternion_signal,
                            random_smooth)
-from qlct.gabor import (_pair_mul, _translates, gabor_analyze_at,
+from qlct.gabor import (_translates, _window_halves, gabor_analyze_at,
                         iter_gabor_blocks)
 from qlct.lct1d import (Grid1D, LCTParams, MatchedSamplingError,
                         conjugate_grid, kernel_value)
@@ -181,35 +181,38 @@ def test_degenerate_axis_routing(name):
 
 
 def _row_block_layouts(grid, rng):
-    """(k, n1, n2) plane pairs in the layouts the Gabor path hands the fast
-    kernel: a windowed row (`_pair_mul` of a signal and `_translates`
-    views, laid out (n1, k, n2)) and a synthesis row (a strided moveaxis
-    of the coefficient planes)."""
+    """(k, n1, n2) half pairs in the layouts the Gabor path hands the fast
+    kernel: a windowed row (the halves of a signal times `_translates`
+    views of the window halves, laid out (n1, k, n2)) and a synthesis row
+    (the halves of a strided moveaxis of the coefficient planes)."""
     f = random_quaternion_signal(grid, rng)
     phi = random_quaternion_signal(grid, rng)
-    row = _translates(np.array(to_complex_pair(phi.samples)))[:, 1]
-    coeffs = rng.standard_normal((grid.n1, grid.n2, 5, 4))
-    return {"windowed": _pair_mul(*to_complex_pair(f.samples), *row),
-            "synthesis": [np.moveaxis(c, 2, 0) for c in to_complex_pair(coeffs)]}
+    alpha, beta, calpha, cbeta = _translates(_window_halves(phi))[:, 1]
+    fa, fb = to_complex_pair(f.samples)
+    ga, gb = (np.moveaxis(c, 2, 0) for c in
+              to_complex_pair(rng.standard_normal((grid.n1, grid.n2, 5, 4))))
+    return {"windowed": (fa * alpha + 1j * fb * cbeta, fa * beta - 1j * fb * calpha),
+            "synthesis": (ga + 1j * gb, ga - 1j * gb)}
 
 
 @pytest.mark.parametrize("name", [*PARAM_SETS, *MIXED_CASES])
 def test_fast_kernel_takes_any_batch_layout(name):
     # each slice of a batch in any memory layout transforms bit for bit as
-    # it does alone, and the planes come back C-contiguous, so sums over
+    # it does alone, and the halves come back C-contiguous, so sums over
     # them keep one order
     p = {**PARAM_SETS, **MIXED_CASES}[name]
     grid = Grid2D.centered(8, 6, 0.5, 0.6)
     blocks = _row_block_layouts(grid, np.random.default_rng(27))
-    for layout, (ba, bb) in blocks.items():
-        assert not ba.flags.c_contiguous, layout
-        ga, gb, _, _ = _two_sided_fast(p, ba, bb, *grid.axes)
-        assert ga.flags.c_contiguous and gb.flags.c_contiguous, layout
-        for i in range(len(ba)):
-            sa, sb, _, _ = _two_sided_fast(p, ba[i].copy(), bb[i].copy(),
+    for layout, (bu, bv) in blocks.items():
+        assert not bu.flags.c_contiguous, layout
+        P, M, _, _ = _two_sided_fast(p, bu.copy(order="K"), bv.copy(order="K"),
+                                     *grid.axes)
+        assert P.flags.c_contiguous and M.flags.c_contiguous, layout
+        for i in range(len(bu)):
+            sp, sm, _, _ = _two_sided_fast(p, bu[i].copy(), bv[i].copy(),
                                            *grid.axes)
-            np.testing.assert_array_equal(ga[i], sa, err_msg=layout)
-            np.testing.assert_array_equal(gb[i], sb, err_msg=layout)
+            np.testing.assert_array_equal(P[i], sp, err_msg=layout)
+            np.testing.assert_array_equal(M[i], sm, err_msg=layout)
 
 
 @pytest.mark.parametrize("name", list(PARAM_SETS))

@@ -105,8 +105,9 @@ def test_streamed_stats_match_dense_moments():
 
 def test_streamed_stats_keep_the_qabs_sq_summation_order():
     """Energy and moments bit-equal to a reference that windows with qmul,
-    transforms the quaternion row block and reads |G|^2 with qabs_sq, so
-    the seed-0 verify report keeps every digit."""
+    splits the product into its halves, transforms them and reads
+    |G|^2 = 2(|P|^2 + |M|^2) with qabs_sq, so a real window's stats keep
+    the order the seed-0 verify report was pinned with."""
     grid = default_grid(32)
     f = random_quaternion_signal(grid, np.random.default_rng(70))
     phi = normalized(gaussian(grid, 1.0))
@@ -125,9 +126,10 @@ def test_streamed_stats_keep_the_qabs_sq_summation_order():
     for i1 in range(yg.n1):
         shifted = np.stack([translate(phi, (y1[i1], y2[i2])).samples
                             for i2 in range(yg.n2)])
-        fa, fb = to_complex_pair(qmul(f.samples[None], qconj(shifted)))
-        fa, fb, _, _ = _two_sided_fast(FOURIER2, fa, fb, *grid.axes)
-        mod2 = qabs_sq(from_complex_pair(fa, fb))
+        ga, gb = to_complex_pair(qmul(f.samples[None], qconj(shifted)))
+        igb = 1j * gb
+        P, M, _, _ = _two_sided_fast(FOURIER2, ga + igb, ga - igb, *grid.axes)
+        mod2 = 2 * qabs_sq(from_complex_pair(P, M))
         energy += float(mod2.sum())
         y_r2 = (y1[i1]**2 + y2**2)[:, None, None]
         for s in s_values:
@@ -384,6 +386,38 @@ def test_lieb_rejects_bad_exponent():
         lieb_check(f, f, FOURIER2, 2.5)
     with pytest.raises(ValueError, match="p_prime"):
         lieb_check(f, f, FOURIER2, 1.0)
+
+
+def _unit_gaussian8():
+    return normalized(gaussian(default_grid(8), 1.0))
+
+
+@pytest.mark.parametrize("pp", [math.nan, math.inf])
+def test_hausdorff_young_rejects_a_non_finite_exponent(pp):
+    # NaN gave lhs NaN, inf a false failing margin
+    with pytest.raises(ValueError, match="pp must be finite and >= 2"):
+        hausdorff_young_check(_unit_gaussian8(), FOURIER2, pp)
+
+
+@pytest.mark.parametrize("holder_p", [math.nan, math.inf])
+def test_young_rejects_a_non_finite_holder_exponent(holder_p):
+    f = _unit_gaussian8()
+    with pytest.raises(ValueError, match="holder_p must be finite and >= 1"):
+        young_sup_check(f, f, FOURIER2, holder_p)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+def test_heisenberg_rejects_a_moment_order_outside_its_domain(s):
+    f = _unit_gaussian8()
+    with pytest.raises(ValueError, match="positive and finite"):
+        heisenberg_check(f, f, FOURIER2, s)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+def test_moment_concentration_rejects_a_moment_order_outside_its_domain(s):
+    f = _unit_gaussian8()
+    with pytest.raises(ValueError, match="positive and finite"):
+        moment_concentration_check(f, f, FOURIER2, s)
 
 
 # ---------------------------------------------------------------------------
