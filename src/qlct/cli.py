@@ -232,7 +232,7 @@ def _unit_gaussian_field(cfg: VerifyConfig):
     """Normalized 32^2 Gaussian and its stride-1 Gabor field against itself,
     built once per run (`uncertainty.field_memo`)."""
     f = families.normalized(families.gaussian(cfg.grid(32), 1.0))
-    return f, uncertainty.memo_gabor_analyze(f, f, QFT, 1, cfg.method)
+    return f, uncertainty.memo_gabor_analyze(f, f, QFT, method=cfg.method)
 
 
 def suite_plancherel(cfg: VerifyConfig, out: Collector):

@@ -48,7 +48,7 @@ from . import report
 from .lct1d import Grid1D, LCTParams
 from .quat import (from_complex_pair, pair_abs_sq, qabs_sq, qconj, qmul,
                    to_complex_pair)
-from .qlct2d import (QLCTParams, _check_method, _halves, _two_sided_fast,
+from .qlct2d import (QLCTParams, _check_method, _halves, _join, _two_sided_fast,
                      forward_grid, qlct_forward_direct, qlct_forward_fast)
 from .signal import (FormatError, Grid2D, GridMismatchError, QSignal2D, load,
                      read_payload, save, translate, write_payload)
@@ -157,9 +157,7 @@ def gabor_analyze(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     ca, cb = to_complex_pair(coeffs)
     for iy1, P, M in iter_gabor_blocks(f, phi, p, y_stride, method):
         # in the coefficients' axis order, so that each write runs along y2
-        P, M = np.moveaxis(P, 0, 2), np.moveaxis(M, 0, 2)
-        np.add(P, M, out=ca[:, :, iy1])
-        np.multiply(np.subtract(P, M, out=P), -1j, out=cb[:, :, iy1])  # -i*(P - M)
+        _join(np.moveaxis(P, 0, 2), np.moveaxis(M, 0, 2), ca[:, :, iy1], cb[:, :, iy1])
     return GaborCoefficients(omega_grid, y_grid, coeffs, p,
                              phi.l2_norm_sq(), y_stride)
 
@@ -183,7 +181,10 @@ def gabor_synthesize(G: GaborCoefficients, phi: QSignal2D) -> QSignal2D:
         raise ValueError(f"omega_grid {G.omega_grid} is not the forward grid "
                          f"of the window grid {phi.grid}")
     norm_sq = phi.l2_norm_sq()
-    if abs(norm_sq - G.window_norm_sq) > 1e-9 * max(norm_sq, G.window_norm_sq):
+    if norm_sq == 0.0:
+        raise ValueError("zero window: synthesis divides by ||phi||^2")
+    # written so that a NaN or infinite recorded norm fails it too
+    if not abs(norm_sq - G.window_norm_sq) <= 1e-9 * norm_sq:
         raise ValueError(
             f"window mismatch: ||phi||^2 = {norm_sq!r} but coefficients "
             f"were built with {G.window_norm_sq!r}")

@@ -95,8 +95,17 @@ def _lct2d(plan1, plan2, g):
 def _halves(qa, qb):
     """The halves qa + i*qb and qa - i*qb of qa + qb*j, C-ordered so that
     both FFTs and the post-chirps of `_two_sided_fast` run in place."""
-    v = np.multiply(1j, qb, out=np.empty(np.shape(qb), complex))
-    return np.add(qa, v, out=np.empty_like(v)), np.subtract(qa, v, out=v)
+    # u below v: freed as P then M, they merge into one heap top malloc trims
+    u, v = np.empty(np.shape(qb), complex), np.empty(np.shape(qb), complex)
+    np.multiply(1j, qb, out=v)
+    return np.add(qa, v, out=u), np.subtract(qa, v, out=v)
+
+
+def _join(P, M, qa, qb):
+    """Write the planes qa = P + M and qb = -i*(P - M) of the halves
+    (P, M) into the given views; P is overwritten."""
+    np.add(P, M, out=qa)
+    np.multiply(np.subtract(P, M, out=P), -1j, out=qb)
 
 
 def _two_sided_fast(p: QLCTParams, u, v, g1in, g2in, g1out=None, g2out=None):
@@ -155,10 +164,9 @@ def _two_sided(f: QSignal2D, p: QLCTParams, method: str,
     if method == "fast":
         halves = _halves(*to_complex_pair(f.samples))
         P, M, o1, o2 = _two_sided_fast(p, *halves, g1, g2, o1, o2)
-        S = P + M
-        P -= M
-        P *= -1j
-        return QSignal2D(Grid2D.from_axes(o1, o2), from_complex_pair(S, P))
+        out = np.empty((*P.shape, 4))
+        _join(P, M, *to_complex_pair(out))
+        return QSignal2D(Grid2D.from_axes(o1, o2), out)
     h, o1 = _left_direct(p.A1, f.samples, g1, o1)
     out, o2 = _right_direct(p.A2, h, g2, o2)
     return QSignal2D(Grid2D.from_axes(o1, o2), out)

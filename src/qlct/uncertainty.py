@@ -9,8 +9,9 @@ equality, so callers assert positivity and stability, never a fixed value.
 
 Moment and p-norm accumulations over the Gabor field stream through
 `iter_gabor_blocks`, so grids larger than the dense-storage budget are
-fine. Inside `field_memo` each distinct field is swept once: the checks
-share one pass per field, and `memo_gabor_analyze` one dense build.
+fine. Inside `field_memo` each distinct field is swept once per distinct
+request: checks asking the same sums share one pass, and
+`memo_gabor_analyze` builds each dense field once.
 """
 
 from __future__ import annotations
@@ -116,13 +117,12 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
     every check needs: total energy, sup |G|, |omega|/|y|/joint moments,
     p'-th power sums, and the ln|omega| weighted energy.
 
-    Every call is a fresh pass. The checks reach it through
-    `memo_field_stats`, which inside a `field_memo` scope serves a repeat
-    request for the same (f, phi, grids, p, method, y_stride) from the
-    scope's entry. Each sum is independent of the others requested with
-    it, so a value is the same bits whichever request collected it."""
+    Every call is a fresh pass; the checks reach it through
+    `memo_field_stats`."""
     if not all(0.0 < s < math.inf for s in s_values):
         raise ValueError(f"moment orders s must be positive and finite, got {s_values}")
+    if not all(0.0 < pp < math.inf for pp in pprimes):
+        raise ValueError(f"powers p' must be positive and finite, got {pprimes}")
     omega_grid = forward_grid(f.grid, p)
     y_grid = translation_grid(f.grid, y_stride)
     cellvol = omega_grid.cell_area * y_grid.cell_area
@@ -170,8 +170,8 @@ _FIELD_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def field_memo():
-    """Scope in which each distinct Gabor field is swept at most once by
-    `memo_field_stats` and built at most once by `memo_gabor_analyze`.
+    """Scope in which `memo_field_stats` sweeps each distinct Gabor field
+    once per distinct request and `memo_gabor_analyze` builds it once.
 
     Entries live in a context variable, so they are dropped when the scope
     exits and never shared with calls outside it (`qlct verify` opens one
@@ -183,53 +183,37 @@ def field_memo():
         _FIELD_MEMO.reset(token)
 
 
-def _memo_entries(kind: str, f: QSignal2D, phi: QSignal2D, p: QLCTParams,
-                  method: str, y_stride: int) -> tuple[dict, tuple]:
-    """The scope's entries (a throwaway dict outside any scope, so every
-    call there misses) and the key of one field: digests of both sample
-    arrays, both grids (equal samples on another spacing are another
-    field), the params, the method and the translation stride."""
+def _memo(kind: str, build, f: QSignal2D, phi: QSignal2D, p: QLCTParams, **request):
+    """`build(f, phi, p, **request)`, served from the enclosing `field_memo`
+    scope, keyed by the kind, the field (digests of both sample arrays, both
+    grids, since equal samples on another spacing are another field, and the
+    params) and the request exactly as passed. A miss builds once and no
+    entry is ever replaced; outside a scope every call builds."""
     memo = _FIELD_MEMO.get()
+    if memo is None:
+        return build(f, phi, p, **request)
     key = (kind, hashlib.sha256(f.samples).hexdigest(),
            hashlib.sha256(phi.samples).hexdigest(),
            repr(f.grid.to_dict()), repr(phi.grid.to_dict()),
-           repr(p.to_dict()), method, y_stride)
-    return ({} if memo is None else memo), key
-
-
-def memo_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
-                     s_values: tuple[float, ...] = (),
-                     pprimes: tuple[float, ...] = (),
-                     log_omega: bool = False,
-                     method: str = "fast", y_stride: int = 1) -> dict:
-    """`gabor_field_stats`, served from the enclosing `field_memo` scope.
-
-    A field's entry records the s values, p' values and ln|omega| flag its
-    pass collected. A request inside those is a hit; any other runs one
-    pass over the union of both requests and replaces the entry. Outside
-    a scope every call is its own pass."""
-    memo, key = _memo_entries("stats", f, phi, p, method, y_stride)
-    have, stats = memo.get(key, (((), (), False), None))
-    want = (tuple(dict.fromkeys((*have[0], *s_values))),
-            tuple(dict.fromkeys((*have[1], *pprimes))), have[2] or log_omega)
-    if stats is None or want != have:
-        stats = gabor_field_stats(f, phi, p, s_values=want[0], pprimes=want[1],
-                                  log_omega=want[2], method=method,
-                                  y_stride=y_stride)
-        memo[key] = (want, stats)
-    return stats
-
-
-def memo_gabor_analyze(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
-                       y_stride: int = 1, method: str = "fast") -> GaborCoefficients:
-    """`gabor.gabor_analyze` with read-only coefficients, built once per
-    distinct field (keyed as in `memo_field_stats`) inside a `field_memo`
-    scope; outside one, every call builds its own."""
-    memo, key = _memo_entries("dense", f, phi, p, method, y_stride)
+           repr(p.to_dict()), tuple(request.items()))
     if key not in memo:
-        memo[key] = gabor.gabor_analyze(f, phi, p, y_stride, method)
-        memo[key].coeffs.flags.writeable = False
+        memo[key] = build(f, phi, p, **request)
     return memo[key]
+
+
+def memo_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, **request) -> dict:
+    """`gabor_field_stats(f, phi, p, **request)`, one pass per distinct
+    field and request inside a `field_memo` scope."""
+    return _memo("stats", gabor_field_stats, f, phi, p, **request)
+
+
+def memo_gabor_analyze(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
+                       method: str = "fast") -> GaborCoefficients:
+    """Stride-1 `gabor.gabor_analyze` with read-only coefficients, built
+    once per distinct field and method inside a `field_memo` scope."""
+    G = _memo("dense", gabor.gabor_analyze, f, phi, p, method=method)
+    G.coeffs.flags.writeable = False
+    return G
 
 
 def _abs_b_product(p: QLCTParams) -> float:
@@ -241,6 +225,11 @@ def _require_nonzero(f: QSignal2D, phi: QSignal2D | None = None):
         raise ValueError("zero signal")
     if phi is not None and phi.l2_norm_sq() == 0.0:
         raise ValueError("zero window")
+
+
+def _require_field_energy(stats: dict):
+    if stats["energy"] == 0.0:
+        raise ValueError("zero Gabor field: no translate of the window meets the signal")
 
 
 def _log_radius(grid) -> np.ndarray:
@@ -274,6 +263,7 @@ def heisenberg_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams, s: float,
     constant lhs/rhs and the optimal-dilation identity residual."""
     _require_nonzero(f, phi)
     stats = memo_field_stats(f, phi, p, s_values=(s,), method=method)
+    _require_field_energy(stats)
     A = stats["moment_omega"][s]
     B = stats["moment_y"][s]
     lhs = math.sqrt(A) * math.sqrt(B)
@@ -459,6 +449,7 @@ def moment_concentration_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     existential, so only the empirical constant is recorded."""
     _require_nonzero(f, phi)
     stats = memo_field_stats(f, phi, p, s_values=(s,), method=method)
+    _require_field_energy(stats)
     joint = stats["moment_joint"][s]
     lhs = f.l2_norm() * phi.l2_norm()
     rhs = math.sqrt(joint)

@@ -260,8 +260,8 @@ def test_criterion_12_lieb():
 
 
 #: Gabor field passes of one seed-0 `verify all --grid 32x32` run: 109
-#: distinct fields, plus the union passes that add ln|omega| (log) and
-#: p' = 2 (lieb) to fields an earlier suite swept.
+#: distinct fields, plus the second requests that log (ln|omega|) and lieb
+#: (p' = 2) make of fields an earlier request swept.
 VERIFY_ALL_PASSES = 111
 
 

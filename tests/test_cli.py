@@ -284,11 +284,29 @@ def _omega_grid_enlarged(manifest, coef):
     return "truncated payload"
 
 
+def _window_norm_sq_nan(manifest, coef):
+    manifest["window_norm_sq"] = float("nan")
+    return "window mismatch"
+
+
+def _window_norm_sq_inf(manifest, coef):
+    manifest["window_norm_sq"] = float("inf")
+    return "window mismatch"
+
+
+def _window_all_zero(manifest, coef):
+    window = load(coef / "window.qsig")
+    save(coef / "window.qsig", QSignal2D(window.grid, np.zeros_like(window.samples)))
+    manifest["window_norm_sq"] = 0.0
+    return "zero window"
+
+
 @pytest.mark.parametrize("corrupt", [_payload_8_bytes_short, _payload_1_extra_byte,
                                      _payload_missing, _payload_nan_at_byte_800,
                                      _payload_bit_62_flipped, _payload_crc32_missing,
                                      _omega_grid_n1_is_9, _y_grid_spacing_edited,
-                                     _omega_grid_enlarged])
+                                     _omega_grid_enlarged, _window_norm_sq_nan,
+                                     _window_norm_sq_inf, _window_all_zero])
 def test_gabor_synthesize_rejects_malformed_manifest(tmp_path, capsys, corrupt):
     src = tmp_path / "f.qsig"
     write_gaussian(src, n=8)

@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 
 from qlct.families import (PARAM_SETS, default_grid, dilated_gaussian,
-                           gaussian, gaussian_chirp, normalized,
+                           gaussian, gaussian_chirp, impulse, normalized,
                            random_quaternion_signal, random_smooth)
 from qlct.gabor import (GaborCoefficients, gabor_analyze, gabor_plancherel_check,
                         translation_grid)
@@ -184,29 +184,27 @@ def test_memo_key_separates_every_field_input(passes):
     assert len(passes) == len(requests)
 
 
-def test_memo_union_entry_is_bit_equal_to_fresh_passes(passes):
+def test_memo_serves_each_request_bit_equal_to_a_fresh_pass(passes):
+    """Each distinct request of one field is its own pass, a repeat is
+    served from its entry, and no entry is replaced."""
     grid = default_grid(8)
     f = random_smooth(grid, np.random.default_rng(80))
     phi = normalized(gaussian(grid, 1.0))
+    requests = [{"s_values": (1.0,)}, {"pprimes": (1.5,), "log_omega": True},
+                {"s_values": (1.0,), "pprimes": (1.5,)}, {"log_omega": True}, {}]
     with field_memo():
-        memo_field_stats(f, phi, FOURIER2, s_values=(1.0,))
-        memo_field_stats(f, phi, FOURIER2, pprimes=(1.5,), log_omega=True)
-        assert len(passes) == 2
-        assert passes[1] == {"s_values": (1.0,), "pprimes": (1.5,),
-                             "log_omega": True, "method": "fast", "y_stride": 1}
-        served = [memo_field_stats(f, phi, FOURIER2, s_values=(1.0,)),
-                  memo_field_stats(f, phi, FOURIER2, pprimes=(1.5,)),
-                  memo_field_stats(f, phi, FOURIER2, log_omega=True)]
-        assert len(passes) == 2
-    fresh = [gabor_field_stats(f, phi, FOURIER2, s_values=(1.0,)),
-             gabor_field_stats(f, phi, FOURIER2, pprimes=(1.5,)),
-             gabor_field_stats(f, phi, FOURIER2, log_omega=True)]
-    for got, want in zip(served, fresh):
-        assert (got["energy"], got["max_abs"]) == (want["energy"], want["max_abs"])
+        first = [memo_field_stats(f, phi, FOURIER2, **kw) for kw in requests]
+        assert passes == requests
+        served = [memo_field_stats(f, phi, FOURIER2, **kw) for kw in requests]
+        assert passes == requests
+    assert all(got is entry for got, entry in zip(served, first))
+    for got, kw in zip(served, requests):
+        want = gabor_field_stats(f, phi, FOURIER2, **kw)
+        assert sorted(got) == sorted(want)
+        for key in ("energy", "max_abs", "log_omega_sum", "cell_volume"):
+            assert got[key] == want[key], (kw, key)
         for key in ("moment_omega", "moment_y", "moment_joint", "power_sums"):
-            for k, v in want[key].items():
-                assert got[key][k] == v, (key, k)
-    assert served[2]["log_omega_sum"] == fresh[2]["log_omega_sum"]
+            assert got[key] == want[key], (kw, key)
 
 
 def test_checks_outside_a_memo_scope_each_make_one_pass(passes):
@@ -223,8 +221,9 @@ def test_checks_outside_a_memo_scope_each_make_one_pass(passes):
     with field_memo():
         for call in calls + calls:
             call()
-    # s = 1 first, then unions for ln|omega| and p' = 1.5
-    assert len(passes) == 2 * len(calls) + 3
+    # one pass per distinct request: s = 1 (shared by the first two checks),
+    # ln|omega|, p' = 1.5 and young's empty request
+    assert len(passes) == 2 * len(calls) + 4
 
 
 def test_memo_gabor_analyze_builds_each_field_once_per_scope():
@@ -235,7 +234,9 @@ def test_memo_gabor_analyze_builds_each_field_once_per_scope():
         G = memo_gabor_analyze(f, f, FOURIER2)
         assert memo_gabor_analyze(f, f, FOURIER2) is G
         assert not G.coeffs.flags.writeable
-        assert memo_gabor_analyze(f, f, FOURIER2, 2) is not G
+        assert memo_gabor_analyze(f, f, FOURIER2, method="direct") is not G
+        with pytest.raises(TypeError):
+            memo_gabor_analyze(f, f, FOURIER2, 2)
         assert np.array_equal(G.coeffs, gabor_analyze(f, f, FOURIER2, 1).coeffs)
     assert memo_gabor_analyze(f, f, FOURIER2) is not G
 
@@ -418,6 +419,34 @@ def test_moment_concentration_rejects_a_moment_order_outside_its_domain(s):
     f = _unit_gaussian8()
     with pytest.raises(ValueError, match="positive and finite"):
         moment_concentration_check(f, f, FOURIER2, s)
+
+
+def _disjoint_impulses8():
+    """Unit impulses at opposite corners of an 8^2 grid: no translate of
+    the window meets the signal, so the zero-padded Gabor field is 0."""
+    grid = default_grid(8)
+    return impulse(grid, (0, 0)), impulse(grid, (7, 7))
+
+
+@pytest.mark.parametrize("method", ["fast", "direct"])
+def test_heisenberg_rejects_a_vanishing_field(method):
+    f, phi = _disjoint_impulses8()
+    with pytest.raises(ValueError, match="zero Gabor field"):
+        heisenberg_check(f, phi, FOURIER2, 1.0, method)
+
+
+@pytest.mark.parametrize("method", ["fast", "direct"])
+def test_moment_concentration_rejects_a_vanishing_field(method):
+    f, phi = _disjoint_impulses8()
+    with pytest.raises(ValueError, match="zero Gabor field"):
+        moment_concentration_check(f, phi, FOURIER2, 1.0, method)
+
+
+@pytest.mark.parametrize("pprime", [0.0, -1.0, math.nan, math.inf])
+def test_field_stats_rejects_a_power_outside_its_domain(pprime):
+    f = _unit_gaussian8()
+    with pytest.raises(ValueError, match="positive and finite"):
+        gabor_field_stats(f, f, FOURIER2, pprimes=(pprime,))
 
 
 # ---------------------------------------------------------------------------
