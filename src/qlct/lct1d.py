@@ -52,10 +52,12 @@ class MatchedSamplingError(ValueError):
 
 
 def _fft_workers() -> int | None:
-    try:
-        w = int(os.environ.get("QLCT_THREADS", "0"))
-    except ValueError:
-        return None
+    """FFT workers from QLCT_THREADS (unset, 0 or 1: single-threaded); a
+    value that is not a non-negative integer raises ValueError."""
+    value = os.environ.get("QLCT_THREADS", "0")
+    if not value.isdecimal():
+        raise ValueError(f"QLCT_THREADS must be a non-negative integer, got {value!r}")
+    w = int(value)
     return w if w > 1 else None
 
 
@@ -185,12 +187,14 @@ def lct_direct(p: LCTParams, sign: int, f: np.ndarray, grid_in: Grid1D,
 class AxisPlan(NamedTuple):
     """One axis of a fast transform, post * step(pre * f) onto grid_out, for
     `lct_fast`, `lct_scale_chirp` and `qlct2d`: pre is all ones for b = 0,
-    step one of "fft", "ifft" (unscaled), "flip" or None."""
+    step one of "fft", "ifft" (unscaled), "flip" or None, and workers the
+    FFT worker count QLCT_THREADS gave when the plan was built."""
 
     pre: np.ndarray
     step: str | None
     post: np.ndarray
     grid_out: Grid1D
+    workers: int | None
 
 
 def axis_plan(p: LCTParams, sign: int, grid_in: Grid1D,
@@ -201,10 +205,12 @@ def axis_plan(p: LCTParams, sign: int, grid_in: Grid1D,
     for b = 0 output sample u reads the input at d*u."""
     _check_sign(sign)
     grid_out = _resolve_out_grid(p, grid_in, grid_out)
+    workers = _fft_workers()
     w = grid_out.coords()
     if p.b == 0:
         post = np.sqrt(abs(p.d)) * np.exp(1j * sign * (p.c * p.d / 2) * w**2)
-        return AxisPlan(np.ones(grid_in.n), None if p.a > 0 else "flip", post, grid_out)
+        return AxisPlan(np.ones(grid_in.n), None if p.a > 0 else "flip", post,
+                        grid_out, workers)
     x = grid_in.coords()
     idx = np.arange(grid_in.n)
     pre = np.exp(1j * sign * ((p.a / (2 * p.b)) * x**2
@@ -212,17 +218,17 @@ def axis_plan(p: LCTParams, sign: int, grid_in: Grid1D,
     post = np.exp(1j * sign * ((p.d / (2 * p.b)) * w**2 - grid_in.x0 * w / p.b
                                - (np.pi / 4) * np.sign(p.b)))
     post = post * (grid_in.dx / np.sqrt(2 * np.pi * abs(p.b)))
-    return AxisPlan(pre, "fft" if sign * p.b > 0 else "ifft", post, grid_out)
+    return AxisPlan(pre, "fft" if sign * p.b > 0 else "ifft", post, grid_out, workers)
 
 
-def axis_step(g: np.ndarray, step: str | None, axis: int) -> np.ndarray:
+def axis_step(g: np.ndarray, plan: AxisPlan, axis: int) -> np.ndarray:
     """A plan's step along one axis of g, which the FFTs may overwrite;
     "flip" and None return views of g."""
-    if step in (None, "flip"):
-        return g if step is None else np.flip(g, axis=axis)
-    fft = scipy.fft.fft if step == "fft" else scipy.fft.ifft
-    return fft(g, axis=axis, norm="forward" if step == "ifft" else None,
-               overwrite_x=True, workers=_fft_workers())
+    if plan.step in (None, "flip"):
+        return g if plan.step is None else np.flip(g, axis=axis)
+    fft = scipy.fft.fft if plan.step == "fft" else scipy.fft.ifft
+    return fft(g, axis=axis, norm="forward" if plan.step == "ifft" else None,
+               overwrite_x=True, workers=plan.workers)
 
 
 def _run_plan(plan: AxisPlan, f) -> tuple[np.ndarray, Grid1D]:
@@ -230,7 +236,7 @@ def _run_plan(plan: AxisPlan, f) -> tuple[np.ndarray, Grid1D]:
     n = plan.grid_out.n
     if f.shape[-1] != n:
         raise ValueError(f"last axis has {f.shape[-1]} samples, grid has {n}")
-    return plan.post * axis_step(f * plan.pre, plan.step, -1), plan.grid_out
+    return plan.post * axis_step(f * plan.pre, plan, -1), plan.grid_out
 
 
 def lct_fast(p: LCTParams, sign: int, f: np.ndarray, grid_in: Grid1D,

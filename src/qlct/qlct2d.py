@@ -23,7 +23,9 @@ Two independent realizations are provided:
   the planes P + M and -i*(P - M); this holds for b = 0 axes too. The
   left kernel is complex-linear, so it commutes with the mixing: two
   separable 2D transforms (chirp * FFT2 * chirp) per transform, cost
-  O(N^2 log N). The kernel maps halves to halves.
+  O(N^2 log N). The kernel maps halves to halves. Its axis plans (a
+  `FastPlan`) depend only on the params and grids, so a Gabor pass builds
+  them once for all its blocks.
 
 For unimodular A the inversion kernel is K_{A^-1}(x, w) = conj K_A(w, x),
 so the inverse transform is the forward transform with A^-1 on each axis,
@@ -34,13 +36,14 @@ rounding, which is far inside the stated tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
 
 from . import report
-from .lct1d import (LCTParams, _fft_workers, _resolve_out_grid, axis_plan,
-                    axis_step, kernel_value)
+from .lct1d import (AxisPlan, LCTParams, _resolve_out_grid, axis_plan, axis_step,
+                    kernel_value)
 # bench/tracing.py wraps these names here; no qlct2d code calls them
 from .lct1d import lct_fast, lct_scale_chirp  # noqa: F401
 from .quat import from_complex_pair, qmul, to_complex_pair
@@ -81,13 +84,13 @@ def _lct2d(plan1, plan2, g):
     pre-chirp, one FFT2 when both axes run the same FFT (else each axis's
     step), post-chirp. The result is C-contiguous."""
     g *= np.multiply.outer(plan1.pre, plan2.pre)
-    workers = _fft_workers()
     if plan1.step == plan2.step == "fft":
-        spec = scipy.fft.fft2(g, overwrite_x=True, workers=workers)
+        spec = scipy.fft.fft2(g, overwrite_x=True, workers=plan1.workers)
     elif plan1.step == plan2.step == "ifft":
-        spec = scipy.fft.ifft2(g, norm="forward", overwrite_x=True, workers=workers)
+        spec = scipy.fft.ifft2(g, norm="forward", overwrite_x=True,
+                               workers=plan1.workers)
     else:
-        spec = axis_step(axis_step(g, plan1.step, -2), plan2.step, -1)
+        spec = axis_step(axis_step(g, plan1, -2), plan2, -1)
     out = spec if spec.flags.c_contiguous else np.empty(spec.shape, complex)
     return np.multiply(spec, np.multiply.outer(plan1.post, plan2.post), out=out)
 
@@ -108,16 +111,27 @@ def _join(P, M, qa, qb):
     np.multiply(np.subtract(P, M, out=P), -1j, out=qb)
 
 
-def _two_sided_fast(p: QLCTParams, u, v, g1in, g2in, g1out=None, g2out=None):
-    """Halves P = K(A1,+1; A2,+1)u/2 and M = K(A1,+1; A2,-1)v/2, which
-    overwrite the input halves u and v, over the last two axes, and their
-    grids; the exact 1/2 rides on the left post-chirp."""
+class FastPlan(NamedTuple):
+    """The axis plans of `_two_sided_fast` for one set of params and grids:
+    the left plan, its post-chirp carrying the exact 1/2 of the halves, and
+    the right plans of kernel sign +1 and -1. A Gabor pass builds one and
+    reuses it for every block."""
+
+    left: AxisPlan
+    plus: AxisPlan
+    minus: AxisPlan
+
+
+def _fast_plan(p: QLCTParams, g1in, g2in, g1out=None, g2out=None) -> FastPlan:
     left = axis_plan(p.A1, 1, g1in, g1out)
-    left = left._replace(post=left.post / 2)
-    plus = axis_plan(p.A2, 1, g2in, g2out)
-    minus = axis_plan(p.A2, -1, g2in, g2out)
-    return (_lct2d(left, plus, u), _lct2d(left, minus, v),
-            left.grid_out, plus.grid_out)
+    return FastPlan(left._replace(post=left.post / 2),
+                    axis_plan(p.A2, 1, g2in, g2out), axis_plan(p.A2, -1, g2in, g2out))
+
+
+def _two_sided_fast(plan: FastPlan, u, v):
+    """Halves P = K(A1,+1; A2,+1)u/2 and M = K(A1,+1; A2,-1)v/2 over the
+    last two axes, which overwrite the input halves u and v."""
+    return _lct2d(plan.left, plan.plus, u), _lct2d(plan.left, plan.minus, v)
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +176,11 @@ def _two_sided(f: QSignal2D, p: QLCTParams, method: str,
     g1, g2 = f.grid.axes
     o1, o2 = (None, None) if out_grid is None else out_grid.axes
     if method == "fast":
-        halves = _halves(*to_complex_pair(f.samples))
-        P, M, o1, o2 = _two_sided_fast(p, *halves, g1, g2, o1, o2)
+        plan = _fast_plan(p, g1, g2, o1, o2)
+        P, M = _two_sided_fast(plan, *_halves(*to_complex_pair(f.samples)))
         out = np.empty((*P.shape, 4))
         _join(P, M, *to_complex_pair(out))
-        return QSignal2D(Grid2D.from_axes(o1, o2), out)
+        return QSignal2D(Grid2D.from_axes(plan.left.grid_out, plan.plus.grid_out), out)
     h, o1 = _left_direct(p.A1, f.samples, g1, o1)
     out, o2 = _right_direct(p.A2, h, g2, o2)
     return QSignal2D(Grid2D.from_axes(o1, o2), out)

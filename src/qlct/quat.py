@@ -77,10 +77,10 @@ def qexp_axis(axis: str, theta) -> np.ndarray:
     raise ValueError(f"axis must be 'i' or 'j', got {axis!r}")
 
 
-def pair_abs_sq(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+def pair_abs_sq(qa: np.ndarray, qb: np.ndarray, out=None) -> np.ndarray:
     """Squared modulus of q = qa + qb*j, summed as w^2 + x^2 + y^2 + z^2
-    in that order."""
-    out = np.square(qa.real)
+    in that order (into out when given)."""
+    out = np.square(qa.real, out=out)
     out += np.square(qa.imag)
     out += np.square(qb.real)
     out += np.square(qb.imag)

@@ -7,11 +7,13 @@ hold up to rounding; existential-constant statements (Heisenberg, Lieb,
 moment concentration) only record the empirical constant that would make
 equality, so callers assert positivity and stability, never a fixed value.
 
-Moment and p-norm accumulations over the Gabor field stream through
-`iter_gabor_blocks`, so grids larger than the dense-storage budget are
-fine. Inside `field_memo` each distinct field is swept once per distinct
-request: checks asking the same sums share one pass, and
-`memo_gabor_analyze` builds each dense field once.
+Moment and p-norm accumulations over the Gabor field stream one y1 row
+of |G|^2 at a time through `gabor.iter_abs_sq_rows`, which fills it from
+the cache-sized blocks of `iter_gabor_blocks`, so grids larger than the
+dense-storage budget are fine and every sum runs over whole rows. Inside
+`field_memo` each distinct field is swept once per distinct request:
+checks asking the same sums share one pass, and `memo_gabor_analyze`
+builds each dense field once.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gabor, report
-from .gabor import GaborCoefficients, forward_grid, iter_gabor_blocks, translation_grid
+from .gabor import GaborCoefficients, forward_grid, iter_abs_sq_rows, translation_grid
+# bench/tracing.py wraps this name here; the passes reach it through gabor
+from .gabor import iter_gabor_blocks  # noqa: F401
 from .qlct2d import QLCTParams, _check_method, qlct_forward_direct, qlct_forward_fast
-from .quat import pair_abs_sq, qabs_sq
+from .quat import qabs_sq
 from .signal import GridMismatchError, QSignal2D
 
 EULER_GAMMA = 0.5772156649015329
@@ -141,9 +145,7 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
         "log_omega_sum": 0.0,
         "omega_grid": omega_grid, "y_grid": y_grid, "cell_volume": cellvol,
     }
-    for iy1, P, M in iter_gabor_blocks(f, phi, p, y_stride, method):
-        mod2 = pair_abs_sq(P, M)  # (ny2, nw1, nw2)
-        mod2 *= 2  # |G|^2 = 2(|P|^2 + |M|^2), exactly
+    for iy1, mod2 in iter_abs_sq_rows(f, phi, p, y_stride, method):
         stats["energy"] += float(mod2.sum())
         stats["max_abs"] = max(stats["max_abs"], float(mod2.max()))
         y_r2 = (y1c[iy1]**2 + y_r2_row)[:, None, None]

@@ -59,6 +59,18 @@ def test_transform_check_reuses_the_signals_it_holds(tmp_path, capsys, monkeypat
     assert capsys.readouterr().out == f"plancherel ratio {ratio!r}\n"
 
 
+@pytest.mark.parametrize("value", ["two", "1.5", "-1"])
+@pytest.mark.parametrize("command", [["forward"], ["gabor", "analyze"]],
+                         ids=["forward", "gabor-analyze"])
+def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, value, command):
+    src = tmp_path / "f.qsig"
+    write_gaussian(src, n=8)
+    monkeypatch.setenv("QLCT_THREADS", value)
+    assert main([*command, "-i", str(src), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: QLCT_THREADS must be a non-negative integer, got {value!r}\n")
+
+
 def test_forward_direct_method(tmp_path):
     src = tmp_path / "f.qsig"
     write_gaussian(src, n=8)

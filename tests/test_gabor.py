@@ -16,7 +16,7 @@ from qlct.gabor import (GaborCoefficients, _translates, export_field_csv,
                         translation_grid)
 from qlct.qlct2d import forward_grid, qlct_forward_fast, qlct_inverse
 from qlct.signal import Grid2D, QSignal2D, WindowSpec, make_window, translate
-from qlct.quat import qconj, qmul
+from qlct.quat import pair_abs_sq, qabs_sq, qconj, qmul
 from qlct.uncertainty import gabor_field_stats
 
 
@@ -424,3 +424,101 @@ def test_translates_equal_translate_at_every_kept_y(n1, n2, stride):
     assert not view.flags.writeable
     with pytest.raises(ValueError):
         view[0, 0, 0, 0, 0] = 2.0
+
+
+# ---------------------------------------------------------------------------
+# blocked sweep: a row of translations runs in blocks of gabor.BLOCK_BYTES
+
+_BLOCK_GRIDS = [(8, 8), (12, 10), (16, 16)]  # ny2 is never a multiple of 3
+
+
+def _block_bytes(grid, stride):
+    """BLOCK_BYTES giving one translation per block, ragged blocks of 3 and
+    one block per whole row."""
+    cell = 16 * grid.n1 * grid.n2
+    return {"one": cell, "ragged": 3 * cell,
+            "row": translation_grid(grid, stride).n2 * cell}
+
+
+def _blocked(grid, stride, monkeypatch, size):
+    monkeypatch.setattr(gabor, "BLOCK_BYTES", _block_bytes(grid, stride)[size])
+
+
+def _y2_slices(f, phi, p, stride):
+    return [(iy1, sl.start, sl.stop)
+            for iy1, sl, _, _ in gabor.iter_gabor_blocks(f, phi, p, stride)]
+
+
+@pytest.mark.parametrize("name", list(PARAM_SETS))
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("n1,n2", _BLOCK_GRIDS)
+def test_block_size_leaves_every_bit(name, stride, n1, n2, monkeypatch):
+    grid = Grid2D.centered(n1, n2, 0.6, 0.5)
+    f = random_quaternion_signal(grid, np.random.default_rng(n1 + n2 + stride))
+    phi = quaternion_window(grid)
+    p = PARAM_SETS[name]
+    ny2 = translation_grid(grid, stride).n2
+    kwargs = dict(s_values=(0.5, 1.0), pprimes=(1.5, 3.0), log_omega=True,
+                  y_stride=stride)
+    results = {}
+    for size in ("one", "ragged", "row"):
+        _blocked(grid, stride, monkeypatch, size)
+        blocks = _y2_slices(f, phi, p, stride)
+        step = {"one": 1, "ragged": 3, "row": ny2}[size]
+        assert blocks == [(iy1, i, min(i + step, ny2))
+                          for iy1 in range(translation_grid(grid, stride).n1)
+                          for i in range(0, ny2, step)], size
+        results[size] = (gabor_field_stats(f, phi, p, **kwargs),
+                         gabor_analyze(f, phi, p, stride).coeffs,
+                         gabor_plancherel_check(f, phi, p).lhs)
+    stats, coeffs, lhs = results["row"]
+    for size in ("one", "ragged"):
+        got_stats, got_coeffs, got_lhs = results[size]
+        for key in ("energy", "max_abs", "log_omega_sum", "moment_omega",
+                    "moment_y", "moment_joint", "power_sums"):
+            assert got_stats[key] == stats[key], (size, key)
+        np.testing.assert_array_equal(got_coeffs, coeffs, err_msg=size)
+        assert got_lhs == lhs, size
+
+
+@pytest.mark.parametrize("name", list(PARAM_SETS))
+def test_multi_block_rows_match_direct(name, monkeypatch):
+    grid = Grid2D.centered(12, 10, 0.6, 0.5)
+    f = random_quaternion_signal(grid, np.random.default_rng(62))
+    phi = quaternion_window(grid)
+    p = PARAM_SETS[name]
+    _blocked(grid, 1, monkeypatch, "ragged")
+    assert len(_y2_slices(f, phi, p, 1)) == 4 * grid.n1
+    fast = gabor_analyze(f, phi, p, 1, "fast").coeffs
+    direct = gabor_analyze(f, phi, p, 1, "direct").coeffs
+    assert np.max(np.abs(fast - direct)) <= 1e-9 * np.max(np.abs(direct))
+    kwargs = dict(s_values=(1.0,), pprimes=(1.5,))
+    sf = gabor_field_stats(f, phi, p, method="fast", **kwargs)
+    sd = gabor_field_stats(f, phi, p, method="direct", **kwargs)
+    assert sf["energy"] == pytest.approx(sd["energy"], rel=1e-9)
+    assert sf["max_abs"] == pytest.approx(sd["max_abs"], rel=1e-9)
+    assert sf["moment_y"][1.0] == pytest.approx(sd["moment_y"][1.0], rel=1e-9)
+    assert sf["power_sums"][1.5] == pytest.approx(sd["power_sums"][1.5], rel=1e-9)
+
+
+@pytest.mark.parametrize("name", list(PARAM_SETS))
+@pytest.mark.parametrize("stride", [1, 2])
+def test_each_translation_keeps_its_windowed_energy(name, stride, monkeypatch):
+    # Plancherel for each y on its own: sum_omega |G(omega, y)|^2 domega
+    # equals sum_x |f(x)|^2 |phi(x - y)|^2 dx, an identity of the discrete
+    # transform that no sum over y can hide
+    grid = Grid2D.centered(16, 12, 0.6, 0.5)
+    f = random_quaternion_signal(grid, np.random.default_rng(63))
+    phi = quaternion_window(grid)
+    p = PARAM_SETS[name]
+    _blocked(grid, stride, monkeypatch, "ragged")
+    dw = forward_grid(grid, p).cell_area
+    window_sq = _translates(qabs_sq(phi.samples)[None], stride)[0]
+    rhs = (qabs_sq(f.samples) * window_sq).sum(axis=(-2, -1)) * grid.cell_area
+    lhs = np.full(rhs.shape, np.nan)
+    blocks = 0
+    for iy1, sl, P, M in gabor.iter_gabor_blocks(f, phi, p, stride):
+        lhs[iy1, sl] = 2 * pair_abs_sq(P, M).sum(axis=(-2, -1)) * dw
+        blocks += 1
+    assert blocks > translation_grid(grid, stride).n1
+    np.testing.assert_array_less(np.abs(lhs - rhs), 1e-12 * rhs)

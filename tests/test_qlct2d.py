@@ -13,9 +13,9 @@ from qlct.gabor import (_translates, _window_halves, gabor_analyze_at,
                         iter_gabor_blocks)
 from qlct.lct1d import (Grid1D, LCTParams, MatchedSamplingError,
                         conjugate_grid, kernel_value)
-from qlct.qlct2d import (QLCTParams, _two_sided_fast, forward_grid,
-                         qlct_forward_direct, qlct_forward_fast, qlct_inverse,
-                         qlct_plancherel_check)
+from qlct.qlct2d import (QLCTParams, _fast_plan, _halves, _two_sided_fast,
+                         forward_grid, qlct_forward_direct, qlct_forward_fast,
+                         qlct_inverse, qlct_plancherel_check)
 from qlct.quat import to_complex_pair
 from qlct.signal import Grid2D, QSignal2D
 from qlct.uncertainty import hausdorff_young_check
@@ -205,12 +205,11 @@ def test_fast_kernel_takes_any_batch_layout(name):
     blocks = _row_block_layouts(grid, np.random.default_rng(27))
     for layout, (bu, bv) in blocks.items():
         assert not bu.flags.c_contiguous, layout
-        P, M, _, _ = _two_sided_fast(p, bu.copy(order="K"), bv.copy(order="K"),
-                                     *grid.axes)
+        plan = _fast_plan(p, *grid.axes)
+        P, M = _two_sided_fast(plan, bu.copy(order="K"), bv.copy(order="K"))
         assert P.flags.c_contiguous and M.flags.c_contiguous, layout
         for i in range(len(bu)):
-            sp, sm, _, _ = _two_sided_fast(p, bu[i].copy(), bv[i].copy(),
-                                           *grid.axes)
+            sp, sm = _two_sided_fast(plan, bu[i].copy(), bv[i].copy())
             np.testing.assert_array_equal(P[i], sp, err_msg=layout)
             np.testing.assert_array_equal(M[i], sm, err_msg=layout)
 
@@ -223,6 +222,29 @@ def test_fft_threads_leave_every_bit(name, monkeypatch):
     monkeypatch.setenv("QLCT_THREADS", "2")
     threaded = qlct_forward_fast(f, PARAM_SETS[name]).samples
     np.testing.assert_array_equal(threaded, single)
+
+
+@pytest.mark.parametrize("value", ["two", "1.5", "-1"])
+def test_bad_thread_count_is_rejected(value, monkeypatch):
+    monkeypatch.setenv("QLCT_THREADS", value)
+    with pytest.raises(ValueError, match="QLCT_THREADS must be a non-negative integer"):
+        _fast_plan(PARAM_SETS["generic"], *default_grid(8).axes)
+
+
+def test_thread_count_is_read_once_per_plan(monkeypatch):
+    # the FFTs take the count the plan read; none reads the environment
+    grid = default_grid(8)
+    f = random_quaternion_signal(grid, np.random.default_rng(28))
+    monkeypatch.setenv("QLCT_THREADS", "2")
+    plan = _fast_plan(PARAM_SETS["neg-b"], *grid.axes)
+    assert [axis.workers for axis in plan] == [2, 2, 2]
+    monkeypatch.setenv("QLCT_THREADS", "bogus")
+    P, M = _two_sided_fast(plan, *_halves(*to_complex_pair(f.samples)))
+    monkeypatch.delenv("QLCT_THREADS")
+    want = _two_sided_fast(_fast_plan(PARAM_SETS["neg-b"], *grid.axes),
+                           *_halves(*to_complex_pair(f.samples)))
+    np.testing.assert_array_equal(P, want[0])
+    np.testing.assert_array_equal(M, want[1])
 
 
 @pytest.mark.parametrize("name", list(PARAM_SETS))

@@ -4,6 +4,7 @@ every wrapper must still call what it wraps with the arguments it passes,
 or `bench/run.py --trace 1` breaks; `pytest bench` is not part of the
 default test run, so these checks live here."""
 
+import importlib
 import os
 import sys
 
@@ -11,7 +12,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench"))
 
 import tracing  # noqa: E402
-from qlct import qlct2d, uncertainty  # noqa: E402
+from qlct import gabor, qlct2d, uncertainty  # noqa: E402
 from qlct.families import PARAM_SETS, gaussian  # noqa: E402
 from qlct.signal import Grid2D  # noqa: E402
 
@@ -39,3 +40,27 @@ def test_tracer_counts_one_field_pass_of_a_young_check(monkeypatch):
     assert (rows, transforms) == (8, 1)
     # two separable 2D transforms, P and M, per Gabor row and per transform
     assert len(kernels) == 2 * (rows + transforms)
+
+
+def test_tracer_counts_each_block_of_a_multi_block_pass(monkeypatch):
+    # a row of 8 translations in blocks of 3 runs as 3 blocks: each is one
+    # gabor.rows span and two separable 2D transforms
+    grid = Grid2D.centered(8, 8, 0.5, 0.5)
+    f = gaussian(grid, 1.0)
+    monkeypatch.setattr(gabor, "BLOCK_BYTES", 3 * 16 * grid.n1 * grid.n2)
+    kernels = []
+    lct2d = qlct2d._lct2d
+    monkeypatch.setattr(qlct2d, "_lct2d",
+                        lambda *args: kernels.append(args) or lct2d(*args))
+    tracer = tracing.Tracer()
+    with tracer.recording(0):
+        uncertainty.young_sup_check(f, f, PARAM_SETS["generic"], 2.0)
+    metrics = tracing.layer_metrics(tracer, [0], 1, 1.0)
+    assert metrics["uncertainty.field_stats.calls"] == 1
+    assert metrics["gabor.rows.calls"] == 8 * 3
+    assert len(kernels) == 2 * 8 * 3
+
+
+def test_row_bindings_resolve_to_the_blocked_sweep():
+    for module, attr in tracing.BINDINGS["gabor.rows"]:
+        assert getattr(importlib.import_module(module), attr) is gabor.iter_gabor_blocks

@@ -9,7 +9,7 @@ from qlct.families import (PARAM_SETS, default_grid, dilated_gaussian,
                            random_quaternion_signal, random_smooth)
 from qlct.gabor import (GaborCoefficients, gabor_analyze, gabor_plancherel_check,
                         translation_grid)
-from qlct.qlct2d import _two_sided_fast, forward_grid, qlct_forward_fast
+from qlct.qlct2d import _fast_plan, _two_sided_fast, forward_grid, qlct_forward_fast
 from qlct.quat import from_complex_pair, qabs_sq, qconj, qmul, to_complex_pair
 from qlct.report import (equality, lower_bound, reports_to_csv,
                          reports_to_json, upper_bound)
@@ -128,7 +128,7 @@ def test_streamed_stats_keep_the_qabs_sq_summation_order():
                             for i2 in range(yg.n2)])
         ga, gb = to_complex_pair(qmul(f.samples[None], qconj(shifted)))
         igb = 1j * gb
-        P, M, _, _ = _two_sided_fast(FOURIER2, ga + igb, ga - igb, *grid.axes)
+        P, M = _two_sided_fast(_fast_plan(FOURIER2, *grid.axes), ga + igb, ga - igb)
         mod2 = 2 * qabs_sq(from_complex_pair(P, M))
         energy += float(mod2.sum())
         y_r2 = (y1[i1]**2 + y2**2)[:, None, None]
