@@ -214,17 +214,23 @@ def _gabor_windows(grid: Grid2D) -> tuple[signal.QSignal2D, signal.QSignal2D]:
 
 def _gaussian_constants(cfg: VerifyConfig, out: Collector, check):
     """Run check(f, f, QFT, 1, method) on normalized unit Gaussians at
-    32^2 and 64^2 and on normalized dilates t in (0.5, 1, 2) on cfg.grid();
+    32^2 and 64^2 and on normalized dilates t in (0.5, 1, 2) on cfg.grid(),
+    failing a case whose per-translation Plancherel residual exceeds 1e-10;
     return the empirical constants keyed by n and by t."""
+    def run(f, family):
+        rep = out.add(check(f, f, QFT, 1.0, cfg.method), family=family)
+        residual = rep.params["plancherel_by_y_residual"]
+        out.fail_if(not residual <= 1e-10,
+                    f"{rep.name} {family}: per-translation Plancherel residual {residual!r}")
+        return rep.empirical_constant
+
     sized, dilated = {}, {}
     for n in (32, 64):
         f = families.normalized(families.gaussian(cfg.grid(n), 1.0))
-        rep = out.add(check(f, f, QFT, 1.0, cfg.method), family=f"gaussian-{n}")
-        sized[n] = rep.empirical_constant
+        sized[n] = run(f, f"gaussian-{n}")
     for t in (0.5, 1.0, 2.0):
         f = families.normalized(families.dilated_gaussian(cfg.grid(), t))
-        rep = out.add(check(f, f, QFT, 1.0, cfg.method), family=f"dilated-{t}")
-        dilated[t] = rep.empirical_constant
+        dilated[t] = run(f, f"dilated-{t}")
     return sized, dilated
 
 

@@ -25,11 +25,13 @@ halves directly: H*phi = (P*conj(alpha) + M*conj(beta))
 - i*(P*beta - M*alpha)*j. The direct path evaluates each translation
 with `gabor_analyze_at`, so it checks the sweep as well as the transform.
 
-A pass builds its transform plans and its window-product buffers once,
-then runs each row of translations in blocks of about `BLOCK_BYTES` per
-half, so that each elementwise pass works on data that stays in cache.
-`iter_abs_sq_rows` gathers |G|^2 back into whole rows, so every sum over
-the field keeps one order and the same bits whatever the block size.
+A pass builds its transform plans, their 2D chirps and its
+window-product buffers once, then runs each row of translations in blocks
+of about `BLOCK_BYTES` per half, so that each elementwise pass works on
+data that stays in cache. `iter_abs_sq_blocks` hands each block's |G|^2
+to its consumer while it is still in cache, one row per translation;
+consumers reduce each translation on its own and then sum the (ny1, ny2)
+tables, so every sum keeps its bits whatever the block size.
 
 Full coefficient storage is (n1*n2)^2 quaternions: about 33 MB for a
 32x32 signal and 16x that for 64x64. Larger runs should subsample with
@@ -149,7 +151,7 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     the y1 row iy1 and the y2 translations y2_slice (Ga = P + M,
     Gb = -i*(P - M), |G|^2 = 2(|P|^2 + |M|^2)), each of shape
     (len(y2 block), nw1, nw2). Each row comes in blocks of about
-    `BLOCK_BYTES` per half, through plans and buffers built once
+    `BLOCK_BYTES` per half, through plans, chirps and buffers built once
     per pass, so P and M are valid only until the next `next()`."""
     if not f.grid.approx_eq(phi.grid):
         raise GridMismatchError("signal and window must share a grid")
@@ -166,6 +168,7 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     fa, fb = to_complex_pair(f.samples)
     ifb = 1j * fb
     plan = _fast_plan(p, *f.grid.axes)
+    chirps = plan.chirps()
     # three allocations, not one (3, ...) block: with the joint block, a
     # 32x32 analyze-and-synthesize process peaked 2 MB higher in RSS
     u, v, tmp = (np.empty((blocks[0].stop, *fa.shape), complex) for _ in range(3))
@@ -178,22 +181,21 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
                    np.multiply(ifb, cbeta[sl], out=bt), out=bu)
             np.subtract(np.multiply(fa, beta[sl], out=bv),
                         np.multiply(ifb, calpha[sl], out=bt), out=bv)
-            yield (iy1, sl, *_two_sided_fast(plan, bu, bv))
+            yield (iy1, sl, *_two_sided_fast(plan, bu, bv, chirps))
 
 
-def iter_abs_sq_rows(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
-                     y_stride: int = 1, method: str = "fast"):
-    """Yield (iy1, mod2), |G|^2 = 2(|P|^2 + |M|^2) over one whole y1 row
-    (ny2, nw1, nw2), written block by block into one buffer that the next
-    row overwrites; sums over a yielded row keep one order whatever the
-    block size."""
-    mod2 = np.empty((translation_grid(f.grid, y_stride).n2,
-                     *forward_grid(f.grid, p).shape))
+def iter_abs_sq_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
+                       y_stride: int = 1, method: str = "fast"):
+    """Yield (iy1, y2_slice, mod2) for each block of `iter_gabor_blocks`:
+    |G|^2 = 2(|P|^2 + |M|^2) as a (k, nw1*nw2) array, one row per
+    translation, in one buffer per pass that the next block overwrites."""
+    buf = None
     for iy1, sl, P, M in iter_gabor_blocks(f, phi, p, y_stride, method):
-        pair_abs_sq(P, M, out=mod2[sl])
-        mod2[sl] *= 2
-        if sl.stop == len(mod2):
-            yield iy1, mod2
+        if buf is None:  # the first block is the largest
+            buf = np.empty(P.shape)
+        mod2 = pair_abs_sq(P, M, out=buf[:len(P)])
+        mod2 *= 2
+        yield iy1, sl, mod2.reshape(len(P), -1)
 
 
 def gabor_analyze(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
@@ -255,14 +257,15 @@ def gabor_synthesize(G: GaborCoefficients, phi: QSignal2D) -> QSignal2D:
 
 def gabor_plancherel_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
                            method: str = "fast") -> report.InequalityReport:
-    """Gabor energy against ||f||^2 ||phi||^2, streamed over y rows."""
+    """Gabor energy against ||f||^2 ||phi||^2, streamed over the blocks;
+    its lhs is summed as `uncertainty.gabor_field_stats` sums its energy."""
     omega_grid = forward_grid(f.grid, p)
     y_grid = translation_grid(f.grid, 1)
     cellvol = omega_grid.cell_area * y_grid.cell_area
-    energy = 0.0
-    for _, mod2 in iter_abs_sq_rows(f, phi, p, 1, method):
-        energy += float(mod2.sum())
-    lhs = energy * cellvol
+    energy = np.empty(y_grid.shape)
+    for iy1, sl, mod2 in iter_abs_sq_blocks(f, phi, p, 1, method):
+        mod2.sum(axis=1, out=energy[iy1, sl])
+    lhs = float(energy.sum()) * cellvol
     rhs = f.l2_norm_sq() * phi.l2_norm_sq()
     return report.equality("gabor-plancherel", lhs, rhs,
                            params={"method": method, **p.to_dict()},

@@ -24,8 +24,9 @@ Two independent realizations are provided:
   left kernel is complex-linear, so it commutes with the mixing: two
   separable 2D transforms (chirp * FFT2 * chirp) per transform, cost
   O(N^2 log N). The kernel maps halves to halves. Its axis plans (a
-  `FastPlan`) depend only on the params and grids, so a Gabor pass builds
-  them once for all its blocks.
+  `FastPlan`) and their 2D chirps depend only on the params and grids, so
+  a Gabor pass builds them once for all its blocks; a lone transform
+  builds each 2D chirp where `_lct2d` applies it.
 
 For unimodular A the inversion kernel is K_{A^-1}(x, w) = conj K_A(w, x),
 so the inverse transform is the forward transform with A^-1 on each axis,
@@ -79,11 +80,15 @@ def _check_method(method: str) -> str:
 # ---------------------------------------------------------------------------
 # fast path (symplectic split, batch-friendly: arrays (..., n1, n2))
 
-def _lct2d(plan1, plan2, g):
+def _lct2d(plan1, plan2, g, chirps=None):
     """One separable 2D transform of g (..., n1, n2), which it overwrites:
     pre-chirp, one FFT2 when both axes run the same FFT (else each axis's
-    step), post-chirp. The result is C-contiguous."""
-    g *= np.multiply.outer(plan1.pre, plan2.pre)
+    step), post-chirp. The result is C-contiguous.
+
+    chirps, the (pre, post) outer products of the plans' chirps, lets a
+    pass build them once for all its blocks; without it each is built at
+    its point of use, so one large transform never holds both."""
+    g *= np.multiply.outer(plan1.pre, plan2.pre) if chirps is None else chirps[0]
     if plan1.step == plan2.step == "fft":
         spec = scipy.fft.fft2(g, overwrite_x=True, workers=plan1.workers)
     elif plan1.step == plan2.step == "ifft":
@@ -92,7 +97,8 @@ def _lct2d(plan1, plan2, g):
     else:
         spec = axis_step(axis_step(g, plan1, -2), plan2, -1)
     out = spec if spec.flags.c_contiguous else np.empty(spec.shape, complex)
-    return np.multiply(spec, np.multiply.outer(plan1.post, plan2.post), out=out)
+    post = np.multiply.outer(plan1.post, plan2.post) if chirps is None else chirps[1]
+    return np.multiply(spec, post, out=out)
 
 
 def _halves(qa, qb):
@@ -114,12 +120,18 @@ def _join(P, M, qa, qb):
 class FastPlan(NamedTuple):
     """The axis plans of `_two_sided_fast` for one set of params and grids:
     the left plan, its post-chirp carrying the exact 1/2 of the halves, and
-    the right plans of kernel sign +1 and -1. A Gabor pass builds one and
-    reuses it for every block."""
+    the right plans of kernel sign +1 and -1. A Gabor pass builds one, and
+    its `chirps`, and reuses them for every block."""
 
     left: AxisPlan
     plus: AxisPlan
     minus: AxisPlan
+
+    def chirps(self):
+        """The 2D (pre, post) chirps of the P and the M transform."""
+        return tuple((np.multiply.outer(self.left.pre, right.pre),
+                      np.multiply.outer(self.left.post, right.post))
+                     for right in (self.plus, self.minus))
 
 
 def _fast_plan(p: QLCTParams, g1in, g2in, g1out=None, g2out=None) -> FastPlan:
@@ -128,10 +140,12 @@ def _fast_plan(p: QLCTParams, g1in, g2in, g1out=None, g2out=None) -> FastPlan:
                     axis_plan(p.A2, 1, g2in, g2out), axis_plan(p.A2, -1, g2in, g2out))
 
 
-def _two_sided_fast(plan: FastPlan, u, v):
+def _two_sided_fast(plan: FastPlan, u, v, chirps=(None, None)):
     """Halves P = K(A1,+1; A2,+1)u/2 and M = K(A1,+1; A2,-1)v/2 over the
-    last two axes, which overwrite the input halves u and v."""
-    return _lct2d(plan.left, plan.plus, u), _lct2d(plan.left, plan.minus, v)
+    last two axes, which overwrite the input halves u and v; chirps, if
+    given, is `plan.chirps()`."""
+    return (_lct2d(plan.left, plan.plus, u, chirps[0]),
+            _lct2d(plan.left, plan.minus, v, chirps[1]))
 
 
 # ---------------------------------------------------------------------------

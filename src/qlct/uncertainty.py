@@ -7,10 +7,13 @@ hold up to rounding; existential-constant statements (Heisenberg, Lieb,
 moment concentration) only record the empirical constant that would make
 equality, so callers assert positivity and stability, never a fixed value.
 
-Moment and p-norm accumulations over the Gabor field stream one y1 row
-of |G|^2 at a time through `gabor.iter_abs_sq_rows`, which fills it from
-the cache-sized blocks of `iter_gabor_blocks`, so grids larger than the
-dense-storage budget are fine and every sum runs over whole rows. Inside
+Moment and p-norm accumulations over the Gabor field stream |G|^2 in
+the cache-sized blocks of `gabor.iter_abs_sq_blocks`, so grids larger
+than the dense-storage budget are fine. Each block is reduced per
+translation while it is in cache, into (ny1, ny2) tables whose sums are
+the totals, so no sum depends on the block size. The energy table also
+gives a per-translation Plancherel witness, which `heisenberg_check` and
+`moment_concentration_check` report. Inside
 `field_memo` each distinct field is swept once per distinct request:
 checks asking the same sums share one pass, and `memo_gabor_analyze`
 builds each dense field once.
@@ -27,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gabor, report
-from .gabor import GaborCoefficients, forward_grid, iter_abs_sq_rows, translation_grid
-# bench/tracing.py wraps this name here; the passes reach it through gabor
+from .gabor import GaborCoefficients, forward_grid, iter_abs_sq_blocks, translation_grid
+# bench/tracing.py wraps this name here, but the passes reach the generator
+# through `iter_abs_sq_blocks`, which calls gabor's own (also wrapped) binding
 from .gabor import iter_gabor_blocks  # noqa: F401
 from .qlct2d import QLCTParams, _check_method, qlct_forward_direct, qlct_forward_fast
 from .quat import qabs_sq
@@ -121,6 +125,11 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
     every check needs: total energy, sup |G|, |omega|/|y|/joint moments,
     p'-th power sums, and the ln|omega| weighted energy.
 
+    Each block of |G|^2 is reduced while it is in cache: one sum, max and
+    `np.vecdot` per translation and omega-weight into (ny1, ny2) tables,
+    whose sums are the totals; `energy_by_y` is the energy table,
+    sum_omega |G(omega, y)|^2 domega on `y_grid`.
+
     Every call is a fresh pass; the checks reach it through
     `memo_field_stats`."""
     if not all(0.0 < s < math.inf for s in s_values):
@@ -131,38 +140,42 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
     y_grid = translation_grid(f.grid, y_stride)
     cellvol = omega_grid.cell_area * y_grid.cell_area
     w1, w2 = omega_grid.meshgrid()
-    omega_r2 = w1**2 + w2**2
-    log_w = _log_radius(omega_grid) if log_omega else None
-    y1c = y_grid.coords1()
-    y_r2_row = y_grid.coords2()**2
-    omega_weights = {s: omega_r2[None]**s for s in s_values}
-    stats = {
-        "energy": 0.0, "max_abs": 0.0,
-        "moment_omega": {s: 0.0 for s in s_values},
-        "moment_y": {s: 0.0 for s in s_values},
-        "moment_joint": {s: 0.0 for s in s_values},
-        "power_sums": {pp: 0.0 for pp in pprimes},
-        "log_omega_sum": 0.0,
+    omega_r2 = (w1**2 + w2**2).ravel()
+    log_w = _log_radius(omega_grid).ravel() if log_omega else None
+    y_r2 = y_grid.coords1()[:, None]**2 + y_grid.coords2()**2
+    omega_weights = {s: omega_r2**s for s in s_values}
+    # one entry per translation: sums over omega, each in its own order
+    shape = y_grid.shape
+    energy, peak, t_log = np.empty(shape), np.empty(shape), np.empty(shape)
+    t_omega = {s: np.empty(shape) for s in s_values}
+    t_joint = {s: np.empty(shape) for s in s_values}
+    t_power = {pp: np.empty(shape) for pp in pprimes}
+    for iy1, sl, mod2 in iter_abs_sq_blocks(f, phi, p, y_stride, method):
+        at = (iy1, sl)
+        mod2.sum(axis=1, out=energy[at])
+        mod2.max(axis=1, out=peak[at])
+        for s in s_values:
+            np.vecdot(mod2, omega_weights[s], out=t_omega[s][at])
+            np.vecdot(mod2, (omega_r2 + y_r2[at][:, None])**s, out=t_joint[s][at])
+        for pp in pprimes:
+            (mod2**(pp / 2)).sum(axis=1, out=t_power[pp][at])
+        if log_omega:
+            np.vecdot(mod2, log_w, out=t_log[at])
+
+    def total(t):
+        return float(t.sum()) * cellvol
+
+    return {
+        "energy": total(energy),
+        "energy_by_y": energy * omega_grid.cell_area,
+        "max_abs": math.sqrt(float(peak.max())),
+        "moment_omega": {s: total(t_omega[s]) for s in s_values},
+        "moment_y": {s: total(y_r2**s * energy) for s in s_values},
+        "moment_joint": {s: total(t_joint[s]) for s in s_values},
+        "power_sums": {pp: total(t_power[pp]) for pp in pprimes},
+        "log_omega_sum": total(t_log) if log_omega else 0.0,
         "omega_grid": omega_grid, "y_grid": y_grid, "cell_volume": cellvol,
     }
-    for iy1, mod2 in iter_abs_sq_rows(f, phi, p, y_stride, method):
-        stats["energy"] += float(mod2.sum())
-        stats["max_abs"] = max(stats["max_abs"], float(mod2.max()))
-        y_r2 = (y1c[iy1]**2 + y_r2_row)[:, None, None]
-        for s in s_values:
-            stats["moment_omega"][s] += float((omega_weights[s] * mod2).sum())
-            stats["moment_y"][s] += float((y_r2**s * mod2).sum())
-            stats["moment_joint"][s] += float(((omega_r2[None] + y_r2)**s * mod2).sum())
-        for pp in pprimes:
-            stats["power_sums"][pp] += float((mod2**(pp / 2)).sum())
-        if log_omega:
-            stats["log_omega_sum"] += float((log_w[None] * mod2).sum())
-    stats["energy"] *= cellvol
-    stats["max_abs"] = math.sqrt(stats["max_abs"])
-    for key in ("moment_omega", "moment_y", "moment_joint", "power_sums"):
-        stats[key] = {k: v * cellvol for k, v in stats[key].items()}
-    stats["log_omega_sum"] *= cellvol
-    return stats
 
 
 #: Entries of the enclosing `field_memo` scope; None outside any scope.
@@ -234,6 +247,25 @@ def _require_field_energy(stats: dict):
         raise ValueError("zero Gabor field: no translate of the window meets the signal")
 
 
+def _windowed_energy(f: QSignal2D, phi: QSignal2D) -> np.ndarray:
+    """sum_x |f(x)|^2 |phi(x - y)|^2 dx for every stride-1 translation y,
+    one y1 row of the translation sweep at a time."""
+    f_mod2 = qabs_sq(f.samples)
+    sweep = gabor._translates(qabs_sq(phi.samples)[None])[0]
+    out = np.empty(sweep.shape[:2])
+    for iy1, row in enumerate(sweep):
+        out[iy1] = np.einsum("kxy,xy->k", row, f_mod2)
+    return out * f.grid.cell_area
+
+
+def _plancherel_by_y_residual(f: QSignal2D, phi: QSignal2D, stats: dict) -> float:
+    """Plancherel for each translation alone: max over y of
+    |sum_omega |G(omega, y)|^2 domega - sum_x |f(x)|^2 |phi(x - y)|^2 dx|,
+    over the largest right side."""
+    rhs = _windowed_energy(f, phi)
+    return float(np.max(np.abs(stats["energy_by_y"] - rhs)) / np.max(rhs))
+
+
 def _log_radius(grid) -> np.ndarray:
     x1, x2 = grid.meshgrid()
     r2 = x1**2 + x2**2
@@ -277,6 +309,8 @@ def heisenberg_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams, s: float,
                                      "amgm_at_tstar": at_tstar,
                                      "amgm_sqrt_ab": target,
                                      "amgm_rel_err": rel,
+                                     "plancherel_by_y_residual":
+                                         _plancherel_by_y_residual(f, phi, stats),
                                      "method": method, **p.to_dict()},
                              grid=f.grid.to_dict())
     return rep
@@ -458,5 +492,7 @@ def moment_concentration_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     return report.upper_bound("moment-concentration", lhs, rhs,
                               empirical_constant=lhs / rhs,
                               params={"s": s, "moment_joint": joint,
+                                      "plancherel_by_y_residual":
+                                          _plancherel_by_y_residual(f, phi, stats),
                                       "method": method, **p.to_dict()},
                               grid=f.grid.to_dict())

@@ -14,7 +14,9 @@ from qlct.gabor import (GaborCoefficients, _translates, export_field_csv,
                         gabor_plancherel_check, gabor_synthesize,
                         load_coefficients, save_coefficients, spectrogram,
                         translation_grid)
-from qlct.qlct2d import forward_grid, qlct_forward_fast, qlct_inverse
+from qlct.lct1d import LCTParams
+from qlct.qlct2d import (QLCTParams, _fast_plan, _two_sided_fast, forward_grid,
+                         qlct_forward_fast, qlct_inverse)
 from qlct.signal import Grid2D, QSignal2D, WindowSpec, make_window, translate
 from qlct.quat import pair_abs_sq, qabs_sq, qconj, qmul
 from qlct.uncertainty import gabor_field_stats
@@ -522,3 +524,45 @@ def test_each_translation_keeps_its_windowed_energy(name, stride, monkeypatch):
         blocks += 1
     assert blocks > translation_grid(grid, stride).n1
     np.testing.assert_array_less(np.abs(lhs - rhs), 1e-12 * rhs)
+
+
+# b = 0 left axes: their plans' pre-chirps are all ones and they run no
+# FFT; with a < 0 the step is a flip, whose result takes a fresh array
+_CHIRP_PARAMS = {**PARAM_SETS,
+                 "b1-zero": QLCTParams(LCTParams(1.0, 0.0, 0.5, 1.0),
+                                       PARAM_SETS["fourier"].A2),
+                 "b1-zero-flip": QLCTParams(LCTParams(-1.0, 0.0, 0.5, -1.0),
+                                            PARAM_SETS["fourier"].A2)}
+
+
+@pytest.mark.parametrize("name", list(_CHIRP_PARAMS))
+def test_pass_chirps_keep_every_bit(name, monkeypatch):
+    # a pass builds its 2D chirps once and hands them to every block; each
+    # block's P and M must equal a lone transform of the same windowed
+    # halves that builds each chirp where it applies it
+    grid = Grid2D.centered(12, 10, 0.6, 0.5)
+    f = random_quaternion_signal(grid, np.random.default_rng(64))
+    phi = quaternion_window(grid)
+    p = _CHIRP_PARAMS[name]
+    _blocked(grid, 1, monkeypatch, "ragged")
+    calls = []
+    two_sided = gabor._two_sided_fast
+
+    def spy(plan, u, v, *chirps):
+        calls.append((u.copy(), v.copy(), chirps))
+        return two_sided(plan, u, v, *chirps)
+
+    monkeypatch.setattr(gabor, "_two_sided_fast", spy)
+    plan = _fast_plan(p, *grid.axes)
+    for iy1, sl, P, M in gabor.iter_gabor_blocks(f, phi, p):
+        u, v, _ = calls[-1]
+        want_P, want_M = _two_sided_fast(plan, u, v)
+        np.testing.assert_array_equal(P, want_P, err_msg=f"P {iy1} {sl}")
+        np.testing.assert_array_equal(M, want_M, err_msg=f"M {iy1} {sl}")
+    assert len(calls) == 4 * grid.n1
+    # one set of chirps, built by the pass, reaches every block
+    chirps = calls[0][2][0]
+    assert all(len(c[2]) == 1 and c[2][0] is chirps for c in calls)
+    # the Plancherel check and the field stats read one energy table
+    monkeypatch.undo()
+    assert gabor_plancherel_check(f, phi, p).lhs == gabor_field_stats(f, phi, p)["energy"]

@@ -15,7 +15,8 @@ from qlct.report import (equality, lower_bound, reports_to_csv,
                          reports_to_json, upper_bound)
 from qlct.signal import (Grid2D, GridMismatchError, QSignal2D, WindowSpec,
                          make_window, translate)
-from qlct import uncertainty
+from qlct import gabor, uncertainty
+from qlct.cli import main
 from qlct.uncertainty import (D_LOG, RegionMask, amgm_dilation_identity,
                               concentration_check, epsilon_concentration_check,
                               field_memo, gabor_field_stats,
@@ -105,9 +106,11 @@ def test_streamed_stats_match_dense_moments():
 
 def test_streamed_stats_keep_the_qabs_sq_summation_order():
     """Energy and moments bit-equal to a reference that windows with qmul,
-    splits the product into its halves, transforms them and reads
-    |G|^2 = 2(|P|^2 + |M|^2) with qabs_sq, so a real window's stats keep
-    the order the seed-0 verify report was pinned with."""
+    splits the product into its halves, transforms them, reads
+    |G|^2 = 2(|P|^2 + |M|^2) with qabs_sq, reduces each translation on its
+    own (a sum, and one dot product per omega-weight) and then sums the
+    (y1, y2) tables, so a real window's stats keep the order the seed-0
+    verify report was pinned with."""
     grid = default_grid(32)
     f = random_quaternion_signal(grid, np.random.default_rng(70))
     phi = normalized(gaussian(grid, 1.0))
@@ -117,12 +120,12 @@ def test_streamed_stats_keep_the_qabs_sq_summation_order():
     og = forward_grid(grid, FOURIER2)
     yg = translation_grid(grid)
     w1, w2 = og.meshgrid()
-    omega_r2 = w1**2 + w2**2
+    omega_r2 = (w1**2 + w2**2).ravel()
     y1, y2 = yg.coords1(), yg.coords2()
-    energy = 0.0
-    mo = dict.fromkeys(s_values, 0.0)
-    my = dict.fromkeys(s_values, 0.0)
-    mj = dict.fromkeys(s_values, 0.0)
+    y_r2 = np.empty(yg.shape)
+    energy = np.empty(yg.shape)
+    mo = {s: np.empty(yg.shape) for s in s_values}
+    mj = {s: np.empty(yg.shape) for s in s_values}
     for i1 in range(yg.n1):
         shifted = np.stack([translate(phi, (y1[i1], y2[i2])).samples
                             for i2 in range(yg.n2)])
@@ -130,18 +133,60 @@ def test_streamed_stats_keep_the_qabs_sq_summation_order():
         igb = 1j * gb
         P, M = _two_sided_fast(_fast_plan(FOURIER2, *grid.axes), ga + igb, ga - igb)
         mod2 = 2 * qabs_sq(from_complex_pair(P, M))
-        energy += float(mod2.sum())
-        y_r2 = (y1[i1]**2 + y2**2)[:, None, None]
-        for s in s_values:
-            mo[s] += float((omega_r2[None]**s * mod2).sum())
-            my[s] += float((y_r2**s * mod2).sum())
-            mj[s] += float(((omega_r2[None] + y_r2)**s * mod2).sum())
+        for i2 in range(yg.n2):
+            cell = mod2[i2].ravel()
+            y_r2[i1, i2] = y1[i1]**2 + y2[i2]**2
+            energy[i1, i2] = cell.sum()
+            for s in s_values:
+                mo[s][i1, i2] = np.dot(omega_r2**s, cell)
+                mj[s][i1, i2] = np.dot((omega_r2 + y_r2[i1, i2])**s, cell)
     cellvol = og.cell_area * yg.cell_area
-    assert stats["energy"] == energy * cellvol
+    assert stats["energy"] == float(energy.sum()) * cellvol
+    np.testing.assert_array_equal(stats["energy_by_y"], energy * og.cell_area)
     for s in s_values:
-        assert stats["moment_omega"][s] == mo[s] * cellvol
-        assert stats["moment_y"][s] == my[s] * cellvol
-        assert stats["moment_joint"][s] == mj[s] * cellvol
+        assert stats["moment_omega"][s] == float(mo[s].sum()) * cellvol
+        assert stats["moment_y"][s] == float((y_r2**s * energy).sum()) * cellvol
+        assert stats["moment_joint"][s] == float(mj[s].sum()) * cellvol
+
+
+# ---------------------------------------------------------------------------
+# per-translation Plancherel witness
+
+def _quaternion_window(grid):
+    vals = gaussian(grid, 0.8).samples[..., :1] * np.array([1.0, 0.3, -0.2, 0.5])
+    return QSignal2D(grid, vals)
+
+
+@pytest.mark.parametrize("name", list(PARAM_SETS))
+def test_gabor_reports_carry_the_per_translation_plancherel_residual(name, monkeypatch):
+    grid = Grid2D.centered(16, 12, 0.6, 0.5)
+    f = random_quaternion_signal(grid, np.random.default_rng(66))
+    phi = _quaternion_window(grid)
+    p = PARAM_SETS[name]
+    # rows of 12 translations in blocks of 5
+    monkeypatch.setattr(gabor, "BLOCK_BYTES", 5 * 16 * grid.n1 * grid.n2)
+    window_sq = gabor._translates(qabs_sq(phi.samples)[None])[0]
+    rhs = (qabs_sq(f.samples) * window_sq).sum(axis=(-2, -1)) * grid.cell_area
+    np.testing.assert_allclose(uncertainty._windowed_energy(f, phi), rhs, rtol=1e-14)
+    stats = gabor_field_stats(f, phi, p, s_values=(1.0,))
+    want = np.max(np.abs(stats["energy_by_y"] - rhs)) / np.max(rhs)
+    reports = [heisenberg_check(f, phi, p, 1.0), moment_concentration_check(f, phi, p, 1.0)]
+    for rep in reports:
+        got = rep.params["plancherel_by_y_residual"]
+        assert got <= 1e-12, (rep.name, got)
+        assert got == pytest.approx(want, rel=1e-6, abs=1e-17), rep.name
+
+
+def test_a_window_shifted_on_the_right_side_fails_the_residual(monkeypatch, capsys):
+    windowed_energy = uncertainty._windowed_energy
+    monkeypatch.setattr(uncertainty, "_windowed_energy", lambda f, phi: windowed_energy(
+        f, QSignal2D(phi.grid, np.roll(phi.samples, 1, axis=0))))
+    f = normalized(gaussian(default_grid(16), 1.0))
+    for check in (heisenberg_check, moment_concentration_check):
+        assert check(f, f, FOURIER2, 1.0).params["plancherel_by_y_residual"] > 1e-10
+    assert main(["verify", "heisenberg", "--trials", "2", "--grid", "16x16"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("per-translation Plancherel residual") == 5, err
 
 
 # ---------------------------------------------------------------------------
