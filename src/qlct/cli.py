@@ -177,8 +177,10 @@ def cmd_gabor_spectrogram(args) -> int:
 class Collector:
     """Reports and failures of one suite run.
 
-    `add` stamps a report with the run's seed and its tags and keeps it;
-    `fail_if` records a failure message when its condition holds.
+    `add` stamps a report with the run's seed and its tags and keeps it,
+    failing a Gabor report whose per-translation Plancherel residual
+    exceeds 1e-10; `fail_if` records a failure message when its condition
+    holds.
     """
 
     def __init__(self, seed: int):
@@ -193,6 +195,13 @@ class Collector:
         rep.params.update(tags)
         rep.seed = self.seed
         self.reports.append(rep)
+        residual = rep.params.get("plancherel_by_y_residual")
+        if residual is not None:
+            case = " ".join(f"{k} {rep.params[k]}" for k in ("family", "trial")
+                            if k in rep.params)
+            self.fail_if(not residual <= 1e-10,
+                         f"{rep.name} {case}: per-translation Plancherel residual "
+                         f"{residual!r}")
         return rep
 
     def fail_if(self, bad: bool, msg: str) -> None:
@@ -212,33 +221,39 @@ def _gabor_windows(grid: Grid2D) -> tuple[signal.QSignal2D, signal.QSignal2D]:
             signal.QSignal2D(grid, cell))
 
 
-def _gaussian_constants(cfg: VerifyConfig, out: Collector, check):
-    """Run check(f, f, QFT, 1, method) on normalized unit Gaussians at
-    32^2 and 64^2 and on normalized dilates t in (0.5, 1, 2) on cfg.grid(),
-    failing a case whose per-translation Plancherel residual exceeds 1e-10;
-    return the empirical constants keyed by n and by t."""
-    def run(f, family):
-        rep = out.add(check(f, f, QFT, 1.0, cfg.method), family=family)
-        residual = rep.params["plancherel_by_y_residual"]
-        out.fail_if(not residual <= 1e-10,
-                    f"{rep.name} {family}: per-translation Plancherel residual {residual!r}")
-        return rep.empirical_constant
+def _gaussian_cases(cfg: VerifyConfig) -> list[tuple[str, signal.QSignal2D]]:
+    """(family, f) of the normalized unit Gaussians at 32^2 and 64^2 and
+    the normalized dilates t in (0.5, 1, 2) on cfg.grid()."""
+    return ([(f"gaussian-{n}", families.normalized(families.gaussian(cfg.grid(n), 1.0)))
+             for n in (32, 64)]
+            + [(f"dilated-{t}", families.normalized(families.dilated_gaussian(cfg.grid(), t)))
+               for t in (0.5, 1.0, 2.0)])
 
-    sized, dilated = {}, {}
-    for n in (32, 64):
-        f = families.normalized(families.gaussian(cfg.grid(n), 1.0))
-        sized[n] = run(f, f"gaussian-{n}")
-    for t in (0.5, 1.0, 2.0):
-        f = families.normalized(families.dilated_gaussian(cfg.grid(), t))
-        dilated[t] = run(f, f"dilated-{t}")
-    return sized, dilated
+
+def _gaussian_constants(cfg: VerifyConfig, out: Collector, check):
+    """Run check(f, f, QFT, 1, method) on each of `_gaussian_cases`; return
+    the empirical constants keyed by n and by t."""
+    consts = {family: out.add(check(f, f, QFT, 1.0, cfg.method), family=family)
+              .empirical_constant for family, f in _gaussian_cases(cfg)}
+    return ({n: consts[f"gaussian-{n}"] for n in (32, 64)},
+            {t: consts[f"dilated-{t}"] for t in (0.5, 1.0, 2.0)})
+
+
+def _gaussian_fields(cfg: VerifyConfig):
+    return [(f, f, QFT, {"s_values": (1.0,), "method": cfg.method})
+            for _, f in _gaussian_cases(cfg)]
+
+
+def _table_fields(cfg: VerifyConfig):
+    f = families.normalized(families.gaussian(cfg.grid(32), 1.0))
+    return [(f, f, QFT, {"abs_sq_table": True, "method": cfg.method})]
 
 
 def _unit_gaussian_field(cfg: VerifyConfig):
-    """Normalized 32^2 Gaussian and its stride-1 Gabor field against itself,
-    built once per run (`uncertainty.field_memo`)."""
-    f = families.normalized(families.gaussian(cfg.grid(32), 1.0))
-    return f, uncertainty.memo_gabor_analyze(f, f, QFT, method=cfg.method)
+    """Normalized 32^2 Gaussian and the stats, |G|^2 table included, of its
+    stride-1 field against itself."""
+    [(f, phi, p, request)] = _table_fields(cfg)
+    return f, uncertainty.memo_field_stats(f, phi, p, **request)
 
 
 def suite_plancherel(cfg: VerifyConfig, out: Collector):
@@ -292,12 +307,23 @@ def suite_heisenberg(cfg: VerifyConfig, out: Collector):
                 f"heisenberg C dilation stability: {dil!r}")
 
 
-def suite_log(cfg: VerifyConfig, out: Collector):
+def _log_cases(cfg: VerifyConfig):
+    """The window and the (family, f) cases of the log suite."""
     grid = cfg.grid(32)
     phi = families.normalized(families.gaussian(grid, 1.0))
     cases = [("gaussian", families.normalized(families.gaussian(grid, 1.0)))]
     cases += [(f"dilated-{t}", families.normalized(families.dilated_gaussian(grid, t)))
               for t in (0.5, 2.0)]
+    return phi, cases
+
+
+def _log_fields(cfg: VerifyConfig):
+    phi, cases = _log_cases(cfg)
+    return [(f, phi, QFT, {"log_omega": True, "method": cfg.method}) for _, f in cases]
+
+
+def suite_log(cfg: VerifyConfig, out: Collector):
+    phi, cases = _log_cases(cfg)
     for name, f in cases:
         rep = out.add(uncertainty.log_check(f, phi, QFT, cfg.method), family=name)
         out.fail_if(rep.margin < -1e-3, f"log {name}: margin {rep.margin!r}")
@@ -312,6 +338,14 @@ def suite_lemma_log(cfg: VerifyConfig, out: Collector):
         rep = out.add(uncertainty.lemma_log_identity_check(f, phi, QFT), family=family)
         gap = rep.params["rel_gap"]
         out.fail_if(gap > tol, f"lemma-log {label}: rel gap {gap!r}")
+
+
+def _lieb_fields(cfg: VerifyConfig):
+    f = families.gaussian(cfg.grid(32), 1.0)
+    f64 = families.gaussian(cfg.grid(64), 1.0)
+    return [(g, phi, QFT, {"pprimes": (pp,), "method": cfg.method})
+            for g, phi, pp in ((f, f, 1.5), (f.scaled(2.0), f.scaled(3.0), 1.5),
+                               (f64, f64, 1.5), (f, f, 2.0))]
 
 
 def suite_lieb(cfg: VerifyConfig, out: Collector):
@@ -338,14 +372,18 @@ def suite_lieb(cfg: VerifyConfig, out: Collector):
     out.fail_if(not rep2.notes, "lieb p'=2 report does not flag the printed constant")
 
 
-def suite_young(cfg: VerifyConfig, out: Collector):
+def _young_fields(cfg: VerifyConfig):
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid(16)
     phi = signal.make_window(WindowSpec("gaussian", (1.0, 1.0)), grid)
-    for k in range(cfg.n_trials(100)):
-        f = families.random_smooth(grid, rng)
+    return [(families.random_smooth(grid, rng), phi, QFT, {"method": cfg.method})
+            for _ in range(cfg.n_trials(100))]
+
+
+def suite_young(cfg: VerifyConfig, out: Collector):
+    for k, (f, phi, p, _) in enumerate(_young_fields(cfg)):
         for hp in (2.0, 4.0):
-            rep = out.add(uncertainty.young_sup_check(f, phi, QFT, hp, cfg.method), trial=k)
+            rep = out.add(uncertainty.young_sup_check(f, phi, p, hp, cfg.method), trial=k)
             out.fail_if(rep.margin < -1e-6, f"young trial {k} p={hp}: margin {rep.margin!r}")
 
 
@@ -361,21 +399,22 @@ def suite_hausdorff_young(cfg: VerifyConfig, out: Collector):
 
 def suite_concentration(cfg: VerifyConfig, out: Collector):
     rng = np.random.default_rng(cfg.seed)
-    f, G = _unit_gaussian_field(cfg)
+    f, stats = _unit_gaussian_field(cfg)
     for m in (0.25, 0.5, 0.9):
-        mask = uncertainty.random_mask(G, m, rng)
-        rep = out.add(uncertainty.concentration_check(G, mask, f.l2_norm(), f.l2_norm()),
+        mask = uncertainty.random_mask(stats, m, rng)
+        rep = out.add(uncertainty.concentration_check(stats, QFT, mask,
+                                                      f.l2_norm(), f.l2_norm()),
                       family=f"random-mask-{m}")
         out.fail_if(rep.margin < -1e-6,
                     f"concentration measure {m}: margin {rep.margin!r}")
 
 
 def suite_eps_concentration(cfg: VerifyConfig, out: Collector):
-    _, G = _unit_gaussian_field(cfg)
+    _, stats = _unit_gaussian_field(cfg)
     measures = {}
     for eps in (0.5, 0.1):
-        mask = uncertainty.greedy_minimal_mask(G, 1.0 - eps)
-        rep = out.add(uncertainty.epsilon_concentration_check(G, mask, eps),
+        mask = uncertainty.greedy_minimal_mask(stats, 1.0 - eps)
+        rep = out.add(uncertainty.epsilon_concentration_check(stats, QFT, mask, eps),
                       family=f"greedy-{eps}")
         measures[eps] = mask.measure
         out.fail_if(rep.margin < 0, f"eps-concentration eps={eps}: margin {rep.margin!r}")
@@ -408,6 +447,25 @@ SUITES = {
 }
 VERIFY_NAMES = list(SUITES)
 
+#: The (f, phi, p, request) pairs each suite asks of
+#: `uncertainty.memo_field_stats`, declared so that a run can sweep each
+#: Gabor field once over the union of its requests.
+SUITE_FIELDS = {
+    "heisenberg": _gaussian_fields,
+    "log": _log_fields,
+    "lieb": _lieb_fields,
+    "young": _young_fields,
+    "concentration": _table_fields,
+    "eps-concentration": _table_fields,
+    "moment-concentration": _gaussian_fields,
+}
+
+
+def declared_fields(cfg: VerifyConfig, names) -> list:
+    """The field requests the named suites declare, in run order."""
+    return [pair for name in names if name in SUITE_FIELDS
+            for pair in SUITE_FIELDS[name](cfg)]
+
 
 def cmd_verify(args) -> int:
     cfg = VerifyConfig(seed=args.seed, trials=args.trials, method=args.method)
@@ -423,7 +481,7 @@ def cmd_verify(args) -> int:
     all_reports: list[report.InequalityReport] = []
     all_failures: list[str] = []
     # one sweep per distinct Gabor field in this run; entries end with it
-    with uncertainty.field_memo():
+    with uncertainty.field_memo(declared_fields(cfg, names)):
         for name in names:
             out = Collector(cfg.seed)
             SUITES[name](cfg, out)

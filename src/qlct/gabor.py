@@ -34,8 +34,12 @@ consumers reduce each translation on its own and then sum the (ny1, ny2)
 tables, so every sum keeps its bits whatever the block size.
 
 Full coefficient storage is (n1*n2)^2 quaternions: about 33 MB for a
-32x32 signal and 16x that for 64x64. Larger runs should subsample with
-y_stride or stream through `iter_gabor_blocks`.
+32x32 signal and 16x that for 64x64, built only by `gabor_analyze`.
+Larger runs should subsample with y_stride or stream through
+`iter_gabor_blocks`, as every `qlct verify` suite does; the concentration
+suites read the (n1*n2)^2 float64 |G|^2 table that
+`uncertainty.gabor_field_stats` copies out of the stream, a quarter of
+that size (8 MiB at 32x32, its budget).
 
 A coefficient directory, known to this module only, holds `coeffs.f64`
 (the raw little-endian float64 field, shaped by the manifest's grids and

@@ -12,11 +12,14 @@ the cache-sized blocks of `gabor.iter_abs_sq_blocks`, so grids larger
 than the dense-storage budget are fine. Each block is reduced per
 translation while it is in cache, into (ny1, ny2) tables whose sums are
 the totals, so no sum depends on the block size. The energy table also
-gives a per-translation Plancherel witness, which `heisenberg_check` and
-`moment_concentration_check` report. Inside
-`field_memo` each distinct field is swept once per distinct request:
-checks asking the same sums share one pass, and `memo_gabor_analyze`
-builds each dense field once.
+gives a per-translation Plancherel witness, which the heisenberg, log,
+lieb, young and moment-concentration reports carry. The concentration
+checks read the |G|^2 table a pass copies out of the same blocks, never a
+dense quaternion field.
+
+Inside a `field_memo` scope each distinct field is swept once over the
+union of the requests declared for it, and each request is served from
+that pass with the bits a lone pass would give.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ D_LOG = PSI_HALF - math.log(math.pi)
 
 @dataclass
 class RegionMask:
-    """Boolean region over the (omega, y) cells with its Lebesgue measure."""
+    """Boolean region over the cells of a |G|^2 table, indexed (y1, y2,
+    omega1, omega2), with its Lebesgue measure."""
 
     mask: np.ndarray
     cell_volume: float
@@ -61,32 +65,46 @@ class RegionMask:
         return float(np.count_nonzero(self.mask)) * self.cell_volume
 
 
-def random_mask(G: GaborCoefficients, target_measure: float,
+def _abs_sq_table(stats: dict) -> np.ndarray:
+    table = stats["abs_sq_table"]
+    if table is None:
+        raise ValueError("these field stats carry no |G|^2 table; "
+                         "request it with abs_sq_table=True")
+    return table
+
+
+def random_mask(stats: dict, target_measure: float,
                 rng: np.random.Generator) -> RegionMask:
-    """Uniformly random cells totalling approximately target_measure."""
-    cv = G.cell_volume
-    shape = G.coeffs.shape[:4]
-    total = int(np.prod(shape))
+    """Uniformly random cells of the |G|^2 table of `stats` totalling
+    approximately target_measure. Cells are drawn by flat index over
+    (omega1, omega2, y1, y2), the dense field's order, so a seed draws
+    the same cells whichever way the field is stored."""
+    table, cv = _abs_sq_table(stats), stats["cell_volume"]
+    ny1, ny2, nw1, nw2 = table.shape
+    total = table.size
     count = max(1, min(total, round(target_measure / cv)))
-    flat = rng.choice(total, size=count, replace=False)
-    mask = np.zeros(total, dtype=bool)
-    mask[flat] = True
-    return RegionMask(mask.reshape(shape), cv)
+    mask = np.zeros((nw1, nw2, ny1, ny2), dtype=bool)
+    mask.reshape(-1)[rng.choice(total, size=count, replace=False)] = True
+    return RegionMask(mask.transpose(2, 3, 0, 1), cv)
 
 
-def greedy_minimal_mask(G: GaborCoefficients, capture: float) -> RegionMask:
+def greedy_minimal_mask(stats: dict, capture: float) -> RegionMask:
     """Smallest-measure mask capturing at least `capture` of absolute Gabor
-    energy, built by taking cells in descending |G|^2 order."""
-    cv = G.cell_volume
-    mod2 = G.modulus_sq().ravel()
-    order = np.argsort(mod2)[::-1]
-    csum = np.cumsum(mod2[order]) * cv
+    energy: the k largest cells of the |G|^2 table of `stats`, with k read
+    off the running energy of the cells in descending order."""
+    table, cv = _abs_sq_table(stats), stats["cell_volume"]
+    flat = table.reshape(-1)
+    # one table-sized buffer: descending |G|^2, then its running energy
+    csum = np.sort(flat)[::-1]
+    np.cumsum(csum, out=csum)
+    csum *= cv
     k = int(np.searchsorted(csum, capture - 1e-12)) + 1
-    if k > len(order):
+    if k > flat.size:
         raise ValueError(f"field energy {csum[-1]!r} cannot capture {capture!r}")
-    mask = np.zeros(mod2.shape, dtype=bool)
-    mask[order[:k]] = True
-    return RegionMask(mask.reshape(G.coeffs.shape[:4]), cv)
+    del csum
+    mask = np.zeros(flat.size, dtype=bool)
+    mask[np.argpartition(flat, flat.size - k)[flat.size - k:]] = True
+    return RegionMask(mask.reshape(table.shape), cv)
 
 
 # ---------------------------------------------------------------------------
@@ -116,19 +134,27 @@ def moment(G: GaborCoefficients, which: str, s: float) -> float:
     return float(np.sum(weight * mod2) * G.cell_volume)
 
 
+#: Largest |G|^2 table a pass copies out: the stride-1 field of a 32x32
+#: signal, 32^4 float64 cells (8 MiB).
+TABLE_BUDGET_BYTES = 32**4 * 8
+
+
 def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
                       s_values: tuple[float, ...] = (),
                       pprimes: tuple[float, ...] = (),
-                      log_omega: bool = False,
+                      log_omega: bool = False, abs_sq_table: bool = False,
                       method: str = "fast", y_stride: int = 1) -> dict:
     """One streamed pass over the Gabor field collecting the weighted sums
     every check needs: total energy, sup |G|, |omega|/|y|/joint moments,
-    p'-th power sums, and the ln|omega| weighted energy.
+    p'-th power sums, the ln|omega| weighted energy and, with
+    abs_sq_table, |G|^2 itself.
 
     Each block of |G|^2 is reduced while it is in cache: one sum, max and
     `np.vecdot` per translation and omega-weight into (ny1, ny2) tables,
     whose sums are the totals; `energy_by_y` is the energy table,
-    sum_omega |G(omega, y)|^2 domega on `y_grid`.
+    sum_omega |G(omega, y)|^2 domega on `y_grid`. The |G|^2 table is
+    indexed (y1, y2, omega1, omega2); one above `TABLE_BUDGET_BYTES`
+    raises ValueError before the pass starts.
 
     Every call is a fresh pass; the checks reach it through
     `memo_field_stats`."""
@@ -138,6 +164,13 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
         raise ValueError(f"powers p' must be positive and finite, got {pprimes}")
     omega_grid = forward_grid(f.grid, p)
     y_grid = translation_grid(f.grid, y_stride)
+    if abs_sq_table:
+        nbytes = 8 * omega_grid.n1 * omega_grid.n2 * y_grid.n1 * y_grid.n2
+        if nbytes > TABLE_BUDGET_BYTES:
+            raise ValueError(f"the |G|^2 table of a {f.grid.n1}x{f.grid.n2} field at "
+                             f"stride {y_stride} takes {nbytes} bytes, above the "
+                             f"{TABLE_BUDGET_BYTES} byte budget")
+        table = np.empty((*y_grid.shape, omega_grid.n1 * omega_grid.n2))
     cellvol = omega_grid.cell_area * y_grid.cell_area
     w1, w2 = omega_grid.meshgrid()
     omega_r2 = (w1**2 + w2**2).ravel()
@@ -161,6 +194,8 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
             (mod2**(pp / 2)).sum(axis=1, out=t_power[pp][at])
         if log_omega:
             np.vecdot(mod2, log_w, out=t_log[at])
+        if abs_sq_table:
+            table[at] = mod2
 
     def total(t):
         return float(t.sum()) * cellvol
@@ -174,61 +209,98 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
         "moment_joint": {s: total(t_joint[s]) for s in s_values},
         "power_sums": {pp: total(t_power[pp]) for pp in pprimes},
         "log_omega_sum": total(t_log) if log_omega else 0.0,
+        "abs_sq_table": table.reshape(*shape, *omega_grid.shape) if abs_sq_table else None,
         "omega_grid": omega_grid, "y_grid": y_grid, "cell_volume": cellvol,
     }
 
 
-#: Entries of the enclosing `field_memo` scope; None outside any scope.
-_FIELD_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+#: (planned unions by field, entries) of the enclosing `field_memo` scope;
+#: None outside any scope.
+_FIELD_MEMO: contextvars.ContextVar[tuple[dict, dict] | None] = contextvars.ContextVar(
     "qlct_field_memo", default=None)
 
 
-@contextlib.contextmanager
-def field_memo():
-    """Scope in which `memo_field_stats` sweeps each distinct Gabor field
-    once per distinct request and `memo_gabor_analyze` builds it once.
+def _field_key(f: QSignal2D, phi: QSignal2D, p: QLCTParams, request: dict):
+    """(field, sums) halves of a request: digests of both sample arrays,
+    both grids (equal samples on another spacing are another field), the
+    params, method and stride; then the sums asked for, as passed."""
+    sums = dict(request)
+    field = (hashlib.sha256(f.samples).hexdigest(), hashlib.sha256(phi.samples).hexdigest(),
+             repr(f.grid.to_dict()), repr(phi.grid.to_dict()), repr(p.to_dict()),
+             sums.pop("method", "fast"), sums.pop("y_stride", 1))
+    return field, sums
 
-    Entries live in a context variable, so they are dropped when the scope
-    exits and never shared with calls outside it (`qlct verify` opens one
-    scope per run)."""
-    token = _FIELD_MEMO.set({})
+
+def _union(requests: list[dict]) -> dict:
+    """One request asking every sum that any of `requests` asks."""
+    return {"s_values": tuple(sorted({s for r in requests for s in r.get("s_values", ())})),
+            "pprimes": tuple(sorted({pp for r in requests for pp in r.get("pprimes", ())})),
+            "log_omega": any(r.get("log_omega", False) for r in requests),
+            "abs_sq_table": any(r.get("abs_sq_table", False) for r in requests)}
+
+
+def _served(stats: dict, sums: dict) -> dict:
+    """What a lone pass asking `sums` returns, cut from the stats of a pass
+    over a union that covers them."""
+    s_values, pprimes = sums.get("s_values", ()), sums.get("pprimes", ())
+    return {**stats,
+            **{key: {s: stats[key][s] for s in s_values}
+               for key in ("moment_omega", "moment_y", "moment_joint")},
+            "power_sums": {pp: stats["power_sums"][pp] for pp in pprimes},
+            "log_omega_sum": stats["log_omega_sum"] if sums.get("log_omega") else 0.0,
+            "abs_sq_table": stats["abs_sq_table"] if sums.get("abs_sq_table") else None}
+
+
+@contextlib.contextmanager
+def field_memo(plan=()):
+    """Scope in which `memo_field_stats` serves each Gabor field's sums.
+
+    plan lists the (f, phi, p, request) pairs the scope will ask for. The
+    first request on a planned field makes one pass over the union of the
+    field's planned requests, and each request it covers is served from
+    that pass: every statistic is its own per-translation table, so it
+    has the bits a lone pass gives. Any other request makes its own pass,
+    once per scope. Entries live in a context variable, so they are
+    dropped when the scope exits and never shared with calls outside it
+    (`qlct verify` opens one scope per run)."""
+    fields: dict = {}
+    for f, phi, p, request in plan:
+        field, sums = _field_key(f, phi, p, request)
+        fields.setdefault(field, []).append(sums)
+    token = _FIELD_MEMO.set(({k: _union(v) for k, v in fields.items()}, {}))
     try:
         yield
     finally:
         _FIELD_MEMO.reset(token)
 
 
-def _memo(kind: str, build, f: QSignal2D, phi: QSignal2D, p: QLCTParams, **request):
-    """`build(f, phi, p, **request)`, served from the enclosing `field_memo`
-    scope, keyed by the kind, the field (digests of both sample arrays, both
-    grids, since equal samples on another spacing are another field, and the
-    params) and the request exactly as passed. A miss builds once and no
-    entry is ever replaced; outside a scope every call builds."""
+def memo_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, **request) -> dict:
+    """`gabor_field_stats(f, phi, p, **request)`, served from the enclosing
+    `field_memo` scope, whose entries are read-only and never replaced;
+    outside a scope every call is a pass."""
     memo = _FIELD_MEMO.get()
     if memo is None:
-        return build(f, phi, p, **request)
-    key = (kind, hashlib.sha256(f.samples).hexdigest(),
-           hashlib.sha256(phi.samples).hexdigest(),
-           repr(f.grid.to_dict()), repr(phi.grid.to_dict()),
-           repr(p.to_dict()), tuple(request.items()))
-    if key not in memo:
-        memo[key] = build(f, phi, p, **request)
-    return memo[key]
+        return gabor_field_stats(f, phi, p, **request)
+    unions, entries = memo
+    field, sums = _field_key(f, phi, p, request)
+    key = (field, tuple(sums.items()))
+    if key not in entries:
+        union = unions.get(field)
+        if union is not None and sums.keys() <= union.keys() and _union([union, sums]) == union:
+            if (field, None) not in entries:
+                entries[field, None] = _read_only(
+                    gabor_field_stats(f, phi, p, **{**request, **union}))
+            entries[key] = _served(entries[field, None], sums)
+        else:
+            entries[key] = _read_only(gabor_field_stats(f, phi, p, **request))
+    return entries[key]
 
 
-def memo_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, **request) -> dict:
-    """`gabor_field_stats(f, phi, p, **request)`, one pass per distinct
-    field and request inside a `field_memo` scope."""
-    return _memo("stats", gabor_field_stats, f, phi, p, **request)
-
-
-def memo_gabor_analyze(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
-                       method: str = "fast") -> GaborCoefficients:
-    """Stride-1 `gabor.gabor_analyze` with read-only coefficients, built
-    once per distinct field and method inside a `field_memo` scope."""
-    G = _memo("dense", gabor.gabor_analyze, f, phi, p, method=method)
-    G.coeffs.flags.writeable = False
-    return G
+def _read_only(stats: dict) -> dict:
+    for value in stats.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return stats
 
 
 def _abs_b_product(p: QLCTParams) -> float:
@@ -263,7 +335,9 @@ def _plancherel_by_y_residual(f: QSignal2D, phi: QSignal2D, stats: dict) -> floa
     |sum_omega |G(omega, y)|^2 domega - sum_x |f(x)|^2 |phi(x - y)|^2 dx|,
     over the largest right side."""
     rhs = _windowed_energy(f, phi)
-    return float(np.max(np.abs(stats["energy_by_y"] - rhs)) / np.max(rhs))
+    gap = np.max(np.abs(stats["energy_by_y"] - rhs))
+    # 0 for a zero signal, which young_sup_check accepts
+    return float(gap / np.max(rhs)) if gap else 0.0
 
 
 def _log_radius(grid) -> np.ndarray:
@@ -339,6 +413,8 @@ def log_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
                               params={"D": D_LOG, "ln_b": ln_b,
                                       "x_term": x_term,
                                       "omega_term": stats["log_omega_sum"],
+                                      "plancherel_by_y_residual":
+                                          _plancherel_by_y_residual(f, phi, stats),
                                       "method": method, **p.to_dict()},
                               grid=f.grid.to_dict())
 
@@ -390,6 +466,8 @@ def lieb_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams, p_prime: float,
     return report.upper_bound("lieb", lhs, rhs,
                               empirical_constant=lhs / scale,
                               params={"p_prime": p_prime, "abs_b1b2": babs,
+                                      "plancherel_by_y_residual":
+                                          _plancherel_by_y_residual(f, phi, stats),
                                       "method": method, **p.to_dict()},
                               grid=f.grid.to_dict(), notes=notes)
 
@@ -411,6 +489,8 @@ def young_sup_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     rhs = _abs_b_product(p)**-0.5 / (2 * math.pi) * f_norm * phi_norm
     return report.upper_bound("young", lhs, rhs,
                               params={"holder_p": holder_p, "holder_q": holder_q,
+                                      "plancherel_by_y_residual":
+                                          _plancherel_by_y_residual(f, phi, stats),
                                       "method": method, **p.to_dict()},
                               grid=f.grid.to_dict())
 
@@ -441,42 +521,46 @@ def hausdorff_young_check(f: QSignal2D, p: QLCTParams, pp: float,
                               grid=f.grid.to_dict())
 
 
-def concentration_check(G: GaborCoefficients, mask: RegionMask,
+def concentration_check(stats: dict, p: QLCTParams, mask: RegionMask,
                         f_norm: float, phi_norm: float) -> report.InequalityReport:
     """||f|| ||phi|| against the complement energy blown up by
-    1/sqrt(1 - m(Sigma)), for 0 < m(Sigma) < 1."""
+    1/sqrt(1 - m(Sigma)), for 0 < m(Sigma) < 1, on the |G|^2 table of
+    `stats`, a pass over the field under params p."""
     m = mask.measure
     if not 0.0 < m < 1.0:
         raise ValueError(f"mask measure must lie in (0, 1), got {m!r}")
-    if mask.mask.shape != G.coeffs.shape[:4]:
-        raise ValueError("mask shape does not match the coefficient field")
-    comp = float(np.sum(G.modulus_sq()[~mask.mask]) * G.cell_volume)
+    table = _abs_sq_table(stats)
+    if mask.mask.shape != table.shape:
+        raise ValueError("mask shape does not match the |G|^2 table")
+    comp = float(np.sum(table[~mask.mask]) * stats["cell_volume"])
     lhs = f_norm * phi_norm
     rhs = math.sqrt(comp) / math.sqrt(1.0 - m)
     return report.upper_bound("concentration", lhs, rhs,
                               params={"measure": m,
                                       "complement_energy": comp,
-                                      **G.params.to_dict()})
+                                      **p.to_dict()})
 
 
-def epsilon_concentration_check(G: GaborCoefficients, mask: RegionMask,
+def epsilon_concentration_check(stats: dict, p: QLCTParams, mask: RegionMask,
                                 epsilon: float) -> report.InequalityReport:
     """Measure lower bound 2 pi sqrt|b1 b2| (1 - eps) <= m(Sigma) for a
-    region capturing at least 1 - eps of the energy of unit-norm data."""
+    region capturing at least 1 - eps of the energy of unit-norm data, on
+    the |G|^2 table of `stats`, a pass over the field under params p."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    if mask.mask.shape != G.coeffs.shape[:4]:
-        raise ValueError("mask shape does not match the coefficient field")
-    captured = float(np.sum(G.modulus_sq()[mask.mask]) * G.cell_volume)
+    table = _abs_sq_table(stats)
+    if mask.mask.shape != table.shape:
+        raise ValueError("mask shape does not match the |G|^2 table")
+    captured = float(np.sum(table[mask.mask]) * stats["cell_volume"])
     if captured + 1e-9 < 1.0 - epsilon:
         raise ValueError(f"mask captures {captured!r} < 1 - eps = {1 - epsilon!r}; "
                          "hypothesis unmet (normalize f and phi first)")
-    babs = _abs_b_product(G.params)
+    babs = _abs_b_product(p)
     lhs = 2 * math.pi * math.sqrt(babs) * (1.0 - epsilon)
     rhs = mask.measure
     return report.upper_bound("eps-concentration", lhs, rhs,
                               params={"epsilon": epsilon, "captured": captured,
-                                      "abs_b1b2": babs, **G.params.to_dict()})
+                                      "abs_b1b2": babs, **p.to_dict()})
 
 
 def moment_concentration_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlct import uncertainty
+from qlct import gabor, uncertainty
 from qlct.cli import main
 from qlct.families import (PARAM_SETS, default_grid, dilated_gaussian,
                            gaussian, normalized, random_quaternion_signal,
@@ -23,7 +23,7 @@ from qlct.qlct2d import (qlct_forward_direct, qlct_forward_fast, qlct_inverse,
                          qlct_plancherel_check)
 from qlct.signal import Grid2D, QSignal2D, WindowSpec, make_window
 from qlct.uncertainty import (amgm_dilation_identity, concentration_check,
-                              epsilon_concentration_check,
+                              epsilon_concentration_check, gabor_field_stats,
                               greedy_minimal_mask, heisenberg_check,
                               lemma_log_identity_check, lieb_check, log_check,
                               random_mask, young_sup_check)
@@ -218,17 +218,17 @@ def test_criterion_11_concentration():
     grid = Grid2D.centered(32, 32, 0.25, 0.25)
     f = normalized(gaussian(grid, 1.0))
     p = PARAM_SETS["fourier"]
-    G = gabor_analyze(f, f, p, 1)
+    stats = gabor_field_stats(f, f, p, abs_sq_table=True)
     worst = np.inf
     for m in (0.25, 0.5, 0.9):
-        mask = random_mask(G, m, rng)
-        rep = concentration_check(G, mask, 1.0, 1.0)
+        mask = random_mask(stats, m, rng)
+        rep = concentration_check(stats, p, mask, 1.0, 1.0)
         worst = min(worst, rep.margin)
     assert worst >= -1e-6, f"concentration min margin {worst}"
     worst_eps = np.inf
     for eps in (0.1, 0.5):
-        mask = greedy_minimal_mask(G, 1.0 - eps)
-        rep = epsilon_concentration_check(G, mask, eps)
+        mask = greedy_minimal_mask(stats, 1.0 - eps)
+        rep = epsilon_concentration_check(stats, p, mask, eps)
         worst_eps = min(worst_eps, rep.margin)
     assert worst_eps >= 0, f"eps-concentration min margin {worst_eps}"
     _ok(11, f"concentration margins >= {worst:.2e}, "
@@ -259,10 +259,11 @@ def test_criterion_12_lieb():
             f"p'=2 reproduces Plancherel and is flagged")
 
 
-#: Gabor field passes of one seed-0 `verify all --grid 32x32` run: 109
-#: distinct fields, plus the second requests that log (ln|omega|) and lieb
-#: (p' = 2) make of fields an earlier request swept.
-VERIFY_ALL_PASSES = 111
+#: Gabor field passes of one seed-0 `verify all --grid 32x32` run: one per
+#: distinct field over the union of its declared requests. log's ln|omega|,
+#: lieb's p' = 2 and the concentration suites' |G|^2 table join passes that
+#: heisenberg and lieb make anyway.
+VERIFY_ALL_PASSES = 109
 
 
 @pytest.fixture(scope="module")
@@ -282,8 +283,13 @@ def verify_all_runs(tmp_path_factory, verify_all_passes):
         verify_all_passes[-1] += 1
         return original(*args, **kwargs)
 
+    def dense(*args, **kwargs):
+        raise AssertionError("verify built a dense Gabor field")
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(uncertainty, "gabor_field_stats", counted)
+        mp.setattr(gabor, "gabor_analyze", dense)
+        mp.setattr(gabor.GaborCoefficients, "__init__", dense)
         for path in paths:
             verify_all_passes.append(0)
             start = time.perf_counter()

@@ -1,10 +1,11 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qlct import gabor, qlct2d, uncertainty
+from qlct import cli, gabor, qlct2d, uncertainty
 from qlct.cli import main
 from qlct.families import PARAM_SETS, gaussian, impulse
 from qlct.signal import Grid2D, QSignal2D, load, save
@@ -366,6 +367,24 @@ def test_verify_runs_share_no_field_entries(monkeypatch, capsys):
         assert "suite young: pass (6 reports)" in capsys.readouterr().out
         # one pass per trial field serves both Hoelder exponents
         assert len(passes) == 3 * run
+
+
+def test_concentration_suites_stay_within_32_mib():
+    """Both concentration suites in one scope read the 8 MiB |G|^2 table of
+    one pass, so together they hold less than the 32 MiB dense 32^2 field."""
+    cfg = cli.VerifyConfig()
+    names = ["concentration", "eps-concentration"]
+    tracemalloc.start()
+    try:
+        with uncertainty.field_memo(cli.declared_fields(cfg, names)):
+            for name in names:
+                out = cli.Collector(cfg.seed)
+                cli.SUITES[name](cfg, out)
+                assert out.reports and not out.failures
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_verify_unknown_suite_rejected(capsys):

@@ -22,8 +22,7 @@ from qlct.uncertainty import (D_LOG, RegionMask, amgm_dilation_identity,
                               field_memo, gabor_field_stats,
                               greedy_minimal_mask, hausdorff_young_check,
                               heisenberg_check, lemma_log_identity_check,
-                              lieb_check, log_check, memo_field_stats,
-                              memo_gabor_analyze, moment,
+                              lieb_check, log_check, memo_field_stats, moment,
                               moment_concentration_check, random_mask,
                               young_sup_check)
 
@@ -104,58 +103,79 @@ def test_streamed_stats_match_dense_moments():
         float(np.sum(mod**1.5)) * G.cell_volume, rel=1e-12)
 
 
-def test_streamed_stats_keep_the_qabs_sq_summation_order():
-    """Energy and moments bit-equal to a reference that windows with qmul,
-    splits the product into its halves, transforms them, reads
-    |G|^2 = 2(|P|^2 + |M|^2) with qabs_sq, reduces each translation on its
-    own (a sum, and one dot product per omega-weight) and then sums the
-    (y1, y2) tables, so a real window's stats keep the order the seed-0
-    verify report was pinned with."""
-    grid = default_grid(32)
-    f = random_quaternion_signal(grid, np.random.default_rng(70))
-    phi = normalized(gaussian(grid, 1.0))
-    s_values = (0.5, 1.0)
-    stats = gabor_field_stats(f, phi, FOURIER2, s_values=s_values)
-
-    og = forward_grid(grid, FOURIER2)
-    yg = translation_grid(grid)
-    w1, w2 = og.meshgrid()
-    omega_r2 = (w1**2 + w2**2).ravel()
-    y1, y2 = yg.coords1(), yg.coords2()
-    y_r2 = np.empty(yg.shape)
-    energy = np.empty(yg.shape)
-    mo = {s: np.empty(yg.shape) for s in s_values}
-    mj = {s: np.empty(yg.shape) for s in s_values}
-    for i1 in range(yg.n1):
-        shifted = np.stack([translate(phi, (y1[i1], y2[i2])).samples
-                            for i2 in range(yg.n2)])
+def _qmul_halves(f, phi, p):
+    """(P, M) of each y1 row of translations, windowed with qmul and
+    translate and split into the transform halves."""
+    yg = translation_grid(f.grid)
+    plan = _fast_plan(p, *f.grid.axes)
+    for y1 in yg.coords1():
+        shifted = np.stack([translate(phi, (y1, y2)).samples for y2 in yg.coords2()])
         ga, gb = to_complex_pair(qmul(f.samples[None], qconj(shifted)))
         igb = 1j * gb
-        P, M = _two_sided_fast(_fast_plan(FOURIER2, *grid.axes), ga + igb, ga - igb)
-        mod2 = 2 * qabs_sq(from_complex_pair(P, M))
-        for i2 in range(yg.n2):
-            cell = mod2[i2].ravel()
-            y_r2[i1, i2] = y1[i1]**2 + y2[i2]**2
-            energy[i1, i2] = cell.sum()
-            for s in s_values:
-                mo[s][i1, i2] = np.dot(omega_r2**s, cell)
-                mj[s][i1, i2] = np.dot((omega_r2 + y_r2[i1, i2])**s, cell)
-    cellvol = og.cell_area * yg.cell_area
-    assert stats["energy"] == float(energy.sum()) * cellvol
-    np.testing.assert_array_equal(stats["energy_by_y"], energy * og.cell_area)
-    for s in s_values:
-        assert stats["moment_omega"][s] == float(mo[s].sum()) * cellvol
-        assert stats["moment_y"][s] == float((y_r2**s * energy).sum()) * cellvol
-        assert stats["moment_joint"][s] == float(mj[s].sum()) * cellvol
+        yield _two_sided_fast(plan, ga + igb, ga - igb)
 
 
-# ---------------------------------------------------------------------------
-# per-translation Plancherel witness
+def _pass_halves(f, phi, p):
+    """(P, M) of each y1 row as the pass's own blocks hold them."""
+    for _, sl, P, M in gabor.iter_gabor_blocks(f, phi, p):
+        assert sl == slice(0, f.grid.n2)  # one block per row
+        yield P, M
+
+
+def test_streamed_stats_keep_the_qabs_sq_summation_order():
+    """Energy, moments and the |G|^2 table bit-equal to a reference that
+    reads |G|^2 = 2(|P|^2 + |M|^2) with qabs_sq, reduces each translation
+    on its own (a sum, and one dot product per omega-weight) and then sums
+    the (y1, y2) tables, so a real window's stats keep the order the
+    seed-0 verify report was pinned with. With a real window under the
+    Fourier params the halves come from qmul windowing. The generic and
+    neg-b params with a quaternion window, whose qmul windowing rounds
+    otherwise, take the pass's own halves and pin the per-translation
+    kernel: at s = 1.5 (generic) and 0.25 (neg-b) a row-wide weighted sum
+    in place of `np.vecdot` moves the omega and the joint moment."""
+    grid = default_grid(32)
+    f = random_quaternion_signal(grid, np.random.default_rng(70))
+    s_values = (0.25, 0.5, 1.0, 1.5)
+    qwin = _quaternion_window(grid)
+    for p, phi, halves in ((FOURIER2, normalized(gaussian(grid, 1.0)), _qmul_halves),
+                           (PARAM_SETS["generic"], qwin, _pass_halves),
+                           (PARAM_SETS["neg-b"], qwin, _pass_halves)):
+        stats = gabor_field_stats(f, phi, p, s_values=s_values, abs_sq_table=True)
+        og = forward_grid(grid, p)
+        yg = translation_grid(grid)
+        w1, w2 = og.meshgrid()
+        omega_r2 = (w1**2 + w2**2).ravel()
+        y1, y2 = yg.coords1(), yg.coords2()
+        y_r2 = np.empty(yg.shape)
+        energy = np.empty(yg.shape)
+        mo = {s: np.empty(yg.shape) for s in s_values}
+        mj = {s: np.empty(yg.shape) for s in s_values}
+        for i1, (P, M) in enumerate(halves(f, phi, p)):
+            mod2 = 2 * qabs_sq(from_complex_pair(P, M))
+            np.testing.assert_array_equal(stats["abs_sq_table"][i1], mod2)
+            for i2 in range(yg.n2):
+                cell = mod2[i2].ravel()
+                y_r2[i1, i2] = y1[i1]**2 + y2[i2]**2
+                energy[i1, i2] = cell.sum()
+                for s in s_values:
+                    mo[s][i1, i2] = np.dot(omega_r2**s, cell)
+                    mj[s][i1, i2] = np.dot((omega_r2 + y_r2[i1, i2])**s, cell)
+        cellvol = og.cell_area * yg.cell_area
+        assert stats["energy"] == float(energy.sum()) * cellvol
+        np.testing.assert_array_equal(stats["energy_by_y"], energy * og.cell_area)
+        for s in s_values:
+            assert stats["moment_omega"][s] == float(mo[s].sum()) * cellvol
+            assert stats["moment_y"][s] == float((y_r2**s * energy).sum()) * cellvol
+            assert stats["moment_joint"][s] == float(mj[s].sum()) * cellvol
+
 
 def _quaternion_window(grid):
     vals = gaussian(grid, 0.8).samples[..., :1] * np.array([1.0, 0.3, -0.2, 0.5])
     return QSignal2D(grid, vals)
 
+
+# ---------------------------------------------------------------------------
+# per-translation Plancherel witness
 
 @pytest.mark.parametrize("name", list(PARAM_SETS))
 def test_gabor_reports_carry_the_per_translation_plancherel_residual(name, monkeypatch):
@@ -229,27 +249,88 @@ def test_memo_key_separates_every_field_input(passes):
     assert len(passes) == len(requests)
 
 
+def _assert_stats_equal(got, want, where):
+    assert sorted(got) == sorted(want), where
+    for key in ("energy", "max_abs", "log_omega_sum", "cell_volume", "moment_omega",
+                "moment_y", "moment_joint", "power_sums"):
+        assert got[key] == want[key], (where, key)
+    np.testing.assert_array_equal(got["energy_by_y"], want["energy_by_y"])
+    if want["abs_sq_table"] is None:
+        assert got["abs_sq_table"] is None, where
+    else:
+        np.testing.assert_array_equal(got["abs_sq_table"], want["abs_sq_table"])
+
+
 def test_memo_serves_each_request_bit_equal_to_a_fresh_pass(passes):
-    """Each distinct request of one field is its own pass, a repeat is
-    served from its entry, and no entry is replaced."""
+    """Undeclared, each distinct request of one field is its own pass;
+    declared, one pass over their union serves them all. Either way a
+    repeat is served from its entry, no entry is replaced, and each
+    request gets the bits of a lone fresh pass, its |G|^2 table included."""
     grid = default_grid(8)
     f = random_smooth(grid, np.random.default_rng(80))
     phi = normalized(gaussian(grid, 1.0))
     requests = [{"s_values": (1.0,)}, {"pprimes": (1.5,), "log_omega": True},
-                {"s_values": (1.0,), "pprimes": (1.5,)}, {"log_omega": True}, {}]
-    with field_memo():
-        first = [memo_field_stats(f, phi, FOURIER2, **kw) for kw in requests]
-        assert passes == requests
-        served = [memo_field_stats(f, phi, FOURIER2, **kw) for kw in requests]
-        assert passes == requests
-    assert all(got is entry for got, entry in zip(served, first))
-    for got, kw in zip(served, requests):
-        want = gabor_field_stats(f, phi, FOURIER2, **kw)
-        assert sorted(got) == sorted(want)
-        for key in ("energy", "max_abs", "log_omega_sum", "cell_volume"):
-            assert got[key] == want[key], (kw, key)
-        for key in ("moment_omega", "moment_y", "moment_joint", "power_sums"):
-            assert got[key] == want[key], (kw, key)
+                {"s_values": (1.0,), "pprimes": (1.5,)}, {"log_omega": True}, {},
+                {"abs_sq_table": True}, {"s_values": (0.5, 1.0), "abs_sq_table": True}]
+    union = {"s_values": (0.5, 1.0), "pprimes": (1.5,), "log_omega": True,
+             "abs_sq_table": True}
+    for plan, want_passes in (((), requests),
+                              ([(f, phi, FOURIER2, kw) for kw in requests], [union])):
+        passes.clear()
+        with field_memo(plan):
+            first = [memo_field_stats(f, phi, FOURIER2, **kw) for kw in requests]
+            assert passes == want_passes
+            served = [memo_field_stats(f, phi, FOURIER2, **kw) for kw in requests]
+            assert passes == want_passes
+        assert all(got is entry for got, entry in zip(served, first))
+        for got, kw in zip(served, requests):
+            _assert_stats_equal(got, gabor_field_stats(f, phi, FOURIER2, **kw), kw)
+
+
+def test_a_declared_scope_makes_one_pass_per_distinct_field(passes):
+    """Every check of a declared field, the |G|^2 table's readers among
+    them, is served from one pass; the direct method is a field of its
+    own, and served arrays are read-only."""
+    grid = default_grid(8)
+    f = normalized(gaussian(grid, 1.0))
+    g = random_smooth(grid, np.random.default_rng(81))
+    plan = [(f, f, FOURIER2, {"s_values": (1.0,)}), (f, f, FOURIER2, {"log_omega": True}),
+            (f, f, FOURIER2, {"pprimes": (1.5,)}), (f, f, FOURIER2, {"pprimes": (2.0,)}),
+            (f, f, FOURIER2, {"abs_sq_table": True}), (f, f, FOURIER2, {}),
+            (g, f, FOURIER2, {}), (f, f, FOURIER2, {"s_values": (1.0,), "method": "direct"})]
+    calls = [lambda: heisenberg_check(f, f, FOURIER2, 1.0),
+             lambda: moment_concentration_check(f, f, FOURIER2, 1.0),
+             lambda: log_check(f, f, FOURIER2),
+             lambda: lieb_check(f, f, FOURIER2, 1.5),
+             lambda: lieb_check(f, f, FOURIER2, 2.0),
+             lambda: young_sup_check(f, f, FOURIER2, 2.0),
+             lambda: young_sup_check(g, f, FOURIER2, 4.0),
+             lambda: heisenberg_check(f, f, FOURIER2, 1.0, "direct")]
+    with field_memo(plan):
+        for call in calls + calls:
+            call()
+        stats = memo_field_stats(f, f, FOURIER2, abs_sq_table=True)
+        greedy_minimal_mask(stats, 0.5)
+    assert len(passes) == 3, passes
+    assert passes[0] == {"s_values": (1.0,), "pprimes": (1.5, 2.0), "log_omega": True,
+                         "abs_sq_table": True, "method": "fast"}
+    assert not stats["abs_sq_table"].flags.writeable
+    assert not stats["energy_by_y"].flags.writeable
+
+
+def test_an_undeclared_request_gets_its_own_pass(passes):
+    grid = default_grid(8)
+    f = normalized(gaussian(grid, 1.0))
+    with field_memo([(f, f, FOURIER2, {"s_values": (1.0,)})]):
+        other = memo_field_stats(f, f, FOURIER2, pprimes=(1.5,))
+        declared = memo_field_stats(f, f, FOURIER2, s_values=(1.0,))
+        wider = memo_field_stats(f, f, FOURIER2, s_values=(1.0, 2.0))
+        assert memo_field_stats(f, f, FOURIER2, pprimes=(1.5,)) is other
+        assert memo_field_stats(f, f, FOURIER2, s_values=(1.0, 2.0)) is wider
+    assert [kw.get("s_values") for kw in passes] == [None, (1.0,), (1.0, 2.0)]
+    for got, kw in ((other, {"pprimes": (1.5,)}), (declared, {"s_values": (1.0,)}),
+                    (wider, {"s_values": (1.0, 2.0)})):
+        _assert_stats_equal(got, gabor_field_stats(f, f, FOURIER2, **kw), kw)
 
 
 def test_checks_outside_a_memo_scope_each_make_one_pass(passes):
@@ -269,21 +350,6 @@ def test_checks_outside_a_memo_scope_each_make_one_pass(passes):
     # one pass per distinct request: s = 1 (shared by the first two checks),
     # ln|omega|, p' = 1.5 and young's empty request
     assert len(passes) == 2 * len(calls) + 4
-
-
-def test_memo_gabor_analyze_builds_each_field_once_per_scope():
-    grid = default_grid(8)
-    f = normalized(gaussian(grid, 1.0))
-    assert memo_gabor_analyze(f, f, FOURIER2) is not memo_gabor_analyze(f, f, FOURIER2)
-    with field_memo():
-        G = memo_gabor_analyze(f, f, FOURIER2)
-        assert memo_gabor_analyze(f, f, FOURIER2) is G
-        assert not G.coeffs.flags.writeable
-        assert memo_gabor_analyze(f, f, FOURIER2, method="direct") is not G
-        with pytest.raises(TypeError):
-            memo_gabor_analyze(f, f, FOURIER2, 2)
-        assert np.array_equal(G.coeffs, gabor_analyze(f, f, FOURIER2, 1).coeffs)
-    assert memo_gabor_analyze(f, f, FOURIER2) is not G
 
 
 # ---------------------------------------------------------------------------
@@ -559,70 +625,151 @@ def test_hausdorff_young_family_and_scaling():
 def _unit_gaussian_field(n=16):
     grid = Grid2D.centered(n, n, 8.0 / n, 8.0 / n)
     f = normalized(gaussian(grid, 1.0))
-    return f, gabor_analyze(f, f, FOURIER2, 1)
+    return f, gabor_field_stats(f, f, FOURIER2, abs_sq_table=True)
+
+
+def test_abs_sq_table_is_the_dense_modulus_indexed_y_first():
+    # a non-square grid under the generic params, so a swapped axis fails
+    grid = Grid2D.centered(8, 6, 0.6, 0.5)
+    f = random_quaternion_signal(grid, np.random.default_rng(54))
+    phi = _quaternion_window(grid)
+    p = PARAM_SETS["generic"]
+    stats = gabor_field_stats(f, phi, p, abs_sq_table=True)
+    dense = gabor_analyze(f, phi, p, 1).modulus_sq().transpose(2, 3, 0, 1)
+    assert stats["abs_sq_table"].shape == dense.shape == (8, 6, 8, 6)
+    np.testing.assert_allclose(stats["abs_sq_table"], dense, rtol=1e-13,
+                               atol=1e-15 * dense.max())
+    assert gabor_field_stats(f, phi, p)["abs_sq_table"] is None
+
+
+def test_random_mask_draws_the_cells_of_the_dense_order():
+    """A seed draws the same cells it drew from the dense field, whose flat
+    index ran over (omega1, omega2, y1, y2)."""
+    grid = Grid2D.centered(8, 6, 0.6, 0.5)
+    f = normalized(gaussian(grid, 1.0))
+    stats = gabor_field_stats(f, f, FOURIER2, abs_sq_table=True)
+    cv = stats["cell_volume"]
+    mask = random_mask(stats, 400.0, np.random.default_rng(55))
+    dense = np.zeros(8 * 6 * 8 * 6, dtype=bool)
+    dense[np.random.default_rng(55).choice(dense.size, size=round(400.0 / cv),
+                                           replace=False)] = True
+    assert 100 < np.count_nonzero(dense) < dense.size // 2
+    np.testing.assert_array_equal(mask.mask.transpose(2, 3, 0, 1),
+                                  dense.reshape(8, 6, 8, 6))
+    assert mask.measure == np.count_nonzero(dense) * cv
+
+
+def test_greedy_mask_takes_the_argsort_count_of_largest_cells():
+    f, stats = _unit_gaussian_field()
+    table, cv = stats["abs_sq_table"], stats["cell_volume"]
+    flat = table.ravel()
+    order = np.argsort(flat)[::-1]
+    csum = np.cumsum(flat[order]) * cv
+    for capture in (0.5, 0.9, 0.999):
+        k = int(np.searchsorted(csum, capture - 1e-12)) + 1
+        mask = greedy_minimal_mask(stats, capture)
+        assert mask.mask.shape == table.shape
+        assert np.count_nonzero(mask.mask) == k
+        assert table[mask.mask].min() >= table[~mask.mask].max()
+    with pytest.raises(ValueError, match="cannot capture"):
+        greedy_minimal_mask(stats, 1.5)
+
+
+def test_mask_readers_need_the_table():
+    f = _unit_gaussian8()
+    stats = gabor_field_stats(f, f, FOURIER2)
+    mask = RegionMask(np.ones((8, 8, 8, 8), dtype=bool), 1e-4)
+    for read in (lambda: random_mask(stats, 0.5, np.random.default_rng(0)),
+                 lambda: greedy_minimal_mask(stats, 0.5),
+                 lambda: concentration_check(stats, FOURIER2, mask, 1.0, 1.0),
+                 lambda: epsilon_concentration_check(stats, FOURIER2, mask, 0.5)):
+        with pytest.raises(ValueError, match="abs_sq_table=True"):
+            read()
+
+
+def test_a_table_above_its_budget_is_refused_before_the_pass(monkeypatch, capsys):
+    f = normalized(gaussian(default_grid(64), 1.0))
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("the pass started")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(uncertainty, "iter_abs_sq_blocks", no_pass)
+        with pytest.raises(ValueError, match="byte budget") as err:
+            gabor_field_stats(f, f, FOURIER2, abs_sq_table=True)
+    assert "\n" not in str(err.value)
+    assert f"{64**4 * 8} bytes" in str(err.value)
+    # the 32^2 table of the concentration suites is the largest allowed
+    assert uncertainty.TABLE_BUDGET_BYTES == 32**4 * 8
+    monkeypatch.setattr(uncertainty, "TABLE_BUDGET_BYTES", 32**4 * 8 - 1)
+    assert main(["verify", "concentration"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "byte budget" in err, err
 
 
 def test_concentration_single_tiny_cell_margin_near_zero():
     # as the measure shrinks the bound degenerates to Plancherel, so the
     # margin is O(cell volume)
-    f, G = _unit_gaussian_field()
-    mask = np.zeros(G.coeffs.shape[:4], dtype=bool)
+    f, stats = _unit_gaussian_field()
+    mask = np.zeros(stats["abs_sq_table"].shape, dtype=bool)
     mask[0, 0, 0, 0] = True
-    rm = RegionMask(mask, G.cell_volume)
-    rep = concentration_check(G, rm, 1.0, 1.0)
+    rm = RegionMask(mask, stats["cell_volume"])
+    rep = concentration_check(stats, FOURIER2, rm, 1.0, 1.0)
     assert abs(rep.margin) <= rm.measure
 
 
 def test_concentration_random_masks():
     rng = np.random.default_rng(53)
-    f, G = _unit_gaussian_field()
+    f, stats = _unit_gaussian_field()
     for m in (0.25, 0.5, 0.9):
-        mask = random_mask(G, m, rng)
+        mask = random_mask(stats, m, rng)
         assert 0 < mask.measure < 1
-        rep = concentration_check(G, mask, 1.0, 1.0)
+        rep = concentration_check(stats, FOURIER2, mask, 1.0, 1.0)
         assert rep.margin >= -1e-6
 
 
 def test_concentration_peak_mask_still_holds():
     # a mask sitting right on the energy peak with measure near 0.9
-    f, G = _unit_gaussian_field(32)
-    cv = G.cell_volume
+    f, stats = _unit_gaussian_field(32)
+    table, cv = stats["abs_sq_table"], stats["cell_volume"]
     k = int(0.9 / cv)
-    order = np.argsort(G.modulus_sq().ravel())[::-1][:k]
-    flat = np.zeros(G.coeffs.size // 4, dtype=bool)
+    order = np.argsort(table.ravel())[::-1][:k]
+    flat = np.zeros(table.size, dtype=bool)
     flat[order] = True
-    mask = RegionMask(flat.reshape(G.coeffs.shape[:4]), cv)
+    mask = RegionMask(flat.reshape(table.shape), cv)
     assert 0.5 <= mask.measure < 1.0
-    rep = concentration_check(G, mask, 1.0, 1.0)
+    rep = concentration_check(stats, FOURIER2, mask, 1.0, 1.0)
     assert rep.margin >= -1e-6
 
 
 def test_concentration_rejects_measure_out_of_range():
-    f, G = _unit_gaussian_field(8)
-    full = RegionMask(np.ones(G.coeffs.shape[:4], dtype=bool), G.cell_volume)
+    f, stats = _unit_gaussian_field(8)
+    full = RegionMask(np.ones(stats["abs_sq_table"].shape, dtype=bool), stats["cell_volume"])
     with pytest.raises(ValueError, match="measure"):
-        concentration_check(G, full, 1.0, 1.0)
+        concentration_check(stats, FOURIER2, full, 1.0, 1.0)
 
 
 def test_epsilon_concentration_greedy_masks():
-    f, G = _unit_gaussian_field()
+    f, stats = _unit_gaussian_field()
     measures = {}
     for eps in (0.5, 0.1):
-        mask = greedy_minimal_mask(G, 1.0 - eps)
-        rep = epsilon_concentration_check(G, mask, eps)
+        mask = greedy_minimal_mask(stats, 1.0 - eps)
+        rep = epsilon_concentration_check(stats, FOURIER2, mask, eps)
         assert rep.margin >= 0
         measures[eps] = mask.measure
     assert measures[0.1] >= measures[0.5]
 
 
 def test_epsilon_concentration_trivial_and_hypothesis():
-    f, G = _unit_gaussian_field(8)
-    tiny = np.zeros(G.coeffs.shape[:4], dtype=bool)
+    f, stats = _unit_gaussian_field(8)
+    tiny = np.zeros(stats["abs_sq_table"].shape, dtype=bool)
     tiny[0, 0, 0, 0] = True
-    rep = epsilon_concentration_check(G, RegionMask(tiny, G.cell_volume), 1.0)
+    rep = epsilon_concentration_check(stats, FOURIER2,
+                                      RegionMask(tiny, stats["cell_volume"]), 1.0)
     assert rep.lhs == 0.0 and rep.margin >= 0
     with pytest.raises(ValueError, match="hypothesis"):
-        epsilon_concentration_check(G, RegionMask(tiny, G.cell_volume), 0.1)
+        epsilon_concentration_check(stats, FOURIER2,
+                                    RegionMask(tiny, stats["cell_volume"]), 0.1)
 
 
 def test_moment_concentration_single_cell_closed_form():
