@@ -349,17 +349,14 @@ def _lieb_fields(cfg: VerifyConfig):
 
 
 def suite_lieb(cfg: VerifyConfig, out: Collector):
-    grid = cfg.grid(32)
-    f = families.gaussian(grid, 1.0)
-    phi = families.gaussian(grid, 1.0)
+    (f, phi, _, _), (f2, phi3, _, _), (f64, _, _, _), _ = _lieb_fields(cfg)
     base = out.add(uncertainty.lieb_check(f, phi, QFT, 1.5, cfg.method), family="gaussian")
-    scaled = uncertainty.lieb_check(f.scaled(2.0), phi.scaled(3.0), QFT, 1.5, cfg.method)
+    scaled = uncertainty.lieb_check(f2, phi3, QFT, 1.5, cfg.method)
     rel = abs(scaled.empirical_constant / base.empirical_constant - 1.0)
     out.add(report.upper_bound("lieb-homogeneity", rel, 1e-10, params={"p_prime": 1.5}))
     out.fail_if(rel > 1e-10, f"lieb homogeneity: relative change {rel!r}")
     consts = {}
-    for n in (32, 64):
-        fg = families.gaussian(cfg.grid(n), 1.0)
+    for n, fg in ((32, f), (64, f64)):
         rep = out.add(uncertainty.lieb_check(fg, fg, QFT, 1.5, cfg.method),
                       family=f"gaussian-{n}")
         consts[n] = rep.empirical_constant
@@ -477,6 +474,8 @@ def cmd_verify(args) -> int:
     forward_grid(cfg.grid(), QFT)
     if cfg.trials is not None and cfg.trials < 1:
         raise FormatError(f"--trials must be at least 1, got {cfg.trials}")
+    if cfg.seed < 0:
+        raise FormatError(f"--seed must be non-negative, got {cfg.seed}")
     names = VERIFY_NAMES if args.suite == "all" else [args.suite]
     all_reports: list[report.InequalityReport] = []
     all_failures: list[str] = []

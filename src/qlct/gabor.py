@@ -28,18 +28,18 @@ with `gabor_analyze_at`, so it checks the sweep as well as the transform.
 A pass builds its transform plans, their 2D chirps and its
 window-product buffers once, then runs each row of translations in blocks
 of about `BLOCK_BYTES` per half, so that each elementwise pass works on
-data that stays in cache. `iter_abs_sq_blocks` hands each block's |G|^2
-to its consumer while it is still in cache, one row per translation;
-consumers reduce each translation on its own and then sum the (ny1, ny2)
-tables, so every sum keeps its bits whatever the block size.
+data that stays in cache. `gabor_field_stats` reduces each block's |G|^2
+per translation while it is still in cache and then sums the (ny1, ny2)
+tables, so every sum keeps its bits whatever the block size; its energy
+is what `gabor_plancherel_check` reports.
 
 Full coefficient storage is (n1*n2)^2 quaternions: about 33 MB for a
 32x32 signal and 16x that for 64x64, built only by `gabor_analyze`.
 Larger runs should subsample with y_stride or stream through
 `iter_gabor_blocks`, as every `qlct verify` suite does; the concentration
-suites read the (n1*n2)^2 float64 |G|^2 table that
-`uncertainty.gabor_field_stats` copies out of the stream, a quarter of
-that size (8 MiB at 32x32, its budget).
+suites read the (n1*n2)^2 float64 |G|^2 table that `gabor_field_stats`
+copies out of the stream, a quarter of that size (8 MiB at 32x32, its
+budget).
 
 A coefficient directory, known to this module only, holds `coeffs.f64`
 (the raw little-endian float64 field, shaped by the manifest's grids and
@@ -50,6 +50,7 @@ checked against its crc32), `window.qsig` and, written last,
 from __future__ import annotations
 
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass
@@ -188,20 +189,6 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
             yield (iy1, sl, *_two_sided_fast(plan, bu, bv, chirps))
 
 
-def iter_abs_sq_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
-                       y_stride: int = 1, method: str = "fast"):
-    """Yield (iy1, y2_slice, mod2) for each block of `iter_gabor_blocks`:
-    |G|^2 = 2(|P|^2 + |M|^2) as a (k, nw1*nw2) array, one row per
-    translation, in one buffer per pass that the next block overwrites."""
-    buf = None
-    for iy1, sl, P, M in iter_gabor_blocks(f, phi, p, y_stride, method):
-        if buf is None:  # the first block is the largest
-            buf = np.empty(P.shape)
-        mod2 = pair_abs_sq(P, M, out=buf[:len(P)])
-        mod2 *= 2
-        yield iy1, sl, mod2.reshape(len(P), -1)
-
-
 def gabor_analyze(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
                   y_stride: int = 1, method: str = "fast") -> GaborCoefficients:
     """Dense Gabor analysis over the (strided) translation grid."""
@@ -259,17 +246,123 @@ def gabor_synthesize(G: GaborCoefficients, phi: QSignal2D) -> QSignal2D:
     return QSignal2D(grid, acc)
 
 
+#: Largest |G|^2 table a pass copies out: the stride-1 field of a 32x32
+#: signal, 32^4 float64 cells (8 MiB).
+TABLE_BUDGET_BYTES = 32**4 * 8
+
+
+def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
+                      s_values: tuple[float, ...] = (),
+                      pprimes: tuple[float, ...] = (),
+                      log_omega: bool = False, abs_sq_table: bool = False,
+                      method: str = "fast", y_stride: int = 1) -> dict:
+    """One streamed pass over the Gabor field collecting the weighted sums
+    every check needs: total energy, sup |G|, |omega|/|y|/joint moments,
+    p'-th power sums, the ln|omega| weighted energy and, with
+    abs_sq_table, |G|^2 itself.
+
+    Each block's |G|^2 = 2(|P|^2 + |M|^2) is reduced while it is in cache:
+    one sum, max and `np.vecdot` per translation and omega-weight into
+    (ny1, ny2) tables, whose sums are the totals; `energy_by_y` is the
+    energy table, sum_omega |G(omega, y)|^2 domega on `y_grid`, and
+    `plancherel_by_y_residual` its largest gap to `_windowed_energy` over
+    the largest right side. The |G|^2 table is indexed
+    (y1, y2, omega1, omega2); one above `TABLE_BUDGET_BYTES` raises
+    ValueError before the pass starts.
+
+    Every call is a fresh pass; the checks reach it through
+    `uncertainty.memo_field_stats`."""
+    if not all(0.0 < s < math.inf for s in s_values):
+        raise ValueError(f"moment orders s must be positive and finite, got {s_values}")
+    if not all(0.0 < pp < math.inf for pp in pprimes):
+        raise ValueError(f"powers p' must be positive and finite, got {pprimes}")
+    omega_grid = forward_grid(f.grid, p)
+    y_grid = translation_grid(f.grid, y_stride)
+    if abs_sq_table:
+        nbytes = 8 * omega_grid.n1 * omega_grid.n2 * y_grid.n1 * y_grid.n2
+        if nbytes > TABLE_BUDGET_BYTES:
+            raise ValueError(f"the |G|^2 table of a {f.grid.n1}x{f.grid.n2} field at "
+                             f"stride {y_stride} takes {nbytes} bytes, above the "
+                             f"{TABLE_BUDGET_BYTES} byte budget")
+        table = np.empty((*y_grid.shape, omega_grid.n1 * omega_grid.n2))
+    cellvol = omega_grid.cell_area * y_grid.cell_area
+    w1, w2 = omega_grid.meshgrid()
+    omega_r2 = (w1**2 + w2**2).ravel()
+    log_w = _log_radius(omega_grid).ravel() if log_omega else None
+    y_r2 = y_grid.coords1()[:, None]**2 + y_grid.coords2()**2
+    omega_weights = {s: omega_r2**s for s in s_values}
+    # one entry per translation: sums over omega, each in its own order
+    shape = y_grid.shape
+    energy, peak, t_log = np.empty(shape), np.empty(shape), np.empty(shape)
+    t_omega = {s: np.empty(shape) for s in s_values}
+    t_joint = {s: np.empty(shape) for s in s_values}
+    t_power = {pp: np.empty(shape) for pp in pprimes}
+    buf = None
+    for iy1, sl, P, M in iter_gabor_blocks(f, phi, p, y_stride, method):
+        if buf is None:  # the first block is the largest
+            buf = np.empty(P.shape)
+        mod2 = pair_abs_sq(P, M, out=buf[:len(P)]).reshape(len(P), -1)
+        mod2 *= 2
+        at = (iy1, sl)
+        mod2.sum(axis=1, out=energy[at])
+        mod2.max(axis=1, out=peak[at])
+        for s in s_values:
+            np.vecdot(mod2, omega_weights[s], out=t_omega[s][at])
+            np.vecdot(mod2, (omega_r2 + y_r2[at][:, None])**s, out=t_joint[s][at])
+        for pp in pprimes:
+            (mod2**(pp / 2)).sum(axis=1, out=t_power[pp][at])
+        if log_omega:
+            np.vecdot(mod2, log_w, out=t_log[at])
+        if abs_sq_table:
+            table[at] = mod2
+
+    def total(t):
+        return float(t.sum()) * cellvol
+
+    energy_by_y = energy * omega_grid.cell_area
+    rhs = _windowed_energy(f, phi, y_stride)
+    gap = np.max(np.abs(energy_by_y - rhs))
+    return {
+        "energy": total(energy),
+        "energy_by_y": energy_by_y,
+        # 0 for a zero signal, which young_sup_check accepts
+        "plancherel_by_y_residual": float(gap / np.max(rhs)) if gap else 0.0,
+        "max_abs": math.sqrt(float(peak.max())),
+        "moment_omega": {s: total(t_omega[s]) for s in s_values},
+        "moment_y": {s: total(y_r2**s * energy) for s in s_values},
+        "moment_joint": {s: total(t_joint[s]) for s in s_values},
+        "power_sums": {pp: total(t_power[pp]) for pp in pprimes},
+        "log_omega_sum": total(t_log) if log_omega else 0.0,
+        "abs_sq_table": table.reshape(*shape, *omega_grid.shape) if abs_sq_table else None,
+        "omega_grid": omega_grid, "y_grid": y_grid, "cell_volume": cellvol,
+    }
+
+
+def _windowed_energy(f: QSignal2D, phi: QSignal2D, stride: int = 1) -> np.ndarray:
+    """sum_x |f(x)|^2 |phi(x - y)|^2 dx for every translation y of
+    `translation_grid(f.grid, stride)`, one y1 row of the sweep at a time."""
+    f_mod2 = qabs_sq(f.samples)
+    sweep = _translates(qabs_sq(phi.samples)[None], stride)[0]
+    out = np.empty(sweep.shape[:2])
+    for iy1, row in enumerate(sweep):
+        out[iy1] = np.einsum("kxy,xy->k", row, f_mod2)
+    return out * f.grid.cell_area
+
+
+def _log_radius(grid) -> np.ndarray:
+    x1, x2 = grid.meshgrid()
+    r2 = x1**2 + x2**2
+    if np.min(r2) == 0.0:
+        raise ValueError("grid has a sample at the origin; "
+                         "log weights need the centered half-cell offset")
+    return 0.5 * np.log(r2)
+
+
 def gabor_plancherel_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
                            method: str = "fast") -> report.InequalityReport:
-    """Gabor energy against ||f||^2 ||phi||^2, streamed over the blocks;
-    its lhs is summed as `uncertainty.gabor_field_stats` sums its energy."""
-    omega_grid = forward_grid(f.grid, p)
-    y_grid = translation_grid(f.grid, 1)
-    cellvol = omega_grid.cell_area * y_grid.cell_area
-    energy = np.empty(y_grid.shape)
-    for iy1, sl, mod2 in iter_abs_sq_blocks(f, phi, p, 1, method):
-        mod2.sum(axis=1, out=energy[iy1, sl])
-    lhs = float(energy.sum()) * cellvol
+    """Gabor energy of one `gabor_field_stats` pass against
+    ||f||^2 ||phi||^2."""
+    lhs = gabor_field_stats(f, phi, p, method=method)["energy"]
     rhs = f.l2_norm_sq() * phi.l2_norm_sq()
     return report.equality("gabor-plancherel", lhs, rhs,
                            params={"method": method, **p.to_dict()},

@@ -7,19 +7,17 @@ hold up to rounding; existential-constant statements (Heisenberg, Lieb,
 moment concentration) only record the empirical constant that would make
 equality, so callers assert positivity and stability, never a fixed value.
 
-Moment and p-norm accumulations over the Gabor field stream |G|^2 in
-the cache-sized blocks of `gabor.iter_abs_sq_blocks`, so grids larger
-than the dense-storage budget are fine. Each block is reduced per
-translation while it is in cache, into (ny1, ny2) tables whose sums are
-the totals, so no sum depends on the block size. The energy table also
-gives a per-translation Plancherel witness, which the heisenberg, log,
-lieb, young and moment-concentration reports carry. The concentration
-checks read the |G|^2 table a pass copies out of the same blocks, never a
-dense quaternion field.
+Moment and p-norm accumulations over the Gabor field come from one
+streamed pass of `gabor.gabor_field_stats`, so grids larger than the
+dense-storage budget are fine. The pass also gives its per-translation
+Plancherel residual, which the heisenberg, log, lieb, young and
+moment-concentration reports carry. The concentration checks read the
+|G|^2 table a pass copies out, never a dense quaternion field.
 
-Inside a `field_memo` scope each distinct field is swept once over the
-union of the requests declared for it, and each request is served from
-that pass with the bits a lone pass would give.
+Inside a `field_memo` scope each declared field is swept once over the
+union of the requests declared for it, and each request that union
+covers is served from that pass with the bits a lone pass would give;
+any other request is a plain pass.
 """
 
 from __future__ import annotations
@@ -33,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gabor, report
-from .gabor import GaborCoefficients, forward_grid, iter_abs_sq_blocks, translation_grid
+from .gabor import GaborCoefficients, _log_radius, gabor_field_stats
 # bench/tracing.py wraps this name here, but the passes reach the generator
-# through `iter_abs_sq_blocks`, which calls gabor's own (also wrapped) binding
+# through `gabor_field_stats`, which calls gabor's own (also wrapped) binding
 from .gabor import iter_gabor_blocks  # noqa: F401
 from .qlct2d import QLCTParams, _check_method, qlct_forward_direct, qlct_forward_fast
 from .quat import qabs_sq
@@ -134,88 +132,8 @@ def moment(G: GaborCoefficients, which: str, s: float) -> float:
     return float(np.sum(weight * mod2) * G.cell_volume)
 
 
-#: Largest |G|^2 table a pass copies out: the stride-1 field of a 32x32
-#: signal, 32^4 float64 cells (8 MiB).
-TABLE_BUDGET_BYTES = 32**4 * 8
-
-
-def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
-                      s_values: tuple[float, ...] = (),
-                      pprimes: tuple[float, ...] = (),
-                      log_omega: bool = False, abs_sq_table: bool = False,
-                      method: str = "fast", y_stride: int = 1) -> dict:
-    """One streamed pass over the Gabor field collecting the weighted sums
-    every check needs: total energy, sup |G|, |omega|/|y|/joint moments,
-    p'-th power sums, the ln|omega| weighted energy and, with
-    abs_sq_table, |G|^2 itself.
-
-    Each block of |G|^2 is reduced while it is in cache: one sum, max and
-    `np.vecdot` per translation and omega-weight into (ny1, ny2) tables,
-    whose sums are the totals; `energy_by_y` is the energy table,
-    sum_omega |G(omega, y)|^2 domega on `y_grid`. The |G|^2 table is
-    indexed (y1, y2, omega1, omega2); one above `TABLE_BUDGET_BYTES`
-    raises ValueError before the pass starts.
-
-    Every call is a fresh pass; the checks reach it through
-    `memo_field_stats`."""
-    if not all(0.0 < s < math.inf for s in s_values):
-        raise ValueError(f"moment orders s must be positive and finite, got {s_values}")
-    if not all(0.0 < pp < math.inf for pp in pprimes):
-        raise ValueError(f"powers p' must be positive and finite, got {pprimes}")
-    omega_grid = forward_grid(f.grid, p)
-    y_grid = translation_grid(f.grid, y_stride)
-    if abs_sq_table:
-        nbytes = 8 * omega_grid.n1 * omega_grid.n2 * y_grid.n1 * y_grid.n2
-        if nbytes > TABLE_BUDGET_BYTES:
-            raise ValueError(f"the |G|^2 table of a {f.grid.n1}x{f.grid.n2} field at "
-                             f"stride {y_stride} takes {nbytes} bytes, above the "
-                             f"{TABLE_BUDGET_BYTES} byte budget")
-        table = np.empty((*y_grid.shape, omega_grid.n1 * omega_grid.n2))
-    cellvol = omega_grid.cell_area * y_grid.cell_area
-    w1, w2 = omega_grid.meshgrid()
-    omega_r2 = (w1**2 + w2**2).ravel()
-    log_w = _log_radius(omega_grid).ravel() if log_omega else None
-    y_r2 = y_grid.coords1()[:, None]**2 + y_grid.coords2()**2
-    omega_weights = {s: omega_r2**s for s in s_values}
-    # one entry per translation: sums over omega, each in its own order
-    shape = y_grid.shape
-    energy, peak, t_log = np.empty(shape), np.empty(shape), np.empty(shape)
-    t_omega = {s: np.empty(shape) for s in s_values}
-    t_joint = {s: np.empty(shape) for s in s_values}
-    t_power = {pp: np.empty(shape) for pp in pprimes}
-    for iy1, sl, mod2 in iter_abs_sq_blocks(f, phi, p, y_stride, method):
-        at = (iy1, sl)
-        mod2.sum(axis=1, out=energy[at])
-        mod2.max(axis=1, out=peak[at])
-        for s in s_values:
-            np.vecdot(mod2, omega_weights[s], out=t_omega[s][at])
-            np.vecdot(mod2, (omega_r2 + y_r2[at][:, None])**s, out=t_joint[s][at])
-        for pp in pprimes:
-            (mod2**(pp / 2)).sum(axis=1, out=t_power[pp][at])
-        if log_omega:
-            np.vecdot(mod2, log_w, out=t_log[at])
-        if abs_sq_table:
-            table[at] = mod2
-
-    def total(t):
-        return float(t.sum()) * cellvol
-
-    return {
-        "energy": total(energy),
-        "energy_by_y": energy * omega_grid.cell_area,
-        "max_abs": math.sqrt(float(peak.max())),
-        "moment_omega": {s: total(t_omega[s]) for s in s_values},
-        "moment_y": {s: total(y_r2**s * energy) for s in s_values},
-        "moment_joint": {s: total(t_joint[s]) for s in s_values},
-        "power_sums": {pp: total(t_power[pp]) for pp in pprimes},
-        "log_omega_sum": total(t_log) if log_omega else 0.0,
-        "abs_sq_table": table.reshape(*shape, *omega_grid.shape) if abs_sq_table else None,
-        "omega_grid": omega_grid, "y_grid": y_grid, "cell_volume": cellvol,
-    }
-
-
-#: (planned unions by field, entries) of the enclosing `field_memo` scope;
-#: None outside any scope.
+#: ({field: union of its declared requests}, {field: stats of its one pass})
+#: of the enclosing `field_memo` scope; None outside any scope.
 _FIELD_MEMO: contextvars.ContextVar[tuple[dict, dict] | None] = contextvars.ContextVar(
     "qlct_field_memo", default=None)
 
@@ -259,9 +177,9 @@ def field_memo(plan=()):
     first request on a planned field makes one pass over the union of the
     field's planned requests, and each request it covers is served from
     that pass: every statistic is its own per-translation table, so it
-    has the bits a lone pass gives. Any other request makes its own pass,
-    once per scope. Entries live in a context variable, so they are
-    dropped when the scope exits and never shared with calls outside it
+    has the bits a lone pass gives. Any other request is a plain pass,
+    kept nowhere. Passes live in a context variable, so they are dropped
+    when the scope exits and never shared with calls outside it
     (`qlct verify` opens one scope per run)."""
     fields: dict = {}
     for f, phi, p, request in plan:
@@ -275,25 +193,20 @@ def field_memo(plan=()):
 
 
 def memo_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, **request) -> dict:
-    """`gabor_field_stats(f, phi, p, **request)`, served from the enclosing
-    `field_memo` scope, whose entries are read-only and never replaced;
-    outside a scope every call is a pass."""
+    """`gabor_field_stats(f, phi, p, **request)`, served from the one
+    read-only pass of its field in the enclosing `field_memo` scope when
+    the field's declared union covers the request; any other call is a
+    plain pass."""
     memo = _FIELD_MEMO.get()
-    if memo is None:
-        return gabor_field_stats(f, phi, p, **request)
-    unions, entries = memo
-    field, sums = _field_key(f, phi, p, request)
-    key = (field, tuple(sums.items()))
-    if key not in entries:
+    if memo is not None:
+        unions, passes = memo
+        field, sums = _field_key(f, phi, p, request)
         union = unions.get(field)
         if union is not None and sums.keys() <= union.keys() and _union([union, sums]) == union:
-            if (field, None) not in entries:
-                entries[field, None] = _read_only(
-                    gabor_field_stats(f, phi, p, **{**request, **union}))
-            entries[key] = _served(entries[field, None], sums)
-        else:
-            entries[key] = _read_only(gabor_field_stats(f, phi, p, **request))
-    return entries[key]
+            if field not in passes:
+                passes[field] = _read_only(gabor_field_stats(f, phi, p, **{**request, **union}))
+            return _served(passes[field], sums)
+    return gabor_field_stats(f, phi, p, **request)
 
 
 def _read_only(stats: dict) -> dict:
@@ -317,36 +230,6 @@ def _require_nonzero(f: QSignal2D, phi: QSignal2D | None = None):
 def _require_field_energy(stats: dict):
     if stats["energy"] == 0.0:
         raise ValueError("zero Gabor field: no translate of the window meets the signal")
-
-
-def _windowed_energy(f: QSignal2D, phi: QSignal2D) -> np.ndarray:
-    """sum_x |f(x)|^2 |phi(x - y)|^2 dx for every stride-1 translation y,
-    one y1 row of the translation sweep at a time."""
-    f_mod2 = qabs_sq(f.samples)
-    sweep = gabor._translates(qabs_sq(phi.samples)[None])[0]
-    out = np.empty(sweep.shape[:2])
-    for iy1, row in enumerate(sweep):
-        out[iy1] = np.einsum("kxy,xy->k", row, f_mod2)
-    return out * f.grid.cell_area
-
-
-def _plancherel_by_y_residual(f: QSignal2D, phi: QSignal2D, stats: dict) -> float:
-    """Plancherel for each translation alone: max over y of
-    |sum_omega |G(omega, y)|^2 domega - sum_x |f(x)|^2 |phi(x - y)|^2 dx|,
-    over the largest right side."""
-    rhs = _windowed_energy(f, phi)
-    gap = np.max(np.abs(stats["energy_by_y"] - rhs))
-    # 0 for a zero signal, which young_sup_check accepts
-    return float(gap / np.max(rhs)) if gap else 0.0
-
-
-def _log_radius(grid) -> np.ndarray:
-    x1, x2 = grid.meshgrid()
-    r2 = x1**2 + x2**2
-    if np.min(r2) == 0.0:
-        raise ValueError("grid has a sample at the origin; "
-                         "log weights need the centered half-cell offset")
-    return 0.5 * np.log(r2)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +267,7 @@ def heisenberg_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams, s: float,
                                      "amgm_sqrt_ab": target,
                                      "amgm_rel_err": rel,
                                      "plancherel_by_y_residual":
-                                         _plancherel_by_y_residual(f, phi, stats),
+                                         stats["plancherel_by_y_residual"],
                                      "method": method, **p.to_dict()},
                              grid=f.grid.to_dict())
     return rep
@@ -414,7 +297,7 @@ def log_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
                                       "x_term": x_term,
                                       "omega_term": stats["log_omega_sum"],
                                       "plancherel_by_y_residual":
-                                          _plancherel_by_y_residual(f, phi, stats),
+                                          stats["plancherel_by_y_residual"],
                                       "method": method, **p.to_dict()},
                               grid=f.grid.to_dict())
 
@@ -467,7 +350,7 @@ def lieb_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams, p_prime: float,
                               empirical_constant=lhs / scale,
                               params={"p_prime": p_prime, "abs_b1b2": babs,
                                       "plancherel_by_y_residual":
-                                          _plancherel_by_y_residual(f, phi, stats),
+                                          stats["plancherel_by_y_residual"],
                                       "method": method, **p.to_dict()},
                               grid=f.grid.to_dict(), notes=notes)
 
@@ -490,7 +373,7 @@ def young_sup_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     return report.upper_bound("young", lhs, rhs,
                               params={"holder_p": holder_p, "holder_q": holder_q,
                                       "plancherel_by_y_residual":
-                                          _plancherel_by_y_residual(f, phi, stats),
+                                          stats["plancherel_by_y_residual"],
                                       "method": method, **p.to_dict()},
                               grid=f.grid.to_dict())
 
@@ -577,6 +460,6 @@ def moment_concentration_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
                               empirical_constant=lhs / rhs,
                               params={"s": s, "moment_joint": joint,
                                       "plancherel_by_y_residual":
-                                          _plancherel_by_y_residual(f, phi, stats),
+                                          stats["plancherel_by_y_residual"],
                                       "method": method, **p.to_dict()},
                               grid=f.grid.to_dict())

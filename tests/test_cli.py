@@ -369,6 +369,31 @@ def test_verify_runs_share_no_field_entries(monkeypatch, capsys):
         assert len(passes) == 3 * run
 
 
+def test_each_field_pass_builds_its_plancherel_right_side_once(monkeypatch, capsys):
+    # both Hoelder exponents of a young trial read the residual of one pass
+    calls = []
+    windowed_energy = gabor._windowed_energy
+
+    def counted(*args):
+        calls.append(1)
+        return windowed_energy(*args)
+
+    monkeypatch.setattr(gabor, "_windowed_energy", counted)
+    assert main(["verify", "young", "--trials", "3", "--grid", "16x16"]) == 0
+    assert "suite young: pass (6 reports)" in capsys.readouterr().out
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("suite", ["young", "eps-concentration"])
+def test_verify_rejects_a_negative_seed_before_any_suite(tmp_path, capsys, suite):
+    rpt = tmp_path / "r.json"
+    assert main(["verify", suite, "--seed", "-1", "--report", str(rpt)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: --seed must be non-negative, got -1\n"
+    assert not rpt.exists()
+
+
 def test_concentration_suites_stay_within_32_mib():
     """Both concentration suites in one scope read the 8 MiB |G|^2 table of
     one pass, so together they hold less than the 32 MiB dense 32^2 field."""

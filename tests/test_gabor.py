@@ -11,15 +11,14 @@ from qlct.families import (PARAM_SETS, gaussian, impulse, normalized,
                            random_quaternion_signal)
 from qlct.gabor import (GaborCoefficients, _translates, export_field_csv,
                         export_pgm, gabor_analyze, gabor_analyze_at,
-                        gabor_plancherel_check, gabor_synthesize,
-                        load_coefficients, save_coefficients, spectrogram,
-                        translation_grid)
+                        gabor_field_stats, gabor_plancherel_check,
+                        gabor_synthesize, load_coefficients, save_coefficients,
+                        spectrogram, translation_grid)
 from qlct.lct1d import LCTParams
 from qlct.qlct2d import (QLCTParams, _fast_plan, _two_sided_fast, forward_grid,
                          qlct_forward_fast, qlct_inverse)
 from qlct.signal import Grid2D, QSignal2D, WindowSpec, make_window, translate
 from qlct.quat import pair_abs_sq, qabs_sq, qconj, qmul
-from qlct.uncertainty import gabor_field_stats
 
 
 def rel_l2(a, b):
@@ -524,6 +523,9 @@ def test_each_translation_keeps_its_windowed_energy(name, stride, monkeypatch):
         blocks += 1
     assert blocks > translation_grid(grid, stride).n1
     np.testing.assert_array_less(np.abs(lhs - rhs), 1e-12 * rhs)
+    # a pass checks the same identity on the translations it swept
+    np.testing.assert_allclose(gabor._windowed_energy(f, phi, stride), rhs, rtol=1e-14)
+    assert gabor_field_stats(f, phi, p, y_stride=stride)["plancherel_by_y_residual"] <= 1e-12
 
 
 # b = 0 left axes: their plans' pre-chirps are all ones and they run no

@@ -187,7 +187,7 @@ def test_gabor_reports_carry_the_per_translation_plancherel_residual(name, monke
     monkeypatch.setattr(gabor, "BLOCK_BYTES", 5 * 16 * grid.n1 * grid.n2)
     window_sq = gabor._translates(qabs_sq(phi.samples)[None])[0]
     rhs = (qabs_sq(f.samples) * window_sq).sum(axis=(-2, -1)) * grid.cell_area
-    np.testing.assert_allclose(uncertainty._windowed_energy(f, phi), rhs, rtol=1e-14)
+    np.testing.assert_allclose(gabor._windowed_energy(f, phi), rhs, rtol=1e-14)
     stats = gabor_field_stats(f, phi, p, s_values=(1.0,))
     want = np.max(np.abs(stats["energy_by_y"] - rhs)) / np.max(rhs)
     reports = [heisenberg_check(f, phi, p, 1.0), moment_concentration_check(f, phi, p, 1.0)]
@@ -198,9 +198,9 @@ def test_gabor_reports_carry_the_per_translation_plancherel_residual(name, monke
 
 
 def test_a_window_shifted_on_the_right_side_fails_the_residual(monkeypatch, capsys):
-    windowed_energy = uncertainty._windowed_energy
-    monkeypatch.setattr(uncertainty, "_windowed_energy", lambda f, phi: windowed_energy(
-        f, QSignal2D(phi.grid, np.roll(phi.samples, 1, axis=0))))
+    windowed_energy = gabor._windowed_energy
+    monkeypatch.setattr(gabor, "_windowed_energy", lambda f, phi, stride=1: windowed_energy(
+        f, QSignal2D(phi.grid, np.roll(phi.samples, 1, axis=0)), stride))
     f = normalized(gaussian(default_grid(16), 1.0))
     for check in (heisenberg_check, moment_concentration_check):
         assert check(f, f, FOURIER2, 1.0).params["plancherel_by_y_residual"] > 1e-10
@@ -240,7 +240,8 @@ def test_memo_key_separates_every_field_input(passes):
         (f, f, FOURIER2, {"method": "direct"}),
         (f, f, FOURIER2, {"y_stride": 2}),
     ]
-    with field_memo():
+    with field_memo([(sig, win, p, {"s_values": (1.0,), **kw})
+                     for sig, win, p, kw in requests]):
         for k, (sig, win, p, kw) in enumerate(requests, start=1):
             memo_field_stats(sig, win, p, s_values=(1.0,), **kw)
             assert len(passes) == k
@@ -262,10 +263,10 @@ def _assert_stats_equal(got, want, where):
 
 
 def test_memo_serves_each_request_bit_equal_to_a_fresh_pass(passes):
-    """Undeclared, each distinct request of one field is its own pass;
-    declared, one pass over their union serves them all. Either way a
-    repeat is served from its entry, no entry is replaced, and each
-    request gets the bits of a lone fresh pass, its |G|^2 table included."""
+    """Undeclared, each call is a pass of its own; declared, one pass over
+    their union serves them all, repeats included, from its read-only
+    arrays. Either way each request gets the bits of a lone fresh pass,
+    its |G|^2 table included."""
     grid = default_grid(8)
     f = random_smooth(grid, np.random.default_rng(80))
     phi = normalized(gaussian(grid, 1.0))
@@ -281,8 +282,12 @@ def test_memo_serves_each_request_bit_equal_to_a_fresh_pass(passes):
             first = [memo_field_stats(f, phi, FOURIER2, **kw) for kw in requests]
             assert passes == want_passes
             served = [memo_field_stats(f, phi, FOURIER2, **kw) for kw in requests]
-            assert passes == want_passes
-        assert all(got is entry for got, entry in zip(served, first))
+            assert passes == (want_passes if plan else requests + requests)
+        if plan:
+            for got, entry in zip(served, first):
+                for key in ("energy_by_y", "abs_sq_table"):
+                    assert got[key] is entry[key], key
+                    assert got[key] is None or not got[key].flags.writeable, key
         for got, kw in zip(served, requests):
             _assert_stats_equal(got, gabor_field_stats(f, phi, FOURIER2, **kw), kw)
 
@@ -319,15 +324,22 @@ def test_a_declared_scope_makes_one_pass_per_distinct_field(passes):
 
 
 def test_an_undeclared_request_gets_its_own_pass(passes):
+    """A request the declared union does not cover is a plain pass each
+    time it is made; the declared one is served from its field's pass."""
     grid = default_grid(8)
     f = normalized(gaussian(grid, 1.0))
     with field_memo([(f, f, FOURIER2, {"s_values": (1.0,)})]):
         other = memo_field_stats(f, f, FOURIER2, pprimes=(1.5,))
         declared = memo_field_stats(f, f, FOURIER2, s_values=(1.0,))
         wider = memo_field_stats(f, f, FOURIER2, s_values=(1.0, 2.0))
-        assert memo_field_stats(f, f, FOURIER2, pprimes=(1.5,)) is other
-        assert memo_field_stats(f, f, FOURIER2, s_values=(1.0, 2.0)) is wider
-    assert [kw.get("s_values") for kw in passes] == [None, (1.0,), (1.0, 2.0)]
+        again = memo_field_stats(f, f, FOURIER2, pprimes=(1.5,))
+        assert again["energy_by_y"] is not other["energy_by_y"]
+        memo_field_stats(f, f, FOURIER2, s_values=(1.0, 2.0))
+        served = memo_field_stats(f, f, FOURIER2, s_values=(1.0,))
+        assert served["energy_by_y"] is declared["energy_by_y"]
+        assert not served["energy_by_y"].flags.writeable
+    assert [kw.get("s_values") for kw in passes] == [None, (1.0,), (1.0, 2.0), None,
+                                                     (1.0, 2.0)]
     for got, kw in ((other, {"pprimes": (1.5,)}), (declared, {"s_values": (1.0,)}),
                     (wider, {"s_values": (1.0, 2.0)})):
         _assert_stats_equal(got, gabor_field_stats(f, f, FOURIER2, **kw), kw)
@@ -344,12 +356,11 @@ def test_checks_outside_a_memo_scope_each_make_one_pass(passes):
     for call in calls + calls:
         call()
     assert len(passes) == 2 * len(calls)
+    # a scope with nothing declared keeps nothing: every call is a pass
     with field_memo():
         for call in calls + calls:
             call()
-    # one pass per distinct request: s = 1 (shared by the first two checks),
-    # ln|omega|, p' = 1.5 and young's empty request
-    assert len(passes) == 2 * len(calls) + 4
+    assert len(passes) == 4 * len(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -694,14 +705,14 @@ def test_a_table_above_its_budget_is_refused_before_the_pass(monkeypatch, capsys
         raise AssertionError("the pass started")
 
     with monkeypatch.context() as mp:
-        mp.setattr(uncertainty, "iter_abs_sq_blocks", no_pass)
+        mp.setattr(gabor, "iter_gabor_blocks", no_pass)
         with pytest.raises(ValueError, match="byte budget") as err:
             gabor_field_stats(f, f, FOURIER2, abs_sq_table=True)
     assert "\n" not in str(err.value)
     assert f"{64**4 * 8} bytes" in str(err.value)
     # the 32^2 table of the concentration suites is the largest allowed
-    assert uncertainty.TABLE_BUDGET_BYTES == 32**4 * 8
-    monkeypatch.setattr(uncertainty, "TABLE_BUDGET_BYTES", 32**4 * 8 - 1)
+    assert gabor.TABLE_BUDGET_BYTES == 32**4 * 8
+    monkeypatch.setattr(gabor, "TABLE_BUDGET_BYTES", 32**4 * 8 - 1)
     assert main(["verify", "concentration"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "byte budget" in err, err
