@@ -37,6 +37,14 @@ EXIT_NUMERIC = 3
 #: stride-1 field of a 32x32 signal, 32^4 quaternions of 32 bytes.
 COEFF_BUDGET_BYTES = 32**4 * 32
 
+#: Largest array `verify` lets its --grid need, 128 MiB: 32 bytes a cell
+#: under --method fast (up to 2048x2048), and 32 n1 n2 max(n1, n2) bytes
+#: for the direct kernel contraction of `qlct2d` (up to 161x161).
+VERIFY_BUDGET_BYTES = 2**27
+#: Most --trials `verify` takes: young's plan holds about 10 KiB a trial,
+#: so its largest plan stays under VERIFY_BUDGET_BYTES.
+MAX_TRIALS = 10_000
+
 
 @dataclass
 class VerifyConfig:
@@ -221,31 +229,32 @@ def _gabor_windows(grid: Grid2D) -> tuple[signal.QSignal2D, signal.QSignal2D]:
             signal.QSignal2D(grid, cell))
 
 
-def _gaussian_cases(cfg: VerifyConfig) -> list[tuple[str, signal.QSignal2D]]:
-    """(family, f) of the normalized unit Gaussians at 32^2 and 64^2 and
-    the normalized dilates t in (0.5, 1, 2) on cfg.grid()."""
-    return ([(f"gaussian-{n}", families.normalized(families.gaussian(cfg.grid(n), 1.0)))
-             for n in (32, 64)]
-            + [(f"dilated-{t}", families.normalized(families.dilated_gaussian(cfg.grid(), t)))
-               for t in (0.5, 1.0, 2.0)])
+def _gaussian_cases(cfg: VerifyConfig) -> dict[str, signal.QSignal2D]:
+    """{family: f} of the normalized unit Gaussians at 32^2 and 64^2 and
+    the normalized dilates t in (0.5, 1, 2) on cfg.grid(); the only builder
+    of the unit Gaussians the suites sweep, so equal cases share a pass."""
+    return ({f"gaussian-{n}": families.normalized(families.gaussian(cfg.grid(n), 1.0))
+             for n in (32, 64)}
+            | {f"dilated-{t}": families.normalized(families.dilated_gaussian(cfg.grid(), t))
+               for t in (0.5, 1.0, 2.0)})
 
 
 def _gaussian_constants(cfg: VerifyConfig, out: Collector, check):
     """Run check(f, f, QFT, 1, method) on each of `_gaussian_cases`; return
     the empirical constants keyed by n and by t."""
     consts = {family: out.add(check(f, f, QFT, 1.0, cfg.method), family=family)
-              .empirical_constant for family, f in _gaussian_cases(cfg)}
+              .empirical_constant for family, f in _gaussian_cases(cfg).items()}
     return ({n: consts[f"gaussian-{n}"] for n in (32, 64)},
             {t: consts[f"dilated-{t}"] for t in (0.5, 1.0, 2.0)})
 
 
 def _gaussian_fields(cfg: VerifyConfig):
     return [(f, f, QFT, {"s_values": (1.0,), "method": cfg.method})
-            for _, f in _gaussian_cases(cfg)]
+            for f in _gaussian_cases(cfg).values()]
 
 
 def _table_fields(cfg: VerifyConfig):
-    f = families.normalized(families.gaussian(cfg.grid(32), 1.0))
+    f = _gaussian_cases(cfg)["gaussian-32"]
     return [(f, f, QFT, {"abs_sq_table": True, "method": cfg.method})]
 
 
@@ -309,10 +318,9 @@ def suite_heisenberg(cfg: VerifyConfig, out: Collector):
 
 def _log_cases(cfg: VerifyConfig):
     """The window and the (family, f) cases of the log suite."""
-    grid = cfg.grid(32)
-    phi = families.normalized(families.gaussian(grid, 1.0))
-    cases = [("gaussian", families.normalized(families.gaussian(grid, 1.0)))]
-    cases += [(f"dilated-{t}", families.normalized(families.dilated_gaussian(grid, t)))
+    phi = _gaussian_cases(cfg)["gaussian-32"]
+    cases = [("gaussian", phi)]
+    cases += [(f"dilated-{t}", families.normalized(families.dilated_gaussian(cfg.grid(32), t)))
               for t in (0.5, 2.0)]
     return phi, cases
 
@@ -341,8 +349,8 @@ def suite_lemma_log(cfg: VerifyConfig, out: Collector):
 
 
 def _lieb_fields(cfg: VerifyConfig):
-    f = families.gaussian(cfg.grid(32), 1.0)
-    f64 = families.gaussian(cfg.grid(64), 1.0)
+    cases = _gaussian_cases(cfg)
+    f, f64 = cases["gaussian-32"], cases["gaussian-64"]
     return [(g, phi, QFT, {"pprimes": (pp,), "method": cfg.method})
             for g, phi, pp in ((f, f, 1.5), (f.scaled(2.0), f.scaled(3.0), 1.5),
                                (f64, f64, 1.5), (f, f, 2.0))]
@@ -472,8 +480,12 @@ def cmd_verify(args) -> int:
         cfg.dx = args.dx
     # a bad --grid or --dx fails here, before any suite runs
     forward_grid(cfg.grid(), QFT)
-    if cfg.trials is not None and cfg.trials < 1:
-        raise FormatError(f"--trials must be at least 1, got {cfg.trials}")
+    nbytes = 32 * cfg.n1 * cfg.n2 * (max(cfg.n1, cfg.n2) if cfg.method == "direct" else 1)
+    if nbytes > VERIFY_BUDGET_BYTES:
+        raise FormatError(f"--grid {cfg.n1}x{cfg.n2} needs a {nbytes} byte array under "
+                          f"--method {cfg.method}, above the {VERIFY_BUDGET_BYTES} byte budget")
+    if cfg.trials is not None and not 1 <= cfg.trials <= MAX_TRIALS:
+        raise FormatError(f"--trials must be from 1 to {MAX_TRIALS}, got {cfg.trials}")
     if cfg.seed < 0:
         raise FormatError(f"--seed must be non-negative, got {cfg.seed}")
     names = VERIFY_NAMES if args.suite == "all" else [args.suite]

@@ -169,7 +169,6 @@ def _served(stats: dict, sums: dict) -> dict:
             "abs_sq_table": stats["abs_sq_table"] if sums.get("abs_sq_table") else None}
 
 
-@contextlib.contextmanager
 def field_memo(plan=()):
     """Scope in which `memo_field_stats` serves each Gabor field's sums.
 
@@ -180,12 +179,18 @@ def field_memo(plan=()):
     has the bits a lone pass gives. Any other request is a plain pass,
     kept nowhere. Passes live in a context variable, so they are dropped
     when the scope exits and never shared with calls outside it
-    (`qlct verify` opens one scope per run)."""
+    (`qlct verify` opens one scope per run). The scope keeps only each
+    field's key and union, not the plan's signals."""
     fields: dict = {}
     for f, phi, p, request in plan:
         field, sums = _field_key(f, phi, p, request)
         fields.setdefault(field, []).append(sums)
-    token = _FIELD_MEMO.set(({k: _union(v) for k, v in fields.items()}, {}))
+    return _memo_scope({k: _union(v) for k, v in fields.items()})
+
+
+@contextlib.contextmanager
+def _memo_scope(unions: dict):
+    token = _FIELD_MEMO.set((unions, {}))
     try:
         yield
     finally:

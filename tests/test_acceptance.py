@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlct import gabor, uncertainty
+from qlct import cli, gabor, uncertainty
 from qlct.cli import main
 from qlct.families import (PARAM_SETS, default_grid, dilated_gaussian,
                            gaussian, normalized, random_quaternion_signal,
@@ -261,14 +261,15 @@ def test_criterion_12_lieb():
 
 #: Gabor field passes of one seed-0 `verify all --grid 32x32` run: one per
 #: distinct field over the union of its declared requests. log's ln|omega|,
-#: lieb's p' = 2 and the concentration suites' |G|^2 table join passes that
-#: heisenberg and lieb make anyway.
-VERIFY_ALL_PASSES = 109
+#: lieb's p' = 1.5 and 2 and the concentration suites' |G|^2 table join the
+#: normalized Gaussian passes that heisenberg makes anyway.
+VERIFY_ALL_PASSES = 107
 
 
 @pytest.fixture(scope="module")
 def verify_all_passes():
-    """Gabor field passes of each `verify_all_runs` run, in run order."""
+    """Field keys (`uncertainty._field_key`) of the Gabor field passes of
+    each `verify_all_runs` run, in run order."""
     return []
 
 
@@ -279,9 +280,9 @@ def verify_all_runs(tmp_path_factory, verify_all_passes):
     elapsed = []
     original = uncertainty.gabor_field_stats
 
-    def counted(*args, **kwargs):
-        verify_all_passes[-1] += 1
-        return original(*args, **kwargs)
+    def counted(f, phi, p, **kwargs):
+        verify_all_passes[-1].append(uncertainty._field_key(f, phi, p, kwargs)[0])
+        return original(f, phi, p, **kwargs)
 
     def dense(*args, **kwargs):
         raise AssertionError("verify built a dense Gabor field")
@@ -291,7 +292,7 @@ def verify_all_runs(tmp_path_factory, verify_all_passes):
         mp.setattr(gabor, "gabor_analyze", dense)
         mp.setattr(gabor.GaborCoefficients, "__init__", dense)
         for path in paths:
-            verify_all_passes.append(0)
+            verify_all_passes.append([])
             start = time.perf_counter()
             code = main(["verify", "all", "--grid", "32x32", "--seed", "0",
                          "--report", str(path)])
@@ -336,33 +337,49 @@ def test_criterion_14_determinism(verify_all_runs):
 
 def test_verify_all_sweeps_each_distinct_field_once(verify_all_runs,
                                                     verify_all_passes):
-    assert verify_all_passes == [VERIFY_ALL_PASSES] * 2, verify_all_passes
+    assert [len(keys) for keys in verify_all_passes] == [VERIFY_ALL_PASSES] * 2
 
 
-def _assert_report_close(got, want, where="report"):
-    """Keys, strings and ints equal; floats to rel 1e-12 / abs 1e-14."""
+def test_verify_all_passes_are_its_declared_fields(verify_all_runs, verify_all_passes):
+    """One pass per distinct declared field and none besides, so a check
+    asking a sum its suite did not declare fails here by name."""
+    declared = {uncertainty._field_key(f, phi, p, request)[0]
+                for f, phi, p, request in cli.declared_fields(cli.VerifyConfig(),
+                                                              cli.VERIFY_NAMES)}
+    for keys in verify_all_passes:
+        assert len(keys) == len(set(keys)), "a field was swept twice"
+        assert set(keys) == declared
+
+
+def _report_mismatches(got, want, where="report"):
+    """Every path where got differs from want: keys, strings and ints
+    equal, floats to rel 1e-12 / abs 1e-14."""
     if isinstance(want, dict):
-        assert isinstance(got, dict) and sorted(got) == sorted(want), where
-        for key in want:
-            _assert_report_close(got[key], want[key], f"{where}.{key}")
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), where
-        for i, (g, w) in enumerate(zip(got, want)):
-            _assert_report_close(g, w, f"{where}[{i}]")
-    elif isinstance(want, float):
-        assert isinstance(got, float), f"{where}: {got!r} is not a float"
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-14), \
-            f"{where}: {got!r} vs pinned {want!r}"
+        if not isinstance(got, dict) or sorted(got) != sorted(want):
+            return [f"{where}: keys {got!r} vs pinned {want!r}"]
+        return [m for key in want
+                for m in _report_mismatches(got[key], want[key], f"{where}.{key}")]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [f"{where}: {got!r} vs pinned {want!r}"]
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in _report_mismatches(g, w, f"{where}[{i}]")]
+    if isinstance(want, float):
+        if not isinstance(got, float):
+            return [f"{where}: {got!r} is not a float"]
+        ok = got == pytest.approx(want, rel=1e-12, abs=1e-14)
     else:
-        assert type(got) is type(want) and got == want, \
-            f"{where}: {got!r} vs pinned {want!r}"
+        ok = type(got) is type(want) and got == want
+    return [] if ok else [f"{where}: {got!r} vs pinned {want!r}"]
 
 
 def test_verify_all_matches_pinned_report(verify_all_runs):
-    """The seed-0 `verify all --grid 32x32` report equals the committed one."""
+    """The seed-0 `verify all --grid 32x32` report equals the committed one;
+    a failure lists every value that moved."""
     _, first, _ = verify_all_runs
     pinned = Path(__file__).parent / "data" / "verify_all_seed0.json"
-    _assert_report_close(json.loads(first), json.loads(pinned.read_text()))
+    mismatches = _report_mismatches(json.loads(first), json.loads(pinned.read_text()))
+    assert not mismatches, "\n".join(mismatches)
 
 
 def test_qlct_plancherel_residuals_hold_the_identity(verify_all_runs):

@@ -394,6 +394,27 @@ def test_verify_rejects_a_negative_seed_before_any_suite(tmp_path, capsys, suite
     assert not rpt.exists()
 
 
+def test_heisenberg_and_lieb_share_their_gaussian_passes(monkeypatch):
+    """lieb sweeps the normalized Gaussians heisenberg sweeps, so in one
+    declared scope the two suites make 5 passes, one of them at 64^2."""
+    sizes = []
+    original = uncertainty.gabor_field_stats
+
+    def counted(f, *args, **kwargs):
+        sizes.append(f.grid.n1)
+        return original(f, *args, **kwargs)
+
+    monkeypatch.setattr(uncertainty, "gabor_field_stats", counted)
+    cfg = cli.VerifyConfig()
+    names = ["heisenberg", "lieb"]
+    with uncertainty.field_memo(cli.declared_fields(cfg, names)):
+        for name in names:
+            out = cli.Collector(cfg.seed)
+            cli.SUITES[name](cfg, out)
+            assert out.reports and not out.failures, out.failures
+    assert len(sizes) == 5 and sizes.count(64) == 1, sizes
+
+
 def test_concentration_suites_stay_within_32_mib():
     """Both concentration suites in one scope read the 8 MiB |G|^2 table of
     one pass, so together they hold less than the 32 MiB dense 32^2 field."""
@@ -437,10 +458,24 @@ def test_verify_grid_and_dx_flags(tmp_path):
 
 @pytest.mark.parametrize("flag", [["--dx", "0"], ["--grid", "1x1"], ["--dx", "1e200"],
                                   ["--dx", "inf"], ["--trials", "0"], ["--trials", "-3"],
-                                  ["--grid", "0x0"], ["--dx", "1e-200"]])
-def test_verify_rejects_bad_grid_before_any_suite(capsys, flag):
+                                  ["--grid", "0x0"], ["--dx", "1e-200"],
+                                  ["--grid", "30000x30000"],
+                                  ["--method", "direct", "--grid", "1024x1024"],
+                                  ["--trials", "1000000000"]])
+def test_verify_rejects_bad_grid_before_any_suite(tmp_path, capsys, flag):
+    """A bad grid, a --grid whose largest array is over the budget and a
+    --trials out of range exit 2 in one line before any signal is built."""
     # hausdorff-young runs at fixed sizes, so it never reads cfg.grid() itself
-    assert main(["verify", "hausdorff-young", *flag]) == 2
+    rpt = tmp_path / "r.json"
+    tracemalloc.start()
+    try:
+        code = main(["verify", "hausdorff-young", *flag, "--report", str(rpt)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
     out = capsys.readouterr()
-    assert "suite" not in out.out
-    assert out.err.count("\n") == 1
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1, out.err
+    assert not rpt.exists()
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -361,6 +363,25 @@ def test_checks_outside_a_memo_scope_each_make_one_pass(passes):
         for call in calls + calls:
             call()
     assert len(passes) == 4 * len(calls)
+
+
+def test_a_memo_scope_keeps_no_planned_signal_alive(passes):
+    """The scope holds each field's key and union, not the plan: once the
+    caller drops a planned signal it is freed, and its field is still
+    served from one pass."""
+    grid = default_grid(8)
+    f = random_smooth(grid, np.random.default_rng(82))
+    phi = normalized(gaussian(grid, 1.0))
+    samples = weakref.ref(f.samples)
+    plan = [(f, phi, FOURIER2, {"s_values": (1.0,)}), (f, phi, FOURIER2, {})]
+    with field_memo(plan):
+        g = QSignal2D(f.grid, f.samples.copy())
+        del plan, f
+        gc.collect()
+        assert samples() is None
+        young_sup_check(g, phi, FOURIER2, 2.0)
+        heisenberg_check(g, phi, FOURIER2, 1.0)
+    assert len(passes) == 1
 
 
 # ---------------------------------------------------------------------------
