@@ -9,18 +9,18 @@ from .lct1d import (Grid1D, LCTParams, MatchedSamplingError, ZeroBError,
 from .signal import (FormatError, Grid2D, GridMismatchError, QSignal2D,
                      WindowSpec, inner_product, load, make_window,
                      parse_window_spec, sample, save, translate)
-from .qlct2d import (QLCTParams, forward_grid, qlct_forward_direct,
+from .qlct2d import (QLCTParams, forward_grid, qlct_forward, qlct_forward_direct,
                      qlct_forward_fast, qlct_inverse, qlct_plancherel_check)
 from .gabor import (GaborCoefficients, gabor_analyze, gabor_analyze_at,
                     gabor_plancherel_check, gabor_synthesize,
                     load_coefficients, save_coefficients, spectrogram,
                     translation_grid)
 from .report import InequalityReport, reports_to_csv, reports_to_json
-from .uncertainty import (D_LOG, RegionMask, amgm_dilation_identity,
-                          concentration_check, epsilon_concentration_check,
-                          gabor_field_stats, greedy_minimal_mask,
-                          hausdorff_young_check, heisenberg_check, lieb_check,
-                          lemma_log_identity_check, log_check, moment,
+from .uncertainty import (D_LOG, amgm_dilation_identity, concentration_check,
+                          epsilon_concentration_check, gabor_field_stats,
+                          greedy_minimal_mask, hausdorff_young_check,
+                          heisenberg_check, lieb_check, lemma_log_identity_check,
+                          log_check, mask_measure, moment,
                           moment_concentration_check, random_mask,
                           young_sup_check)
 
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "D_LOG", "FormatError", "GaborCoefficients", "Grid1D", "Grid2D",
     "GridMismatchError", "InequalityReport", "LCTParams",
-    "MatchedSamplingError", "QLCTParams", "QSignal2D", "RegionMask",
+    "MatchedSamplingError", "QLCTParams", "QSignal2D",
     "WindowSpec", "ZeroBError", "amgm_dilation_identity", "concentration_check",
     "conjugate_grid", "epsilon_concentration_check",
     "forward_grid", "gabor_analyze", "gabor_analyze_at", "gabor_field_stats",
@@ -37,9 +37,9 @@ __all__ = [
     "hausdorff_young_check", "heisenberg_check", "inner_product",
     "kernel_value", "lct_direct", "lct_fast", "lct_scale_chirp", "lieb_check",
     "lemma_log_identity_check", "load", "load_coefficients", "log_check",
-    "make_window", "moment", "moment_concentration_check", "parse_window_spec",
-    "qlct_forward_direct", "qlct_forward_fast", "qlct_inverse",
-    "qlct_plancherel_check", "random_mask", "reports_to_csv",
+    "make_window", "mask_measure", "moment", "moment_concentration_check",
+    "parse_window_spec", "qlct_forward", "qlct_forward_direct", "qlct_forward_fast",
+    "qlct_inverse", "qlct_plancherel_check", "random_mask", "reports_to_csv",
     "reports_to_json", "sample", "save", "save_coefficients", "spectrogram",
     "translate", "translation_grid", "young_sup_check",
 ]

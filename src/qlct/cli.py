@@ -24,8 +24,10 @@ import numpy as np
 
 from . import families, gabor, report, signal, uncertainty
 from .lct1d import LCTParams
-from .qlct2d import (QLCTParams, forward_grid, qlct_forward_direct,
-                     qlct_forward_fast, qlct_inverse, qlct_plancherel_check)
+from .qlct2d import (QLCTParams, forward_grid, qlct_forward, qlct_inverse,
+                     qlct_plancherel_check)
+# bench/tracing.py wraps this name here; cli calls qlct_forward
+from .qlct2d import qlct_forward_fast  # noqa: F401
 from .signal import FormatError, Grid2D, WindowSpec, parse_window_spec
 
 EXIT_OK = 0
@@ -41,6 +43,10 @@ COEFF_BUDGET_BYTES = 32**4 * 32
 #: under --method fast (up to 2048x2048), and 32 n1 n2 max(n1, n2) bytes
 #: for the direct kernel contraction of `qlct2d` (up to 161x161).
 VERIFY_BUDGET_BYTES = 2**27
+#: Most (omega, y) cells one Gabor pass of `verify` may sweep: the
+#: stride-1 field of a 128x128 signal. A pass's time grows with its cells
+#: (n1 n2 translations of an n1 x n2 transform), not with any one array.
+VERIFY_PASS_CELLS = 2**28
 #: Most --trials `verify` takes: young's plan holds about 10 KiB a trial,
 #: so its largest plan stays under VERIFY_BUDGET_BYTES.
 MAX_TRIALS = 10_000
@@ -115,8 +121,7 @@ def cmd_qlct(args) -> int:
     f = signal.load(args.input)
     with _quiet_overflow():
         if args.command == "forward":
-            out = (qlct_forward_fast if args.method == "fast"
-                   else qlct_forward_direct)(f, p)
+            out = qlct_forward(f, p, args.method)
         else:
             out = qlct_inverse(f, p, method=args.method)
     _finite_or_die(out.samples, args.command)
@@ -421,7 +426,7 @@ def suite_eps_concentration(cfg: VerifyConfig, out: Collector):
         mask = uncertainty.greedy_minimal_mask(stats, 1.0 - eps)
         rep = out.add(uncertainty.epsilon_concentration_check(stats, QFT, mask, eps),
                       family=f"greedy-{eps}")
-        measures[eps] = mask.measure
+        measures[eps] = rep.rhs
         out.fail_if(rep.margin < 0, f"eps-concentration eps={eps}: margin {rep.margin!r}")
     out.fail_if(measures[0.1] < measures[0.5],
                 f"greedy mask measure not monotone: {measures!r}")
@@ -467,9 +472,20 @@ SUITE_FIELDS = {
 
 
 def declared_fields(cfg: VerifyConfig, names) -> list:
-    """The field requests the named suites declare, in run order."""
-    return [pair for name in names if name in SUITE_FIELDS
+    """The field requests the named suites declare, in run order; a field
+    whose pass would sweep more than VERIFY_PASS_CELLS cells raises
+    FormatError, before any pass starts."""
+    plan = [pair for name in names if name in SUITE_FIELDS
             for pair in SUITE_FIELDS[name](cfg)]
+    for f, _, p, request in plan:
+        omega = forward_grid(f.grid, p)
+        y = gabor.translation_grid(f.grid, request.get("y_stride", 1))
+        cells = omega.n1 * omega.n2 * y.n1 * y.n2
+        if cells > VERIFY_PASS_CELLS:
+            raise FormatError(f"a Gabor pass on the {f.grid.n1}x{f.grid.n2} grid sweeps "
+                              f"{cells} cells, above the {VERIFY_PASS_CELLS} cell bound "
+                              "(the 128x128 field)")
+    return plan
 
 
 def cmd_verify(args) -> int:

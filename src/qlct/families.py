@@ -12,7 +12,7 @@ import numpy as np
 
 from .lct1d import LCTParams
 from .qlct2d import QLCTParams
-from .signal import Grid2D, QSignal2D
+from .signal import Grid2D, QSignal2D, sample
 
 FOURIER = LCTParams(0.0, 1.0, -1.0, 0.0)
 
@@ -36,52 +36,43 @@ def default_grid(n: int, dx: float | None = None) -> Grid2D:
 
 def gaussian(grid: Grid2D, sigma: float = 1.0) -> QSignal2D:
     """Scalar Gaussian exp(-|x|^2 / (2 sigma^2))."""
-    x1, x2 = grid.meshgrid()
-    vals = np.zeros((grid.n1, grid.n2, 4))
-    vals[..., 0] = np.exp(-(x1**2 + x2**2) / (2 * sigma**2))
-    return QSignal2D(grid, vals)
+    return sample(grid, lambda x1, x2: np.exp(-(x1**2 + x2**2) / (2 * sigma**2)))
 
 
 def dilated_gaussian(grid: Grid2D, t: float, sigma: float = 1.0) -> QSignal2D:
     """L^2-normalized dilate f_t(x) = f(x/t) / t of the sigma Gaussian."""
-    x1, x2 = grid.meshgrid()
     st = sigma * t
-    vals = np.zeros((grid.n1, grid.n2, 4))
-    vals[..., 0] = np.exp(-(x1**2 + x2**2) / (2 * st**2)) / t
-    return QSignal2D(grid, vals)
+    return sample(grid, lambda x1, x2: np.exp(-(x1**2 + x2**2) / (2 * st**2)) / t)
 
 
 def gaussian_chirp(grid: Grid2D, sigma: float = 1.0,
                    rate1: float = 0.5, rate2: float = -0.3) -> QSignal2D:
     """Gaussian envelope times e^{i rate1 x1^2} on the left and
     e^{j rate2 x2^2} on the right: a full four-component signal."""
-    x1, x2 = grid.meshgrid()
-    env = np.exp(-(x1**2 + x2**2) / (2 * sigma**2))
-    t1 = rate1 * x1**2
-    t2 = rate2 * x2**2
-    vals = np.stack([
-        env * np.cos(t1) * np.cos(t2),
-        env * np.sin(t1) * np.cos(t2),
-        env * np.cos(t1) * np.sin(t2),
-        env * np.sin(t1) * np.sin(t2),
-    ], axis=-1)
-    return QSignal2D(grid, vals)
+    def components(x1, x2):
+        env = np.exp(-(x1**2 + x2**2) / (2 * sigma**2))
+        t1 = rate1 * x1**2
+        t2 = rate2 * x2**2
+        return np.stack([
+            env * np.cos(t1) * np.cos(t2),
+            env * np.sin(t1) * np.cos(t2),
+            env * np.cos(t1) * np.sin(t2),
+            env * np.sin(t1) * np.sin(t2),
+        ], axis=-1)
+    return sample(grid, components)
 
 
 def random_smooth(grid: Grid2D, rng: np.random.Generator,
                   degree: int = 2, sigma: float = 1.0) -> QSignal2D:
     """Gaussian envelope times an independent random polynomial of the
     given total degree in each quaternion component."""
-    x1, x2 = grid.meshgrid()
-    env = np.exp(-(x1**2 + x2**2) / (2 * sigma**2))
-    vals = np.zeros((grid.n1, grid.n2, 4))
-    for c in range(4):
-        poly = np.zeros_like(x1)
-        for i in range(degree + 1):
-            for j in range(degree + 1 - i):
-                poly += rng.standard_normal() * x1**i * x2**j
-        vals[..., c] = env * poly
-    return QSignal2D(grid, vals)
+    def components(x1, x2):
+        env = np.exp(-(x1**2 + x2**2) / (2 * sigma**2))
+        return np.stack([env * sum(rng.standard_normal() * x1**i * x2**j
+                                   for i in range(degree + 1)
+                                   for j in range(degree + 1 - i))
+                         for _ in range(4)], axis=-1)
+    return sample(grid, components)
 
 
 def random_quaternion_signal(grid: Grid2D, rng: np.random.Generator) -> QSignal2D:

@@ -57,13 +57,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import report
+from . import qlct2d, report
 from .lct1d import Grid1D, LCTParams
 from .quat import (from_complex_pair, pair_abs_sq, qabs_sq, qconj, qmul,
                    to_complex_pair)
-from .qlct2d import (QLCTParams, _check_method, _fast_plan, _halves, _join,
-                     _two_sided_fast, forward_grid, qlct_forward_direct,
-                     qlct_forward_fast)
+from .qlct2d import (QLCTParams, _fast_plan, _halves, _join, _two_sided_fast,
+                     forward_grid, qlct_forward)
 from .signal import (FormatError, Grid2D, GridMismatchError, QSignal2D, load,
                      read_payload, save, translate, write_payload)
 
@@ -113,8 +112,7 @@ def gabor_analyze_at(f: QSignal2D, phi: QSignal2D, y: tuple[float, float],
     if not f.grid.approx_eq(phi.grid):
         raise GridMismatchError("signal and window must share a grid")
     windowed = QSignal2D(f.grid, qmul(f.samples, qconj(translate(phi, y).samples)))
-    fwd = qlct_forward_fast if _check_method(method) == "fast" else qlct_forward_direct
-    return fwd(windowed, p)
+    return qlct_forward(windowed, p, method)
 
 
 def _translates(planes: np.ndarray, stride: int = 1) -> np.ndarray:
@@ -162,7 +160,8 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
         raise GridMismatchError("signal and window must share a grid")
     y_grid = translation_grid(f.grid, y_stride)
     blocks = _y2_blocks(y_grid.n2, f.grid.n1 * f.grid.n2)
-    if _check_method(method) == "direct":
+    # the direct branch is the Gabor oracle, so only a known method reaches it
+    if qlct2d._check_method(method) == "direct":
         y2c = y_grid.coords2()
         for iy1, y1 in enumerate(y_grid.coords1()):
             for sl in blocks:

@@ -210,6 +210,13 @@ def qlct_forward_direct(f: QSignal2D, p: QLCTParams) -> QSignal2D:
     return _two_sided(f, p, "direct")
 
 
+def qlct_forward(f: QSignal2D, p: QLCTParams, method: str = "fast") -> QSignal2D:
+    """Forward transform by the named path; each path is looked up here at
+    call time, so a wrapper of either module-level name sees every call."""
+    fwd = qlct_forward_fast if _check_method(method) == "fast" else qlct_forward_direct
+    return fwd(f, p)
+
+
 def qlct_inverse(F: QSignal2D, p: QLCTParams, method: str = "fast",
                  x_grid: Grid2D | None = None) -> QSignal2D:
     """Inverse transform: the forward transform with the inverse matrices.
@@ -224,8 +231,7 @@ def qlct_inverse(F: QSignal2D, p: QLCTParams, method: str = "fast",
 def qlct_plancherel_check(f: QSignal2D, p: QLCTParams,
                           method: str = "fast") -> report.InequalityReport:
     """Energy equality between a signal and its transform."""
-    fwd = qlct_forward_fast if _check_method(method) == "fast" else qlct_forward_direct
-    F = fwd(f, p)
+    F = qlct_forward(f, p, method)
     lhs = f.l2_norm_sq()
     rhs = F.l2_norm_sq()
     return report.equality("qlct-plancherel", lhs, rhs,

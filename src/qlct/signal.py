@@ -154,6 +154,9 @@ class WindowSpec:
             raise ValueError(f"unknown window kind {self.kind!r}")
         if not all(p > 0 for p in self.params):
             raise ValueError(f"window parameters must be positive, got {self.params}")
+        if not all(math.isfinite(v) for v in (*self.params, *self.center)):
+            raise ValueError(f"window parameters and center must be finite, "
+                             f"got {self.params} and {self.center}")
 
     def to_string(self) -> str:
         key = "sigma" if self.kind == "gaussian" else "width"
@@ -165,21 +168,27 @@ class WindowSpec:
 
 def parse_window_spec(text: str) -> WindowSpec:
     """Parse the ``kind:key=val[,val][,key=val...]`` micro-grammar,
-    e.g. ``gaussian:sigma=1.0,1.0`` or ``rect:width=2``."""
+    e.g. ``gaussian:sigma=1.0,1.0`` or ``rect:width=2``. The keys are the
+    kind's ``sigma`` (gaussian) or ``width`` (rect, hann) and ``center``,
+    each given once with one or two values."""
     kind, _, rest = text.partition(":")
     kind = kind.strip()
+    key = "sigma" if kind == "gaussian" else "width"
     fields: dict[str, list[float]] = {}
     current = None
     for seg in filter(None, (s.strip() for s in rest.split(","))):
         if "=" in seg:
-            key, _, val = seg.partition("=")
-            current = key.strip()
+            name, _, val = seg.partition("=")
+            current = name.strip()
+            if current not in (key, "center") or current in fields:
+                raise ValueError(f"bad window spec {text!r}: unknown or repeated "
+                                 f"key {current!r}")
             fields[current] = [float(val)]
-        elif current is not None:
+        elif current is not None and len(fields[current]) < 2:
             fields[current].append(float(seg))
         else:
-            raise ValueError(f"bad window spec {text!r}: value {seg!r} before any key")
-    key = "sigma" if kind == "gaussian" else "width"
+            raise ValueError(f"bad window spec {text!r}: value {seg!r} "
+                             "before any key or after a key's two values")
     if key not in fields:
         raise ValueError(f"window spec {text!r} is missing {key}=")
     vals = fields[key]
@@ -206,9 +215,8 @@ def sample(grid: Grid2D, fn) -> QSignal2D:
     if vals.shape != (grid.n1, grid.n2, 4):
         raise ValueError(f"sampler returned shape {vals.shape}, "
                          f"expected {(grid.n1, grid.n2)} or {(grid.n1, grid.n2, 4)}")
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        k1, k2, _ = np.argwhere(bad)[0]
+    if not all_finite(vals):
+        k1, k2, _ = np.argwhere(~np.isfinite(vals))[0]
         raise ValueError(
             f"non-finite sample at x=({x1[k1, k2]:g}, {x2[k1, k2]:g}) (cell {k1},{k2})")
     return QSignal2D(grid, vals)
@@ -253,26 +261,30 @@ def make_window(spec: WindowSpec, grid: Grid2D) -> QSignal2D:
 
     The samples are rescaled so the largest one equals 1, which pins the
     peak of a gaussian to the cell nearest its center even on grids that
-    do not sample the center exactly.
+    do not sample the center exactly. The profile is evaluated in float64
+    with overflow and underflow running to their limits, so a finite spec
+    whose window vanishes on the grid fails with one message.
     """
-    x1, x2 = grid.meshgrid()
-    u1 = x1 - spec.center[0]
-    u2 = x2 - spec.center[1]
-    p1, p2 = spec.params
-    if spec.kind == "gaussian":
-        vals = np.exp(-(u1**2 / (2 * p1**2) + u2**2 / (2 * p2**2)))
-    elif spec.kind == "rect":
-        vals = ((np.abs(u1) < p1) & (np.abs(u2) < p2)).astype(float)
-    else:  # hann
-        w1 = np.where(np.abs(u1) < p1, 0.5 * (1 + np.cos(np.pi * u1 / p1)), 0.0)
-        w2 = np.where(np.abs(u2) < p2, 0.5 * (1 + np.cos(np.pi * u2 / p2)), 0.0)
-        vals = w1 * w2
-    peak = vals.max()
-    if not peak > 0:
-        raise ValueError(f"window {spec} vanishes on the whole grid")
-    full = np.zeros((grid.n1, grid.n2, 4))
-    full[..., 0] = vals / peak
-    return QSignal2D(grid, full)
+    p1, p2 = np.asarray(spec.params, dtype=float)
+
+    def profile(x1, x2):
+        with np.errstate(all="ignore"):
+            u1 = x1 - spec.center[0]
+            u2 = x2 - spec.center[1]
+            if spec.kind == "gaussian":
+                vals = np.exp(-(u1**2 / (2 * p1**2) + u2**2 / (2 * p2**2)))
+            elif spec.kind == "rect":
+                vals = ((np.abs(u1) < p1) & (np.abs(u2) < p2)).astype(float)
+            else:  # hann
+                w1 = np.where(np.abs(u1) < p1, 0.5 * (1 + np.cos(np.pi * u1 / p1)), 0.0)
+                w2 = np.where(np.abs(u2) < p2, 0.5 * (1 + np.cos(np.pi * u2 / p2)), 0.0)
+                vals = w1 * w2
+        peak = vals.max()
+        if not peak > 0:
+            raise ValueError(f"window {spec} vanishes on the whole grid")
+        return vals / peak
+
+    return sample(grid, profile)
 
 
 def all_finite(values: np.ndarray) -> bool:

@@ -11,8 +11,10 @@ Moment and p-norm accumulations over the Gabor field come from one
 streamed pass of `gabor.gabor_field_stats`, so grids larger than the
 dense-storage budget are fine. The pass also gives its per-translation
 Plancherel residual, which the heisenberg, log, lieb, young and
-moment-concentration reports carry. The concentration checks read the
-|G|^2 table a pass copies out, never a dense quaternion field.
+moment-concentration reports carry (`_pass_record`). The concentration
+checks read the |G|^2 table a pass copies out, never a dense quaternion
+field; their masks are boolean arrays shaped like that table, measured by
+`mask_measure` at the table's own cell volume.
 
 Inside a `field_memo` scope each declared field is swept once over the
 union of the requests declared for it, and each request that union
@@ -26,7 +28,6 @@ import contextlib
 import contextvars
 import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +36,9 @@ from .gabor import GaborCoefficients, _log_radius, gabor_field_stats
 # bench/tracing.py wraps this name here, but the passes reach the generator
 # through `gabor_field_stats`, which calls gabor's own (also wrapped) binding
 from .gabor import iter_gabor_blocks  # noqa: F401
-from .qlct2d import QLCTParams, _check_method, qlct_forward_direct, qlct_forward_fast
+from .qlct2d import QLCTParams, qlct_forward
+# bench/tracing.py wraps this name here; the checks call qlct_forward
+from .qlct2d import qlct_forward_fast  # noqa: F401
 from .quat import qabs_sq
 from .signal import GridMismatchError, QSignal2D
 
@@ -43,24 +46,6 @@ EULER_GAMMA = 0.5772156649015329
 PSI_HALF = -EULER_GAMMA - 2.0 * math.log(2.0)
 #: Constant in the logarithmic inequality: digamma(1/2) - ln(pi).
 D_LOG = PSI_HALF - math.log(math.pi)
-
-
-@dataclass
-class RegionMask:
-    """Boolean region over the cells of a |G|^2 table, indexed (y1, y2,
-    omega1, omega2), with its Lebesgue measure."""
-
-    mask: np.ndarray
-    cell_volume: float
-
-    def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.mask.ndim != 4:
-            raise ValueError(f"mask must be 4D, got {self.mask.ndim}D")
-
-    @property
-    def measure(self) -> float:
-        return float(np.count_nonzero(self.mask)) * self.cell_volume
 
 
 def _abs_sq_table(stats: dict) -> np.ndarray:
@@ -71,11 +56,21 @@ def _abs_sq_table(stats: dict) -> np.ndarray:
     return table
 
 
+def mask_measure(stats: dict, mask: np.ndarray) -> float:
+    """Lebesgue measure of a boolean mask over the |G|^2 table of `stats`:
+    its cell count times the table's cell volume."""
+    table, mask = _abs_sq_table(stats), np.asarray(mask)
+    if mask.dtype != bool or mask.shape != table.shape:
+        raise ValueError(f"mask must be a boolean array of the |G|^2 table's shape "
+                         f"{table.shape}, got {mask.dtype} {mask.shape}")
+    return float(np.count_nonzero(mask)) * stats["cell_volume"]
+
+
 def random_mask(stats: dict, target_measure: float,
-                rng: np.random.Generator) -> RegionMask:
-    """Uniformly random cells of the |G|^2 table of `stats` totalling
-    approximately target_measure. Cells are drawn by flat index over
-    (omega1, omega2, y1, y2), the dense field's order, so a seed draws
+                rng: np.random.Generator) -> np.ndarray:
+    """Boolean mask of uniformly random cells of the |G|^2 table of `stats`
+    totalling approximately target_measure. Cells are drawn by flat index
+    over (omega1, omega2, y1, y2), the dense field's order, so a seed draws
     the same cells whichever way the field is stored."""
     table, cv = _abs_sq_table(stats), stats["cell_volume"]
     ny1, ny2, nw1, nw2 = table.shape
@@ -83,13 +78,14 @@ def random_mask(stats: dict, target_measure: float,
     count = max(1, min(total, round(target_measure / cv)))
     mask = np.zeros((nw1, nw2, ny1, ny2), dtype=bool)
     mask.reshape(-1)[rng.choice(total, size=count, replace=False)] = True
-    return RegionMask(mask.transpose(2, 3, 0, 1), cv)
+    return mask.transpose(2, 3, 0, 1)
 
 
-def greedy_minimal_mask(stats: dict, capture: float) -> RegionMask:
-    """Smallest-measure mask capturing at least `capture` of absolute Gabor
-    energy: the k largest cells of the |G|^2 table of `stats`, with k read
-    off the running energy of the cells in descending order."""
+def greedy_minimal_mask(stats: dict, capture: float) -> np.ndarray:
+    """Smallest-measure boolean mask capturing at least `capture` of
+    absolute Gabor energy: the k largest cells of the |G|^2 table of
+    `stats`, with k read off the running energy of the cells in
+    descending order."""
     table, cv = _abs_sq_table(stats), stats["cell_volume"]
     flat = table.reshape(-1)
     # one table-sized buffer: descending |G|^2, then its running energy
@@ -102,7 +98,7 @@ def greedy_minimal_mask(stats: dict, capture: float) -> RegionMask:
     del csum
     mask = np.zeros(flat.size, dtype=bool)
     mask[np.argpartition(flat, flat.size - k)[flat.size - k:]] = True
-    return RegionMask(mask.reshape(table.shape), cv)
+    return mask.reshape(table.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +233,15 @@ def _require_field_energy(stats: dict):
         raise ValueError("zero Gabor field: no translate of the window meets the signal")
 
 
+def _pass_record(stats: dict, f: QSignal2D, p: QLCTParams, method: str, **params) -> dict:
+    """The params and grid of a field check's report: the check's own
+    params, then its pass's Plancherel residual, method and matrices."""
+    return {"params": {**params,
+                       "plancherel_by_y_residual": stats["plancherel_by_y_residual"],
+                       "method": method, **p.to_dict()},
+            "grid": f.grid.to_dict()}
+
+
 # ---------------------------------------------------------------------------
 # checks
 
@@ -265,17 +270,10 @@ def heisenberg_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams, s: float,
     lhs = math.sqrt(A) * math.sqrt(B)
     rhs = f.l2_norm() * phi.l2_norm()
     at_tstar, target, rel = amgm_dilation_identity(A, B, s)
-    rep = report.lower_bound("heisenberg", lhs, rhs,
-                             empirical_constant=lhs / rhs,
-                             params={"s": s, "moment_omega": A, "moment_y": B,
-                                     "amgm_at_tstar": at_tstar,
-                                     "amgm_sqrt_ab": target,
-                                     "amgm_rel_err": rel,
-                                     "plancherel_by_y_residual":
-                                         stats["plancherel_by_y_residual"],
-                                     "method": method, **p.to_dict()},
-                             grid=f.grid.to_dict())
-    return rep
+    record = _pass_record(stats, f, p, method, s=s, moment_omega=A, moment_y=B,
+                          amgm_at_tstar=at_tstar, amgm_sqrt_ab=target, amgm_rel_err=rel)
+    return report.lower_bound("heisenberg", lhs, rhs, empirical_constant=lhs / rhs,
+                              **record)
 
 
 def log_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
@@ -297,14 +295,9 @@ def log_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     lhs = phi_sq * x_term + stats["log_omega_sum"]
     ln_b = 0.5 * (math.log(abs(p.A1.b)) + math.log(abs(p.A2.b)))
     rhs = phi_sq * (D_LOG + ln_b) * f_sq
-    return report.lower_bound("log", lhs, rhs,
-                              params={"D": D_LOG, "ln_b": ln_b,
-                                      "x_term": x_term,
-                                      "omega_term": stats["log_omega_sum"],
-                                      "plancherel_by_y_residual":
-                                          stats["plancherel_by_y_residual"],
-                                      "method": method, **p.to_dict()},
-                              grid=f.grid.to_dict())
+    record = _pass_record(stats, f, p, method, D=D_LOG, ln_b=ln_b, x_term=x_term,
+                          omega_term=stats["log_omega_sum"])
+    return report.lower_bound("log", lhs, rhs, **record)
 
 
 def lemma_log_identity_check(f: QSignal2D, phi: QSignal2D,
@@ -351,13 +344,9 @@ def lieb_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams, p_prime: float,
     if p_prime == 2.0:
         notes = ("printed constant is inconsistent at p' = 2: Plancherel forces "
                  "lhs = ||f||^2 ||phi||^2 while the printed rhs carries 1/(2 pi)^2")
-    return report.upper_bound("lieb", lhs, rhs,
-                              empirical_constant=lhs / scale,
-                              params={"p_prime": p_prime, "abs_b1b2": babs,
-                                      "plancherel_by_y_residual":
-                                          stats["plancherel_by_y_residual"],
-                                      "method": method, **p.to_dict()},
-                              grid=f.grid.to_dict(), notes=notes)
+    record = _pass_record(stats, f, p, method, p_prime=p_prime, abs_b1b2=babs)
+    return report.upper_bound("lieb", lhs, rhs, empirical_constant=lhs / scale,
+                              notes=notes, **record)
 
 
 def young_sup_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
@@ -375,12 +364,8 @@ def young_sup_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     stats = memo_field_stats(f, phi, p, method=method)
     lhs = stats["max_abs"]
     rhs = _abs_b_product(p)**-0.5 / (2 * math.pi) * f_norm * phi_norm
-    return report.upper_bound("young", lhs, rhs,
-                              params={"holder_p": holder_p, "holder_q": holder_q,
-                                      "plancherel_by_y_residual":
-                                          stats["plancherel_by_y_residual"],
-                                      "method": method, **p.to_dict()},
-                              grid=f.grid.to_dict())
+    record = _pass_record(stats, f, p, method, holder_p=holder_p, holder_q=holder_q)
+    return report.upper_bound("young", lhs, rhs, **record)
 
 
 def hausdorff_young_check(f: QSignal2D, p: QLCTParams, pp: float,
@@ -392,12 +377,11 @@ def hausdorff_young_check(f: QSignal2D, p: QLCTParams, pp: float,
     if not 2.0 <= pp < math.inf:
         raise ValueError(f"pp must be finite and >= 2, got {pp}")
     hp = pp / (pp - 1.0)
-    fwd = qlct_forward_fast if _check_method(method) == "fast" else qlct_forward_direct
     comp_abs = None
     for c in range(4):
         comp = np.zeros_like(f.samples)
         comp[..., 0] = f.samples[..., c]
-        Fc = fwd(QSignal2D(f.grid, comp), p)
+        Fc = qlct_forward(QSignal2D(f.grid, comp), p, method)
         mod = Fc.modulus()
         comp_abs = mod if comp_abs is None else comp_abs + mod
         omega_grid = Fc.grid
@@ -409,18 +393,15 @@ def hausdorff_young_check(f: QSignal2D, p: QLCTParams, pp: float,
                               grid=f.grid.to_dict())
 
 
-def concentration_check(stats: dict, p: QLCTParams, mask: RegionMask,
+def concentration_check(stats: dict, p: QLCTParams, mask: np.ndarray,
                         f_norm: float, phi_norm: float) -> report.InequalityReport:
     """||f|| ||phi|| against the complement energy blown up by
     1/sqrt(1 - m(Sigma)), for 0 < m(Sigma) < 1, on the |G|^2 table of
     `stats`, a pass over the field under params p."""
-    m = mask.measure
+    m = mask_measure(stats, mask)
     if not 0.0 < m < 1.0:
         raise ValueError(f"mask measure must lie in (0, 1), got {m!r}")
-    table = _abs_sq_table(stats)
-    if mask.mask.shape != table.shape:
-        raise ValueError("mask shape does not match the |G|^2 table")
-    comp = float(np.sum(table[~mask.mask]) * stats["cell_volume"])
+    comp = float(np.sum(stats["abs_sq_table"][~mask]) * stats["cell_volume"])
     lhs = f_norm * phi_norm
     rhs = math.sqrt(comp) / math.sqrt(1.0 - m)
     return report.upper_bound("concentration", lhs, rhs,
@@ -429,24 +410,21 @@ def concentration_check(stats: dict, p: QLCTParams, mask: RegionMask,
                                       **p.to_dict()})
 
 
-def epsilon_concentration_check(stats: dict, p: QLCTParams, mask: RegionMask,
+def epsilon_concentration_check(stats: dict, p: QLCTParams, mask: np.ndarray,
                                 epsilon: float) -> report.InequalityReport:
     """Measure lower bound 2 pi sqrt|b1 b2| (1 - eps) <= m(Sigma) for a
     region capturing at least 1 - eps of the energy of unit-norm data, on
     the |G|^2 table of `stats`, a pass over the field under params p."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    table = _abs_sq_table(stats)
-    if mask.mask.shape != table.shape:
-        raise ValueError("mask shape does not match the |G|^2 table")
-    captured = float(np.sum(table[mask.mask]) * stats["cell_volume"])
+    m = mask_measure(stats, mask)
+    captured = float(np.sum(stats["abs_sq_table"][mask]) * stats["cell_volume"])
     if captured + 1e-9 < 1.0 - epsilon:
         raise ValueError(f"mask captures {captured!r} < 1 - eps = {1 - epsilon!r}; "
                          "hypothesis unmet (normalize f and phi first)")
     babs = _abs_b_product(p)
     lhs = 2 * math.pi * math.sqrt(babs) * (1.0 - epsilon)
-    rhs = mask.measure
-    return report.upper_bound("eps-concentration", lhs, rhs,
+    return report.upper_bound("eps-concentration", lhs, m,
                               params={"epsilon": epsilon, "captured": captured,
                                       "abs_b1b2": babs, **p.to_dict()})
 
@@ -461,10 +439,6 @@ def moment_concentration_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     joint = stats["moment_joint"][s]
     lhs = f.l2_norm() * phi.l2_norm()
     rhs = math.sqrt(joint)
+    record = _pass_record(stats, f, p, method, s=s, moment_joint=joint)
     return report.upper_bound("moment-concentration", lhs, rhs,
-                              empirical_constant=lhs / rhs,
-                              params={"s": s, "moment_joint": joint,
-                                      "plancherel_by_y_residual":
-                                          stats["plancherel_by_y_residual"],
-                                      "method": method, **p.to_dict()},
-                              grid=f.grid.to_dict())
+                              empirical_constant=lhs / rhs, **record)

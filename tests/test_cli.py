@@ -1,5 +1,6 @@
 import json
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -479,3 +480,59 @@ def test_verify_rejects_bad_grid_before_any_suite(tmp_path, capsys, flag):
     assert out.err.startswith("error: ") and out.err.count("\n") == 1, out.err
     assert not rpt.exists()
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("window, code", [
+    ("gaussian:sigma=1e308", 0),
+    ("gaussian:sigma=inf", 2),
+    ("gaussian:sigma=1,foo=2", 2),
+    ("gaussian:sigma=1,2,3", 2),
+    ("rect:width=1,center=1,2,3", 2),
+    ("gaussian:sigma=1e-300", 2),
+    ("gaussian:sigma=1,center=1e200", 2),
+    ("hann:width=1,center=1e308", 2),
+])
+def test_gabor_analyze_window_specs_keep_the_one_line_exit(tmp_path, capsys, window, code):
+    """A spec that overflowed, was dropped in part or warned gives a window
+    or exits 2 in one line; numpy warnings raise under pytest, so a warning
+    or a traceback fails here."""
+    src, coef = tmp_path / "f.qsig", tmp_path / "coef"
+    write_gaussian(src, n=8)
+    assert main(["gabor", "analyze", "-i", str(src), "-o", str(coef),
+                 "--window", window]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == (code != 0) and "Traceback" not in err, err
+    if code == 0:  # the flat window a Gaussian tends to
+        assert np.all(load(coef / "window.qsig").samples[..., 0] == 1.0)
+    else:
+        assert err.startswith("error: ") and not coef.exists()
+
+
+def test_verify_refuses_a_gabor_pass_above_the_cell_bound_before_any_pass(
+        tmp_path, capsys, monkeypatch):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass started")
+
+    monkeypatch.setattr(gabor, "iter_gabor_blocks", no_pass)
+    rpt = tmp_path / "r.json"
+    start = time.perf_counter()
+    code = main(["verify", "heisenberg", "--grid", "256x256", "--trials", "1",
+                 "--report", str(rpt)])
+    assert time.perf_counter() - start < 20
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and "cell bound" in out.err, out.err
+    assert not rpt.exists()
+    # the bound is the 128^2 field, read off the declared fields
+    assert cli.VERIFY_PASS_CELLS == 128**4
+    assert cli.declared_fields(cli.VerifyConfig(128, 128), ["heisenberg"])
+    with pytest.raises(cli.FormatError, match="cell bound"):
+        cli.declared_fields(cli.VerifyConfig(129, 128), ["heisenberg"])
+
+
+def test_verify_without_a_gabor_field_takes_any_budgeted_grid(tmp_path, capsys):
+    rpt = tmp_path / "r.json"
+    assert main(["verify", "plancherel", "--grid", "256x256", "--trials", "1",
+                 "--report", str(rpt)]) == 0
+    assert all(r["ratio"] == pytest.approx(1.0, abs=1e-2)
+               for r in json.loads(rpt.read_text()))

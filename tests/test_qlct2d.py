@@ -14,8 +14,8 @@ from qlct.gabor import (_translates, _window_halves, gabor_analyze_at,
 from qlct.lct1d import (Grid1D, LCTParams, MatchedSamplingError,
                         conjugate_grid, kernel_value)
 from qlct.qlct2d import (QLCTParams, _fast_plan, _halves, _two_sided_fast,
-                         forward_grid, qlct_forward_direct, qlct_forward_fast,
-                         qlct_inverse, qlct_plancherel_check)
+                         forward_grid, qlct_forward, qlct_forward_direct,
+                         qlct_forward_fast, qlct_inverse, qlct_plancherel_check)
 from qlct.quat import to_complex_pair
 from qlct.signal import Grid2D, QSignal2D
 from qlct.uncertainty import hausdorff_young_check
@@ -305,14 +305,27 @@ def test_inverse_kernel_is_conjugate_transpose(A):
     _assert_inverse_kernel_is_conjugate_transpose(A, grid)
 
 
+@pytest.mark.parametrize("p", [*PARAM_SETS.values(),
+                               QLCTParams(LCTParams(2.0, 0.0, 0.5, 0.5), FOURIER)],
+                         ids=[*PARAM_SETS, "b=0-axis"])
+def test_qlct_forward_is_the_named_path_bit_for_bit(p):
+    f = random_quaternion_signal(default_grid(12), np.random.default_rng(61))
+    for method, path in (("fast", qlct_forward_fast), ("direct", qlct_forward_direct)):
+        out, ref = qlct_forward(f, p, method), path(f, p)
+        assert out.grid == ref.grid
+        assert np.array_equal(out.samples, ref.samples)
+    assert np.array_equal(qlct_forward(f, p).samples, qlct_forward_fast(f, p).samples)
+
+
 @pytest.mark.parametrize("call", [
+    lambda f, p, m: qlct_forward(f, p, m),
     lambda f, p, m: qlct_inverse(qlct_forward_fast(f, p), p, m),
     lambda f, p, m: qlct_plancherel_check(f, p, m),
     lambda f, p, m: next(iter_gabor_blocks(f, f, p, 1, m)),
     lambda f, p, m: gabor_analyze_at(f, f, (0.0, 0.0), p, m),
     lambda f, p, m: hausdorff_young_check(f, p, 2.0, m),
-], ids=["qlct_inverse", "qlct_plancherel_check", "iter_gabor_blocks",
-        "gabor_analyze_at", "hausdorff_young_check"])
+], ids=["qlct_forward", "qlct_inverse", "qlct_plancherel_check",
+        "iter_gabor_blocks", "gabor_analyze_at", "hausdorff_young_check"])
 def test_unknown_method_is_rejected(call):
     f = gaussian(default_grid(8), 1.0)
     with pytest.raises(ValueError, match="method must be 'fast' or 'direct'"):

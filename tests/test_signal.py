@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qlct.families import (dilated_gaussian, gaussian, gaussian_chirp,
+                           random_smooth)
 from qlct.quat import qconj, qmul, quaternion
 from qlct.signal import (FormatError, Grid2D, GridMismatchError, QSignal2D,
                          WindowSpec, inner_product, load, make_window,
@@ -93,6 +95,19 @@ def test_sample_rejects_non_finite():
 
     with pytest.raises(ValueError, match="non-finite"):
         sample(g, bad)
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: gaussian(g, float("nan")),
+    lambda g: dilated_gaussian(g, 1.0, float("nan")),
+    lambda g: gaussian_chirp(g, sigma=float("nan")),
+    lambda g: random_smooth(g, np.random.default_rng(0), sigma=float("nan")),
+], ids=["gaussian", "dilated_gaussian", "gaussian_chirp", "random_smooth"])
+def test_formula_families_reject_non_finite_samples_in_one_line(build):
+    # they build through `sample`; a NaN sigma gave an all-NaN signal
+    with pytest.raises(ValueError, match=r"non-finite sample at x=\(") as err:
+        build(grid4())
+    assert "\n" not in str(err.value)
 
 
 def test_inner_product_examples():
@@ -208,6 +223,43 @@ def test_hann_window_zero_at_boundary():
     x1, x2 = g.meshgrid()
     outside = (np.abs(x1) >= 1.0) | (np.abs(x2) >= 1.0)
     assert np.max(np.abs(phi.samples[outside])) <= 1e-12
+
+
+@pytest.mark.parametrize("text", ["gaussian:sigma=1.0,1.0",
+                                  "gaussian:sigma=0.7,1.3,center=0.2,-0.45",
+                                  "rect:width=1.1,0.8,center=-0.3",
+                                  "hann:width=1.5,0.9,center=0.3,0.1"])
+def test_window_samples_are_the_profile_formula_bit_for_bit(text):
+    spec = parse_window_spec(text)
+    g = Grid2D.centered(12, 10, 0.3, 0.4)
+    x1, x2 = g.meshgrid()
+    (p1, p2), (c1, c2) = spec.params, spec.center
+    u1, u2 = x1 - c1, x2 - c2
+    if spec.kind == "gaussian":
+        vals = np.exp(-(u1**2 / (2 * p1**2) + u2**2 / (2 * p2**2)))
+    elif spec.kind == "rect":
+        vals = ((np.abs(u1) < p1) & (np.abs(u2) < p2)).astype(float)
+    else:
+        vals = (np.where(np.abs(u1) < p1, 0.5 * (1 + np.cos(np.pi * u1 / p1)), 0.0)
+                * np.where(np.abs(u2) < p2, 0.5 * (1 + np.cos(np.pi * u2 / p2)), 0.0))
+    phi = make_window(spec, g)
+    assert np.array_equal(phi.samples[..., 0], vals / vals.max())
+    assert not phi.samples[..., 1:].any()
+
+
+@pytest.mark.parametrize("text, match", [
+    ("gaussian:sigma=inf", "finite"),
+    ("gaussian:sigma=1,center=nan", "finite"),
+    ("gaussian:sigma=1,foo=2", "unknown or repeated key 'foo'"),
+    ("gaussian:width=1", "unknown or repeated key 'width'"),
+    ("rect:width=1,width=2", "unknown or repeated key 'width'"),
+    ("gaussian:sigma=1,2,3", "two values"),
+    ("rect:width=1,center=1,2,3", "two values"),
+    ("hann:2,width=1", "before any key"),
+])
+def test_window_spec_rejects_what_it_would_drop(text, match):
+    with pytest.raises(ValueError, match=match):
+        parse_window_spec(text)
 
 
 def test_window_spec_validation_and_parsing():

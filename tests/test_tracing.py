@@ -2,7 +2,9 @@
 (module, attribute) name. Every binding it lists must still resolve, and
 every wrapper must still call what it wraps with the arguments it passes,
 or `bench/run.py --trace 1` breaks; `pytest bench` is not part of the
-default test run, so these checks live here."""
+default test run, so these checks live here. The workloads
+(`bench/workloads.py`) are imported too, so a renamed or deleted name
+they import fails this module's collection."""
 
 import importlib
 import os
@@ -12,6 +14,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench"))
 
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 from qlct import gabor, qlct2d, uncertainty  # noqa: E402
 from qlct.families import PARAM_SETS, gaussian  # noqa: E402
 from qlct.signal import Grid2D  # noqa: E402
@@ -64,3 +67,9 @@ def test_tracer_counts_each_block_of_a_multi_block_pass(monkeypatch):
 def test_row_bindings_resolve_to_the_blocked_sweep():
     for module, attr in tracing.BINDINGS["gabor.rows"]:
         assert getattr(importlib.import_module(module), attr) is gabor.iter_gabor_blocks
+
+
+def test_workloads_take_both_forward_paths_from_qlct2d():
+    # the set-up oracle compares these two; renaming either breaks the benchmark
+    assert workloads.qlct_forward_fast is qlct2d.qlct_forward_fast
+    assert workloads.qlct_forward_direct is qlct2d.qlct_forward_direct

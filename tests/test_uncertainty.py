@@ -19,12 +19,13 @@ from qlct.signal import (Grid2D, GridMismatchError, QSignal2D, WindowSpec,
                          make_window, translate)
 from qlct import gabor, uncertainty
 from qlct.cli import main
-from qlct.uncertainty import (D_LOG, RegionMask, amgm_dilation_identity,
+from qlct.uncertainty import (D_LOG, amgm_dilation_identity,
                               concentration_check, epsilon_concentration_check,
                               field_memo, gabor_field_stats,
                               greedy_minimal_mask, hausdorff_young_check,
                               heisenberg_check, lemma_log_identity_check,
-                              lieb_check, log_check, memo_field_stats, moment,
+                              lieb_check, log_check, mask_measure,
+                              memo_field_stats, moment,
                               moment_concentration_check, random_mask,
                               young_sup_check)
 
@@ -686,9 +687,10 @@ def test_random_mask_draws_the_cells_of_the_dense_order():
     dense[np.random.default_rng(55).choice(dense.size, size=round(400.0 / cv),
                                            replace=False)] = True
     assert 100 < np.count_nonzero(dense) < dense.size // 2
-    np.testing.assert_array_equal(mask.mask.transpose(2, 3, 0, 1),
+    assert mask.dtype == bool and mask.shape == stats["abs_sq_table"].shape
+    np.testing.assert_array_equal(mask.transpose(2, 3, 0, 1),
                                   dense.reshape(8, 6, 8, 6))
-    assert mask.measure == np.count_nonzero(dense) * cv
+    assert mask_measure(stats, mask) == np.count_nonzero(dense) * cv
 
 
 def test_greedy_mask_takes_the_argsort_count_of_largest_cells():
@@ -700,9 +702,9 @@ def test_greedy_mask_takes_the_argsort_count_of_largest_cells():
     for capture in (0.5, 0.9, 0.999):
         k = int(np.searchsorted(csum, capture - 1e-12)) + 1
         mask = greedy_minimal_mask(stats, capture)
-        assert mask.mask.shape == table.shape
-        assert np.count_nonzero(mask.mask) == k
-        assert table[mask.mask].min() >= table[~mask.mask].max()
+        assert mask.dtype == bool and mask.shape == table.shape
+        assert np.count_nonzero(mask) == k
+        assert table[mask].min() >= table[~mask].max()
     with pytest.raises(ValueError, match="cannot capture"):
         greedy_minimal_mask(stats, 1.5)
 
@@ -710,9 +712,10 @@ def test_greedy_mask_takes_the_argsort_count_of_largest_cells():
 def test_mask_readers_need_the_table():
     f = _unit_gaussian8()
     stats = gabor_field_stats(f, f, FOURIER2)
-    mask = RegionMask(np.ones((8, 8, 8, 8), dtype=bool), 1e-4)
+    mask = np.ones((8, 8, 8, 8), dtype=bool)
     for read in (lambda: random_mask(stats, 0.5, np.random.default_rng(0)),
                  lambda: greedy_minimal_mask(stats, 0.5),
+                 lambda: mask_measure(stats, mask),
                  lambda: concentration_check(stats, FOURIER2, mask, 1.0, 1.0),
                  lambda: epsilon_concentration_check(stats, FOURIER2, mask, 0.5)):
         with pytest.raises(ValueError, match="abs_sq_table=True"):
@@ -745,9 +748,8 @@ def test_concentration_single_tiny_cell_margin_near_zero():
     f, stats = _unit_gaussian_field()
     mask = np.zeros(stats["abs_sq_table"].shape, dtype=bool)
     mask[0, 0, 0, 0] = True
-    rm = RegionMask(mask, stats["cell_volume"])
-    rep = concentration_check(stats, FOURIER2, rm, 1.0, 1.0)
-    assert abs(rep.margin) <= rm.measure
+    rep = concentration_check(stats, FOURIER2, mask, 1.0, 1.0)
+    assert abs(rep.margin) <= mask_measure(stats, mask) == stats["cell_volume"]
 
 
 def test_concentration_random_masks():
@@ -755,7 +757,7 @@ def test_concentration_random_masks():
     f, stats = _unit_gaussian_field()
     for m in (0.25, 0.5, 0.9):
         mask = random_mask(stats, m, rng)
-        assert 0 < mask.measure < 1
+        assert 0 < mask_measure(stats, mask) < 1
         rep = concentration_check(stats, FOURIER2, mask, 1.0, 1.0)
         assert rep.margin >= -1e-6
 
@@ -768,15 +770,15 @@ def test_concentration_peak_mask_still_holds():
     order = np.argsort(table.ravel())[::-1][:k]
     flat = np.zeros(table.size, dtype=bool)
     flat[order] = True
-    mask = RegionMask(flat.reshape(table.shape), cv)
-    assert 0.5 <= mask.measure < 1.0
+    mask = flat.reshape(table.shape)
+    assert 0.5 <= mask_measure(stats, mask) < 1.0
     rep = concentration_check(stats, FOURIER2, mask, 1.0, 1.0)
     assert rep.margin >= -1e-6
 
 
 def test_concentration_rejects_measure_out_of_range():
     f, stats = _unit_gaussian_field(8)
-    full = RegionMask(np.ones(stats["abs_sq_table"].shape, dtype=bool), stats["cell_volume"])
+    full = np.ones(stats["abs_sq_table"].shape, dtype=bool)
     with pytest.raises(ValueError, match="measure"):
         concentration_check(stats, FOURIER2, full, 1.0, 1.0)
 
@@ -788,7 +790,8 @@ def test_epsilon_concentration_greedy_masks():
         mask = greedy_minimal_mask(stats, 1.0 - eps)
         rep = epsilon_concentration_check(stats, FOURIER2, mask, eps)
         assert rep.margin >= 0
-        measures[eps] = mask.measure
+        assert rep.rhs == mask_measure(stats, mask)
+        measures[eps] = rep.rhs
     assert measures[0.1] >= measures[0.5]
 
 
@@ -796,12 +799,10 @@ def test_epsilon_concentration_trivial_and_hypothesis():
     f, stats = _unit_gaussian_field(8)
     tiny = np.zeros(stats["abs_sq_table"].shape, dtype=bool)
     tiny[0, 0, 0, 0] = True
-    rep = epsilon_concentration_check(stats, FOURIER2,
-                                      RegionMask(tiny, stats["cell_volume"]), 1.0)
+    rep = epsilon_concentration_check(stats, FOURIER2, tiny, 1.0)
     assert rep.lhs == 0.0 and rep.margin >= 0
     with pytest.raises(ValueError, match="hypothesis"):
-        epsilon_concentration_check(stats, FOURIER2,
-                                    RegionMask(tiny, stats["cell_volume"]), 0.1)
+        epsilon_concentration_check(stats, FOURIER2, tiny, 0.1)
 
 
 def test_moment_concentration_single_cell_closed_form():
@@ -867,14 +868,33 @@ def test_report_serialization_roundtrip():
     assert reports_to_csv(reports) == csv_text
 
 
-def test_region_mask_measure():
-    mask = np.zeros((2, 2, 2, 2), dtype=bool)
+def test_mask_measure_is_the_count_times_the_table_cell_volume():
+    f, stats = _unit_gaussian_field(8)
+    mask = np.zeros(stats["abs_sq_table"].shape, dtype=bool)
     mask[0, 0, 0, 0] = True
-    mask[1, 1, 1, 1] = True
-    rm = RegionMask(mask, 0.25)
-    assert rm.measure == 0.5
-    with pytest.raises(ValueError, match="4D"):
-        RegionMask(np.zeros((2, 2)), 1.0)
+    mask[1, 2, 3, 4] = True
+    assert mask_measure(stats, mask) == 2 * stats["cell_volume"]
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (8, 8, 8), (8, 8, 8, 4), (4, 8, 8, 8),
+                                   (8, 8, 8, 8, 1)])
+@pytest.mark.parametrize("check", [
+    lambda stats, mask: concentration_check(stats, FOURIER2, mask, 1.0, 1.0),
+    lambda stats, mask: epsilon_concentration_check(stats, FOURIER2, mask, 1.0),
+], ids=["concentration", "eps-concentration"])
+def test_concentration_checks_refuse_a_mask_not_shaped_like_the_table(check, shape):
+    f, stats = _unit_gaussian_field(8)
+    assert stats["abs_sq_table"].shape == (8, 8, 8, 8)
+    mask = np.zeros(shape, dtype=bool)
+    mask.flat[0] = True
+    with pytest.raises(ValueError, match="the \\|G\\|\\^2 table's shape"):
+        check(stats, mask)
+
+
+def test_mask_measure_refuses_a_mask_that_is_not_boolean():
+    f, stats = _unit_gaussian_field(8)
+    with pytest.raises(ValueError, match="boolean"):
+        mask_measure(stats, np.zeros(stats["abs_sq_table"].shape, dtype=int))
 
 
 @pytest.mark.parametrize("check", [
