@@ -16,6 +16,7 @@ parse errors, 3 numeric contract violations (non-finite output).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -47,8 +48,9 @@ VERIFY_BUDGET_BYTES = 2**27
 #: stride-1 field of a 128x128 signal. A pass's time grows with its cells
 #: (n1 n2 translations of an n1 x n2 transform), not with any one array.
 VERIFY_PASS_CELLS = 2**28
-#: Most --trials `verify` takes: young's plan holds about 10 KiB a trial,
-#: so its largest plan stays under VERIFY_BUDGET_BYTES.
+#: Most --trials `verify` takes: young's plan holds a 16x16 signal and its
+#: pass's stats, 12.3 KiB a trial (tracemalloc at 1000 trials), so its
+#: largest plan, about 120 MiB, stays under VERIFY_BUDGET_BYTES.
 MAX_TRIALS = 10_000
 
 
@@ -165,8 +167,7 @@ def cmd_gabor_synthesize(args) -> int:
 
 
 def cmd_gabor_spectrogram(args) -> int:
-    G, _ = gabor.load_coefficients(args.input)
-    kind, _, idx = args.slice.partition("=")
+    kind, eq, idx = args.slice.partition("=")
     index = None
     if kind in ("fix_y", "fix_omega"):
         try:
@@ -174,6 +175,9 @@ def cmd_gabor_spectrogram(args) -> int:
         except ValueError:
             raise FormatError(f"slice {args.slice!r} needs =I,J indices") from None
         index = (i1, i2)
+    elif eq:
+        raise FormatError(f"slice {args.slice!r}: only fix_y and fix_omega take =I,J")
+    G, _ = gabor.load_coefficients(args.input)
     with _quiet_overflow():
         field = gabor.spectrogram(G, kind, index)
     _finite_or_die(field, "spectrogram")
@@ -226,51 +230,50 @@ class Collector:
 QFT = families.PARAM_SETS["fourier"]
 
 
-def _gabor_windows(grid: Grid2D) -> tuple[signal.QSignal2D, signal.QSignal2D]:
-    """Unit Gaussian window and the single-cell window at the grid centre."""
+def _gabor_cases(cfg: VerifyConfig):
+    """The unit 32^2 Gaussian, and on its grid the unit Gaussian window and
+    the single-cell window at the grid centre."""
+    grid = cfg.grid(32)
     cell = np.zeros((grid.n1, grid.n2, 4))
     cell[grid.n1 // 2, grid.n2 // 2, 0] = 1.0
-    return (signal.make_window(WindowSpec("gaussian", (1.0, 1.0)), grid),
+    return (families.gaussian(grid, 1.0),
+            signal.make_window(WindowSpec("gaussian", (1.0, 1.0)), grid),
             signal.QSignal2D(grid, cell))
 
 
-def _gaussian_cases(cfg: VerifyConfig) -> dict[str, signal.QSignal2D]:
-    """{family: f} of the normalized unit Gaussians at 32^2 and 64^2 and
-    the normalized dilates t in (0.5, 1, 2) on cfg.grid(); the only builder
-    of the unit Gaussians the suites sweep, so equal cases share a pass."""
-    return ({f"gaussian-{n}": families.normalized(families.gaussian(cfg.grid(n), 1.0))
-             for n in (32, 64)}
-            | {f"dilated-{t}": families.normalized(families.dilated_gaussian(cfg.grid(), t))
-               for t in (0.5, 1.0, 2.0)})
+def _unit_gaussian(grid: Grid2D, t: float = 1.0) -> signal.QSignal2D:
+    """Normalized dilate by t of the unit Gaussian (t = 1: `gaussian`'s bits)."""
+    return families.normalized(families.dilated_gaussian(grid, t))
 
 
-def _gaussian_constants(cfg: VerifyConfig, out: Collector, check):
-    """Run check(f, f, QFT, 1, method) on each of `_gaussian_cases`; return
-    the empirical constants keyed by n and by t."""
-    consts = {family: out.add(check(f, f, QFT, 1.0, cfg.method), family=family)
-              .empirical_constant for family, f in _gaussian_cases(cfg).items()}
+def _self_spec(family: str, grid: Grid2D, request: dict, t: float = 1.0):
+    """The spec of `_unit_gaussian(grid, t)` against itself."""
+    return family, grid, request, lambda: (_unit_gaussian(grid, t),) * 2
+
+
+def _gaussian_specs(cfg: VerifyConfig) -> list:
+    """The unit Gaussians at 32^2 and 64^2 and the dilates t in (0.5, 1, 2)
+    on cfg.grid(), each against itself at s = 1."""
+    request = {"s_values": (1.0,), "method": cfg.method}
+    return ([_self_spec(f"gaussian-{n}", cfg.grid(n), request) for n in (32, 64)]
+            + [_self_spec(f"dilated-{t}", cfg.grid(), request, t) for t in (0.5, 1.0, 2.0)])
+
+
+def _gaussian_constants(out: Collector, fields, check):
+    """Run check(stats, f, phi, QFT, 1) on each `_gaussian_specs` field;
+    return the empirical constants keyed by n and by t."""
+    consts = {family: out.add(check(stats, f, phi, QFT, 1.0), family=family)
+              .empirical_constant for family, f, phi, stats in fields}
     return ({n: consts[f"gaussian-{n}"] for n in (32, 64)},
             {t: consts[f"dilated-{t}"] for t in (0.5, 1.0, 2.0)})
 
 
-def _gaussian_fields(cfg: VerifyConfig):
-    return [(f, f, QFT, {"s_values": (1.0,), "method": cfg.method})
-            for f in _gaussian_cases(cfg).values()]
+def _table_specs(cfg: VerifyConfig) -> list:
+    """The unit 32^2 Gaussian against itself, with its |G|^2 table."""
+    return [_self_spec("gaussian", cfg.grid(32), {"abs_sq_table": True, "method": cfg.method})]
 
 
-def _table_fields(cfg: VerifyConfig):
-    f = _gaussian_cases(cfg)["gaussian-32"]
-    return [(f, f, QFT, {"abs_sq_table": True, "method": cfg.method})]
-
-
-def _unit_gaussian_field(cfg: VerifyConfig):
-    """Normalized 32^2 Gaussian and the stats, |G|^2 table included, of its
-    stride-1 field against itself."""
-    [(f, phi, p, request)] = _table_fields(cfg)
-    return f, uncertainty.memo_field_stats(f, phi, p, **request)
-
-
-def suite_plancherel(cfg: VerifyConfig, out: Collector):
+def suite_plancherel(cfg: VerifyConfig, out: Collector, fields):
     rng = np.random.default_rng(cfg.seed)
     f64 = families.gaussian(Grid2D.centered(64, 64, 0.25, 0.25), 1.0)
     for name, p in families.PARAM_SETS.items():
@@ -287,10 +290,8 @@ def suite_plancherel(cfg: VerifyConfig, out: Collector):
                         f"plancherel random trial {k} {name}: ratio {rep.ratio!r}")
 
 
-def suite_gabor_plancherel(cfg: VerifyConfig, out: Collector):
-    grid = cfg.grid(32)
-    f = families.gaussian(grid, 1.0)
-    gauss, cell = _gabor_windows(grid)
+def suite_gabor_plancherel(cfg: VerifyConfig, out: Collector, fields):
+    f, gauss, cell = _gabor_cases(cfg)
     # single-cell window: the discrete substitution is near-exact
     for family, phi, lo, hi in (("gaussian", gauss, 0.98, 1.02),
                                 ("single-cell", cell, 0.95, 1.05)):
@@ -299,7 +300,7 @@ def suite_gabor_plancherel(cfg: VerifyConfig, out: Collector):
                     f"gabor-plancherel {family}: ratio {rep.ratio!r}")
 
 
-def suite_heisenberg(cfg: VerifyConfig, out: Collector):
+def suite_heisenberg(cfg: VerifyConfig, out: Collector, fields):
     rng = np.random.default_rng(cfg.seed)
     trials = cfg.n_trials(50)
     worst = 0.0
@@ -311,7 +312,7 @@ def suite_heisenberg(cfg: VerifyConfig, out: Collector):
         worst = max(worst, rel)
     out.add(report.upper_bound("heisenberg-amgm", worst, 1e-10, params={"trials": trials}))
     out.fail_if(worst > 1e-10, f"heisenberg AM-GM identity worst residual {worst!r}")
-    consts, dil = _gaussian_constants(cfg, out, uncertainty.heisenberg_check)
+    consts, dil = _gaussian_constants(out, fields, uncertainty.heisenberg_check)
     for n, c in consts.items():
         out.fail_if(not c > 0, f"heisenberg C at {n}: not positive")
     out.fail_if(abs(consts[32] / consts[64] - 1.0) > 0.05,
@@ -321,31 +322,22 @@ def suite_heisenberg(cfg: VerifyConfig, out: Collector):
                 f"heisenberg C dilation stability: {dil!r}")
 
 
-def _log_cases(cfg: VerifyConfig):
-    """The window and the (family, f) cases of the log suite."""
-    phi = _gaussian_cases(cfg)["gaussian-32"]
-    cases = [("gaussian", phi)]
-    cases += [(f"dilated-{t}", families.normalized(families.dilated_gaussian(cfg.grid(32), t)))
-              for t in (0.5, 2.0)]
-    return phi, cases
+def _log_specs(cfg: VerifyConfig) -> list:
+    """The unit 32^2 Gaussian and its dilates t in (0.5, 2), each against
+    that Gaussian, with the ln|omega| sum."""
+    grid, request = cfg.grid(32), {"log_omega": True, "method": cfg.method}
+    return [(family, grid, request, lambda t=t: (_unit_gaussian(grid, t), _unit_gaussian(grid)))
+            for family, t in (("gaussian", 1.0), ("dilated-0.5", 0.5), ("dilated-2.0", 2.0))]
 
 
-def _log_fields(cfg: VerifyConfig):
-    phi, cases = _log_cases(cfg)
-    return [(f, phi, QFT, {"log_omega": True, "method": cfg.method}) for _, f in cases]
+def suite_log(cfg: VerifyConfig, out: Collector, fields):
+    for family, f, phi, stats in fields:
+        rep = out.add(uncertainty.log_check(stats, f, phi, QFT), family=family)
+        out.fail_if(rep.margin < -1e-3, f"log {family}: margin {rep.margin!r}")
 
 
-def suite_log(cfg: VerifyConfig, out: Collector):
-    phi, cases = _log_cases(cfg)
-    for name, f in cases:
-        rep = out.add(uncertainty.log_check(f, phi, QFT, cfg.method), family=name)
-        out.fail_if(rep.margin < -1e-3, f"log {name}: margin {rep.margin!r}")
-
-
-def suite_lemma_log(cfg: VerifyConfig, out: Collector):
-    grid = cfg.grid(32)
-    f = families.gaussian(grid, 1.0)
-    gauss, cell = _gabor_windows(grid)
+def suite_lemma_log(cfg: VerifyConfig, out: Collector, fields):
+    f, gauss, cell = _gabor_cases(cfg)
     for family, label, phi, tol in (("gaussian", "gaussian", gauss, 2e-2),
                                     ("single-cell", "single cell", cell, 1e-12)):
         rep = out.add(uncertainty.lemma_log_identity_check(f, phi, QFT), family=family)
@@ -353,28 +345,31 @@ def suite_lemma_log(cfg: VerifyConfig, out: Collector):
         out.fail_if(gap > tol, f"lemma-log {label}: rel gap {gap!r}")
 
 
-def _lieb_fields(cfg: VerifyConfig):
-    cases = _gaussian_cases(cfg)
-    f, f64 = cases["gaussian-32"], cases["gaussian-64"]
-    return [(g, phi, QFT, {"pprimes": (pp,), "method": cfg.method})
-            for g, phi, pp in ((f, f, 1.5), (f.scaled(2.0), f.scaled(3.0), 1.5),
-                               (f64, f64, 1.5), (f, f, 2.0))]
+def _lieb_specs(cfg: VerifyConfig) -> list:
+    """The unit Gaussian f against itself on 32^2 at p' = 1.5 and 2 and on
+    64^2 at p' = 1.5, and (2f, 3f) on 32^2 at p' = 1.5."""
+    g32, request = cfg.grid(32), {"pprimes": (1.5,), "method": cfg.method}
+    return [_self_spec("gaussian-32", g32, {**request, "pprimes": (1.5, 2.0)}),
+            ("scaled", g32, request,
+             lambda: (_unit_gaussian(g32).scaled(2.0), _unit_gaussian(g32).scaled(3.0))),
+            _self_spec("gaussian-64", cfg.grid(64), request)]
 
 
-def suite_lieb(cfg: VerifyConfig, out: Collector):
-    (f, phi, _, _), (f2, phi3, _, _), (f64, _, _, _), _ = _lieb_fields(cfg)
-    base = out.add(uncertainty.lieb_check(f, phi, QFT, 1.5, cfg.method), family="gaussian")
-    scaled = uncertainty.lieb_check(f2, phi3, QFT, 1.5, cfg.method)
+def suite_lieb(cfg: VerifyConfig, out: Collector, fields):
+    case = {family: (stats, f, phi) for family, f, phi, stats in fields}
+    base = out.add(uncertainty.lieb_check(*case["gaussian-32"], QFT, 1.5), family="gaussian")
+    scaled = uncertainty.lieb_check(*case["scaled"], QFT, 1.5)
     rel = abs(scaled.empirical_constant / base.empirical_constant - 1.0)
     out.add(report.upper_bound("lieb-homogeneity", rel, 1e-10, params={"p_prime": 1.5}))
     out.fail_if(rel > 1e-10, f"lieb homogeneity: relative change {rel!r}")
     consts = {}
-    for n, fg in ((32, f), (64, f64)):
-        rep = out.add(uncertainty.lieb_check(fg, fg, QFT, 1.5, cfg.method),
+    for n in (32, 64):
+        rep = out.add(uncertainty.lieb_check(*case[f"gaussian-{n}"], QFT, 1.5),
                       family=f"gaussian-{n}")
         consts[n] = rep.empirical_constant
     out.fail_if(abs(consts[32] / consts[64] - 1.0) > 0.05, f"lieb stability: {consts!r}")
-    rep2 = out.add(uncertainty.lieb_check(f, phi, QFT, 2.0, cfg.method), family="pprime-2")
+    stats, f, phi = case["gaussian-32"]
+    rep2 = out.add(uncertainty.lieb_check(stats, f, phi, QFT, 2.0), family="pprime-2")
     plancherel_rhs = f.l2_norm_sq() * phi.l2_norm_sq()
     out.fail_if(abs(rep2.lhs - plancherel_rhs) > 1e-9 * plancherel_rhs,
                 f"lieb p'=2 does not reproduce Plancherel: "
@@ -382,22 +377,25 @@ def suite_lieb(cfg: VerifyConfig, out: Collector):
     out.fail_if(not rep2.notes, "lieb p'=2 report does not flag the printed constant")
 
 
-def _young_fields(cfg: VerifyConfig):
+def _young_specs(cfg: VerifyConfig) -> list:
+    """cfg.n_trials(100) random smooth signals on 16^2, drawn in declared
+    order from one seeded generator, against one shared Gaussian window."""
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid(16)
-    phi = signal.make_window(WindowSpec("gaussian", (1.0, 1.0)), grid)
-    return [(families.random_smooth(grid, rng), phi, QFT, {"method": cfg.method})
+    window = functools.cache(lambda: signal.make_window(WindowSpec("gaussian", (1.0, 1.0)), grid))
+    return [("random-smooth", grid, {"method": cfg.method},
+             lambda: (families.random_smooth(grid, rng), window()))
             for _ in range(cfg.n_trials(100))]
 
 
-def suite_young(cfg: VerifyConfig, out: Collector):
-    for k, (f, phi, p, _) in enumerate(_young_fields(cfg)):
+def suite_young(cfg: VerifyConfig, out: Collector, fields):
+    for k, (_, f, phi, stats) in enumerate(fields):
         for hp in (2.0, 4.0):
-            rep = out.add(uncertainty.young_sup_check(f, phi, p, hp, cfg.method), trial=k)
+            rep = out.add(uncertainty.young_sup_check(stats, f, phi, QFT, hp), trial=k)
             out.fail_if(rep.margin < -1e-6, f"young trial {k} p={hp}: margin {rep.margin!r}")
 
 
-def suite_hausdorff_young(cfg: VerifyConfig, out: Collector):
+def suite_hausdorff_young(cfg: VerifyConfig, out: Collector, fields):
     f = families.gaussian_chirp(cfg.grid(32))
     reps = [out.add(uncertainty.hausdorff_young_check(f, QFT, pp, cfg.method),
                     family="gaussian-chirp") for pp in (2.0, 3.0, 4.0)]
@@ -407,9 +405,9 @@ def suite_hausdorff_young(cfg: VerifyConfig, out: Collector):
     out.fail_if(rel > 1e-10, f"hausdorff-young scaling invariance: {rel!r}")
 
 
-def suite_concentration(cfg: VerifyConfig, out: Collector):
+def suite_concentration(cfg: VerifyConfig, out: Collector, fields):
     rng = np.random.default_rng(cfg.seed)
-    f, stats = _unit_gaussian_field(cfg)
+    [(_, f, _, stats)] = fields
     for m in (0.25, 0.5, 0.9):
         mask = uncertainty.random_mask(stats, m, rng)
         rep = out.add(uncertainty.concentration_check(stats, QFT, mask,
@@ -419,8 +417,8 @@ def suite_concentration(cfg: VerifyConfig, out: Collector):
                     f"concentration measure {m}: margin {rep.margin!r}")
 
 
-def suite_eps_concentration(cfg: VerifyConfig, out: Collector):
-    _, stats = _unit_gaussian_field(cfg)
+def suite_eps_concentration(cfg: VerifyConfig, out: Collector, fields):
+    [(_, _, _, stats)] = fields
     measures = {}
     for eps in (0.5, 0.1):
         mask = uncertainty.greedy_minimal_mask(stats, 1.0 - eps)
@@ -432,8 +430,8 @@ def suite_eps_concentration(cfg: VerifyConfig, out: Collector):
                 f"greedy mask measure not monotone: {measures!r}")
 
 
-def suite_moment_concentration(cfg: VerifyConfig, out: Collector):
-    consts, dil = _gaussian_constants(cfg, out, uncertainty.moment_concentration_check)
+def suite_moment_concentration(cfg: VerifyConfig, out: Collector, fields):
+    consts, dil = _gaussian_constants(out, fields, uncertainty.moment_concentration_check)
     for n, c in consts.items():
         out.fail_if(not c > 0, f"moment-concentration C at {n} not positive")
     out.fail_if(abs(consts[32] / consts[64] - 1.0) > 0.05,
@@ -442,6 +440,9 @@ def suite_moment_concentration(cfg: VerifyConfig, out: Collector):
         out.fail_if(not c > 0, f"moment-concentration C at t={t} not positive")
 
 
+#: Each suite runs as suite(cfg, out, fields), where fields are the
+#: (family, f, phi, stats) entries of the specs it declares in
+#: `SUITE_FIELDS`, in declared order, or [] when it declares none.
 SUITES = {
     "plancherel": suite_plancherel,
     "gabor-plancherel": suite_gabor_plancherel,
@@ -457,34 +458,43 @@ SUITES = {
 }
 VERIFY_NAMES = list(SUITES)
 
-#: The (f, phi, p, request) pairs each suite asks of
-#: `uncertainty.memo_field_stats`, declared so that a run can sweep each
-#: Gabor field once over the union of its requests.
+#: The Gabor fields each suite sweeps, under QFT, as (family, grid, request,
+#: build) specs: a tag for the suite, the field's grid, its method and sums,
+#: and build(), which makes (f, phi) once the plan is accepted. A run bounds
+#: every pass from the specs before it builds a signal, and sweeps each
+#: distinct field once over the union of its requests.
 SUITE_FIELDS = {
-    "heisenberg": _gaussian_fields,
-    "log": _log_fields,
-    "lieb": _lieb_fields,
-    "young": _young_fields,
-    "concentration": _table_fields,
-    "eps-concentration": _table_fields,
-    "moment-concentration": _gaussian_fields,
+    "heisenberg": _gaussian_specs,
+    "log": _log_specs,
+    "lieb": _lieb_specs,
+    "young": _young_specs,
+    "concentration": _table_specs,
+    "eps-concentration": _table_specs,
+    "moment-concentration": _gaussian_specs,
 }
 
 
-def declared_fields(cfg: VerifyConfig, names) -> list:
-    """The field requests the named suites declare, in run order; a field
-    whose pass would sweep more than VERIFY_PASS_CELLS cells raises
-    FormatError, before any pass starts."""
-    plan = [pair for name in names if name in SUITE_FIELDS
-            for pair in SUITE_FIELDS[name](cfg)]
-    for f, _, p, request in plan:
-        omega = forward_grid(f.grid, p)
-        y = gabor.translation_grid(f.grid, request.get("y_stride", 1))
-        cells = omega.n1 * omega.n2 * y.n1 * y.n2
+def verify_plan(cfg: VerifyConfig, names) -> dict[str, list]:
+    """{suite: its (family, f, phi, stats) entries} for the named suites
+    that declare Gabor fields. A spec whose pass would sweep more than
+    VERIFY_PASS_CELLS cells raises FormatError before any signal is built;
+    then every spec is built in run order, and `uncertainty.sweep_fields`
+    makes one pass per distinct field."""
+    specs = [(name, *spec) for name in names if name in SUITE_FIELDS
+             for spec in SUITE_FIELDS[name](cfg)]
+    for _, _, grid, _, _ in specs:
+        # a stride-1 pass under QFT: n1 n2 translations of n1 x n2 cells
+        cells = (grid.n1 * grid.n2)**2
         if cells > VERIFY_PASS_CELLS:
-            raise FormatError(f"a Gabor pass on the {f.grid.n1}x{f.grid.n2} grid sweeps "
+            raise FormatError(f"a Gabor pass on the {grid.n1}x{grid.n2} grid sweeps "
                               f"{cells} cells, above the {VERIFY_PASS_CELLS} cell bound "
                               "(the 128x128 field)")
+    built = [(name, family, *build(), request) for name, family, _, request, build in specs]
+    passes = uncertainty.sweep_fields([(f, phi, QFT, request)
+                                       for *_, f, phi, request in built])
+    plan: dict[str, list] = {}
+    for (name, family, f, phi, _), stats in zip(built, passes):
+        plan.setdefault(name, []).append((family, f, phi, stats))
     return plan
 
 
@@ -505,22 +515,22 @@ def cmd_verify(args) -> int:
     if cfg.seed < 0:
         raise FormatError(f"--seed must be non-negative, got {cfg.seed}")
     names = VERIFY_NAMES if args.suite == "all" else [args.suite]
+    plan = verify_plan(cfg, names)
     all_reports: list[report.InequalityReport] = []
     all_failures: list[str] = []
-    # one sweep per distinct Gabor field in this run; entries end with it
-    with uncertainty.field_memo(declared_fields(cfg, names)):
-        for name in names:
-            out = Collector(cfg.seed)
-            SUITES[name](cfg, out)
-            for rep in out.reports:
-                extra = ("" if rep.empirical_constant is None
-                         else f" C={rep.empirical_constant!r}")
-                print(f"report {rep.name}: lhs={rep.lhs!r} rhs={rep.rhs!r} "
-                      f"margin={rep.margin!r} ratio={rep.ratio!r}{extra}")
-            print(f"suite {name}: {'FAIL' if out.failures else 'pass'} "
-                  f"({len(out.reports)} reports)")
-            all_reports.extend(out.reports)
-            all_failures.extend(out.failures)
+    for name in names:
+        out = Collector(cfg.seed)
+        # popped, so a suite's signals and passes are freed once it has run
+        SUITES[name](cfg, out, plan.pop(name, []))
+        for rep in out.reports:
+            extra = ("" if rep.empirical_constant is None
+                     else f" C={rep.empirical_constant!r}")
+            print(f"report {rep.name}: lhs={rep.lhs!r} rhs={rep.rhs!r} "
+                  f"margin={rep.margin!r} ratio={rep.ratio!r}{extra}")
+        print(f"suite {name}: {'FAIL' if out.failures else 'pass'} "
+              f"({len(out.reports)} reports)")
+        all_reports.extend(out.reports)
+        all_failures.extend(out.failures)
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(report.reports_to_json(all_reports))

@@ -269,8 +269,8 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
     (y1, y2, omega1, omega2); one above `TABLE_BUDGET_BYTES` raises
     ValueError before the pass starts.
 
-    Every call is a fresh pass; the checks reach it through
-    `uncertainty.memo_field_stats`."""
+    A sum not requested is None (empty for the per-order sums). Every call
+    is a fresh pass; `uncertainty.sweep_fields` makes one per field."""
     if not all(0.0 < s < math.inf for s in s_values):
         raise ValueError(f"moment orders s must be positive and finite, got {s_values}")
     if not all(0.0 < pp < math.inf for pp in pprimes):
@@ -331,9 +331,10 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
         "moment_y": {s: total(y_r2**s * energy) for s in s_values},
         "moment_joint": {s: total(t_joint[s]) for s in s_values},
         "power_sums": {pp: total(t_power[pp]) for pp in pprimes},
-        "log_omega_sum": total(t_log) if log_omega else 0.0,
+        "log_omega_sum": total(t_log) if log_omega else None,
         "abs_sq_table": table.reshape(*shape, *omega_grid.shape) if abs_sq_table else None,
         "omega_grid": omega_grid, "y_grid": y_grid, "cell_volume": cellvol,
+        "method": method,
     }
 
 

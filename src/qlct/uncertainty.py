@@ -7,25 +7,24 @@ hold up to rounding; existential-constant statements (Heisenberg, Lieb,
 moment concentration) only record the empirical constant that would make
 equality, so callers assert positivity and stability, never a fixed value.
 
-Moment and p-norm accumulations over the Gabor field come from one
-streamed pass of `gabor.gabor_field_stats`, so grids larger than the
-dense-storage budget are fine. The pass also gives its per-translation
+Every Gabor field check takes `stats`, a streamed pass of
+`gabor.gabor_field_stats` over the field of its f and phi under its
+params, and makes no pass of its own, so grids larger than the
+dense-storage budget are fine; a sum the pass was not asked for raises
+ValueError. The pass also gives its method and per-translation
 Plancherel residual, which the heisenberg, log, lieb, young and
 moment-concentration reports carry (`_pass_record`). The concentration
 checks read the |G|^2 table a pass copies out, never a dense quaternion
 field; their masks are boolean arrays shaped like that table, measured by
 `mask_measure` at the table's own cell volume.
 
-Inside a `field_memo` scope each declared field is swept once over the
-union of the requests declared for it, and each request that union
-covers is served from that pass with the bits a lone pass would give;
-any other request is a plain pass.
+`sweep_fields` makes those passes for a list of requests: one pass per
+distinct field over the union of the requests made of it, each request
+reading the bits a lone pass would give it.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import hashlib
 import math
 
@@ -48,18 +47,20 @@ PSI_HALF = -EULER_GAMMA - 2.0 * math.log(2.0)
 D_LOG = PSI_HALF - math.log(math.pi)
 
 
-def _abs_sq_table(stats: dict) -> np.ndarray:
-    table = stats["abs_sq_table"]
-    if table is None:
-        raise ValueError("these field stats carry no |G|^2 table; "
-                         "request it with abs_sq_table=True")
-    return table
+def _requested(stats: dict, key: str, ask: str, order=None):
+    """stats[key], or its entry at `order`; ValueError when the pass that
+    made `stats` was not asked for it with `ask`."""
+    value = stats[key] if order is None else stats[key].get(order)
+    if value is None:
+        at = "" if order is None else f" at {order!r}"
+        raise ValueError(f"these field stats carry no {key}{at}; request it with {ask}")
+    return value
 
 
 def mask_measure(stats: dict, mask: np.ndarray) -> float:
     """Lebesgue measure of a boolean mask over the |G|^2 table of `stats`:
     its cell count times the table's cell volume."""
-    table, mask = _abs_sq_table(stats), np.asarray(mask)
+    table, mask = _requested(stats, "abs_sq_table", "abs_sq_table=True"), np.asarray(mask)
     if mask.dtype != bool or mask.shape != table.shape:
         raise ValueError(f"mask must be a boolean array of the |G|^2 table's shape "
                          f"{table.shape}, got {mask.dtype} {mask.shape}")
@@ -72,7 +73,7 @@ def random_mask(stats: dict, target_measure: float,
     totalling approximately target_measure. Cells are drawn by flat index
     over (omega1, omega2, y1, y2), the dense field's order, so a seed draws
     the same cells whichever way the field is stored."""
-    table, cv = _abs_sq_table(stats), stats["cell_volume"]
+    table, cv = _requested(stats, "abs_sq_table", "abs_sq_table=True"), stats["cell_volume"]
     ny1, ny2, nw1, nw2 = table.shape
     total = table.size
     count = max(1, min(total, round(target_measure / cv)))
@@ -86,7 +87,7 @@ def greedy_minimal_mask(stats: dict, capture: float) -> np.ndarray:
     absolute Gabor energy: the k largest cells of the |G|^2 table of
     `stats`, with k read off the running energy of the cells in
     descending order."""
-    table, cv = _abs_sq_table(stats), stats["cell_volume"]
+    table, cv = _requested(stats, "abs_sq_table", "abs_sq_table=True"), stats["cell_volume"]
     flat = table.reshape(-1)
     # one table-sized buffer: descending |G|^2, then its running energy
     csum = np.sort(flat)[::-1]
@@ -128,12 +129,6 @@ def moment(G: GaborCoefficients, which: str, s: float) -> float:
     return float(np.sum(weight * mod2) * G.cell_volume)
 
 
-#: ({field: union of its declared requests}, {field: stats of its one pass})
-#: of the enclosing `field_memo` scope; None outside any scope.
-_FIELD_MEMO: contextvars.ContextVar[tuple[dict, dict] | None] = contextvars.ContextVar(
-    "qlct_field_memo", default=None)
-
-
 def _field_key(f: QSignal2D, phi: QSignal2D, p: QLCTParams, request: dict):
     """(field, sums) halves of a request: digests of both sample arrays,
     both grids (equal samples on another spacing are another field), the
@@ -153,61 +148,19 @@ def _union(requests: list[dict]) -> dict:
             "abs_sq_table": any(r.get("abs_sq_table", False) for r in requests)}
 
 
-def _served(stats: dict, sums: dict) -> dict:
-    """What a lone pass asking `sums` returns, cut from the stats of a pass
-    over a union that covers them."""
-    s_values, pprimes = sums.get("s_values", ()), sums.get("pprimes", ())
-    return {**stats,
-            **{key: {s: stats[key][s] for s in s_values}
-               for key in ("moment_omega", "moment_y", "moment_joint")},
-            "power_sums": {pp: stats["power_sums"][pp] for pp in pprimes},
-            "log_omega_sum": stats["log_omega_sum"] if sums.get("log_omega") else 0.0,
-            "abs_sq_table": stats["abs_sq_table"] if sums.get("abs_sq_table") else None}
-
-
-def field_memo(plan=()):
-    """Scope in which `memo_field_stats` serves each Gabor field's sums.
-
-    plan lists the (f, phi, p, request) pairs the scope will ask for. The
-    first request on a planned field makes one pass over the union of the
-    field's planned requests, and each request it covers is served from
-    that pass: every statistic is its own per-translation table, so it
-    has the bits a lone pass gives. Any other request is a plain pass,
-    kept nowhere. Passes live in a context variable, so they are dropped
-    when the scope exits and never shared with calls outside it
-    (`qlct verify` opens one scope per run). The scope keeps only each
-    field's key and union, not the plan's signals."""
-    fields: dict = {}
-    for f, phi, p, request in plan:
-        field, sums = _field_key(f, phi, p, request)
-        fields.setdefault(field, []).append(sums)
-    return _memo_scope({k: _union(v) for k, v in fields.items()})
-
-
-@contextlib.contextmanager
-def _memo_scope(unions: dict):
-    token = _FIELD_MEMO.set((unions, {}))
-    try:
-        yield
-    finally:
-        _FIELD_MEMO.reset(token)
-
-
-def memo_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, **request) -> dict:
-    """`gabor_field_stats(f, phi, p, **request)`, served from the one
-    read-only pass of its field in the enclosing `field_memo` scope when
-    the field's declared union covers the request; any other call is a
-    plain pass."""
-    memo = _FIELD_MEMO.get()
-    if memo is not None:
-        unions, passes = memo
-        field, sums = _field_key(f, phi, p, request)
-        union = unions.get(field)
-        if union is not None and sums.keys() <= union.keys() and _union([union, sums]) == union:
-            if field not in passes:
-                passes[field] = _read_only(gabor_field_stats(f, phi, p, **{**request, **union}))
-            return _served(passes[field], sums)
-    return gabor_field_stats(f, phi, p, **request)
+def sweep_fields(fields: list) -> list[dict]:
+    """The stats of each (f, phi, p, request) of `fields`, in order, from
+    one pass per distinct field (`_field_key`) over the union of the
+    requests made of it. Entries of one field share that pass's read-only
+    stats; every statistic is its own per-translation table, so each
+    request reads the bits a lone pass asking it alone would give."""
+    keys = [_field_key(*entry) for entry in fields]
+    first: dict = {}  # field -> (its first entry, the sums of all its entries)
+    for entry, (field, sums) in zip(fields, keys):
+        first.setdefault(field, (entry, []))[1].append(sums)
+    passes = {field: _read_only(gabor_field_stats(f, phi, p, **{**request, **_union(sums)}))
+              for field, ((f, phi, p, request), sums) in first.items()}
+    return [passes[field] for field, _ in keys]
 
 
 def _read_only(stats: dict) -> dict:
@@ -233,12 +186,12 @@ def _require_field_energy(stats: dict):
         raise ValueError("zero Gabor field: no translate of the window meets the signal")
 
 
-def _pass_record(stats: dict, f: QSignal2D, p: QLCTParams, method: str, **params) -> dict:
+def _pass_record(stats: dict, f: QSignal2D, p: QLCTParams, **params) -> dict:
     """The params and grid of a field check's report: the check's own
     params, then its pass's Plancherel residual, method and matrices."""
     return {"params": {**params,
                        "plancherel_by_y_residual": stats["plancherel_by_y_residual"],
-                       "method": method, **p.to_dict()},
+                       "method": stats["method"], **p.to_dict()},
             "grid": f.grid.to_dict()}
 
 
@@ -256,28 +209,27 @@ def amgm_dilation_identity(A: float, B: float, s: float) -> tuple[float, float, 
     return at_tstar, target, rel
 
 
-def heisenberg_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams, s: float,
-                     method: str = "fast") -> report.InequalityReport:
+def heisenberg_check(stats: dict, f: QSignal2D, phi: QSignal2D, p: QLCTParams,
+                     s: float) -> report.InequalityReport:
     """Spread product sqrt(M_omega * M_y) against ||f|| ||phi||.
 
     The bound constant is existential; the report records the empirical
     constant lhs/rhs and the optimal-dilation identity residual."""
     _require_nonzero(f, phi)
-    stats = memo_field_stats(f, phi, p, s_values=(s,), method=method)
     _require_field_energy(stats)
-    A = stats["moment_omega"][s]
+    A = _requested(stats, "moment_omega", "s_values", s)
     B = stats["moment_y"][s]
     lhs = math.sqrt(A) * math.sqrt(B)
     rhs = f.l2_norm() * phi.l2_norm()
     at_tstar, target, rel = amgm_dilation_identity(A, B, s)
-    record = _pass_record(stats, f, p, method, s=s, moment_omega=A, moment_y=B,
+    record = _pass_record(stats, f, p, s=s, moment_omega=A, moment_y=B,
                           amgm_at_tstar=at_tstar, amgm_sqrt_ab=target, amgm_rel_err=rel)
     return report.lower_bound("heisenberg", lhs, rhs, empirical_constant=lhs / rhs,
                               **record)
 
 
-def log_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
-              method: str = "fast") -> report.InequalityReport:
+def log_check(stats: dict, f: QSignal2D, phi: QSignal2D,
+              p: QLCTParams) -> report.InequalityReport:
     """Logarithmic inequality for the windowed transform.
 
     lhs = ||phi||^2 Int ln|x| |f|^2 + Int ln|omega| |G|^2,
@@ -287,16 +239,16 @@ def log_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     _require_nonzero(f, phi)
     if p.A1.b == 0 or p.A2.b == 0:
         raise ValueError("log_check requires b != 0 on both axes")
+    omega_term = _requested(stats, "log_omega_sum", "log_omega=True")
     log_x = _log_radius(f.grid)
-    stats = memo_field_stats(f, phi, p, log_omega=True, method=method)
     phi_sq = phi.l2_norm_sq()
     f_sq = f.l2_norm_sq()
     x_term = float(np.sum(log_x * qabs_sq(f.samples)) * f.grid.cell_area)
-    lhs = phi_sq * x_term + stats["log_omega_sum"]
+    lhs = phi_sq * x_term + omega_term
     ln_b = 0.5 * (math.log(abs(p.A1.b)) + math.log(abs(p.A2.b)))
     rhs = phi_sq * (D_LOG + ln_b) * f_sq
-    record = _pass_record(stats, f, p, method, D=D_LOG, ln_b=ln_b, x_term=x_term,
-                          omega_term=stats["log_omega_sum"])
+    record = _pass_record(stats, f, p, D=D_LOG, ln_b=ln_b, x_term=x_term,
+                          omega_term=omega_term)
     return report.lower_bound("log", lhs, rhs, **record)
 
 
@@ -322,8 +274,8 @@ def lemma_log_identity_check(f: QSignal2D, phi: QSignal2D,
                            grid=grid.to_dict())
 
 
-def lieb_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams, p_prime: float,
-               method: str = "fast") -> report.InequalityReport:
+def lieb_check(stats: dict, f: QSignal2D, phi: QSignal2D, p: QLCTParams,
+               p_prime: float) -> report.InequalityReport:
     """p'-th power integral of |G| against the printed Lieb bound.
 
     The empirical constant strips the printed (2/p')^{1/p'} / (2 pi)^{p'}
@@ -334,8 +286,7 @@ def lieb_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams, p_prime: float,
     _require_nonzero(f, phi)
     if not 1.0 < p_prime <= 2.0:
         raise ValueError(f"p_prime must lie in (1, 2], got {p_prime}")
-    stats = memo_field_stats(f, phi, p, pprimes=(p_prime,), method=method)
-    lhs = stats["power_sums"][p_prime]
+    lhs = _requested(stats, "power_sums", "pprimes", p_prime)
     babs = _abs_b_product(p)
     norms = (f.l2_norm() * phi.l2_norm())**p_prime
     scale = babs**(-p_prime / 2 + 1) * norms
@@ -344,13 +295,13 @@ def lieb_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams, p_prime: float,
     if p_prime == 2.0:
         notes = ("printed constant is inconsistent at p' = 2: Plancherel forces "
                  "lhs = ||f||^2 ||phi||^2 while the printed rhs carries 1/(2 pi)^2")
-    record = _pass_record(stats, f, p, method, p_prime=p_prime, abs_b1b2=babs)
+    record = _pass_record(stats, f, p, p_prime=p_prime, abs_b1b2=babs)
     return report.upper_bound("lieb", lhs, rhs, empirical_constant=lhs / scale,
                               notes=notes, **record)
 
 
-def young_sup_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
-                    holder_p: float, method: str = "fast") -> report.InequalityReport:
+def young_sup_check(stats: dict, f: QSignal2D, phi: QSignal2D, p: QLCTParams,
+                    holder_p: float) -> report.InequalityReport:
     """sup |G| against |b1 b2|^{-1/2} / (2 pi) ||f||_q ||phi||_p."""
     if not 1.0 <= holder_p < math.inf:
         raise ValueError(f"holder_p must be finite and >= 1, got {holder_p}")
@@ -361,10 +312,9 @@ def young_sup_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
         holder_q = holder_p / (holder_p - 1.0)
         f_norm = f.lp_norm(holder_q)
     phi_norm = phi.lp_norm(holder_p)
-    stats = memo_field_stats(f, phi, p, method=method)
     lhs = stats["max_abs"]
     rhs = _abs_b_product(p)**-0.5 / (2 * math.pi) * f_norm * phi_norm
-    record = _pass_record(stats, f, p, method, holder_p=holder_p, holder_q=holder_q)
+    record = _pass_record(stats, f, p, holder_p=holder_p, holder_q=holder_q)
     return report.upper_bound("young", lhs, rhs, **record)
 
 
@@ -429,16 +379,15 @@ def epsilon_concentration_check(stats: dict, p: QLCTParams, mask: np.ndarray,
                                       "abs_b1b2": babs, **p.to_dict()})
 
 
-def moment_concentration_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
-                               s: float, method: str = "fast") -> report.InequalityReport:
+def moment_concentration_check(stats: dict, f: QSignal2D, phi: QSignal2D,
+                               p: QLCTParams, s: float) -> report.InequalityReport:
     """||f|| ||phi|| against the joint-radius moment; the constant is
     existential, so only the empirical constant is recorded."""
     _require_nonzero(f, phi)
-    stats = memo_field_stats(f, phi, p, s_values=(s,), method=method)
     _require_field_energy(stats)
-    joint = stats["moment_joint"][s]
+    joint = _requested(stats, "moment_joint", "s_values", s)
     lhs = f.l2_norm() * phi.l2_norm()
     rhs = math.sqrt(joint)
-    record = _pass_record(stats, f, p, method, s=s, moment_joint=joint)
+    record = _pass_record(stats, f, p, s=s, moment_joint=joint)
     return report.upper_bound("moment-concentration", lhs, rhs,
                               empirical_constant=lhs / rhs, **record)

@@ -29,6 +29,7 @@ from qlct.uncertainty import (amgm_dilation_identity, concentration_check,
                               random_mask, young_sup_check)
 
 from test_qlct2d import two_sided_qft_oracle
+from test_uncertainty import field_check
 
 MARK = "ACCEPTANCE"
 
@@ -142,7 +143,7 @@ def test_criterion_07_young():
     for _ in range(100):
         f = random_smooth(grid, rng)
         for hp in (2.0, 4.0):  # (p, q) = (2, 2) and (4, 4/3)
-            rep = young_sup_check(f, phi, p, hp)
+            rep = field_check(young_sup_check, f, phi, p, hp)
             worst = min(worst, rep.margin)
     assert worst >= -1e-6, f"min margin {worst}"
     _ok(7, f"young sup bound on 100 trials: min margin {worst:.2e}")
@@ -163,7 +164,7 @@ def test_criterion_08_heisenberg_structure():
     for n in (32, 64):
         grid = default_grid(n)
         f = normalized(gaussian(grid, 1.0))
-        rep = heisenberg_check(f, f, p, 1.0)
+        rep = field_check(heisenberg_check, f, f, p, 1.0)
         assert rep.empirical_constant > 0
         consts[n] = rep.empirical_constant
     grid_dev = abs(consts[32] / consts[64] - 1.0)
@@ -173,7 +174,7 @@ def test_criterion_08_heisenberg_structure():
     dil = []
     for t in (0.5, 1.0, 2.0):
         f = normalized(dilated_gaussian(grid, t))
-        rep = heisenberg_check(f, f, p, 1.0)
+        rep = field_check(heisenberg_check, f, f, p, 1.0)
         assert rep.empirical_constant > 0
         dil.append(rep.empirical_constant)
     mean = sum(dil) / len(dil)
@@ -190,7 +191,7 @@ def test_criterion_09_log_inequality():
     worst = np.inf
     for t in (0.5, 1.0, 2.0):
         f = normalized(dilated_gaussian(grid, t))
-        rep = log_check(f, phi, p)
+        rep = field_check(log_check, f, phi, p)
         worst = min(worst, rep.margin)
     assert worst >= -1e-3, f"min margin {worst}"
     _ok(9, f"log inequality (Fourier case, D = psi(1/2) - ln pi): "
@@ -240,18 +241,18 @@ def test_criterion_12_lieb():
     grid = default_grid(32)
     f = gaussian(grid, 1.0)
     phi = make_window(WindowSpec("gaussian", (1.0, 1.0)), grid)
-    base = lieb_check(f, phi, p, 1.5)
-    scaled = lieb_check(f.scaled(2.0), phi.scaled(0.5), p, 1.5)
+    base = field_check(lieb_check, f, phi, p, 1.5)
+    scaled = field_check(lieb_check, f.scaled(2.0), phi.scaled(0.5), p, 1.5)
     hom = abs(scaled.empirical_constant / base.empirical_constant - 1.0)
     assert hom <= 1e-10, f"homogeneity deviation {hom}"
     consts = {}
     for n in (32, 64):
         g = default_grid(n)
         fg = gaussian(g, 1.0)
-        consts[n] = lieb_check(fg, fg, p, 1.5).empirical_constant
+        consts[n] = field_check(lieb_check, fg, fg, p, 1.5).empirical_constant
     dev = abs(consts[32] / consts[64] - 1.0)
     assert dev <= 0.05, f"stability {dev}"
-    rep2 = lieb_check(f, phi, p, 2.0)
+    rep2 = field_check(lieb_check, f, phi, p, 2.0)
     plan = gabor_plancherel_check(f, phi, p)
     assert rep2.lhs == pytest.approx(plan.lhs, rel=1e-12)
     assert rep2.notes, "p'=2 report must flag the printed-constant inconsistency"
@@ -341,11 +342,10 @@ def test_verify_all_sweeps_each_distinct_field_once(verify_all_runs,
 
 
 def test_verify_all_passes_are_its_declared_fields(verify_all_runs, verify_all_passes):
-    """One pass per distinct declared field and none besides, so a check
-    asking a sum its suite did not declare fails here by name."""
-    declared = {uncertainty._field_key(f, phi, p, request)[0]
-                for f, phi, p, request in cli.declared_fields(cli.VerifyConfig(),
-                                                              cli.VERIFY_NAMES)}
+    """One pass per distinct declared field and none besides."""
+    declared = {uncertainty._field_key(*build(), cli.QFT, request)[0]
+                for specs in cli.SUITE_FIELDS.values()
+                for _, _, request, build in specs(cli.VerifyConfig())}
     for keys in verify_all_passes:
         assert len(keys) == len(set(keys)), "a field was swept twice"
         assert set(keys) == declared

@@ -1,3 +1,4 @@
+import gc
 import json
 import struct
 import time
@@ -6,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qlct import cli, gabor, qlct2d, uncertainty
+from qlct import cli, families, gabor, qlct2d, signal, uncertainty
 from qlct.cli import main
 from qlct.families import PARAM_SETS, gaussian, impulse
 from qlct.signal import Grid2D, QSignal2D, load, save
@@ -199,6 +200,24 @@ def test_gabor_analyze_synthesize_spectrogram(tmp_path, capsys):
     sidecar = json.loads((tmp_path / "spec.pgm.json").read_text())
     assert sidecar["max"] >= sidecar["min"]
     assert (tmp_path / "spec.pgm.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["max_over_y", "max_over_omega"])
+def test_gabor_spectrogram_refuses_a_value_on_a_max_slice(tmp_path, capsys, kind):
+    src, coef = tmp_path / "f.qsig", tmp_path / "coef"
+    write_gaussian(src, n=8)
+    assert main(["gabor", "analyze", "-i", str(src), "-o", str(coef)]) == 0
+    capsys.readouterr()
+    for value, code in (("=3", 2), ("=1,2", 2), ("=", 2), ("", 0)):
+        pgm = tmp_path / f"s{code}.pgm"
+        assert main(["gabor", "spectrogram", "-i", str(coef), "--slice", kind + value,
+                     "-o", str(pgm)]) == code, value
+        err = capsys.readouterr().err
+        assert err.count("\n") == (code != 0), err
+        if code:
+            assert err.startswith("error: ") and kind in err and not pgm.exists(), err
+        else:
+            assert pgm.exists()
 
 
 def test_gabor_spectrogram_impulse_peak(tmp_path):
@@ -397,7 +416,7 @@ def test_verify_rejects_a_negative_seed_before_any_suite(tmp_path, capsys, suite
 
 def test_heisenberg_and_lieb_share_their_gaussian_passes(monkeypatch):
     """lieb sweeps the normalized Gaussians heisenberg sweeps, so in one
-    declared scope the two suites make 5 passes, one of them at 64^2."""
+    plan the two suites make 5 passes, one of them at 64^2."""
     sizes = []
     original = uncertainty.gabor_field_stats
 
@@ -408,26 +427,26 @@ def test_heisenberg_and_lieb_share_their_gaussian_passes(monkeypatch):
     monkeypatch.setattr(uncertainty, "gabor_field_stats", counted)
     cfg = cli.VerifyConfig()
     names = ["heisenberg", "lieb"]
-    with uncertainty.field_memo(cli.declared_fields(cfg, names)):
-        for name in names:
-            out = cli.Collector(cfg.seed)
-            cli.SUITES[name](cfg, out)
-            assert out.reports and not out.failures, out.failures
+    plan = cli.verify_plan(cfg, names)
+    for name in names:
+        out = cli.Collector(cfg.seed)
+        cli.SUITES[name](cfg, out, plan[name])
+        assert out.reports and not out.failures, out.failures
     assert len(sizes) == 5 and sizes.count(64) == 1, sizes
 
 
 def test_concentration_suites_stay_within_32_mib():
-    """Both concentration suites in one scope read the 8 MiB |G|^2 table of
+    """Both concentration suites in one plan read the 8 MiB |G|^2 table of
     one pass, so together they hold less than the 32 MiB dense 32^2 field."""
     cfg = cli.VerifyConfig()
     names = ["concentration", "eps-concentration"]
     tracemalloc.start()
     try:
-        with uncertainty.field_memo(cli.declared_fields(cfg, names)):
-            for name in names:
-                out = cli.Collector(cfg.seed)
-                cli.SUITES[name](cfg, out)
-                assert out.reports and not out.failures
+        plan = cli.verify_plan(cfg, names)
+        for name in names:
+            out = cli.Collector(cfg.seed)
+            cli.SUITES[name](cfg, out, plan.pop(name))
+            assert out.reports and not out.failures
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -523,11 +542,56 @@ def test_verify_refuses_a_gabor_pass_above_the_cell_bound_before_any_pass(
     out = capsys.readouterr()
     assert out.out == "" and out.err.count("\n") == 1 and "cell bound" in out.err, out.err
     assert not rpt.exists()
-    # the bound is the 128^2 field, read off the declared fields
+    # the bound is the 128^2 field, read off the declared specs
     assert cli.VERIFY_PASS_CELLS == 128**4
-    assert cli.declared_fields(cli.VerifyConfig(128, 128), ["heisenberg"])
+    with pytest.raises(AssertionError, match="a pass started"):
+        cli.verify_plan(cli.VerifyConfig(128, 128), ["heisenberg"])
     with pytest.raises(cli.FormatError, match="cell bound"):
-        cli.declared_fields(cli.VerifyConfig(129, 128), ["heisenberg"])
+        cli.verify_plan(cli.VerifyConfig(129, 128), ["heisenberg"])
+
+
+@pytest.mark.parametrize("argv", [["verify", "heisenberg", "--grid", "2048x2048"],
+                                  ["verify", "all", "--grid", "1024x1024"]])
+def test_a_refused_verify_plan_builds_no_signal(tmp_path, capsys, monkeypatch, argv):
+    """The cell bound reads each spec's grid, so a refused plan exits 2 in
+    one line before any signal is sampled."""
+    def no_signal(*args, **kwargs):
+        raise AssertionError("a signal was built")
+
+    for module in (signal, families):
+        monkeypatch.setattr(module, "sample", no_signal)
+    rpt = tmp_path / "r.json"
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--trials", "1", "--report", str(rpt)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and "cell bound" in out.err, out.err
+    assert not rpt.exists()
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_young_plan_stays_under_its_per_trial_bound():
+    """young's plan holds each trial's signal and pass, so --trials up to
+    MAX_TRIALS keeps it under VERIFY_BUDGET_BYTES: the live bytes a trial
+    adds, measured between two plan sizes, stay under their share."""
+    cli.verify_plan(cli.VerifyConfig(trials=1), ["young"])  # warm the FFT plans
+    held = {}
+    for trials in (20, 120):
+        tracemalloc.start()
+        try:
+            plan = cli.verify_plan(cli.VerifyConfig(trials=trials), ["young"])
+            gc.collect()  # count live objects, not free-list leftovers
+            held[trials] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(plan["young"]) == trials
+        del plan
+    per_trial = (held[120] - held[20]) / 100
+    assert per_trial < cli.VERIFY_BUDGET_BYTES / cli.MAX_TRIALS, f"{per_trial:.0f} B a trial"
 
 
 def test_verify_without_a_gabor_field_takes_any_budgeted_grid(tmp_path, capsys):

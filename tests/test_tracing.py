@@ -15,7 +15,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
-from qlct import gabor, qlct2d, uncertainty  # noqa: E402
+from qlct import cli, gabor, qlct2d, uncertainty  # noqa: E402
 from qlct.families import PARAM_SETS, gaussian  # noqa: E402
 from qlct.signal import Grid2D  # noqa: E402
 
@@ -35,7 +35,8 @@ def test_tracer_counts_one_field_pass_of_a_young_check(monkeypatch):
                         lambda *args: kernels.append(args) or lct2d(*args))
     tracer = tracing.Tracer()
     with tracer.recording(0):
-        uncertainty.young_sup_check(f, f, PARAM_SETS["fourier"], 2.0)
+        p = PARAM_SETS["fourier"]
+        uncertainty.young_sup_check(uncertainty.gabor_field_stats(f, f, p), f, f, p, 2.0)
         qlct2d.qlct_forward_fast(f, PARAM_SETS["generic"])
     metrics = tracing.layer_metrics(tracer, [0], 1, 1.0)
     assert metrics["uncertainty.field_stats.calls"] == 1
@@ -57,11 +58,24 @@ def test_tracer_counts_each_block_of_a_multi_block_pass(monkeypatch):
                         lambda *args: kernels.append(args) or lct2d(*args))
     tracer = tracing.Tracer()
     with tracer.recording(0):
-        uncertainty.young_sup_check(f, f, PARAM_SETS["generic"], 2.0)
+        p = PARAM_SETS["generic"]
+        uncertainty.young_sup_check(uncertainty.gabor_field_stats(f, f, p), f, f, p, 2.0)
     metrics = tracing.layer_metrics(tracer, [0], 1, 1.0)
     assert metrics["uncertainty.field_stats.calls"] == 1
     assert metrics["gabor.rows.calls"] == 8 * 3
     assert len(kernels) == 2 * 8 * 3
+
+
+def test_traced_verify_lieb_counts_its_three_field_passes(capsys):
+    """`bench/run.py --trace 1` wraps the sweep's pass and the suites; lieb
+    sweeps three distinct fields: the 32^2 Gaussian at p' = 1.5 and 2, its
+    (2f, 3f) pair and the 64^2 Gaussian."""
+    tracer = tracing.Tracer()
+    with tracer.recording(0):
+        assert cli.main(["verify", "lieb"]) == 0
+    metrics = tracing.layer_metrics(tracer, [0], 1, 1.0)
+    assert metrics["uncertainty.field_stats.calls"] == 3
+    assert metrics["cli.suite.lieb.s"] > 0
 
 
 def test_row_bindings_resolve_to_the_blocked_sweep():

@@ -1,6 +1,4 @@
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -21,15 +19,25 @@ from qlct import gabor, uncertainty
 from qlct.cli import main
 from qlct.uncertainty import (D_LOG, amgm_dilation_identity,
                               concentration_check, epsilon_concentration_check,
-                              field_memo, gabor_field_stats,
-                              greedy_minimal_mask, hausdorff_young_check,
-                              heisenberg_check, lemma_log_identity_check,
-                              lieb_check, log_check, mask_measure,
-                              memo_field_stats, moment,
-                              moment_concentration_check, random_mask,
-                              young_sup_check)
+                              gabor_field_stats, greedy_minimal_mask,
+                              hausdorff_young_check, heisenberg_check,
+                              lemma_log_identity_check, lieb_check, log_check,
+                              mask_measure, moment, moment_concentration_check,
+                              random_mask, sweep_fields, young_sup_check)
 
 FOURIER2 = PARAM_SETS["fourier"]
+
+
+def field_check(check, f, phi, p, arg=None, method="fast"):
+    """check's report on a lone pass over the field of f and phi that asks
+    what check reads: s for heisenberg and moment-concentration, p' for
+    lieb, ln|omega| for log, no sum for young."""
+    request = {heisenberg_check: {"s_values": (arg,)},
+               moment_concentration_check: {"s_values": (arg,)},
+               lieb_check: {"pprimes": (arg,)},
+               log_check: {"log_omega": True}}.get(check, {})
+    stats = uncertainty.gabor_field_stats(f, phi, p, method=method, **request)
+    return check(stats, f, phi, p, *(() if arg is None else (arg,)))
 
 
 def single_cell_field(omega_index, y_index, value, n=8, dx=0.5):
@@ -193,7 +201,8 @@ def test_gabor_reports_carry_the_per_translation_plancherel_residual(name, monke
     np.testing.assert_allclose(gabor._windowed_energy(f, phi), rhs, rtol=1e-14)
     stats = gabor_field_stats(f, phi, p, s_values=(1.0,))
     want = np.max(np.abs(stats["energy_by_y"] - rhs)) / np.max(rhs)
-    reports = [heisenberg_check(f, phi, p, 1.0), moment_concentration_check(f, phi, p, 1.0)]
+    reports = [check(stats, f, phi, p, 1.0)
+               for check in (heisenberg_check, moment_concentration_check)]
     for rep in reports:
         got = rep.params["plancherel_by_y_residual"]
         assert got <= 1e-12, (rep.name, got)
@@ -206,14 +215,15 @@ def test_a_window_shifted_on_the_right_side_fails_the_residual(monkeypatch, caps
         f, QSignal2D(phi.grid, np.roll(phi.samples, 1, axis=0)), stride))
     f = normalized(gaussian(default_grid(16), 1.0))
     for check in (heisenberg_check, moment_concentration_check):
-        assert check(f, f, FOURIER2, 1.0).params["plancherel_by_y_residual"] > 1e-10
+        got = field_check(check, f, f, FOURIER2, 1.0).params["plancherel_by_y_residual"]
+        assert got > 1e-10
     assert main(["verify", "heisenberg", "--trials", "2", "--grid", "16x16"]) == 1
     err = capsys.readouterr().err
     assert err.count("per-translation Plancherel residual") == 5, err
 
 
 # ---------------------------------------------------------------------------
-# run-scoped field memo
+# one pass per distinct field
 
 @pytest.fixture
 def passes(monkeypatch):
@@ -243,33 +253,31 @@ def test_memo_key_separates_every_field_input(passes):
         (f, f, FOURIER2, {"method": "direct"}),
         (f, f, FOURIER2, {"y_stride": 2}),
     ]
-    with field_memo([(sig, win, p, {"s_values": (1.0,), **kw})
-                     for sig, win, p, kw in requests]):
-        for k, (sig, win, p, kw) in enumerate(requests, start=1):
-            memo_field_stats(sig, win, p, s_values=(1.0,), **kw)
-            assert len(passes) == k
-        for sig, win, p, kw in requests:
-            memo_field_stats(sig, win, p, s_values=(1.0,), **kw)
-    assert len(passes) == len(requests)
+    fields = [(sig, win, p, {"s_values": (1.0,), **kw}) for sig, win, p, kw in requests]
+    stats = sweep_fields(fields + fields)
+    assert passes == [{"s_values": (1.0,), **kw, "pprimes": (), "log_omega": False,
+                       "abs_sq_table": False} for *_, kw in requests]
+    assert len({id(st) for st in stats}) == len(requests)
+    assert all(a is b for a, b in zip(stats, stats[len(requests):]))
 
 
-def _assert_stats_equal(got, want, where):
-    assert sorted(got) == sorted(want), where
-    for key in ("energy", "max_abs", "log_omega_sum", "cell_volume", "moment_omega",
-                "moment_y", "moment_joint", "power_sums"):
+def _assert_serves(got, want, where):
+    """got has, for every sum want was asked for, the bits of want."""
+    for key in ("energy", "max_abs", "cell_volume", "plancherel_by_y_residual", "method"):
         assert got[key] == want[key], (where, key)
+    for key in ("moment_omega", "moment_y", "moment_joint", "power_sums"):
+        assert {k: got[key][k] for k in want[key]} == want[key], (where, key)
+    if want["log_omega_sum"] is not None:
+        assert got["log_omega_sum"] == want["log_omega_sum"], where
     np.testing.assert_array_equal(got["energy_by_y"], want["energy_by_y"])
-    if want["abs_sq_table"] is None:
-        assert got["abs_sq_table"] is None, where
-    else:
+    if want["abs_sq_table"] is not None:
         np.testing.assert_array_equal(got["abs_sq_table"], want["abs_sq_table"])
 
 
 def test_memo_serves_each_request_bit_equal_to_a_fresh_pass(passes):
-    """Undeclared, each call is a pass of its own; declared, one pass over
-    their union serves them all, repeats included, from its read-only
-    arrays. Either way each request gets the bits of a lone fresh pass,
-    its |G|^2 table included."""
+    """One pass over the union of a field's requests serves them all,
+    repeats included, from its read-only arrays, and each request reads
+    the bits of a lone fresh pass asking it, its |G|^2 table included."""
     grid = default_grid(8)
     f = random_smooth(grid, np.random.default_rng(80))
     phi = normalized(gaussian(grid, 1.0))
@@ -278,111 +286,62 @@ def test_memo_serves_each_request_bit_equal_to_a_fresh_pass(passes):
                 {"abs_sq_table": True}, {"s_values": (0.5, 1.0), "abs_sq_table": True}]
     union = {"s_values": (0.5, 1.0), "pprimes": (1.5,), "log_omega": True,
              "abs_sq_table": True}
-    for plan, want_passes in (((), requests),
-                              ([(f, phi, FOURIER2, kw) for kw in requests], [union])):
-        passes.clear()
-        with field_memo(plan):
-            first = [memo_field_stats(f, phi, FOURIER2, **kw) for kw in requests]
-            assert passes == want_passes
-            served = [memo_field_stats(f, phi, FOURIER2, **kw) for kw in requests]
-            assert passes == (want_passes if plan else requests + requests)
-        if plan:
-            for got, entry in zip(served, first):
-                for key in ("energy_by_y", "abs_sq_table"):
-                    assert got[key] is entry[key], key
-                    assert got[key] is None or not got[key].flags.writeable, key
-        for got, kw in zip(served, requests):
-            _assert_stats_equal(got, gabor_field_stats(f, phi, FOURIER2, **kw), kw)
+    served = sweep_fields([(f, phi, FOURIER2, kw) for kw in requests + requests])
+    assert passes == [union]
+    assert all(got is served[0] for got in served)
+    for key in ("energy_by_y", "abs_sq_table"):
+        assert not served[0][key].flags.writeable, key
+    for got, kw in zip(served, requests + requests):
+        _assert_serves(got, gabor_field_stats(f, phi, FOURIER2, **kw), kw)
 
 
 def test_a_declared_scope_makes_one_pass_per_distinct_field(passes):
-    """Every check of a declared field, the |G|^2 table's readers among
-    them, is served from one pass; the direct method is a field of its
-    own, and served arrays are read-only."""
+    """Every check of a swept field, the |G|^2 table's readers among them,
+    reads the one pass of its field and makes none of its own; the direct
+    method is a field of its own, and the shared arrays are read-only."""
     grid = default_grid(8)
     f = normalized(gaussian(grid, 1.0))
     g = random_smooth(grid, np.random.default_rng(81))
-    plan = [(f, f, FOURIER2, {"s_values": (1.0,)}), (f, f, FOURIER2, {"log_omega": True}),
-            (f, f, FOURIER2, {"pprimes": (1.5,)}), (f, f, FOURIER2, {"pprimes": (2.0,)}),
-            (f, f, FOURIER2, {"abs_sq_table": True}), (f, f, FOURIER2, {}),
-            (g, f, FOURIER2, {}), (f, f, FOURIER2, {"s_values": (1.0,), "method": "direct"})]
-    calls = [lambda: heisenberg_check(f, f, FOURIER2, 1.0),
-             lambda: moment_concentration_check(f, f, FOURIER2, 1.0),
-             lambda: log_check(f, f, FOURIER2),
-             lambda: lieb_check(f, f, FOURIER2, 1.5),
-             lambda: lieb_check(f, f, FOURIER2, 2.0),
-             lambda: young_sup_check(f, f, FOURIER2, 2.0),
-             lambda: young_sup_check(g, f, FOURIER2, 4.0),
-             lambda: heisenberg_check(f, f, FOURIER2, 1.0, "direct")]
-    with field_memo(plan):
-        for call in calls + calls:
-            call()
-        stats = memo_field_stats(f, f, FOURIER2, abs_sq_table=True)
-        greedy_minimal_mask(stats, 0.5)
-    assert len(passes) == 3, passes
-    assert passes[0] == {"s_values": (1.0,), "pprimes": (1.5, 2.0), "log_omega": True,
-                         "abs_sq_table": True, "method": "fast"}
-    assert not stats["abs_sq_table"].flags.writeable
-    assert not stats["energy_by_y"].flags.writeable
-
-
-def test_an_undeclared_request_gets_its_own_pass(passes):
-    """A request the declared union does not cover is a plain pass each
-    time it is made; the declared one is served from its field's pass."""
-    grid = default_grid(8)
-    f = normalized(gaussian(grid, 1.0))
-    with field_memo([(f, f, FOURIER2, {"s_values": (1.0,)})]):
-        other = memo_field_stats(f, f, FOURIER2, pprimes=(1.5,))
-        declared = memo_field_stats(f, f, FOURIER2, s_values=(1.0,))
-        wider = memo_field_stats(f, f, FOURIER2, s_values=(1.0, 2.0))
-        again = memo_field_stats(f, f, FOURIER2, pprimes=(1.5,))
-        assert again["energy_by_y"] is not other["energy_by_y"]
-        memo_field_stats(f, f, FOURIER2, s_values=(1.0, 2.0))
-        served = memo_field_stats(f, f, FOURIER2, s_values=(1.0,))
-        assert served["energy_by_y"] is declared["energy_by_y"]
-        assert not served["energy_by_y"].flags.writeable
-    assert [kw.get("s_values") for kw in passes] == [None, (1.0,), (1.0, 2.0), None,
-                                                     (1.0, 2.0)]
-    for got, kw in ((other, {"pprimes": (1.5,)}), (declared, {"s_values": (1.0,)}),
-                    (wider, {"s_values": (1.0, 2.0)})):
-        _assert_stats_equal(got, gabor_field_stats(f, f, FOURIER2, **kw), kw)
-
-
-def test_checks_outside_a_memo_scope_each_make_one_pass(passes):
-    grid = default_grid(8)
-    f = normalized(gaussian(grid, 1.0))
-    calls = [lambda: heisenberg_check(f, f, FOURIER2, 1.0),
-             lambda: moment_concentration_check(f, f, FOURIER2, 1.0),
-             lambda: log_check(f, f, FOURIER2),
-             lambda: lieb_check(f, f, FOURIER2, 1.5),
-             lambda: young_sup_check(f, f, FOURIER2, 2.0)]
+    fields = [(f, f, FOURIER2, {"s_values": (1.0,)}), (f, f, FOURIER2, {"log_omega": True}),
+              (f, f, FOURIER2, {"pprimes": (1.5,)}), (f, f, FOURIER2, {"pprimes": (2.0,)}),
+              (f, f, FOURIER2, {"abs_sq_table": True}), (f, f, FOURIER2, {}),
+              (g, f, FOURIER2, {}), (f, f, FOURIER2, {"s_values": (1.0,), "method": "direct"})]
+    stats = sweep_fields(fields)
+    shared, of_g, direct = stats[0], stats[6], stats[7]
+    assert all(st is shared for st in stats[:6])
+    calls = [lambda: heisenberg_check(shared, f, f, FOURIER2, 1.0),
+             lambda: moment_concentration_check(shared, f, f, FOURIER2, 1.0),
+             lambda: log_check(shared, f, f, FOURIER2),
+             lambda: lieb_check(shared, f, f, FOURIER2, 1.5),
+             lambda: lieb_check(shared, f, f, FOURIER2, 2.0),
+             lambda: young_sup_check(shared, f, f, FOURIER2, 2.0),
+             lambda: young_sup_check(of_g, g, f, FOURIER2, 4.0),
+             lambda: heisenberg_check(direct, f, f, FOURIER2, 1.0)]
     for call in calls + calls:
         call()
-    assert len(passes) == 2 * len(calls)
-    # a scope with nothing declared keeps nothing: every call is a pass
-    with field_memo():
-        for call in calls + calls:
-            call()
-    assert len(passes) == 4 * len(calls)
+    greedy_minimal_mask(shared, 0.5)
+    assert len(passes) == 3, passes
+    assert passes[0] == {"s_values": (1.0,), "pprimes": (1.5, 2.0), "log_omega": True,
+                         "abs_sq_table": True}
+    assert calls[-1]().params["method"] == "direct"
+    assert not shared["abs_sq_table"].flags.writeable
+    assert not shared["energy_by_y"].flags.writeable
 
 
-def test_a_memo_scope_keeps_no_planned_signal_alive(passes):
-    """The scope holds each field's key and union, not the plan: once the
-    caller drops a planned signal it is freed, and its field is still
-    served from one pass."""
-    grid = default_grid(8)
-    f = random_smooth(grid, np.random.default_rng(82))
-    phi = normalized(gaussian(grid, 1.0))
-    samples = weakref.ref(f.samples)
-    plan = [(f, phi, FOURIER2, {"s_values": (1.0,)}), (f, phi, FOURIER2, {})]
-    with field_memo(plan):
-        g = QSignal2D(f.grid, f.samples.copy())
-        del plan, f
-        gc.collect()
-        assert samples() is None
-        young_sup_check(g, phi, FOURIER2, 2.0)
-        heisenberg_check(g, phi, FOURIER2, 1.0)
-    assert len(passes) == 1
+@pytest.mark.parametrize("check, request_, missing", [
+    (lambda st, f: heisenberg_check(st, f, f, FOURIER2, 2.0), {"s_values": (1.0,)},
+     "moment_omega at 2.0; request it with s_values"),
+    (lambda st, f: moment_concentration_check(st, f, f, FOURIER2, 1.0), {},
+     "moment_joint at 1.0; request it with s_values"),
+    (lambda st, f: lieb_check(st, f, f, FOURIER2, 1.5), {"pprimes": (2.0,)},
+     "power_sums at 1.5; request it with pprimes"),
+    (lambda st, f: log_check(st, f, f, FOURIER2), {"s_values": (1.0,)},
+     "log_omega_sum; request it with log_omega=True"),
+], ids=["heisenberg", "moment-concentration", "lieb", "log"])
+def test_a_check_refuses_stats_without_the_sum_it_reads(check, request_, missing):
+    f = normalized(gaussian(default_grid(8), 1.0))
+    with pytest.raises(ValueError, match=f"carry no {missing}"):
+        check(gabor_field_stats(f, f, FOURIER2, **request_), f)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +366,7 @@ def test_amgm_identity_random():
 def test_heisenberg_check_reports():
     grid = default_grid(16)
     f = normalized(gaussian(grid, 1.0))
-    rep = heisenberg_check(f, f, FOURIER2, 1.0)
+    rep = field_check(heisenberg_check, f, f, FOURIER2, 1.0)
     assert rep.empirical_constant > 0
     assert rep.params["amgm_rel_err"] <= 1e-10
     assert rep.lhs == pytest.approx(
@@ -415,7 +374,7 @@ def test_heisenberg_check_reports():
         rel=1e-12)
     zero = QSignal2D(grid, np.zeros((16, 16, 4)))
     with pytest.raises(ValueError, match="zero"):
-        heisenberg_check(zero, f, FOURIER2, 1.0)
+        field_check(heisenberg_check, zero, f, FOURIER2, 1.0)
 
 
 def test_heisenberg_dilation_invariance():
@@ -423,7 +382,7 @@ def test_heisenberg_dilation_invariance():
     consts = []
     for t in (0.5, 1.0, 2.0):
         f = normalized(dilated_gaussian(grid, t))
-        rep = heisenberg_check(f, f, FOURIER2, 1.0)
+        rep = field_check(heisenberg_check, f, f, FOURIER2, 1.0)
         consts.append(rep.empirical_constant)
     mean = sum(consts) / 3
     assert all(abs(c / mean - 1.0) <= 0.02 for c in consts)
@@ -443,7 +402,7 @@ def test_log_check_margins():
     phi = normalized(gaussian(grid, 1.0))
     for t in (0.5, 1.0, 2.0):
         f = normalized(dilated_gaussian(grid, t))
-        rep = log_check(f, phi, FOURIER2)
+        rep = field_check(log_check, f, phi, FOURIER2)
         assert rep.margin >= -1e-3
         assert rep.params["ln_b"] == 0.0
 
@@ -455,7 +414,7 @@ def test_log_check_rejects_degenerate_axis():
     from qlct.qlct2d import QLCTParams
     p = QLCTParams(LCTParams(1.0, 0.0, 0.5, 1.0), PARAM_SETS["fourier"].A2)
     with pytest.raises(ValueError, match="b != 0"):
-        log_check(f, f, p)
+        field_check(log_check, f, f, p)
 
 
 def test_log_check_rejects_grid_with_origin_sample():
@@ -465,7 +424,7 @@ def test_log_check_rejects_grid_with_origin_sample():
     vals[..., 0] = 1.0
     f = QSignal2D(g, vals)
     with pytest.raises(ValueError, match="origin"):
-        log_check(f, f, FOURIER2)
+        field_check(log_check, f, f, FOURIER2)
 
 
 def test_field_stats_log_weights_reject_an_omega_sample_at_the_origin():
@@ -501,7 +460,7 @@ def test_lieb_pprime_two_reproduces_plancherel_and_flags():
     grid = default_grid(16)
     f = gaussian(grid, 1.0)
     phi = make_window(WindowSpec("gaussian", (1.0, 1.0)), grid)
-    rep = lieb_check(f, phi, FOURIER2, 2.0)
+    rep = field_check(lieb_check, f, phi, FOURIER2, 2.0)
     # the p' = 2 power integral IS the Gabor energy, exactly
     plan = gabor_plancherel_check(f, phi, FOURIER2)
     assert rep.lhs == pytest.approx(plan.lhs, rel=1e-12)
@@ -516,11 +475,11 @@ def test_lieb_homogeneity():
     grid = default_grid(16)
     f = gaussian(grid, 1.0)
     phi = make_window(WindowSpec("gaussian", (1.0, 1.0)), grid)
-    base = lieb_check(f, phi, FOURIER2, 1.5)
-    scaled = lieb_check(f.scaled(2.0), phi, FOURIER2, 1.5)
+    base = field_check(lieb_check, f, phi, FOURIER2, 1.5)
+    scaled = field_check(lieb_check, f.scaled(2.0), phi, FOURIER2, 1.5)
     assert scaled.lhs == pytest.approx(2.0**1.5 * base.lhs, rel=1e-12)
     assert abs(scaled.empirical_constant / base.empirical_constant - 1.0) <= 1e-10
-    both = lieb_check(f.scaled(2.0), phi.scaled(0.3), FOURIER2, 1.5)
+    both = field_check(lieb_check, f.scaled(2.0), phi.scaled(0.3), FOURIER2, 1.5)
     assert abs(both.empirical_constant / base.empirical_constant - 1.0) <= 1e-10
 
 
@@ -528,9 +487,9 @@ def test_lieb_rejects_bad_exponent():
     grid = default_grid(8)
     f = gaussian(grid, 1.0)
     with pytest.raises(ValueError, match="p_prime"):
-        lieb_check(f, f, FOURIER2, 2.5)
+        field_check(lieb_check, f, f, FOURIER2, 2.5)
     with pytest.raises(ValueError, match="p_prime"):
-        lieb_check(f, f, FOURIER2, 1.0)
+        field_check(lieb_check, f, f, FOURIER2, 1.0)
 
 
 def _unit_gaussian8():
@@ -548,21 +507,21 @@ def test_hausdorff_young_rejects_a_non_finite_exponent(pp):
 def test_young_rejects_a_non_finite_holder_exponent(holder_p):
     f = _unit_gaussian8()
     with pytest.raises(ValueError, match="holder_p must be finite and >= 1"):
-        young_sup_check(f, f, FOURIER2, holder_p)
+        field_check(young_sup_check, f, f, FOURIER2, holder_p)
 
 
 @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
 def test_heisenberg_rejects_a_moment_order_outside_its_domain(s):
     f = _unit_gaussian8()
     with pytest.raises(ValueError, match="positive and finite"):
-        heisenberg_check(f, f, FOURIER2, s)
+        field_check(heisenberg_check, f, f, FOURIER2, s)
 
 
 @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
 def test_moment_concentration_rejects_a_moment_order_outside_its_domain(s):
     f = _unit_gaussian8()
     with pytest.raises(ValueError, match="positive and finite"):
-        moment_concentration_check(f, f, FOURIER2, s)
+        field_check(moment_concentration_check, f, f, FOURIER2, s)
 
 
 def _disjoint_impulses8():
@@ -576,14 +535,14 @@ def _disjoint_impulses8():
 def test_heisenberg_rejects_a_vanishing_field(method):
     f, phi = _disjoint_impulses8()
     with pytest.raises(ValueError, match="zero Gabor field"):
-        heisenberg_check(f, phi, FOURIER2, 1.0, method)
+        field_check(heisenberg_check, f, phi, FOURIER2, 1.0, method)
 
 
 @pytest.mark.parametrize("method", ["fast", "direct"])
 def test_moment_concentration_rejects_a_vanishing_field(method):
     f, phi = _disjoint_impulses8()
     with pytest.raises(ValueError, match="zero Gabor field"):
-        moment_concentration_check(f, phi, FOURIER2, 1.0, method)
+        field_check(moment_concentration_check, f, phi, FOURIER2, 1.0, method)
 
 
 @pytest.mark.parametrize("pprime", [0.0, -1.0, math.nan, math.inf])
@@ -600,7 +559,7 @@ def test_young_gaussian_margin():
     grid = default_grid(16)
     f = gaussian(grid, 1.0)
     phi = make_window(WindowSpec("gaussian", (1.0, 1.0)), grid)
-    rep = young_sup_check(f, phi, FOURIER2, 2.0)
+    rep = field_check(young_sup_check, f, phi, FOURIER2, 2.0)
     assert rep.margin >= -1e-6
 
 
@@ -608,8 +567,8 @@ def test_young_scaling_invariance():
     grid = default_grid(16)
     f = gaussian(grid, 1.0)
     phi = make_window(WindowSpec("gaussian", (1.0, 1.0)), grid)
-    base = young_sup_check(f, phi, FOURIER2, 2.0)
-    scaled = young_sup_check(f.scaled(3.0), phi, FOURIER2, 2.0)
+    base = field_check(young_sup_check, f, phi, FOURIER2, 2.0)
+    scaled = field_check(young_sup_check, f.scaled(3.0), phi, FOURIER2, 2.0)
     assert scaled.lhs == pytest.approx(3.0 * base.lhs, rel=1e-12)
     assert scaled.rhs == pytest.approx(3.0 * base.rhs, rel=1e-12)
     assert abs(scaled.ratio / base.ratio - 1.0) <= 1e-12
@@ -622,7 +581,7 @@ def test_young_random_family_margins():
     for _ in range(25):
         f = random_smooth(grid, rng)
         for hp in (2.0, 4.0):
-            rep = young_sup_check(f, phi, FOURIER2, hp)
+            rep = field_check(young_sup_check, f, phi, FOURIER2, hp)
             assert rep.margin >= -1e-6
 
 
@@ -826,7 +785,7 @@ def test_moment_concentration_check_stability():
     for n in (16, 32):
         grid = default_grid(n)
         f = normalized(gaussian(grid, 1.0))
-        rep = moment_concentration_check(f, f, FOURIER2, 1.0)
+        rep = field_check(moment_concentration_check, f, f, FOURIER2, 1.0)
         assert rep.empirical_constant > 0
         consts.append(rep.empirical_constant)
     assert abs(consts[0] / consts[1] - 1.0) <= 0.05
@@ -898,12 +857,12 @@ def test_mask_measure_refuses_a_mask_that_is_not_boolean():
 
 
 @pytest.mark.parametrize("check", [
-    lambda f, phi: heisenberg_check(f, phi, FOURIER2, 1.0),
-    lambda f, phi: log_check(f, phi, FOURIER2),
+    lambda f, phi: field_check(heisenberg_check, f, phi, FOURIER2, 1.0),
+    lambda f, phi: field_check(log_check, f, phi, FOURIER2),
     lambda f, phi: lemma_log_identity_check(f, phi, FOURIER2),
-    lambda f, phi: lieb_check(f, phi, FOURIER2, 1.5),
-    lambda f, phi: young_sup_check(f, phi, FOURIER2, 2.0),
-    lambda f, phi: moment_concentration_check(f, phi, FOURIER2, 1.0),
+    lambda f, phi: field_check(lieb_check, f, phi, FOURIER2, 1.5),
+    lambda f, phi: field_check(young_sup_check, f, phi, FOURIER2, 2.0),
+    lambda f, phi: field_check(moment_concentration_check, f, phi, FOURIER2, 1.0),
     lambda f, phi: gabor_plancherel_check(f, phi, FOURIER2),
 ], ids=["heisenberg", "log", "lemma-log", "lieb", "young",
         "moment-concentration", "gabor-plancherel"])
