@@ -260,10 +260,10 @@ def _gaussian_specs(cfg: VerifyConfig) -> list:
 
 
 def _gaussian_constants(out: Collector, fields, check):
-    """Run check(stats, f, phi, QFT, 1) on each `_gaussian_specs` field;
-    return the empirical constants keyed by n and by t."""
-    consts = {family: out.add(check(stats, f, phi, QFT, 1.0), family=family)
-              .empirical_constant for family, f, phi, stats in fields}
+    """Run check(stats, 1) on each `_gaussian_specs` field; return the
+    empirical constants keyed by n and by t."""
+    consts = {family: out.add(check(stats, 1.0), family=family).empirical_constant
+              for family, stats in fields}
     return ({n: consts[f"gaussian-{n}"] for n in (32, 64)},
             {t: consts[f"dilated-{t}"] for t in (0.5, 1.0, 2.0)})
 
@@ -290,12 +290,19 @@ def suite_plancherel(cfg: VerifyConfig, out: Collector, fields):
                         f"plancherel random trial {k} {name}: ratio {rep.ratio!r}")
 
 
+def _gabor_plancherel_specs(cfg: VerifyConfig) -> list:
+    """The `_gabor_cases` Gaussian against its Gaussian and its single-cell
+    window, the three signals built once."""
+    cases = functools.cache(lambda: _gabor_cases(cfg))
+    grid, request = cfg.grid(32), {"method": cfg.method}
+    return [(family, grid, request, lambda i=i: (cases()[0], cases()[i]))
+            for family, i in (("gaussian", 1), ("single-cell", 2))]
+
+
 def suite_gabor_plancherel(cfg: VerifyConfig, out: Collector, fields):
-    f, gauss, cell = _gabor_cases(cfg)
     # single-cell window: the discrete substitution is near-exact
-    for family, phi, lo, hi in (("gaussian", gauss, 0.98, 1.02),
-                                ("single-cell", cell, 0.95, 1.05)):
-        rep = out.add(gabor.gabor_plancherel_check(f, phi, QFT, cfg.method), family=family)
+    for (family, stats), (lo, hi) in zip(fields, ((0.98, 1.02), (0.95, 1.05))):
+        rep = out.add(gabor.gabor_plancherel_check(stats), family=family)
         out.fail_if(not lo <= rep.ratio <= hi,
                     f"gabor-plancherel {family}: ratio {rep.ratio!r}")
 
@@ -331,8 +338,8 @@ def _log_specs(cfg: VerifyConfig) -> list:
 
 
 def suite_log(cfg: VerifyConfig, out: Collector, fields):
-    for family, f, phi, stats in fields:
-        rep = out.add(uncertainty.log_check(stats, f, phi, QFT), family=family)
+    for family, stats in fields:
+        rep = out.add(uncertainty.log_check(stats), family=family)
         out.fail_if(rep.margin < -1e-3, f"log {family}: margin {rep.margin!r}")
 
 
@@ -356,21 +363,20 @@ def _lieb_specs(cfg: VerifyConfig) -> list:
 
 
 def suite_lieb(cfg: VerifyConfig, out: Collector, fields):
-    case = {family: (stats, f, phi) for family, f, phi, stats in fields}
-    base = out.add(uncertainty.lieb_check(*case["gaussian-32"], QFT, 1.5), family="gaussian")
-    scaled = uncertainty.lieb_check(*case["scaled"], QFT, 1.5)
+    case = dict(fields)
+    base = out.add(uncertainty.lieb_check(case["gaussian-32"], 1.5), family="gaussian")
+    scaled = uncertainty.lieb_check(case["scaled"], 1.5)
     rel = abs(scaled.empirical_constant / base.empirical_constant - 1.0)
     out.add(report.upper_bound("lieb-homogeneity", rel, 1e-10, params={"p_prime": 1.5}))
     out.fail_if(rel > 1e-10, f"lieb homogeneity: relative change {rel!r}")
     consts = {}
     for n in (32, 64):
-        rep = out.add(uncertainty.lieb_check(*case[f"gaussian-{n}"], QFT, 1.5),
-                      family=f"gaussian-{n}")
+        rep = out.add(uncertainty.lieb_check(case[f"gaussian-{n}"], 1.5), family=f"gaussian-{n}")
         consts[n] = rep.empirical_constant
     out.fail_if(abs(consts[32] / consts[64] - 1.0) > 0.05, f"lieb stability: {consts!r}")
-    stats, f, phi = case["gaussian-32"]
-    rep2 = out.add(uncertainty.lieb_check(stats, f, phi, QFT, 2.0), family="pprime-2")
-    plancherel_rhs = f.l2_norm_sq() * phi.l2_norm_sq()
+    stats = case["gaussian-32"]
+    rep2 = out.add(uncertainty.lieb_check(stats, 2.0), family="pprime-2")
+    plancherel_rhs = stats["f"].l2_norm_sq() * stats["phi"].l2_norm_sq()
     out.fail_if(abs(rep2.lhs - plancherel_rhs) > 1e-9 * plancherel_rhs,
                 f"lieb p'=2 does not reproduce Plancherel: "
                 f"{rep2.lhs!r} vs {plancherel_rhs!r}")
@@ -389,9 +395,9 @@ def _young_specs(cfg: VerifyConfig) -> list:
 
 
 def suite_young(cfg: VerifyConfig, out: Collector, fields):
-    for k, (_, f, phi, stats) in enumerate(fields):
+    for k, (_, stats) in enumerate(fields):
         for hp in (2.0, 4.0):
-            rep = out.add(uncertainty.young_sup_check(stats, f, phi, QFT, hp), trial=k)
+            rep = out.add(uncertainty.young_sup_check(stats, hp), trial=k)
             out.fail_if(rep.margin < -1e-6, f"young trial {k} p={hp}: margin {rep.margin!r}")
 
 
@@ -407,22 +413,20 @@ def suite_hausdorff_young(cfg: VerifyConfig, out: Collector, fields):
 
 def suite_concentration(cfg: VerifyConfig, out: Collector, fields):
     rng = np.random.default_rng(cfg.seed)
-    [(_, f, _, stats)] = fields
+    [(_, stats)] = fields
     for m in (0.25, 0.5, 0.9):
         mask = uncertainty.random_mask(stats, m, rng)
-        rep = out.add(uncertainty.concentration_check(stats, QFT, mask,
-                                                      f.l2_norm(), f.l2_norm()),
-                      family=f"random-mask-{m}")
+        rep = out.add(uncertainty.concentration_check(stats, mask), family=f"random-mask-{m}")
         out.fail_if(rep.margin < -1e-6,
                     f"concentration measure {m}: margin {rep.margin!r}")
 
 
 def suite_eps_concentration(cfg: VerifyConfig, out: Collector, fields):
-    [(_, _, _, stats)] = fields
+    [(_, stats)] = fields
     measures = {}
     for eps in (0.5, 0.1):
         mask = uncertainty.greedy_minimal_mask(stats, 1.0 - eps)
-        rep = out.add(uncertainty.epsilon_concentration_check(stats, QFT, mask, eps),
+        rep = out.add(uncertainty.epsilon_concentration_check(stats, mask, eps),
                       family=f"greedy-{eps}")
         measures[eps] = rep.rhs
         out.fail_if(rep.margin < 0, f"eps-concentration eps={eps}: margin {rep.margin!r}")
@@ -441,7 +445,7 @@ def suite_moment_concentration(cfg: VerifyConfig, out: Collector, fields):
 
 
 #: Each suite runs as suite(cfg, out, fields), where fields are the
-#: (family, f, phi, stats) entries of the specs it declares in
+#: (family, stats) entries of the specs it declares in
 #: `SUITE_FIELDS`, in declared order, or [] when it declares none.
 SUITES = {
     "plancherel": suite_plancherel,
@@ -464,6 +468,7 @@ VERIFY_NAMES = list(SUITES)
 #: every pass from the specs before it builds a signal, and sweeps each
 #: distinct field once over the union of its requests.
 SUITE_FIELDS = {
+    "gabor-plancherel": _gabor_plancherel_specs,
     "heisenberg": _gaussian_specs,
     "log": _log_specs,
     "lieb": _lieb_specs,
@@ -475,7 +480,7 @@ SUITE_FIELDS = {
 
 
 def verify_plan(cfg: VerifyConfig, names) -> dict[str, list]:
-    """{suite: its (family, f, phi, stats) entries} for the named suites
+    """{suite: its (family, stats) entries} for the named suites
     that declare Gabor fields. A spec whose pass would sweep more than
     VERIFY_PASS_CELLS cells raises FormatError before any signal is built;
     then every spec is built in run order, and `uncertainty.sweep_fields`
@@ -493,8 +498,8 @@ def verify_plan(cfg: VerifyConfig, names) -> dict[str, list]:
     passes = uncertainty.sweep_fields([(f, phi, QFT, request)
                                        for *_, f, phi, request in built])
     plan: dict[str, list] = {}
-    for (name, family, f, phi, _), stats in zip(built, passes):
-        plan.setdefault(name, []).append((family, f, phi, stats))
+    for (name, family, *_), stats in zip(built, passes):
+        plan.setdefault(name, []).append((family, stats))
     return plan
 
 

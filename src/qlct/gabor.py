@@ -30,8 +30,8 @@ window-product buffers once, then runs each row of translations in blocks
 of about `BLOCK_BYTES` per half, so that each elementwise pass works on
 data that stays in cache. `gabor_field_stats` reduces each block's |G|^2
 per translation while it is still in cache and then sums the (ny1, ny2)
-tables, so every sum keeps its bits whatever the block size; its energy
-is what `gabor_plancherel_check` reports.
+tables, so every sum keeps its bits whatever the block size. A pass
+holds the f, phi and params it swept; `gabor_plancherel_check` reads it.
 
 Full coefficient storage is (n1*n2)^2 quaternions: about 33 MB for a
 32x32 signal and 16x that for 64x64, built only by `gabor_analyze`.
@@ -269,8 +269,9 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
     (y1, y2, omega1, omega2); one above `TABLE_BUDGET_BYTES` raises
     ValueError before the pass starts.
 
-    A sum not requested is None (empty for the per-order sums). Every call
-    is a fresh pass; `uncertainty.sweep_fields` makes one per field."""
+    A sum not requested is None (empty for the per-order sums). `f`, `phi`,
+    `params` and `method` are the inputs it swept, by reference. Every
+    call is a fresh pass; `uncertainty.sweep_fields` makes one per field."""
     if not all(0.0 < s < math.inf for s in s_values):
         raise ValueError(f"moment orders s must be positive and finite, got {s_values}")
     if not all(0.0 < pp < math.inf for pp in pprimes):
@@ -334,7 +335,7 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
         "log_omega_sum": total(t_log) if log_omega else None,
         "abs_sq_table": table.reshape(*shape, *omega_grid.shape) if abs_sq_table else None,
         "omega_grid": omega_grid, "y_grid": y_grid, "cell_volume": cellvol,
-        "method": method,
+        "method": method, "f": f, "phi": phi, "params": p,
     }
 
 
@@ -358,14 +359,13 @@ def _log_radius(grid) -> np.ndarray:
     return 0.5 * np.log(r2)
 
 
-def gabor_plancherel_check(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
-                           method: str = "fast") -> report.InequalityReport:
-    """Gabor energy of one `gabor_field_stats` pass against
-    ||f||^2 ||phi||^2."""
-    lhs = gabor_field_stats(f, phi, p, method=method)["energy"]
-    rhs = f.l2_norm_sq() * phi.l2_norm_sq()
-    return report.equality("gabor-plancherel", lhs, rhs,
-                           params={"method": method, **p.to_dict()},
+def gabor_plancherel_check(stats: dict) -> report.InequalityReport:
+    """Energy of a `gabor_field_stats` pass against ||f||^2 ||phi||^2 of
+    the f and phi it swept."""
+    f = stats["f"]
+    return report.equality("gabor-plancherel", stats["energy"],
+                           f.l2_norm_sq() * stats["phi"].l2_norm_sq(),
+                           params={"method": stats["method"], **stats["params"].to_dict()},
                            grid=f.grid.to_dict())
 
 
@@ -422,23 +422,30 @@ def save_coefficients(G: GaborCoefficients, phi: QSignal2D, dirpath) -> str:
     return path
 
 
+def _entry(value, kind: type = float):
+    """A manifest number: int takes a JSON integer only, float any JSON number."""
+    if type(value) not in ((int,) if kind is int else (int, float)):
+        raise TypeError(f"{value!r} is not a JSON {'integer' if kind is int else 'number'}")
+    return kind(value)
+
+
 def load_coefficients(dirpath) -> tuple[GaborCoefficients, QSignal2D]:
     """Read a directory written by `save_coefficients` as (G, phi). A
-    manifest with a missing or malformed entry, or a payload whose size is
-    not the one its grids give or whose crc32 is not the manifest's,
-    raises FormatError."""
+    manifest that is not JSON, with a missing or invalid entry or one of
+    the wrong JSON type, or a payload whose size is not the one its grids
+    give or whose crc32 is not the manifest's, raises FormatError."""
     path = os.path.join(dirpath, "manifest.json")
-    with open(path) as fh:
-        manifest = json.load(fh)
-    try:
-        omega_grid = Grid2D.from_dict(manifest["omega_grid"])
-        y_grid = Grid2D.from_dict(manifest["y_grid"])
-        params = QLCTParams(LCTParams(*manifest["params"]["A1"]),
-                            LCTParams(*manifest["params"]["A2"]))
-        window_norm_sq = float(manifest["window_norm_sq"])
-        stride = int(manifest["stride"])
-        crc = int(manifest["payload_crc32"])
-    except (KeyError, TypeError, OverflowError) as exc:
+    try:  # an unreadable manifest raises OSError, which names its path
+        with open(path, "rb") as fh:
+            manifest = json.load(fh)
+        omega_grid, y_grid = (Grid2D(*(_entry(g[k], int) for k in ("n1", "n2")),
+                                     *(_entry(g[k]) for k in ("dx1", "dx2", "x0_1", "x0_2")))
+                              for g in (manifest["omega_grid"], manifest["y_grid"]))
+        params = QLCTParams(*(LCTParams(*map(_entry, manifest["params"][axis]))
+                              for axis in ("A1", "A2")))
+        window_norm_sq = _entry(manifest["window_norm_sq"])
+        stride, crc = (_entry(manifest[key], int) for key in ("stride", "payload_crc32"))
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise FormatError(f"{path}: malformed manifest "
                           f"({type(exc).__name__}: {exc})") from None
     payload = os.path.join(dirpath, "coeffs.f64")

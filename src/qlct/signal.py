@@ -97,11 +97,6 @@ class Grid2D:
         return {"n1": self.n1, "n2": self.n2, "dx1": self.dx1, "dx2": self.dx2,
                 "x0_1": self.x0_1, "x0_2": self.x0_2}
 
-    @staticmethod
-    def from_dict(d: dict) -> "Grid2D":
-        return Grid2D(int(d["n1"]), int(d["n2"]), float(d["dx1"]), float(d["dx2"]),
-                      float(d["x0_1"]), float(d["x0_2"]))
-
 
 class QSignal2D:
     """Quaternion-valued samples on a Grid2D, immutable after construction.

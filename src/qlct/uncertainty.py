@@ -8,15 +8,15 @@ moment concentration) only record the empirical constant that would make
 equality, so callers assert positivity and stability, never a fixed value.
 
 Every Gabor field check takes `stats`, a streamed pass of
-`gabor.gabor_field_stats` over the field of its f and phi under its
-params, and makes no pass of its own, so grids larger than the
-dense-storage budget are fine; a sum the pass was not asked for raises
-ValueError. The pass also gives its method and per-translation
-Plancherel residual, which the heisenberg, log, lieb, young and
-moment-concentration reports carry (`_pass_record`). The concentration
-checks read the |G|^2 table a pass copies out, never a dense quaternion
-field; their masks are boolean arrays shaped like that table, measured by
-`mask_measure` at the table's own cell volume.
+`gabor.gabor_field_stats`, and its own argument only. The pass carries
+the f, phi, params and method it swept, so a check reads its inputs from
+it alone and makes no pass of its own; a sum the pass was not asked for
+raises ValueError. The heisenberg, log, lieb, young and
+moment-concentration reports carry the pass's per-translation Plancherel
+residual (`_pass_record`). The concentration checks read the |G|^2 table
+a pass copies out, never a dense quaternion field; their masks are
+boolean arrays shaped like that table, measured by `mask_measure` at the
+table's own cell volume.
 
 `sweep_fields` makes those passes for a list of requests: one pass per
 distinct field over the union of the requests made of it, each request
@@ -174,11 +174,13 @@ def _abs_b_product(p: QLCTParams) -> float:
     return abs(p.A1.b * p.A2.b)
 
 
-def _require_nonzero(f: QSignal2D, phi: QSignal2D | None = None):
-    if f.l2_norm_sq() == 0.0:
+def _norm_product(stats: dict) -> float:
+    """||f|| ||phi|| of the pass's signal and window, refusing a zero one."""
+    if stats["f"].l2_norm_sq() == 0.0:
         raise ValueError("zero signal")
-    if phi is not None and phi.l2_norm_sq() == 0.0:
+    if stats["phi"].l2_norm_sq() == 0.0:
         raise ValueError("zero window")
+    return stats["f"].l2_norm() * stats["phi"].l2_norm()
 
 
 def _require_field_energy(stats: dict):
@@ -186,13 +188,13 @@ def _require_field_energy(stats: dict):
         raise ValueError("zero Gabor field: no translate of the window meets the signal")
 
 
-def _pass_record(stats: dict, f: QSignal2D, p: QLCTParams, **params) -> dict:
+def _pass_record(stats: dict, **params) -> dict:
     """The params and grid of a field check's report: the check's own
     params, then its pass's Plancherel residual, method and matrices."""
     return {"params": {**params,
                        "plancherel_by_y_residual": stats["plancherel_by_y_residual"],
-                       "method": stats["method"], **p.to_dict()},
-            "grid": f.grid.to_dict()}
+                       "method": stats["method"], **stats["params"].to_dict()},
+            "grid": stats["f"].grid.to_dict()}
 
 
 # ---------------------------------------------------------------------------
@@ -209,34 +211,32 @@ def amgm_dilation_identity(A: float, B: float, s: float) -> tuple[float, float, 
     return at_tstar, target, rel
 
 
-def heisenberg_check(stats: dict, f: QSignal2D, phi: QSignal2D, p: QLCTParams,
-                     s: float) -> report.InequalityReport:
+def heisenberg_check(stats: dict, s: float) -> report.InequalityReport:
     """Spread product sqrt(M_omega * M_y) against ||f|| ||phi||.
 
     The bound constant is existential; the report records the empirical
     constant lhs/rhs and the optimal-dilation identity residual."""
-    _require_nonzero(f, phi)
+    rhs = _norm_product(stats)
     _require_field_energy(stats)
     A = _requested(stats, "moment_omega", "s_values", s)
     B = stats["moment_y"][s]
     lhs = math.sqrt(A) * math.sqrt(B)
-    rhs = f.l2_norm() * phi.l2_norm()
     at_tstar, target, rel = amgm_dilation_identity(A, B, s)
-    record = _pass_record(stats, f, p, s=s, moment_omega=A, moment_y=B,
+    record = _pass_record(stats, s=s, moment_omega=A, moment_y=B,
                           amgm_at_tstar=at_tstar, amgm_sqrt_ab=target, amgm_rel_err=rel)
     return report.lower_bound("heisenberg", lhs, rhs, empirical_constant=lhs / rhs,
                               **record)
 
 
-def log_check(stats: dict, f: QSignal2D, phi: QSignal2D,
-              p: QLCTParams) -> report.InequalityReport:
+def log_check(stats: dict) -> report.InequalityReport:
     """Logarithmic inequality for the windowed transform.
 
     lhs = ||phi||^2 Int ln|x| |f|^2 + Int ln|omega| |G|^2,
     rhs = ||phi||^2 (D + ln|b|) ||f||^2 with D = digamma(1/2) - ln(pi)
     and ln|b| averaged over the two axis matrices.
     """
-    _require_nonzero(f, phi)
+    _norm_product(stats)  # refuses a zero signal or window
+    f, phi, p = stats["f"], stats["phi"], stats["params"]
     if p.A1.b == 0 or p.A2.b == 0:
         raise ValueError("log_check requires b != 0 on both axes")
     omega_term = _requested(stats, "log_omega_sum", "log_omega=True")
@@ -247,7 +247,7 @@ def log_check(stats: dict, f: QSignal2D, phi: QSignal2D,
     lhs = phi_sq * x_term + omega_term
     ln_b = 0.5 * (math.log(abs(p.A1.b)) + math.log(abs(p.A2.b)))
     rhs = phi_sq * (D_LOG + ln_b) * f_sq
-    record = _pass_record(stats, f, p, D=D_LOG, ln_b=ln_b, x_term=x_term,
+    record = _pass_record(stats, D=D_LOG, ln_b=ln_b, x_term=x_term,
                           omega_term=omega_term)
     return report.lower_bound("log", lhs, rhs, **record)
 
@@ -274,8 +274,7 @@ def lemma_log_identity_check(f: QSignal2D, phi: QSignal2D,
                            grid=grid.to_dict())
 
 
-def lieb_check(stats: dict, f: QSignal2D, phi: QSignal2D, p: QLCTParams,
-               p_prime: float) -> report.InequalityReport:
+def lieb_check(stats: dict, p_prime: float) -> report.InequalityReport:
     """p'-th power integral of |G| against the printed Lieb bound.
 
     The empirical constant strips the printed (2/p')^{1/p'} / (2 pi)^{p'}
@@ -283,38 +282,36 @@ def lieb_check(stats: dict, f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     p' = 2 the printed bound contradicts the Plancherel identity; the
     report carries a note instead of failing.
     """
-    _require_nonzero(f, phi)
+    norms = _norm_product(stats)
     if not 1.0 < p_prime <= 2.0:
         raise ValueError(f"p_prime must lie in (1, 2], got {p_prime}")
     lhs = _requested(stats, "power_sums", "pprimes", p_prime)
-    babs = _abs_b_product(p)
-    norms = (f.l2_norm() * phi.l2_norm())**p_prime
-    scale = babs**(-p_prime / 2 + 1) * norms
+    babs = _abs_b_product(stats["params"])
+    scale = babs**(-p_prime / 2 + 1) * norms**p_prime
     rhs = (2.0 / p_prime)**(1.0 / p_prime) / (2 * math.pi)**p_prime * scale
     notes = ""
     if p_prime == 2.0:
         notes = ("printed constant is inconsistent at p' = 2: Plancherel forces "
                  "lhs = ||f||^2 ||phi||^2 while the printed rhs carries 1/(2 pi)^2")
-    record = _pass_record(stats, f, p, p_prime=p_prime, abs_b1b2=babs)
+    record = _pass_record(stats, p_prime=p_prime, abs_b1b2=babs)
     return report.upper_bound("lieb", lhs, rhs, empirical_constant=lhs / scale,
                               notes=notes, **record)
 
 
-def young_sup_check(stats: dict, f: QSignal2D, phi: QSignal2D, p: QLCTParams,
-                    holder_p: float) -> report.InequalityReport:
+def young_sup_check(stats: dict, holder_p: float) -> report.InequalityReport:
     """sup |G| against |b1 b2|^{-1/2} / (2 pi) ||f||_q ||phi||_p."""
     if not 1.0 <= holder_p < math.inf:
         raise ValueError(f"holder_p must be finite and >= 1, got {holder_p}")
     if holder_p == 1.0:
         holder_q = math.inf
-        f_norm = float(f.modulus().max())
+        f_norm = float(stats["f"].modulus().max())
     else:
         holder_q = holder_p / (holder_p - 1.0)
-        f_norm = f.lp_norm(holder_q)
-    phi_norm = phi.lp_norm(holder_p)
+        f_norm = stats["f"].lp_norm(holder_q)
+    phi_norm = stats["phi"].lp_norm(holder_p)
     lhs = stats["max_abs"]
-    rhs = _abs_b_product(p)**-0.5 / (2 * math.pi) * f_norm * phi_norm
-    record = _pass_record(stats, f, p, holder_p=holder_p, holder_q=holder_q)
+    rhs = _abs_b_product(stats["params"])**-0.5 / (2 * math.pi) * f_norm * phi_norm
+    record = _pass_record(stats, holder_p=holder_p, holder_q=holder_q)
     return report.upper_bound("young", lhs, rhs, **record)
 
 
@@ -343,28 +340,26 @@ def hausdorff_young_check(f: QSignal2D, p: QLCTParams, pp: float,
                               grid=f.grid.to_dict())
 
 
-def concentration_check(stats: dict, p: QLCTParams, mask: np.ndarray,
-                        f_norm: float, phi_norm: float) -> report.InequalityReport:
+def concentration_check(stats: dict, mask: np.ndarray) -> report.InequalityReport:
     """||f|| ||phi|| against the complement energy blown up by
     1/sqrt(1 - m(Sigma)), for 0 < m(Sigma) < 1, on the |G|^2 table of
-    `stats`, a pass over the field under params p."""
+    `stats`."""
     m = mask_measure(stats, mask)
     if not 0.0 < m < 1.0:
         raise ValueError(f"mask measure must lie in (0, 1), got {m!r}")
     comp = float(np.sum(stats["abs_sq_table"][~mask]) * stats["cell_volume"])
-    lhs = f_norm * phi_norm
     rhs = math.sqrt(comp) / math.sqrt(1.0 - m)
+    lhs = stats["f"].l2_norm() * stats["phi"].l2_norm()
     return report.upper_bound("concentration", lhs, rhs,
-                              params={"measure": m,
-                                      "complement_energy": comp,
-                                      **p.to_dict()})
+                              params={"measure": m, "complement_energy": comp,
+                                      **stats["params"].to_dict()})
 
 
-def epsilon_concentration_check(stats: dict, p: QLCTParams, mask: np.ndarray,
+def epsilon_concentration_check(stats: dict, mask: np.ndarray,
                                 epsilon: float) -> report.InequalityReport:
     """Measure lower bound 2 pi sqrt|b1 b2| (1 - eps) <= m(Sigma) for a
     region capturing at least 1 - eps of the energy of unit-norm data, on
-    the |G|^2 table of `stats`, a pass over the field under params p."""
+    the |G|^2 table of `stats`."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     m = mask_measure(stats, mask)
@@ -372,22 +367,20 @@ def epsilon_concentration_check(stats: dict, p: QLCTParams, mask: np.ndarray,
     if captured + 1e-9 < 1.0 - epsilon:
         raise ValueError(f"mask captures {captured!r} < 1 - eps = {1 - epsilon!r}; "
                          "hypothesis unmet (normalize f and phi first)")
-    babs = _abs_b_product(p)
+    babs = _abs_b_product(stats["params"])
     lhs = 2 * math.pi * math.sqrt(babs) * (1.0 - epsilon)
     return report.upper_bound("eps-concentration", lhs, m,
                               params={"epsilon": epsilon, "captured": captured,
-                                      "abs_b1b2": babs, **p.to_dict()})
+                                      "abs_b1b2": babs, **stats["params"].to_dict()})
 
 
-def moment_concentration_check(stats: dict, f: QSignal2D, phi: QSignal2D,
-                               p: QLCTParams, s: float) -> report.InequalityReport:
+def moment_concentration_check(stats: dict, s: float) -> report.InequalityReport:
     """||f|| ||phi|| against the joint-radius moment; the constant is
     existential, so only the empirical constant is recorded."""
-    _require_nonzero(f, phi)
+    lhs = _norm_product(stats)
     _require_field_energy(stats)
     joint = _requested(stats, "moment_joint", "s_values", s)
-    lhs = f.l2_norm() * phi.l2_norm()
     rhs = math.sqrt(joint)
-    record = _pass_record(stats, f, p, s=s, moment_joint=joint)
+    record = _pass_record(stats, s=s, moment_joint=joint)
     return report.upper_bound("moment-concentration", lhs, rhs,
                               empirical_constant=lhs / rhs, **record)

@@ -360,6 +360,51 @@ def test_gabor_synthesize_rejects_malformed_manifest(tmp_path, capsys, corrupt):
     assert not (tmp_path / "back.qsig").exists()
 
 
+def _set(*path_and_value):
+    """A manifest edit setting the entry at the key path to a value."""
+    *path, key, value = path_and_value
+
+    def edit(manifest):
+        node = manifest
+        for step in path:
+            node = node[step]
+        node[key] = value(node[key]) if callable(value) else value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set("stride", 1.9), _set("stride", "1"), _set("stride", True),
+    _set("omega_grid", "n1", 8.7), _set("y_grid", "n1", "8"),
+    # int() truncates this back to the true checksum
+    _set("payload_crc32", lambda crc: crc + 0.5),
+    _set("window_norm_sq", "abc"), _set("params", "A1", [False, True, -1, False]),
+    "{not json", "[" * 100_000 + "]" * 100_000,
+], ids=["stride-1.9", "stride-string", "stride-true", "omega-n1-8.7", "y-n1-string",
+        "crc-plus-half", "window-norm-string", "matrix-of-booleans", "not-json",
+        "nested-past-the-parser-depth"])
+def test_a_manifest_not_json_or_of_the_wrong_json_type_exits_2_naming_it(
+        tmp_path, capsys, edit):
+    src = tmp_path / "f.qsig"
+    write_gaussian(src, n=8)
+    coef = tmp_path / "coef"
+    assert main(["gabor", "analyze", "-i", str(src), "-o", str(coef)]) == 0
+    path = coef / "manifest.json"
+    if isinstance(edit, str):
+        path.write_text(edit)
+    else:
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    for argv in (["synthesize", "-o", str(tmp_path / "back.qsig")],
+                 ["spectrogram", "-o", str(tmp_path / "spec.pgm")]):
+        assert main(["gabor", argv[0], "-i", str(coef), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed manifest (") and err.endswith(")\n")
+        assert err.count("\n") == 1, err
+    assert not (tmp_path / "back.qsig").exists() and not (tmp_path / "spec.pgm").exists()
+
+
 def test_verify_young_writes_reports(tmp_path, capsys):
     rpt = tmp_path / "young.json"
     code = main(["verify", "young", "--trials", "5", "--seed", "7",

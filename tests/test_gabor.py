@@ -251,8 +251,7 @@ def test_quaternion_window_fast_matches_direct():
         for k in sd[key]:
             assert sf[key][k] == pytest.approx(sd[key][k], rel=1e-9), (key, k)
 
-    rf = gabor_plancherel_check(f, phi, p, "fast")
-    rd = gabor_plancherel_check(f, phi, p, "direct")
+    rf, rd = gabor_plancherel_check(sf), gabor_plancherel_check(sd)
     assert rf.lhs == pytest.approx(rd.lhs, rel=1e-9)
     assert rf.rhs == rd.rhs
 
@@ -292,7 +291,7 @@ def test_plancherel_ratio_and_monotone_refinement():
         grid = Grid2D.centered(n, n, 8.0 / n, 8.0 / n)
         f = gaussian(grid, 1.0)
         phi = make_window(WindowSpec("gaussian", (1.0, 1.0)), grid)
-        rep = gabor_plancherel_check(f, phi, p)
+        rep = gabor_plancherel_check(gabor_field_stats(f, phi, p))
         errs.append(abs(rep.ratio - 1.0))
     assert errs[1] >= 0.98 * errs[1]  # sanity
     assert errs[0] > errs[1] > errs[2]
@@ -306,10 +305,10 @@ def test_plancherel_single_cell_window_and_zero_signal():
     cell[8, 8, 0] = 1.0
     tiny = QSignal2D(grid, cell)
     p = PARAM_SETS["fourier"]
-    rep = gabor_plancherel_check(f, tiny, p)
+    rep = gabor_plancherel_check(gabor_field_stats(f, tiny, p))
     assert abs(rep.ratio - 1.0) <= 5e-2
     zero = QSignal2D(grid, np.zeros((16, 16, 4)))
-    rep = gabor_plancherel_check(zero, tiny, p)
+    rep = gabor_plancherel_check(gabor_field_stats(zero, tiny, p))
     assert rep.lhs == 0.0 and rep.rhs == 0.0
 
 
@@ -370,7 +369,7 @@ def test_coefficient_save_load_round_trip(tmp_path):
     manifest = save_coefficients(G, phi, outdir)
     with open(manifest) as fh:
         data = json.load(fh)
-    assert Grid2D.from_dict(data["omega_grid"]) == G.omega_grid
+    assert data["omega_grid"] == G.omega_grid.to_dict()
     assert sorted(os.listdir(outdir)) == ["coeffs.f64", "manifest.json",
                                           "window.qsig"]
     payload = (outdir / "coeffs.f64").read_bytes()
@@ -471,7 +470,7 @@ def test_block_size_leaves_every_bit(name, stride, n1, n2, monkeypatch):
                           for i in range(0, ny2, step)], size
         results[size] = (gabor_field_stats(f, phi, p, **kwargs),
                          gabor_analyze(f, phi, p, stride).coeffs,
-                         gabor_plancherel_check(f, phi, p).lhs)
+                         gabor_plancherel_check(gabor_field_stats(f, phi, p)).lhs)
     stats, coeffs, lhs = results["row"]
     for size in ("one", "ragged"):
         got_stats, got_coeffs, got_lhs = results[size]
@@ -565,6 +564,18 @@ def test_pass_chirps_keep_every_bit(name, monkeypatch):
     # one set of chirps, built by the pass, reaches every block
     chirps = calls[0][2][0]
     assert all(len(c[2]) == 1 and c[2][0] is chirps for c in calls)
-    # the Plancherel check and the field stats read one energy table
+    # the Plancherel check reads the energy of the pass it is handed
     monkeypatch.undo()
-    assert gabor_plancherel_check(f, phi, p).lhs == gabor_field_stats(f, phi, p)["energy"]
+    stats = gabor_field_stats(f, phi, p)
+    assert gabor_plancherel_check(stats).lhs == stats["energy"]
+
+
+def test_field_stats_carry_the_inputs_they_swept():
+    # by reference: a check reads f, phi and params from its pass alone
+    grid = Grid2D.centered(8, 8, 0.6, 0.6)
+    f = random_quaternion_signal(grid, np.random.default_rng(62))
+    phi = quaternion_window(grid)
+    p = PARAM_SETS["neg-b"]
+    stats = gabor_field_stats(f, phi, p, method="direct")
+    assert stats["f"] is f and stats["phi"] is phi and stats["params"] is p
+    assert stats["method"] == "direct"

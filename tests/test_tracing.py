@@ -36,7 +36,7 @@ def test_tracer_counts_one_field_pass_of_a_young_check(monkeypatch):
     tracer = tracing.Tracer()
     with tracer.recording(0):
         p = PARAM_SETS["fourier"]
-        uncertainty.young_sup_check(uncertainty.gabor_field_stats(f, f, p), f, f, p, 2.0)
+        uncertainty.young_sup_check(uncertainty.gabor_field_stats(f, f, p), 2.0)
         qlct2d.qlct_forward_fast(f, PARAM_SETS["generic"])
     metrics = tracing.layer_metrics(tracer, [0], 1, 1.0)
     assert metrics["uncertainty.field_stats.calls"] == 1
@@ -59,7 +59,7 @@ def test_tracer_counts_each_block_of_a_multi_block_pass(monkeypatch):
     tracer = tracing.Tracer()
     with tracer.recording(0):
         p = PARAM_SETS["generic"]
-        uncertainty.young_sup_check(uncertainty.gabor_field_stats(f, f, p), f, f, p, 2.0)
+        uncertainty.young_sup_check(uncertainty.gabor_field_stats(f, f, p), 2.0)
     metrics = tracing.layer_metrics(tracer, [0], 1, 1.0)
     assert metrics["uncertainty.field_stats.calls"] == 1
     assert metrics["gabor.rows.calls"] == 8 * 3
@@ -76,6 +76,18 @@ def test_traced_verify_lieb_counts_its_three_field_passes(capsys):
     metrics = tracing.layer_metrics(tracer, [0], 1, 1.0)
     assert metrics["uncertainty.field_stats.calls"] == 3
     assert metrics["cli.suite.lieb.s"] > 0
+
+
+def test_traced_verify_gabor_plancherel_counts_its_two_field_passes(capsys):
+    """gabor-plancherel's two fields go through the sweep like every other
+    suite's, so the traced pass binding sees both: the 32^2 Gaussian
+    against the Gaussian window and against the single-cell window."""
+    tracer = tracing.Tracer()
+    with tracer.recording(0):
+        assert cli.main(["verify", "gabor-plancherel"]) == 0
+    metrics = tracing.layer_metrics(tracer, [0], 1, 1.0)
+    assert metrics["uncertainty.field_stats.calls"] == 2
+    assert metrics["cli.suite.gabor-plancherel.s"] > 0
 
 
 def test_row_bindings_resolve_to_the_blocked_sweep():

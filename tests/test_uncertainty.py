@@ -29,15 +29,15 @@ FOURIER2 = PARAM_SETS["fourier"]
 
 
 def field_check(check, f, phi, p, arg=None, method="fast"):
-    """check's report on a lone pass over the field of f and phi that asks
-    what check reads: s for heisenberg and moment-concentration, p' for
-    lieb, ln|omega| for log, no sum for young."""
+    """check(stats, arg) on a lone pass over the field of f and phi that
+    asks what check reads: s for heisenberg and moment-concentration, p'
+    for lieb, ln|omega| for log, no sum for young and gabor-plancherel."""
     request = {heisenberg_check: {"s_values": (arg,)},
                moment_concentration_check: {"s_values": (arg,)},
                lieb_check: {"pprimes": (arg,)},
                log_check: {"log_omega": True}}.get(check, {})
     stats = uncertainty.gabor_field_stats(f, phi, p, method=method, **request)
-    return check(stats, f, phi, p, *(() if arg is None else (arg,)))
+    return check(stats, *(() if arg is None else (arg,)))
 
 
 def single_cell_field(omega_index, y_index, value, n=8, dx=0.5):
@@ -201,7 +201,7 @@ def test_gabor_reports_carry_the_per_translation_plancherel_residual(name, monke
     np.testing.assert_allclose(gabor._windowed_energy(f, phi), rhs, rtol=1e-14)
     stats = gabor_field_stats(f, phi, p, s_values=(1.0,))
     want = np.max(np.abs(stats["energy_by_y"] - rhs)) / np.max(rhs)
-    reports = [check(stats, f, phi, p, 1.0)
+    reports = [check(stats, 1.0)
                for check in (heisenberg_check, moment_concentration_check)]
     for rep in reports:
         got = rep.params["plancherel_by_y_residual"]
@@ -309,14 +309,14 @@ def test_a_declared_scope_makes_one_pass_per_distinct_field(passes):
     stats = sweep_fields(fields)
     shared, of_g, direct = stats[0], stats[6], stats[7]
     assert all(st is shared for st in stats[:6])
-    calls = [lambda: heisenberg_check(shared, f, f, FOURIER2, 1.0),
-             lambda: moment_concentration_check(shared, f, f, FOURIER2, 1.0),
-             lambda: log_check(shared, f, f, FOURIER2),
-             lambda: lieb_check(shared, f, f, FOURIER2, 1.5),
-             lambda: lieb_check(shared, f, f, FOURIER2, 2.0),
-             lambda: young_sup_check(shared, f, f, FOURIER2, 2.0),
-             lambda: young_sup_check(of_g, g, f, FOURIER2, 4.0),
-             lambda: heisenberg_check(direct, f, f, FOURIER2, 1.0)]
+    calls = [lambda: heisenberg_check(shared, 1.0),
+             lambda: moment_concentration_check(shared, 1.0),
+             lambda: log_check(shared),
+             lambda: lieb_check(shared, 1.5),
+             lambda: lieb_check(shared, 2.0),
+             lambda: young_sup_check(shared, 2.0),
+             lambda: young_sup_check(of_g, 4.0),
+             lambda: heisenberg_check(direct, 1.0)]
     for call in calls + calls:
         call()
     greedy_minimal_mask(shared, 0.5)
@@ -329,19 +329,45 @@ def test_a_declared_scope_makes_one_pass_per_distinct_field(passes):
 
 
 @pytest.mark.parametrize("check, request_, missing", [
-    (lambda st, f: heisenberg_check(st, f, f, FOURIER2, 2.0), {"s_values": (1.0,)},
+    (lambda st: heisenberg_check(st, 2.0), {"s_values": (1.0,)},
      "moment_omega at 2.0; request it with s_values"),
-    (lambda st, f: moment_concentration_check(st, f, f, FOURIER2, 1.0), {},
+    (lambda st: moment_concentration_check(st, 1.0), {},
      "moment_joint at 1.0; request it with s_values"),
-    (lambda st, f: lieb_check(st, f, f, FOURIER2, 1.5), {"pprimes": (2.0,)},
+    (lambda st: lieb_check(st, 1.5), {"pprimes": (2.0,)},
      "power_sums at 1.5; request it with pprimes"),
-    (lambda st, f: log_check(st, f, f, FOURIER2), {"s_values": (1.0,)},
+    (lambda st: log_check(st), {"s_values": (1.0,)},
      "log_omega_sum; request it with log_omega=True"),
 ], ids=["heisenberg", "moment-concentration", "lieb", "log"])
 def test_a_check_refuses_stats_without_the_sum_it_reads(check, request_, missing):
     f = normalized(gaussian(default_grid(8), 1.0))
     with pytest.raises(ValueError, match=f"carry no {missing}"):
-        check(gabor_field_stats(f, f, FOURIER2, **request_), f)
+        check(gabor_field_stats(f, f, FOURIER2, **request_))
+
+
+def test_checks_read_their_inputs_from_the_pass_they_are_handed():
+    """No check takes f, phi, params or norms beside its pass, so none can
+    pair a pass with inputs it did not sweep: each reports on the signal,
+    window and params of the stats it is handed."""
+    grid = default_grid(16)
+    f = normalized(gaussian(grid, 1.0))
+    g = dilated_gaussian(grid, 2.0)  # the t = 2 dilate, not normalized
+    rep = heisenberg_check(gabor_field_stats(g, g, FOURIER2, s_values=(1.0,)), 1.0)
+    assert rep.rhs == g.l2_norm() * g.l2_norm() != f.l2_norm() * f.l2_norm()
+    assert rep.empirical_constant == rep.lhs / rep.rhs
+    # the field is bilinear in (g, g): lhs scales as ||g||^4, rhs as ||g||^2
+    unit_g = normalized(g)
+    unit = field_check(heisenberg_check, unit_g, unit_g, FOURIER2, 1.0)
+    assert rep.empirical_constant == pytest.approx(
+        unit.empirical_constant * g.l2_norm_sq(), rel=1e-12)
+    generic = PARAM_SETS["generic"]
+    stats = gabor_field_stats(f, f, generic, abs_sq_table=True)
+    eps = epsilon_concentration_check(stats, greedy_minimal_mask(stats, 0.5), 0.5)
+    assert eps.params["abs_b1b2"] == abs(generic.A1.b * generic.A2.b) != 1.0
+    assert {key: eps.params[key] for key in ("A1", "A2")} == generic.to_dict()
+    phi = f.scaled(0.5)
+    stats = gabor_field_stats(g, phi, FOURIER2, abs_sq_table=True)
+    rep = concentration_check(stats, random_mask(stats, 0.5, np.random.default_rng(56)))
+    assert rep.lhs == g.l2_norm() * phi.l2_norm() != 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +488,7 @@ def test_lieb_pprime_two_reproduces_plancherel_and_flags():
     phi = make_window(WindowSpec("gaussian", (1.0, 1.0)), grid)
     rep = field_check(lieb_check, f, phi, FOURIER2, 2.0)
     # the p' = 2 power integral IS the Gabor energy, exactly
-    plan = gabor_plancherel_check(f, phi, FOURIER2)
+    plan = field_check(gabor_plancherel_check, f, phi, FOURIER2)
     assert rep.lhs == pytest.approx(plan.lhs, rel=1e-12)
     # and matches ||f||^2 ||phi||^2 up to the translation edge truncation
     assert rep.lhs == pytest.approx(f.l2_norm_sq() * phi.l2_norm_sq(), rel=1e-4)
@@ -675,8 +701,8 @@ def test_mask_readers_need_the_table():
     for read in (lambda: random_mask(stats, 0.5, np.random.default_rng(0)),
                  lambda: greedy_minimal_mask(stats, 0.5),
                  lambda: mask_measure(stats, mask),
-                 lambda: concentration_check(stats, FOURIER2, mask, 1.0, 1.0),
-                 lambda: epsilon_concentration_check(stats, FOURIER2, mask, 0.5)):
+                 lambda: concentration_check(stats, mask),
+                 lambda: epsilon_concentration_check(stats, mask, 0.5)):
         with pytest.raises(ValueError, match="abs_sq_table=True"):
             read()
 
@@ -707,7 +733,7 @@ def test_concentration_single_tiny_cell_margin_near_zero():
     f, stats = _unit_gaussian_field()
     mask = np.zeros(stats["abs_sq_table"].shape, dtype=bool)
     mask[0, 0, 0, 0] = True
-    rep = concentration_check(stats, FOURIER2, mask, 1.0, 1.0)
+    rep = concentration_check(stats, mask)
     assert abs(rep.margin) <= mask_measure(stats, mask) == stats["cell_volume"]
 
 
@@ -717,7 +743,7 @@ def test_concentration_random_masks():
     for m in (0.25, 0.5, 0.9):
         mask = random_mask(stats, m, rng)
         assert 0 < mask_measure(stats, mask) < 1
-        rep = concentration_check(stats, FOURIER2, mask, 1.0, 1.0)
+        rep = concentration_check(stats, mask)
         assert rep.margin >= -1e-6
 
 
@@ -731,7 +757,7 @@ def test_concentration_peak_mask_still_holds():
     flat[order] = True
     mask = flat.reshape(table.shape)
     assert 0.5 <= mask_measure(stats, mask) < 1.0
-    rep = concentration_check(stats, FOURIER2, mask, 1.0, 1.0)
+    rep = concentration_check(stats, mask)
     assert rep.margin >= -1e-6
 
 
@@ -739,7 +765,7 @@ def test_concentration_rejects_measure_out_of_range():
     f, stats = _unit_gaussian_field(8)
     full = np.ones(stats["abs_sq_table"].shape, dtype=bool)
     with pytest.raises(ValueError, match="measure"):
-        concentration_check(stats, FOURIER2, full, 1.0, 1.0)
+        concentration_check(stats, full)
 
 
 def test_epsilon_concentration_greedy_masks():
@@ -747,7 +773,7 @@ def test_epsilon_concentration_greedy_masks():
     measures = {}
     for eps in (0.5, 0.1):
         mask = greedy_minimal_mask(stats, 1.0 - eps)
-        rep = epsilon_concentration_check(stats, FOURIER2, mask, eps)
+        rep = epsilon_concentration_check(stats, mask, eps)
         assert rep.margin >= 0
         assert rep.rhs == mask_measure(stats, mask)
         measures[eps] = rep.rhs
@@ -758,10 +784,10 @@ def test_epsilon_concentration_trivial_and_hypothesis():
     f, stats = _unit_gaussian_field(8)
     tiny = np.zeros(stats["abs_sq_table"].shape, dtype=bool)
     tiny[0, 0, 0, 0] = True
-    rep = epsilon_concentration_check(stats, FOURIER2, tiny, 1.0)
+    rep = epsilon_concentration_check(stats, tiny, 1.0)
     assert rep.lhs == 0.0 and rep.margin >= 0
     with pytest.raises(ValueError, match="hypothesis"):
-        epsilon_concentration_check(stats, FOURIER2, tiny, 0.1)
+        epsilon_concentration_check(stats, tiny, 0.1)
 
 
 def test_moment_concentration_single_cell_closed_form():
@@ -838,8 +864,8 @@ def test_mask_measure_is_the_count_times_the_table_cell_volume():
 @pytest.mark.parametrize("shape", [(8, 8), (8, 8, 8), (8, 8, 8, 4), (4, 8, 8, 8),
                                    (8, 8, 8, 8, 1)])
 @pytest.mark.parametrize("check", [
-    lambda stats, mask: concentration_check(stats, FOURIER2, mask, 1.0, 1.0),
-    lambda stats, mask: epsilon_concentration_check(stats, FOURIER2, mask, 1.0),
+    lambda stats, mask: concentration_check(stats, mask),
+    lambda stats, mask: epsilon_concentration_check(stats, mask, 1.0),
 ], ids=["concentration", "eps-concentration"])
 def test_concentration_checks_refuse_a_mask_not_shaped_like_the_table(check, shape):
     f, stats = _unit_gaussian_field(8)
@@ -863,7 +889,7 @@ def test_mask_measure_refuses_a_mask_that_is_not_boolean():
     lambda f, phi: field_check(lieb_check, f, phi, FOURIER2, 1.5),
     lambda f, phi: field_check(young_sup_check, f, phi, FOURIER2, 2.0),
     lambda f, phi: field_check(moment_concentration_check, f, phi, FOURIER2, 1.0),
-    lambda f, phi: gabor_plancherel_check(f, phi, FOURIER2),
+    lambda f, phi: field_check(gabor_plancherel_check, f, phi, FOURIER2),
 ], ids=["heisenberg", "log", "lemma-log", "lieb", "young",
         "moment-concentration", "gabor-plancherel"])
 def test_gabor_checks_reject_a_window_on_another_spacing(check):
