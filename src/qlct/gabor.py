@@ -19,19 +19,24 @@ M of `qlct2d` (Ga = P + M, Gb = -i*(P - M) for G = Ga + Gb*j). With the
 window halves alpha = conj(pa) - i*pb and beta = conj(pa) + i*pb of
 phi = pa + pb*j, f*conj(phi) has the halves fa*alpha + i*fb*conj(beta)
 and fa*beta - i*fb*conj(alpha), formed from one `_translates` sweep of
-the four window planes. Consumers read |G|^2 = 2(|P|^2 + |M|^2), only
-`gabor_analyze` joins the planes, and synthesis windows the inverse
-halves directly: H*phi = (P*conj(alpha) + M*conj(beta))
-- i*(P*beta - M*alpha)*j. The direct path evaluates each translation
-with `gabor_analyze_at`, so it checks the sweep as well as the transform.
+the four window planes; a real window's four planes are equal, so its
+halves are (fa + i*fb)*phi and (fa - i*fb)*phi, from a sweep of one
+plane. Consumers read |G|^2 = 2(|P|^2 + |M|^2), only `gabor_analyze`
+joins the planes, and synthesis windows the inverse halves directly:
+H*phi = (P*conj(alpha) + M*conj(beta)) - i*(P*beta - M*alpha)*j. The
+direct path evaluates each translation with `gabor_analyze_at`, so it
+checks the sweep as well as the transform.
 
 A pass builds its transform plans, their 2D chirps and its
-window-product buffers once, then runs each row of translations in blocks
-of about `BLOCK_BYTES` per half, so that each elementwise pass works on
-data that stays in cache. `gabor_field_stats` reduces each block's |G|^2
-per translation while it is still in cache and then sums the (ny1, ny2)
-tables, so every sum keeps its bits whatever the block size. A pass
-holds the f, phi and params it swept; `gabor_plancherel_check` reads it.
+window-product buffers once, and folds the pre-chirps, which depend on x
+alone, into the halves of f. It then runs each row of translations in
+blocks of about `BLOCK_BYTES` per half, so that each elementwise pass
+works on data that stays in cache. `gabor_field_stats` reads |G|^2 only,
+so its blocks leave out the post-chirps, whose modulus is constant: it
+reduces |P|^2 + |M|^2 per translation while the block is in cache, sums
+the (ny1, ny2) tables, so every sum keeps its bits whatever the block
+size, and scales the totals once by `abs_sq_gain`. A pass holds the f,
+phi and params it swept; `gabor_plancherel_check` reads it.
 
 Full coefficient storage is (n1*n2)^2 quaternions: about 33 MB for a
 32x32 signal and 16x that for 64x64, built only by `gabor_analyze`.
@@ -149,18 +154,24 @@ def _y2_blocks(n_y2: int, cells: int) -> list[slice]:
 
 
 def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
-                      y_stride: int = 1, method: str = "fast"):
+                      y_stride: int = 1, method: str = "fast", post_chirp: bool = True):
     """Yield (iy1, y2_slice, P, M): the transform halves of the field at
     the y1 row iy1 and the y2 translations y2_slice (Ga = P + M,
     Gb = -i*(P - M), |G|^2 = 2(|P|^2 + |M|^2)), each of shape
     (len(y2 block), nw1, nw2). Each row comes in blocks of about
     `BLOCK_BYTES` per half, through plans, chirps and buffers built once
-    per pass, so P and M are valid only until the next `next()`."""
+    per pass, so P and M are valid only until the next `next()`.
+
+    The fast branch folds the 2D pre-chirps into f once per pass, and for a
+    real window, whose four planes are equal, forms each half with one
+    multiply. With post_chirp=False it also leaves out the post-chirps, for
+    a consumer of |G|^2 alone: |G|^2 = `abs_sq_gain` * (|P|^2 + |M|^2)."""
     if not f.grid.approx_eq(phi.grid):
         raise GridMismatchError("signal and window must share a grid")
     y_grid = translation_grid(f.grid, y_stride)
     blocks = _y2_blocks(y_grid.n2, f.grid.n1 * f.grid.n2)
-    # the direct branch is the Gabor oracle, so only a known method reaches it
+    # the direct branch is the Gabor oracle, so only a known method reaches it;
+    # it always yields the chirped halves
     if qlct2d._check_method(method) == "direct":
         y2c = y_grid.coords2()
         for iy1, y1 in enumerate(y_grid.coords1()):
@@ -169,23 +180,51 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
                                  for y2 in y2c[sl]])
                 yield (iy1, sl, *(h / 2 for h in _halves(*to_complex_pair(rows))))
         return
+    plan = _fast_plan(p, *f.grid.axes)
+    (pre_p, post_p), (pre_m, post_m) = plan.chirps()
+    chirps = ((None, post_p), (None, post_m)) if post_chirp else ((None, None),) * 2
     fa, fb = to_complex_pair(f.samples)
     ifb = 1j * fb
-    plan = _fast_plan(p, *f.grid.axes)
-    chirps = plan.chirps()
-    # three allocations, not one (3, ...) block: with the joint block, a
-    # 32x32 analyze-and-synthesize process peaked 2 MB higher in RSS
-    u, v, tmp = (np.empty((blocks[0].stop, *fa.shape), complex) for _ in range(3))
-    sweep = _translates(_window_halves(phi), y_stride).swapaxes(0, 1)
-    for iy1, (alpha, beta, calpha, cbeta) in enumerate(sweep):
+    # separate allocations, not one joint block: with a joint block, a 32x32
+    # analyze-and-synthesize process peaked 2 MB higher in RSS
+    u, v = (np.empty((blocks[0].stop, *fa.shape), complex) for _ in range(2))
+    if not phi.samples[..., 1:].any():
+        # a real phi's four planes are equal: the halves of f*phi are
+        # (fa + i*fb)*phi and (fa - i*fb)*phi, one multiply each
+        sp, sm = pre_p * (fa + ifb), pre_m * (fa - ifb)
+        planes = phi.samples[None, ..., 0]
+
+        def window(w, bu, bv):
+            np.multiply(sp, w[0], out=bu)
+            np.multiply(sm, w[0], out=bv)
+    else:
+        pfa, pifb, mfa, mifb = pre_p * fa, pre_p * ifb, pre_m * fa, pre_m * ifb
+        tmp = np.empty_like(u)
+        planes = _window_halves(phi)
+
+        def window(w, bu, bv):
+            alpha, beta, calpha, cbeta = w
+            bt = tmp[:len(bu)]
+            np.add(np.multiply(pfa, alpha, out=bu),
+                   np.multiply(pifb, cbeta, out=bt), out=bu)
+            np.subtract(np.multiply(mfa, beta, out=bv),
+                        np.multiply(mifb, calpha, out=bt), out=bv)
+    sweep = _translates(planes, y_stride)
+    for iy1 in range(y_grid.n1):
         for sl in blocks:
             k = sl.stop - sl.start
-            bu, bv, bt = u[:k], v[:k], tmp[:k]
-            np.add(np.multiply(fa, alpha[sl], out=bu),
-                   np.multiply(ifb, cbeta[sl], out=bt), out=bu)
-            np.subtract(np.multiply(fa, beta[sl], out=bv),
-                        np.multiply(ifb, calpha[sl], out=bt), out=bv)
-            yield (iy1, sl, *_two_sided_fast(plan, bu, bv, chirps))
+            window(sweep[:, iy1, sl], u[:k], v[:k])
+            yield (iy1, sl, *_two_sided_fast(plan, u[:k], v[:k], chirps))
+
+
+def abs_sq_gain(f: QSignal2D, p: QLCTParams, method: str = "fast") -> float:
+    """The c with |G|^2 = c * (|P|^2 + |M|^2) on the blocks that
+    `iter_gabor_blocks(..., post_chirp=False)` yields: 2 on the direct
+    branch, and 2 * `FastPlan.gain`^2 on the fast one, whose post-chirps
+    have that constant modulus."""
+    if qlct2d._check_method(method) == "direct":
+        return 2.0
+    return 2.0 * _fast_plan(p, *f.grid.axes).gain**2
 
 
 def gabor_analyze(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
@@ -260,9 +299,11 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
     p'-th power sums, the ln|omega| weighted energy and, with
     abs_sq_table, |G|^2 itself.
 
-    Each block's |G|^2 = 2(|P|^2 + |M|^2) is reduced while it is in cache:
-    one sum, max and `np.vecdot` per translation and omega-weight into
-    (ny1, ny2) tables, whose sums are the totals; `energy_by_y` is the
+    Each block's |P|^2 + |M|^2, without post-chirps, is reduced while it
+    is in cache: one sum, max and `np.vecdot` per translation and
+    omega-weight into (ny1, ny2) tables, whose sums are the totals; the
+    one constant `abs_sq_gain` then scales the totals, the peak and the
+    table, and its p'/2-th power the p'-th power sums; `energy_by_y` is the
     energy table, sum_omega |G(omega, y)|^2 domega on `y_grid`, and
     `plancherel_by_y_residual` its largest gap to `_windowed_energy` over
     the largest right side. The |G|^2 table is indexed
@@ -297,12 +338,12 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
     t_omega = {s: np.empty(shape) for s in s_values}
     t_joint = {s: np.empty(shape) for s in s_values}
     t_power = {pp: np.empty(shape) for pp in pprimes}
+    gain = abs_sq_gain(f, p, method)
     buf = None
-    for iy1, sl, P, M in iter_gabor_blocks(f, phi, p, y_stride, method):
+    for iy1, sl, P, M in iter_gabor_blocks(f, phi, p, y_stride, method, post_chirp=False):
         if buf is None:  # the first block is the largest
             buf = np.empty(P.shape)
         mod2 = pair_abs_sq(P, M, out=buf[:len(P)]).reshape(len(P), -1)
-        mod2 *= 2
         at = (iy1, sl)
         mod2.sum(axis=1, out=energy[at])
         mod2.max(axis=1, out=peak[at])
@@ -314,12 +355,12 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
         if log_omega:
             np.vecdot(mod2, log_w, out=t_log[at])
         if abs_sq_table:
-            table[at] = mod2
+            np.multiply(mod2, gain, out=table[at])
 
-    def total(t):
-        return float(t.sum()) * cellvol
+    def total(t, scale=gain):
+        return float(t.sum()) * (scale * cellvol)
 
-    energy_by_y = energy * omega_grid.cell_area
+    energy_by_y = energy * (gain * omega_grid.cell_area)
     rhs = _windowed_energy(f, phi, y_stride)
     gap = np.max(np.abs(energy_by_y - rhs))
     return {
@@ -327,11 +368,11 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
         "energy_by_y": energy_by_y,
         # 0 for a zero signal, which young_sup_check accepts
         "plancherel_by_y_residual": float(gap / np.max(rhs)) if gap else 0.0,
-        "max_abs": math.sqrt(float(peak.max())),
+        "max_abs": math.sqrt(gain * float(peak.max())),
         "moment_omega": {s: total(t_omega[s]) for s in s_values},
         "moment_y": {s: total(y_r2**s * energy) for s in s_values},
         "moment_joint": {s: total(t_joint[s]) for s in s_values},
-        "power_sums": {pp: total(t_power[pp]) for pp in pprimes},
+        "power_sums": {pp: total(t_power[pp], gain**(pp / 2)) for pp in pprimes},
         "log_omega_sum": total(t_log) if log_omega else None,
         "abs_sq_table": table.reshape(*shape, *omega_grid.shape) if abs_sq_table else None,
         "omega_grid": omega_grid, "y_grid": y_grid, "cell_volume": cellvol,

@@ -188,13 +188,16 @@ class AxisPlan(NamedTuple):
     """One axis of a fast transform, post * step(pre * f) onto grid_out, for
     `lct_fast`, `lct_scale_chirp` and `qlct2d`: pre is all ones for b = 0,
     step one of "fft", "ifft" (unscaled), "flip" or None, and workers the
-    FFT worker count QLCT_THREADS gave when the plan was built."""
+    FFT worker count QLCT_THREADS gave when the plan was built. Every |post|
+    is gain, dx / sqrt(2*pi*|b|) for b != 0 and sqrt(|d|) for b = 0, up to
+    the rounding of its unit phase."""
 
     pre: np.ndarray
     step: str | None
     post: np.ndarray
     grid_out: Grid1D
     workers: int | None
+    gain: float
 
 
 def axis_plan(p: LCTParams, sign: int, grid_in: Grid1D,
@@ -208,17 +211,19 @@ def axis_plan(p: LCTParams, sign: int, grid_in: Grid1D,
     workers = _fft_workers()
     w = grid_out.coords()
     if p.b == 0:
-        post = np.sqrt(abs(p.d)) * np.exp(1j * sign * (p.c * p.d / 2) * w**2)
+        gain = np.sqrt(abs(p.d))
+        post = gain * np.exp(1j * sign * (p.c * p.d / 2) * w**2)
         return AxisPlan(np.ones(grid_in.n), None if p.a > 0 else "flip", post,
-                        grid_out, workers)
+                        grid_out, workers, float(gain))
     x = grid_in.coords()
     idx = np.arange(grid_in.n)
     pre = np.exp(1j * sign * ((p.a / (2 * p.b)) * x**2
                               - (idx * grid_in.dx) * grid_out.x0 / p.b))
     post = np.exp(1j * sign * ((p.d / (2 * p.b)) * w**2 - grid_in.x0 * w / p.b
                                - (np.pi / 4) * np.sign(p.b)))
-    post = post * (grid_in.dx / np.sqrt(2 * np.pi * abs(p.b)))
-    return AxisPlan(pre, "fft" if sign * p.b > 0 else "ifft", post, grid_out, workers)
+    gain = grid_in.dx / np.sqrt(2 * np.pi * abs(p.b))
+    return AxisPlan(pre, "fft" if sign * p.b > 0 else "ifft", post * gain, grid_out,
+                    workers, float(gain))
 
 
 def axis_step(g: np.ndarray, plan: AxisPlan, axis: int) -> np.ndarray:

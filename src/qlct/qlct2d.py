@@ -25,8 +25,10 @@ Two independent realizations are provided:
   separable 2D transforms (chirp * FFT2 * chirp) per transform, cost
   O(N^2 log N). The kernel maps halves to halves. Its axis plans (a
   `FastPlan`) and their 2D chirps depend only on the params and grids, so
-  a Gabor pass builds them once for all its blocks; a lone transform
-  builds each 2D chirp where `_lct2d` applies it.
+  a Gabor pass builds them once for all its blocks, folds the pre-chirps
+  into its signal and, when it reads only |G|^2, skips the post-chirps,
+  whose modulus is constant; a lone transform builds each 2D chirp where
+  `_lct2d` applies it.
 
 For unimodular A the inversion kernel is K_{A^-1}(x, w) = conj K_A(w, x),
 so the inverse transform is the forward transform with A^-1 on each axis,
@@ -85,10 +87,16 @@ def _lct2d(plan1, plan2, g, chirps=None):
     pre-chirp, one FFT2 when both axes run the same FFT (else each axis's
     step), post-chirp. The result is C-contiguous.
 
-    chirps, the (pre, post) outer products of the plans' chirps, lets a
-    pass build them once for all its blocks; without it each is built at
-    its point of use, so one large transform never holds both."""
-    g *= np.multiply.outer(plan1.pre, plan2.pre) if chirps is None else chirps[0]
+    chirps, a (pre, post) pair of 2D chirps, lets a Gabor pass build them
+    once for all its blocks, and None in either place skips that multiply:
+    a pass folds the pre-chirp into its signal before windowing, and a pass
+    that reads only |G|^2 leaves out the post-chirp, whose modulus is the
+    constant `FastPlan.gain`. Without chirps each is built at its point of
+    use, so one large transform never holds both."""
+    if chirps is None:
+        g *= np.multiply.outer(plan1.pre, plan2.pre)
+    elif chirps[0] is not None:
+        g *= chirps[0]
     if plan1.step == plan2.step == "fft":
         spec = scipy.fft.fft2(g, overwrite_x=True, workers=plan1.workers)
     elif plan1.step == plan2.step == "ifft":
@@ -96,8 +104,10 @@ def _lct2d(plan1, plan2, g, chirps=None):
                                workers=plan1.workers)
     else:
         spec = axis_step(axis_step(g, plan1, -2), plan2, -1)
-    out = spec if spec.flags.c_contiguous else np.empty(spec.shape, complex)
     post = np.multiply.outer(plan1.post, plan2.post) if chirps is None else chirps[1]
+    if post is None:
+        return np.ascontiguousarray(spec)
+    out = spec if spec.flags.c_contiguous else np.empty(spec.shape, complex)
     return np.multiply(spec, post, out=out)
 
 
@@ -127,6 +137,13 @@ class FastPlan(NamedTuple):
     plus: AxisPlan
     minus: AxisPlan
 
+    @property
+    def gain(self) -> float:
+        """The constant modulus of the P and the M 2D post-chirp, 1/2
+        included: |G|^2 = 2 gain^2 (|P|^2 + |M|^2) for halves that leave
+        it out."""
+        return self.left.gain * self.plus.gain
+
     def chirps(self):
         """The 2D (pre, post) chirps of the P and the M transform."""
         return tuple((np.multiply.outer(self.left.pre, right.pre),
@@ -136,14 +153,15 @@ class FastPlan(NamedTuple):
 
 def _fast_plan(p: QLCTParams, g1in, g2in, g1out=None, g2out=None) -> FastPlan:
     left = axis_plan(p.A1, 1, g1in, g1out)
-    return FastPlan(left._replace(post=left.post / 2),
+    return FastPlan(left._replace(post=left.post / 2, gain=left.gain / 2),
                     axis_plan(p.A2, 1, g2in, g2out), axis_plan(p.A2, -1, g2in, g2out))
 
 
 def _two_sided_fast(plan: FastPlan, u, v, chirps=(None, None)):
     """Halves P = K(A1,+1; A2,+1)u/2 and M = K(A1,+1; A2,-1)v/2 over the
     last two axes, which overwrite the input halves u and v; chirps, if
-    given, is `plan.chirps()`."""
+    given, holds the `_lct2d` (pre, post) pair of P and of M, built from
+    `plan.chirps()`."""
     return (_lct2d(plan.left, plan.plus, u, chirps[0]),
             _lct2d(plan.left, plan.minus, v, chirps[1]))
 

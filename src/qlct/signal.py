@@ -267,7 +267,8 @@ def make_window(spec: WindowSpec, grid: Grid2D) -> QSignal2D:
             u1 = x1 - spec.center[0]
             u2 = x2 - spec.center[1]
             if spec.kind == "gaussian":
-                vals = np.exp(-(u1**2 / (2 * p1**2) + u2**2 / (2 * p2**2)))
+                # (u/sigma)^2, not u^2/sigma^2: 0/0 at a sampled center otherwise
+                vals = np.exp(-((u1 / p1)**2 / 2 + (u2 / p2)**2 / 2))
             elif spec.kind == "rect":
                 vals = ((np.abs(u1) < p1) & (np.abs(u2) < p2)).astype(float)
             else:  # hann

@@ -320,7 +320,9 @@ def hausdorff_young_check(f: QSignal2D, p: QLCTParams, pp: float,
     """Componentwise (q, p')-norm of the transform against the L^p norm.
 
     The transform-side norm sums the moduli of the four real-component
-    transforms before raising to the p'-th power."""
+    transforms before raising to the p'-th power. The printed constant is
+    too small for this unitary normalization; a report whose bound fails
+    carries a note that says so."""
     if not 2.0 <= pp < math.inf:
         raise ValueError(f"pp must be finite and >= 2, got {pp}")
     hp = pp / (pp - 1.0)
@@ -334,10 +336,12 @@ def hausdorff_young_check(f: QSignal2D, p: QLCTParams, pp: float,
         omega_grid = Fc.grid
     lhs = float(np.sum(comp_abs**pp) * omega_grid.cell_area)**(1.0 / pp)
     rhs = (_abs_b_product(p)**(-0.5 + 1.0 / pp) / (2 * math.pi)) * f.lp_norm(hp)
+    notes = ("printed bound fails: its 1/(2 pi) does not fit the unitary kernel "
+             "normalization, so this margin is reported, never asserted") if lhs > rhs else ""
     return report.upper_bound("hausdorff-young", lhs, rhs,
                               params={"p": hp, "p_prime": pp,
                                       "method": method, **p.to_dict()},
-                              grid=f.grid.to_dict())
+                              grid=f.grid.to_dict(), notes=notes)
 
 
 def concentration_check(stats: dict, mask: np.ndarray) -> report.InequalityReport:

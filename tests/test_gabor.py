@@ -14,9 +14,9 @@ from qlct.gabor import (GaborCoefficients, _translates, export_field_csv,
                         gabor_field_stats, gabor_plancherel_check,
                         gabor_synthesize, load_coefficients, save_coefficients,
                         spectrogram, translation_grid)
-from qlct.lct1d import LCTParams
-from qlct.qlct2d import (QLCTParams, _fast_plan, _two_sided_fast, forward_grid,
-                         qlct_forward_fast, qlct_inverse)
+from qlct.lct1d import LCTParams, axis_plan
+from qlct.qlct2d import (FastPlan, QLCTParams, _fast_plan, _two_sided_fast,
+                         forward_grid, qlct_forward_fast, qlct_inverse)
 from qlct.signal import Grid2D, QSignal2D, WindowSpec, make_window, translate
 from qlct.quat import pair_abs_sq, qabs_sq, qconj, qmul
 
@@ -503,6 +503,33 @@ def test_multi_block_rows_match_direct(name, monkeypatch):
 
 @pytest.mark.parametrize("name", list(PARAM_SETS))
 @pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("window", ["real", "quaternion"])
+def test_field_stats_without_post_chirps_match_direct(name, stride, window):
+    # the fast pass reduces |P|^2 + |M|^2 without post-chirps and scales
+    # once; the direct branch keeps them: every sum agrees at the oracle
+    # tolerance, for the one-multiply real window and the quaternion one
+    grid = Grid2D.centered(10, 8, 0.6, 0.5)
+    f = random_quaternion_signal(grid, np.random.default_rng(65))
+    phi = gaussian(grid, 0.8) if window == "real" else quaternion_window(grid)
+    p = PARAM_SETS[name]
+    kwargs = dict(s_values=(0.5, 1.0), pprimes=(1.5, 2.0, 3.0), log_omega=True,
+                  abs_sq_table=True, y_stride=stride)
+    sf = gabor_field_stats(f, phi, p, method="fast", **kwargs)
+    sd = gabor_field_stats(f, phi, p, method="direct", **kwargs)
+    for key in ("energy", "max_abs", "log_omega_sum"):
+        assert sf[key] == pytest.approx(sd[key], rel=1e-9), key
+    for key in ("moment_omega", "moment_y", "moment_joint", "power_sums"):
+        assert sf[key].keys() == sd[key].keys()
+        for k in sd[key]:
+            assert sf[key][k] == pytest.approx(sd[key][k], rel=1e-9), (key, k)
+    for key in ("energy_by_y", "abs_sq_table"):
+        err = np.max(np.abs(sf[key] - sd[key]))
+        assert err <= 1e-9 * np.max(sd[key]), key
+    assert sf["plancherel_by_y_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(PARAM_SETS))
+@pytest.mark.parametrize("stride", [1, 2])
 def test_each_translation_keeps_its_windowed_energy(name, stride, monkeypatch):
     # Plancherel for each y on its own: sum_omega |G(omega, y)|^2 domega
     # equals sum_x |f(x)|^2 |phi(x - y)|^2 dx, an identity of the discrete
@@ -537,13 +564,49 @@ _CHIRP_PARAMS = {**PARAM_SETS,
 
 
 @pytest.mark.parametrize("name", list(_CHIRP_PARAMS))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_every_post_chirp_has_the_constant_modulus_of_its_plan(name, sign):
+    # a |G|^2 pass leaves out the post-chirps and scales by their modulus
+    # once, which is exact only while every |post| is its plan's gain
+    p = _CHIRP_PARAMS[name]
+    for grid in (Grid2D.centered(12, 10, 0.6, 0.5), Grid2D.centered(64, 64, 0.3, 0.4)):
+        for A, axis in ((p.A1, grid.axes[0]), (p.A2, grid.axes[1])):
+            plan = axis_plan(A, sign, axis)
+            want = axis.dx / np.sqrt(2 * np.pi * abs(A.b)) if A.b else np.sqrt(abs(A.d))
+            assert plan.gain == want
+            np.testing.assert_array_less(np.abs(np.abs(plan.post) - plan.gain),
+                                         4 * np.spacing(plan.gain))
+        fast = _fast_plan(p, *grid.axes)
+        for right in (fast.plus, fast.minus):
+            post = np.abs(np.multiply.outer(fast.left.post, right.post))
+            np.testing.assert_array_less(np.abs(post - fast.gain), 4 * np.spacing(fast.gain))
+
+
+def _folded_halves(f, phi, plan, y):
+    """The windowed halves of f*conj(phi(. - y)) in the pass's order: the
+    2D pre-chirps folded into f first, then one multiply per half for a
+    real window and the two-product formula for a quaternion one."""
+    (pre_p, _), (pre_m, _) = plan.chirps()
+    fa, fb = (c[None] for c in gabor.to_complex_pair(f.samples))
+    ifb = 1j * fb
+    shifted = translate(phi, y)
+    if not phi.samples[..., 1:].any():
+        w = shifted.samples[None, ..., 0]
+        return pre_p * (fa + ifb) * w, pre_m * (fa - ifb) * w
+    alpha, beta, calpha, cbeta = (h[None] for h in gabor._window_halves(shifted))
+    return ((pre_p * fa) * alpha + (pre_p * ifb) * cbeta,
+            (pre_m * fa) * beta - (pre_m * ifb) * calpha)
+
+
+@pytest.mark.parametrize("name", list(_CHIRP_PARAMS))
 def test_pass_chirps_keep_every_bit(name, monkeypatch):
     # a pass builds its 2D chirps once and hands them to every block; each
-    # block's P and M must equal a lone transform of the same windowed
-    # halves that builds each chirp where it applies it
+    # block's halves are f with its pre-chirps folded in, times the window,
+    # and its P and M equal a lone transform of them, which builds each
+    # chirp where it applies it, with the pre-chirp left out (all ones) and,
+    # for a |G|^2 pass, the post-chirp too
     grid = Grid2D.centered(12, 10, 0.6, 0.5)
     f = random_quaternion_signal(grid, np.random.default_rng(64))
-    phi = quaternion_window(grid)
     p = _CHIRP_PARAMS[name]
     _blocked(grid, 1, monkeypatch, "ragged")
     calls = []
@@ -555,15 +618,30 @@ def test_pass_chirps_keep_every_bit(name, monkeypatch):
 
     monkeypatch.setattr(gabor, "_two_sided_fast", spy)
     plan = _fast_plan(p, *grid.axes)
-    for iy1, sl, P, M in gabor.iter_gabor_blocks(f, phi, p):
-        u, v, _ = calls[-1]
-        want_P, want_M = _two_sided_fast(plan, u, v)
-        np.testing.assert_array_equal(P, want_P, err_msg=f"P {iy1} {sl}")
-        np.testing.assert_array_equal(M, want_M, err_msg=f"M {iy1} {sl}")
-    assert len(calls) == 4 * grid.n1
-    # one set of chirps, built by the pass, reaches every block
-    chirps = calls[0][2][0]
-    assert all(len(c[2]) == 1 and c[2][0] is chirps for c in calls)
+    yg = translation_grid(grid)
+    for phi in (gaussian(grid, 0.8), quaternion_window(grid)):
+        for post_chirp in (True, False):
+            # multiplying by ones rounds nothing
+            lone = FastPlan(*(a._replace(pre=np.ones(a.pre.shape),
+                                         post=a.post if post_chirp else np.ones(a.post.shape))
+                              for a in plan))
+            calls.clear()
+            for iy1, sl, P, M in gabor.iter_gabor_blocks(f, phi, p, post_chirp=post_chirp):
+                u, v, _ = calls[-1]
+                for i, y2 in enumerate(yg.coords2()[sl]):
+                    want_u, want_v = _folded_halves(f, phi, plan, (yg.coords1()[iy1], y2))
+                    np.testing.assert_array_equal(u[i], want_u[0])
+                    np.testing.assert_array_equal(v[i], want_v[0])
+                want_P, want_M = _two_sided_fast(lone, u, v)
+                np.testing.assert_array_equal(P, want_P, err_msg=f"P {iy1} {sl}")
+                np.testing.assert_array_equal(M, want_M, err_msg=f"M {iy1} {sl}")
+            assert len(calls) == 4 * grid.n1
+            # one set of chirps, built by the pass, reaches every block:
+            # no pre-chirp, and the post-chirp only for chirped halves
+            chirps = calls[0][2][0]
+            assert all(len(c[2]) == 1 and c[2][0] is chirps for c in calls)
+            assert [pre for pre, _ in chirps] == [None, None]
+            assert all((post is not None) == post_chirp for _, post in chirps)
     # the Plancherel check reads the energy of the pass it is handed
     monkeypatch.undo()
     stats = gabor_field_stats(f, phi, p)

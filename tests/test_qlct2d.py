@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -178,6 +179,30 @@ def test_degenerate_axis_routing(name):
         back = qlct_inverse(Ff if method == "fast" else Fd, p, method)
         assert rel_l2(back.samples, f.samples) <= 1e-8
     assert Ff.grid.approx_eq(forward_grid(grid, p))
+
+
+#: sha256 prefixes of the output bytes of `qlct_forward_fast` and of
+#: `qlct_inverse` of that output, for the seeded 16^2 quaternion signal of
+#: `test_transform_bytes_stay_pinned`. A Gabor pass may reorder its own
+#: elementwise work; a lone transform must keep every bit.
+TRANSFORM_BYTES = {
+    "fourier": ("9ea02e08b6e1d896", "89eab94fc5b26541"),
+    "generic": ("53515f43d9ef7b85", "84155488ad991467"),
+    "neg-b": ("cd1f8595a59b4179", "518f572287e8442c"),
+    "b1-zero": ("bceb5d32a82d7e2f", "a7fe7026b79fa014"),
+    "b2-zero": ("9345b9a186b5afee", "e378147f947983d4"),
+    "both-zero": ("94b021b42f65bfb5", "b1bf4ea537b5eadc"),
+}
+
+
+@pytest.mark.parametrize("name", list(TRANSFORM_BYTES))
+def test_transform_bytes_stay_pinned(name):
+    f = random_quaternion_signal(default_grid(16), np.random.default_rng(31))
+    p = {**PARAM_SETS, **MIXED_CASES}[name]
+    F = qlct_forward_fast(f, p)
+    back = qlct_inverse(F, p)
+    assert tuple(hashlib.sha256(g.samples.tobytes()).hexdigest()[:16]
+                 for g in (F, back)) == TRANSFORM_BYTES[name]
 
 
 def _row_block_layouts(grid, rng):

@@ -236,7 +236,7 @@ def test_window_samples_are_the_profile_formula_bit_for_bit(text):
     (p1, p2), (c1, c2) = spec.params, spec.center
     u1, u2 = x1 - c1, x2 - c2
     if spec.kind == "gaussian":
-        vals = np.exp(-(u1**2 / (2 * p1**2) + u2**2 / (2 * p2**2)))
+        vals = np.exp(-((u1 / p1)**2 / 2 + (u2 / p2)**2 / 2))
     elif spec.kind == "rect":
         vals = ((np.abs(u1) < p1) & (np.abs(u2) < p2)).astype(float)
     else:
@@ -245,6 +245,20 @@ def test_window_samples_are_the_profile_formula_bit_for_bit(text):
     phi = make_window(spec, g)
     assert np.array_equal(phi.samples[..., 0], vals / vals.max())
     assert not phi.samples[..., 1:].any()
+
+
+def test_narrow_gaussian_at_a_sampled_center_is_the_one_cell_window():
+    # sigma far below the spacing: the limit is the cell at the center, at
+    # sigma=1e-300 as at 1e-3, where u^2/(2 sigma^2) took 0/0 there
+    g = Grid2D.centered(9, 9, 0.5, 0.5)
+    narrow = make_window(parse_window_spec("gaussian:sigma=1e-300"), g)
+    one_cell = make_window(parse_window_spec("gaussian:sigma=1e-3"), g)
+    np.testing.assert_array_equal(narrow.samples, one_cell.samples)
+    assert np.count_nonzero(narrow.samples) == 1 and narrow.samples[4, 4, 0] == 1.0
+    # sigma = 1 keeps the bits of u^2/(2 sigma^2)
+    x1, x2 = g.meshgrid()
+    unit = make_window(parse_window_spec("gaussian:sigma=1"), g)
+    np.testing.assert_array_equal(unit.samples[..., 0], np.exp(-(x1**2 / 2 + x2**2 / 2)))
 
 
 @pytest.mark.parametrize("text, match", [
