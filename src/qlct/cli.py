@@ -177,6 +177,8 @@ def cmd_gabor_spectrogram(args) -> int:
         index = (i1, i2)
     elif eq:
         raise FormatError(f"slice {args.slice!r}: only fix_y and fix_omega take =I,J")
+    elif kind not in ("max_over_y", "max_over_omega"):
+        raise FormatError(f"unknown spectrogram slice kind {kind!r}")
     G, _ = gabor.load_coefficients(args.input)
     with _quiet_overflow():
         field = gabor.spectrogram(G, kind, index)

@@ -27,19 +27,20 @@ H*phi = (P*conj(alpha) + M*conj(beta)) - i*(P*beta - M*alpha)*j. The
 direct path evaluates each translation with `gabor_analyze_at`, so it
 checks the sweep as well as the transform.
 
-A pass builds its transform plans, their 2D chirps and its
-window-product buffers once, and folds the pre-chirps, which depend on x
-alone, into the halves of f. It then runs each row of translations in
-blocks of about `BLOCK_BYTES` per half, so that each elementwise pass
-works on data that stays in cache. `gabor_field_stats` reads |G|^2 only,
-so its blocks leave out the post-chirps, whose modulus is constant: it
-reduces |P|^2 + |M|^2 per translation while the block is in cache, sums
-the (ny1, ny2) tables, so every sum keeps its bits whatever the block
-size, and scales the totals once by `abs_sq_gain`. A pass holds the f,
-phi and params it swept; `gabor_plancherel_check` reads it.
+A pass builds its transform plan and its window-product buffers once,
+folds the 2D pre-chirps, which depend on x alone, into the halves of f,
+and runs each row of translations in blocks of about `BLOCK_BYTES` per
+half, so that each elementwise pass works on data that stays in cache,
+through the plan without its pre-chirps. `gabor_field_stats` reads |G|^2
+only, so its plan leaves out the post-chirps too, whose modulus is
+constant: it reduces |P|^2 + |M|^2 per translation while the block is in
+cache, sums the (ny1, ny2) tables, so every sum keeps its bits whatever
+the block size, and scales the totals once by `abs_sq_gain`. A pass
+holds the f, phi and params it swept; `gabor_plancherel_check` reads it.
 
-Full coefficient storage is (n1*n2)^2 quaternions: about 33 MB for a
-32x32 signal and 16x that for 64x64, built only by `gabor_analyze`.
+The dense field is stored y first, (ny1, ny2, nw1, nw2, 4), as the loop
+yields it: (n1*n2)^2 quaternions, about 33 MB for a 32x32 signal and 16x
+that for 64x64, built only by `gabor_analyze`.
 Larger runs should subsample with y_stride or stream through
 `iter_gabor_blocks`, as every `qlct verify` suite does; the concentration
 suites read the (n1*n2)^2 float64 |G|^2 table that `gabor_field_stats`
@@ -47,9 +48,9 @@ copies out of the stream, a quarter of that size (8 MiB at 32x32, its
 budget).
 
 A coefficient directory, known to this module only, holds `coeffs.f64`
-(the raw little-endian float64 field, shaped by the manifest's grids and
-checked against its crc32), `window.qsig` and, written last,
-`manifest.json`.
+(the raw little-endian float64 field in `AXIS_ORDER`, shaped by the
+manifest's grids and checked against its crc32), `window.qsig` and,
+written last, `manifest.json`, which names that order.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ from . import qlct2d, report
 from .lct1d import Grid1D, LCTParams
 from .quat import (from_complex_pair, pair_abs_sq, qabs_sq, qconj, qmul,
                    to_complex_pair)
-from .qlct2d import (QLCTParams, _fast_plan, _halves, _join, _two_sided_fast,
-                     forward_grid, qlct_forward)
+from .qlct2d import (FastPlan, QLCTParams, _fast_plan, _halves, _join,
+                     _two_sided_fast, forward_grid, qlct_forward)
 from .signal import (FormatError, Grid2D, GridMismatchError, QSignal2D, load,
                      read_payload, save, translate, write_payload)
 
@@ -76,9 +77,9 @@ from .signal import (FormatError, Grid2D, GridMismatchError, QSignal2D, load,
 class GaborCoefficients:
     """Dense Gabor field G(omega, y).
 
-    coeffs has shape (nw1, nw2, ny1, ny2, 4), indexed (omega1, omega2,
-    y1, y2, component). y_grid carries the (possibly strided) translation
-    spacing used as the quadrature weight in y.
+    coeffs has shape (ny1, ny2, nw1, nw2, 4), indexed (y1, y2, omega1,
+    omega2, component) like the |G|^2 table. y_grid carries the (possibly
+    strided) translation spacing used as the quadrature weight in y.
     """
 
     omega_grid: Grid2D
@@ -104,8 +105,10 @@ class GaborCoefficients:
 def translation_grid(grid: Grid2D, stride: int = 1) -> Grid2D:
     """Translations are whole multiples of the grid spacings, spanning the
     grid once with y = 0 included (at cell index n//2 for stride 1)."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    largest = min(grid.n1, grid.n2) - 1
+    if not 1 <= stride <= largest:
+        raise ValueError(f"stride {stride} is not from 1 to {largest}, the largest that "
+                         f"keeps 2 translations per axis of a {grid.n1}x{grid.n2} grid")
     y1, y2 = (Grid1D(len(range(0, g.n, stride)), stride * g.dx, -(g.n // 2) * g.dx)
               for g in grid.axes)
     return Grid2D.from_axes(y1, y2)
@@ -159,13 +162,14 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     the y1 row iy1 and the y2 translations y2_slice (Ga = P + M,
     Gb = -i*(P - M), |G|^2 = 2(|P|^2 + |M|^2)), each of shape
     (len(y2 block), nw1, nw2). Each row comes in blocks of about
-    `BLOCK_BYTES` per half, through plans, chirps and buffers built once
-    per pass, so P and M are valid only until the next `next()`.
+    `BLOCK_BYTES` per half, through one plan and buffers built once per
+    pass, so P and M are valid only until the next `next()`.
 
-    The fast branch folds the 2D pre-chirps into f once per pass, and for a
-    real window, whose four planes are equal, forms each half with one
-    multiply. With post_chirp=False it also leaves out the post-chirps, for
-    a consumer of |G|^2 alone: |G|^2 = `abs_sq_gain` * (|P|^2 + |M|^2)."""
+    The fast branch folds the 2D pre-chirps into f once per pass and hands
+    every block a plan whose pre-chirps are None; for a real window, whose
+    four planes are equal, it forms each half with one multiply. With
+    post_chirp=False the blocks' plan leaves out the post-chirps too, for a
+    consumer of |G|^2 alone: |G|^2 = `abs_sq_gain` * (|P|^2 + |M|^2)."""
     if not f.grid.approx_eq(phi.grid):
         raise GridMismatchError("signal and window must share a grid")
     y_grid = translation_grid(f.grid, y_stride)
@@ -181,8 +185,10 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
                 yield (iy1, sl, *(h / 2 for h in _halves(*to_complex_pair(rows))))
         return
     plan = _fast_plan(p, *f.grid.axes)
-    (pre_p, post_p), (pre_m, post_m) = plan.chirps()
-    chirps = ((None, post_p), (None, post_m)) if post_chirp else ((None, None),) * 2
+    pre_p, pre_m = (np.multiply.outer(plan.left.pre, right.pre)
+                    for right in (plan.plus, plan.minus))
+    plan = FastPlan(*(a._replace(pre=None, post=a.post if post_chirp else None)
+                      for a in plan))
     fa, fb = to_complex_pair(f.samples)
     ifb = 1j * fb
     # separate allocations, not one joint block: with a joint block, a 32x32
@@ -214,7 +220,7 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
         for sl in blocks:
             k = sl.stop - sl.start
             window(sweep[:, iy1, sl], u[:k], v[:k])
-            yield (iy1, sl, *_two_sided_fast(plan, u[:k], v[:k], chirps))
+            yield (iy1, sl, *_two_sided_fast(plan, u[:k], v[:k]))
 
 
 def abs_sq_gain(f: QSignal2D, p: QLCTParams, method: str = "fast") -> float:
@@ -232,12 +238,10 @@ def gabor_analyze(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     """Dense Gabor analysis over the (strided) translation grid."""
     omega_grid = forward_grid(f.grid, p)
     y_grid = translation_grid(f.grid, y_stride)
-    coeffs = np.empty((omega_grid.n1, omega_grid.n2, y_grid.n1, y_grid.n2, 4))
+    coeffs = np.empty((*y_grid.shape, *omega_grid.shape, 4))
     ca, cb = to_complex_pair(coeffs)
     for iy1, sl, P, M in iter_gabor_blocks(f, phi, p, y_stride, method):
-        # in the coefficients' axis order, so that each write runs along y2
-        _join(np.moveaxis(P, 0, 2), np.moveaxis(M, 0, 2),
-              ca[:, :, iy1, sl], cb[:, :, iy1, sl])
+        _join(P, M, ca[iy1, sl], cb[iy1, sl])
     return GaborCoefficients(omega_grid, y_grid, coeffs, p,
                              phi.l2_norm_sq(), y_stride)
 
@@ -275,8 +279,7 @@ def gabor_synthesize(G: GaborCoefficients, phi: QSignal2D) -> QSignal2D:
     sweep = _translates(_window_halves(phi)).swapaxes(0, 1)
     ga, gb = to_complex_pair(G.coeffs)
     for iy1, (alpha, beta, calpha, cbeta) in enumerate(sweep):
-        halves = _halves(*(np.moveaxis(c[:, :, iy1], 2, 0) for c in (ga, gb)))
-        P, M = _two_sided_fast(plan, *halves)
+        P, M = _two_sided_fast(plan, *_halves(ga[iy1], gb[iy1]))
         acc_a += (P * calpha + M * cbeta).sum(axis=0)
         acc_b += (P * beta - M * alpha).sum(axis=0)
     acc = from_complex_pair(acc_a, -1j * acc_b)
@@ -424,22 +427,26 @@ def spectrogram(G: GaborCoefficients, kind: str,
         if not (0 <= i1 < G.y_grid.n1 and 0 <= i2 < G.y_grid.n2):
             raise ValueError(f"y index {index} out of range "
                              f"{G.y_grid.n1}x{G.y_grid.n2}")
-        return mod2[:, :, i1, i2]
+        return mod2[i1, i2]
     if kind == "fix_omega":
         i1, i2 = index
         if not (0 <= i1 < G.omega_grid.n1 and 0 <= i2 < G.omega_grid.n2):
             raise ValueError(f"omega index {index} out of range "
                              f"{G.omega_grid.n1}x{G.omega_grid.n2}")
-        return mod2[i1, i2, :, :]
+        return mod2[:, :, i1, i2]
     if kind == "max_over_y":
-        return mod2.max(axis=(2, 3))
-    if kind == "max_over_omega":
         return mod2.max(axis=(0, 1))
+    if kind == "max_over_omega":
+        return mod2.max(axis=(2, 3))
     raise ValueError(f"unknown spectrogram slice kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # exports
+
+#: Axis order of `coeffs.f64`; a manifest naming none or another is refused.
+AXIS_ORDER = ["y1", "y2", "omega1", "omega2", "component"]
+
 
 def save_coefficients(G: GaborCoefficients, phi: QSignal2D, dirpath) -> str:
     """Write the payload, then the window, then the manifest; return the
@@ -455,6 +462,7 @@ def save_coefficients(G: GaborCoefficients, phi: QSignal2D, dirpath) -> str:
         "params": G.params.to_dict(),
         "window_norm_sq": G.window_norm_sq,
         "stride": G.stride,
+        "axis_order": AXIS_ORDER,
         "payload_crc32": zlib.crc32(payload),
     }
     path = os.path.join(dirpath, "manifest.json")
@@ -472,9 +480,10 @@ def _entry(value, kind: type = float):
 
 def load_coefficients(dirpath) -> tuple[GaborCoefficients, QSignal2D]:
     """Read a directory written by `save_coefficients` as (G, phi). A
-    manifest that is not JSON, with a missing or invalid entry or one of
-    the wrong JSON type, or a payload whose size is not the one its grids
-    give or whose crc32 is not the manifest's, raises FormatError."""
+    manifest that is not JSON, with a missing or invalid entry (an
+    axis_order other than `AXIS_ORDER` included) or one of the wrong JSON
+    type, or a payload whose size is not the one its grids give or whose
+    crc32 is not the manifest's, raises FormatError."""
     path = os.path.join(dirpath, "manifest.json")
     try:  # an unreadable manifest raises OSError, which names its path
         with open(path, "rb") as fh:
@@ -486,12 +495,14 @@ def load_coefficients(dirpath) -> tuple[GaborCoefficients, QSignal2D]:
                               for axis in ("A1", "A2")))
         window_norm_sq = _entry(manifest["window_norm_sq"])
         stride, crc = (_entry(manifest[key], int) for key in ("stride", "payload_crc32"))
+        if manifest["axis_order"] != AXIS_ORDER:
+            raise ValueError(f"axis_order {manifest['axis_order']!r} is not {AXIS_ORDER!r}")
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise FormatError(f"{path}: malformed manifest "
                           f"({type(exc).__name__}: {exc})") from None
     payload = os.path.join(dirpath, "coeffs.f64")
     with open(payload, "rb") as fh:
-        coeffs = read_payload(fh, (*omega_grid.shape, *y_grid.shape, 4), payload)
+        coeffs = read_payload(fh, (*y_grid.shape, *omega_grid.shape, 4), payload)
     if zlib.crc32(coeffs) != crc:
         raise FormatError(f"{payload}: crc32 does not match the manifest's")
     G = GaborCoefficients(omega_grid, y_grid, coeffs, params, window_norm_sq, stride)

@@ -190,11 +190,12 @@ class AxisPlan(NamedTuple):
     step one of "fft", "ifft" (unscaled), "flip" or None, and workers the
     FFT worker count QLCT_THREADS gave when the plan was built. Every |post|
     is gain, dx / sqrt(2*pi*|b|) for b != 0 and sqrt(|d|) for b = 0, up to
-    the rounding of its unit phase."""
+    the rounding of its unit phase. `qlct2d._lct2d` skips a chirp that is
+    None, as in a Gabor block's plan."""
 
-    pre: np.ndarray
+    pre: np.ndarray | None
     step: str | None
-    post: np.ndarray
+    post: np.ndarray | None
     grid_out: Grid1D
     workers: int | None
     gain: float

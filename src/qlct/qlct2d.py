@@ -23,12 +23,11 @@ Two independent realizations are provided:
   the planes P + M and -i*(P - M); this holds for b = 0 axes too. The
   left kernel is complex-linear, so it commutes with the mixing: two
   separable 2D transforms (chirp * FFT2 * chirp) per transform, cost
-  O(N^2 log N). The kernel maps halves to halves. Its axis plans (a
-  `FastPlan`) and their 2D chirps depend only on the params and grids, so
-  a Gabor pass builds them once for all its blocks, folds the pre-chirps
-  into its signal and, when it reads only |G|^2, skips the post-chirps,
-  whose modulus is constant; a lone transform builds each 2D chirp where
-  `_lct2d` applies it.
+  O(N^2 log N). The kernel maps halves to halves. `_lct2d` builds each
+  2D chirp from the axis plans (a `FastPlan`) where it applies it, and
+  skips one the plans set to None: a Gabor pass folds the pre-chirps into
+  its signal and, when it reads only |G|^2, drops the post-chirps, whose
+  modulus is constant, from the one plan all its blocks share.
 
 For unimodular A the inversion kernel is K_{A^-1}(x, w) = conj K_A(w, x),
 so the inverse transform is the forward transform with A^-1 on each axis,
@@ -82,21 +81,16 @@ def _check_method(method: str) -> str:
 # ---------------------------------------------------------------------------
 # fast path (symplectic split, batch-friendly: arrays (..., n1, n2))
 
-def _lct2d(plan1, plan2, g, chirps=None):
+def _lct2d(plan1, plan2, g):
     """One separable 2D transform of g (..., n1, n2), which it overwrites:
     pre-chirp, one FFT2 when both axes run the same FFT (else each axis's
     step), post-chirp. The result is C-contiguous.
 
-    chirps, a (pre, post) pair of 2D chirps, lets a Gabor pass build them
-    once for all its blocks, and None in either place skips that multiply:
-    a pass folds the pre-chirp into its signal before windowing, and a pass
-    that reads only |G|^2 leaves out the post-chirp, whose modulus is the
-    constant `FastPlan.gain`. Without chirps each is built at its point of
-    use, so one large transform never holds both."""
-    if chirps is None:
+    Each 2D chirp is the outer product of the two plans' chirps, built at
+    its point of use, so one large transform never holds both; a plan pair
+    whose pre (or post) is None skips that multiply."""
+    if plan1.pre is not None:
         g *= np.multiply.outer(plan1.pre, plan2.pre)
-    elif chirps[0] is not None:
-        g *= chirps[0]
     if plan1.step == plan2.step == "fft":
         spec = scipy.fft.fft2(g, overwrite_x=True, workers=plan1.workers)
     elif plan1.step == plan2.step == "ifft":
@@ -104,11 +98,10 @@ def _lct2d(plan1, plan2, g, chirps=None):
                                workers=plan1.workers)
     else:
         spec = axis_step(axis_step(g, plan1, -2), plan2, -1)
-    post = np.multiply.outer(plan1.post, plan2.post) if chirps is None else chirps[1]
-    if post is None:
+    if plan1.post is None:
         return np.ascontiguousarray(spec)
     out = spec if spec.flags.c_contiguous else np.empty(spec.shape, complex)
-    return np.multiply(spec, post, out=out)
+    return np.multiply(spec, np.multiply.outer(plan1.post, plan2.post), out=out)
 
 
 def _halves(qa, qb):
@@ -130,8 +123,8 @@ def _join(P, M, qa, qb):
 class FastPlan(NamedTuple):
     """The axis plans of `_two_sided_fast` for one set of params and grids:
     the left plan, its post-chirp carrying the exact 1/2 of the halves, and
-    the right plans of kernel sign +1 and -1. A Gabor pass builds one, and
-    its `chirps`, and reuses them for every block."""
+    the right plans of kernel sign +1 and -1. A Gabor pass builds one and
+    reuses it, with the chirps it skips set to None, for every block."""
 
     left: AxisPlan
     plus: AxisPlan
@@ -144,12 +137,6 @@ class FastPlan(NamedTuple):
         it out."""
         return self.left.gain * self.plus.gain
 
-    def chirps(self):
-        """The 2D (pre, post) chirps of the P and the M transform."""
-        return tuple((np.multiply.outer(self.left.pre, right.pre),
-                      np.multiply.outer(self.left.post, right.post))
-                     for right in (self.plus, self.minus))
-
 
 def _fast_plan(p: QLCTParams, g1in, g2in, g1out=None, g2out=None) -> FastPlan:
     left = axis_plan(p.A1, 1, g1in, g1out)
@@ -157,13 +144,10 @@ def _fast_plan(p: QLCTParams, g1in, g2in, g1out=None, g2out=None) -> FastPlan:
                     axis_plan(p.A2, 1, g2in, g2out), axis_plan(p.A2, -1, g2in, g2out))
 
 
-def _two_sided_fast(plan: FastPlan, u, v, chirps=(None, None)):
+def _two_sided_fast(plan: FastPlan, u, v):
     """Halves P = K(A1,+1; A2,+1)u/2 and M = K(A1,+1; A2,-1)v/2 over the
-    last two axes, which overwrite the input halves u and v; chirps, if
-    given, holds the `_lct2d` (pre, post) pair of P and of M, built from
-    `plan.chirps()`."""
-    return (_lct2d(plan.left, plan.plus, u, chirps[0]),
-            _lct2d(plan.left, plan.minus, v, chirps[1]))
+    last two axes, which overwrite the input halves u and v."""
+    return _lct2d(plan.left, plan.plus, u), _lct2d(plan.left, plan.minus, v)
 
 
 # ---------------------------------------------------------------------------

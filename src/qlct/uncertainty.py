@@ -71,8 +71,8 @@ def random_mask(stats: dict, target_measure: float,
                 rng: np.random.Generator) -> np.ndarray:
     """Boolean mask of uniformly random cells of the |G|^2 table of `stats`
     totalling approximately target_measure. Cells are drawn by flat index
-    over (omega1, omega2, y1, y2), the dense field's order, so a seed draws
-    the same cells whichever way the field is stored."""
+    over (omega1, omega2, y1, y2), not the table's (y1, y2, omega1,
+    omega2), so a seed keeps drawing the cells its pinned reports drew."""
     table, cv = _requested(stats, "abs_sq_table", "abs_sq_table=True"), stats["cell_volume"]
     ny1, ny2, nw1, nw2 = table.shape
     total = table.size
@@ -116,8 +116,8 @@ def moment(G: GaborCoefficients, which: str, s: float) -> float:
     mod2 = G.modulus_sq()
     w1, w2 = G.omega_grid.meshgrid()
     y1, y2 = G.y_grid.meshgrid()
-    omega_r2 = (w1**2 + w2**2)[:, :, None, None]
-    y_r2 = (y1**2 + y2**2)[None, None, :, :]
+    omega_r2 = w1**2 + w2**2
+    y_r2 = (y1**2 + y2**2)[:, :, None, None]
     if which == "omega":
         weight = omega_r2**s
     elif which == "y":

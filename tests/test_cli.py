@@ -202,6 +202,16 @@ def test_gabor_analyze_synthesize_spectrogram(tmp_path, capsys):
     assert (tmp_path / "spec.pgm.csv").exists()
 
 
+def test_gabor_spectrogram_checks_the_slice_kind_before_reading(tmp_path, capsys):
+    # an unknown kind is named even when the directory is missing
+    code = main(["gabor", "spectrogram", "-i", str(tmp_path / "missing"),
+                 "--slice", "bogus", "-o", str(tmp_path / "spec.pgm")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: unknown spectrogram slice kind 'bogus'\n"
+    assert not (tmp_path / "spec.pgm").exists()
+
+
 @pytest.mark.parametrize("kind", ["max_over_y", "max_over_omega"])
 def test_gabor_spectrogram_refuses_a_value_on_a_max_slice(tmp_path, capsys, kind):
     src, coef = tmp_path / "f.qsig", tmp_path / "coef"
@@ -245,6 +255,21 @@ def test_gabor_memory_refusal_and_force(tmp_path, capsys):
     # strided analysis is allowed without --force
     assert main(["gabor", "analyze", "-i", str(src), "--stride", "8",
                  "-o", str(tmp_path / "coef2")]) == 0
+
+
+def test_gabor_analyze_refuses_a_stride_that_keeps_one_translation(tmp_path, capsys):
+    src = tmp_path / "f.qsig"
+    write_gaussian(src, n=32, dx=0.25)
+    code = main(["gabor", "analyze", "-i", str(src), "--stride", "32",
+                 "-o", str(tmp_path / "coef")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: stride 32 ") and err.count("\n") == 1, err
+    assert "from 1 to 31" in err
+    assert not (tmp_path / "coef").exists()
+    assert main(["gabor", "analyze", "-i", str(src), "--stride", "31",
+                 "-o", str(tmp_path / "coef")]) == 0
+    assert "wrote 4 translations" in capsys.readouterr().out
 
 
 def test_gabor_memory_guard_counts_bytes_at_any_stride(tmp_path, capsys):
@@ -379,9 +404,13 @@ def _set(*path_and_value):
     _set("payload_crc32", lambda crc: crc + 0.5),
     _set("window_norm_sq", "abc"), _set("params", "A1", [False, True, -1, False]),
     "{not json", "[" * 100_000 + "]" * 100_000,
+    # a directory that names no axis order, or the omega-first one, would
+    # read the square payload in the wrong order
+    lambda manifest: manifest.pop("axis_order"),
+    _set("axis_order", ["omega1", "omega2", "y1", "y2", "component"]),
 ], ids=["stride-1.9", "stride-string", "stride-true", "omega-n1-8.7", "y-n1-string",
         "crc-plus-half", "window-norm-string", "matrix-of-booleans", "not-json",
-        "nested-past-the-parser-depth"])
+        "nested-past-the-parser-depth", "no-axis-order", "omega-first-order"])
 def test_a_manifest_not_json_or_of_the_wrong_json_type_exits_2_naming_it(
         tmp_path, capsys, edit):
     src = tmp_path / "f.qsig"

@@ -116,7 +116,7 @@ def test_analyze_slices_match_analyze_at():
     y2 = G.y_grid.coords2()
     for iy1, iy2 in [(0, 0), (8, 8), (3, 12), (15, 1)]:
         at = gabor_analyze_at(f, phi, (y1[iy1], y2[iy2]), p)
-        np.testing.assert_allclose(G.coeffs[:, :, iy1, iy2, :], at.samples,
+        np.testing.assert_allclose(G.coeffs[iy1, iy2], at.samples,
                                    atol=1e-12)
 
 
@@ -128,9 +128,9 @@ def test_analyze_stride_two_is_a_subset():
     p = PARAM_SETS["fourier"]
     G1 = gabor_analyze(f, phi, p, 1)
     G2 = gabor_analyze(f, phi, p, 2)
-    assert G2.coeffs.shape == (16, 16, 8, 8, 4)
+    assert G2.coeffs.shape == (8, 8, 16, 16, 4)
     assert G2.y_grid.dx1 == 2 * grid.dx1
-    np.testing.assert_array_equal(G2.coeffs, G1.coeffs[:, :, ::2, ::2, :])
+    np.testing.assert_array_equal(G2.coeffs, G1.coeffs[::2, ::2])
     # the retained translation values coincide
     np.testing.assert_allclose(G2.y_grid.coords1(), G1.y_grid.coords1()[::2])
 
@@ -141,10 +141,10 @@ def test_gaussian_field_peaks_at_origin_and_decays():
     G = gabor_analyze(f, f, PARAM_SETS["fourier"], 1)
     mod2 = G.modulus_sq()
     peak = np.unravel_index(np.argmax(mod2), mod2.shape)
-    # peak sits at a cell nearest (omega, y) = (0, 0); the omega axes have
+    # peak sits at a cell nearest (y, omega) = (0, 0); the omega axes have
     # no sample at 0, so the two straddling cells tie
-    assert peak[0] in (7, 8) and peak[1] in (7, 8)
-    assert peak[2:] == (8, 8)
+    assert peak[:2] == (8, 8)
+    assert peak[2] in (7, 8) and peak[3] in (7, 8)
     # radial decrease along each positive axis ray from the peak
     for axis in range(4):
         idx = list(peak)
@@ -225,7 +225,7 @@ def synthesize_qmul_reference(G, phi):
     acc = np.zeros((grid.n1, grid.n2, 4))
     for i1 in range(G.y_grid.n1):
         for i2 in range(G.y_grid.n2):
-            slice_ = QSignal2D(G.omega_grid, G.coeffs[:, :, i1, i2])
+            slice_ = QSignal2D(G.omega_grid, G.coeffs[i1, i2])
             h = qlct_inverse(slice_, G.params, x_grid=grid).samples
             acc += qmul(h, translate(phi, (y1[i1], y2[i2])).samples)
     return acc * G.y_grid.cell_area / phi.l2_norm_sq()
@@ -408,6 +408,16 @@ def test_translation_grid_contains_zero():
     assert 0.0 in yg2.coords1()
 
 
+def test_translation_grid_keeps_two_translations_per_axis():
+    # the largest stride is min(n1, n2) - 1: one more keeps a single
+    # translation on the shorter axis, which is no grid
+    grid = Grid2D.centered(8, 6, 0.5, 0.5)
+    assert translation_grid(grid, 5).shape == (2, 2)
+    for stride in (0, 6, 8):
+        with pytest.raises(ValueError, match=f"^stride {stride} is not from 1 to 5, "):
+            translation_grid(grid, stride)
+
+
 @pytest.mark.parametrize("n1,n2", [(8, 6), (7, 5)])
 @pytest.mark.parametrize("stride", [1, 2, 3])
 def test_translates_equal_translate_at_every_kept_y(n1, n2, stride):
@@ -586,7 +596,8 @@ def _folded_halves(f, phi, plan, y):
     """The windowed halves of f*conj(phi(. - y)) in the pass's order: the
     2D pre-chirps folded into f first, then one multiply per half for a
     real window and the two-product formula for a quaternion one."""
-    (pre_p, _), (pre_m, _) = plan.chirps()
+    pre_p, pre_m = (np.multiply.outer(plan.left.pre, right.pre)
+                    for right in (plan.plus, plan.minus))
     fa, fb = (c[None] for c in gabor.to_complex_pair(f.samples))
     ifb = 1j * fb
     shifted = translate(phi, y)
@@ -600,11 +611,11 @@ def _folded_halves(f, phi, plan, y):
 
 @pytest.mark.parametrize("name", list(_CHIRP_PARAMS))
 def test_pass_chirps_keep_every_bit(name, monkeypatch):
-    # a pass builds its 2D chirps once and hands them to every block; each
-    # block's halves are f with its pre-chirps folded in, times the window,
-    # and its P and M equal a lone transform of them, which builds each
-    # chirp where it applies it, with the pre-chirp left out (all ones) and,
-    # for a |G|^2 pass, the post-chirp too
+    # a pass folds its 2D pre-chirps into f once and hands every block a
+    # plan without them; each block's halves are f with its pre-chirps
+    # folded in, times the window, and its P and M equal a lone transform
+    # of them, with the pre-chirp left out (all ones) and, for a |G|^2
+    # pass, the post-chirp too
     grid = Grid2D.centered(12, 10, 0.6, 0.5)
     f = random_quaternion_signal(grid, np.random.default_rng(64))
     p = _CHIRP_PARAMS[name]
@@ -612,9 +623,9 @@ def test_pass_chirps_keep_every_bit(name, monkeypatch):
     calls = []
     two_sided = gabor._two_sided_fast
 
-    def spy(plan, u, v, *chirps):
-        calls.append((u.copy(), v.copy(), chirps))
-        return two_sided(plan, u, v, *chirps)
+    def spy(plan, u, v):
+        calls.append((u.copy(), v.copy(), plan))
+        return two_sided(plan, u, v)
 
     monkeypatch.setattr(gabor, "_two_sided_fast", spy)
     plan = _fast_plan(p, *grid.axes)
@@ -636,12 +647,11 @@ def test_pass_chirps_keep_every_bit(name, monkeypatch):
                 np.testing.assert_array_equal(P, want_P, err_msg=f"P {iy1} {sl}")
                 np.testing.assert_array_equal(M, want_M, err_msg=f"M {iy1} {sl}")
             assert len(calls) == 4 * grid.n1
-            # one set of chirps, built by the pass, reaches every block:
-            # no pre-chirp, and the post-chirp only for chirped halves
-            chirps = calls[0][2][0]
-            assert all(len(c[2]) == 1 and c[2][0] is chirps for c in calls)
-            assert [pre for pre, _ in chirps] == [None, None]
-            assert all((post is not None) == post_chirp for _, post in chirps)
+            # every block's plan has no pre-chirp, and no post-chirp
+            # exactly when post_chirp=False
+            for *_, block_plan in calls:
+                assert all(a.pre is None for a in block_plan)
+                assert all((a.post is not None) == post_chirp for a in block_plan)
     # the Plancherel check reads the energy of the pass it is handed
     monkeypatch.undo()
     stats = gabor_field_stats(f, phi, p)

@@ -3,15 +3,26 @@
 No linter runs on this package, so a moved function would otherwise leave
 stale `from .mod import name` lines behind. A name imported only so that
 other code can look it up on the module (the benchmark tracer wraps such
-bindings) carries `# noqa: F401` on its import line; `__all__` counts as
-a use."""
+bindings) carries `# noqa: F401` on its import line and must be one of
+the tracer's `BINDINGS`; `__all__` counts as a use."""
 
 import ast
+import os
+import sys
 from pathlib import Path
 
 import pytest
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench"))
+
+import tracing  # noqa: E402
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "qlct"
+
+
+def _kept_alive(node, lines) -> bool:
+    return any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,7 +39,7 @@ def unused_imports(source: str) -> list[str]:
     for node in ast.walk(tree):
         if not (isinstance(node, ast.ImportFrom) and node.level > 0):
             continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+        if _kept_alive(node, lines):
             continue
         unused += [f"line {node.lineno}: {alias.asname or alias.name}"
                    for alias in node.names if (alias.asname or alias.name) not in used]
@@ -48,3 +59,21 @@ def test_an_unused_sibling_import_is_caught():
               "def f(grid):\n"
               "    return translation_grid(grid)\n")
     assert unused_imports(source) == ["line 1: forward_grid"]
+
+
+def kept_alive_imports(source: str) -> list[str]:
+    """Names bound by a relative `from ... import` marked `# noqa: F401`."""
+    lines = source.splitlines()
+    return [alias.asname or alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level > 0 and _kept_alive(node, lines)
+            for alias in node.names]
+
+
+def test_every_kept_alive_import_is_a_traced_binding():
+    # such an import exists only for the tracer to wrap, so one it no
+    # longer lists is dead
+    traced = {binding for bindings in tracing.BINDINGS.values() for binding in bindings}
+    kept = [(f"qlct.{path.stem}", name) for path in sorted(SRC.glob("*.py"))
+            for name in kept_alive_imports(path.read_text())]
+    assert kept
+    assert [binding for binding in kept if binding not in traced] == []

@@ -206,10 +206,11 @@ def test_transform_bytes_stay_pinned(name):
 
 
 def _row_block_layouts(grid, rng):
-    """(k, n1, n2) half pairs in the layouts the Gabor path hands the fast
-    kernel: a windowed row (the halves of a signal times `_translates`
-    views of the window halves, laid out (n1, k, n2)) and a synthesis row
-    (the halves of a strided moveaxis of the coefficient planes)."""
+    """(k, n1, n2) half pairs in two strided layouts: a windowed row, the
+    halves of a signal times `_translates` views of the window halves,
+    laid out (n1, k, n2); and an omega-first stack, the halves of
+    coefficient planes stored (n1, n2, k). Synthesis reads the y-first
+    rows of the field, which `_halves` copies into C order."""
     f = random_quaternion_signal(grid, rng)
     phi = random_quaternion_signal(grid, rng)
     alpha, beta, calpha, cbeta = _translates(_window_halves(phi))[:, 1]

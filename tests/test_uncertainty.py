@@ -46,7 +46,7 @@ def single_cell_field(omega_index, y_index, value, n=8, dx=0.5):
     og = Grid2D.centered(n, n, 2 * np.pi / (n * dx), 2 * np.pi / (n * dx))
     yg = Grid2D(n, n, dx, dx, -(n // 2) * dx, -(n // 2) * dx)
     coeffs = np.zeros((n, n, n, n, 4))
-    coeffs[omega_index + y_index] = value
+    coeffs[y_index + omega_index] = value
     return GaborCoefficients(og, yg, coeffs, FOURIER2, 1.0, 1)
 
 
@@ -122,7 +122,8 @@ def _folded_halves(f, phi, p):
     the transform steps alone (a plan whose chirps are ones)."""
     yg = translation_grid(f.grid)
     plan = _fast_plan(p, *f.grid.axes)
-    (pre_p, _), (pre_m, _) = plan.chirps()
+    pre_p, pre_m = (np.multiply.outer(plan.left.pre, right.pre)
+                    for right in (plan.plus, plan.minus))
     fa, fb = to_complex_pair(f.samples)
     sp, sm = pre_p * (fa + 1j * fb), pre_m * (fa - 1j * fb)
     bare = FastPlan(*(a._replace(pre=np.ones(a.pre.shape), post=np.ones(a.post.shape))
@@ -673,7 +674,7 @@ def test_abs_sq_table_is_the_dense_modulus_indexed_y_first():
     phi = _quaternion_window(grid)
     p = PARAM_SETS["generic"]
     stats = gabor_field_stats(f, phi, p, abs_sq_table=True)
-    dense = gabor_analyze(f, phi, p, 1).modulus_sq().transpose(2, 3, 0, 1)
+    dense = gabor_analyze(f, phi, p, 1).modulus_sq()
     assert stats["abs_sq_table"].shape == dense.shape == (8, 6, 8, 6)
     np.testing.assert_allclose(stats["abs_sq_table"], dense, rtol=1e-13,
                                atol=1e-15 * dense.max())
@@ -681,8 +682,9 @@ def test_abs_sq_table_is_the_dense_modulus_indexed_y_first():
 
 
 def test_random_mask_draws_the_cells_of_the_dense_order():
-    """A seed draws the same cells it drew from the dense field, whose flat
-    index ran over (omega1, omega2, y1, y2)."""
+    """A seed draws cells by flat index over (omega1, omega2, y1, y2), the
+    order its pinned reports were drawn in, not the table's (y1, y2,
+    omega1, omega2)."""
     grid = Grid2D.centered(8, 6, 0.6, 0.5)
     f = normalized(gaussian(grid, 1.0))
     stats = gabor_field_stats(f, f, FOURIER2, abs_sq_table=True)
