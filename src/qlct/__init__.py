@@ -4,11 +4,10 @@ associated inversion, Plancherel, and uncertainty-principle inequalities.
 """
 
 from .lct1d import (Grid1D, LCTParams, MatchedSamplingError, ZeroBError,
-                    conjugate_grid, kernel_value, lct_direct, lct_fast,
-                    lct_scale_chirp)
+                    conjugate_grid, kernel_value, lct_fast, lct_scale_chirp)
 from .signal import (FormatError, Grid2D, GridMismatchError, QSignal2D,
-                     WindowSpec, inner_product, load, make_window,
-                     parse_window_spec, sample, save, translate)
+                     WindowSpec, load, make_window, parse_window_spec, sample,
+                     save, translate)
 from .qlct2d import (QLCTParams, forward_grid, qlct_forward, qlct_forward_direct,
                      qlct_forward_fast, qlct_inverse, qlct_plancherel_check)
 from .gabor import (GaborCoefficients, gabor_analyze, gabor_analyze_at,
@@ -20,9 +19,8 @@ from .uncertainty import (D_LOG, amgm_dilation_identity, concentration_check,
                           epsilon_concentration_check, gabor_field_stats,
                           greedy_minimal_mask, hausdorff_young_check,
                           heisenberg_check, lieb_check, lemma_log_identity_check,
-                          log_check, mask_measure, moment,
-                          moment_concentration_check, random_mask,
-                          young_sup_check)
+                          log_check, mask_measure, moment_concentration_check,
+                          random_mask, young_sup_check)
 
 __version__ = "0.1.0"
 
@@ -34,10 +32,10 @@ __all__ = [
     "conjugate_grid", "epsilon_concentration_check",
     "forward_grid", "gabor_analyze", "gabor_analyze_at", "gabor_field_stats",
     "gabor_plancherel_check", "gabor_synthesize", "greedy_minimal_mask",
-    "hausdorff_young_check", "heisenberg_check", "inner_product",
-    "kernel_value", "lct_direct", "lct_fast", "lct_scale_chirp", "lieb_check",
+    "hausdorff_young_check", "heisenberg_check", "kernel_value", "lct_fast",
+    "lct_scale_chirp", "lieb_check",
     "lemma_log_identity_check", "load", "load_coefficients", "log_check",
-    "make_window", "mask_measure", "moment", "moment_concentration_check",
+    "make_window", "mask_measure", "moment_concentration_check",
     "parse_window_spec", "qlct_forward", "qlct_forward_direct", "qlct_forward_fast",
     "qlct_inverse", "qlct_plancherel_check", "random_mask", "reports_to_csv",
     "reports_to_json", "sample", "save", "save_coefficients", "spectrogram",

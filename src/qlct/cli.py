@@ -49,8 +49,8 @@ VERIFY_BUDGET_BYTES = 2**27
 #: (n1 n2 translations of an n1 x n2 transform), not with any one array.
 VERIFY_PASS_CELLS = 2**28
 #: Most --trials `verify` takes: young's plan holds a 16x16 signal and its
-#: pass's stats, 12.3 KiB a trial (tracemalloc at 1000 trials), so its
-#: largest plan, about 120 MiB, stays under VERIFY_BUDGET_BYTES.
+#: pass's stats, 9.2 KiB a trial (tracemalloc at 1000 trials), so its
+#: largest plan, about 90 MiB, stays under VERIFY_BUDGET_BYTES.
 MAX_TRIALS = 10_000
 
 
@@ -285,6 +285,9 @@ def suite_plancherel(cfg: VerifyConfig, out: Collector, fields):
     grid = cfg.grid()
     for k in range(cfg.n_trials(20)):
         f = families.random_smooth(grid, rng)
+        if not f.samples.any():
+            raise FormatError(f"plancherel random trial {k} is the zero signal on "
+                              f"the --dx {grid.dx1!r} grid")
         for name in ("fourier", "generic"):
             rep = out.add(qlct_plancherel_check(f, families.PARAM_SETS[name], cfg.method),
                           trial=k, family=f"random-smooth-{name}")
@@ -485,8 +488,9 @@ def verify_plan(cfg: VerifyConfig, names) -> dict[str, list]:
     """{suite: its (family, stats) entries} for the named suites
     that declare Gabor fields. A spec whose pass would sweep more than
     VERIFY_PASS_CELLS cells raises FormatError before any signal is built;
-    then every spec is built in run order, and `uncertainty.sweep_fields`
-    makes one pass per distinct field."""
+    then every spec is built in run order, `uncertainty.sweep_fields`
+    makes one pass per distinct field, and a pass with a non-finite sum
+    raises NumericError."""
     specs = [(name, *spec) for name in names if name in SUITE_FIELDS
              for spec in SUITE_FIELDS[name](cfg)]
     for _, _, grid, _, _ in specs:
@@ -497,10 +501,17 @@ def verify_plan(cfg: VerifyConfig, names) -> dict[str, list]:
                               f"{cells} cells, above the {VERIFY_PASS_CELLS} cell bound "
                               "(the 128x128 field)")
     built = [(name, family, *build(), request) for name, family, _, request, build in specs]
-    passes = uncertainty.sweep_fields([(f, phi, QFT, request)
-                                       for *_, f, phi, request in built])
+    with _quiet_overflow():
+        passes = uncertainty.sweep_fields([(f, phi, QFT, request)
+                                           for *_, f, phi, request in built])
     plan: dict[str, list] = {}
     for (name, family, *_), stats in zip(built, passes):
+        # a pass's sums are its float entries and its per-order dicts' values
+        sums = [v for v in stats.values() if isinstance(v, float)]
+        sums += [v for d in stats.values() if isinstance(d, dict) for v in d.values()]
+        if not np.isfinite(sums).all():
+            raise NumericError(f"non-finite sums in the Gabor pass of suite {name} "
+                               f"family {family}")
         plan.setdefault(name, []).append((family, stats))
     return plan
 

@@ -89,17 +89,8 @@ class GaborCoefficients:
     window_norm_sq: float
     stride: int = 1
 
-    @property
-    def cell_volume(self) -> float:
-        return self.omega_grid.cell_area * self.y_grid.cell_area
-
     def modulus_sq(self) -> np.ndarray:
         return qabs_sq(self.coeffs)
-
-    def scaled(self, alpha: float) -> "GaborCoefficients":
-        return GaborCoefficients(self.omega_grid, self.y_grid,
-                                 self.coeffs * float(alpha), self.params,
-                                 self.window_norm_sq, self.stride)
 
 
 def translation_grid(grid: Grid2D, stride: int = 1) -> Grid2D:
@@ -306,12 +297,12 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
     is in cache: one sum, max and `np.vecdot` per translation and
     omega-weight into (ny1, ny2) tables, whose sums are the totals; the
     one constant `abs_sq_gain` then scales the totals, the peak and the
-    table, and its p'/2-th power the p'-th power sums; `energy_by_y` is the
-    energy table, sum_omega |G(omega, y)|^2 domega on `y_grid`, and
-    `plancherel_by_y_residual` its largest gap to `_windowed_energy` over
-    the largest right side. The |G|^2 table is indexed
-    (y1, y2, omega1, omega2); one above `TABLE_BUDGET_BYTES` raises
-    ValueError before the pass starts.
+    table, and its p'/2-th power the p'-th power sums.
+    `plancherel_by_y_residual` is the largest gap between the energy of
+    each translation, sum_omega |G(omega, y)|^2 domega, and
+    `_windowed_energy`, over the largest right side. The |G|^2 table is
+    indexed (y1, y2, omega1, omega2); one above `TABLE_BUDGET_BYTES`
+    raises ValueError before the pass starts.
 
     A sum not requested is None (empty for the per-order sums). `f`, `phi`,
     `params` and `method` are the inputs it swept, by reference. Every
@@ -368,7 +359,6 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
     gap = np.max(np.abs(energy_by_y - rhs))
     return {
         "energy": total(energy),
-        "energy_by_y": energy_by_y,
         # 0 for a zero signal, which young_sup_check accepts
         "plancherel_by_y_residual": float(gap / np.max(rhs)) if gap else 0.0,
         "max_abs": math.sqrt(gain * float(peak.max())),
@@ -378,8 +368,7 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
         "power_sums": {pp: total(t_power[pp], gain**(pp / 2)) for pp in pprimes},
         "log_omega_sum": total(t_log) if log_omega else None,
         "abs_sq_table": table.reshape(*shape, *omega_grid.shape) if abs_sq_table else None,
-        "omega_grid": omega_grid, "y_grid": y_grid, "cell_volume": cellvol,
-        "method": method, "f": f, "phi": phi, "params": p,
+        "cell_volume": cellvol, "method": method, "f": f, "phi": phi, "params": p,
     }
 
 

@@ -22,10 +22,10 @@ For b = 0 the transform degenerates to a chirp-weighted rescaling
 implemented by exact index remapping only (no interpolation).
 
 The quadrature transform F(w_m) = sum_n K(x_n, w_m) f(x_n) dx is computed
-two ways: `lct_direct` builds the kernel matrix (the O(N^2) oracle) and
-`lct_fast` factors the cross term into chirp * FFT * chirp, which is exact
-(not approximate) when the grids obey the matched-sampling contract
-dx * dw = 2*pi*|b| / N.
+by `lct_fast`, which factors the cross term into chirp * FFT * chirp; that
+is exact (not approximate) when the grids obey the matched-sampling
+contract dx * dw = 2*pi*|b| / N. The O(N^2) oracle it is tested against,
+in `tests/oracles.py`, builds the kernel matrix from `kernel_value`.
 """
 
 from __future__ import annotations
@@ -166,32 +166,16 @@ def _resolve_out_grid(p: LCTParams, grid_in: Grid1D,
     return grid_out
 
 
-def lct_direct(p: LCTParams, sign: int, f: np.ndarray, grid_in: Grid1D,
-               grid_out: Grid1D | None = None) -> tuple[np.ndarray, Grid1D]:
-    """Quadrature transform by explicit kernel matrix along the last axis.
-
-    O(N^2); the reference implementation the fast path is tested against.
-    """
-    _check_sign(sign)
-    if p.b == 0:
-        raise ZeroBError("lct_direct requires b != 0; use lct_scale_chirp")
-    grid_out = _resolve_out_grid(p, grid_in, grid_out)
-    f = np.asarray(f, dtype=complex)
-    if f.shape[-1] != grid_in.n:
-        raise ValueError(f"last axis has {f.shape[-1]} samples, grid has {grid_in.n}")
-    kernel = kernel_value(p, sign, grid_in.coords()[None, :], grid_out.coords()[:, None])
-    out = np.einsum("mn,...n->...m", kernel, f) * grid_in.dx
-    return out, grid_out
-
-
 class AxisPlan(NamedTuple):
-    """One axis of a fast transform, post * step(pre * f) onto grid_out, for
-    `lct_fast`, `lct_scale_chirp` and `qlct2d`: pre is all ones for b = 0,
-    step one of "fft", "ifft" (unscaled), "flip" or None, and workers the
-    FFT worker count QLCT_THREADS gave when the plan was built. Every |post|
-    is gain, dx / sqrt(2*pi*|b|) for b != 0 and sqrt(|d|) for b = 0, up to
-    the rounding of its unit phase. `qlct2d._lct2d` skips a chirp that is
-    None, as in a Gabor block's plan."""
+    """One axis of a fast transform, post * step(pre * f) onto grid_out,
+    for `lct_fast`, `lct_scale_chirp` and `qlct2d`; on matched grids it is
+    the kernel-matrix sum of the O(N^2) oracle in `tests/oracles.py`.
+    pre is all ones for b = 0, step one of "fft", "ifft" (unscaled),
+    "flip" or None, and workers the FFT worker count QLCT_THREADS gave
+    when the plan was built. Every |post| is gain, dx / sqrt(2*pi*|b|) for
+    b != 0 and sqrt(|d|) for b = 0, up to the rounding of its unit phase.
+    `qlct2d._lct2d` skips a chirp that is None, as in a Gabor block's
+    plan."""
 
     pre: np.ndarray | None
     step: str | None
@@ -249,7 +233,7 @@ def lct_fast(p: LCTParams, sign: int, f: np.ndarray, grid_in: Grid1D,
              grid_out: Grid1D | None = None) -> tuple[np.ndarray, Grid1D]:
     """Chirp-FFT-chirp transform along the last axis.
 
-    Exactly re-factors the lct_direct sum on matched grids (see
+    Exactly re-factors the kernel-matrix sum on matched grids (see
     `axis_plan`). Cost O(N log N).
     """
     if p.b == 0:

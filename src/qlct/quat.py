@@ -19,19 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-ONE = np.array([1.0, 0.0, 0.0, 0.0])
-I = np.array([0.0, 1.0, 0.0, 0.0])
-J = np.array([0.0, 0.0, 1.0, 0.0])
-K = np.array([0.0, 0.0, 0.0, 1.0])
-
-
-def quaternion(w=0.0, x=0.0, y=0.0, z=0.0) -> np.ndarray:
-    """Build a quaternion array from components (broadcast together)."""
-    return np.stack(np.broadcast_arrays(
-        np.asarray(w, dtype=float), np.asarray(x, dtype=float),
-        np.asarray(y, dtype=float), np.asarray(z, dtype=float)), axis=-1)
-
-
 def qmul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Hamilton product p*q (non-commutative), broadcasting over leading axes."""
     p = np.asarray(p, dtype=float)
@@ -60,21 +47,6 @@ def qabs(q: np.ndarray) -> np.ndarray:
 def qabs_sq(q: np.ndarray) -> np.ndarray:
     """Squared modulus, cheaper than qabs when the root is not needed."""
     return pair_abs_sq(*to_complex_pair(q))
-
-
-def qexp_axis(axis: str, theta) -> np.ndarray:
-    """Unit quaternion cos(theta) + axis*sin(theta) for axis 'i' or 'j'.
-
-    Evaluates the kernel phase factors e^{i theta} and e^{j theta}.
-    """
-    theta = np.asarray(theta, dtype=float)
-    c, s = np.cos(theta), np.sin(theta)
-    zero = np.zeros_like(c)
-    if axis == "i":
-        return np.stack([c, s, zero, zero], axis=-1)
-    if axis == "j":
-        return np.stack([c, zero, s, zero], axis=-1)
-    raise ValueError(f"axis must be 'i' or 'j', got {axis!r}")
 
 
 def pair_abs_sq(qa: np.ndarray, qb: np.ndarray, out=None) -> np.ndarray:

@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lct1d import Grid1D
-from .quat import qabs, qconj, qmul
+from .quat import qabs
+# bench/tracing.py wraps this name here; no signal code multiplies quaternions
+from .quat import qmul  # noqa: F401
 
 _QSIG_MAGIC = b"QSIG"
 _QSIG_VERSION = 1
@@ -153,13 +155,6 @@ class WindowSpec:
             raise ValueError(f"window parameters and center must be finite, "
                              f"got {self.params} and {self.center}")
 
-    def to_string(self) -> str:
-        key = "sigma" if self.kind == "gaussian" else "width"
-        s = f"{self.kind}:{key}={self.params[0]!r},{self.params[1]!r}"
-        if self.center != (0.0, 0.0):
-            s += f",center={self.center[0]!r},{self.center[1]!r}"
-        return s
-
 
 def parse_window_spec(text: str) -> WindowSpec:
     """Parse the ``kind:key=val[,val][,key=val...]`` micro-grammar,
@@ -215,14 +210,6 @@ def sample(grid: Grid2D, fn) -> QSignal2D:
         raise ValueError(
             f"non-finite sample at x=({x1[k1, k2]:g}, {x2[k1, k2]:g}) (cell {k1},{k2})")
     return QSignal2D(grid, vals)
-
-
-def inner_product(f: QSignal2D, g: QSignal2D) -> np.ndarray:
-    """Quadrature inner product sum f(x) * conj(g(x)) * dx1*dx2 (quaternion)."""
-    if not f.grid.approx_eq(g.grid):
-        raise GridMismatchError("inner_product requires identical grids")
-    prod = qmul(f.samples, qconj(g.samples))
-    return np.sum(prod, axis=(0, 1)) * f.grid.cell_area
 
 
 def shift_slices(m: int, n: int) -> tuple[slice, slice]:

@@ -20,7 +20,9 @@ table's own cell volume.
 
 `sweep_fields` makes those passes for a list of requests: one pass per
 distinct field over the union of the requests made of it, each request
-reading the bits a lone pass would give it.
+reading the bits a lone pass would give it. The dense twin of a pass's
+weighted moments, which sums them over a whole `gabor.gabor_analyze`
+field, is a test oracle in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 import numpy as np
 
 from . import gabor, report
-from .gabor import GaborCoefficients, _log_radius, gabor_field_stats
+from .gabor import _log_radius, gabor_field_stats
 # bench/tracing.py wraps this name here, but the passes reach the generator
 # through `gabor_field_stats`, which calls gabor's own (also wrapped) binding
 from .gabor import iter_gabor_blocks  # noqa: F401
@@ -100,33 +102,6 @@ def greedy_minimal_mask(stats: dict, capture: float) -> np.ndarray:
     mask = np.zeros(flat.size, dtype=bool)
     mask[np.argpartition(flat, flat.size - k)[flat.size - k:]] = True
     return mask.reshape(table.shape)
-
-
-# ---------------------------------------------------------------------------
-# weighted energies of the Gabor field
-
-def moment(G: GaborCoefficients, which: str, s: float) -> float:
-    """Quadrature of the weighted energy |.|^{2s} |G|^2 over (omega, y).
-
-    which selects the |omega|, |y|, or joint |(omega, y)| radius, with
-    |(omega, y)|^2 = |omega|^2 + |y|^2.
-    """
-    if not 0.0 < s < math.inf:
-        raise ValueError(f"moment order s must be positive and finite, got {s}")
-    mod2 = G.modulus_sq()
-    w1, w2 = G.omega_grid.meshgrid()
-    y1, y2 = G.y_grid.meshgrid()
-    omega_r2 = w1**2 + w2**2
-    y_r2 = (y1**2 + y2**2)[:, :, None, None]
-    if which == "omega":
-        weight = omega_r2**s
-    elif which == "y":
-        weight = y_r2**s
-    elif which == "joint":
-        weight = (omega_r2 + y_r2)**s
-    else:
-        raise ValueError(f"which must be omega, y, or joint, got {which!r}")
-    return float(np.sum(weight * mod2) * G.cell_volume)
 
 
 def _field_key(f: QSignal2D, phi: QSignal2D, p: QLCTParams, request: dict):

@@ -1,0 +1,89 @@
+"""Reference implementations that the tests compare `qlct` against.
+
+None of them runs in `qlct` itself: `lct_direct` is the O(N^2) 1D oracle
+of `lct1d.lct_fast`, `moment` the dense twin of the weighted moments of
+`gabor.gabor_field_stats`, and the quaternion constructors build the
+values the `quat` tests multiply. pytest collects no test from this file.
+"""
+
+import math
+
+import numpy as np
+
+from qlct.gabor import GaborCoefficients
+from qlct.lct1d import (Grid1D, LCTParams, ZeroBError, _check_sign,
+                        _resolve_out_grid, kernel_value)
+
+ONE = np.array([1.0, 0.0, 0.0, 0.0])
+I = np.array([0.0, 1.0, 0.0, 0.0])
+J = np.array([0.0, 0.0, 1.0, 0.0])
+K = np.array([0.0, 0.0, 0.0, 1.0])
+
+
+def quaternion(w=0.0, x=0.0, y=0.0, z=0.0) -> np.ndarray:
+    """Build a quaternion array from components (broadcast together)."""
+    return np.stack(np.broadcast_arrays(
+        np.asarray(w, dtype=float), np.asarray(x, dtype=float),
+        np.asarray(y, dtype=float), np.asarray(z, dtype=float)), axis=-1)
+
+
+def qexp_axis(axis: str, theta) -> np.ndarray:
+    """Unit quaternion cos(theta) + axis*sin(theta) for axis 'i' or 'j'.
+
+    Evaluates the kernel phase factors e^{i theta} and e^{j theta}.
+    """
+    theta = np.asarray(theta, dtype=float)
+    c, s = np.cos(theta), np.sin(theta)
+    zero = np.zeros_like(c)
+    if axis == "i":
+        return np.stack([c, s, zero, zero], axis=-1)
+    if axis == "j":
+        return np.stack([c, zero, s, zero], axis=-1)
+    raise ValueError(f"axis must be 'i' or 'j', got {axis!r}")
+
+
+def lct_direct(p: LCTParams, sign: int, f: np.ndarray, grid_in: Grid1D,
+               grid_out: Grid1D | None = None) -> tuple[np.ndarray, Grid1D]:
+    """Quadrature transform by explicit kernel matrix along the last axis.
+
+    O(N^2); the reference implementation the fast path is tested against.
+    """
+    _check_sign(sign)
+    if p.b == 0:
+        raise ZeroBError("lct_direct requires b != 0; use lct_scale_chirp")
+    grid_out = _resolve_out_grid(p, grid_in, grid_out)
+    f = np.asarray(f, dtype=complex)
+    if f.shape[-1] != grid_in.n:
+        raise ValueError(f"last axis has {f.shape[-1]} samples, grid has {grid_in.n}")
+    kernel = kernel_value(p, sign, grid_in.coords()[None, :], grid_out.coords()[:, None])
+    out = np.einsum("mn,...n->...m", kernel, f) * grid_in.dx
+    return out, grid_out
+
+
+def cell_volume(G: GaborCoefficients) -> float:
+    """Quadrature weight domega dy of one cell of a dense Gabor field."""
+    return G.omega_grid.cell_area * G.y_grid.cell_area
+
+
+def moment(G: GaborCoefficients, which: str, s: float) -> float:
+    """Quadrature of the weighted energy |.|^{2s} |G|^2 over (omega, y).
+
+    which selects the |omega|, |y|, or joint |(omega, y)| radius, with
+    |(omega, y)|^2 = |omega|^2 + |y|^2.
+    """
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"moment order s must be positive and finite, got {s}")
+    mod2 = G.modulus_sq()
+    w1, w2 = G.omega_grid.meshgrid()
+    y1, y2 = G.y_grid.meshgrid()
+    omega_r2 = w1**2 + w2**2
+    y_r2 = (y1**2 + y2**2)[:, :, None, None]
+    if which == "omega":
+        weight = omega_r2**s
+    elif which == "y":
+        weight = y_r2**s
+    elif which == "joint":
+        weight = (omega_r2 + y_r2)**s
+    else:
+        raise ValueError(f"which must be omega, y, or joint, got {which!r}")
+    return float(np.sum(weight * mod2) * cell_volume(G))

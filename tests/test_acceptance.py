@@ -18,7 +18,7 @@ from qlct.families import (PARAM_SETS, default_grid, dilated_gaussian,
                            random_smooth)
 from qlct.gabor import (gabor_analyze, gabor_plancherel_check,
                         gabor_synthesize)
-from qlct.lct1d import Grid1D, LCTParams, lct_direct, lct_fast
+from qlct.lct1d import Grid1D, LCTParams, lct_fast
 from qlct.qlct2d import (qlct_forward_direct, qlct_forward_fast, qlct_inverse,
                          qlct_plancherel_check)
 from qlct.signal import Grid2D, QSignal2D, WindowSpec, make_window
@@ -28,6 +28,7 @@ from qlct.uncertainty import (amgm_dilation_identity, concentration_check,
                               lemma_log_identity_check, lieb_check, log_check,
                               random_mask, young_sup_check)
 
+from oracles import lct_direct
 from test_qlct2d import two_sided_qft_oracle
 from test_uncertainty import field_check
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import struct
@@ -145,7 +146,8 @@ def test_gabor_spectrogram_of_overflowing_field_exits_3(tmp_path, capsys):
     # a finite field whose |G|^2 overflows, written with a valid checksum
     f = gaussian(Grid2D.centered(8, 8, 0.5, 0.5), 1.0)
     G = gabor.gabor_analyze(f, f, PARAM_SETS["fourier"])
-    gabor.save_coefficients(G.scaled(1e300), f, tmp_path / "coef")
+    gabor.save_coefficients(dataclasses.replace(G, coeffs=G.coeffs * 1e300), f,
+                            tmp_path / "coef")
     code = main(["gabor", "spectrogram", "-i", str(tmp_path / "coef"),
                  "-o", str(tmp_path / "spec.pgm")])
     err = capsys.readouterr().err
@@ -650,22 +652,36 @@ def test_a_refused_verify_plan_builds_no_signal(tmp_path, capsys, monkeypatch, a
 
 def test_young_plan_stays_under_its_per_trial_bound():
     """young's plan holds each trial's signal and pass, so --trials up to
-    MAX_TRIALS keeps it under VERIFY_BUDGET_BYTES: the live bytes a trial
-    adds, measured between two plan sizes, stay under their share."""
+    MAX_TRIALS keeps it under VERIFY_BUDGET_BYTES: every live byte of a
+    200-trial plan, shared ones included, stays under its trials' share."""
     cli.verify_plan(cli.VerifyConfig(trials=1), ["young"])  # warm the FFT plans
-    held = {}
-    for trials in (20, 120):
-        tracemalloc.start()
-        try:
-            plan = cli.verify_plan(cli.VerifyConfig(trials=trials), ["young"])
-            gc.collect()  # count live objects, not free-list leftovers
-            held[trials] = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert len(plan["young"]) == trials
-        del plan
-    per_trial = (held[120] - held[20]) / 100
-    assert per_trial < cli.VERIFY_BUDGET_BYTES / cli.MAX_TRIALS, f"{per_trial:.0f} B a trial"
+    tracemalloc.start()
+    try:
+        plan = cli.verify_plan(cli.VerifyConfig(trials=200), ["young"])
+        gc.collect()  # count live objects, not free-list leftovers
+        per_trial = tracemalloc.get_traced_memory()[0] / 200
+    finally:
+        tracemalloc.stop()
+    assert len(plan["young"]) == 200
+    assert per_trial <= cli.VERIFY_BUDGET_BYTES / cli.MAX_TRIALS, f"{per_trial:.0f} B a trial"
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    (["heisenberg", "--dx", "1e-60"], 3, "suite heisenberg family dilated-0.5"),
+    (["heisenberg", "--dx", "1e-150"], 3, "suite heisenberg family dilated-0.5"),
+    (["plancherel", "--dx", "1e150"], 2, "random trial 0 is the zero signal"),
+], ids=["heisenberg-1e-60", "heisenberg-1e-150", "plancherel-1e150"])
+def test_verify_at_an_extreme_dx_exits_in_one_line(tmp_path, capsys, argv, code, text):
+    """A --dx whose dilates' Gabor sums overflow exits 3 before any suite
+    runs, and one whose random trial underflows to the zero signal exits 2;
+    numpy warnings raise under pytest, so a warning or a traceback fails
+    here."""
+    rpt = tmp_path / "r.json"
+    assert main(["verify", *argv, "--trials", "1", "--report", str(rpt)]) == code
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert text in out.err, out.err
+    assert not rpt.exists()
 
 
 def test_verify_without_a_gabor_field_takes_any_budgeted_grid(tmp_path, capsys):

@@ -178,7 +178,7 @@ def test_synthesize_zero_and_scaling():
     zero = GaborCoefficients(G.omega_grid, G.y_grid, np.zeros_like(G.coeffs),
                              p, G.window_norm_sq, 1)
     assert np.all(gabor_synthesize(zero, phi).samples == 0)
-    a = gabor_synthesize(G.scaled(2.5), phi).samples
+    a = gabor_synthesize(dataclasses.replace(G, coeffs=G.coeffs * 2.5), phi).samples
     b = 2.5 * gabor_synthesize(G, phi).samples
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
@@ -532,9 +532,8 @@ def test_field_stats_without_post_chirps_match_direct(name, stride, window):
         assert sf[key].keys() == sd[key].keys()
         for k in sd[key]:
             assert sf[key][k] == pytest.approx(sd[key][k], rel=1e-9), (key, k)
-    for key in ("energy_by_y", "abs_sq_table"):
-        err = np.max(np.abs(sf[key] - sd[key]))
-        assert err <= 1e-9 * np.max(sd[key]), key
+    err = np.max(np.abs(sf["abs_sq_table"] - sd["abs_sq_table"]))
+    assert err <= 1e-9 * np.max(sd["abs_sq_table"])
     assert sf["plancherel_by_y_residual"] <= 1e-12
 
 

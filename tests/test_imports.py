@@ -1,10 +1,13 @@
-"""Every name a `qlct` module imports from a sibling module is used there.
+"""Every name a `qlct` module imports from a sibling module is used there,
+and every name a module defines is read by the program or the benchmark.
 
 No linter runs on this package, so a moved function would otherwise leave
 stale `from .mod import name` lines behind. A name imported only so that
 other code can look it up on the module (the benchmark tracer wraps such
 bindings) carries `# noqa: F401` on its import line and must be one of
-the tracer's `BINDINGS`; `__all__` counts as a use."""
+the tracer's `BINDINGS`; `__all__` counts as a use. Code that only tests
+read belongs in `tests/` (reference implementations in `oracles.py`), so
+`__init__.py` and the tests are no readers of a module's names."""
 
 import ast
 import os
@@ -19,6 +22,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 import tracing  # noqa: E402
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qlct"
+BENCH = SRC.parent.parent / "bench"
 
 
 def _kept_alive(node, lines) -> bool:
@@ -77,3 +81,55 @@ def test_every_kept_alive_import_is_a_traced_binding():
             for name in kept_alive_imports(path.read_text())]
     assert kept
     assert [binding for binding in kept if binding not in traced] == []
+
+
+def defined_names(source: str) -> list[str]:
+    """The functions, classes and assigned names at the top level of source."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def read_names(source: str, strings: bool = False) -> set[str]:
+    """Names source reads: loaded names, attributes and relative imports,
+    and with strings every string constant (the tracer names its bindings
+    as strings)."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.level > 0:
+            reads |= {alias.name for alias in node.names}
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.add(node.value)
+    return reads
+
+
+def unread_names(modules: dict[str, str], bench: list[str]) -> list[str]:
+    """`module.name` for each name the modules define that neither they
+    nor the bench sources read."""
+    reads = set().union(*map(read_names, modules.values()),
+                        *(read_names(source, strings=True) for source in bench))
+    return [f"{module}.{name}" for module, source in modules.items()
+            for name in defined_names(source) if name not in reads]
+
+
+def test_every_defined_name_has_a_reader():
+    modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))
+               if path.name != "__init__.py"}
+    bench = [path.read_text() for path in sorted(BENCH.glob("*.py"))]
+    assert unread_names(modules, bench) == []
+
+
+def test_an_unread_helper_is_caught():
+    modules = {"a": "X: int = 1\ndef used():\n    return X\ndef helper():\n    pass\n",
+               "b": "from .a import used\nclass Traced:\n    pass\nY = Z = 2\n"}
+    bench = ["BINDINGS = [('qlct.b', 'Traced')]\nprint(b.Y)\n"]
+    assert unread_names(modules, bench) == ["a.helper", "b.Z"]

@@ -3,9 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qlct.quat import (I, J, K, ONE, from_complex_pair, qabs, qabs_sq, qconj,
-                       qexp_axis, qmul, quaternion, to_complex_pair)
+from qlct.quat import (from_complex_pair, qabs, qabs_sq, qconj, qmul,
+                       to_complex_pair)
 from qlct.signal import Grid2D, QSignal2D
+
+from oracles import I, J, K, ONE, qexp_axis, quaternion
 
 
 def test_hamilton_multiplication_table():

@@ -5,11 +5,9 @@ import pytest
 
 from qlct.families import (dilated_gaussian, gaussian, gaussian_chirp,
                            random_smooth)
-from qlct.quat import qconj, qmul, quaternion
-from qlct.signal import (FormatError, Grid2D, GridMismatchError, QSignal2D,
-                         WindowSpec, inner_product, load, make_window,
-                         parse_window_spec, sample, save, shift_slices,
-                         translate)
+from qlct.signal import (FormatError, Grid2D, QSignal2D, WindowSpec, load,
+                         make_window, parse_window_spec, sample, save,
+                         shift_slices, translate)
 
 
 def grid4():
@@ -108,39 +106,6 @@ def test_formula_families_reject_non_finite_samples_in_one_line(build):
     with pytest.raises(ValueError, match=r"non-finite sample at x=\(") as err:
         build(grid4())
     assert "\n" not in str(err.value)
-
-
-def test_inner_product_examples():
-    f = const_one(grid4())
-    np.testing.assert_allclose(inner_product(f, f), quaternion(16.0), atol=0)
-    fi = QSignal2D(f.grid, qmul(quaternion(0, 1, 0, 0), f.samples))
-    np.testing.assert_allclose(inner_product(fi, f), quaternion(0, 16, 0, 0),
-                               atol=0)
-
-
-def test_inner_product_conjugate_symmetry_against_loop_oracle():
-    rng = np.random.default_rng(7)
-    g = Grid2D.centered(6, 5, 0.7, 0.4)
-    f = QSignal2D(g, rng.standard_normal((6, 5, 4)))
-    h = QSignal2D(g, rng.standard_normal((6, 5, 4)))
-
-    # independent double-loop quadrature oracle
-    acc = np.zeros(4)
-    for k1 in range(6):
-        for k2 in range(5):
-            acc = acc + qmul(f.samples[k1, k2], qconj(h.samples[k1, k2]))
-    acc *= g.cell_area
-
-    np.testing.assert_allclose(inner_product(f, h), acc, atol=1e-12)
-    np.testing.assert_allclose(inner_product(f, h),
-                               qconj(inner_product(h, f)), atol=1e-12)
-
-
-def test_inner_product_grid_mismatch():
-    f = const_one(grid4())
-    h = const_one(Grid2D.centered(4, 4, 0.5, 0.5))
-    with pytest.raises(GridMismatchError):
-        inner_product(f, h)
 
 
 def test_translate_identity_and_impulse():
@@ -286,9 +251,7 @@ def test_window_spec_validation_and_parsing():
     spec = parse_window_spec("rect:width=2")
     assert spec == WindowSpec("rect", (2.0, 2.0))
     spec = parse_window_spec("hann:width=1.0,2.0,center=0.5,0.5")
-    assert spec.center == (0.5, 0.5)
-    roundtrip = parse_window_spec(spec.to_string())
-    assert roundtrip == spec
+    assert spec == WindowSpec("hann", (1.0, 2.0), (0.5, 0.5))
 
 
 def test_qsig_roundtrip_bit_identical(tmp_path):
