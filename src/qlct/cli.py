@@ -488,9 +488,10 @@ def verify_plan(cfg: VerifyConfig, names) -> dict[str, list]:
     """{suite: its (family, stats) entries} for the named suites
     that declare Gabor fields. A spec whose pass would sweep more than
     VERIFY_PASS_CELLS cells raises FormatError before any signal is built;
-    then every spec is built in run order, `uncertainty.sweep_fields`
-    makes one pass per distinct field, and a pass with a non-finite sum
-    raises NumericError."""
+    then every spec is built in run order (one whose signals it cannot
+    make, such as a Gaussian that underflows to zero, raises FormatError),
+    `uncertainty.sweep_fields` makes one pass per distinct field, and a
+    pass with a non-finite sum raises NumericError."""
     specs = [(name, *spec) for name in names if name in SUITE_FIELDS
              for spec in SUITE_FIELDS[name](cfg)]
     for _, _, grid, _, _ in specs:
@@ -500,7 +501,14 @@ def verify_plan(cfg: VerifyConfig, names) -> dict[str, list]:
             raise FormatError(f"a Gabor pass on the {grid.n1}x{grid.n2} grid sweeps "
                               f"{cells} cells, above the {VERIFY_PASS_CELLS} cell bound "
                               "(the 128x128 field)")
-    built = [(name, family, *build(), request) for name, family, _, request, build in specs]
+    built = []
+    for name, family, grid, request, build in specs:
+        try:
+            f, phi = build()
+        except ValueError as exc:
+            raise FormatError(f"suite {name} family {family}: {exc} on the "
+                              f"{grid.n1}x{grid.n2} grid with dx {grid.dx1!r}") from None
+        built.append((name, family, f, phi, request))
     with _quiet_overflow():
         passes = uncertainty.sweep_fields([(f, phi, QFT, request)
                                            for *_, f, phi, request in built])

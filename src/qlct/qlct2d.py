@@ -22,12 +22,12 @@ Two independent realizations are provided:
   u = qa + i*qb and v = qa - i*qb, P = K+(u/2) and M = K-(v/2), giving
   the planes P + M and -i*(P - M); this holds for b = 0 axes too. The
   left kernel is complex-linear, so it commutes with the mixing: two
-  separable 2D transforms (chirp * FFT2 * chirp) per transform, cost
-  O(N^2 log N). The kernel maps halves to halves. `_lct2d` builds each
-  2D chirp from the axis plans (a `FastPlan`) where it applies it, and
-  skips one the plans set to None: a Gabor pass folds the pre-chirps into
-  its signal and, when it reads only |G|^2, drops the post-chirps, whose
-  modulus is constant, from the one plan all its blocks share.
+  separable 2D transforms (chirp * one FFT per axis * chirp) per
+  transform, cost O(N^2 log N), mapping halves to halves. `_lct2d` builds
+  each 2D chirp from the axis plans (a `FastPlan`) where it applies it,
+  and skips one the plans set to None: a Gabor pass folds the pre-chirps
+  into its signal and, when it reads only |G|^2, drops the post-chirps,
+  whose modulus is constant, from the one plan all its blocks share.
 
 For unimodular A the inversion kernel is K_{A^-1}(x, w) = conj K_A(w, x),
 so the inverse transform is the forward transform with A^-1 on each axis,
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 from . import report
 from .lct1d import (AxisPlan, LCTParams, _resolve_out_grid, axis_plan, axis_step,
@@ -83,21 +82,14 @@ def _check_method(method: str) -> str:
 
 def _lct2d(plan1, plan2, g):
     """One separable 2D transform of g (..., n1, n2), which it overwrites:
-    pre-chirp, one FFT2 when both axes run the same FFT (else each axis's
-    step), post-chirp. The result is C-contiguous.
+    pre-chirp, one FFT per b != 0 axis, post-chirp; the result is C-contiguous.
 
     Each 2D chirp is the outer product of the two plans' chirps, built at
     its point of use, so one large transform never holds both; a plan pair
     whose pre (or post) is None skips that multiply."""
     if plan1.pre is not None:
         g *= np.multiply.outer(plan1.pre, plan2.pre)
-    if plan1.step == plan2.step == "fft":
-        spec = scipy.fft.fft2(g, overwrite_x=True, workers=plan1.workers)
-    elif plan1.step == plan2.step == "ifft":
-        spec = scipy.fft.ifft2(g, norm="forward", overwrite_x=True,
-                               workers=plan1.workers)
-    else:
-        spec = axis_step(axis_step(g, plan1, -2), plan2, -1)
+    spec = axis_step(axis_step(g, plan1, -2), plan2, -1)
     if plan1.post is None:
         return np.ascontiguousarray(spec)
     out = spec if spec.flags.c_contiguous else np.empty(spec.shape, complex)

@@ -83,6 +83,50 @@ def test_every_kept_alive_import_is_a_traced_binding():
     assert [binding for binding in kept if binding not in traced] == []
 
 
+def fft_reads(source: str) -> list[str]:
+    """`scipy.fft.<name>` for each name source reads off `scipy.fft`, and
+    each import that binds scipy.fft or its names under another name: the
+    tracer replaces module attributes, so it never sees a copied name, and
+    this check cannot tell which names an alias reads."""
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and isinstance(node.value.value, ast.Name)
+                and (node.value.value.id, node.value.attr) == ("scipy", "fft")):
+            reads.append(f"scipy.fft.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module in ("scipy", "scipy.fft"):
+            reads += [f"from {node.module} import {alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            reads += [f"import {alias.name} as {alias.asname}" for alias in node.names
+                      if alias.name == "scipy.fft" and alias.asname]
+    return reads
+
+
+def untraced_ffts(sources: list[str]) -> list[str]:
+    """The `fft_reads` of the sources that are no ("scipy.fft", name)
+    binding of the tracer."""
+    traced = {f"{module}.{attr}" for bindings in tracing.BINDINGS.values()
+              for module, attr in bindings if module == "scipy.fft"}
+    return [read for source in sources for read in fft_reads(source) if read not in traced]
+
+
+def test_every_fft_the_package_calls_is_traced():
+    # so `lct1d.fft.*` counts every FFT a transform makes
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert {"scipy.fft.fft", "scipy.fft.ifft"} <= {r for s in sources for r in fft_reads(s)}
+    assert untraced_ffts(sources) == []
+
+
+def test_an_untraced_fft_is_caught():
+    sources = ["import scipy.fft\n"
+               "def f(g, forward):\n"
+               "    fft = scipy.fft.fft if forward else scipy.fft.ifft\n"
+               "    return fft(scipy.fft.fft2(g), axis=-1)\n",
+               "from scipy.fft import rfft\nfrom scipy import fft\nimport scipy.fft as sf\n"]
+    assert untraced_ffts(sources) == ["scipy.fft.fft2", "from scipy.fft import rfft",
+                                      "from scipy import fft", "import scipy.fft as sf"]
+
+
 def defined_names(source: str) -> list[str]:
     """The functions, classes and assigned names at the top level of source."""
     names = []

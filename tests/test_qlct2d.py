@@ -4,14 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qlct import qlct2d
 from qlct.families import (FOURIER, PARAM_SETS, default_grid, gaussian,
                            gaussian_chirp, impulse, random_quaternion_signal,
                            random_smooth)
-from qlct.gabor import (_translates, _window_halves, gabor_analyze_at,
-                        iter_gabor_blocks)
+from qlct.gabor import (_translates, _window_halves, gabor_analyze, gabor_analyze_at,
+                        gabor_field_stats, gabor_synthesize, iter_gabor_blocks)
 from qlct.lct1d import (Grid1D, LCTParams, MatchedSamplingError,
                         conjugate_grid, kernel_value)
 from qlct.qlct2d import (QLCTParams, _fast_plan, _halves, _two_sided_fast,
@@ -248,6 +250,45 @@ def test_fft_threads_leave_every_bit(name, monkeypatch):
     monkeypatch.setenv("QLCT_THREADS", "2")
     threaded = qlct_forward_fast(f, PARAM_SETS[name]).samples
     np.testing.assert_array_equal(threaded, single)
+
+
+@pytest.mark.parametrize("name", [*PARAM_SETS, *MIXED_CASES])
+def test_every_fft_is_one_axis_of_a_plan_step(name, monkeypatch):
+    # one FFT path: each 2D kernel call makes one scipy.fft.fft or ifft
+    # call per b != 0 axis, on a lone transform, a Gabor pass, analysis and
+    # synthesis alike, and none calls the 2D FFTs
+    p = {**PARAM_SETS, **MIXED_CASES}[name]
+    ffts, per_call = [], []
+
+    def counted(fft):
+        return lambda *args, **kwargs: ffts.append(fft) or fft(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a 2D FFT bypasses the axis plans")
+
+    for fn in ("fft", "ifft"):
+        monkeypatch.setattr(scipy.fft, fn, counted(getattr(scipy.fft, fn)))
+    for fn in ("fft2", "ifft2"):
+        monkeypatch.setattr(scipy.fft, fn, refused)
+    lct2d = qlct2d._lct2d
+
+    def kernel(*args):
+        before = len(ffts)
+        out = lct2d(*args)
+        per_call.append(len(ffts) - before)
+        return out
+
+    monkeypatch.setattr(qlct2d, "_lct2d", kernel)
+    grid = default_grid(8)
+    f = random_quaternion_signal(grid, np.random.default_rng(30))
+    phi = gaussian(grid, 1.0)
+    qlct_inverse(qlct_forward_fast(f, p), p)
+    gabor_field_stats(f, phi, p, s_values=(1.0,))
+    gabor_synthesize(gabor_analyze(f, phi, p), phi)
+    # P and M per transform, and per y1 row of each of the three sweeps
+    assert len(per_call) == 2 * 2 + 3 * 2 * grid.n1
+    assert per_call == [(p.A1.b != 0) + (p.A2.b != 0)] * len(per_call)
+    assert len(ffts) == sum(per_call)
 
 
 @pytest.mark.parametrize("value", ["two", "1.5", "-1"])

@@ -10,6 +10,8 @@ import importlib
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench"))
 
@@ -42,8 +44,20 @@ def test_tracer_counts_one_field_pass_of_a_young_check(monkeypatch):
     assert metrics["uncertainty.field_stats.calls"] == 1
     rows, transforms = metrics["gabor.rows.calls"], metrics["qlct2d.forward.calls"]
     assert (rows, transforms) == (8, 1)
-    # two separable 2D transforms, P and M, per Gabor row and per transform
+    # two separable 2D transforms, P and M, per Gabor row and per transform,
+    # each one FFT per axis
     assert len(kernels) == 2 * (rows + transforms)
+    assert metrics["lct1d.fft.calls"] == 4 * (rows + transforms)
+
+
+@pytest.mark.parametrize("name", list(PARAM_SETS))
+def test_tracer_counts_every_fft_of_a_transform(name):
+    # the P and M halves, each one FFT per b != 0 axis
+    tracer = tracing.Tracer()
+    with tracer.recording(0):
+        qlct2d.qlct_forward_fast(gaussian(Grid2D.centered(8, 8, 0.5, 0.5), 1.0),
+                                 PARAM_SETS[name])
+    assert tracing.layer_metrics(tracer, [0], 1, 1.0)["lct1d.fft.calls"] == 4
 
 
 def test_tracer_counts_each_block_of_a_multi_block_pass(monkeypatch):
@@ -64,6 +78,7 @@ def test_tracer_counts_each_block_of_a_multi_block_pass(monkeypatch):
     assert metrics["uncertainty.field_stats.calls"] == 1
     assert metrics["gabor.rows.calls"] == 8 * 3
     assert len(kernels) == 2 * 8 * 3
+    assert metrics["lct1d.fft.calls"] == 4 * 8 * 3
 
 
 def test_traced_verify_lieb_counts_its_three_field_passes(capsys):
