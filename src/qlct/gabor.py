@@ -31,12 +31,13 @@ A pass builds its transform plan and its window-product buffers once,
 folds the 2D pre-chirps, which depend on x alone, into the halves of f,
 and runs each row of translations in blocks of about `BLOCK_BYTES` per
 half, so that each elementwise pass works on data that stays in cache,
-through the plan without its pre-chirps. `gabor_field_stats` reads |G|^2
-only, so its plan leaves out the post-chirps too, whose modulus is
-constant: it reduces |P|^2 + |M|^2 per translation while the block is in
-cache, sums the (ny1, ny2) tables, so every sum keeps its bits whatever
-the block size, and scales the totals once by `abs_sq_gain`. A pass
-holds the f, phi and params it swept; `gabor_plancherel_check` reads it.
+through the plan without its pre-chirps. The pre-chirps carry the kernel
+amplitudes and every post-chirp is a unit phase, so `gabor_field_stats`,
+which reads |G|^2 only, leaves the post-chirps out too: it reduces
+|P|^2 + |M|^2 per translation while the block is in cache, sums the
+(ny1, ny2) tables, so every sum keeps its bits whatever the block size,
+and doubles the totals. A pass holds the f, phi and params it swept;
+`gabor_plancherel_check` reads it.
 
 The dense field is stored y first, (ny1, ny2, nw1, nw2, 4), as the loop
 yields it: (n1*n2)^2 quaternions, about 33 MB for a 32x32 signal and 16x
@@ -160,7 +161,8 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     every block a plan whose pre-chirps are None; for a real window, whose
     four planes are equal, it forms each half with one multiply. With
     post_chirp=False the blocks' plan leaves out the post-chirps too, for a
-    consumer of |G|^2 alone: |G|^2 = `abs_sq_gain` * (|P|^2 + |M|^2)."""
+    consumer of |G|^2 alone: they are unit phases, so the halves keep
+    their moduli and |G|^2 = 2(|P|^2 + |M|^2) still holds."""
     if not f.grid.approx_eq(phi.grid):
         raise GridMismatchError("signal and window must share a grid")
     y_grid = translation_grid(f.grid, y_stride)
@@ -212,16 +214,6 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
             k = sl.stop - sl.start
             window(sweep[:, iy1, sl], u[:k], v[:k])
             yield (iy1, sl, *_two_sided_fast(plan, u[:k], v[:k]))
-
-
-def abs_sq_gain(f: QSignal2D, p: QLCTParams, method: str = "fast") -> float:
-    """The c with |G|^2 = c * (|P|^2 + |M|^2) on the blocks that
-    `iter_gabor_blocks(..., post_chirp=False)` yields: 2 on the direct
-    branch, and 2 * `FastPlan.gain`^2 on the fast one, whose post-chirps
-    have that constant modulus."""
-    if qlct2d._check_method(method) == "direct":
-        return 2.0
-    return 2.0 * _fast_plan(p, *f.grid.axes).gain**2
 
 
 def gabor_analyze(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
@@ -293,11 +285,11 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
     p'-th power sums, the ln|omega| weighted energy and, with
     abs_sq_table, |G|^2 itself.
 
-    Each block's |P|^2 + |M|^2, without post-chirps, is reduced while it
-    is in cache: one sum, max and `np.vecdot` per translation and
-    omega-weight into (ny1, ny2) tables, whose sums are the totals; the
-    one constant `abs_sq_gain` then scales the totals, the peak and the
-    table, and its p'/2-th power the p'-th power sums.
+    Each block's |P|^2 + |M|^2, without its unit-phase post-chirps, is
+    reduced while it is in cache: one sum, max and `np.vecdot` per
+    translation and omega-weight into (ny1, ny2) tables, whose sums are
+    the totals; |G|^2 = 2(|P|^2 + |M|^2), so 2 then scales the totals,
+    the peak and the table, and 2^(p'/2) the p'-th power sums.
     `plancherel_by_y_residual` is the largest gap between the energy of
     each translation, sum_omega |G(omega, y)|^2 domega, and
     `_windowed_energy`, over the largest right side. The |G|^2 table is
@@ -332,7 +324,6 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
     t_omega = {s: np.empty(shape) for s in s_values}
     t_joint = {s: np.empty(shape) for s in s_values}
     t_power = {pp: np.empty(shape) for pp in pprimes}
-    gain = abs_sq_gain(f, p, method)
     buf = None
     for iy1, sl, P, M in iter_gabor_blocks(f, phi, p, y_stride, method, post_chirp=False):
         if buf is None:  # the first block is the largest
@@ -349,23 +340,23 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
         if log_omega:
             np.vecdot(mod2, log_w, out=t_log[at])
         if abs_sq_table:
-            np.multiply(mod2, gain, out=table[at])
+            np.multiply(mod2, 2.0, out=table[at])
 
-    def total(t, scale=gain):
+    def total(t, scale=2.0):
         return float(t.sum()) * (scale * cellvol)
 
-    energy_by_y = energy * (gain * omega_grid.cell_area)
+    energy_by_y = energy * (2.0 * omega_grid.cell_area)
     rhs = _windowed_energy(f, phi, y_stride)
     gap = np.max(np.abs(energy_by_y - rhs))
     return {
         "energy": total(energy),
         # 0 for a zero signal, which young_sup_check accepts
         "plancherel_by_y_residual": float(gap / np.max(rhs)) if gap else 0.0,
-        "max_abs": math.sqrt(gain * float(peak.max())),
+        "max_abs": math.sqrt(2.0 * float(peak.max())),
         "moment_omega": {s: total(t_omega[s]) for s in s_values},
         "moment_y": {s: total(y_r2**s * energy) for s in s_values},
         "moment_joint": {s: total(t_joint[s]) for s in s_values},
-        "power_sums": {pp: total(t_power[pp], gain**(pp / 2)) for pp in pprimes},
+        "power_sums": {pp: total(t_power[pp], 2.0**(pp / 2)) for pp in pprimes},
         "log_omega_sum": total(t_log) if log_omega else None,
         "abs_sq_table": table.reshape(*shape, *omega_grid.shape) if abs_sq_table else None,
         "cell_volume": cellvol, "method": method, "f": f, "phi": phi, "params": p,

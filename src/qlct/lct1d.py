@@ -170,10 +170,10 @@ class AxisPlan(NamedTuple):
     """One axis of a fast transform, post * step(pre * f) onto grid_out,
     for `lct_fast`, `lct_scale_chirp` and `qlct2d`; on matched grids it is
     the kernel-matrix sum of the O(N^2) oracle in `tests/oracles.py`.
-    pre is all ones for b = 0, step one of "fft", "ifft" (unscaled),
-    "flip" or None, and workers the FFT worker count QLCT_THREADS gave
-    when the plan was built. Every |post| is gain, dx / sqrt(2*pi*|b|) for
-    b != 0 and sqrt(|d|) for b = 0, up to the rounding of its unit phase.
+    pre carries the kernel's amplitude, dx / sqrt(2*pi*|b|) for b != 0
+    and sqrt(|d|) (constant) for b = 0, so every post is a unit phase;
+    step is one of "fft", "ifft" (unscaled), "flip" or None, and workers
+    the FFT worker count QLCT_THREADS gave when the plan was built.
     `qlct2d._lct2d` skips a chirp that is None, as in a Gabor block's
     plan."""
 
@@ -182,7 +182,6 @@ class AxisPlan(NamedTuple):
     post: np.ndarray | None
     grid_out: Grid1D
     workers: int | None
-    gain: float
 
 
 def axis_plan(p: LCTParams, sign: int, grid_in: Grid1D,
@@ -196,19 +195,17 @@ def axis_plan(p: LCTParams, sign: int, grid_in: Grid1D,
     workers = _fft_workers()
     w = grid_out.coords()
     if p.b == 0:
-        gain = np.sqrt(abs(p.d))
-        post = gain * np.exp(1j * sign * (p.c * p.d / 2) * w**2)
-        return AxisPlan(np.ones(grid_in.n), None if p.a > 0 else "flip", post,
-                        grid_out, workers, float(gain))
+        return AxisPlan(np.full(grid_in.n, np.sqrt(abs(p.d))), None if p.a > 0 else "flip",
+                        np.exp(1j * sign * (p.c * p.d / 2) * w**2), grid_out, workers)
     x = grid_in.coords()
     idx = np.arange(grid_in.n)
     pre = np.exp(1j * sign * ((p.a / (2 * p.b)) * x**2
                               - (idx * grid_in.dx) * grid_out.x0 / p.b))
     post = np.exp(1j * sign * ((p.d / (2 * p.b)) * w**2 - grid_in.x0 * w / p.b
                                - (np.pi / 4) * np.sign(p.b)))
-    gain = grid_in.dx / np.sqrt(2 * np.pi * abs(p.b))
-    return AxisPlan(pre, "fft" if sign * p.b > 0 else "ifft", post * gain, grid_out,
-                    workers, float(gain))
+    amplitude = grid_in.dx / np.sqrt(2 * np.pi * abs(p.b))
+    return AxisPlan(pre * amplitude, "fft" if sign * p.b > 0 else "ifft", post, grid_out,
+                    workers)
 
 
 def axis_step(g: np.ndarray, plan: AxisPlan, axis: int) -> np.ndarray:

@@ -25,9 +25,10 @@ Two independent realizations are provided:
   separable 2D transforms (chirp * one FFT per axis * chirp) per
   transform, cost O(N^2 log N), mapping halves to halves. `_lct2d` builds
   each 2D chirp from the axis plans (a `FastPlan`) where it applies it,
-  and skips one the plans set to None: a Gabor pass folds the pre-chirps
-  into its signal and, when it reads only |G|^2, drops the post-chirps,
-  whose modulus is constant, from the one plan all its blocks share.
+  and skips one the plans set to None. The pre-chirps carry the kernel
+  amplitudes and every post-chirp is a unit phase, so a Gabor pass folds
+  the pre-chirps into its signal and, when it reads only |G|^2, drops the
+  post-chirps from the one plan all its blocks share.
 
 For unimodular A the inversion kernel is K_{A^-1}(x, w) = conj K_A(w, x),
 so the inverse transform is the forward transform with A^-1 on each axis,
@@ -114,25 +115,20 @@ def _join(P, M, qa, qb):
 
 class FastPlan(NamedTuple):
     """The axis plans of `_two_sided_fast` for one set of params and grids:
-    the left plan, its post-chirp carrying the exact 1/2 of the halves, and
-    the right plans of kernel sign +1 and -1. A Gabor pass builds one and
-    reuses it, with the chirps it skips set to None, for every block."""
+    the left plan, its pre-chirp carrying the exact 1/2 of the halves, and
+    the right plans of kernel sign +1 and -1. Every post-chirp is a unit
+    phase, so halves that leave them out keep their moduli. A Gabor pass
+    builds one and reuses it, with the chirps it skips set to None, for
+    every block."""
 
     left: AxisPlan
     plus: AxisPlan
     minus: AxisPlan
 
-    @property
-    def gain(self) -> float:
-        """The constant modulus of the P and the M 2D post-chirp, 1/2
-        included: |G|^2 = 2 gain^2 (|P|^2 + |M|^2) for halves that leave
-        it out."""
-        return self.left.gain * self.plus.gain
-
 
 def _fast_plan(p: QLCTParams, g1in, g2in, g1out=None, g2out=None) -> FastPlan:
     left = axis_plan(p.A1, 1, g1in, g1out)
-    return FastPlan(left._replace(post=left.post / 2, gain=left.gain / 2),
+    return FastPlan(left._replace(pre=left.pre / 2),
                     axis_plan(p.A2, 1, g2in, g2out), axis_plan(p.A2, -1, g2in, g2out))
 
 

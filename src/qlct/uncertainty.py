@@ -72,16 +72,14 @@ def mask_measure(stats: dict, mask: np.ndarray) -> float:
 def random_mask(stats: dict, target_measure: float,
                 rng: np.random.Generator) -> np.ndarray:
     """Boolean mask of uniformly random cells of the |G|^2 table of `stats`
-    totalling approximately target_measure. Cells are drawn by flat index
-    over (omega1, omega2, y1, y2), not the table's (y1, y2, omega1,
-    omega2), so a seed keeps drawing the cells its pinned reports drew."""
+    totalling approximately target_measure, drawn by flat index over the
+    table's (y1, y2, omega1, omega2)."""
     table, cv = _requested(stats, "abs_sq_table", "abs_sq_table=True"), stats["cell_volume"]
-    ny1, ny2, nw1, nw2 = table.shape
     total = table.size
     count = max(1, min(total, round(target_measure / cv)))
-    mask = np.zeros((nw1, nw2, ny1, ny2), dtype=bool)
+    mask = np.zeros(table.shape, dtype=bool)
     mask.reshape(-1)[rng.choice(total, size=count, replace=False)] = True
-    return mask.transpose(2, 3, 0, 1)
+    return mask
 
 
 def greedy_minimal_mask(stats: dict, capture: float) -> np.ndarray:

@@ -377,7 +377,10 @@ def _report_mismatches(got, want, where="report"):
 
 def test_verify_all_matches_pinned_report(verify_all_runs):
     """The seed-0 `verify all --grid 32x32` report equals the committed one;
-    a failure lists every value that moved."""
+    a failure lists every value that moved. After a change that explains
+    every moved value, regenerate it with `qlct verify all --grid 32x32
+    --seed 0 --report tests/data/verify_all_seed0.json` and delete the
+    `verify_all_seed0.csv` the run writes beside it."""
     _, first, _ = verify_all_runs
     pinned = Path(__file__).parent / "data" / "verify_all_seed0.json"
     mismatches = _report_mismatches(json.loads(first), json.loads(pinned.read_text()))

@@ -667,14 +667,14 @@ def test_young_plan_stays_under_its_per_trial_bound():
 
 
 @pytest.mark.parametrize("argv, code, text", [
-    (["heisenberg", "--dx", "1e-60"], 3, "suite heisenberg family dilated-0.5"),
+    (["heisenberg", "--dx", "1e-100"], 3, "suite heisenberg family dilated-0.5"),
     (["heisenberg", "--dx", "1e-150"], 3, "suite heisenberg family dilated-0.5"),
     (["plancherel", "--dx", "1e150"], 2, "random trial 0 is the zero signal"),
     (["heisenberg", "--dx", "1e3"], 2, "error: suite heisenberg family dilated-0.5: "
      "cannot normalize the zero signal on the 32x32 grid with dx 1000.0\n"),
     (["all", "--dx", "1e150"], 2, "error: suite heisenberg family dilated-0.5: "
      "cannot normalize the zero signal on the 32x32 grid with dx 1e+150\n"),
-], ids=["heisenberg-1e-60", "heisenberg-1e-150", "plancherel-1e150", "heisenberg-1e3",
+], ids=["heisenberg-1e-100", "heisenberg-1e-150", "plancherel-1e150", "heisenberg-1e3",
         "all-1e150"])
 def test_verify_at_an_extreme_dx_exits_in_one_line(tmp_path, capsys, argv, code, text):
     """A --dx whose dilates' Gabor sums overflow exits 3 before any suite

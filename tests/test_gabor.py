@@ -20,6 +20,8 @@ from qlct.qlct2d import (FastPlan, QLCTParams, _fast_plan, _two_sided_fast,
 from qlct.signal import Grid2D, QSignal2D, WindowSpec, make_window, translate
 from qlct.quat import pair_abs_sq, qabs_sq, qconj, qmul
 
+from test_qlct2d import MIXED_CASES
+
 
 def rel_l2(a, b):
     return float(np.sqrt(np.sum((a - b)**2) / np.sum(b**2)))
@@ -563,7 +565,7 @@ def test_each_translation_keeps_its_windowed_energy(name, stride, monkeypatch):
     assert gabor_field_stats(f, phi, p, y_stride=stride)["plancherel_by_y_residual"] <= 1e-12
 
 
-# b = 0 left axes: their plans' pre-chirps are all ones and they run no
+# b = 0 left axes: their plans' pre-chirps are constant and they run no
 # FFT; with a < 0 the step is a flip, whose result takes a fresh array
 _CHIRP_PARAMS = {**PARAM_SETS,
                  "b1-zero": QLCTParams(LCTParams(1.0, 0.0, 0.5, 1.0),
@@ -572,23 +574,44 @@ _CHIRP_PARAMS = {**PARAM_SETS,
                                             PARAM_SETS["fourier"].A2)}
 
 
-@pytest.mark.parametrize("name", list(_CHIRP_PARAMS))
+def _assert_modulus(chirp, want):
+    np.testing.assert_array_less(np.abs(np.abs(chirp) - want), 4 * np.spacing(want))
+
+
+_AMPLITUDE_PARAMS = {**_CHIRP_PARAMS, **{f"mixed-{k}": v for k, v in MIXED_CASES.items()}}
+
+
+@pytest.mark.parametrize("name", list(_AMPLITUDE_PARAMS))
 @pytest.mark.parametrize("sign", [1, -1])
 def test_every_post_chirp_has_the_constant_modulus_of_its_plan(name, sign):
-    # a |G|^2 pass leaves out the post-chirps and scales by their modulus
-    # once, which is exact only while every |post| is its plan's gain
-    p = _CHIRP_PARAMS[name]
+    # a |G|^2 pass leaves out the post-chirps and scales by 2 alone, which
+    # is exact only while every |post| is 1 and the pre-chirps carry the
+    # kernel amplitude, halved on the left plan of the halves
+    p = _AMPLITUDE_PARAMS[name]
     for grid in (Grid2D.centered(12, 10, 0.6, 0.5), Grid2D.centered(64, 64, 0.3, 0.4)):
-        for A, axis in ((p.A1, grid.axes[0]), (p.A2, grid.axes[1])):
-            plan = axis_plan(A, sign, axis)
-            want = axis.dx / np.sqrt(2 * np.pi * abs(A.b)) if A.b else np.sqrt(abs(A.d))
-            assert plan.gain == want
-            np.testing.assert_array_less(np.abs(np.abs(plan.post) - plan.gain),
-                                         4 * np.spacing(plan.gain))
         fast = _fast_plan(p, *grid.axes)
+        for A, axis, fast_plans in ((p.A1, grid.axes[0], [(fast.left, 0.5)]),
+                                    (p.A2, grid.axes[1], [(fast.plus, 1.0), (fast.minus, 1.0)])):
+            amplitude = axis.dx / np.sqrt(2 * np.pi * abs(A.b)) if A.b else np.sqrt(abs(A.d))
+            for plan, share in [(axis_plan(A, sign, axis), 1.0), *fast_plans]:
+                _assert_modulus(plan.post, 1.0)
+                _assert_modulus(plan.pre, share * amplitude)
         for right in (fast.plus, fast.minus):
-            post = np.abs(np.multiply.outer(fast.left.post, right.post))
-            np.testing.assert_array_less(np.abs(post - fast.gain), 4 * np.spacing(fast.gain))
+            _assert_modulus(np.multiply.outer(fast.left.post, right.post), 1.0)
+
+
+def test_fast_pass_matches_direct_on_a_fine_grid():
+    # the pre-chirps scale the halves before a |G|^2 pass squares and sums
+    # them, so at dx = 1e-60 the pass stays finite where the direct oracle
+    # does: its s = 1 omega-moment is about 5.6e119, and the halves of the
+    # unit Gaussian's 1e59 samples, unscaled, overflowed it
+    f = normalized(gaussian(Grid2D.centered(8, 8, 1e-60, 1e-60), 1.0))
+    fast, direct = (gabor_field_stats(f, f, PARAM_SETS["fourier"], s_values=(1.0,),
+                                      method=method) for method in ("fast", "direct"))
+    for got, want in ((fast["energy"], direct["energy"]),
+                      (fast["moment_omega"][1.0], direct["moment_omega"][1.0])):
+        assert np.isfinite(got) and np.isfinite(want)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def _folded_halves(f, phi, plan, y):

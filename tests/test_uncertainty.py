@@ -146,8 +146,8 @@ def test_streamed_stats_keep_the_qabs_sq_summation_order():
     """Energy, moments and the |G|^2 table bit-equal to a reference that
     reads |P|^2 + |M|^2 of the halves without post-chirps with qabs_sq,
     reduces each translation on its own (a sum, and one dot product per
-    omega-weight), sums the (y1, y2) tables and then scales by the one
-    constant `abs_sq_gain`, so a real window's stats keep the order the
+    omega-weight), sums the (y1, y2) tables and then scales by the
+    constant 2, so a real window's stats keep the order the
     seed-0 verify report was pinned with. With a real window under the
     Fourier params the halves come from `_folded_halves`. The generic and
     neg-b params with a quaternion window take the pass's own halves and
@@ -162,7 +162,6 @@ def test_streamed_stats_keep_the_qabs_sq_summation_order():
                            (PARAM_SETS["generic"], qwin, _pass_halves),
                            (PARAM_SETS["neg-b"], qwin, _pass_halves)):
         stats = gabor_field_stats(f, phi, p, s_values=s_values, abs_sq_table=True)
-        gain = gabor.abs_sq_gain(f, p)
         og = forward_grid(grid, p)
         yg = translation_grid(grid)
         w1, w2 = og.meshgrid()
@@ -174,7 +173,7 @@ def test_streamed_stats_keep_the_qabs_sq_summation_order():
         mj = {s: np.empty(yg.shape) for s in s_values}
         for i1, (P, M) in enumerate(halves(f, phi, p)):
             mod2 = qabs_sq(from_complex_pair(P, M))
-            np.testing.assert_array_equal(stats["abs_sq_table"][i1], gain * mod2)
+            np.testing.assert_array_equal(stats["abs_sq_table"][i1], 2.0 * mod2)
             for i2 in range(yg.n2):
                 cell = mod2[i2].ravel()
                 y_r2[i1, i2] = y1[i1]**2 + y2[i2]**2
@@ -182,10 +181,10 @@ def test_streamed_stats_keep_the_qabs_sq_summation_order():
                 for s in s_values:
                     mo[s][i1, i2] = np.dot(omega_r2**s, cell)
                     mj[s][i1, i2] = np.dot((omega_r2 + y_r2[i1, i2])**s, cell)
-        scale = gain * (og.cell_area * yg.cell_area)
+        scale = 2.0 * (og.cell_area * yg.cell_area)
         assert stats["energy"] == float(energy.sum()) * scale
         rhs = gabor._windowed_energy(f, phi)
-        gap = np.max(np.abs(energy * (gain * og.cell_area) - rhs))
+        gap = np.max(np.abs(energy * (2.0 * og.cell_area) - rhs))
         assert stats["plancherel_by_y_residual"] == gap / np.max(rhs)
         for s in s_values:
             assert stats["moment_omega"][s] == float(mo[s].sum()) * scale
@@ -682,9 +681,8 @@ def test_abs_sq_table_is_the_dense_modulus_indexed_y_first():
 
 
 def test_random_mask_draws_the_cells_of_the_dense_order():
-    """A seed draws cells by flat index over (omega1, omega2, y1, y2), the
-    order its pinned reports were drawn in, not the table's (y1, y2,
-    omega1, omega2)."""
+    """A seed draws cells by flat index over the table's (y1, y2, omega1,
+    omega2), the order the dense field is stored in."""
     grid = Grid2D.centered(8, 6, 0.6, 0.5)
     f = normalized(gaussian(grid, 1.0))
     stats = gabor_field_stats(f, f, FOURIER2, abs_sq_table=True)
@@ -695,8 +693,7 @@ def test_random_mask_draws_the_cells_of_the_dense_order():
                                            replace=False)] = True
     assert 100 < np.count_nonzero(dense) < dense.size // 2
     assert mask.dtype == bool and mask.shape == stats["abs_sq_table"].shape
-    np.testing.assert_array_equal(mask.transpose(2, 3, 0, 1),
-                                  dense.reshape(8, 6, 8, 6))
+    np.testing.assert_array_equal(mask, dense.reshape(8, 6, 8, 6))
     assert mask_measure(stats, mask) == np.count_nonzero(dense) * cv
 
 
