@@ -42,7 +42,8 @@ COEFF_BUDGET_BYTES = 32**4 * 32
 
 #: Largest array `verify` lets its --grid need, 128 MiB: 32 bytes a cell
 #: under --method fast (up to 2048x2048), and 32 n1 n2 max(n1, n2) bytes
-#: for the direct kernel contraction of `qlct2d` (up to 161x161).
+#: for the direct kernel contraction of `qlct2d` (up to 161x161), which
+#: bounds `forward`, `inverse` and `gabor analyze` --method direct too.
 VERIFY_BUDGET_BYTES = 2**27
 #: Most (omega, y) cells one Gabor pass of `verify` may sweep: the
 #: stride-1 field of a 128x128 signal. A pass's time grows with its cells
@@ -115,12 +116,23 @@ def _finite_or_die(values: np.ndarray, stage: str) -> None:
         raise NumericError(f"non-finite output at stage {stage!r}")
 
 
+def _check_budget(what: str, n1: int, n2: int, method: str) -> None:
+    """Refuse, before any transform, a grid whose largest transform array
+    is above VERIFY_BUDGET_BYTES (see there)."""
+    nbytes = 32 * n1 * n2 * (max(n1, n2) if method == "direct" else 1)
+    if nbytes > VERIFY_BUDGET_BYTES:
+        raise FormatError(f"{what} {n1}x{n2} needs a {nbytes} byte array under "
+                          f"--method {method}, above the {VERIFY_BUDGET_BYTES} byte budget")
+
+
 # ---------------------------------------------------------------------------
 # transform commands
 
 def cmd_qlct(args) -> int:
     p = _parse_params(args)
     f = signal.load(args.input)
+    if args.method == "direct":
+        _check_budget("the input grid", f.grid.n1, f.grid.n2, args.method)
     with _quiet_overflow():
         if args.command == "forward":
             out = qlct_forward(f, p, args.method)
@@ -139,6 +151,8 @@ def cmd_qlct(args) -> int:
 def cmd_gabor_analyze(args) -> int:
     p = _parse_params(args)
     f = signal.load(args.input)
+    if args.method == "direct":
+        _check_budget("the input grid", f.grid.n1, f.grid.n2, args.method)
     y = gabor.translation_grid(f.grid, args.stride)
     nbytes = f.grid.n1 * f.grid.n2 * y.n1 * y.n2 * 32
     if nbytes > COEFF_BUDGET_BYTES and not args.force:
@@ -532,10 +546,7 @@ def cmd_verify(args) -> int:
         cfg.dx = args.dx
     # a bad --grid or --dx fails here, before any suite runs
     forward_grid(cfg.grid(), QFT)
-    nbytes = 32 * cfg.n1 * cfg.n2 * (max(cfg.n1, cfg.n2) if cfg.method == "direct" else 1)
-    if nbytes > VERIFY_BUDGET_BYTES:
-        raise FormatError(f"--grid {cfg.n1}x{cfg.n2} needs a {nbytes} byte array under "
-                          f"--method {cfg.method}, above the {VERIFY_BUDGET_BYTES} byte budget")
+    _check_budget("--grid", cfg.n1, cfg.n2, cfg.method)
     if cfg.trials is not None and not 1 <= cfg.trials <= MAX_TRIALS:
         raise FormatError(f"--trials must be from 1 to {MAX_TRIALS}, got {cfg.trials}")
     if cfg.seed < 0:

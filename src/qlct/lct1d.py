@@ -21,11 +21,11 @@ For b = 0 the transform degenerates to a chirp-weighted rescaling
 
 implemented by exact index remapping only (no interpolation).
 
-The quadrature transform F(w_m) = sum_n K(x_n, w_m) f(x_n) dx is computed
+The quadrature transform F = Q f, Q[m, n] = K(x_n, w_m) dx, is computed
 by `lct_fast`, which factors the cross term into chirp * FFT * chirp; that
 is exact (not approximate) when the grids obey the matched-sampling
-contract dx * dw = 2*pi*|b| / N. The O(N^2) oracle it is tested against,
-in `tests/oracles.py`, builds the kernel matrix from `kernel_value`.
+contract dx * dw = 2*pi*|b| / N. `kernel_matrix` builds Q itself (for
+b = 0 a weighted permutation), the one kernel of every O(N^2) oracle.
 """
 
 from __future__ import annotations
@@ -110,10 +110,10 @@ class Grid1D:
     def coords(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.n)
 
-    def approx_eq(self, other: "Grid1D", tol: float = 1e-9) -> bool:
+    def approx_eq(self, other: "Grid1D") -> bool:
         return (self.n == other.n
-                and abs(self.dx - other.dx) <= tol * self.dx
-                and abs(self.x0 - other.x0) <= tol * self.dx * self.n)
+                and abs(self.dx - other.dx) <= MATCH_TOL * self.dx
+                and abs(self.x0 - other.x0) <= MATCH_TOL * self.dx * self.n)
 
 
 def conjugate_grid(grid: Grid1D, b: float) -> Grid1D:
@@ -131,16 +131,19 @@ def _check_sign(sign: int) -> int:
 
 
 def kernel_value(p: LCTParams, sign: int, x, w) -> np.ndarray:
-    """Kernel value(s) at (x, w); broadcasts over array arguments."""
+    """Kernel value(s) at (x, w); broadcasts over array arguments. The two
+    chirps and the cross term are separate factors, so on a fine grid a
+    chirp phase of order 1/dx^2 cannot round the cross term away."""
     _check_sign(sign)
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     if p.b == 0:
         phase = (p.c * p.d / 2) * w**2
         return np.sqrt(abs(p.d)) * np.exp(1j * sign * phase) * np.ones_like(x)
-    phase = ((p.a / (2 * p.b)) * x**2 - x * w / p.b + (p.d / (2 * p.b)) * w**2
-             - (np.pi / 4) * np.sign(p.b))
-    return np.exp(1j * sign * phase) / np.sqrt(2 * np.pi * abs(p.b))
+    chirp_x = np.exp(1j * sign * (p.a / (2 * p.b)) * x**2)
+    cross = np.exp(-1j * sign * (x * w / p.b))
+    chirp_w = np.exp(1j * sign * ((p.d / (2 * p.b)) * w**2 - (np.pi / 4) * np.sign(p.b)))
+    return chirp_x * cross * chirp_w / np.sqrt(2 * np.pi * abs(p.b))
 
 
 def _resolve_out_grid(p: LCTParams, grid_in: Grid1D,
@@ -166,10 +169,26 @@ def _resolve_out_grid(p: LCTParams, grid_in: Grid1D,
     return grid_out
 
 
+def kernel_matrix(p: LCTParams, sign: int, grid_in: Grid1D,
+                  grid_out: Grid1D | None = None) -> tuple[np.ndarray, Grid1D]:
+    """The quadrature matrix Q[out, in] of the sign kernel of p onto an
+    admissible grid_out, so that F = Q @ f: K(x_n, w_m) * dx for b != 0,
+    and for b = 0 the permutation that reads output u at input sample d*u
+    (reversed when a < 0), weighted by kernel_value(p, sign, 0, u). This is
+    the O(N^2) oracle's one kernel; `axis_plan` factors the same sum."""
+    grid_out = _resolve_out_grid(p, grid_in, grid_out)
+    w = grid_out.coords()
+    if p.b == 0:
+        perm = np.eye(grid_in.n) if p.a > 0 else np.eye(grid_in.n)[::-1]
+        return kernel_value(p, sign, 0.0, w)[:, None] * perm, grid_out
+    return (kernel_value(p, sign, grid_in.coords()[None, :], w[:, None]) * grid_in.dx,
+            grid_out)
+
+
 class AxisPlan(NamedTuple):
     """One axis of a fast transform, post * step(pre * f) onto grid_out,
     for `lct_fast`, `lct_scale_chirp` and `qlct2d`; on matched grids it is
-    the kernel-matrix sum of the O(N^2) oracle in `tests/oracles.py`.
+    `kernel_matrix(...) @ f`, the sum of the O(N^2) oracle.
     pre carries the kernel's amplitude, dx / sqrt(2*pi*|b|) for b != 0
     and sqrt(|d|) (constant) for b = 0, so every post is a unit phase;
     step is one of "fft", "ifft" (unscaled), "flip" or None, and workers

@@ -10,8 +10,9 @@ degenerate to the chirp-weighted rescaling branch of `lct1d`.
 
 Two independent realizations are provided:
 
-* `qlct_forward_direct` / method="direct": explicit quaternion kernel
-  matrices multiplied with `qmul`. This is the quadrature oracle.
+* `qlct_forward_direct` / method="direct": one `lct1d.kernel_matrix` per
+  axis, an i-plane quaternion left of axis 1 and a j-plane one right of
+  axis 2, multiplied with `qmul`. This is the quadrature oracle.
 * `qlct_forward_fast` / method="fast": symplectic split f = qa + qb*j.
   The left kernel is an ordinary complex LCT acting on qa and qb
   independently. The right kernel e^{j*beta} mixes the planes:
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import report
 from .lct1d import (AxisPlan, LCTParams, _resolve_out_grid, axis_plan, axis_step,
-                    kernel_value)
+                    kernel_matrix)
 # bench/tracing.py wraps these names here; no qlct2d code calls them
 from .lct1d import lct_fast, lct_scale_chirp  # noqa: F401
 from .quat import from_complex_pair, qmul, to_complex_pair
@@ -139,38 +140,6 @@ def _two_sided_fast(plan: FastPlan, u, v):
 
 
 # ---------------------------------------------------------------------------
-# direct path (explicit quaternion kernel matrices, the oracle)
-
-def _left_direct(p, samples, gin, gout):
-    """Contract K[out, in] = kernel_value(p, 1, x_in, w_out) (left factor)
-    against axis 0 of samples (n1, n2, 4)."""
-    g = _resolve_out_grid(p, gin, gout)
-    if p.b == 0:
-        kq = from_complex_pair(kernel_value(p, 1, 0.0, g.coords()), 0)
-        rows = samples if p.a > 0 else samples[::-1]
-        return qmul(kq[:, None, :], rows), g
-    kq = from_complex_pair(kernel_value(p, 1, gin.coords()[None, :],
-                                        g.coords()[:, None]), 0)
-    out = qmul(kq[:, :, None, :], samples[None, :, :, :]).sum(axis=1) * gin.dx
-    return out, g
-
-
-def _right_direct(p, samples, gin, gout):
-    """Contract K[in, out] = kernel_value(p, 1, x_in, w_out) (right factor)
-    against axis 1 of samples (n1, n2, 4)."""
-    g = _resolve_out_grid(p, gin, gout)
-    if p.b == 0:
-        k = kernel_value(p, 1, 0.0, g.coords())
-        kq = from_complex_pair(k.real, k.imag)  # the j-plane quaternion
-        cols = samples if p.a > 0 else samples[:, ::-1]
-        return qmul(cols, kq[None, :, :]), g
-    k = kernel_value(p, 1, gin.coords()[:, None], g.coords()[None, :])
-    kq = from_complex_pair(k.real, k.imag)
-    out = qmul(samples[:, :, None, :], kq[None, :, :, :]).sum(axis=1) * gin.dx
-    return out, g
-
-
-# ---------------------------------------------------------------------------
 # both paths
 
 def _two_sided(f: QSignal2D, p: QLCTParams, method: str,
@@ -185,8 +154,11 @@ def _two_sided(f: QSignal2D, p: QLCTParams, method: str,
         out = np.empty((*P.shape, 4))
         _join(P, M, *to_complex_pair(out))
         return QSignal2D(Grid2D.from_axes(plan.left.grid_out, plan.plus.grid_out), out)
-    h, o1 = _left_direct(p.A1, f.samples, g1, o1)
-    out, o2 = _right_direct(p.A2, h, g2, o2)
+    K1, o1 = kernel_matrix(p.A1, 1, g1, o1)
+    K2, o2 = kernel_matrix(p.A2, 1, g2, o2)
+    K1, K2 = from_complex_pair(K1, 0), from_complex_pair(K2.real.T, K2.imag.T)
+    h = qmul(K1[:, :, None, :], f.samples[None, :, :, :]).sum(axis=1)
+    out = qmul(h[:, :, None, :], K2[None, :, :, :]).sum(axis=1)
     return QSignal2D(Grid2D.from_axes(o1, o2), out)
 
 

@@ -92,8 +92,8 @@ class Grid2D:
     def shape(self) -> tuple[int, int]:
         return (self.n1, self.n2)
 
-    def approx_eq(self, other: "Grid2D", tol: float = 1e-9) -> bool:
-        return all(a.approx_eq(b, tol) for a, b in zip(self.axes, other.axes))
+    def approx_eq(self, other: "Grid2D") -> bool:
+        return all(a.approx_eq(b) for a, b in zip(self.axes, other.axes))
 
     def to_dict(self) -> dict:
         return {"n1": self.n1, "n2": self.n2, "dx1": self.dx1, "dx2": self.dx2,

@@ -11,8 +11,7 @@ import math
 import numpy as np
 
 from qlct.gabor import GaborCoefficients
-from qlct.lct1d import (Grid1D, LCTParams, ZeroBError, _check_sign,
-                        _resolve_out_grid, kernel_value)
+from qlct.lct1d import Grid1D, LCTParams, ZeroBError, _check_sign, kernel_matrix
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
 I = np.array([0.0, 1.0, 0.0, 0.0])
@@ -44,20 +43,19 @@ def qexp_axis(axis: str, theta) -> np.ndarray:
 
 def lct_direct(p: LCTParams, sign: int, f: np.ndarray, grid_in: Grid1D,
                grid_out: Grid1D | None = None) -> tuple[np.ndarray, Grid1D]:
-    """Quadrature transform by explicit kernel matrix along the last axis.
+    """Quadrature transform Q @ f by the explicit kernel matrix along the
+    last axis.
 
     O(N^2); the reference implementation the fast path is tested against.
     """
     _check_sign(sign)
     if p.b == 0:
         raise ZeroBError("lct_direct requires b != 0; use lct_scale_chirp")
-    grid_out = _resolve_out_grid(p, grid_in, grid_out)
+    Q, grid_out = kernel_matrix(p, sign, grid_in, grid_out)
     f = np.asarray(f, dtype=complex)
     if f.shape[-1] != grid_in.n:
         raise ValueError(f"last axis has {f.shape[-1]} samples, grid has {grid_in.n}")
-    kernel = kernel_value(p, sign, grid_in.coords()[None, :], grid_out.coords()[:, None])
-    out = np.einsum("mn,...n->...m", kernel, f) * grid_in.dx
-    return out, grid_out
+    return np.einsum("mn,...n->...m", Q, f), grid_out
 
 
 def cell_volume(G: GaborCoefficients) -> float:

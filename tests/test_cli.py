@@ -82,6 +82,31 @@ def test_forward_direct_method(tmp_path):
                  "--method", "direct"]) == 0
 
 
+@pytest.mark.parametrize("command", [["forward"], ["inverse"],
+                                     ["gabor", "analyze", "--stride", "128"]],
+                         ids=["forward", "inverse", "gabor-analyze"])
+def test_direct_method_over_the_budget_exits_2_before_any_transform(tmp_path, capsys,
+                                                                    command):
+    """The direct contraction of a 256x256 signal needs a 512 MiB array, above
+    VERIFY_BUDGET_BYTES: the command refuses it in one line once the input
+    has loaded, before it allocates any of it."""
+    src, out = tmp_path / "f.qsig", tmp_path / "out"
+    write_gaussian(src, n=256, dx=0.1)
+    tracemalloc.start()
+    try:
+        code = main([*command, "--method", "direct", "-i", str(src), "-o", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "byte budget" in captured.err
+    assert not out.exists()
+    assert peak < 2**25, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_non_unimodular_matrix_exits_2(tmp_path, capsys):
     src = tmp_path / "f.qsig"
     write_gaussian(src)
@@ -542,6 +567,14 @@ def test_verify_determinism_byte_identical(tmp_path):
                      "--report", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_verify_plancherel_direct_holds_on_a_fine_grid(capsys):
+    # at dx = 1e-10 the w-chirp of `generic` is about 1e20 rad: the direct
+    # kernel keeps the cross term only as a factor of its own
+    assert main(["verify", "plancherel", "--method", "direct", "--dx", "1e-10",
+                 "--trials", "1"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_grid_and_dx_flags(tmp_path):

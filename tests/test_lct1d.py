@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qlct.lct1d import (Grid1D, LCTParams, MatchedSamplingError, ZeroBError,
-                        conjugate_grid, kernel_value, lct_fast,
+                        conjugate_grid, kernel_matrix, kernel_value, lct_fast,
                         lct_scale_chirp, scale_chirp_grid)
 
 from oracles import lct_direct
@@ -237,6 +237,23 @@ def test_scale_chirp_requires_b_zero():
     g = Grid1D.centered(8, 1.0)
     with pytest.raises(ValueError, match="b = 0"):
         lct_scale_chirp(FOURIER, 1, np.ones(8, dtype=complex), g)
+
+
+@pytest.mark.parametrize("p", [LCTParams(2.0, 0.0, 0.7, 0.5),
+                               LCTParams(-1.6, 0.0, -0.3, -0.625)], ids=["a>0", "a<0"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_kernel_matrix_for_b_zero_is_the_scale_chirp(p, sign):
+    # the direct path's b = 0 matrix is a weighted permutation, the same
+    # index remap the fast path's plan makes
+    g = Grid1D.centered(16, 0.5)
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    Q, go = kernel_matrix(p, sign, g)
+    nonzero = Q != 0
+    assert (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()
+    want, gw = lct_scale_chirp(p, sign, f, g)
+    assert go == gw
+    np.testing.assert_allclose(Q @ f, want, rtol=1e-15, atol=0)
 
 
 # ---------------------------------------------------------------------------
