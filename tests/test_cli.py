@@ -571,7 +571,7 @@ def test_verify_determinism_byte_identical(tmp_path):
 
 def test_verify_plancherel_direct_holds_on_a_fine_grid(capsys):
     # at dx = 1e-10 the w-chirp of `generic` is about 1e20 rad: the direct
-    # kernel keeps the cross term only as a factor of its own
+    # path passes because its kernel keeps the cross term a factor of its own
     assert main(["verify", "plancherel", "--method", "direct", "--dx", "1e-10",
                  "--trials", "1"]) == 0
     assert capsys.readouterr().err == ""
