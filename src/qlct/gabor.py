@@ -36,7 +36,12 @@ amplitudes and every post-chirp is a unit phase, so `gabor_field_stats`,
 which reads |G|^2 only, leaves the post-chirps out too: it reduces
 |P|^2 + |M|^2 per translation while the block is in cache, sums the
 (ny1, ny2) tables, so every sum keeps its bits whatever the block size,
-and doubles the totals. A pass holds the f, phi and params it swept;
+and doubles the totals. With no j or k part in f or phi both halves are
+fa*conj(pa), and with a2 = 0 the right axis's pre-chirp is a linear
+phase, so the sign -1 kernel is the sign +1 kernel at -omega2, index
+n2 - 1 - k of the centred grid: such a |G|^2 pass (every real Gaussian
+one of `verify`) transforms P alone and reads M as P backwards along
+omega2. A pass holds the f, phi and params it swept;
 `gabor_plancherel_check` reads it.
 
 The dense field is stored y first, (ny1, ny2, nw1, nw2, 4), as the loop
@@ -162,7 +167,11 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     four planes are equal, it forms each half with one multiply. With
     post_chirp=False the blocks' plan leaves out the post-chirps too, for a
     consumer of |G|^2 alone: they are unit phases, so the halves keep
-    their moduli and |G|^2 = 2(|P|^2 + |M|^2) still holds."""
+    their moduli and |G|^2 = 2(|P|^2 + |M|^2) still holds. Such a pass
+    with p.A2.a == 0 and no j or k part in f or phi has equal halves and
+    a right pre-chirp that is a linear phase: it transforms P alone and
+    yields M = P[..., ::-1], which is exact, since the sign -1 kernel is
+    then the sign +1 kernel read at -omega2, index n2 - 1 - k."""
     if not f.grid.approx_eq(phi.grid):
         raise GridMismatchError("signal and window must share a grid")
     y_grid = translation_grid(f.grid, y_stride)
@@ -184,36 +193,48 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
                       for a in plan))
     fa, fb = to_complex_pair(f.samples)
     ifb = 1j * fb
+    mirrored = not (post_chirp or p.A2.a or f.samples[..., 2:].any()
+                    or phi.samples[..., 2:].any())
     # separate allocations, not one joint block: with a joint block, a 32x32
     # analyze-and-synthesize process peaked 2 MB higher in RSS
-    u, v = (np.empty((blocks[0].stop, *fa.shape), complex) for _ in range(2))
-    if not phi.samples[..., 1:].any():
+    u = np.empty((blocks[0].stop, *fa.shape), complex)
+    v = None if mirrored else np.empty_like(u)
+    if mirrored:
+        # both halves are fa*conj(pa) and M is P's omega2 mirror (see the
+        # docstring): one multiply and one transform per block
+        sp = pre_p * fa
+        pa = to_complex_pair(phi.samples)[0]
+        planes = (pa.conj() if pa.imag.any() else pa.real)[None]
+
+        def halves(w, k):
+            P = qlct2d._lct2d(plan.left, plan.plus, np.multiply(sp, w[0], out=u[:k]))
+            return P, P[..., ::-1]
+    elif not phi.samples[..., 1:].any():
         # a real phi's four planes are equal: the halves of f*phi are
         # (fa + i*fb)*phi and (fa - i*fb)*phi, one multiply each
         sp, sm = pre_p * (fa + ifb), pre_m * (fa - ifb)
         planes = phi.samples[None, ..., 0]
 
-        def window(w, bu, bv):
-            np.multiply(sp, w[0], out=bu)
-            np.multiply(sm, w[0], out=bv)
+        def halves(w, k):
+            return _two_sided_fast(plan, np.multiply(sp, w[0], out=u[:k]),
+                                   np.multiply(sm, w[0], out=v[:k]))
     else:
         pfa, pifb, mfa, mifb = pre_p * fa, pre_p * ifb, pre_m * fa, pre_m * ifb
         tmp = np.empty_like(u)
         planes = _window_halves(phi)
 
-        def window(w, bu, bv):
+        def halves(w, k):
             alpha, beta, calpha, cbeta = w
-            bt = tmp[:len(bu)]
+            bu, bv, bt = u[:k], v[:k], tmp[:k]
             np.add(np.multiply(pfa, alpha, out=bu),
                    np.multiply(pifb, cbeta, out=bt), out=bu)
             np.subtract(np.multiply(mfa, beta, out=bv),
                         np.multiply(mifb, calpha, out=bt), out=bv)
+            return _two_sided_fast(plan, bu, bv)
     sweep = _translates(planes, y_stride)
     for iy1 in range(y_grid.n1):
         for sl in blocks:
-            k = sl.stop - sl.start
-            window(sweep[:, iy1, sl], u[:k], v[:k])
-            yield (iy1, sl, *_two_sided_fast(plan, u[:k], v[:k]))
+            yield (iy1, sl, *halves(sweep[:, iy1, sl], sl.stop - sl.start))
 
 
 def gabor_analyze(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
@@ -289,7 +310,10 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
     reduced while it is in cache: one sum, max and `np.vecdot` per
     translation and omega-weight into (ny1, ny2) tables, whose sums are
     the totals; |G|^2 = 2(|P|^2 + |M|^2), so 2 then scales the totals,
-    the peak and the table, and 2^(p'/2) the p'-th power sums.
+    the peak and the table, and 2^(p'/2) the p'-th power sums. For f and
+    phi with no j or k part under a2 = 0, M is P's omega2 mirror (see
+    `iter_gabor_blocks`), so the pass runs half the FFTs and its table is
+    even in omega2 up to the order of its four squares.
     `plancherel_by_y_residual` is the largest gap between the energy of
     each translation, sum_omega |G(omega, y)|^2 domega, and
     `_windowed_energy`, over the largest right side. The |G|^2 table is

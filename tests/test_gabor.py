@@ -692,3 +692,142 @@ def test_field_stats_carry_the_inputs_they_swept():
     stats = gabor_field_stats(f, phi, p, method="direct")
     assert stats["f"] is f and stats["phi"] is phi and stats["params"] is p
     assert stats["method"] == "direct"
+
+
+# a2 = 0 on the right axis (the QFT's, generic's and a b2 < 0 matrix's):
+# a pass with no j or k part in f or phi reads M as P backwards along
+# omega2; neg-b (a2 = 2) and quaternion data keep both transforms
+_MIRROR_PARAMS = {"fourier": PARAM_SETS["fourier"], "generic": PARAM_SETS["generic"],
+                  "b2-neg": QLCTParams(PARAM_SETS["generic"].A1,
+                                       LCTParams(0.0, -2.0, 0.5, 3.0))}
+
+
+def iplane_signal(grid, seed):
+    """Random values in components 0 and 1: f = fa, with no j or k part."""
+    samples = np.zeros((grid.n1, grid.n2, 4))
+    samples[..., :2] = np.random.default_rng(seed).standard_normal((grid.n1, grid.n2, 2))
+    return QSignal2D(grid, samples)
+
+
+def iplane_window(grid):
+    """Gaussian times exp(i*theta(x)) with a phase varying over the grid."""
+    x1, x2 = grid.meshgrid()
+    theta = 0.7 * x1 - 0.4 * x2 + 0.2 * x1 * x2
+    samples = np.zeros((grid.n1, grid.n2, 4))
+    samples[..., 0], samples[..., 1] = np.cos(theta), np.sin(theta)
+    return QSignal2D(grid, samples * gaussian(grid, 0.8).samples[..., :1])
+
+
+_MIRROR_KWARGS = dict(s_values=(0.5, 1.0), pprimes=(1.5, 3.0), log_omega=True,
+                      abs_sq_table=True)
+
+
+def _assert_stats_match(sf, sd):
+    for key in ("energy", "max_abs", "log_omega_sum"):
+        if sd[key] is not None:
+            assert sf[key] == pytest.approx(sd[key], rel=1e-9), key
+    for key in ("moment_omega", "moment_y", "moment_joint", "power_sums"):
+        assert sf[key].keys() == sd[key].keys()
+        for k in sd[key]:
+            assert sf[key][k] == pytest.approx(sd[key][k], rel=1e-9), (key, k)
+    err = np.max(np.abs(sf["abs_sq_table"] - sd["abs_sq_table"]))
+    assert err <= 1e-9 * np.max(sd["abs_sq_table"])
+
+
+@pytest.mark.parametrize("name", list(_MIRROR_PARAMS))
+@pytest.mark.parametrize("n1,n2", [(10, 8), (9, 7)])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("window", ["real", "iplane"])
+def test_mirrored_pass_matches_direct(name, n1, n2, stride, window):
+    grid = Grid2D.centered(n1, n2, 0.6, 0.5)
+    f = iplane_signal(grid, n1 + n2 + stride)
+    phi = gaussian(grid, 0.8) if window == "real" else iplane_window(grid)
+    p = _MIRROR_PARAMS[name]
+    # an odd grid samples omega = 0, where ln|omega| has no value
+    kwargs = dict(_MIRROR_KWARGS, y_stride=stride, log_omega=n1 % 2 == 0)
+    sf = gabor_field_stats(f, phi, p, method="fast", **kwargs)
+    sd = gabor_field_stats(f, phi, p, method="direct", **kwargs)
+    _assert_stats_match(sf, sd)
+    assert sf["plancherel_by_y_residual"] <= 1e-12
+    # |G|^2 is even in omega2; the table's cells k and n2 - 1 - k add the
+    # same four squares in another order, so they agree to rounding
+    table = sf["abs_sq_table"]
+    np.testing.assert_allclose(table, table[..., ::-1], rtol=4 * np.finfo(float).eps)
+
+
+def test_mirror_one_omega2_column_off_disagrees_with_direct(monkeypatch):
+    # a mirror that reads M one omega2 cell off keeps every energy but
+    # moves the table and each omega-weighted sum beyond the oracle's 1e-9
+    grid = Grid2D.centered(10, 8, 0.6, 0.5)
+    f, phi, p = iplane_signal(grid, 66), gaussian(grid, 0.8), PARAM_SETS["fourier"]
+    blocks = gabor.iter_gabor_blocks
+
+    def off_by_one(*args, **kwargs):
+        for iy1, sl, P, M in blocks(*args, **kwargs):
+            assert np.shares_memory(P, M)  # the pass took the mirror
+            yield iy1, sl, P, np.roll(P[..., ::-1], 1, -1)
+
+    sd = gabor_field_stats(f, phi, p, method="direct", **_MIRROR_KWARGS)
+    _assert_stats_match(gabor_field_stats(f, phi, p, **_MIRROR_KWARGS), sd)
+    monkeypatch.setattr(gabor, "iter_gabor_blocks", off_by_one)
+    sf = gabor_field_stats(f, phi, p, **_MIRROR_KWARGS)
+    assert sf["energy"] == pytest.approx(sd["energy"], rel=1e-9)
+    assert sf["moment_omega"][1.0] != pytest.approx(sd["moment_omega"][1.0], rel=1e-9)
+    assert sf["log_omega_sum"] != pytest.approx(sd["log_omega_sum"], rel=1e-9)
+    err = np.max(np.abs(sf["abs_sq_table"] - sd["abs_sq_table"]))
+    assert err > 1e-9 * np.max(sd["abs_sq_table"])
+
+
+@pytest.mark.parametrize("name", [*_MIRROR_PARAMS, "neg-b"])
+@pytest.mark.parametrize("n1,n2", [(10, 8), (9, 7)])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_mirrored_blocks_match_the_two_half_path(name, n1, n2, stride, monkeypatch):
+    # each mirrored block transforms its one half once, with P bit-equal to
+    # a lone transform of the pass's halves and M its omega2 mirror, so the
+    # |G|^2 tables agree within 8 eps of their peak; a pass on neg-b
+    # (a2 != 0) or with post-chirps keeps both transforms and every bit
+    grid = Grid2D.centered(n1, n2, 0.6, 0.5)
+    f = iplane_signal(grid, 67)
+    p = _MIRROR_PARAMS.get(name) or PARAM_SETS[name]
+    mirrored = name != "neg-b"
+    _blocked(grid, stride, monkeypatch, "ragged")
+    kernels = []
+    lct2d = gabor.qlct2d._lct2d
+
+    def spy(plan1, plan2, g):
+        if plan1.pre is None:  # a block of the pass, not a lone transform
+            kernels.append(g.copy())
+        return lct2d(plan1, plan2, g)
+
+    monkeypatch.setattr(gabor.qlct2d, "_lct2d", spy)
+    plan = _fast_plan(p, *grid.axes)
+    yg = translation_grid(grid, stride)
+    eps = np.finfo(float).eps
+    for phi in (gaussian(grid, 0.8), iplane_window(grid)):
+        for post_chirp in (False, True):
+            lone = FastPlan(*(a._replace(pre=np.ones(a.pre.shape),
+                                         post=a.post if post_chirp else np.ones(a.post.shape))
+                              for a in plan))
+            mirror = mirrored and not post_chirp
+            got, want = (np.zeros((*yg.shape, grid.n1, grid.n2)) for _ in range(2))
+            blocks = 0
+            for iy1, sl, P, M in gabor.iter_gabor_blocks(f, phi, p, stride,
+                                                         post_chirp=post_chirp):
+                blocks += 1
+                assert len(kernels) == (1 if mirror else 2) * blocks
+                halves = [_folded_halves(f, phi, plan, (yg.coords1()[iy1], y2))
+                          for y2 in yg.coords2()[sl]]
+                want_u, want_v = (np.concatenate(h) for h in zip(*halves))
+                np.testing.assert_array_equal(kernels[-1 if mirror else -2], want_u)
+                want_P, want_M = _two_sided_fast(lone, want_u, want_v)
+                np.testing.assert_array_equal(P, want_P)
+                if not mirror:
+                    np.testing.assert_array_equal(M, want_M)
+                    continue
+                np.testing.assert_array_equal(M, P[..., ::-1])
+                pair_abs_sq(P, M, out=got[iy1, sl])
+                pair_abs_sq(want_P, want_M, out=want[iy1, sl])
+            assert blocks > yg.n1
+            if mirror:
+                np.testing.assert_array_less(np.abs(got - want), 8 * eps * want.max())
+            kernels.clear()

@@ -44,10 +44,11 @@ def test_tracer_counts_one_field_pass_of_a_young_check(monkeypatch):
     assert metrics["uncertainty.field_stats.calls"] == 1
     rows, transforms = metrics["gabor.rows.calls"], metrics["qlct2d.forward.calls"]
     assert (rows, transforms) == (8, 1)
-    # two separable 2D transforms, P and M, per Gabor row and per transform,
-    # each one FFT per axis
-    assert len(kernels) == 2 * (rows + transforms)
-    assert metrics["lct1d.fft.calls"] == 4 * (rows + transforms)
+    # two separable 2D transforms, P and M, per transform, each one FFT per
+    # axis; a Gabor row of a real f and window under a2 = 0 transforms P
+    # alone and reads M as its omega2 mirror
+    assert len(kernels) == rows + 2 * transforms
+    assert metrics["lct1d.fft.calls"] == 2 * rows + 4 * transforms
 
 
 @pytest.mark.parametrize("name", list(PARAM_SETS))
@@ -60,9 +61,9 @@ def test_tracer_counts_every_fft_of_a_transform(name):
     assert tracing.layer_metrics(tracer, [0], 1, 1.0)["lct1d.fft.calls"] == 4
 
 
-def test_tracer_counts_each_block_of_a_multi_block_pass(monkeypatch):
-    # a row of 8 translations in blocks of 3 runs as 3 blocks: each is one
-    # gabor.rows span and two separable 2D transforms
+def _multi_block_pass(monkeypatch, name):
+    """A young check's pass over an 8x8 real Gaussian whose rows of 8
+    translations run in blocks of 3: its metrics and `_lct2d` calls."""
     grid = Grid2D.centered(8, 8, 0.5, 0.5)
     f = gaussian(grid, 1.0)
     monkeypatch.setattr(gabor, "BLOCK_BYTES", 3 * 16 * grid.n1 * grid.n2)
@@ -72,13 +73,40 @@ def test_tracer_counts_each_block_of_a_multi_block_pass(monkeypatch):
                         lambda *args: kernels.append(args) or lct2d(*args))
     tracer = tracing.Tracer()
     with tracer.recording(0):
-        p = PARAM_SETS["generic"]
+        p = PARAM_SETS[name]
         uncertainty.young_sup_check(uncertainty.gabor_field_stats(f, f, p), 2.0)
     metrics = tracing.layer_metrics(tracer, [0], 1, 1.0)
     assert metrics["uncertainty.field_stats.calls"] == 1
     assert metrics["gabor.rows.calls"] == 8 * 3
-    assert len(kernels) == 2 * 8 * 3
+    return metrics, len(kernels)
+
+
+def test_tracer_counts_each_block_of_a_multi_block_pass(monkeypatch):
+    # each of the 3 blocks of a row is one gabor.rows span; under generic
+    # (a2 = 0) the real halves are equal, so a block is one separable 2D
+    # transform, P, with M read as its omega2 mirror
+    metrics, kernels = _multi_block_pass(monkeypatch, "generic")
+    assert kernels == 8 * 3
+    assert metrics["lct1d.fft.calls"] == 2 * 8 * 3
+
+
+def test_tracer_counts_both_halves_of_each_block_under_neg_b(monkeypatch):
+    # neg-b's right axis has a2 = 2, whose pre-chirp is no linear phase, so
+    # every block keeps both transforms, P and M, each one FFT per axis
+    metrics, kernels = _multi_block_pass(monkeypatch, "neg-b")
+    assert kernels == 2 * 8 * 3
     assert metrics["lct1d.fft.calls"] == 4 * 8 * 3
+
+
+def test_verify_lieb_transforms_one_half_per_gaussian_block(monkeypatch, capsys):
+    """lieb's three passes sweep real Gaussians under the QFT, so each of
+    their blocks makes one `_lct2d` call: 576 in all, where transforming
+    both halves made 1152."""
+    calls = []
+    lct2d = qlct2d._lct2d
+    monkeypatch.setattr(qlct2d, "_lct2d", lambda *args: calls.append(1) or lct2d(*args))
+    assert cli.main(["verify", "lieb"]) == 0
+    assert len(calls) == 576
 
 
 def test_traced_verify_lieb_counts_its_three_field_passes(capsys):
