@@ -29,15 +29,17 @@ from .qlct2d import (QLCTParams, forward_grid, qlct_forward, qlct_inverse,
                      qlct_plancherel_check)
 # bench/tracing.py wraps this name here; cli calls qlct_forward
 from .qlct2d import qlct_forward_fast  # noqa: F401
-from .signal import FormatError, Grid2D, WindowSpec, parse_window_spec
+from .signal import FormatError, Grid2D, NumericError, WindowSpec, parse_window_spec
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
 
-#: Largest coefficient array `gabor analyze` writes without --force: the
-#: stride-1 field of a 32x32 signal, 32^4 quaternions of 32 bytes.
+#: Largest coefficient payload `gabor analyze` writes to disk without
+#: --force: the stride-1 field of a 32x32 signal, 32^4 quaternions of 32
+#: bytes. A disk budget: the gabor commands hold one y1 row of the field
+#: at a time (1 MiB at 32x32), never the field.
 COEFF_BUDGET_BYTES = 32**4 * 32
 
 #: Largest array `verify` lets its --grid need, 128 MiB: 32 bytes a cell
@@ -101,10 +103,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise FormatError(f"bad grid spec {text!r}, expected e.g. 32x32") from None
 
 
-class NumericError(RuntimeError):
-    """Numeric contract violation: non-finite values produced."""
-
-
 def _quiet_overflow():
     """Silence numpy's overflow and invalid-value warnings inside a
     transform; `_finite_or_die` then reports the result in one line."""
@@ -164,14 +162,27 @@ def cmd_gabor_analyze(args) -> int:
     spec = parse_window_spec(args.window)
     phi = signal.make_window(spec, f.grid)
     with _quiet_overflow():
-        G = gabor.gabor_analyze(f, phi, p, args.stride, args.method)
-    _finite_or_die(G.coeffs, "gabor analyze")
-    manifest = gabor.save_coefficients(G, phi, args.output)
+        # rows are computed as they are written; a non-finite one raises
+        # NumericError and leaves the output directory as it was
+        G = gabor.gabor_stream(f, phi, p, args.stride, args.method)
+        manifest = gabor.save_coefficients(G, phi, args.output)
     print(f"wrote {G.y_grid.n1 * G.y_grid.n2} translations to {manifest}")
     return EXIT_OK
 
 
+def _refuse_overwriting(directory, *outputs) -> None:
+    """Refuse, before anything is read, an output path that resolves to a
+    file of the input coefficient directory."""
+    inputs = {os.path.realpath(os.path.join(directory, name))
+              for name in gabor.DIRECTORY_FILES}
+    for path in outputs:
+        if os.path.realpath(path) in inputs:
+            raise FormatError(f"output {path} would overwrite a file of the input "
+                              f"coefficient directory {directory}")
+
+
 def cmd_gabor_synthesize(args) -> int:
+    _refuse_overwriting(args.input, args.output)
     G, phi = gabor.load_coefficients(args.input)
     with _quiet_overflow():
         out = gabor.gabor_synthesize(G, phi)
@@ -193,6 +204,8 @@ def cmd_gabor_spectrogram(args) -> int:
         raise FormatError(f"slice {args.slice!r}: only fix_y and fix_omega take =I,J")
     elif kind not in ("max_over_y", "max_over_omega"):
         raise FormatError(f"unknown spectrogram slice kind {kind!r}")
+    pgm = str(args.output)
+    _refuse_overwriting(args.input, pgm, pgm + ".json", pgm + ".csv")
     G, _ = gabor.load_coefficients(args.input)
     with _quiet_overflow():
         field = gabor.spectrogram(G, kind, index)
@@ -616,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="window spec, e.g. gaussian:sigma=1.0,1.0")
     sp.add_argument("--stride", type=int, default=1)
     sp.add_argument("--force", action="store_true",
-                    help="allow a coefficient array above the 32 MiB budget")
+                    help="allow a coefficient payload above the 32 MiB disk budget")
     sp.set_defaults(func=cmd_gabor_analyze)
     sp = gsub.add_parser("synthesize")
     sp.add_argument("-i", "--input", required=True, help="coefficient directory")

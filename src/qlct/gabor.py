@@ -21,7 +21,7 @@ phi = pa + pb*j, f*conj(phi) has the halves fa*alpha + i*fb*conj(beta)
 and fa*beta - i*fb*conj(alpha), formed from one `_translates` sweep of
 the four window planes; a real window's four planes are equal, so its
 halves are (fa + i*fb)*phi and (fa - i*fb)*phi, from a sweep of one
-plane. Consumers read |G|^2 = 2(|P|^2 + |M|^2), only `gabor_analyze`
+plane. Consumers read |G|^2 = 2(|P|^2 + |M|^2), only `gabor_stream`
 joins the planes, and synthesis windows the inverse halves directly:
 H*phi = (P*conj(alpha) + M*conj(beta)) - i*(P*beta - M*alpha)*j. The
 direct path evaluates each translation with `gabor_analyze_at`, so it
@@ -44,14 +44,18 @@ one of `verify`) transforms P alone and reads M as P backwards along
 omega2. A pass holds the f, phi and params it swept;
 `gabor_plancherel_check` reads it.
 
-The dense field is stored y first, (ny1, ny2, nw1, nw2, 4), as the loop
-yields it: (n1*n2)^2 quaternions, about 33 MB for a 32x32 signal and 16x
-that for 64x64, built only by `gabor_analyze`.
-Larger runs should subsample with y_stride or stream through
-`iter_gabor_blocks`, as every `qlct verify` suite does; the concentration
-suites read the (n1*n2)^2 float64 |G|^2 table that `gabor_field_stats`
-copies out of the stream, a quarter of that size (8 MiB at 32x32, its
-budget).
+The field is indexed y first, (ny1, ny2, nw1, nw2, 4), as the loop
+yields it: (n1*n2)^2 quaternions, 32 MiB for a 32x32 signal and 16x that
+for 64x64. Its unit is the y1 row, (ny2, nw1, nw2, 4), 1 MiB at 32x32:
+`gabor_stream` joins the blocks of each row into one reused buffer,
+`save_coefficients` writes each row as it comes, `load_coefficients`
+reads them back one at a time, and synthesis and `spectrogram` consume
+them in order, so no command holds more than a row of the field. Only
+`gabor_analyze` builds the dense array, by collecting the rows, for
+library use. The `qlct verify` suites stream through `iter_gabor_blocks`;
+the concentration suites read the (n1*n2)^2 float64 |G|^2 table that
+`gabor_field_stats` copies out of the stream, a quarter of the field's
+size (8 MiB at 32x32, its budget).
 
 A coefficient directory, known to this module only, holds `coeffs.f64`
 (the raw little-endian float64 field in `AXIS_ORDER`, shaped by the
@@ -61,6 +65,8 @@ written last, `manifest.json`, which names that order.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -75,28 +81,56 @@ from .quat import (from_complex_pair, pair_abs_sq, qabs_sq, qconj, qmul,
                    to_complex_pair)
 from .qlct2d import (FastPlan, QLCTParams, _fast_plan, _halves, _join,
                      _two_sided_fast, forward_grid, qlct_forward)
-from .signal import (FormatError, Grid2D, GridMismatchError, QSignal2D, load,
-                     read_payload, save, translate, write_payload)
+from .signal import (FormatError, Grid2D, GridMismatchError, NumericError, QSignal2D,
+                     all_finite, check_payload_size, load, save, translate,
+                     write_payload)
+
+
+class RowStream:
+    """A field of the given shape, made one row shape[1:] at a time.
+
+    Iterating it makes a fresh pass of rows(), a callable returning an
+    iterator; a pass reuses one buffer, so a row is valid only until the
+    next. np.asarray(stream) collects the rows into a dense array."""
+
+    def __init__(self, shape: tuple[int, ...], rows):
+        self.shape = tuple(shape)
+        self._rows = rows
+
+    def __iter__(self):
+        return iter(self._rows())
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.empty(self.shape)
+        for i, row in enumerate(self):
+            out[i] = row
+        return out if dtype is None else out.astype(dtype, copy=False)
 
 
 @dataclass
 class GaborCoefficients:
-    """Dense Gabor field G(omega, y).
+    """Gabor field G(omega, y), read one y1 row at a time.
 
     coeffs has shape (ny1, ny2, nw1, nw2, 4), indexed (y1, y2, omega1,
-    omega2, component) like the |G|^2 table. y_grid carries the (possibly
-    strided) translation spacing used as the quadrature weight in y.
+    omega2, component) like the |G|^2 table: the dense array, or a
+    `RowStream` that computes or reads the rows again on each pass. y_grid
+    carries the (possibly strided) translation spacing used as the
+    quadrature weight in y.
     """
 
     omega_grid: Grid2D
     y_grid: Grid2D
-    coeffs: np.ndarray
+    coeffs: np.ndarray | RowStream
     params: QLCTParams
     window_norm_sq: float
     stride: int = 1
 
+    def rows(self):
+        """The rows coeffs[iy1], (ny2, nw1, nw2, 4) each, in y1 order."""
+        return iter(self.coeffs)
+
     def modulus_sq(self) -> np.ndarray:
-        return qabs_sq(self.coeffs)
+        return qabs_sq(np.asarray(self.coeffs))
 
 
 def translation_grid(grid: Grid2D, stride: int = 1) -> Grid2D:
@@ -237,17 +271,33 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
             yield (iy1, sl, *halves(sweep[:, iy1, sl], sl.stop - sl.start))
 
 
-def gabor_analyze(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
-                  y_stride: int = 1, method: str = "fast") -> GaborCoefficients:
-    """Dense Gabor analysis over the (strided) translation grid."""
+def _analysis_rows(shape, f, phi, p, y_stride, method):
+    """Yield each y1 row of the field, the blocks of `iter_gabor_blocks`
+    joined into one reused buffer of shape[1:]."""
+    row = np.empty(shape[1:])
+    ra, rb = to_complex_pair(row)
+    for _, sl, P, M in iter_gabor_blocks(f, phi, p, y_stride, method):
+        _join(P, M, ra[sl], rb[sl])
+        if sl.stop == len(row):
+            yield row
+
+
+def gabor_stream(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
+                 y_stride: int = 1, method: str = "fast") -> GaborCoefficients:
+    """Gabor analysis over the (strided) translation grid as a `RowStream`:
+    each pass runs the blocked sweep again and holds one row at a time."""
     omega_grid = forward_grid(f.grid, p)
     y_grid = translation_grid(f.grid, y_stride)
-    coeffs = np.empty((*y_grid.shape, *omega_grid.shape, 4))
-    ca, cb = to_complex_pair(coeffs)
-    for iy1, sl, P, M in iter_gabor_blocks(f, phi, p, y_stride, method):
-        _join(P, M, ca[iy1, sl], cb[iy1, sl])
-    return GaborCoefficients(omega_grid, y_grid, coeffs, p,
-                             phi.l2_norm_sq(), y_stride)
+    shape = (*y_grid.shape, *omega_grid.shape, 4)
+    rows = RowStream(shape, lambda: _analysis_rows(shape, f, phi, p, y_stride, method))
+    return GaborCoefficients(omega_grid, y_grid, rows, p, phi.l2_norm_sq(), y_stride)
+
+
+def gabor_analyze(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
+                  y_stride: int = 1, method: str = "fast") -> GaborCoefficients:
+    """Dense Gabor analysis: the rows of `gabor_stream`, collected."""
+    G = gabor_stream(f, phi, p, y_stride, method)
+    return dataclasses.replace(G, coeffs=np.asarray(G.coeffs))
 
 
 def gabor_synthesize(G: GaborCoefficients, phi: QSignal2D) -> QSignal2D:
@@ -281,9 +331,9 @@ def gabor_synthesize(G: GaborCoefficients, phi: QSignal2D) -> QSignal2D:
     acc_a = np.zeros((grid.n1, grid.n2), dtype=complex)
     acc_b = np.zeros((grid.n1, grid.n2), dtype=complex)
     sweep = _translates(_window_halves(phi)).swapaxes(0, 1)
-    ga, gb = to_complex_pair(G.coeffs)
-    for iy1, (alpha, beta, calpha, cbeta) in enumerate(sweep):
-        P, M = _two_sided_fast(plan, *_halves(ga[iy1], gb[iy1]))
+    for iy1, row in enumerate(G.rows()):
+        alpha, beta, calpha, cbeta = sweep[iy1]
+        P, M = _two_sided_fast(plan, *_halves(*to_complex_pair(row)))
         acc_a += (P * calpha + M * cbeta).sum(axis=0)
         acc_b += (P * beta - M * alpha).sum(axis=0)
     acc = from_complex_pair(acc_a, -1j * acc_b)
@@ -423,26 +473,29 @@ def spectrogram(G: GaborCoefficients, kind: str,
 
     kind is one of fix_y, fix_omega (with a cell index pair), max_over_y,
     max_over_omega. fix_y and max_over_y return a field over omega;
-    the others return a field over y.
+    the others return a field over y. Every kind reads each row once, in
+    order, so a stream's checks cover the whole field.
     """
-    mod2 = G.modulus_sq()
-    if kind == "fix_y":
+    if kind in ("fix_y", "fix_omega"):
+        name, grid = ("y", G.y_grid) if kind == "fix_y" else ("omega", G.omega_grid)
         i1, i2 = index
-        if not (0 <= i1 < G.y_grid.n1 and 0 <= i2 < G.y_grid.n2):
-            raise ValueError(f"y index {index} out of range "
-                             f"{G.y_grid.n1}x{G.y_grid.n2}")
-        return mod2[i1, i2]
-    if kind == "fix_omega":
-        i1, i2 = index
-        if not (0 <= i1 < G.omega_grid.n1 and 0 <= i2 < G.omega_grid.n2):
-            raise ValueError(f"omega index {index} out of range "
-                             f"{G.omega_grid.n1}x{G.omega_grid.n2}")
-        return mod2[:, :, i1, i2]
-    if kind == "max_over_y":
-        return mod2.max(axis=(0, 1))
-    if kind == "max_over_omega":
-        return mod2.max(axis=(2, 3))
-    raise ValueError(f"unknown spectrogram slice kind {kind!r}")
+        if not (0 <= i1 < grid.n1 and 0 <= i2 < grid.n2):
+            raise ValueError(f"{name} index {index} out of range {grid.n1}x{grid.n2}")
+    elif kind not in ("max_over_y", "max_over_omega"):
+        raise ValueError(f"unknown spectrogram slice kind {kind!r}")
+    shape = G.y_grid.shape if kind in ("fix_omega", "max_over_omega") else G.omega_grid.shape
+    out = np.full(shape, -np.inf) if kind == "max_over_y" else np.empty(shape)
+    for iy1, row in enumerate(G.rows()):
+        if kind == "fix_y":
+            if iy1 == i1:
+                out[...] = qabs_sq(row[i2])
+        elif kind == "fix_omega":
+            out[iy1] = qabs_sq(row[:, i1, i2])
+        elif kind == "max_over_y":
+            np.maximum(out, qabs_sq(row).max(axis=0), out=out)
+        else:
+            out[iy1] = qabs_sq(row).max(axis=(1, 2))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +505,49 @@ def spectrogram(G: GaborCoefficients, kind: str,
 AXIS_ORDER = ["y1", "y2", "omega1", "omega2", "component"]
 
 
+#: The files of a coefficient directory.
+DIRECTORY_FILES = ("coeffs.f64", "manifest.json", "window.qsig")
+
+
 def save_coefficients(G: GaborCoefficients, phi: QSignal2D, dirpath) -> str:
     """Write the payload, then the window, then the manifest; return the
-    manifest's path."""
+    manifest's path.
+
+    The rows go one at a time to `coeffs.f64.part`, each checked finite
+    and folded into the crc32 as it is written, and the file replaces
+    `coeffs.f64` only after the last row. A failed pass (a non-finite row
+    raises NumericError) removes it and every directory this call made,
+    so the directory is left as it was found."""
+    made, top = [], os.path.abspath(dirpath)
+    while not os.path.exists(top):
+        made.append(top)
+        top = os.path.dirname(top)
     os.makedirs(dirpath, exist_ok=True)
-    payload = np.ascontiguousarray(G.coeffs, dtype="<f8")
-    with open(os.path.join(dirpath, "coeffs.f64"), "wb") as fh:
-        write_payload(fh, payload)
+    payload = os.path.join(dirpath, "coeffs.f64")
+    part = payload + ".part"
+    crc = 0
+    try:
+        with open(part, "wb") as fh:
+            for iy1, row in enumerate(G.rows()):
+                row = np.ascontiguousarray(row, dtype="<f8")
+                if not all_finite(row):
+                    raise NumericError(f"non-finite coefficients in y1 row {iy1}; "
+                                       f"nothing written to {dirpath}")
+                crc = zlib.crc32(row, crc)
+                write_payload(fh, row)
+        # renaming over an existing file makes ext4 (auto_da_alloc) start
+        # the new file's writeback first, about 20 ms for a 32 MiB payload
+        # on a 2-vCPU host; removing the old one first does not
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(payload)
+        os.replace(part, payload)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        for path in made:  # innermost first
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
     save(os.path.join(dirpath, "window.qsig"), phi)
     manifest = {
         "omega_grid": G.omega_grid.to_dict(),
@@ -467,7 +556,7 @@ def save_coefficients(G: GaborCoefficients, phi: QSignal2D, dirpath) -> str:
         "window_norm_sq": G.window_norm_sq,
         "stride": G.stride,
         "axis_order": AXIS_ORDER,
-        "payload_crc32": zlib.crc32(payload),
+        "payload_crc32": crc,
     }
     path = os.path.join(dirpath, "manifest.json")
     with open(path, "w") as fh:
@@ -483,11 +572,14 @@ def _entry(value, kind: type = float):
 
 
 def load_coefficients(dirpath) -> tuple[GaborCoefficients, QSignal2D]:
-    """Read a directory written by `save_coefficients` as (G, phi). A
-    manifest that is not JSON, with a missing or invalid entry (an
-    axis_order other than `AXIS_ORDER` included) or one of the wrong JSON
-    type, or a payload whose size is not the one its grids give or whose
-    crc32 is not the manifest's, raises FormatError."""
+    """Open a directory written by `save_coefficients` as (G, phi), where
+    G.coeffs is a `RowStream` of `coeffs.f64`. A manifest that is not
+    JSON, with a missing or invalid entry (an axis_order other than
+    `AXIS_ORDER` included) or one of the wrong JSON type, or a payload
+    whose size is not the one its grids give, raises FormatError here,
+    before any row is read. Each pass reads one row at a time into one
+    buffer and raises FormatError at a non-finite row, or after the last
+    row when the payload's crc32 is not the manifest's."""
     path = os.path.join(dirpath, "manifest.json")
     try:  # an unreadable manifest raises OSError, which names its path
         with open(path, "rb") as fh:
@@ -505,12 +597,31 @@ def load_coefficients(dirpath) -> tuple[GaborCoefficients, QSignal2D]:
         raise FormatError(f"{path}: malformed manifest "
                           f"({type(exc).__name__}: {exc})") from None
     payload = os.path.join(dirpath, "coeffs.f64")
+    shape = (*y_grid.shape, *omega_grid.shape, 4)
     with open(payload, "rb") as fh:
-        coeffs = read_payload(fh, (*y_grid.shape, *omega_grid.shape, 4), payload)
-    if zlib.crc32(coeffs) != crc:
-        raise FormatError(f"{payload}: crc32 does not match the manifest's")
-    G = GaborCoefficients(omega_grid, y_grid, coeffs, params, window_norm_sq, stride)
+        check_payload_size(fh, shape, payload)
+    rows = RowStream(shape, lambda: _stored_rows(payload, shape, crc))
+    G = GaborCoefficients(omega_grid, y_grid, rows, params, window_norm_sq, stride)
     return G, load(os.path.join(dirpath, "window.qsig"))
+
+
+def _stored_rows(path, shape, crc):
+    """Yield the rows of the payload at path, each read into one reused
+    buffer and checked finite; after the last, a running crc32 other than
+    crc raises FormatError."""
+    row = np.empty(shape[1:], "<f8")
+    running = 0
+    with open(path, "rb") as fh:
+        check_payload_size(fh, shape, path)
+        for _ in range(shape[0]):
+            if fh.readinto(row) != row.nbytes:  # the file shrank since the check
+                raise FormatError(f"{path}: truncated payload")
+            if not all_finite(row):
+                raise FormatError(f"{path}: non-finite values in payload")
+            running = zlib.crc32(row, running)
+            yield row
+    if running != crc:
+        raise FormatError(f"{path}: crc32 does not match the manifest's")
 
 
 def export_pgm(field: np.ndarray, path) -> None:

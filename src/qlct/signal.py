@@ -14,9 +14,9 @@ then n1*n2 records of 4 f64 (w, x, y, z), row-major with axis 1
 outermost. Lossless.
 
 QSIG bodies and the Gabor coefficient payload share one float64 writer and
-one reader; the reader checks the file's size against the expected shape
-before it allocates, so no header or manifest can make it allocate more
-than the file holds.
+one size check, which compares the file's size with the expected shape
+before anything is read, so no header or manifest can make a reader
+allocate more than the file holds.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ _MAX_DIM = 2**24  # per-axis sanity cap for file headers
 
 class FormatError(ValueError):
     """Malformed QSIG file or coefficient directory."""
+
+
+class NumericError(RuntimeError):
+    """Numeric contract violation: non-finite values produced."""
 
 
 class GridMismatchError(ValueError):
@@ -280,16 +284,22 @@ def write_payload(fh, values: np.ndarray) -> None:
     np.ascontiguousarray(values, dtype="<f8").tofile(fh)
 
 
-def read_payload(fh, shape: tuple[int, ...], name) -> np.ndarray:
-    """Read the rest of fh as finite little-endian float64 values of shape;
-    its size is checked before anything is allocated."""
+def check_payload_size(fh, shape: tuple[int, ...], name) -> None:
+    """Refuse, from fstat alone, a rest of fh that is not float64 values
+    of shape."""
     need = math.prod(shape) * 8  # Python ints: no overflow
     have = os.fstat(fh.fileno()).st_size - fh.tell()
     if have < need:
         raise FormatError(f"{name}: truncated payload ({have} bytes, expected {need})")
     if have > need:
         raise FormatError(f"{name}: trailing data ({have - need} extra bytes)")
-    values = np.fromfile(fh, dtype="<f8", count=need // 8).reshape(shape)
+
+
+def read_payload(fh, shape: tuple[int, ...], name) -> np.ndarray:
+    """Read the rest of fh as finite little-endian float64 values of shape;
+    its size is checked before anything is allocated."""
+    check_payload_size(fh, shape, name)
+    values = np.fromfile(fh, dtype="<f8", count=math.prod(shape)).reshape(shape)
     if not all_finite(values):
         raise FormatError(f"{name}: non-finite values in payload")
     return values

@@ -239,6 +239,188 @@ def test_gabor_spectrogram_checks_the_slice_kind_before_reading(tmp_path, capsys
     assert not (tmp_path / "spec.pgm").exists()
 
 
+# ---------------------------------------------------------------------------
+# the coefficient directory, streamed one y1 row at a time
+
+#: Each spectrogram slice as the dense |G|^2 array (y1, y2, omega1, omega2) gives it.
+DENSE_SLICES = {"max_over_y": lambda mod2: mod2.max(axis=(0, 1)),
+                "max_over_omega": lambda mod2: mod2.max(axis=(2, 3)),
+                "fix_y=3,5": lambda mod2: mod2[3, 5],
+                "fix_omega=6,2": lambda mod2: mod2[:, :, 6, 2]}
+
+STREAM_OUTPUTS = ("back.qsig", "spec.pgm", "spec.pgm.json", "spec.pgm.csv")
+
+
+def _matrix_args(p):
+    return ["--a1", ",".join(map(repr, p.A1.astuple())),
+            "--a2", ",".join(map(repr, p.A2.astuple()))]
+
+
+def _analyzed(tmp_path, capsys):
+    """The coefficient directory of an 8x8 Gaussian."""
+    src, coef = tmp_path / "f.qsig", tmp_path / "coef"
+    write_gaussian(src, n=8)
+    assert main(["gabor", "analyze", "-i", str(src), "-o", str(coef)]) == 0
+    capsys.readouterr()
+    return coef
+
+
+def _contents(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def _synthesize_and_spectrogram(coef, tmp_path, capsys):
+    """(exit code, stderr) of synthesize and of spectrogram on coef, after
+    checking that neither left an output file."""
+    results = []
+    for argv in (["synthesize", "-o", str(tmp_path / "back.qsig")],
+                 ["spectrogram", "-o", str(tmp_path / "spec.pgm")]):
+        code = main(["gabor", argv[0], "-i", str(coef), *argv[1:]])
+        results.append((code, capsys.readouterr().err))
+    assert not [name for name in STREAM_OUTPUTS if (tmp_path / name).exists()]
+    return results
+
+
+@pytest.mark.parametrize("name", list(PARAM_SETS))
+def test_streamed_gabor_commands_write_the_dense_path_bytes(tmp_path, capsys, name):
+    p = PARAM_SETS[name]
+    src, coef = tmp_path / "f.qsig", tmp_path / "coef"
+    save(src, families.random_smooth(Grid2D.centered(8, 8, 0.5, 0.5),
+                                     np.random.default_rng(39)))
+    assert main(["gabor", "analyze", *_matrix_args(p), "-i", str(src),
+                 "-o", str(coef)]) == 0
+    phi = load(coef / "window.qsig")
+    G = gabor.gabor_analyze(load(src), phi, p)
+    assert (coef / "coeffs.f64").read_bytes() == G.coeffs.astype("<f8").tobytes()
+    assert main(["gabor", "synthesize", "-i", str(coef),
+                 "-o", str(tmp_path / "back.qsig")]) == 0
+    save(tmp_path / "dense.qsig", gabor.gabor_synthesize(G, phi))
+    assert (tmp_path / "back.qsig").read_bytes() == (tmp_path / "dense.qsig").read_bytes()
+    mod2 = G.modulus_sq()
+    for kind, take in DENSE_SLICES.items():
+        assert main(["gabor", "spectrogram", "-i", str(coef), "--slice", kind,
+                     "-o", str(tmp_path / "spec.pgm")]) == 0
+        gabor.export_pgm(take(mod2), tmp_path / "dense.pgm")
+        gabor.export_field_csv(take(mod2), tmp_path / "dense.pgm.csv")
+        for suffix in ("", ".json", ".csv"):
+            assert ((tmp_path / f"spec.pgm{suffix}").read_bytes()
+                    == (tmp_path / f"dense.pgm{suffix}").read_bytes()), (kind, suffix)
+
+
+def test_a_crc_mismatch_in_the_last_row_exits_2_writing_nothing(tmp_path, capsys):
+    coef = _analyzed(tmp_path, capsys)
+    raw = bytearray((coef / "coeffs.f64").read_bytes())
+    raw[-8] ^= 1  # the last value's lowest mantissa bit: still finite
+    (coef / "coeffs.f64").write_bytes(bytes(raw))
+    for code, err in _synthesize_and_spectrogram(coef, tmp_path, capsys):
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "crc32 does not match" in err
+
+
+def test_a_non_finite_middle_row_exits_2_writing_nothing(tmp_path, capsys):
+    coef = _analyzed(tmp_path, capsys)
+    row_bytes = 8 * 8 * 8 * 4 * 8
+    with open(coef / "coeffs.f64", "r+b") as fh:
+        fh.seek(4 * row_bytes + 800)
+        fh.write(struct.pack("<d", float("inf")))
+    for code, err in _synthesize_and_spectrogram(coef, tmp_path, capsys):
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "non-finite" in err
+
+
+@pytest.mark.parametrize("damage, message", [(b"", "truncated payload"),
+                                             (b"\0" * 8, "trailing data")])
+def test_a_payload_of_the_wrong_size_exits_2_before_any_row_is_read(
+        tmp_path, capsys, monkeypatch, damage, message):
+    coef = _analyzed(tmp_path, capsys)
+    raw = (coef / "coeffs.f64").read_bytes()
+    (coef / "coeffs.f64").write_bytes(raw + damage if damage else raw[:-8])
+    monkeypatch.setattr(gabor, "_stored_rows", lambda *args: pytest.fail("read a row"))
+    for code, err in _synthesize_and_spectrogram(coef, tmp_path, capsys):
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
+
+
+@pytest.mark.parametrize("kind", list(DENSE_SLICES))
+def test_every_spectrogram_of_an_overflowing_field_exits_3(tmp_path, capsys, kind):
+    f = gaussian(Grid2D.centered(8, 8, 0.5, 0.5), 1.0)
+    G = gabor.gabor_analyze(f, f, PARAM_SETS["fourier"])
+    gabor.save_coefficients(dataclasses.replace(G, coeffs=G.coeffs * 1e300), f,
+                            tmp_path / "coef")
+    code = main(["gabor", "spectrogram", "-i", str(tmp_path / "coef"),
+                 "--slice", kind, "-o", str(tmp_path / "spec.pgm")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-finite" in err
+    assert not [name for name in STREAM_OUTPUTS if (tmp_path / name).exists()]
+
+
+@pytest.mark.parametrize("via", ["directory", "symlink"])
+@pytest.mark.parametrize("command, name", [
+    ("synthesize", "coeffs.f64"), ("synthesize", "window.qsig"),
+    ("synthesize", "manifest.json"), ("spectrogram", "coeffs.f64"),
+    ("spectrogram", "window.qsig"),
+    # the PGM's .json sidecar would replace the manifest
+    ("spectrogram", "manifest")])
+def test_an_output_onto_the_input_directory_exits_2_leaving_it(tmp_path, capsys,
+                                                                command, name, via):
+    coef = _analyzed(tmp_path, capsys)
+    before = _contents(coef)
+    where = coef
+    if via == "symlink":
+        where = tmp_path / "alias"
+        where.symlink_to(coef)
+    code = main(["gabor", command, "-i", str(coef), "-o", str(where / name)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: output {where / name}") and err.count("\n") == 1, err
+    assert "input coefficient directory" in err
+    assert _contents(coef) == before
+
+
+def test_a_failed_gabor_analyze_leaves_what_it_found(tmp_path, capsys):
+    coef = _analyzed(tmp_path, capsys)
+    before = _contents(coef)
+    huge = tmp_path / "huge.qsig"
+    save(huge, QSignal2D(Grid2D.centered(8, 8, 0.5, 0.5), np.full((8, 8, 4), 1e308)))
+    for out in (coef, tmp_path / "new" / "coef"):
+        code = main(["gabor", "analyze", "-i", str(huge), "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite" in err
+    assert _contents(coef) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["coef", "f.qsig", "huge.qsig"]
+
+
+def test_gabor_commands_hold_a_row_not_the_field(tmp_path, capsys):
+    """Every gabor command on a 32x32 signal peaks at 4 MiB of traced
+    allocations or less; the dense field alone is 32 MiB."""
+    src, coef = tmp_path / "f.qsig", tmp_path / "coef"
+    save(src, families.random_smooth(families.default_grid(32), np.random.default_rng(0)))
+    commands = {"analyze": ["analyze", "-i", str(src), "-o", str(coef)],
+                "synthesize": ["synthesize", "-i", str(coef),
+                               "-o", str(tmp_path / "back.qsig")]}
+    for kind in ("max_over_y", "max_over_omega", "fix_y=16,16", "fix_omega=16,16"):
+        commands[kind] = ["spectrogram", "-i", str(coef), "--slice", kind,
+                          "-o", str(tmp_path / "spec.pgm")]
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, argv in commands.items():
+            tracemalloc.reset_peak()
+            assert main(["gabor", *argv]) == 0
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    over = {k: f"{v / 2**20:.2f} MiB" for k, v in peaks.items() if v > 4 * 2**20}
+    assert not over, over
+
+
 @pytest.mark.parametrize("kind", ["max_over_y", "max_over_omega"])
 def test_gabor_spectrogram_refuses_a_value_on_a_max_slice(tmp_path, capsys, kind):
     src, coef = tmp_path / "f.qsig", tmp_path / "coef"

@@ -17,7 +17,8 @@ from qlct.gabor import (GaborCoefficients, _translates, export_field_csv,
 from qlct.lct1d import LCTParams, axis_plan
 from qlct.qlct2d import (FastPlan, QLCTParams, _fast_plan, _two_sided_fast,
                          forward_grid, qlct_forward_fast, qlct_inverse)
-from qlct.signal import Grid2D, QSignal2D, WindowSpec, make_window, translate
+from qlct.signal import (FormatError, Grid2D, NumericError, QSignal2D, WindowSpec,
+                         make_window, translate)
 from qlct.quat import pair_abs_sq, qabs_sq, qconj, qmul
 
 from test_qlct2d import MIXED_CASES
@@ -384,6 +385,75 @@ def test_coefficient_save_load_round_trip(tmp_path):
     assert back.window_norm_sq == G.window_norm_sq
     assert back.stride == G.stride
     assert np.array_equal(phi_back.samples, phi.samples)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("n1,n2", [(8, 8), (9, 7)])
+def test_computed_and_stored_rows_are_the_dense_rows_bit_for_bit(tmp_path, n1, n2,
+                                                                  stride):
+    grid = Grid2D.centered(n1, n2, 0.6, 0.5)
+    f = random_quaternion_signal(grid, np.random.default_rng(n1 * n2 + stride))
+    phi = quaternion_window(grid)
+    p = PARAM_SETS["generic"]
+    dense = gabor_analyze(f, phi, p, stride).coeffs
+    computed = gabor.gabor_stream(f, phi, p, stride)
+    save_coefficients(computed, phi, tmp_path)
+    assert (tmp_path / "coeffs.f64").read_bytes() == dense.astype("<f8").tobytes()
+    stored, _ = load_coefficients(tmp_path)
+    for G in (computed, stored):
+        assert isinstance(G.coeffs, gabor.RowStream)
+        assert G.coeffs.shape == dense.shape
+        rows = [row.copy() for row in G.rows()]  # a pass reuses one buffer
+        assert len(rows) == len(dense)
+        for got, want in zip(rows, dense):
+            assert got.tobytes() == want.tobytes()
+        assert np.asarray(G.coeffs).tobytes() == dense.tobytes()
+
+
+def test_a_stored_pass_checks_the_crc_after_its_last_row(tmp_path):
+    grid = Grid2D.centered(8, 8, 0.6, 0.6)
+    f = random_quaternion_signal(grid, np.random.default_rng(36))
+    save_coefficients(gabor_analyze(f, f, PARAM_SETS["fourier"]), f, tmp_path)
+    payload = tmp_path / "coeffs.f64"
+    raw = bytearray(payload.read_bytes())
+    raw[-8] ^= 1  # the last value's lowest mantissa bit: still finite
+    payload.write_bytes(bytes(raw))
+    G, _ = load_coefficients(tmp_path)
+    rows = G.rows()
+    for _ in range(G.y_grid.n1):
+        next(rows)
+    with pytest.raises(FormatError, match="crc32 does not match"):
+        next(rows)
+
+
+@pytest.mark.parametrize("damage, message", [(b"", "truncated payload"),
+                                             (b"\0" * 8, "trailing data")])
+def test_a_payload_of_the_wrong_size_is_refused_before_any_row_is_read(
+        tmp_path, monkeypatch, damage, message):
+    grid = Grid2D.centered(8, 8, 0.6, 0.6)
+    f = random_quaternion_signal(grid, np.random.default_rng(37))
+    save_coefficients(gabor_analyze(f, f, PARAM_SETS["fourier"]), f, tmp_path)
+    payload = tmp_path / "coeffs.f64"
+    raw = payload.read_bytes()
+    payload.write_bytes(raw + damage if damage else raw[:-8])
+    monkeypatch.setattr(gabor, "_stored_rows", lambda *args: pytest.fail("read a row"))
+    with pytest.raises(FormatError, match=message):
+        load_coefficients(tmp_path)
+
+
+def test_a_failed_save_leaves_an_older_directory_as_it_was(tmp_path):
+    grid = Grid2D.centered(8, 8, 0.6, 0.6)
+    f = random_quaternion_signal(grid, np.random.default_rng(38))
+    G = gabor_analyze(f, f, PARAM_SETS["fourier"])
+    save_coefficients(G, f, tmp_path / "coef")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "coef").iterdir()}
+    coeffs = G.coeffs.copy()
+    coeffs[5, 3, 2, 1, 0] = np.nan  # a middle row
+    for out in ("coef", "new/nested"):
+        with pytest.raises(NumericError, match="y1 row 5"):
+            save_coefficients(dataclasses.replace(G, coeffs=coeffs), f, tmp_path / out)
+    assert {p.name: p.read_bytes() for p in (tmp_path / "coef").iterdir()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["coef"]
 
 
 def test_pgm_and_csv_export(tmp_path):
