@@ -331,11 +331,21 @@ def gabor_synthesize(G: GaborCoefficients, phi: QSignal2D) -> QSignal2D:
     acc_a = np.zeros((grid.n1, grid.n2), dtype=complex)
     acc_b = np.zeros((grid.n1, grid.n2), dtype=complex)
     sweep = _translates(_window_halves(phi)).swapaxes(0, 1)
+    # M becomes P calpha + M cbeta and P becomes P beta - M alpha in place, an
+    # eighth of a row at a time through two buffers made once
+    x, y = np.empty((2, max(1, G.y_grid.n2 // 8), grid.n1, grid.n2), dtype=complex)
     for iy1, row in enumerate(G.rows()):
-        alpha, beta, calpha, cbeta = sweep[iy1]
         P, M = _two_sided_fast(plan, *_halves(*to_complex_pair(row)))
-        acc_a += (P * calpha + M * cbeta).sum(axis=0)
-        acc_b += (P * beta - M * alpha).sum(axis=0)
+        for k in range(0, len(P), len(x)):
+            p, m, n = P[k:k + len(x)], M[k:k + len(x)], min(len(x), len(P) - k)
+            alpha, beta, calpha, cbeta = sweep[iy1, :, k:k + len(x)]
+            np.multiply(p, calpha, out=x[:n])
+            np.multiply(m, cbeta, out=y[:n])
+            np.subtract(np.multiply(p, beta, out=p), np.multiply(m, alpha, out=m), out=p)
+            np.add(x[:n], y[:n], out=m)
+        acc_a += M.sum(axis=0)
+        acc_b += P.sum(axis=0)
+        del P, M, p, m  # the halves, freed before the next row's are made
     acc = from_complex_pair(acc_a, -1j * acc_b)
     acc *= G.y_grid.cell_area / norm_sq
     return QSignal2D(grid, acc)

@@ -25,6 +25,7 @@ class InequalityReport:
     -|lhs - rhs| for equalities). ratio is always lhs / rhs.
     empirical_constant records the constant that would make the relation
     an equality on this input, for the existential-constant theorems.
+    gate is the record `gated` stamps on it.
     """
 
     name: str
@@ -37,6 +38,7 @@ class InequalityReport:
     grid: dict | None = None
     seed: int | None = None
     notes: str = ""
+    gate: dict | None = None
 
     def to_dict(self) -> dict:
         d = {
@@ -50,6 +52,7 @@ class InequalityReport:
             "params": _plain(self.params),
             "grid": _plain(self.grid) if self.grid is not None else None,
             "seed": self.seed,
+            "gate": self.gate,
         }
         if self.notes:
             d["notes"] = self.notes
@@ -72,6 +75,16 @@ def equality(name: str, lhs: float, rhs: float, **kw) -> InequalityReport:
     """Relation lhs == rhs up to quadrature error; margin is -|lhs - rhs|."""
     lhs, rhs = float(lhs), float(rhs)
     return InequalityReport(name, lhs, rhs, -abs(lhs - rhs), _ratio(lhs, rhs), **kw)
+
+
+def gated(rep: InequalityReport, kind: str, tol: float | None = None) -> InequalityReport:
+    """Stamp rep with its gate record {"kind", "tol", "passed"}: passed is
+    margin >= tol ("margin"), |ratio - 1| <= tol ("ratio") or ratio > 0
+    ("positive"), so false on a NaN, or None for a record-only "none"."""
+    passed = {"margin": lambda: rep.margin >= tol, "ratio": lambda: abs(rep.ratio - 1.0) <= tol,
+              "positive": lambda: rep.ratio > 0.0, "none": lambda: None}[kind]()
+    rep.gate = {"kind": kind, "tol": tol, "passed": None if passed is None else bool(passed)}
+    return rep
 
 
 def _plain(obj):
@@ -97,7 +110,7 @@ def reports_to_csv(reports: list[InequalityReport]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["name", "lhs", "rhs", "margin", "ratio",
-                     "empirical_constant", "seed", "params"])
+                     "empirical_constant", "seed", "params", "gate"])
     for r in reports:
         d = r.to_dict()
         writer.writerow([
@@ -106,5 +119,6 @@ def reports_to_csv(reports: list[InequalityReport]) -> str:
             "" if d["empirical_constant"] is None else repr(d["empirical_constant"]),
             "" if d["seed"] is None else d["seed"],
             json.dumps(d["params"], sort_keys=True),
+            json.dumps(d["gate"], sort_keys=True),
         ])
     return buf.getvalue()

@@ -5,7 +5,8 @@ returns an `InequalityReport`. Bounds with explicit constants (Young,
 concentration, the epsilon-concentration measure bound) are expected to
 hold up to rounding; existential-constant statements (Heisenberg, Lieb,
 moment concentration) only record the empirical constant that would make
-equality, so callers assert positivity and stability, never a fixed value.
+equality. The checks gate nothing: `cli.Collector` stamps each report
+with its gate, and `qlct verify` reports that constant's stability.
 
 Every Gabor field check takes `stats`, a streamed pass of
 `gabor.gabor_field_stats`, and its own argument only. The pass carries

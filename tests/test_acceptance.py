@@ -30,6 +30,7 @@ from qlct.uncertainty import (amgm_dilation_identity, concentration_check,
 
 from oracles import lct_direct
 from test_qlct2d import two_sided_qft_oracle
+from test_report import exit_code
 from test_uncertainty import field_check
 
 MARK = "ACCEPTANCE"
@@ -395,3 +396,22 @@ def test_qlct_plancherel_residuals_hold_the_identity(verify_all_runs):
     assert reports
     for r in reports:
         assert abs(r["lhs"] - r["rhs"]) <= 1e-12 * r["lhs"], r["params"]
+
+
+def test_verify_all_exit_code_is_read_off_its_gates(verify_all_runs):
+    """The run exited 0 (the fixture asserts it), and so does the exit code
+    recomputed from its JSON; every report carries a gate, and only the
+    printed Lieb and Hausdorff-Young bounds are record-only."""
+    _, first, _ = verify_all_runs
+    reports = json.loads(first)
+    assert exit_code(reports) == 0
+    assert {r["gate"]["kind"] for r in reports} == {"margin", "ratio", "positive", "none"}
+    assert {r["name"] for r in reports if r["gate"]["kind"] == "none"} == {
+        "lieb", "hausdorff-young"}
+
+
+def test_lieb_pprime_2_report_flags_the_printed_constant(verify_all_runs):
+    _, first, _ = verify_all_runs
+    [rep] = [r for r in json.loads(first)
+             if r["name"] == "lieb" and r["params"]["p_prime"] == 2.0]
+    assert rep["notes"].startswith("printed constant is inconsistent at p' = 2")
