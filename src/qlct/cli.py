@@ -51,10 +51,11 @@ VERIFY_BUDGET_BYTES = 2**27
 #: stride-1 field of a 128x128 signal. A pass's time grows with its cells
 #: (n1 n2 translations of an n1 x n2 transform), not with any one array.
 VERIFY_PASS_CELLS = 2**28
-#: Most --trials `verify` takes: young's plan holds a 16x16 signal and its
-#: pass's stats, 9.2 KiB a trial (tracemalloc at 1000 trials), so its
-#: largest plan, about 90 MiB, stays under VERIFY_BUDGET_BYTES.
-MAX_TRIALS = 10_000
+#: Most --trials `verify` takes: a whole `verify all` run peaks at about
+#: 38 KiB a trial (tracemalloc), most of it young's and plancherel's
+#: reports as the run serializes them, so at 3000 trials it peaks at
+#: 110 MiB, under VERIFY_BUDGET_BYTES.
+MAX_TRIALS = 3000
 
 
 @dataclass
@@ -147,6 +148,10 @@ def cmd_qlct(args) -> int:
 
 
 def cmd_gabor_analyze(args) -> int:
+    # the input may sit in the output directory, under a name analysis writes
+    _refuse_overwriting([args.input], f"its input {args.input}",
+                        *(os.path.join(args.output, name)
+                          for name in (*gabor.DIRECTORY_FILES, "coeffs.f64.part")))
     p = _parse_params(args)
     f = signal.load(args.input)
     if args.method == "direct":
@@ -239,20 +244,12 @@ class Collector:
     @property
     def failures(self) -> list[str]:
         def line(i, r):
-            tags = "".join(f" {k} {r.params[k]}" for k in ("family", "trial") if k in r.params)
+            tags = "".join(f" {k} {r.params[k]}" for k in ("family", "trial", "readers")
+                           if k in r.params)
             notes = f" ({r.notes})" if r.notes else ""
             return (f"[{i}] {r.name}{tags}: {r.gate['kind']} gate at {r.gate['tol']!r} fails "
                     f"with margin {r.margin!r} ratio {r.ratio!r}{notes}")
         return [line(i, r) for i, r in enumerate(self.reports) if r.gate["passed"] is False]
-
-
-def _residuals(out: Collector, fields, by_trial: bool = False) -> None:
-    """Per (family, stats) entry, its pass's Plancherel residual: at most 1e-10."""
-    for k, (family, stats) in enumerate(fields):
-        out.add(report.upper_bound("plancherel-by-y", stats["plancherel_by_y_residual"], 1e-10,
-                                   grid=stats["f"].grid.to_dict(),
-                                   notes="per-translation Plancherel residual of the pass"),
-                ("margin", 0.0), **({"trial": k} if by_trial else {"family": family}))
 
 
 #: Fourier matrices on both axes: the two-sided quaternion Fourier transform.
@@ -291,7 +288,7 @@ def _gaussian_specs(cfg: VerifyConfig) -> list:
 def _gaussian_constants(out: Collector, name: str, fields, check, dilation_tol=None) -> None:
     """Run check(stats, 1) on each `_gaussian_specs` field, its empirical
     constant (its ratio) gated positive; report that at 32^2 against 64^2,
-    with dilation_tol each dilate's against their mean, and the residuals."""
+    and with dilation_tol each dilate's against their mean."""
     c = {family: out.add(check(stats, 1.0), ("positive",), family=family).empirical_constant
          for family, stats in fields}
     out.add(report.equality(f"{name}-grid-stability", c["gaussian-32"], c["gaussian-64"]),
@@ -301,7 +298,6 @@ def _gaussian_constants(out: Collector, name: str, fields, check, dilation_tol=N
         out.add(report.equality(f"{name}-dilation-stability", c[family],
                                 sum(c[d] for d in dilates) / 3), ("ratio", dilation_tol),
                 family=family)
-    _residuals(out, fields)
 
 
 def _table_specs(cfg: VerifyConfig) -> list:
@@ -367,7 +363,6 @@ def _log_specs(cfg: VerifyConfig) -> list:
 def suite_log(cfg: VerifyConfig, out: Collector, fields):
     for family, stats in fields:
         out.add(uncertainty.log_check(stats), ("margin", -1e-3), family=family)
-    _residuals(out, fields)
 
 
 def suite_lemma_log(cfg: VerifyConfig, out: Collector, fields):
@@ -402,7 +397,6 @@ def suite_lieb(cfg: VerifyConfig, out: Collector, fields):
     plancherel_rhs = stats["f"].l2_norm_sq() * stats["phi"].l2_norm_sq()
     out.add(report.equality("lieb-plancherel", rep2.lhs, plancherel_rhs, params={"p_prime": 2.0}),
             ("margin", -1e-9 * plancherel_rhs))
-    _residuals(out, fields)
 
 
 def _young_specs(cfg: VerifyConfig) -> list:
@@ -420,7 +414,6 @@ def suite_young(cfg: VerifyConfig, out: Collector, fields):
     for k, (_, stats) in enumerate(fields):
         for hp in (2.0, 4.0):
             out.add(uncertainty.young_sup_check(stats, hp), ("margin", -1e-6), trial=k)
-    _residuals(out, fields, by_trial=True)
 
 
 def suite_hausdorff_young(cfg: VerifyConfig, out: Collector, fields):
@@ -533,6 +526,18 @@ def verify_plan(cfg: VerifyConfig, names) -> dict[str, list]:
     return plan
 
 
+def witness_passes(out: Collector, plan: dict[str, list]) -> None:
+    """One `plancherel-by-y` report per pass of `plan`, in plan order, with its readers."""
+    readers: dict[int, tuple] = {}  # a field's entries share its stats, and every pass is alive
+    for name, fields in plan.items():
+        for k, (family, stats) in enumerate(fields):
+            readers.setdefault(id(stats), (stats, []))[1].append((name, family, k))
+    for stats, who in readers.values():
+        out.add(report.upper_bound("plancherel-by-y", stats["plancherel_by_y_residual"], 1e-10,
+                                   **uncertainty._pass_record(stats, readers=who)),
+                ("margin", 0.0))
+
+
 def cmd_verify(args) -> int:
     cfg = VerifyConfig(seed=args.seed, trials=args.trials, method=args.method)
     if args.grid is not None:
@@ -549,6 +554,9 @@ def cmd_verify(args) -> int:
     names = VERIFY_NAMES if args.suite == "all" else [args.suite]
     plan = verify_plan(cfg, names)
     out = Collector(cfg.seed)
+    witness_passes(out, plan)
+    if out.reports:
+        print(f"field passes: {'FAIL' if out.failures else 'pass'} ({len(out.reports)} reports)")
     for name in names:
         start = len(out.reports)
         # popped, so a suite's signals and passes are freed once it has run

@@ -12,12 +12,11 @@ Every Gabor field check takes `stats`, a streamed pass of
 `gabor.gabor_field_stats`, and its own argument only. The pass carries
 the f, phi, params and method it swept, so a check reads its inputs from
 it alone and makes no pass of its own; a sum the pass was not asked for
-raises ValueError. The heisenberg, log, lieb, young and
-moment-concentration reports carry the pass's per-translation Plancherel
-residual (`_pass_record`). The concentration checks read the |G|^2 table
-a pass copies out, never a dense quaternion field; their masks are
-boolean arrays shaped like that table, measured by `mask_measure` at the
-table's own cell volume.
+raises ValueError. No check copies the pass's Plancherel residual:
+`qlct verify` gates it once per pass. The concentration checks read the
+|G|^2 table a pass copies out, never a dense quaternion field; their
+masks are boolean arrays shaped like that table, measured by
+`mask_measure` at the table's own cell volume.
 
 `sweep_fields` makes those passes for a list of requests: one pass per
 distinct field over the union of the requests made of it, each request
@@ -163,11 +162,8 @@ def _require_field_energy(stats: dict):
 
 
 def _pass_record(stats: dict, **params) -> dict:
-    """The params and grid of a field check's report: the check's own
-    params, then its pass's Plancherel residual, method and matrices."""
-    return {"params": {**params,
-                       "plancherel_by_y_residual": stats["plancherel_by_y_residual"],
-                       "method": stats["method"], **stats["params"].to_dict()},
+    """A pass report's params and grid: its own params, then the pass's method and matrices."""
+    return {"params": {**params, "method": stats["method"], **stats["params"].to_dict()},
             "grid": stats["f"].grid.to_dict()}
 
 

@@ -354,15 +354,42 @@ def test_verify_all_passes_are_its_declared_fields(verify_all_runs, verify_all_p
         assert set(keys) == declared
 
 
+def test_verify_all_gates_each_pass_once(verify_all_runs):
+    """One `plancherel-by-y` report per distinct pass, first in the run,
+    whose readers are every declared (suite, family, entry index) once;
+    no other report copies a pass's residual."""
+    _, first, _ = verify_all_runs
+    reports = json.loads(first)
+    witness = [r for r in reports if r["name"] == "plancherel-by-y"]
+    assert len(witness) == VERIFY_ALL_PASSES
+    assert reports[:VERIFY_ALL_PASSES] == witness
+    assert all(r["gate"] == {"kind": "margin", "tol": 0.0, "passed": True} and r["rhs"] == 1e-10
+               for r in witness)
+    declared = [[name, family, k] for name, specs in cli.SUITE_FIELDS.items()
+                for k, (family, *_) in enumerate(specs(cli.VerifyConfig()))]
+    readers = [reader for r in witness for reader in r["params"]["readers"]]
+    assert sorted(readers) == sorted(declared)
+    assert not any("plancherel_by_y_residual" in r["params"] for r in reports)
+
+
 def _report_mismatches(got, want, where="report"):
     """Every path where got differs from want: keys, strings and ints
-    equal, floats to rel 1e-12 / abs 1e-14."""
+    equal, floats to rel 1e-12 / abs 1e-14. Lists of reports of another
+    length differ in one line: both counts and the first index whose
+    report names differ."""
     if isinstance(want, dict):
         if not isinstance(got, dict) or sorted(got) != sorted(want):
             return [f"{where}: keys {got!r} vs pinned {want!r}"]
         return [m for key in want
                 for m in _report_mismatches(got[key], want[key], f"{where}.{key}")]
     if isinstance(want, list):
+        if isinstance(got, list) and len(got) != len(want) and all(
+                isinstance(r, dict) for r in got + want):
+            got_names, want_names = ([r.get("name") for r in rs] for rs in (got, want))
+            i = next((i for i, (g, w) in enumerate(zip(got_names, want_names)) if g != w),
+                     min(len(got), len(want)))
+            return [f"{where}: {len(got)} reports vs pinned {len(want)}; names first differ at "
+                    f"[{i}]: {got_names[i:i + 1]} vs pinned {want_names[i:i + 1]}"]
         if not isinstance(got, list) or len(got) != len(want):
             return [f"{where}: {got!r} vs pinned {want!r}"]
         return [m for i, (g, w) in enumerate(zip(got, want))

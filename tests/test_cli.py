@@ -1,6 +1,7 @@
+import contextlib
 import dataclasses
-import gc
 import json
+import os
 import struct
 import time
 import tracemalloc
@@ -382,6 +383,24 @@ def test_an_output_onto_the_input_directory_exits_2_leaving_it(tmp_path, capsys,
     assert _contents(coef) == before
 
 
+@pytest.mark.parametrize("name", ["window.qsig", "coeffs.f64", "coeffs.f64.part"])
+@pytest.mark.parametrize("into", [".", "new/.."])
+def test_gabor_analyze_refuses_an_input_it_would_write_over(tmp_path, capsys, name, into):
+    """An input inside the output directory, under a name analysis writes,
+    exits 2 in one line before anything is written or made: `new/..` names
+    the directory through one that makedirs would create."""
+    out = tmp_path / "out"
+    out.mkdir()
+    src = out / name
+    write_gaussian(src, n=8)
+    before = src.read_bytes()
+    assert main(["gabor", "analyze", "-i", str(src), "-o", str(out / into)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: output {out / into / name} would overwrite its input {src}\n", err
+    assert src.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted([name, "out"])
+
+
 def test_a_failed_gabor_analyze_leaves_what_it_found(tmp_path, capsys):
     coef = _analyzed(tmp_path, capsys)
     before = _contents(coef)
@@ -665,7 +684,7 @@ def test_verify_young_writes_reports(tmp_path, capsys):
     out = capsys.readouterr()
     assert "suite young: pass" in out.out
     reports = json.loads(rpt.read_text())
-    assert len(reports) == 15  # 5 trials x 2 exponent pairs, and each pass's residual
+    assert len(reports) == 15  # each pass's residual, and 5 trials x 2 exponent pairs
     assert min(r["margin"] for r in reports) >= -1e-6
     assert (tmp_path / "young.csv").exists()
 
@@ -681,7 +700,8 @@ def test_verify_runs_share_no_field_entries(monkeypatch, capsys):
     monkeypatch.setattr(uncertainty, "gabor_field_stats", counted)
     for run in (1, 2):
         assert main(["verify", "young", "--trials", "3", "--grid", "16x16"]) == 0
-        assert "suite young: pass (9 reports)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "field passes: pass (3 reports)" in out and "suite young: pass (6 reports)" in out
         # one pass per trial field serves both Hoelder exponents
         assert len(passes) == 3 * run
 
@@ -697,7 +717,8 @@ def test_each_field_pass_builds_its_plancherel_right_side_once(monkeypatch, caps
 
     monkeypatch.setattr(gabor, "_windowed_energy", counted)
     assert main(["verify", "young", "--trials", "3", "--grid", "16x16"]) == 0
-    assert "suite young: pass (9 reports)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "field passes: pass (3 reports)" in out and "suite young: pass (6 reports)" in out
     assert len(calls) == 3
 
 
@@ -879,19 +900,24 @@ def test_a_refused_verify_plan_builds_no_signal(tmp_path, capsys, monkeypatch, a
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
-def test_young_plan_stays_under_its_per_trial_bound():
-    """young's plan holds each trial's signal and pass, so --trials up to
-    MAX_TRIALS keeps it under VERIFY_BUDGET_BYTES: every live byte of a
-    200-trial plan, shared ones included, stays under its trials' share."""
-    cli.verify_plan(cli.VerifyConfig(trials=1), ["young"])  # warm the FFT plans
-    tracemalloc.start()
-    try:
-        plan = cli.verify_plan(cli.VerifyConfig(trials=200), ["young"])
-        gc.collect()  # count live objects, not free-list leftovers
-        per_trial = tracemalloc.get_traced_memory()[0] / 200
-    finally:
-        tracemalloc.stop()
-    assert len(plan["young"]) == 200
+def test_young_plan_stays_under_its_per_trial_bound(tmp_path):
+    """A whole verify run grows with --trials in young's passes and
+    reports and plancherel's reports, all serialized at the end: their
+    marginal peaks per trial, each taken between two trial counts, keep a
+    `verify all` at MAX_TRIALS under VERIFY_BUDGET_BYTES."""
+    def peak(suite, trials):
+        rpt = tmp_path / f"{suite}-{trials}.json"
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            main(["verify", suite, "--trials", "1"])  # warm the FFT plans
+            tracemalloc.start()
+            try:
+                assert main(["verify", suite, "--trials", str(trials),
+                             "--report", str(rpt)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    per_trial = sum((peak(suite, 160) - peak(suite, 40)) / 120 for suite in ("young", "plancherel"))
     assert per_trial <= cli.VERIFY_BUDGET_BYTES / cli.MAX_TRIALS, f"{per_trial:.0f} B a trial"
 
 

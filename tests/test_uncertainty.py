@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from qlct.report import (equality, lower_bound, reports_to_csv,
                          reports_to_json, upper_bound)
 from qlct.signal import (Grid2D, GridMismatchError, QSignal2D, WindowSpec,
                          make_window, translate)
-from qlct import gabor, uncertainty
+from qlct import cli, gabor, uncertainty
 from qlct.cli import main
 from qlct.uncertainty import (D_LOG, amgm_dilation_identity,
                               concentration_check, epsilon_concentration_check,
@@ -212,12 +213,15 @@ def test_gabor_reports_carry_the_per_translation_plancherel_residual(name, monke
     rhs = (qabs_sq(f.samples) * window_sq).sum(axis=(-2, -1)) * grid.cell_area
     np.testing.assert_allclose(gabor._windowed_energy(f, phi), rhs, rtol=1e-14)
     stats = gabor_field_stats(f, phi, p, s_values=(1.0,))
-    reports = [check(stats, 1.0)
-               for check in (heisenberg_check, moment_concentration_check)]
-    for rep in reports:
-        got = rep.params["plancherel_by_y_residual"]
-        assert got <= 1e-12, (rep.name, got)
-        assert got == stats["plancherel_by_y_residual"], rep.name
+    # the pass's one report carries it; the checks that read the pass do not
+    out = cli.Collector(0)
+    cli.witness_passes(out, {"heisenberg": [("a", stats)], "moment-concentration": [("b", stats)]})
+    [rep] = out.reports
+    assert rep.lhs == stats["plancherel_by_y_residual"] <= 1e-12, rep.lhs
+    assert rep.gate == {"kind": "margin", "tol": 0.0, "passed": True}
+    assert rep.params["readers"] == [("heisenberg", "a", 0), ("moment-concentration", "b", 0)]
+    for check in (heisenberg_check, moment_concentration_check):
+        assert "plancherel_by_y_residual" not in check(stats, 1.0).params
 
 
 def test_a_window_shifted_on_the_right_side_fails_the_residual(monkeypatch, capsys):
@@ -225,12 +229,25 @@ def test_a_window_shifted_on_the_right_side_fails_the_residual(monkeypatch, caps
     monkeypatch.setattr(gabor, "_windowed_energy", lambda f, phi, stride=1: windowed_energy(
         f, QSignal2D(phi.grid, np.roll(phi.samples, 1, axis=0)), stride))
     f = normalized(gaussian(default_grid(16), 1.0))
-    for check in (heisenberg_check, moment_concentration_check):
-        got = field_check(check, f, f, FOURIER2, 1.0).params["plancherel_by_y_residual"]
-        assert got > 1e-10
+    assert gabor_field_stats(f, f, FOURIER2)["plancherel_by_y_residual"] > 1e-10
     assert main(["verify", "heisenberg", "--trials", "2", "--grid", "16x16"]) == 1
     err = capsys.readouterr().err
-    assert err.count("per-translation Plancherel residual") == 5, err
+    assert err.count("] plancherel-by-y readers [('heisenberg', ") == 5, err
+
+
+@pytest.mark.parametrize("suite", list(cli.SUITE_FIELDS))
+def test_each_gabor_suite_run_alone_fails_on_a_wrong_right_side(suite, monkeypatch, capsys):
+    """With the right side of the per-translation identity 1e-6 too large,
+    each suite that reads a Gabor field fails, run alone, on its passes'
+    `plancherel-by-y` reports and on nothing else, though no suite builds
+    one: `qlct verify` gates every pass it plans."""
+    windowed_energy = gabor._windowed_energy
+    monkeypatch.setattr(gabor, "_windowed_energy",
+                        lambda *args: windowed_energy(*args) * (1.0 + 1e-6))
+    assert main(["verify", suite, "--trials", "2"]) == 1
+    failed = re.findall(r"^FAIL \[\d+\] (\S+) readers \[\('([^']+)'", capsys.readouterr().err,
+                        re.M)
+    assert failed and set(failed) == {("plancherel-by-y", suite)}, failed
 
 
 # ---------------------------------------------------------------------------
