@@ -52,9 +52,9 @@ VERIFY_BUDGET_BYTES = 2**27
 #: (n1 n2 translations of an n1 x n2 transform), not with any one array.
 VERIFY_PASS_CELLS = 2**28
 #: Most --trials `verify` takes: a whole `verify all` run peaks at about
-#: 38 KiB a trial (tracemalloc), most of it young's and plancherel's
-#: reports as the run serializes them, so at 3000 trials it peaks at
-#: 110 MiB, under VERIFY_BUDGET_BYTES.
+#: 14.4 KiB a trial (tracemalloc), most of it young's passes and the
+#: reports the run keeps, so at 3000 trials it peaks at 52 MiB, under
+#: VERIFY_BUDGET_BYTES.
 MAX_TRIALS = 3000
 
 
@@ -551,6 +551,11 @@ def cmd_verify(args) -> int:
         raise FormatError(f"--trials must be from 1 to {MAX_TRIALS}, got {cfg.trials}")
     if cfg.seed < 0:
         raise FormatError(f"--seed must be non-negative, got {cfg.seed}")
+    if args.report:
+        if not os.path.isdir(os.path.dirname(os.path.abspath(args.report))):
+            raise FormatError(f"--report {args.report}: no such directory")
+        csv_path = os.path.splitext(args.report)[0] + ".csv"
+        _refuse_overwriting([args.report], f"the JSON report {args.report}", csv_path)
     names = VERIFY_NAMES if args.suite == "all" else [args.suite]
     plan = verify_plan(cfg, names)
     out = Collector(cfg.seed)
@@ -569,11 +574,7 @@ def cmd_verify(args) -> int:
         failed = any(rep.gate["passed"] is False for rep in reports)
         print(f"suite {name}: {'FAIL' if failed else 'pass'} ({len(reports)} reports)")
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(report.reports_to_json(out.reports))
-        csv_path = os.path.splitext(args.report)[0] + ".csv"
-        with open(csv_path, "w") as fh:
-            fh.write(report.reports_to_csv(out.reports))
+        report.write_reports(out.reports, args.report, csv_path)
         print(f"wrote {len(out.reports)} reports to {args.report} and {csv_path}")
     for line in out.failures:  # read off the gates alone, as is the exit code
         print(f"FAIL {line}", file=sys.stderr)

@@ -55,7 +55,8 @@ them in order, so no command holds more than a row of the field. Only
 library use. The `qlct verify` suites stream through `iter_gabor_blocks`;
 the concentration suites read the (n1*n2)^2 float64 |G|^2 table that
 `gabor_field_stats` copies out of the stream, a quarter of the field's
-size (8 MiB at 32x32, its budget).
+size (8 MiB at 32x32, its budget), and build their masks beside it with
+no table-sized temporary (see `uncertainty`).
 
 A coefficient directory, known to this module only, holds `coeffs.f64`
 (the raw little-endian float64 field in `AXIS_ORDER`, shaped by the

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,15 +101,16 @@ def _plain(obj):
     return obj
 
 
-def reports_to_json(reports: list[InequalityReport]) -> str:
-    """Deterministic JSON array (sorted keys, repr floats)."""
-    return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
+def reports_to_json(reports: list[InequalityReport], fh) -> None:
+    """Deterministic JSON array (sorted keys, repr floats), written into the
+    open text file fh as it is encoded."""
+    json.dump([r.to_dict() for r in reports], fh, sort_keys=True, indent=2)
 
 
-def reports_to_csv(reports: list[InequalityReport]) -> str:
-    """One row per report; params serialized as a JSON cell."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def reports_to_csv(reports: list[InequalityReport], fh) -> None:
+    """One row per report, params serialized as a JSON cell, written into
+    the open text file fh row by row."""
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["name", "lhs", "rhs", "margin", "ratio",
                      "empirical_constant", "seed", "params", "gate"])
     for r in reports:
@@ -121,4 +123,19 @@ def reports_to_csv(reports: list[InequalityReport]) -> str:
             json.dumps(d["params"], sort_keys=True),
             json.dumps(d["gate"], sort_keys=True),
         ])
-    return buf.getvalue()
+
+
+def write_reports(reports: list[InequalityReport], json_path, csv_path) -> None:
+    """Write the JSON and the CSV of `reports`, each encoded into a `.part`
+    file that replaces its path only once it is whole, so a failed encode
+    leaves no partial report."""
+    for path, write in ((json_path, reports_to_json), (csv_path, reports_to_csv)):
+        part = f"{path}.part"
+        try:
+            with open(part, "w") as fh:
+                write(reports, fh)
+            os.replace(part, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(part)
+            raise

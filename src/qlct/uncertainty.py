@@ -16,7 +16,10 @@ raises ValueError. No check copies the pass's Plancherel residual:
 `qlct verify` gates it once per pass. The concentration checks read the
 |G|^2 table a pass copies out, never a dense quaternion field; their
 masks are boolean arrays shaped like that table, measured by
-`mask_measure` at the table's own cell volume.
+`mask_measure` at the table's own cell volume. Neither the masks nor the
+checks copy the table: `greedy_minimal_mask` sorts only the cells at or
+above a floor set from the table's total, and `concentration_check`
+takes the complement's energy as the total less the mask's cells.
 
 `sweep_fields` makes those passes for a list of requests: one pass per
 distinct field over the union of the requests made of it, each request
@@ -86,19 +89,40 @@ def greedy_minimal_mask(stats: dict, capture: float) -> np.ndarray:
     """Smallest-measure boolean mask capturing at least `capture` of
     absolute Gabor energy: the k largest cells of the |G|^2 table of
     `stats`, with k read off the running energy of the cells in
-    descending order."""
+    descending order, and ties at the k-th value taken in flat order.
+
+    The cells below a floor t carry less than t each, so with t set from
+    the table's total the cells at or above it carry the capture, with
+    room for rounding, and hold the k largest: only they are copied and
+    sorted. Their running energy, taken 2^16 cells at a time, is the
+    whole table's prefix bit for bit, so even a flat table, every cell of
+    which is at the floor, costs a single table-sized copy."""
     table, cv = _requested(stats, "abs_sq_table", "abs_sq_table=True"), stats["cell_volume"]
-    flat = table.reshape(-1)
-    # one table-sized buffer: descending |G|^2, then its running energy
-    csum = np.sort(flat)[::-1]
-    np.cumsum(csum, out=csum)
-    csum *= cv
-    k = int(np.searchsorted(csum, capture - 1e-12)) + 1
-    if k > flat.size:
-        raise ValueError(f"field energy {csum[-1]!r} cannot capture {capture!r}")
-    del csum
-    mask = np.zeros(flat.size, dtype=bool)
-    mask[np.argpartition(flat, flat.size - k)[flat.size - k:]] = True
+    flat, target = table.reshape(-1), capture - 1e-12
+    floor = (float(np.sum(flat)) * (1.0 - 1e-6) - target / cv) / flat.size
+    keep = flat[flat >= min(floor, flat.max())]  # the largest cell for a capture <= 0
+    keep.sort()
+    descending, running, k = keep[::-1], 0.0, None
+    for start in range(0, len(descending), 2**16):
+        # a sequential cumsum resumed from the last sum
+        run = np.cumsum(np.concatenate(([running], descending[start:start + 2**16])))[1:]
+        running = run[-1]
+        run *= cv
+        if run[-1] >= target:
+            k = start + int(np.searchsorted(run, target)) + 1
+            break
+    if k is None:  # the floor kept every cell, so running is the table's energy
+        raise ValueError(f"field energy {running * cv!r} cannot capture {capture!r}")
+    value = descending[k - 1]
+    del keep, descending, run
+    mask = flat > value
+    need = k - int(np.count_nonzero(mask))
+    for row, row_mask in zip(table.reshape(len(table), -1), mask.reshape(len(table), -1)):
+        tied = np.flatnonzero(row == value)[:need]
+        row_mask[tied] = True
+        need -= len(tied)
+        if not need:
+            break
     return mask.reshape(table.shape)
 
 
@@ -321,7 +345,9 @@ def concentration_check(stats: dict, mask: np.ndarray) -> report.InequalityRepor
     m = mask_measure(stats, mask)
     if not 0.0 < m < 1.0:
         raise ValueError(f"mask measure must lie in (0, 1), got {m!r}")
-    comp = float(np.sum(stats["abs_sq_table"][~mask]) * stats["cell_volume"])
+    table = stats["abs_sq_table"]
+    # the complement's energy without gathering it: the mask holds under 1/cell_volume cells
+    comp = float((np.sum(table) - np.sum(table[mask])) * stats["cell_volume"])
     rhs = math.sqrt(comp) / math.sqrt(1.0 - m)
     lhs = stats["f"].l2_norm() * stats["phi"].l2_norm()
     return report.upper_bound("concentration", lhs, rhs,

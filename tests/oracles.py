@@ -2,8 +2,10 @@
 
 None of them runs in `qlct` itself: `lct_direct` is the O(N^2) 1D oracle
 of `lct1d.lct_fast`, `moment` the dense twin of the weighted moments of
-`gabor.gabor_field_stats`, and the quaternion constructors build the
-values the `quat` tests multiply. pytest collects no test from this file.
+`gabor.gabor_field_stats`, `greedy_minimal_mask` the whole-table sort
+that `uncertainty.greedy_minimal_mask` reproduces without copying the
+table, and the quaternion constructors build the values the `quat` tests
+multiply. pytest collects no test from this file.
 """
 
 import math
@@ -85,3 +87,20 @@ def moment(G: GaborCoefficients, which: str, s: float) -> float:
     else:
         raise ValueError(f"which must be omega, y, or joint, got {which!r}")
     return float(np.sum(weight * mod2) * cell_volume(G))
+
+
+def greedy_minimal_mask(stats: dict, capture: float) -> np.ndarray:
+    """The k largest cells of the |G|^2 table of `stats`, with k read off
+    the running energy of the whole table sorted in descending order; ties
+    at the k-th value are taken in `np.argpartition`'s order."""
+    table, cv = stats["abs_sq_table"], stats["cell_volume"]
+    flat = table.reshape(-1)
+    csum = np.sort(flat)[::-1]
+    np.cumsum(csum, out=csum)
+    csum *= cv
+    k = int(np.searchsorted(csum, capture - 1e-12)) + 1
+    if k > flat.size:
+        raise ValueError(f"field energy {csum[-1]!r} cannot capture {capture!r}")
+    mask = np.zeros(flat.size, dtype=bool)
+    mask[np.argpartition(flat, flat.size - k)[flat.size - k:]] = True
+    return mask.reshape(table.shape)

@@ -415,6 +415,13 @@ def test_verify_all_matches_pinned_report(verify_all_runs):
     assert not mismatches, "\n".join(mismatches)
 
 
+def test_streamed_report_has_the_whole_string_bytes(verify_all_runs):
+    """The seed-0 report, written into its file as it is encoded, has the
+    bytes `json.dumps` gives its values with the same options."""
+    _, first, _ = verify_all_runs
+    assert first.decode() == json.dumps(json.loads(first), sort_keys=True, indent=2)
+
+
 def test_qlct_plancherel_residuals_hold_the_identity(verify_all_runs):
     """On matched grids the discrete Plancherel identity is exact, so each
     residual must stay at rounding level whatever digits the pin holds."""

@@ -771,6 +771,21 @@ def test_concentration_suites_stay_within_32_mib():
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("suite", ["concentration", "eps-concentration"])
+def test_concentration_suite_holds_its_table_and_under_4_mib_more(suite):
+    """The masks and their checks work beside the 8 MiB 32^2 |G|^2 table
+    without a table-sized temporary: a whole run peaks below the table's
+    bytes + 4 MiB."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(["verify", suite]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 8 * 32**4 + 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_verify_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "bogus"])
@@ -784,6 +799,46 @@ def test_verify_determinism_byte_identical(tmp_path):
                      "--report", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_verify_refuses_a_report_its_csv_would_overwrite(tmp_path, capsys):
+    """The CSV goes beside the JSON with a .csv extension, so a --report
+    ending in .csv, or one whose .csv twin links to it, exits 2 in one line
+    before any suite runs; so does one in a missing directory."""
+    rpt = tmp_path / "missing" / "r.json"
+    assert main(["verify", "log", "--report", str(rpt)]) == 2
+    assert capsys.readouterr() == ("", f"error: --report {rpt}: no such directory\n")
+    rpt = tmp_path / "out.csv"
+    assert main(["verify", "log", "--seed", "0", "--report", str(rpt)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1, out
+    assert out.err == f"error: output {rpt} would overwrite the JSON report {rpt}\n"
+    assert not rpt.exists()
+    rpt = tmp_path / "r.json"
+    rpt.write_text("kept")
+    (tmp_path / "r.csv").symlink_to(rpt)
+    assert main(["verify", "log", "--report", str(rpt)]) == 2
+    assert capsys.readouterr().out == "" and rpt.read_text() == "kept"
+
+
+def test_verify_report_is_written_as_it_is_encoded(tmp_path):
+    """The JSON and CSV go to their files as they are encoded, never as
+    whole strings: a young run with --report peaks within 0.5 MiB of the
+    same run without it (1.5 MiB above it when serialized whole)."""
+    def peak(*report):
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(["verify", "young", "--trials", "150", *report]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    rpt = tmp_path / "y.json"
+    extra = peak("--report", str(rpt)) - peak()
+    assert extra < 2**19, f"{extra / 2**20:.2f} MiB"
+    assert len(json.loads(rpt.read_text())) == 450
+    assert not list(tmp_path.glob("*.part"))
 
 
 def test_verify_plancherel_direct_holds_on_a_fine_grid(capsys):

@@ -1,5 +1,6 @@
 """The gate record each verify report carries, and the exit code read off it."""
 
+import io
 import json
 import math
 import re
@@ -9,9 +10,16 @@ import pytest
 from qlct import cli
 from qlct.cli import main
 from qlct.report import (equality, gated, lower_bound, reports_to_csv, reports_to_json,
-                         upper_bound)
+                         upper_bound, write_reports)
 
 NAN = float("nan")
+
+
+def encoded(write, reports) -> str:
+    """What write(reports, fh) writes, as a string."""
+    buf = io.StringIO()
+    write(reports, buf)
+    return buf.getvalue()
 
 
 def exit_code(reports: list[dict]) -> int:
@@ -76,10 +84,10 @@ def test_failures_name_the_report_index_name_and_tags():
 def test_json_and_csv_carry_the_gate():
     reps = [gated(lower_bound("a", 3.0, 2.0), "margin", 0.5),
             gated(upper_bound("b", 3.0, 2.0), "none")]
-    parsed = json.loads(reports_to_json(reps))
+    parsed = json.loads(encoded(reports_to_json, reps))
     assert [r["gate"] for r in parsed] == [{"kind": "margin", "tol": 0.5, "passed": True},
                                            {"kind": "none", "tol": None, "passed": None}]
-    lines = reports_to_csv(reps).splitlines()
+    lines = encoded(reports_to_csv, reps).splitlines()
     assert lines[0].endswith(",params,gate")
     assert lines[2].endswith('"{""kind"": ""none"", ""passed"": null, ""tol"": null}"')
 
@@ -97,3 +105,21 @@ def test_a_failing_run_exits_as_its_report_json_says(tmp_path, capsys):
     err = capsys.readouterr().err
     assert [int(i) for i in re.findall(r"^FAIL \[(\d+)\] ", err, re.M)] == failed
     assert err.count("\n") == len(failed)
+
+
+def test_a_failed_encode_leaves_no_partial_report(tmp_path):
+    """Each file is encoded into a .part file that replaces it only once
+    whole: a report json cannot encode fails mid-array and leaves the
+    earlier JSON and CSV as they were."""
+    json_path, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+    json_path.write_text("old json")
+    csv_path.write_text("old csv")
+    reps = [gated(lower_bound("a", 3.0, 2.0), "margin", 0.5),
+            gated(lower_bound("b", 3.0, 2.0, params={"bad": object()}), "margin", 0.5)]
+    with pytest.raises(TypeError):
+        write_reports(reps, json_path, csv_path)
+    assert json_path.read_text() == "old json" and csv_path.read_text() == "old csv"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
+    write_reports(reps[:1], json_path, csv_path)
+    assert json_path.read_text() == encoded(reports_to_json, reps[:1])
+    assert csv_path.read_text() == encoded(reports_to_csv, reps[:1])

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,9 @@ from qlct.uncertainty import (D_LOG, amgm_dilation_identity,
                               mask_measure, moment_concentration_check,
                               random_mask, sweep_fields, young_sup_check)
 
+import oracles
 from oracles import cell_volume, moment
+from test_report import encoded
 
 FOURIER2 = PARAM_SETS["fourier"]
 
@@ -730,6 +733,82 @@ def test_greedy_mask_takes_the_argsort_count_of_largest_cells():
         greedy_minimal_mask(stats, 1.5)
 
 
+def _random_tables(seed, count):
+    """(stats, capture) pairs of random tables with a random dynamic range,
+    a fifth of them flat, each asked a capture below its energy."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        shape = tuple(rng.integers(1, 7, size=4))
+        table = rng.random(shape)**rng.uniform(1.0, 40.0) if k % 5 else np.full(shape, 0.25)
+        stats = {"abs_sq_table": table, "cell_volume": rng.uniform(0.01, 2.0)}
+        yield stats, rng.uniform(0.0, 1.0) * np.sum(table) * stats["cell_volume"]
+
+
+def test_greedy_mask_takes_the_sorting_oracles_count_and_measure():
+    """The same k, hence the same measure, as the whole-table sort, and the
+    same multiset of cells, on random tables of any dynamic range."""
+    for stats, capture in _random_tables(57, 300):
+        table = stats["abs_sq_table"]
+        mask, ref = greedy_minimal_mask(stats, capture), oracles.greedy_minimal_mask(stats, capture)
+        assert mask.dtype == bool and mask.shape == table.shape
+        assert np.count_nonzero(mask) == np.count_nonzero(ref)
+        assert mask_measure(stats, mask) == mask_measure(stats, ref)
+        np.testing.assert_array_equal(np.sort(table[mask]), np.sort(table[ref]))
+
+
+def test_greedy_mask_takes_ties_at_the_boundary_in_flat_order():
+    table = np.zeros((3, 2, 4, 5))
+    table.reshape(-1)[[7, 30, 41, 55, 98, 119]] = 1.0
+    table.reshape(-1)[77] = 2.0
+    stats = {"abs_sq_table": table, "cell_volume": 0.5}
+    # the 2.0 cell and two of the tied 1.0 cells capture 2.0
+    mask = greedy_minimal_mask(stats, 2.0)
+    assert np.count_nonzero(oracles.greedy_minimal_mask(stats, 2.0)) == 3
+    np.testing.assert_array_equal(np.flatnonzero(mask), [7, 30, 77])
+
+
+def test_greedy_mask_refuses_what_the_oracle_refuses():
+    rng = np.random.default_rng(58)
+    zero = {"abs_sq_table": np.zeros((4, 3, 4, 3)), "cell_volume": 0.3}
+    cases = [(zero, 0.5), ({"abs_sq_table": rng.random((5, 4, 3, 2)), "cell_volume": 0.7}, 1e3)]
+    for stats, capture in cases:
+        with pytest.raises(ValueError, match="cannot capture") as got:
+            greedy_minimal_mask(stats, capture)
+        with pytest.raises(ValueError) as want:
+            oracles.greedy_minimal_mask(stats, capture)
+        assert str(got.value) == str(want.value)
+    # a capture of nothing is the largest cell, the first in flat order on a zero table
+    np.testing.assert_array_equal(np.flatnonzero(greedy_minimal_mask(zero, 0.0)), [0])
+
+
+def test_greedy_mask_holds_at_most_one_copy_of_a_flat_table():
+    """Every cell of a flat table is at the floor, so the mask costs one
+    table-sized copy of it, its boolean selector and the mask."""
+    table = np.full((32, 32, 32, 32), 2.0**-20)
+    stats = {"abs_sq_table": table, "cell_volume": 1.0}
+    tracemalloc.start()
+    try:
+        mask = greedy_minimal_mask(stats, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(mask) == table.size // 2
+    np.testing.assert_array_equal(np.flatnonzero(mask), np.arange(table.size // 2))
+    assert peak <= 1.25 * table.nbytes, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_complement_energy_is_the_gathered_complements():
+    f, stats = _unit_gaussian_field()
+    table, cv = stats["abs_sq_table"], stats["cell_volume"]
+    rng = np.random.default_rng(59)
+    peak = np.zeros(table.size, dtype=bool)
+    peak[np.argsort(table.ravel())[-int(0.9 / cv):]] = True
+    masks = [random_mask(stats, m, rng) for m in (0.25, 0.5, 0.9)] + [peak.reshape(table.shape)]
+    for mask in masks:
+        comp = concentration_check(stats, mask).params["complement_energy"]
+        assert comp == pytest.approx(float(np.sum(table[~mask]) * cv), rel=1e-12)
+
+
 def test_mask_readers_need_the_table():
     f = _unit_gaussian8()
     stats = gabor_field_stats(f, f, FOURIER2)
@@ -876,17 +955,17 @@ def test_report_serialization_roundtrip():
     reports = [lower_bound("a", 3.0, 2.0, empirical_constant=1.5,
                            params={"s": 1.0, "arr": np.float64(2.0)},
                            grid={"n1": 4}, seed=7)]
-    text = reports_to_json(reports)
+    text = encoded(reports_to_json, reports)
     parsed = json.loads(text)
     assert parsed[0]["name"] == "a"
     assert parsed[0]["params"]["arr"] == 2.0
     assert parsed[0]["seed"] == 7
-    csv_text = reports_to_csv(reports)
+    csv_text = encoded(reports_to_csv, reports)
     assert csv_text.splitlines()[0].startswith("name,lhs,rhs")
     assert len(csv_text.splitlines()) == 2
     # deterministic
-    assert reports_to_json(reports) == text
-    assert reports_to_csv(reports) == csv_text
+    assert encoded(reports_to_json, reports) == text
+    assert encoded(reports_to_csv, reports) == csv_text
 
 
 def test_mask_measure_is_the_count_times_the_table_cell_volume():
