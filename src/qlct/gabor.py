@@ -80,7 +80,9 @@ from . import qlct2d, report
 from .lct1d import Grid1D, LCTParams
 from .quat import (from_complex_pair, pair_abs_sq, qabs_sq, qconj, qmul,
                    to_complex_pair)
-from .qlct2d import (FastPlan, QLCTParams, _fast_plan, _halves, _join,
+# BLOCK_BYTES, the band of a 2D chirp in `qlct2d`, is also about the size of
+# one half of a Gabor block, so each elementwise pass stays in a core's L2 cache
+from .qlct2d import (BLOCK_BYTES, FastPlan, QLCTParams, _fast_plan, _halves, _join,
                      _two_sided_fast, forward_grid, qlct_forward)
 from .signal import (FormatError, Grid2D, GridMismatchError, NumericError, QSignal2D,
                      all_finite, check_payload_size, load, save, translate,
@@ -173,12 +175,6 @@ def _window_halves(phi: QSignal2D) -> np.ndarray:
     pa, pb = to_complex_pair(phi.samples)
     calpha, cbeta = _halves(pa, np.conj(pb))
     return np.array([np.conj(calpha), np.conj(cbeta), calpha, cbeta])
-
-
-#: Bytes of one half of a Gabor block. A pass transforms each row of
-#: translations in blocks of about this size, so that each elementwise pass
-#: works on data that fits in a core's L2 cache.
-BLOCK_BYTES = 1 << 19
 
 
 def _y2_blocks(n_y2: int, cells: int) -> list[slice]:

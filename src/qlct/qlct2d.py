@@ -24,9 +24,10 @@ Two independent realizations are provided:
   the planes P + M and -i*(P - M); this holds for b = 0 axes too. The
   left kernel is complex-linear, so it commutes with the mixing: two
   separable 2D transforms (chirp * one FFT per axis * chirp) per
-  transform, cost O(N^2 log N), mapping halves to halves. `_lct2d` builds
-  each 2D chirp from the axis plans (a `FastPlan`) where it applies it,
-  and skips one the plans set to None. The pre-chirps carry the kernel
+  transform, cost O(N^2 log N), mapping halves to halves. `_lct2d` applies
+  each 2D chirp, the outer product of the axis plans' chirps (a
+  `FastPlan`), one band of about `BLOCK_BYTES` of rows at a time, and
+  skips one the plans set to None. The pre-chirps carry the kernel
   amplitudes and every post-chirp is a unit phase, so a Gabor pass folds
   the pre-chirps into its signal and, when it reads only |G|^2, drops the
   post-chirps from the one plan all its blocks share.
@@ -82,20 +83,31 @@ def _check_method(method: str) -> str:
 # ---------------------------------------------------------------------------
 # fast path (symplectic split, batch-friendly: arrays (..., n1, n2))
 
+#: Bytes of one cache-sized piece of work: a band of a 2D chirp in `_lct2d`
+#: and one half of a Gabor block (`gabor`), sized to fit a core's L2 cache.
+BLOCK_BYTES = 1 << 19
+
+
+def _chirp(g, c1, c2):
+    """Multiply g (..., n1, n2) in place by the 2D chirp outer(c1, c2), built
+    one band of at most BLOCK_BYTES of rows at a time; returns g."""
+    step = max(1, BLOCK_BYTES // (16 * len(c2)))
+    for i in range(0, len(c1), step):
+        g[..., i:i + step, :] *= np.multiply.outer(c1[i:i + step], c2)
+    return g
+
+
 def _lct2d(plan1, plan2, g):
     """One separable 2D transform of g (..., n1, n2), which it overwrites:
     pre-chirp, one FFT per b != 0 axis, post-chirp; the result is C-contiguous.
 
-    Each 2D chirp is the outer product of the two plans' chirps, built at
-    its point of use, so one large transform never holds both; a plan pair
-    whose pre (or post) is None skips that multiply."""
+    Each 2D chirp is the outer product of the two plans' chirps, applied by
+    `_chirp` one band of rows at a time, so no transform holds a full-size
+    chirp; a plan pair whose pre (or post) is None skips that multiply."""
     if plan1.pre is not None:
-        g *= np.multiply.outer(plan1.pre, plan2.pre)
-    spec = axis_step(axis_step(g, plan1, -2), plan2, -1)
-    if plan1.post is None:
-        return np.ascontiguousarray(spec)
-    out = spec if spec.flags.c_contiguous else np.empty(spec.shape, complex)
-    return np.multiply(spec, np.multiply.outer(plan1.post, plan2.post), out=out)
+        _chirp(g, plan1.pre, plan2.pre)
+    spec = np.ascontiguousarray(axis_step(axis_step(g, plan1, -2), plan2, -1))
+    return spec if plan1.post is None else _chirp(spec, plan1.post, plan2.post)
 
 
 def _halves(qa, qb):

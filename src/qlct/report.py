@@ -102,9 +102,15 @@ def _plain(obj):
 
 
 def reports_to_json(reports: list[InequalityReport], fh) -> None:
-    """Deterministic JSON array (sorted keys, repr floats), written into the
-    open text file fh as it is encoded."""
-    json.dump([r.to_dict() for r in reports], fh, sort_keys=True, indent=2)
+    """Deterministic JSON array (sorted keys, repr floats), the bytes of
+    `json.dump(list, fh, sort_keys=True, indent=2)`, written into the open
+    text file fh one report at a time, so no list of every report's dict."""
+    sep = "["
+    for r in reports:
+        text = json.dumps(r.to_dict(), sort_keys=True, indent=2)
+        fh.write(sep + "\n  " + text.replace("\n", "\n  "))
+        sep = ","
+    fh.write("[]" if sep == "[" else "\n]")
 
 
 def reports_to_csv(reports: list[InequalityReport], fh) -> None:

@@ -346,6 +346,56 @@ def test_fast_transform_peak_memory(name):
     assert peak <= 2.25 * f.samples.nbytes, peak / f.samples.nbytes
 
 
+# banded chirps: `_lct2d` applies each 2D chirp qlct2d.BLOCK_BYTES of rows
+# at a time
+
+#: the params sets and a b = 0 right axis with a < 0, whose flip leaves the
+#: FFT result non-contiguous before its post-chirp
+BAND_CASES = {**PARAM_SETS, "flip": QLCTParams(FOURIER, LCTParams(-2.0, 0.0, 0.3, -0.5))}
+
+
+@pytest.mark.parametrize("name", list(BAND_CASES))
+def test_chirp_bands_keep_every_bit(name, monkeypatch):
+    # one row per band (also from a BLOCK_BYTES below one row) and ragged
+    # bands of 3 rows over n1 = 10 give the one-band result bit for bit,
+    # for a batched kernel call and a lone forward and inverse transform
+    p = BAND_CASES[name]
+    grid = Grid2D.centered(10, 8, 0.5, 0.6)
+    rng = np.random.default_rng(33)
+    f = random_quaternion_signal(grid, rng)
+    g = rng.standard_normal((3, 10, 8)) + 1j * rng.standard_normal((3, 10, 8))
+    plan = _fast_plan(p, *grid.axes)
+    assert name != "flip" or plan.plus.step == plan.minus.step == "flip"
+
+    def outputs():
+        F = qlct_forward_fast(f, p)
+        return [*(qlct2d._lct2d(plan.left, right, g.copy()) for right in plan[1:]),
+                F.samples, qlct_inverse(F, p).samples]
+
+    monkeypatch.setattr(qlct2d, "BLOCK_BYTES", 16 * grid.n1 * grid.n2)
+    want = outputs()
+    for block_bytes in (16 * grid.n2, 3 * 16 * grid.n2, 1):
+        monkeypatch.setattr(qlct2d, "BLOCK_BYTES", block_bytes)
+        for got, ref in zip(outputs(), want):
+            np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("name", list(PARAM_SETS))
+def test_kernel_holds_one_chirp_band(name):
+    # a 1024^2 half (16 MiB) takes one band of chirp and the FFT's scratch
+    # beyond itself, not a full-size 2D chirp
+    plan = _fast_plan(PARAM_SETS[name], *default_grid(1024).axes)
+    g = np.random.default_rng(34).standard_normal((1024, 1024)) + 0j
+    qlct2d._lct2d(plan.left, plan.plus, g.copy())
+    tracemalloc.start()
+    try:
+        qlct2d._lct2d(plan.left, plan.plus, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= qlct2d.BLOCK_BYTES + (1 << 19), peak
+
+
 @pytest.mark.parametrize("name", ["b1-zero", "b2-zero", "generic"])
 @pytest.mark.parametrize("axis", [1, 2])
 @pytest.mark.parametrize("method", ["fast", "direct"])

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 
@@ -123,3 +124,42 @@ def test_a_failed_encode_leaves_no_partial_report(tmp_path):
     write_reports(reps[:1], json_path, csv_path)
     assert json_path.read_text() == encoded(reports_to_json, reps[:1])
     assert csv_path.read_text() == encoded(reports_to_csv, reps[:1])
+
+
+def _reports(n):
+    """n distinct gated reports with notes (some with a line break), a grid
+    and nested params, empty ones among them."""
+    return [gated(lower_bound(f"r{i}", 1.0 + i, 0.5, seed=i, grid={"n1": 4, "dx1": 0.5},
+                              notes="two\nlines" if i % 2 else "",
+                              params={"i": i, "A": {"A1": [1.0, 0.0, -0.5, 1.0], "e": {}},
+                                      "rows": [[i, {"k": None}], []]}),
+                  "margin", 0.0) for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_json_is_the_indented_dump_of_the_list_byte_for_byte(n):
+    reps = _reports(n)
+    want = json.dumps([r.to_dict() for r in reps], sort_keys=True, indent=2)
+    assert encoded(reports_to_json, reps) == want
+
+
+class _Discard:
+    """A text file that keeps nothing written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_json_encoder_holds_one_report_at_a_time():
+    # each report is encoded and written before the next one's dict is built,
+    # so ten times the reports cost no more memory to encode
+    peaks = []
+    for n in (200, 2000):
+        reps = _reports(n)
+        tracemalloc.start()
+        try:
+            reports_to_json(reps, _Discard())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 64 << 10, peaks
