@@ -60,6 +60,12 @@ MAX_TRIALS = 3000
 
 @dataclass
 class VerifyConfig:
+    """The run settings of `verify`. `grid()` is the one reader of --grid
+    and --dx: the plancherel trials, the dilates of `_gaussian_specs` and
+    the up-front checks of `cmd_verify` call it, and every other field sits
+    on a fixed `families.default_grid(n)`. `verify_plan` adds `method` to
+    each pass request, so no spec carries it."""
+
     n1: int = 32
     n2: int = 32
     dx: float | None = None
@@ -70,9 +76,7 @@ class VerifyConfig:
     def n_trials(self, default: int) -> int:
         return self.trials if self.trials is not None else default
 
-    def grid(self, n: int | None = None) -> Grid2D:
-        if n is not None:
-            return families.default_grid(n)
+    def grid(self) -> Grid2D:
         # max(n1, 1) leaves a bad --grid to the grid rule, not to a division by 0
         dx = self.dx if self.dx is not None else float(np.sqrt(2 * np.pi / max(self.n1, 1)))
         return Grid2D.centered(self.n1, self.n2, dx, dx)
@@ -256,10 +260,10 @@ class Collector:
 QFT = families.PARAM_SETS["fourier"]
 
 
-def _gabor_cases(cfg: VerifyConfig):
+def _gabor_cases():
     """The unit 32^2 Gaussian, and on its grid the unit Gaussian window and
     the single-cell window at the grid centre."""
-    grid = cfg.grid(32)
+    grid = families.default_grid(32)
     cell = np.zeros((grid.n1, grid.n2, 4))
     cell[grid.n1 // 2, grid.n2 // 2, 0] = 1.0
     return (families.gaussian(grid, 1.0),
@@ -280,8 +284,8 @@ def _self_spec(family: str, grid: Grid2D, request: dict, t: float = 1.0):
 def _gaussian_specs(cfg: VerifyConfig) -> list:
     """The unit Gaussians at 32^2 and 64^2 and the dilates t in (0.5, 1, 2)
     on cfg.grid(), each against itself at s = 1."""
-    request = {"s_values": (1.0,), "method": cfg.method}
-    return ([_self_spec(f"gaussian-{n}", cfg.grid(n), request) for n in (32, 64)]
+    request = {"s_values": (1.0,)}
+    return ([_self_spec(f"gaussian-{n}", families.default_grid(n), request) for n in (32, 64)]
             + [_self_spec(f"dilated-{t}", cfg.grid(), request, t) for t in (0.5, 1.0, 2.0)])
 
 
@@ -302,7 +306,7 @@ def _gaussian_constants(out: Collector, name: str, fields, check, dilation_tol=N
 
 def _table_specs(cfg: VerifyConfig) -> list:
     """The unit 32^2 Gaussian against itself, with its |G|^2 table."""
-    return [_self_spec("gaussian", cfg.grid(32), {"abs_sq_table": True, "method": cfg.method})]
+    return [_self_spec("gaussian", families.default_grid(32), {"abs_sq_table": True})]
 
 
 def suite_plancherel(cfg: VerifyConfig, out: Collector, fields):
@@ -325,9 +329,8 @@ def suite_plancherel(cfg: VerifyConfig, out: Collector, fields):
 def _gabor_plancherel_specs(cfg: VerifyConfig) -> list:
     """The `_gabor_cases` Gaussian against its Gaussian and its single-cell
     window, the three signals built once."""
-    cases = functools.cache(lambda: _gabor_cases(cfg))
-    grid, request = cfg.grid(32), {"method": cfg.method}
-    return [(family, grid, request, lambda i=i: (cases()[0], cases()[i]))
+    cases = functools.cache(_gabor_cases)
+    return [(family, families.default_grid(32), {}, lambda i=i: (cases()[0], cases()[i]))
             for family, i in (("gaussian", 1), ("single-cell", 2))]
 
 
@@ -355,7 +358,7 @@ def suite_heisenberg(cfg: VerifyConfig, out: Collector, fields):
 def _log_specs(cfg: VerifyConfig) -> list:
     """The unit 32^2 Gaussian and its dilates t in (0.5, 2), each against
     that Gaussian, with the ln|omega| sum."""
-    grid, request = cfg.grid(32), {"log_omega": True, "method": cfg.method}
+    grid, request = families.default_grid(32), {"log_omega": True}
     return [(family, grid, request, lambda t=t: (_unit_gaussian(grid, t), _unit_gaussian(grid)))
             for family, t in (("gaussian", 1.0), ("dilated-0.5", 0.5), ("dilated-2.0", 2.0))]
 
@@ -366,7 +369,7 @@ def suite_log(cfg: VerifyConfig, out: Collector, fields):
 
 
 def suite_lemma_log(cfg: VerifyConfig, out: Collector, fields):
-    f, gauss, cell = _gabor_cases(cfg)
+    f, gauss, cell = _gabor_cases()
     for family, phi, tol in (("gaussian", gauss, 2e-2), ("single-cell", cell, 1e-12)):
         out.add(uncertainty.lemma_log_identity_check(f, phi, QFT), ("ratio", tol), family=family)
 
@@ -374,11 +377,11 @@ def suite_lemma_log(cfg: VerifyConfig, out: Collector, fields):
 def _lieb_specs(cfg: VerifyConfig) -> list:
     """The unit Gaussian f against itself on 32^2 at p' = 1.5 and 2 and on
     64^2 at p' = 1.5, and (2f, 3f) on 32^2 at p' = 1.5."""
-    g32, request = cfg.grid(32), {"pprimes": (1.5,), "method": cfg.method}
+    g32, request = families.default_grid(32), {"pprimes": (1.5,)}
     return [_self_spec("gaussian-32", g32, {**request, "pprimes": (1.5, 2.0)}),
             ("scaled", g32, request,
              lambda: (_unit_gaussian(g32).scaled(2.0), _unit_gaussian(g32).scaled(3.0))),
-            _self_spec("gaussian-64", cfg.grid(64), request)]
+            _self_spec("gaussian-64", families.default_grid(64), request)]
 
 
 def suite_lieb(cfg: VerifyConfig, out: Collector, fields):
@@ -403,9 +406,9 @@ def _young_specs(cfg: VerifyConfig) -> list:
     """cfg.n_trials(100) random smooth signals on 16^2, drawn in declared
     order from one seeded generator, against one shared Gaussian window."""
     rng = np.random.default_rng(cfg.seed)
-    grid = cfg.grid(16)
+    grid = families.default_grid(16)
     window = functools.cache(lambda: signal.make_window(WindowSpec("gaussian", (1.0, 1.0)), grid))
-    return [("random-smooth", grid, {"method": cfg.method},
+    return [("random-smooth", grid, {},
              lambda: (families.random_smooth(grid, rng), window()))
             for _ in range(cfg.n_trials(100))]
 
@@ -417,7 +420,7 @@ def suite_young(cfg: VerifyConfig, out: Collector, fields):
 
 
 def suite_hausdorff_young(cfg: VerifyConfig, out: Collector, fields):
-    f = families.gaussian_chirp(cfg.grid(32))
+    f = families.gaussian_chirp(families.default_grid(32))
     # the printed bound fails (see `uncertainty.hausdorff_young_check`): recorded only
     reps = [out.add(uncertainty.hausdorff_young_check(f, QFT, pp, cfg.method), ("none",),
                     family="gaussian-chirp") for pp in (2.0, 3.0, 4.0)]
@@ -470,8 +473,8 @@ SUITES = {
 VERIFY_NAMES = list(SUITES)
 
 #: The Gabor fields each suite sweeps, under QFT, as (family, grid, request,
-#: build) specs: a tag for the suite, the field's grid, its method and sums,
-#: and build(), which makes (f, phi) once the plan is accepted. A run bounds
+#: build) specs: a tag for the suite, the field's grid, its sums, and
+#: build(), which makes (f, phi) once the plan is accepted. A run bounds
 #: every pass from the specs before it builds a signal, and sweeps each
 #: distinct field once over the union of its requests.
 SUITE_FIELDS = {
@@ -512,7 +515,7 @@ def verify_plan(cfg: VerifyConfig, names) -> dict[str, list]:
                               f"{grid.n1}x{grid.n2} grid with dx {grid.dx1!r}") from None
         built.append((name, family, f, phi, request))
     with _quiet_overflow():
-        passes = uncertainty.sweep_fields([(f, phi, QFT, request)
+        passes = uncertainty.sweep_fields([(f, phi, QFT, {**request, "method": cfg.method})
                                            for *_, f, phi, request in built])
     plan: dict[str, list] = {}
     for (name, family, *_), stats in zip(built, passes):
@@ -643,6 +646,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # reserved for row threads that no transform runs yet, so checked
+        # here once, before any command reads or writes a file
+        threads = os.environ.get("QLCT_THREADS", "0")
+        if not threads.isdecimal():
+            raise ValueError(f"QLCT_THREADS must be a non-negative integer, got {threads!r}")
         if getattr(args, "input", None) and getattr(args, "output", None):
             _refuse_overwriting([args.input], f"its input {args.input}", args.output)
         return args.func(args)

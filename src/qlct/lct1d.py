@@ -31,7 +31,6 @@ b = 0 a weighted permutation), the one kernel of every O(N^2) oracle.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,16 +48,6 @@ class ZeroBError(ValueError):
 class MatchedSamplingError(ValueError):
     """Output grid is not one the axis admits: off dx * dw = 2*pi*|b| / N
     for b != 0, or off the scaled input grid for b = 0."""
-
-
-def _fft_workers() -> int | None:
-    """FFT workers from QLCT_THREADS (unset, 0 or 1: single-threaded); a
-    value that is not a non-negative integer raises ValueError."""
-    value = os.environ.get("QLCT_THREADS", "0")
-    if not value.isdecimal():
-        raise ValueError(f"QLCT_THREADS must be a non-negative integer, got {value!r}")
-    w = int(value)
-    return w if w > 1 else None
 
 
 @dataclass(frozen=True)
@@ -191,16 +180,14 @@ class AxisPlan(NamedTuple):
     `kernel_matrix(...) @ f`, the sum of the O(N^2) oracle.
     pre carries the kernel's amplitude, dx / sqrt(2*pi*|b|) for b != 0
     and sqrt(|d|) (constant) for b = 0, so every post is a unit phase;
-    step is one of "fft", "ifft" (unscaled), "flip" or None, and workers
-    the FFT worker count QLCT_THREADS gave when the plan was built.
-    `qlct2d._lct2d` skips a chirp that is None, as in a Gabor block's
-    plan."""
+    step is one of "fft", "ifft" (unscaled), "flip" or None. A plan
+    depends only on its matrix and grids, and `qlct2d._lct2d` skips a
+    chirp that is None, as in a Gabor block's plan."""
 
     pre: np.ndarray | None
     step: str | None
     post: np.ndarray | None
     grid_out: Grid1D
-    workers: int | None
 
 
 def axis_plan(p: LCTParams, sign: int, grid_in: Grid1D,
@@ -211,11 +198,10 @@ def axis_plan(p: LCTParams, sign: int, grid_in: Grid1D,
     for b = 0 output sample u reads the input at d*u."""
     _check_sign(sign)
     grid_out = _resolve_out_grid(p, grid_in, grid_out)
-    workers = _fft_workers()
     w = grid_out.coords()
     if p.b == 0:
         return AxisPlan(np.full(grid_in.n, np.sqrt(abs(p.d))), None if p.a > 0 else "flip",
-                        np.exp(1j * sign * (p.c * p.d / 2) * w**2), grid_out, workers)
+                        np.exp(1j * sign * (p.c * p.d / 2) * w**2), grid_out)
     x = grid_in.coords()
     idx = np.arange(grid_in.n)
     pre = np.exp(1j * sign * ((p.a / (2 * p.b)) * x**2
@@ -223,8 +209,7 @@ def axis_plan(p: LCTParams, sign: int, grid_in: Grid1D,
     post = np.exp(1j * sign * ((p.d / (2 * p.b)) * w**2 - grid_in.x0 * w / p.b
                                - (np.pi / 4) * np.sign(p.b)))
     amplitude = grid_in.dx / np.sqrt(2 * np.pi * abs(p.b))
-    return AxisPlan(pre * amplitude, "fft" if sign * p.b > 0 else "ifft", post, grid_out,
-                    workers)
+    return AxisPlan(pre * amplitude, "fft" if sign * p.b > 0 else "ifft", post, grid_out)
 
 
 def axis_step(g: np.ndarray, plan: AxisPlan, axis: int) -> np.ndarray:
@@ -233,8 +218,7 @@ def axis_step(g: np.ndarray, plan: AxisPlan, axis: int) -> np.ndarray:
     if plan.step in (None, "flip"):
         return g if plan.step is None else np.flip(g, axis=axis)
     fft = scipy.fft.fft if plan.step == "fft" else scipy.fft.ifft
-    return fft(g, axis=axis, norm="forward" if plan.step == "ifft" else None,
-               overwrite_x=True, workers=plan.workers)
+    return fft(g, axis=axis, norm="forward" if plan.step == "ifft" else None, overwrite_x=True)
 
 
 def _run_plan(plan: AxisPlan, f) -> tuple[np.ndarray, Grid1D]:

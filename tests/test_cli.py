@@ -64,16 +64,28 @@ def test_transform_check_reuses_the_signals_it_holds(tmp_path, capsys, monkeypat
     assert capsys.readouterr().out == f"plancherel ratio {ratio!r}\n"
 
 
+THREAD_COMMANDS = {"forward": ["forward"], "inverse": ["inverse"],
+                   "gabor-analyze": ["gabor", "analyze"],
+                   "gabor-synthesize": ["gabor", "synthesize"],
+                   "gabor-spectrogram": ["gabor", "spectrogram"],
+                   "verify": ["verify", "plancherel", "--trials", "1"],
+                   "verify-direct": ["verify", "plancherel", "--trials", "1",
+                                     "--method", "direct"]}
+
+
 @pytest.mark.parametrize("value", ["two", "1.5", "-1"])
-@pytest.mark.parametrize("command", [["forward"], ["gabor", "analyze"]],
-                         ids=["forward", "gabor-analyze"])
+@pytest.mark.parametrize("command", list(THREAD_COMMANDS.values()), ids=list(THREAD_COMMANDS))
 def test_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch, value, command):
-    src = tmp_path / "f.qsig"
-    write_gaussian(src, n=8)
+    # refused before any file is read or written: the input does not exist,
+    # and no output appears
+    out = str(tmp_path / "out")
+    paths = (["--report", out] if command[0] == "verify"
+             else ["-i", str(tmp_path / "missing"), "-o", out])
     monkeypatch.setenv("QLCT_THREADS", value)
-    assert main([*command, "-i", str(src), "-o", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == (
-        f"error: QLCT_THREADS must be a non-negative integer, got {value!r}\n")
+    assert main([*command, *paths]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: QLCT_THREADS must be a non-negative integer, got {value!r}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_forward_direct_method(tmp_path):

@@ -127,6 +127,34 @@ def test_an_untraced_fft_is_caught():
                                       "from scipy import fft", "import scipy.fft as sf"]
 
 
+def environment_reads(source: str) -> list[str]:
+    """`line N: os.environ` (or `os.getenv`) for each read of the process
+    environment in source, `from os import` forms included."""
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os" and node.attr in ("environ", "getenv")):
+            reads.append(f"line {node.lineno}: os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [f"line {node.lineno}: os.{alias.name}" for alias in node.names
+                      if alias.name in ("environ", "getenv")]
+    return reads
+
+
+def test_only_the_cli_reads_the_environment():
+    # a run setting has one reader, which checks it before any command runs
+    reads = {path.name: environment_reads(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert reads.pop("cli.py")
+    assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def test_an_environment_read_is_caught():
+    source = ("import os\nfrom os import getenv\n"
+              "def f():\n"
+              "    return os.environ.get('X'), getenv('Y'), os.path.sep\n")
+    assert environment_reads(source) == ["line 2: os.getenv", "line 4: os.environ"]
+
+
 def defined_names(source: str) -> list[str]:
     """The functions, classes and assigned names at the top level of source."""
     names = []

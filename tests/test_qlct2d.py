@@ -260,16 +260,6 @@ def test_fast_kernel_takes_any_batch_layout(name):
             np.testing.assert_array_equal(M[i], sm, err_msg=layout)
 
 
-@pytest.mark.parametrize("name", list(PARAM_SETS))
-def test_fft_threads_leave_every_bit(name, monkeypatch):
-    f = random_quaternion_signal(default_grid(64), np.random.default_rng(28))
-    monkeypatch.delenv("QLCT_THREADS", raising=False)
-    single = qlct_forward_fast(f, PARAM_SETS[name]).samples
-    monkeypatch.setenv("QLCT_THREADS", "2")
-    threaded = qlct_forward_fast(f, PARAM_SETS[name]).samples
-    np.testing.assert_array_equal(threaded, single)
-
-
 @pytest.mark.parametrize("name", [*PARAM_SETS, *MIXED_CASES])
 def test_every_fft_is_one_axis_of_a_plan_step(name, monkeypatch):
     # one FFT path: each 2D kernel call makes one scipy.fft.fft or ifft
@@ -307,29 +297,6 @@ def test_every_fft_is_one_axis_of_a_plan_step(name, monkeypatch):
     assert len(per_call) == 2 * 2 + 3 * 2 * grid.n1
     assert per_call == [(p.A1.b != 0) + (p.A2.b != 0)] * len(per_call)
     assert len(ffts) == sum(per_call)
-
-
-@pytest.mark.parametrize("value", ["two", "1.5", "-1"])
-def test_bad_thread_count_is_rejected(value, monkeypatch):
-    monkeypatch.setenv("QLCT_THREADS", value)
-    with pytest.raises(ValueError, match="QLCT_THREADS must be a non-negative integer"):
-        _fast_plan(PARAM_SETS["generic"], *default_grid(8).axes)
-
-
-def test_thread_count_is_read_once_per_plan(monkeypatch):
-    # the FFTs take the count the plan read; none reads the environment
-    grid = default_grid(8)
-    f = random_quaternion_signal(grid, np.random.default_rng(28))
-    monkeypatch.setenv("QLCT_THREADS", "2")
-    plan = _fast_plan(PARAM_SETS["neg-b"], *grid.axes)
-    assert [axis.workers for axis in plan] == [2, 2, 2]
-    monkeypatch.setenv("QLCT_THREADS", "bogus")
-    P, M = _two_sided_fast(plan, *_halves(*to_complex_pair(f.samples)))
-    monkeypatch.delenv("QLCT_THREADS")
-    want = _two_sided_fast(_fast_plan(PARAM_SETS["neg-b"], *grid.axes),
-                           *_halves(*to_complex_pair(f.samples)))
-    np.testing.assert_array_equal(P, want[0])
-    np.testing.assert_array_equal(M, want[1])
 
 
 @pytest.mark.parametrize("name", list(PARAM_SETS))
