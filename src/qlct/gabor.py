@@ -132,9 +132,6 @@ class GaborCoefficients:
         """The rows coeffs[iy1], (ny2, nw1, nw2, 4) each, in y1 order."""
         return iter(self.coeffs)
 
-    def modulus_sq(self) -> np.ndarray:
-        return qabs_sq(np.asarray(self.coeffs))
-
 
 def translation_grid(grid: Grid2D, stride: int = 1) -> Grid2D:
     """Translations are whole multiples of the grid spacings, spanning the

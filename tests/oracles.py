@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare `qlct` against.
 
 None of them runs in `qlct` itself: `lct_direct` is the O(N^2) 1D oracle
-of `lct1d.lct_fast`, `moment` the dense twin of the weighted moments of
+of `lct1d.lct_fast`, `modulus_sq` the |G|^2 of a dense Gabor field,
+`moment` the dense twin of the weighted moments of
 `gabor.gabor_field_stats`, `greedy_minimal_mask` the whole-table sort
 that `uncertainty.greedy_minimal_mask` reproduces without copying the
 table, and the quaternion constructors build the values the `quat` tests
@@ -14,6 +15,7 @@ import numpy as np
 
 from qlct.gabor import GaborCoefficients
 from qlct.lct1d import Grid1D, LCTParams, ZeroBError, _check_sign, kernel_matrix
+from qlct.quat import qabs_sq
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
 I = np.array([0.0, 1.0, 0.0, 0.0])
@@ -60,6 +62,11 @@ def lct_direct(p: LCTParams, sign: int, f: np.ndarray, grid_in: Grid1D,
     return np.einsum("mn,...n->...m", Q, f), grid_out
 
 
+def modulus_sq(G: GaborCoefficients) -> np.ndarray:
+    """|G|^2 of every cell of a dense Gabor field."""
+    return qabs_sq(np.asarray(G.coeffs))
+
+
 def cell_volume(G: GaborCoefficients) -> float:
     """Quadrature weight domega dy of one cell of a dense Gabor field."""
     return G.omega_grid.cell_area * G.y_grid.cell_area
@@ -73,7 +80,7 @@ def moment(G: GaborCoefficients, which: str, s: float) -> float:
     """
     if not 0.0 < s < math.inf:
         raise ValueError(f"moment order s must be positive and finite, got {s}")
-    mod2 = G.modulus_sq()
+    mod2 = modulus_sq(G)
     w1, w2 = G.omega_grid.meshgrid()
     y1, y2 = G.y_grid.meshgrid()
     omega_r2 = w1**2 + w2**2

@@ -14,6 +14,8 @@ from qlct.cli import main
 from qlct.families import PARAM_SETS, gaussian, impulse
 from qlct.signal import Grid2D, QSignal2D, load, save
 
+from oracles import modulus_sq
+
 
 def write_gaussian(path, n=16, dx=0.5):
     grid = Grid2D.centered(n, n, dx, dx)
@@ -309,7 +311,7 @@ def test_streamed_gabor_commands_write_the_dense_path_bytes(tmp_path, capsys, na
                  "-o", str(tmp_path / "back.qsig")]) == 0
     save(tmp_path / "dense.qsig", gabor.gabor_synthesize(G, phi))
     assert (tmp_path / "back.qsig").read_bytes() == (tmp_path / "dense.qsig").read_bytes()
-    mod2 = G.modulus_sq()
+    mod2 = modulus_sq(G)
     for kind, take in DENSE_SLICES.items():
         assert main(["gabor", "spectrogram", "-i", str(coef), "--slice", kind,
                      "-o", str(tmp_path / "spec.pgm")]) == 0
