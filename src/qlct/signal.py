@@ -125,7 +125,16 @@ class QSignal2D:
         raise AttributeError("QSignal2D is immutable")
 
     def l2_norm_sq(self) -> float:
-        return float(np.sum(self.samples * self.samples) * self.grid.cell_area)
+        """Quadrature energy sum |x|^2 dx1 dx2, taken as sum (x/p)^2 * t^2
+        with p = max|x| and t = p sqrt(dx1) sqrt(dx2), so neither the
+        squares nor the cell area overflow or underflow."""
+        p = max(float(self.samples.max()), -float(self.samples.min()))
+        if not 0.0 < p < math.inf:
+            return p * p  # 0.0 for a zero signal; inf and nan pass through
+        y = self.samples / p
+        y *= y
+        t = p * math.sqrt(self.grid.dx1) * math.sqrt(self.grid.dx2)
+        return float(np.sum(y)) * t * t
 
     def l2_norm(self) -> float:
         return float(np.sqrt(self.l2_norm_sq()))

@@ -29,6 +29,7 @@ from qlct.uncertainty import (amgm_dilation_identity, concentration_check,
                               random_mask, young_sup_check)
 
 from oracles import lct_direct
+from report_diff import report_mismatches
 from test_qlct2d import two_sided_qft_oracle
 from test_report import exit_code
 from test_uncertainty import field_check
@@ -372,46 +373,16 @@ def test_verify_all_gates_each_pass_once(verify_all_runs):
     assert not any("plancherel_by_y_residual" in r["params"] for r in reports)
 
 
-def _report_mismatches(got, want, where="report"):
-    """Every path where got differs from want: keys, strings and ints
-    equal, floats to rel 1e-12 / abs 1e-14. Lists of reports of another
-    length differ in one line: both counts and the first index whose
-    report names differ."""
-    if isinstance(want, dict):
-        if not isinstance(got, dict) or sorted(got) != sorted(want):
-            return [f"{where}: keys {got!r} vs pinned {want!r}"]
-        return [m for key in want
-                for m in _report_mismatches(got[key], want[key], f"{where}.{key}")]
-    if isinstance(want, list):
-        if isinstance(got, list) and len(got) != len(want) and all(
-                isinstance(r, dict) for r in got + want):
-            got_names, want_names = ([r.get("name") for r in rs] for rs in (got, want))
-            i = next((i for i, (g, w) in enumerate(zip(got_names, want_names)) if g != w),
-                     min(len(got), len(want)))
-            return [f"{where}: {len(got)} reports vs pinned {len(want)}; names first differ at "
-                    f"[{i}]: {got_names[i:i + 1]} vs pinned {want_names[i:i + 1]}"]
-        if not isinstance(got, list) or len(got) != len(want):
-            return [f"{where}: {got!r} vs pinned {want!r}"]
-        return [m for i, (g, w) in enumerate(zip(got, want))
-                for m in _report_mismatches(g, w, f"{where}[{i}]")]
-    if isinstance(want, float):
-        if not isinstance(got, float):
-            return [f"{where}: {got!r} is not a float"]
-        ok = got == pytest.approx(want, rel=1e-12, abs=1e-14)
-    else:
-        ok = type(got) is type(want) and got == want
-    return [] if ok else [f"{where}: {got!r} vs pinned {want!r}"]
-
-
 def test_verify_all_matches_pinned_report(verify_all_runs):
     """The seed-0 `verify all --grid 32x32` report equals the committed one;
     a failure lists every value that moved. After a change that explains
-    every moved value, regenerate it with `qlct verify all --grid 32x32
+    every moved value (`python tests/report_diff.py OLD NEW` lists them),
+    regenerate it with `qlct verify all --grid 32x32
     --seed 0 --report tests/data/verify_all_seed0.json` and delete the
     `verify_all_seed0.csv` the run writes beside it."""
     _, first, _ = verify_all_runs
     pinned = Path(__file__).parent / "data" / "verify_all_seed0.json"
-    mismatches = _report_mismatches(json.loads(first), json.loads(pinned.read_text()))
+    mismatches = report_mismatches(json.loads(first), json.loads(pinned.read_text()))
     assert not mismatches, "\n".join(mismatches)
 
 

@@ -66,6 +66,30 @@ def test_transform_check_reuses_the_signals_it_holds(tmp_path, capsys, monkeypat
     assert capsys.readouterr().out == f"plancherel ratio {ratio!r}\n"
 
 
+@pytest.mark.parametrize("b", [1e-300, -1e-300, 1e-200, -1e-200, 1e-160, -1e-160,
+                               1e-155, -1e-155])
+def test_check_ratio_stays_exact_at_extreme_b(tmp_path, capsys, b):
+    # each axis scales the transform by 1/sqrt(2 pi |b|): squared samples
+    # overflow at these b, so the energy is summed scaled by max|x|
+    src = tmp_path / "f.qsig"
+    write_gaussian(src, n=8)
+    matrix = f"0,{b!r},{-1 / b!r},0"
+    assert main(["forward", f"--a1={matrix}", f"--a2={matrix}", "-i", str(src),
+                 "-o", str(tmp_path / "F.qsig"), "--check"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert abs(float(out.removeprefix("plancherel ratio ")) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("dx", ["1e-100", "1e-150", "5e-82"])
+def test_verify_plancherel_holds_at_extreme_dx(capsys, dx):
+    # a trial's transform scales by dx^2 / (2 pi), so its squared samples
+    # underflow: to zero energy (ratio inf) or to subnormals (at 5e-82,
+    # ratios 1.024 and 1.075) unless the energy is summed scaled
+    assert main(["verify", "plancherel", "--trials", "1", "--dx", dx]) == 0
+    assert capsys.readouterr().err == ""
+
+
 THREAD_COMMANDS = {"forward": ["forward"], "inverse": ["inverse"],
                    "gabor-analyze": ["gabor", "analyze"],
                    "gabor-synthesize": ["gabor", "synthesize"],

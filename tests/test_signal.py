@@ -69,6 +69,17 @@ def test_sample_gaussian_norm_matches_analytic():
     assert abs(f.l2_norm_sq() - np.pi) < 1e-6
 
 
+@pytest.mark.parametrize("dx, value", [(1e-200, 1e200), (1e150, 1e-170)])
+def test_norm_neither_overflows_nor_underflows(dx, value):
+    # the energy 16 (value dx)^2 of a constant on a 4x4 grid is a normal
+    # float, though the squares overflow (then the cell area underflows)
+    # or underflow
+    g = Grid2D.centered(4, 4, dx, dx)
+    f = QSignal2D(g, const_one(g).samples * value)
+    assert f.l2_norm_sq() == pytest.approx(16 * (value * dx)**2, rel=1e-15)
+    assert QSignal2D(g, np.zeros((4, 4, 4))).l2_norm_sq() == 0.0
+
+
 def test_pure_j_signal_same_norm():
     g = Grid2D.centered(64, 64, 0.25, 0.25)
     env = lambda x1, x2: np.exp(-(x1**2 + x2**2) / 2)
