@@ -10,10 +10,9 @@ from .signal import (FormatError, Grid2D, GridMismatchError, QSignal2D,
                      save, translate)
 from .qlct2d import (QLCTParams, forward_grid, qlct_forward, qlct_forward_direct,
                      qlct_forward_fast, qlct_inverse, qlct_plancherel_check)
-from .gabor import (GaborCoefficients, gabor_analyze, gabor_analyze_at,
-                    gabor_plancherel_check, gabor_synthesize,
-                    load_coefficients, save_coefficients, spectrogram,
-                    translation_grid)
+from .gabor import (GaborCoefficients, gabor_analyze, gabor_plancherel_check,
+                    gabor_synthesize, load_coefficients, save_coefficients,
+                    spectrogram, translation_grid)
 from .report import InequalityReport, reports_to_csv, reports_to_json
 from .uncertainty import (D_LOG, amgm_dilation_identity, concentration_check,
                           epsilon_concentration_check, gabor_field_stats,
@@ -30,7 +29,7 @@ __all__ = [
     "MatchedSamplingError", "QLCTParams", "QSignal2D",
     "WindowSpec", "ZeroBError", "amgm_dilation_identity", "concentration_check",
     "conjugate_grid", "epsilon_concentration_check",
-    "forward_grid", "gabor_analyze", "gabor_analyze_at", "gabor_field_stats",
+    "forward_grid", "gabor_analyze", "gabor_field_stats",
     "gabor_plancherel_check", "gabor_synthesize", "greedy_minimal_mask",
     "hausdorff_young_check", "heisenberg_check", "kernel_value", "lct_fast",
     "lct_scale_chirp", "lieb_check",

@@ -42,10 +42,10 @@ EXIT_NUMERIC = 3
 #: at a time (1 MiB at 32x32), never the field.
 COEFF_BUDGET_BYTES = 32**4 * 32
 
-#: Largest array `verify` lets its --grid need, 128 MiB: 32 bytes a cell
-#: under --method fast (up to 2048x2048), and 32 n1 n2 max(n1, n2) bytes
-#: for the direct kernel contraction of `qlct2d` (up to 161x161), which
-#: bounds `forward`, `inverse` and `gabor analyze` --method direct too.
+#: Budget of `verify`'s --grid, 128 MiB: 32 bytes a cell under --method fast
+#: (to 2048x2048), 32 n1 n2 max(n1, n2) under --method direct (to 161x161, for
+#: `forward`, `inverse` and `gabor analyze` too), which holds no such array:
+#: that count bounds its kernel matrices, 16 (n1^2 + n2^2) bytes, and matmuls.
 VERIFY_BUDGET_BYTES = 2**27
 #: Most (omega, y) cells one Gabor pass of `verify` may sweep: the
 #: stride-1 field of a 128x128 signal. A pass's time grows with its cells
@@ -120,11 +120,11 @@ def _finite_or_die(values: np.ndarray, stage: str) -> None:
 
 
 def _check_budget(what: str, n1: int, n2: int, method: str) -> None:
-    """Refuse, before any transform, a grid whose largest transform array
-    is above VERIFY_BUDGET_BYTES (see there)."""
+    """Refuse, before any transform, a grid whose count is above
+    VERIFY_BUDGET_BYTES (see there)."""
     nbytes = 32 * n1 * n2 * (max(n1, n2) if method == "direct" else 1)
     if nbytes > VERIFY_BUDGET_BYTES:
-        raise FormatError(f"{what} {n1}x{n2} needs a {nbytes} byte array under "
+        raise FormatError(f"{what} {n1}x{n2} counts {nbytes} bytes under "
                           f"--method {method}, above the {VERIFY_BUDGET_BYTES} byte budget")
 
 

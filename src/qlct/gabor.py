@@ -24,8 +24,9 @@ halves are (fa + i*fb)*phi and (fa - i*fb)*phi, from a sweep of one
 plane. Consumers read |G|^2 = 2(|P|^2 + |M|^2), only `gabor_stream`
 joins the planes, and synthesis windows the inverse halves directly:
 H*phi = (P*conj(alpha) + M*conj(beta)) - i*(P*beta - M*alpha)*j. The
-direct path evaluates each translation with `gabor_analyze_at`, so it
-checks the sweep as well as the transform.
+direct path windows each block of translations with `translate`, not the
+sweep, so it checks the sweep too, and contracts it with `qlct2d._direct`
+and the two kernel matrices it builds once per pass.
 
 A pass builds its transform plan and its window-product buffers once,
 folds the 2D pre-chirps, which depend on x alone, into the halves of f,
@@ -77,13 +78,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qlct2d, report
-from .lct1d import Grid1D, LCTParams
+from .lct1d import Grid1D, LCTParams, kernel_matrix
 from .quat import (from_complex_pair, pair_abs_sq, qabs_sq, qconj, qmul,
                    to_complex_pair)
 # BLOCK_BYTES, the band of a 2D chirp in `qlct2d`, is also about the size of
 # one half of a Gabor block, so each elementwise pass stays in a core's L2 cache
-from .qlct2d import (BLOCK_BYTES, FastPlan, QLCTParams, _fast_plan, _halves, _join,
-                     _two_sided_fast, forward_grid, qlct_forward)
+from .qlct2d import (BLOCK_BYTES, FastPlan, QLCTParams, _direct, _fast_plan, _halves,
+                     _join, _two_sided_fast, forward_grid)
 from .signal import (FormatError, Grid2D, GridMismatchError, NumericError, QSignal2D,
                      all_finite, check_payload_size, load, save, translate,
                      write_payload)
@@ -145,15 +146,6 @@ def translation_grid(grid: Grid2D, stride: int = 1) -> Grid2D:
     return Grid2D.from_axes(y1, y2)
 
 
-def gabor_analyze_at(f: QSignal2D, phi: QSignal2D, y: tuple[float, float],
-                     p: QLCTParams, method: str = "fast") -> QSignal2D:
-    """Gabor field at a single translation: QLCT of f(.) * conj(phi(. - y))."""
-    if not f.grid.approx_eq(phi.grid):
-        raise GridMismatchError("signal and window must share a grid")
-    windowed = QSignal2D(f.grid, qmul(f.samples, qconj(translate(phi, y).samples)))
-    return qlct_forward(windowed, p, method)
-
-
 def _translates(planes: np.ndarray, stride: int = 1) -> np.ndarray:
     """Read-only view (k, ny1, ny2, n1, n2) of the zero-padded translates
     plane(x - y) of planes (k, n1, n2) for each kept y of
@@ -207,12 +199,12 @@ def iter_gabor_blocks(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
     # the direct branch is the Gabor oracle, so only a known method reaches it;
     # it always yields the chirped halves
     if qlct2d._check_method(method) == "direct":
-        y2c = y_grid.coords2()
+        (K1, _), (K2, _) = (kernel_matrix(A, 1, g) for A, g in zip((p.A1, p.A2), f.grid.axes))
         for iy1, y1 in enumerate(y_grid.coords1()):
             for sl in blocks:
-                rows = np.stack([gabor_analyze_at(f, phi, (y1, y2), p, "direct").samples
-                                 for y2 in y2c[sl]])
-                yield (iy1, sl, *(h / 2 for h in _halves(*to_complex_pair(rows))))
+                G = _direct(K1, K2, qmul(f.samples, qconj(np.stack(
+                    [translate(phi, (y1, y2)).samples for y2 in y_grid.coords2()[sl]]))))
+                yield (iy1, sl, *(h / 2 for h in _halves(*to_complex_pair(G))))
         return
     plan = _fast_plan(p, *f.grid.axes)
     pre_p, pre_m = (np.multiply.outer(plan.left.pre, right.pre)

@@ -60,9 +60,10 @@ class LCTParams:
     d: float
 
     def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if not abs(det - 1.0) <= DET_TOL:  # also rejects NaN and inf entries
-            raise ValueError(f"det(A) = {det!r} != 1 for A = {self.astuple()}")
+        # relative to the products, whose rounding an exact det carries; fails NaN, inf
+        ad, bc = self.a * self.d, self.b * self.c
+        if not abs(ad - bc - 1.0) <= DET_TOL * max(1.0, abs(ad), abs(bc)) < math.inf:
+            raise ValueError(f"det(A) = {ad - bc!r} != 1 for A = {self.astuple()}")
 
     def astuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)

@@ -10,9 +10,11 @@ degenerate to the chirp-weighted rescaling branch of `lct1d`.
 
 Two independent realizations are provided:
 
-* `qlct_forward_direct` / method="direct": one `lct1d.kernel_matrix` per
-  axis, an i-plane quaternion left of axis 1 and a j-plane one right of
-  axis 2, multiplied with `qmul`. This is the quadrature oracle.
+* `qlct_forward_direct` / method="direct": the quadrature oracle, one
+  `lct1d.kernel_matrix` per axis (built once per Gabor pass) and one
+  contraction, `_direct`: the i-plane K1 is complex-linear, so it maps
+  f = qa + qb*j to la + lb*j = K1 qa + (K1 qb)*j, and with C + i*S = K2^T
+  Hamilton's rules give (la C - lb S) + (la S + lb C)*j. No FFT, no chirps.
 * `qlct_forward_fast` / method="fast": symplectic split f = qa + qb*j.
   The left kernel is an ordinary complex LCT acting on qa and qb
   independently. The right kernel e^{j*beta} mixes the planes:
@@ -50,7 +52,8 @@ from .lct1d import (AxisPlan, LCTParams, _resolve_out_grid, axis_plan, axis_step
                     kernel_matrix)
 # bench/tracing.py wraps these names here; no qlct2d code calls them
 from .lct1d import lct_fast, lct_scale_chirp  # noqa: F401
-from .quat import from_complex_pair, qmul, to_complex_pair
+from .quat import qmul  # noqa: F401
+from .quat import from_complex_pair, to_complex_pair
 from .signal import Grid2D, QSignal2D
 
 
@@ -154,6 +157,15 @@ def _two_sided_fast(plan: FastPlan, u, v):
 # ---------------------------------------------------------------------------
 # both paths
 
+def _direct(K1, K2, q):
+    """The quadrature sums K1[u1, t1] q[t] K2[u2, t2] over the sample axes
+    of q (..., n1, n2, 4), K1 an i-plane and K2 a j-plane kernel matrix."""
+    qa, qb = to_complex_pair(q)
+    la, lb = K1 @ qa, K1 @ qb
+    C, S = K2.real.T, K2.imag.T
+    return from_complex_pair(la @ C - lb @ S, la @ S + lb @ C)
+
+
 def _two_sided(f: QSignal2D, p: QLCTParams, method: str,
                out_grid: Grid2D | None = None) -> QSignal2D:
     """Transform f with the axis matrices p by either path onto out_grid
@@ -166,12 +178,8 @@ def _two_sided(f: QSignal2D, p: QLCTParams, method: str,
         out = np.empty((*P.shape, 4))
         _join(P, M, *to_complex_pair(out))
         return QSignal2D(Grid2D.from_axes(plan.left.grid_out, plan.plus.grid_out), out)
-    K1, o1 = kernel_matrix(p.A1, 1, g1, o1)
-    K2, o2 = kernel_matrix(p.A2, 1, g2, o2)
-    K1, K2 = from_complex_pair(K1, 0), from_complex_pair(K2.real.T, K2.imag.T)
-    h = qmul(K1[:, :, None, :], f.samples[None, :, :, :]).sum(axis=1)
-    out = qmul(h[:, :, None, :], K2[None, :, :, :]).sum(axis=1)
-    return QSignal2D(Grid2D.from_axes(o1, o2), out)
+    (K1, o1), (K2, o2) = kernel_matrix(p.A1, 1, g1, o1), kernel_matrix(p.A2, 1, g2, o2)
+    return QSignal2D(Grid2D.from_axes(o1, o2), _direct(K1, K2, f.samples))
 
 
 def qlct_forward_fast(f: QSignal2D, p: QLCTParams) -> QSignal2D:

@@ -1,7 +1,9 @@
 """Reference implementations that the tests compare `qlct` against.
 
 None of them runs in `qlct` itself: `lct_direct` is the O(N^2) 1D oracle
-of `lct1d.lct_fast`, `modulus_sq` the |G|^2 of a dense Gabor field,
+of `lct1d.lct_fast`, `gabor_analyze_at` the Gabor field at one
+translation, windowed and transformed on its own by either path,
+`modulus_sq` the |G|^2 of a dense Gabor field,
 `moment` the dense twin of the weighted moments of
 `gabor.gabor_field_stats`, `greedy_minimal_mask` the whole-table sort
 that `uncertainty.greedy_minimal_mask` reproduces without copying the
@@ -15,7 +17,9 @@ import numpy as np
 
 from qlct.gabor import GaborCoefficients
 from qlct.lct1d import Grid1D, LCTParams, ZeroBError, _check_sign, kernel_matrix
-from qlct.quat import qabs_sq
+from qlct.qlct2d import QLCTParams, qlct_forward
+from qlct.quat import qabs_sq, qconj, qmul
+from qlct.signal import GridMismatchError, QSignal2D, translate
 
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
 I = np.array([0.0, 1.0, 0.0, 0.0])
@@ -60,6 +64,15 @@ def lct_direct(p: LCTParams, sign: int, f: np.ndarray, grid_in: Grid1D,
     if f.shape[-1] != grid_in.n:
         raise ValueError(f"last axis has {f.shape[-1]} samples, grid has {grid_in.n}")
     return np.einsum("mn,...n->...m", Q, f), grid_out
+
+
+def gabor_analyze_at(f: QSignal2D, phi: QSignal2D, y: tuple[float, float],
+                     p: QLCTParams, method: str = "fast") -> QSignal2D:
+    """Gabor field at a single translation: QLCT of f(.) * conj(phi(. - y))."""
+    if not f.grid.approx_eq(phi.grid):
+        raise GridMismatchError("signal and window must share a grid")
+    windowed = QSignal2D(f.grid, qmul(f.samples, qconj(translate(phi, y).samples)))
+    return qlct_forward(windowed, p, method)
 
 
 def modulus_sq(G: GaborCoefficients) -> np.ndarray:

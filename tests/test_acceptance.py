@@ -386,6 +386,54 @@ def test_verify_all_matches_pinned_report(verify_all_runs):
     assert not mismatches, "\n".join(mismatches)
 
 
+#: Reports whose values are rounding-level residuals of an exact identity,
+#: which the two paths round apart: the direct run is compared by gate only.
+ROUNDING_LEVEL = {"plancherel-by-y", "lieb-homogeneity", "hausdorff-young-scaling"}
+#: The values of a report that the direct run must reproduce.
+COMPARED = ("lhs", "rhs", "ratio", "empirical_constant", "params")
+
+
+def _float_gaps(fast, direct, where):
+    """Paths of the floats in fast whose direct value differs by more than
+    1e-9 relative where either exceeds 1e-9 in magnitude."""
+    if isinstance(fast, dict):
+        return [m for key in fast for m in _float_gaps(fast[key], direct[key], f"{where}.{key}")]
+    if isinstance(fast, list):
+        return [m for i, (a, b) in enumerate(zip(fast, direct))
+                for m in _float_gaps(a, b, f"{where}[{i}]")]
+    if not isinstance(fast, float):
+        return []
+    if isinstance(direct, float):
+        big = max(abs(fast), abs(direct))
+        if big <= 1e-9 or abs(fast - direct) <= 1e-9 * big:
+            return []
+    return [f"{where}: fast {fast!r}, direct {direct!r}"]
+
+
+def test_direct_verify_all_agrees_with_the_fast_run(verify_all_runs, tmp_path):
+    """Seed-0 `verify all --grid 32x32 --method direct`, every suite on the
+    FFT-free quadrature oracle, against the fast run of `verify_all_runs`.
+    The rule: the same reports in the same order with every `gate` equal;
+    and, except in the rounding-level reports of ROUNDING_LEVEL, the
+    COMPARED values (every float in `params` included) agree within 1e-9
+    relative wherever either exceeds 1e-9 in magnitude. Margins are
+    skipped: their gates are compared, and a margin near 0 is a difference
+    of rounded values."""
+    path = tmp_path / "direct.json"
+    assert main(["verify", "all", "--grid", "32x32", "--seed", "0", "--method", "direct",
+                 "--report", str(path)]) == 0
+    fast, direct = json.loads(verify_all_runs[1]), json.loads(path.read_text())
+    assert [r["name"] for r in direct] == [r["name"] for r in fast]
+    pairs = list(enumerate(zip(fast, direct)))
+    flips = [f"report[{i}] {f['name']}: gate {f['gate']}, direct {d['gate']}"
+             for i, (f, d) in pairs if f["gate"] != d["gate"]]
+    gaps = [gap for i, (f, d) in pairs if f["name"] not in ROUNDING_LEVEL
+            for gap in _float_gaps(*({k: r[k] for k in COMPARED} for r in (f, d)),
+                                   f"report[{i}] {f['name']}")]
+    assert not flips + gaps, (f"{len(flips)} gate flips, {len(gaps)} values off:\n"
+                              + "\n".join(flips + gaps))
+
+
 def test_streamed_report_has_the_whole_string_bytes(verify_all_runs):
     """The seed-0 report, written into its file as it is encoded, has the
     bytes `json.dumps` gives its values with the same options."""

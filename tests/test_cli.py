@@ -126,9 +126,9 @@ def test_forward_direct_method(tmp_path):
                          ids=["forward", "inverse", "gabor-analyze"])
 def test_direct_method_over_the_budget_exits_2_before_any_transform(tmp_path, capsys,
                                                                     command):
-    """The direct contraction of a 256x256 signal needs a 512 MiB array, above
+    """A 256x256 signal counts 512 MiB under --method direct, above
     VERIFY_BUDGET_BYTES: the command refuses it in one line once the input
-    has loaded, before it allocates any of it."""
+    has loaded, before any transform."""
     src, out = tmp_path / "f.qsig", tmp_path / "out"
     write_gaussian(src, n=256, dx=0.1)
     tracemalloc.start()
@@ -153,6 +153,19 @@ def test_non_unimodular_matrix_exits_2(tmp_path, capsys):
                  "-o", str(tmp_path / "F.qsig")])
     assert code == 2
     assert "det(A1) != 1" in capsys.readouterr().err
+
+
+def test_exact_unimodular_matrix_of_large_products_exits_0(tmp_path, capsys):
+    # ad and bc near -1.1e7 round the float det to 1.0000000018626451; the
+    # det tolerance scales with them, and a kernel with b != 0 never reads c
+    src = tmp_path / "f.qsig"
+    write_gaussian(src, n=8)
+    code = main(["forward", "--a1=124.89247601196774,2193825.507683052,"
+                 "-4.910560427603814,-86257.49178088145", "-i", str(src),
+                 "-o", str(tmp_path / "F.qsig"), "--check"])
+    assert code == 0
+    ratio = float(capsys.readouterr().out.removeprefix("plancherel ratio "))
+    assert abs(ratio - 1.0) <= 1e-12, ratio
 
 
 @pytest.mark.parametrize("entry", ["nan", "inf"])

@@ -159,6 +159,10 @@ matrices = st.one_of(
 @example(a1=(0.0, -1e-160, 1e160, 0.0), a2=(0.0, -1e-160, 1e160, 0.0))
 @example(a1=(0.0, 1e-155, -1e155, 0.0), a2=(0.0, 1e-155, -1e155, 0.0))
 @example(a1=(0.0, -1e-155, 1e155, 0.0), a2=(0.0, -1e-155, 1e155, 0.0))
+# ad and bc near -1.1e7 round its det to 1 + 1.9e-9, which an absolute
+# det tolerance refused
+@example(a1=(124.89247601196774, 2193825.507683052, -4.910560427603814, -86257.49178088145),
+         a2=(0.0, 1.0, -1.0, 0.0))
 def test_fuzzed_matrices_through_forward_check(pristine, a1, a2):
     # --a1=... since argparse reads a leading "-" as an option
     matrix = {name: ",".join(map(repr, m)) for name, m in (("a1", a1), ("a2", a2))}

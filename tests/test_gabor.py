@@ -6,14 +6,14 @@ import zlib
 import numpy as np
 import pytest
 
-from qlct import gabor
+from qlct import gabor, lct1d, qlct2d
 from qlct.families import (PARAM_SETS, gaussian, impulse, normalized,
                            random_quaternion_signal)
 from qlct.gabor import (GaborCoefficients, _translates, export_field_csv,
-                        export_pgm, gabor_analyze, gabor_analyze_at,
-                        gabor_field_stats, gabor_plancherel_check,
-                        gabor_synthesize, load_coefficients, save_coefficients,
-                        spectrogram, translation_grid)
+                        export_pgm, gabor_analyze, gabor_field_stats,
+                        gabor_plancherel_check, gabor_synthesize,
+                        load_coefficients, save_coefficients, spectrogram,
+                        translation_grid)
 from qlct.lct1d import LCTParams, axis_plan
 from qlct.qlct2d import (FastPlan, QLCTParams, _fast_plan, _two_sided_fast,
                          forward_grid, qlct_forward_fast, qlct_inverse)
@@ -21,7 +21,7 @@ from qlct.signal import (FormatError, Grid2D, NumericError, QSignal2D, WindowSpe
                          make_window, translate)
 from qlct.quat import pair_abs_sq, qabs_sq, qconj, qmul
 
-from oracles import modulus_sq
+from oracles import gabor_analyze_at, modulus_sq
 from test_qlct2d import MIXED_CASES
 
 
@@ -276,6 +276,25 @@ def test_fast_sweep_one_cell_off_disagrees_with_direct(monkeypatch):
     for key in ("energy", "max_abs"):
         assert sf[key] != pytest.approx(sd[key], rel=1e-9), key
     assert sf["moment_y"][1.0] != pytest.approx(sd["moment_y"][1.0], rel=1e-9)
+
+
+def test_direct_pass_builds_two_kernel_matrices(monkeypatch):
+    # a direct pass builds K1 and K2 once, as a fast pass builds one plan,
+    # and contracts every block of translations with them
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return lct1d.kernel_matrix(*args)
+
+    for module in (gabor, qlct2d):
+        monkeypatch.setattr(module, "kernel_matrix", counted)
+    grid = Grid2D.centered(8, 8, 0.6, 0.6)
+    f = random_quaternion_signal(grid, np.random.default_rng(62))
+    p = PARAM_SETS["generic"]
+    stats = gabor_field_stats(f, quaternion_window(grid), p, method="direct")
+    assert stats["energy"] > 0
+    assert [(args[0], args[2]) for args in built] == [(p.A1, grid.axes[0]), (p.A2, grid.axes[1])]
 
 
 def test_quaternion_window_synthesis_matches_qmul_reference():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,23 @@ def test_params_unimodularity():
     LCTParams(1.0, 2.0, 0.5, 2.0)
     with pytest.raises(ValueError, match="det"):
         LCTParams(1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e100])
+def test_det_tolerance_scales_with_the_products(scale):
+    # ad = (scale + 1)(1 + t) and bc = scale put the det t (scale + 1) off 1:
+    # within the tolerance, 1e-9 of the larger product, for t = 0.5e-9 only
+    LCTParams(scale + 1.0, scale, 1.0, 1 + 0.5e-9)
+    with pytest.raises(ValueError, match="det"):
+        LCTParams(scale + 1.0, scale, 1.0, 1 + 2e-9)
+
+
+@pytest.mark.parametrize("entries", [(math.nan, 1.0, -1.0, 0.0), (math.inf, 1.0, -1.0, 0.0),
+                                     (math.inf, 0.0, 0.0, 1.0), (1e200, 0.0, 0.0, 1e200),
+                                     (1.0, 1.0, math.inf, 2.0)])
+def test_non_finite_entry_or_product_fails_the_det_check(entries):
+    with pytest.raises(ValueError, match="det"):
+        LCTParams(*entries)
 
 
 def test_kernel_fourier_case_at_origin():
