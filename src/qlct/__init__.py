@@ -12,7 +12,7 @@ from .qlct2d import (QLCTParams, forward_grid, qlct_forward, qlct_forward_direct
                      qlct_forward_fast, qlct_inverse, qlct_plancherel_check)
 from .gabor import (GaborCoefficients, gabor_analyze, gabor_plancherel_check,
                     gabor_synthesize, load_coefficients, save_coefficients,
-                    spectrogram, translation_grid)
+                    spectrogram, table_geometry, translation_grid)
 from .report import InequalityReport, reports_to_csv, reports_to_json
 from .uncertainty import (D_LOG, amgm_dilation_identity, concentration_check,
                           epsilon_concentration_check, gabor_field_stats,
@@ -38,5 +38,5 @@ __all__ = [
     "parse_window_spec", "qlct_forward", "qlct_forward_direct", "qlct_forward_fast",
     "qlct_inverse", "qlct_plancherel_check", "random_mask", "reports_to_csv",
     "reports_to_json", "sample", "save", "save_coefficients", "spectrogram",
-    "translate", "translation_grid", "young_sup_check",
+    "table_geometry", "translate", "translation_grid", "young_sup_check",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -52,8 +53,8 @@ VERIFY_BUDGET_BYTES = 2**27
 #: (n1 n2 translations of an n1 x n2 transform), not with any one array.
 VERIFY_PASS_CELLS = 2**28
 #: Most --trials `verify` takes: a whole `verify all` run peaks at about
-#: 14.4 KiB a trial (tracemalloc), most of it young's passes and the
-#: reports the run keeps, so at 3000 trials it peaks at 52 MiB, under
+#: 14.7 KiB a trial (tracemalloc), most of it young's passes and the
+#: reports the run keeps, so at 3000 trials it peaks at 45 MiB, under
 #: VERIFY_BUDGET_BYTES.
 MAX_TRIALS = 3000
 
@@ -304,9 +305,32 @@ def _gaussian_constants(out: Collector, name: str, fields, check, dilation_tol=N
                 family=family)
 
 
-def _table_specs(cfg: VerifyConfig) -> list:
-    """The unit 32^2 Gaussian against itself, with its |G|^2 table."""
-    return [_self_spec("gaussian", families.default_grid(32), {"abs_sq_table": True})]
+#: The epsilons of `suite_eps_concentration`, each captured by a greedy mask.
+EPSILONS = (0.5, 0.1)
+
+
+def _concentration_masks(cfg: VerifyConfig) -> dict:
+    """{m: a random mask of measure m} over the |G|^2 table of the unit
+    32^2 Gaussian under QFT, for m in (0.25, 0.5, 0.9), drawn in that
+    order from one generator seeded with cfg.seed, before any pass."""
+    rng = np.random.default_rng(cfg.seed)
+    shape, cell_volume = gabor.table_geometry(families.default_grid(32), QFT)
+    return {m: uncertainty.random_mask(math.prod(shape), cell_volume, m, rng)
+            for m in (0.25, 0.5, 0.9)}
+
+
+def _concentration_specs(cfg: VerifyConfig) -> list:
+    """The unit 32^2 Gaussian against itself, keeping the cells of its
+    random masks."""
+    cells = np.concatenate(list(_concentration_masks(cfg).values()))
+    return [_self_spec("gaussian", families.default_grid(32), {"cells": (None, cells)})]
+
+
+def _eps_concentration_specs(cfg: VerifyConfig) -> list:
+    """The unit 32^2 Gaussian against itself, keeping the cells at or
+    above the floor of its largest capture, 1 - min(EPSILONS)."""
+    capture = 1.0 - min(EPSILONS)
+    return [_self_spec("gaussian", families.default_grid(32), {"cells": (capture, ())})]
 
 
 def suite_plancherel(cfg: VerifyConfig, out: Collector, fields):
@@ -430,10 +454,8 @@ def suite_hausdorff_young(cfg: VerifyConfig, out: Collector, fields):
 
 
 def suite_concentration(cfg: VerifyConfig, out: Collector, fields):
-    rng = np.random.default_rng(cfg.seed)
     [(_, stats)] = fields
-    for m in (0.25, 0.5, 0.9):
-        mask = uncertainty.random_mask(stats, m, rng)
+    for m, mask in _concentration_masks(cfg).items():
         out.add(uncertainty.concentration_check(stats, mask), ("margin", -1e-6),
                 family=f"random-mask-{m}")
 
@@ -441,7 +463,7 @@ def suite_concentration(cfg: VerifyConfig, out: Collector, fields):
 def suite_eps_concentration(cfg: VerifyConfig, out: Collector, fields):
     [(_, stats)] = fields
     measures = {}
-    for eps in (0.5, 0.1):
+    for eps in EPSILONS:
         mask = uncertainty.greedy_minimal_mask(stats, 1.0 - eps)
         measures[eps] = out.add(uncertainty.epsilon_concentration_check(stats, mask, eps),
                                 ("margin", 0.0), family=f"greedy-{eps}").rhs
@@ -483,8 +505,8 @@ SUITE_FIELDS = {
     "log": _log_specs,
     "lieb": _lieb_specs,
     "young": _young_specs,
-    "concentration": _table_specs,
-    "eps-concentration": _table_specs,
+    "concentration": _concentration_specs,
+    "eps-concentration": _eps_concentration_specs,
     "moment-concentration": _gaussian_specs,
 }
 

@@ -53,11 +53,12 @@ for 64x64. Its unit is the y1 row, (ny2, nw1, nw2, 4), 1 MiB at 32x32:
 reads them back one at a time, and synthesis and `spectrogram` consume
 them in order, so no command holds more than a row of the field. Only
 `gabor_analyze` builds the dense array, by collecting the rows, for
-library use. The `qlct verify` suites stream through `iter_gabor_blocks`;
-the concentration suites read the (n1*n2)^2 float64 |G|^2 table that
-`gabor_field_stats` copies out of the stream, a quarter of the field's
-size (8 MiB at 32x32, its budget), and build their masks beside it with
-no table-sized temporary (see `uncertainty`).
+library use. The `qlct verify` suites stream through `iter_gabor_blocks`,
+and none holds the (n1*n2)^2 float64 |G|^2 table (8 MiB at 32x32, the
+budget of a library `abs_sq_table` request): `gabor_field_stats` keeps,
+block by block, only the cells a `cells` request names, those at or above
+a floor set from the windowed energy and those at given flat indices, and
+the concentration masks read those cells (see `uncertainty`).
 
 A coefficient directory, known to this module only, holds `coeffs.f64`
 (the raw little-endian float64 field in `AXIS_ORDER`, shaped by the
@@ -337,34 +338,75 @@ def gabor_synthesize(G: GaborCoefficients, phi: QSignal2D) -> QSignal2D:
     return QSignal2D(grid, acc)
 
 
-#: Largest |G|^2 table a pass copies out: the stride-1 field of a 32x32
-#: signal, 32^4 float64 cells (8 MiB).
+#: Largest |G|^2 table a pass copies out for `abs_sq_table`: the stride-1
+#: field of a 32x32 signal, 32^4 float64 cells (8 MiB). No `qlct verify`
+#: suite asks for one; their masks read the cells of a `cells` request.
 TABLE_BUDGET_BYTES = 32**4 * 8
+
+
+def table_geometry(grid: Grid2D, p: QLCTParams, y_stride: int = 1) -> tuple[tuple, float]:
+    """Shape (ny1, ny2, nw1, nw2) and cell volume domega dy of the |G|^2
+    table of a pass over grid, known before the pass runs."""
+    omega_grid, y_grid = forward_grid(grid, p), translation_grid(grid, y_stride)
+    return (*y_grid.shape, *omega_grid.shape), omega_grid.cell_area * y_grid.cell_area
+
+
+def cell_floor(energy: float, capture: float, n_cells: int, cell_volume: float) -> float:
+    """The |G|^2 value at or above which the cells of a table of n_cells
+    cells, with at least energy * (1 - 1e-6) of energy in all, carry more
+    than `capture` of it: the cells below a floor t carry less than
+    n_cells t cell_volume, so at t = (energy (1 - 2e-6) - capture) /
+    (n_cells cell_volume) the rest carry more than capture + 1e-6 energy,
+    room for the rounding of any sum of them. A capture at or below 0
+    takes capture 0's floor, below the largest cell of such a table, and
+    one at or above energy (1 - 2e-6) the floor 0, which keeps every cell."""
+    return max((energy * (1.0 - 2e-6) - max(capture, 0.0)) / cell_volume / n_cells, 0.0)
+
+
+def _kept_cells(block: np.ndarray, start: int, floor: float | None, wanted: np.ndarray):
+    """(flat index, value) of the cells of block, the |G|^2 table from
+    flat index start on, at or above floor (if any) or in wanted (sorted),
+    in flat order."""
+    flat = block.reshape(-1)
+    keep = flat >= floor if floor is not None else np.zeros(flat.size, bool)
+    lo, hi = np.searchsorted(wanted, (start, start + flat.size))
+    keep[wanted[lo:hi] - start] = True
+    at = np.flatnonzero(keep)
+    return at + start, flat[at]
 
 
 def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
                       s_values: tuple[float, ...] = (),
                       pprimes: tuple[float, ...] = (),
                       log_omega: bool = False, abs_sq_table: bool = False,
+                      cells: tuple | None = None,
                       method: str = "fast", y_stride: int = 1) -> dict:
     """One streamed pass over the Gabor field collecting the weighted sums
     every check needs: total energy, sup |G|, |omega|/|y|/joint moments,
-    p'-th power sums, the ln|omega| weighted energy and, with
-    abs_sq_table, |G|^2 itself.
+    p'-th power sums, the ln|omega| weighted energy, with abs_sq_table
+    |G|^2 itself, and with cells the cells a mask reads.
 
     Each block's |P|^2 + |M|^2, without its unit-phase post-chirps, is
     reduced while it is in cache: one sum, max and `np.vecdot` per
     translation and omega-weight into (ny1, ny2) tables, whose sums are
     the totals; |G|^2 = 2(|P|^2 + |M|^2), so 2 then scales the totals,
-    the peak and the table, and 2^(p'/2) the p'-th power sums. For f and
-    phi with no j or k part under a2 = 0, M is P's omega2 mirror (see
-    `iter_gabor_blocks`), so the pass runs half the FFTs and its table is
-    even in omega2 up to the order of its four squares.
+    the peak, the table and the cells, and 2^(p'/2) the p'-th power sums.
+    For f and phi with no j or k part under a2 = 0, M is P's omega2
+    mirror (see `iter_gabor_blocks`), so the pass runs half the FFTs and
+    its table is even in omega2 up to the order of its four squares.
     `plancherel_by_y_residual` is the largest gap between the energy of
     each translation, sum_omega |G(omega, y)|^2 domega, and
-    `_windowed_energy`, over the largest right side. The |G|^2 table is
-    indexed (y1, y2, omega1, omega2); one above `TABLE_BUDGET_BYTES`
-    raises ValueError before the pass starts.
+    `_windowed_energy`, over the largest right side; that estimate, taken
+    before the loop, sums to `windowed_energy`. The |G|^2 table is indexed
+    (y1, y2, omega1, omega2), `table_shape`; one above
+    `TABLE_BUDGET_BYTES` raises ValueError before the pass starts.
+
+    cells = (capture, indices) keeps, block by block, the |G|^2 cells at
+    or above `cell_floor(windowed_energy, capture, ...)` (none for a
+    capture of None) and those at the flat table indices `indices`, as
+    the flat-ordered arrays `cell_index` and `cell_value`, and records
+    the capture as `cell_capture`. A capture near or above the field's
+    energy keeps every cell.
 
     A sum not requested is None (empty for the per-order sums). `f`, `phi`,
     `params` and `method` are the inputs it swept, by reference. Every
@@ -375,14 +417,25 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
         raise ValueError(f"powers p' must be positive and finite, got {pprimes}")
     omega_grid = forward_grid(f.grid, p)
     y_grid = translation_grid(f.grid, y_stride)
+    table_shape, cellvol = table_geometry(f.grid, p, y_stride)
+    n_cells = math.prod(table_shape)
     if abs_sq_table:
-        nbytes = 8 * omega_grid.n1 * omega_grid.n2 * y_grid.n1 * y_grid.n2
+        nbytes = 8 * n_cells
         if nbytes > TABLE_BUDGET_BYTES:
             raise ValueError(f"the |G|^2 table of a {f.grid.n1}x{f.grid.n2} field at "
                              f"stride {y_stride} takes {nbytes} bytes, above the "
                              f"{TABLE_BUDGET_BYTES} byte budget")
         table = np.empty((*y_grid.shape, omega_grid.n1 * omega_grid.n2))
-    cellvol = omega_grid.cell_area * y_grid.cell_area
+    rhs = _windowed_energy(f, phi, y_stride)
+    windowed = float(rhs.sum()) * y_grid.cell_area
+    capture = cell_index = cell_value = None
+    if cells is not None:
+        capture, wanted = cells[0], np.unique(np.asarray(cells[1], dtype=np.int64))
+        if wanted.size and not 0 <= wanted[0] <= wanted[-1] < n_cells:
+            raise ValueError(f"cell indices must lie in [0, {n_cells}), the flat "
+                             f"|G|^2 table of {table_shape}")
+        floor = None if capture is None else cell_floor(windowed, capture, n_cells, cellvol)
+        kept = []
     w1, w2 = omega_grid.meshgrid()
     omega_r2 = (w1**2 + w2**2).ravel()
     log_w = _log_radius(omega_grid).ravel() if log_omega else None
@@ -398,6 +451,7 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
     for iy1, sl, P, M in iter_gabor_blocks(f, phi, p, y_stride, method, post_chirp=False):
         if buf is None:  # the first block is the largest
             buf = np.empty(P.shape)
+            twice = np.empty(P.shape) if cells is not None else None
         mod2 = pair_abs_sq(P, M, out=buf[:len(P)]).reshape(len(P), -1)
         at = (iy1, sl)
         mod2.sum(axis=1, out=energy[at])
@@ -411,24 +465,33 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
             np.vecdot(mod2, log_w, out=t_log[at])
         if abs_sq_table:
             np.multiply(mod2, 2.0, out=table[at])
+        if cells is not None:
+            block = np.multiply(mod2, 2.0, out=twice[:len(P)].reshape(mod2.shape))
+            kept.append(_kept_cells(block, (iy1 * shape[1] + sl.start) * mod2.shape[1],
+                                    floor, wanted))
 
     def total(t, scale=2.0):
         return float(t.sum()) * (scale * cellvol)
 
     energy_by_y = energy * (2.0 * omega_grid.cell_area)
-    rhs = _windowed_energy(f, phi, y_stride)
     gap = np.max(np.abs(energy_by_y - rhs))
+    if cells is not None:
+        cell_index, cell_value = (np.concatenate(part) for part in zip(*kept))
+        del kept
     return {
         "energy": total(energy),
         # 0 for a zero signal, which young_sup_check accepts
         "plancherel_by_y_residual": float(gap / np.max(rhs)) if gap else 0.0,
+        "windowed_energy": windowed,
         "max_abs": math.sqrt(2.0 * float(peak.max())),
         "moment_omega": {s: total(t_omega[s]) for s in s_values},
         "moment_y": {s: total(y_r2**s * energy) for s in s_values},
         "moment_joint": {s: total(t_joint[s]) for s in s_values},
         "power_sums": {pp: total(t_power[pp], 2.0**(pp / 2)) for pp in pprimes},
         "log_omega_sum": total(t_log) if log_omega else None,
-        "abs_sq_table": table.reshape(*shape, *omega_grid.shape) if abs_sq_table else None,
+        "abs_sq_table": table.reshape(table_shape) if abs_sq_table else None,
+        "cell_index": cell_index, "cell_value": cell_value, "cell_capture": capture,
+        "table_shape": table_shape,
         "cell_volume": cellvol, "method": method, "f": f, "phi": phi, "params": p,
     }
 

@@ -140,11 +140,29 @@ class QSignal2D:
         return float(np.sqrt(self.l2_norm_sq()))
 
     def lp_norm(self, p: float) -> float:
-        """Quadrature p-norm of the pointwise quaternion modulus."""
-        return float(np.sum(self.modulus()**p) * self.grid.cell_area) ** (1.0 / p)
+        """Quadrature p-norm of the pointwise quaternion modulus m, taken
+        as (sum (m/q)^p)^(1/p) * t with q = max m and t = q dx1^(1/p)
+        dx2^(1/p), scaled by the peak as `l2_norm_sq` is."""
+        m = self.modulus()
+        q = float(m.max())
+        if not 0.0 < q < math.inf:
+            return q  # 0.0 for a zero signal; inf and nan pass through
+        m /= q
+        t = q * self.grid.dx1**(1.0 / p) * self.grid.dx2**(1.0 / p)
+        return float(np.sum(m**p))**(1.0 / p) * t
 
     def modulus(self) -> np.ndarray:
-        return qabs(self.samples)
+        """Pointwise |x|, taken on the samples divided by a power of two
+        near their peak and multiplied back, so the squares neither
+        overflow nor underflow at the peak, and no bit moves where the
+        unscaled squares stay normal."""
+        peak = max(float(self.samples.max()), -float(self.samples.min()))
+        if not 0.0 < peak < math.inf:
+            return qabs(self.samples)
+        scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)  # peak is in [scale, 2 scale)
+        m = qabs(self.samples / scale)
+        m *= scale
+        return m
 
     def scaled(self, alpha: float) -> "QSignal2D":
         return QSignal2D(self.grid, self.samples * float(alpha))

@@ -13,13 +13,16 @@ Every Gabor field check takes `stats`, a streamed pass of
 the f, phi, params and method it swept, so a check reads its inputs from
 it alone and makes no pass of its own; a sum the pass was not asked for
 raises ValueError. No check copies the pass's Plancherel residual:
-`qlct verify` gates it once per pass. The concentration checks read the
-|G|^2 table a pass copies out, never a dense quaternion field; their
-masks are boolean arrays shaped like that table, measured by
-`mask_measure` at the table's own cell volume. Neither the masks nor the
-checks copy the table: `greedy_minimal_mask` sorts only the cells at or
-above a floor set from the table's total, and `concentration_check`
-takes the complement's energy as the total less the mask's cells.
+`qlct verify` gates it once per pass. The concentration checks read only
+the |G|^2 cells a pass was asked to keep (its `cells` request), never
+the whole table or a dense quaternion field. Their masks are sorted
+arrays of flat (y1, y2, omega1, omega2) table indices, measured by
+`mask_measure` as the cell count times the table's cell volume.
+`random_mask` draws its cells before the pass, from the table's geometry
+alone; `greedy_minimal_mask` sorts only the cells at or above the floor
+the pass set from its windowed energy estimate, which hold the largest;
+and `concentration_check` takes the complement's energy as the pass's
+energy less the mask's cells.
 
 `sweep_fields` makes those passes for a list of requests: one pass per
 distinct field over the union of the requests made of it, each request
@@ -62,45 +65,85 @@ def _requested(stats: dict, key: str, ask: str, order=None):
     return value
 
 
-def mask_measure(stats: dict, mask: np.ndarray) -> float:
-    """Lebesgue measure of a boolean mask over the |G|^2 table of `stats`:
-    its cell count times the table's cell volume."""
-    table, mask = _requested(stats, "abs_sq_table", "abs_sq_table=True"), np.asarray(mask)
-    if mask.dtype != bool or mask.shape != table.shape:
-        raise ValueError(f"mask must be a boolean array of the |G|^2 table's shape "
-                         f"{table.shape}, got {mask.dtype} {mask.shape}")
-    return float(np.count_nonzero(mask)) * stats["cell_volume"]
+def _mask_values(stats: dict, mask) -> np.ndarray:
+    """The |G|^2 values of the cells of mask, a strictly increasing 1-D
+    array of flat (y1, y2, omega1, omega2) table indices, read from the
+    cells the pass of `stats` kept; ValueError for any other mask, or for
+    a cell the pass did not keep."""
+    index = _requested(stats, "cell_index", "cells=(capture, indices)")
+    mask = np.asarray(mask)
+    if (mask.ndim != 1 or mask.size and mask.dtype.kind not in "iu"
+            or np.any(mask[1:] <= mask[:-1])):
+        raise ValueError(f"a mask is a strictly increasing 1-D array of flat |G|^2 table "
+                         f"indices, got {mask.dtype} {mask.shape}")
+    at = np.searchsorted(index, mask)
+    kept = at < len(index)
+    kept[kept] = index[at[kept]] == mask[kept]
+    if not kept.all():
+        raise ValueError(f"the pass kept no cell {mask[~kept][0]} of this mask; "
+                         "request it with cells=(capture, indices)")
+    return stats["cell_value"][at]
 
 
-def random_mask(stats: dict, target_measure: float,
+def mask_measure(stats: dict, mask) -> float:
+    """Lebesgue measure of a mask over the |G|^2 table of `stats`: its
+    cell count times the table's cell volume."""
+    return float(len(_mask_values(stats, mask))) * stats["cell_volume"]
+
+
+def random_mask(n_cells: int, cell_volume: float, target_measure: float,
                 rng: np.random.Generator) -> np.ndarray:
-    """Boolean mask of uniformly random cells of the |G|^2 table of `stats`
-    totalling approximately target_measure, drawn by flat index over the
-    table's (y1, y2, omega1, omega2)."""
-    table, cv = _requested(stats, "abs_sq_table", "abs_sq_table=True"), stats["cell_volume"]
-    total = table.size
-    count = max(1, min(total, round(target_measure / cv)))
-    mask = np.zeros(table.shape, dtype=bool)
-    mask.reshape(-1)[rng.choice(total, size=count, replace=False)] = True
-    return mask
+    """Sorted flat indices of uniformly random cells of a |G|^2 table of
+    n_cells cells of cell_volume, totalling approximately target_measure;
+    `gabor.table_geometry` gives both before the pass, which can then
+    keep these cells.
+
+    A draw that numpy's `Generator.choice` makes by Floyd's algorithm (at
+    most n_cells // 50 cells, or any of a table of at most 10 000) is that
+    call, so a seed keeps its cells. Above that, `choice` permutes an
+    index array of every cell; this draws batches of uniform cells and
+    keeps the new ones until it has its count, or draws the complement
+    when that is smaller, so it holds a few arrays of the mask's own size."""
+    count = max(1, min(n_cells, round(target_measure / cell_volume)))
+    if n_cells <= 10_000 or count <= n_cells // 50:
+        return np.sort(rng.choice(n_cells, size=count, replace=False))
+    small = min(count, n_cells - count)
+    drawn = np.empty(0, np.int64)
+    while len(drawn) < small:
+        drawn = np.union1d(drawn, rng.integers(0, n_cells, small - len(drawn)))
+    if small == count:
+        return drawn
+    # the i-th cell not drawn is i plus the count of drawn cells d_j with d_j - j <= i
+    cells = np.arange(count)
+    return cells + np.searchsorted(drawn - np.arange(len(drawn)), cells, side="right")
 
 
 def greedy_minimal_mask(stats: dict, capture: float) -> np.ndarray:
-    """Smallest-measure boolean mask capturing at least `capture` of
-    absolute Gabor energy: the k largest cells of the |G|^2 table of
+    """Smallest-measure mask capturing at least `capture` of absolute
+    Gabor energy: the sorted flat indices of the k largest |G|^2 cells of
     `stats`, with k read off the running energy of the cells in
     descending order, and ties at the k-th value taken in flat order.
 
-    The cells below a floor t carry less than t each, so with t set from
-    the table's total the cells at or above it carry the capture, with
-    room for rounding, and hold the k largest: only they are copied and
-    sorted. Their running energy, taken 2^16 cells at a time, is the
-    whole table's prefix bit for bit, so even a flat table, every cell of
-    which is at the floor, costs a single table-sized copy."""
-    table, cv = _requested(stats, "abs_sq_table", "abs_sq_table=True"), stats["cell_volume"]
-    flat, target = table.reshape(-1), capture - 1e-12
-    floor = (float(np.sum(flat)) * (1.0 - 1e-6) - target / cv) / flat.size
-    keep = flat[flat >= min(floor, flat.max())]  # the largest cell for a capture <= 0
+    The pass must have kept the cells at or above `gabor.cell_floor` of
+    this capture, and its energy must be at least the windowed estimate
+    that floor was set from, less 1e-6 of it: then the cells it kept at
+    or above the floor carry the capture with room for rounding, so they
+    hold the k largest, and only they are copied and sorted. Their running
+    energy, taken 2^16 cells at a time, is the whole table's prefix bit
+    for bit."""
+    index = _requested(stats, "cell_index", "cells=(capture, indices)")
+    value, cv, estimate = stats["cell_value"], stats["cell_volume"], stats["windowed_energy"]
+    n_cells = math.prod(stats["table_shape"])
+    floor = gabor.cell_floor(estimate, capture, n_cells, cv)
+    asked = stats["cell_capture"]
+    if asked is None or gabor.cell_floor(estimate, asked, n_cells, cv) > floor:
+        raise ValueError(f"the pass kept no cells down to the floor of a capture of "
+                         f"{capture!r}; request it with cells=(capture, indices)")
+    if not stats["energy"] >= estimate * (1.0 - 1e-6):
+        raise ValueError(f"field energy {stats['energy']!r} is below its windowed estimate "
+                         f"{estimate!r} less 1e-6 of it, so the kept cells may miss the largest")
+    target = capture - 1e-12
+    keep = value[value >= floor]
     keep.sort()
     descending, running, k = keep[::-1], 0.0, None
     for start in range(0, len(descending), 2**16):
@@ -113,17 +156,17 @@ def greedy_minimal_mask(stats: dict, capture: float) -> np.ndarray:
             break
     if k is None:  # the floor kept every cell, so running is the table's energy
         raise ValueError(f"field energy {running * cv!r} cannot capture {capture!r}")
-    value = descending[k - 1]
+    v = descending[k - 1]
     del keep, descending, run
-    mask = flat > value
-    need = k - int(np.count_nonzero(mask))
-    for row, row_mask in zip(table.reshape(len(table), -1), mask.reshape(len(table), -1)):
-        tied = np.flatnonzero(row == value)[:need]
-        row_mask[tied] = True
+    chosen = value > v
+    need = k - int(np.count_nonzero(chosen))
+    for start in range(0, len(value), 2**16):
+        tied = np.flatnonzero(value[start:start + 2**16] == v)[:need]
+        chosen[start + tied] = True
         need -= len(tied)
         if not need:
             break
-    return mask.reshape(table.shape)
+    return index[chosen]
 
 
 def _field_key(f: QSignal2D, phi: QSignal2D, p: QLCTParams, request: dict):
@@ -138,11 +181,16 @@ def _field_key(f: QSignal2D, phi: QSignal2D, p: QLCTParams, request: dict):
 
 
 def _union(requests: list[dict]) -> dict:
-    """One request asking every sum that any of `requests` asks."""
+    """One request asking every sum that any of `requests` asks; of their
+    cell requests, the largest capture (the lowest floor) and every index."""
+    cells = [r["cells"] for r in requests if r.get("cells") is not None]
+    captures = [capture for capture, _ in cells if capture is not None]
     return {"s_values": tuple(sorted({s for r in requests for s in r.get("s_values", ())})),
             "pprimes": tuple(sorted({pp for r in requests for pp in r.get("pprimes", ())})),
             "log_omega": any(r.get("log_omega", False) for r in requests),
-            "abs_sq_table": any(r.get("abs_sq_table", False) for r in requests)}
+            "abs_sq_table": any(r.get("abs_sq_table", False) for r in requests),
+            "cells": (max(captures, default=None), np.unique(np.concatenate(
+                [np.asarray(indices, np.int64) for _, indices in cells]))) if cells else None}
 
 
 def sweep_fields(fields: list) -> list[dict]:
@@ -338,16 +386,14 @@ def hausdorff_young_check(f: QSignal2D, p: QLCTParams, pp: float,
                               grid=f.grid.to_dict(), notes=notes)
 
 
-def concentration_check(stats: dict, mask: np.ndarray) -> report.InequalityReport:
+def concentration_check(stats: dict, mask) -> report.InequalityReport:
     """||f|| ||phi|| against the complement energy blown up by
-    1/sqrt(1 - m(Sigma)), for 0 < m(Sigma) < 1, on the |G|^2 table of
-    `stats`."""
+    1/sqrt(1 - m(Sigma)), for 0 < m(Sigma) < 1, on the cells of `stats`."""
     m = mask_measure(stats, mask)
     if not 0.0 < m < 1.0:
         raise ValueError(f"mask measure must lie in (0, 1), got {m!r}")
-    table = stats["abs_sq_table"]
-    # the complement's energy without gathering it: the mask holds under 1/cell_volume cells
-    comp = float((np.sum(table) - np.sum(table[mask])) * stats["cell_volume"])
+    # the pass's energy less the mask's cells: it holds under 1/cell_volume of them
+    comp = stats["energy"] - float(np.sum(_mask_values(stats, mask)) * stats["cell_volume"])
     rhs = math.sqrt(comp) / math.sqrt(1.0 - m)
     lhs = stats["f"].l2_norm() * stats["phi"].l2_norm()
     return report.upper_bound("concentration", lhs, rhs,
@@ -355,15 +401,15 @@ def concentration_check(stats: dict, mask: np.ndarray) -> report.InequalityRepor
                                       **stats["params"].to_dict()})
 
 
-def epsilon_concentration_check(stats: dict, mask: np.ndarray,
+def epsilon_concentration_check(stats: dict, mask,
                                 epsilon: float) -> report.InequalityReport:
     """Measure lower bound 2 pi sqrt|b1 b2| (1 - eps) <= m(Sigma) for a
     region capturing at least 1 - eps of the energy of unit-norm data, on
-    the |G|^2 table of `stats`."""
+    the cells of `stats`."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     m = mask_measure(stats, mask)
-    captured = float(np.sum(stats["abs_sq_table"][mask]) * stats["cell_volume"])
+    captured = float(np.sum(_mask_values(stats, mask)) * stats["cell_volume"])
     if captured + 1e-9 < 1.0 - epsilon:
         raise ValueError(f"mask captures {captured!r} < 1 - eps = {1 - epsilon!r}; "
                          "hypothesis unmet (normalize f and phi first)")

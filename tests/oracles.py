@@ -5,10 +5,11 @@ of `lct1d.lct_fast`, `gabor_analyze_at` the Gabor field at one
 translation, windowed and transformed on its own by either path,
 `modulus_sq` the |G|^2 of a dense Gabor field,
 `moment` the dense twin of the weighted moments of
-`gabor.gabor_field_stats`, `greedy_minimal_mask` the whole-table sort
-that `uncertainty.greedy_minimal_mask` reproduces without copying the
-table, and the quaternion constructors build the values the `quat` tests
-multiply. pytest collects no test from this file.
+`gabor.gabor_field_stats`, `random_mask` and `greedy_minimal_mask` the
+boolean masks over a whole |G|^2 table that `uncertainty`'s masks, which
+read only the cells a pass keeps, reproduce as flat indices, and the
+quaternion constructors build the values the `quat` tests multiply.
+pytest collects no test from this file.
 """
 
 import math
@@ -109,18 +110,31 @@ def moment(G: GaborCoefficients, which: str, s: float) -> float:
     return float(np.sum(weight * mod2) * cell_volume(G))
 
 
+def random_mask(stats: dict, target_measure: float,
+                rng: np.random.Generator) -> np.ndarray:
+    """Boolean mask of uniformly random cells of the |G|^2 table of `stats`
+    totalling approximately target_measure, drawn by flat index over the
+    table's (y1, y2, omega1, omega2) with one `rng.choice` call."""
+    table, cv = stats["abs_sq_table"], stats["cell_volume"]
+    total = table.size
+    count = max(1, min(total, round(target_measure / cv)))
+    mask = np.zeros(table.shape, dtype=bool)
+    mask.reshape(-1)[rng.choice(total, size=count, replace=False)] = True
+    return mask
+
+
 def greedy_minimal_mask(stats: dict, capture: float) -> np.ndarray:
     """The k largest cells of the |G|^2 table of `stats`, with k read off
-    the running energy of the whole table sorted in descending order; ties
-    at the k-th value are taken in `np.argpartition`'s order."""
+    the running energy of the whole table sorted in descending order, and
+    ties at the k-th value taken in flat order (a stable sort)."""
     table, cv = stats["abs_sq_table"], stats["cell_volume"]
     flat = table.reshape(-1)
-    csum = np.sort(flat)[::-1]
-    np.cumsum(csum, out=csum)
+    order = np.argsort(-flat, kind="stable")
+    csum = np.cumsum(flat[order])
     csum *= cv
     k = int(np.searchsorted(csum, capture - 1e-12)) + 1
     if k > flat.size:
         raise ValueError(f"field energy {csum[-1]!r} cannot capture {capture!r}")
     mask = np.zeros(flat.size, dtype=bool)
-    mask[np.argpartition(flat, flat.size - k)[flat.size - k:]] = True
+    mask[order[:k]] = True
     return mask.reshape(table.shape)

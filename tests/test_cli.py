@@ -824,9 +824,9 @@ def test_concentration_suites_stay_within_32_mib():
 
 @pytest.mark.parametrize("suite", ["concentration", "eps-concentration"])
 def test_concentration_suite_holds_its_table_and_under_4_mib_more(suite):
-    """The masks and their checks work beside the 8 MiB 32^2 |G|^2 table
-    without a table-sized temporary: a whole run peaks below the table's
-    bytes + 4 MiB."""
+    """The masks and their checks read only the cells their pass kept, no
+    8 MiB 32^2 |G|^2 table and no array of its size: a whole run peaks
+    below 4 MiB."""
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
         try:
@@ -834,7 +834,7 @@ def test_concentration_suite_holds_its_table_and_under_4_mib_more(suite):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 8 * 32**4 + 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_verify_unknown_suite_rejected(capsys):

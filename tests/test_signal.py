@@ -80,6 +80,33 @@ def test_norm_neither_overflows_nor_underflows(dx, value):
     assert QSignal2D(g, np.zeros((4, 4, 4))).l2_norm_sq() == 0.0
 
 
+@pytest.mark.parametrize("dx, value", [(1e-200, 1e200), (1e150, 1e-170)])
+def test_modulus_and_lp_norm_neither_overflow_nor_underflow(dx, value):
+    # every component value: the modulus 2 value, the p-norm
+    # (16 (2 value)^p dx^2)^(1/p); unscaled, 1e200 squared to inf and read
+    # lp_norm nan and modulus inf (a warning is an error here)
+    g = Grid2D.centered(4, 4, dx, dx)
+    f = QSignal2D(g, np.full((4, 4, 4), value))
+    assert f.modulus().max() == 2 * value
+    assert f.lp_norm(2.0)**2 == pytest.approx(f.l2_norm_sq(), rel=1e-12)
+    if value == 1e200:
+        assert f.l2_norm_sq() == 64.0
+    for p in (1.5, 4.0):
+        want = 16**(1 / p) * 2 * value * dx**(2 / p)
+        assert f.lp_norm(p) == pytest.approx(want, rel=1e-14)
+    zero = QSignal2D(g, np.zeros((4, 4, 4)))
+    assert zero.lp_norm(2.0) == 0.0 and not zero.modulus().any()
+
+
+def test_modulus_keeps_every_bit_where_the_squares_stay_normal():
+    """Dividing by a power of two and multiplying back is exact, so in the
+    normal range the scaled modulus is qabs's, bit for bit."""
+    g = Grid2D.centered(6, 5, 0.3, 0.3)
+    samples = np.random.default_rng(66).normal(size=(6, 5, 4)) * 1e3
+    f = QSignal2D(g, samples)
+    np.testing.assert_array_equal(f.modulus(), np.sqrt(np.sum(samples**2, axis=-1)))
+
+
 def test_pure_j_signal_same_norm():
     g = Grid2D.centered(64, 64, 0.25, 0.25)
     env = lambda x1, x2: np.exp(-(x1**2 + x2**2) / 2)

@@ -287,7 +287,7 @@ def test_memo_key_separates_every_field_input(passes):
     fields = [(sig, win, p, {"s_values": (1.0,), **kw}) for sig, win, p, kw in requests]
     stats = sweep_fields(fields + fields)
     assert passes == [{"s_values": (1.0,), **kw, "pprimes": (), "log_omega": False,
-                       "abs_sq_table": False} for *_, kw in requests]
+                       "abs_sq_table": False, "cells": None} for *_, kw in requests]
     assert len({id(st) for st in stats}) == len(requests)
     assert all(a is b for a, b in zip(stats, stats[len(requests):]))
 
@@ -302,24 +302,36 @@ def _assert_serves(got, want, where):
         assert got["log_omega_sum"] == want["log_omega_sum"], where
     if want["abs_sq_table"] is not None:
         np.testing.assert_array_equal(got["abs_sq_table"], want["abs_sq_table"])
+    if want["cell_index"] is not None:
+        # the union keeps at least the cells a lone request keeps, with their bits
+        at = np.searchsorted(got["cell_index"], want["cell_index"])
+        np.testing.assert_array_equal(got["cell_index"][at], want["cell_index"])
+        np.testing.assert_array_equal(got["cell_value"][at], want["cell_value"])
 
 
 def test_memo_serves_each_request_bit_equal_to_a_fresh_pass(passes):
     """One pass over the union of a field's requests serves them all,
     repeats included, from its read-only arrays, and each request reads
-    the bits of a lone fresh pass asking it, its |G|^2 table included."""
+    the bits of a lone fresh pass asking it, its |G|^2 table and its cells
+    included: the union of cell requests keeps the largest capture and
+    every index."""
     grid = default_grid(8)
     f = random_smooth(grid, np.random.default_rng(80))
     phi = normalized(gaussian(grid, 1.0))
     requests = [{"s_values": (1.0,)}, {"pprimes": (1.5,), "log_omega": True},
                 {"s_values": (1.0,), "pprimes": (1.5,)}, {"log_omega": True}, {},
-                {"abs_sq_table": True}, {"s_values": (0.5, 1.0), "abs_sq_table": True}]
+                {"abs_sq_table": True}, {"s_values": (0.5, 1.0), "abs_sq_table": True},
+                {"cells": (0.5, [4000, 3])}, {"cells": (None, [17, 3])}, {"cells": (0.25, ())}]
     union = {"s_values": (0.5, 1.0), "pprimes": (1.5,), "log_omega": True,
              "abs_sq_table": True}
     served = sweep_fields([(f, phi, FOURIER2, kw) for kw in requests + requests])
-    assert passes == [union]
+    [asked] = passes
+    capture, indices = asked.pop("cells")
+    assert asked == union and capture == 0.5
+    np.testing.assert_array_equal(indices, [3, 17, 4000])
     assert all(got is served[0] for got in served)
     assert not served[0]["abs_sq_table"].flags.writeable
+    assert not served[0]["cell_value"].flags.writeable
     for got, kw in zip(served, requests + requests):
         _assert_serves(got, gabor_field_stats(f, phi, FOURIER2, **kw), kw)
 
@@ -333,7 +345,7 @@ def test_a_declared_scope_makes_one_pass_per_distinct_field(passes):
     g = random_smooth(grid, np.random.default_rng(81))
     fields = [(f, f, FOURIER2, {"s_values": (1.0,)}), (f, f, FOURIER2, {"log_omega": True}),
               (f, f, FOURIER2, {"pprimes": (1.5,)}), (f, f, FOURIER2, {"pprimes": (2.0,)}),
-              (f, f, FOURIER2, {"abs_sq_table": True}), (f, f, FOURIER2, {}),
+              (f, f, FOURIER2, {"cells": (0.5, ())}), (f, f, FOURIER2, {}),
               (g, f, FOURIER2, {}), (f, f, FOURIER2, {"s_values": (1.0,), "method": "direct"})]
     stats = sweep_fields(fields)
     shared, of_g, direct = stats[0], stats[6], stats[7]
@@ -350,10 +362,11 @@ def test_a_declared_scope_makes_one_pass_per_distinct_field(passes):
         call()
     greedy_minimal_mask(shared, 0.5)
     assert len(passes) == 3, passes
+    assert passes[0].pop("cells")[0] == 0.5
     assert passes[0] == {"s_values": (1.0,), "pprimes": (1.5, 2.0), "log_omega": True,
-                         "abs_sq_table": True}
+                         "abs_sq_table": False}
     assert calls[-1]().params["method"] == "direct"
-    assert not shared["abs_sq_table"].flags.writeable
+    assert not shared["cell_index"].flags.writeable
 
 
 @pytest.mark.parametrize("check, request_, missing", [
@@ -388,13 +401,14 @@ def test_checks_read_their_inputs_from_the_pass_they_are_handed():
     assert rep.empirical_constant == pytest.approx(
         unit.empirical_constant * g.l2_norm_sq(), rel=1e-12)
     generic = PARAM_SETS["generic"]
-    stats = gabor_field_stats(f, f, generic, abs_sq_table=True)
+    stats = gabor_field_stats(f, f, generic, cells=(0.5, ()))
     eps = epsilon_concentration_check(stats, greedy_minimal_mask(stats, 0.5), 0.5)
     assert eps.params["abs_b1b2"] == abs(generic.A1.b * generic.A2.b) != 1.0
     assert {key: eps.params[key] for key in ("A1", "A2")} == generic.to_dict()
     phi = f.scaled(0.5)
-    stats = gabor_field_stats(g, phi, FOURIER2, abs_sq_table=True)
-    rep = concentration_check(stats, random_mask(stats, 0.5, np.random.default_rng(56)))
+    shape, cv = gabor.table_geometry(grid, FOURIER2)
+    mask = random_mask(math.prod(shape), cv, 0.5, np.random.default_rng(56))
+    rep = concentration_check(gabor_field_stats(g, phi, FOURIER2, cells=(None, mask)), mask)
     assert rep.lhs == g.l2_norm() * phi.l2_norm() != 1.0
 
 
@@ -681,9 +695,23 @@ def test_hausdorff_young_notes_exactly_the_failed_printed_bounds():
 # concentration
 
 def _unit_gaussian_field(n=16):
+    """The unit Gaussian against itself, with its |G|^2 table, keeping
+    every cell (a capture above the field's energy keeps them all)."""
     grid = Grid2D.centered(n, n, 8.0 / n, 8.0 / n)
     f = normalized(gaussian(grid, 1.0))
-    return f, gabor_field_stats(f, f, FOURIER2, abs_sq_table=True)
+    return f, gabor_field_stats(f, f, FOURIER2, abs_sq_table=True, cells=(2.0, ()))
+
+
+def _table_stats(table, cv, capture, indices=()):
+    """Stats of a pass over a made-up |G|^2 table: its energy, an exact
+    windowed estimate and the cells the pass keeps for (capture, indices),
+    picked by the pass's own `gabor._kept_cells`."""
+    energy = float(np.sum(table)) * cv
+    floor = gabor.cell_floor(energy, capture, table.size, cv)
+    index, value = gabor._kept_cells(table, 0, floor, np.asarray(indices, np.int64))
+    return {"abs_sq_table": table, "cell_volume": cv, "table_shape": table.shape,
+            "energy": energy, "windowed_energy": energy, "cell_capture": capture,
+            "cell_index": index, "cell_value": value}
 
 
 def test_abs_sq_table_is_the_dense_modulus_indexed_y_first():
@@ -694,27 +722,89 @@ def test_abs_sq_table_is_the_dense_modulus_indexed_y_first():
     p = PARAM_SETS["generic"]
     stats = gabor_field_stats(f, phi, p, abs_sq_table=True)
     dense = modulus_sq(gabor_analyze(f, phi, p, 1))
-    assert stats["abs_sq_table"].shape == dense.shape == (8, 6, 8, 6)
+    assert stats["abs_sq_table"].shape == dense.shape == stats["table_shape"] == (8, 6, 8, 6)
+    assert gabor.table_geometry(grid, p) == (stats["table_shape"], stats["cell_volume"])
     np.testing.assert_allclose(stats["abs_sq_table"], dense, rtol=1e-13,
                                atol=1e-15 * dense.max())
     assert gabor_field_stats(f, phi, p)["abs_sq_table"] is None
 
 
+def test_kept_cells_are_the_tables_cells_in_flat_order():
+    """A cell request keeps, with the table's bits and in flat order, the
+    cells at or above its capture's floor and those at its indices."""
+    grid = Grid2D.centered(8, 6, 0.6, 0.5)
+    f = random_quaternion_signal(grid, np.random.default_rng(60))
+    p = PARAM_SETS["generic"]
+    wanted = [5, 2303, 77, 0, 1200]
+    stats = gabor_field_stats(f, _quaternion_window(grid), p, abs_sq_table=True,
+                              cells=(0.3, wanted))
+    flat = stats["abs_sq_table"].ravel()
+    floor = gabor.cell_floor(stats["windowed_energy"], 0.3, flat.size, stats["cell_volume"])
+    keep = flat >= floor
+    keep[wanted] = True
+    assert 0 < np.count_nonzero(flat >= floor) < flat.size // 2
+    np.testing.assert_array_equal(stats["cell_index"], np.flatnonzero(keep))
+    np.testing.assert_array_equal(stats["cell_value"], flat[keep])
+    assert stats["cell_capture"] == 0.3
+    assert stats["energy"] == pytest.approx(stats["windowed_energy"], rel=1e-12)
+    with pytest.raises(ValueError, match="cell indices must lie in"):
+        gabor_field_stats(f, f, p, cells=(None, [flat.size]))
+
+
 def test_random_mask_draws_the_cells_of_the_dense_order():
     """A seed draws cells by flat index over the table's (y1, y2, omega1,
-    omega2), the order the dense field is stored in."""
+    omega2), the order the dense field is stored in, before any pass."""
     grid = Grid2D.centered(8, 6, 0.6, 0.5)
-    f = normalized(gaussian(grid, 1.0))
-    stats = gabor_field_stats(f, f, FOURIER2, abs_sq_table=True)
-    cv = stats["cell_volume"]
-    mask = random_mask(stats, 400.0, np.random.default_rng(55))
+    shape, cv = gabor.table_geometry(grid, FOURIER2)
+    mask = random_mask(math.prod(shape), cv, 400.0, np.random.default_rng(55))
     dense = np.zeros(8 * 6 * 8 * 6, dtype=bool)
     dense[np.random.default_rng(55).choice(dense.size, size=round(400.0 / cv),
                                            replace=False)] = True
     assert 100 < np.count_nonzero(dense) < dense.size // 2
-    assert mask.dtype == bool and mask.shape == stats["abs_sq_table"].shape
-    np.testing.assert_array_equal(mask, dense.reshape(8, 6, 8, 6))
+    np.testing.assert_array_equal(mask, np.flatnonzero(dense))
+    f = normalized(gaussian(grid, 1.0))
+    stats = gabor_field_stats(f, f, FOURIER2, abs_sq_table=True, cells=(None, mask))
     assert mask_measure(stats, mask) == np.count_nonzero(dense) * cv
+    np.testing.assert_array_equal(stats["cell_value"], stats["abs_sq_table"].ravel()[mask])
+
+
+def test_random_mask_keeps_numpys_floyd_draws_and_draws_more_in_its_own_size():
+    """Up to n // 50 cells of a table over 10 000, numpy draws by Floyd's
+    algorithm and the mask is that draw; a larger one holds no array of
+    every cell, yet is as many distinct cells, drawn or left out."""
+    n = 32**4
+    floyd = random_mask(n, 1.0, n // 50, np.random.default_rng(61))
+    np.testing.assert_array_equal(
+        floyd, np.sort(np.random.default_rng(61).choice(n, size=n // 50, replace=False)))
+    for count in (n // 50 + 1, 21_181, n // 2, n // 2 + 1, n - 3, n):
+        mask = random_mask(n, 1.0, count, np.random.default_rng(62))
+        assert len(mask) == count and mask[0] >= 0 and mask[-1] < n
+        assert np.all(np.diff(mask) > 0)
+    # a 21,181-cell 32^2 mask (measure 817): numpy's permutation peaked at 9.16 MiB
+    shape, cv = gabor.table_geometry(default_grid(32), FOURIER2)
+    tracemalloc.start()
+    try:
+        mask = random_mask(math.prod(shape), cv, 21_181 * cv, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mask) == 21_181
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_random_mask_beyond_floyd_is_uniform_over_the_cells():
+    """Each cell of a 20 000-cell table is drawn about count/n of the
+    time, in the drawn and in the left-out (complement) regime."""
+    n, trials = 20_000, 40
+    rng = np.random.default_rng(63)
+    for count in (2_000, 15_000):
+        hits = np.zeros(n)
+        for _ in range(trials):
+            hits[random_mask(n, 1.0, count, rng)] += 1
+        expected = trials * count / n
+        # a binomial count per cell, pooled over 1 000-cell bands
+        bands = hits.reshape(20, -1).sum(axis=1)
+        assert np.all(np.abs(bands - 1000 * expected) < 6 * math.sqrt(1000 * expected))
 
 
 def test_greedy_mask_takes_the_argsort_count_of_largest_cells():
@@ -726,9 +816,10 @@ def test_greedy_mask_takes_the_argsort_count_of_largest_cells():
     for capture in (0.5, 0.9, 0.999):
         k = int(np.searchsorted(csum, capture - 1e-12)) + 1
         mask = greedy_minimal_mask(stats, capture)
-        assert mask.dtype == bool and mask.shape == table.shape
-        assert np.count_nonzero(mask) == k
-        assert table[mask].min() >= table[~mask].max()
+        assert len(mask) == k and np.all(np.diff(mask) > 0)
+        chosen = np.zeros(flat.size, bool)
+        chosen[mask] = True
+        assert flat[chosen].min() >= flat[~chosen].max()
     with pytest.raises(ValueError, match="cannot capture"):
         greedy_minimal_mask(stats, 1.5)
 
@@ -740,37 +831,36 @@ def _random_tables(seed, count):
     for k in range(count):
         shape = tuple(rng.integers(1, 7, size=4))
         table = rng.random(shape)**rng.uniform(1.0, 40.0) if k % 5 else np.full(shape, 0.25)
-        stats = {"abs_sq_table": table, "cell_volume": rng.uniform(0.01, 2.0)}
-        yield stats, rng.uniform(0.0, 1.0) * np.sum(table) * stats["cell_volume"]
+        cv = rng.uniform(0.01, 2.0)
+        capture = rng.uniform(0.0, 1.0) * np.sum(table) * cv
+        yield _table_stats(table, cv, capture), capture
 
 
 def test_greedy_mask_takes_the_sorting_oracles_count_and_measure():
-    """The same k, hence the same measure, as the whole-table sort, and the
-    same multiset of cells, on random tables of any dynamic range."""
+    """The same cells, hence the same k and measure, as the whole-table
+    sort, on random tables of any dynamic range."""
     for stats, capture in _random_tables(57, 300):
-        table = stats["abs_sq_table"]
         mask, ref = greedy_minimal_mask(stats, capture), oracles.greedy_minimal_mask(stats, capture)
-        assert mask.dtype == bool and mask.shape == table.shape
-        assert np.count_nonzero(mask) == np.count_nonzero(ref)
-        assert mask_measure(stats, mask) == mask_measure(stats, ref)
-        np.testing.assert_array_equal(np.sort(table[mask]), np.sort(table[ref]))
+        np.testing.assert_array_equal(mask, np.flatnonzero(ref))
+        assert mask_measure(stats, mask) == np.count_nonzero(ref) * stats["cell_volume"]
 
 
 def test_greedy_mask_takes_ties_at_the_boundary_in_flat_order():
     table = np.zeros((3, 2, 4, 5))
     table.reshape(-1)[[7, 30, 41, 55, 98, 119]] = 1.0
     table.reshape(-1)[77] = 2.0
-    stats = {"abs_sq_table": table, "cell_volume": 0.5}
+    stats = _table_stats(table, 0.5, 2.0)
     # the 2.0 cell and two of the tied 1.0 cells capture 2.0
     mask = greedy_minimal_mask(stats, 2.0)
-    assert np.count_nonzero(oracles.greedy_minimal_mask(stats, 2.0)) == 3
-    np.testing.assert_array_equal(np.flatnonzero(mask), [7, 30, 77])
+    np.testing.assert_array_equal(np.flatnonzero(oracles.greedy_minimal_mask(stats, 2.0)), [7, 30, 77])
+    np.testing.assert_array_equal(mask, [7, 30, 77])
 
 
 def test_greedy_mask_refuses_what_the_oracle_refuses():
     rng = np.random.default_rng(58)
-    zero = {"abs_sq_table": np.zeros((4, 3, 4, 3)), "cell_volume": 0.3}
-    cases = [(zero, 0.5), ({"abs_sq_table": rng.random((5, 4, 3, 2)), "cell_volume": 0.7}, 1e3)]
+    zero = np.zeros((4, 3, 4, 3))
+    cases = [(_table_stats(zero, 0.3, 0.5), 0.5),
+             (_table_stats(rng.random((5, 4, 3, 2)), 0.7, 1e3), 1e3)]
     for stats, capture in cases:
         with pytest.raises(ValueError, match="cannot capture") as got:
             greedy_minimal_mask(stats, capture)
@@ -778,48 +868,140 @@ def test_greedy_mask_refuses_what_the_oracle_refuses():
             oracles.greedy_minimal_mask(stats, capture)
         assert str(got.value) == str(want.value)
     # a capture of nothing is the largest cell, the first in flat order on a zero table
-    np.testing.assert_array_equal(np.flatnonzero(greedy_minimal_mask(zero, 0.0)), [0])
+    np.testing.assert_array_equal(greedy_minimal_mask(_table_stats(zero, 0.3, 0.0), 0.0), [0])
+
+
+def test_greedy_mask_refuses_a_pass_that_cannot_promise_the_largest_cells():
+    """A pass whose floor is above this capture's, or whose energy falls
+    short of the estimate its floor was set from, raises ValueError."""
+    f = _unit_gaussian8()
+    stats = gabor_field_stats(f, f, FOURIER2, cells=(0.5, ()))
+    greedy_minimal_mask(stats, 0.5)
+    greedy_minimal_mask(stats, 0.25)
+    with pytest.raises(ValueError, match="kept no cells down to the floor of a capture of 0.9"):
+        greedy_minimal_mask(stats, 0.9)
+    with pytest.raises(ValueError, match="kept no cells down to the floor"):
+        greedy_minimal_mask(gabor_field_stats(f, f, FOURIER2, cells=(None, [1, 2])), 0.5)
+    short = dict(stats, energy=stats["windowed_energy"] * (1.0 - 2e-6))
+    with pytest.raises(ValueError, match="below its windowed estimate"):
+        greedy_minimal_mask(short, 0.5)
 
 
 def test_greedy_mask_holds_at_most_one_copy_of_a_flat_table():
-    """Every cell of a flat table is at the floor, so the mask costs one
-    table-sized copy of it, its boolean selector and the mask."""
-    table = np.full((32, 32, 32, 32), 2.0**-20)
-    stats = {"abs_sq_table": table, "cell_volume": 1.0}
+    """Every cell of a flat table is at the floor, so the pass keeps them
+    all, and the mask costs one copy of their values and the mask."""
+    stats = _table_stats(np.full((32, 32, 32, 32), 2.0**-20), 1.0, 0.5)
+    n = stats["cell_value"].size
+    assert n == 32**4
     tracemalloc.start()
     try:
         mask = greedy_minimal_mask(stats, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.count_nonzero(mask) == table.size // 2
-    np.testing.assert_array_equal(np.flatnonzero(mask), np.arange(table.size // 2))
-    assert peak <= 1.25 * table.nbytes, f"peak {peak / 2**20:.2f} MiB"
+    np.testing.assert_array_equal(mask, np.arange(n // 2))
+    assert peak <= 1.25 * stats["cell_value"].nbytes, f"peak {peak / 2**20:.2f} MiB"
+
+
+def _ties_field():
+    """A single-cell signal against a constant window on 8^2: every
+    translation that meets it windows the same samples, so its |G|^2
+    rows repeat bit for bit, each flat at 1/64, and every value is tied."""
+    grid = default_grid(8)
+    cell = np.zeros((8, 8, 4))
+    cell[3, 4, 0] = 1.0
+    return QSignal2D(grid, cell), QSignal2D(grid, np.ones((8, 8, 4)) * [1.0, 0, 0, 0])
+
+
+def _oracle_fields():
+    """(name, f, phi, p) of the fields the cell masks are checked on."""
+    grid16 = default_grid(16)
+    verify = cli._unit_gaussian(default_grid(32))
+    return [("verify-gaussian", verify, verify, FOURIER2),
+            ("random-quaternion-16", random_quaternion_signal(grid16, np.random.default_rng(64)),
+             _quaternion_window(grid16), PARAM_SETS["generic"]),
+            ("ties", *_ties_field(), FOURIER2)]
+
+
+@pytest.mark.parametrize("name, f, phi, p", _oracle_fields(), ids=lambda v: v
+                         if isinstance(v, str) else "")
+def test_cell_masks_are_the_table_oracles_bit_for_bit(name, f, phi, p):
+    """On real passes, the random and greedy masks read from the kept
+    cells are the table oracles' cells, with the same k, measure, captured
+    energy and a complement energy within rounding of the table's."""
+    shape, cv = gabor.table_geometry(f.grid, p)
+    masks = {m: random_mask(math.prod(shape), cv, m, np.random.default_rng(65))
+             for m in (0.05, 0.25, 0.5)}
+    energy = gabor_field_stats(f, phi, p)["energy"]
+    captures = (0.0, 0.5 * energy, 0.9 * energy)
+    union = np.unique(np.concatenate(list(masks.values())))
+    stats = gabor_field_stats(f, phi, p, abs_sq_table=True, cells=(max(captures), union))
+    table = stats["abs_sq_table"]
+    if name == "verify-gaussian":  # a concentrated field keeps few cells
+        assert len(stats["cell_index"]) < table.size // 20
+    for m, mask in masks.items():
+        ref = oracles.random_mask(stats, m, np.random.default_rng(65))
+        np.testing.assert_array_equal(mask, np.flatnonzero(ref))
+        if mask_measure(stats, mask) < 1.0:
+            comp = concentration_check(stats, mask).params["complement_energy"]
+            assert comp == pytest.approx(float(np.sum(table[~ref]) * cv), rel=1e-12)
+    for capture in captures:
+        mask, ref = greedy_minimal_mask(stats, capture), oracles.greedy_minimal_mask(stats, capture)
+        np.testing.assert_array_equal(mask, np.flatnonzero(ref))
+        assert mask_measure(stats, mask) == np.count_nonzero(ref) * cv
+        captured = epsilon_concentration_check(stats, mask, 1.0).params["captured"]
+        assert captured == float(np.sum(table[ref]) * cv)
+    if name == "ties":
+        value = table.ravel()[greedy_minimal_mask(stats, 0.5 * energy)[-1]]
+        assert np.count_nonzero(table == value) > 1
+    # capture 0 is the largest cell
+    assert greedy_minimal_mask(stats, 0.0)[0] == np.argmax(table)
+    over = 1.5 * energy
+    with pytest.raises(ValueError, match="cannot capture") as got:
+        greedy_minimal_mask(gabor_field_stats(f, phi, p, cells=(over, ())), over)
+    with pytest.raises(ValueError) as want:
+        oracles.greedy_minimal_mask(stats, over)
+    assert str(got.value) == str(want.value)
+
+
+def test_cell_masks_are_the_table_oracles_on_a_flat_table():
+    """A flat table, every cell tied, takes its cells in flat order."""
+    table = np.full((6, 5, 6, 5), 0.125)
+    for capture in (0.0, 0.3, 7.0):
+        stats = _table_stats(table, 0.2, capture)
+        mask = greedy_minimal_mask(stats, capture)
+        np.testing.assert_array_equal(mask, np.flatnonzero(oracles.greedy_minimal_mask(stats, capture)))
+        np.testing.assert_array_equal(mask, np.arange(len(mask)))
 
 
 def test_complement_energy_is_the_gathered_complements():
     f, stats = _unit_gaussian_field()
     table, cv = stats["abs_sq_table"], stats["cell_volume"]
     rng = np.random.default_rng(59)
-    peak = np.zeros(table.size, dtype=bool)
-    peak[np.argsort(table.ravel())[-int(0.9 / cv):]] = True
-    masks = [random_mask(stats, m, rng) for m in (0.25, 0.5, 0.9)] + [peak.reshape(table.shape)]
+    masks = [random_mask(table.size, cv, m, rng) for m in (0.25, 0.5, 0.9)]
+    masks.append(np.sort(np.argsort(table.ravel())[-int(0.9 / cv):]))
     for mask in masks:
         comp = concentration_check(stats, mask).params["complement_energy"]
-        assert comp == pytest.approx(float(np.sum(table[~mask]) * cv), rel=1e-12)
+        rest = np.ones(table.size, bool)
+        rest[mask] = False
+        assert comp == pytest.approx(float(np.sum(table.ravel()[rest]) * cv), rel=1e-12)
 
 
-def test_mask_readers_need_the_table():
+def test_mask_readers_need_the_cells():
     f = _unit_gaussian8()
-    stats = gabor_field_stats(f, f, FOURIER2)
-    mask = np.ones((8, 8, 8, 8), dtype=bool)
-    for read in (lambda: random_mask(stats, 0.5, np.random.default_rng(0)),
-                 lambda: greedy_minimal_mask(stats, 0.5),
+    stats = gabor_field_stats(f, f, FOURIER2, abs_sq_table=True)
+    mask = np.arange(8)
+    for read in (lambda: greedy_minimal_mask(stats, 0.5),
                  lambda: mask_measure(stats, mask),
                  lambda: concentration_check(stats, mask),
                  lambda: epsilon_concentration_check(stats, mask, 0.5)):
-        with pytest.raises(ValueError, match="abs_sq_table=True"):
+        with pytest.raises(ValueError, match=re.escape("cells=(capture, indices)")):
             read()
+    kept = gabor_field_stats(f, f, FOURIER2, cells=(None, [3, 9]))
+    mask_measure(kept, [3, 9])
+    for mask in ([3, 4], [2], [9, 4096]):
+        with pytest.raises(ValueError, match="the pass kept no cell"):
+            mask_measure(kept, mask)
 
 
 def test_a_table_above_its_budget_is_refused_before_the_pass(monkeypatch, capsys):
@@ -834,20 +1016,19 @@ def test_a_table_above_its_budget_is_refused_before_the_pass(monkeypatch, capsys
             gabor_field_stats(f, f, FOURIER2, abs_sq_table=True)
     assert "\n" not in str(err.value)
     assert f"{64**4 * 8} bytes" in str(err.value)
-    # the 32^2 table of the concentration suites is the largest allowed
     assert gabor.TABLE_BUDGET_BYTES == 32**4 * 8
-    monkeypatch.setattr(gabor, "TABLE_BUDGET_BYTES", 32**4 * 8 - 1)
-    assert main(["verify", "concentration"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "byte budget" in err, err
+    # the concentration suites ask for no table: they run with no table budget
+    monkeypatch.setattr(gabor, "TABLE_BUDGET_BYTES", 0)
+    assert main(["verify", "concentration"]) == 0
+    assert main(["verify", "eps-concentration"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_concentration_single_tiny_cell_margin_near_zero():
     # as the measure shrinks the bound degenerates to Plancherel, so the
     # margin is O(cell volume)
     f, stats = _unit_gaussian_field()
-    mask = np.zeros(stats["abs_sq_table"].shape, dtype=bool)
-    mask[0, 0, 0, 0] = True
+    mask = np.array([0])
     rep = concentration_check(stats, mask)
     assert abs(rep.margin) <= mask_measure(stats, mask) == stats["cell_volume"]
 
@@ -856,7 +1037,7 @@ def test_concentration_random_masks():
     rng = np.random.default_rng(53)
     f, stats = _unit_gaussian_field()
     for m in (0.25, 0.5, 0.9):
-        mask = random_mask(stats, m, rng)
+        mask = random_mask(math.prod(stats["table_shape"]), stats["cell_volume"], m, rng)
         assert 0 < mask_measure(stats, mask) < 1
         rep = concentration_check(stats, mask)
         assert rep.margin >= -1e-6
@@ -867,10 +1048,7 @@ def test_concentration_peak_mask_still_holds():
     f, stats = _unit_gaussian_field(32)
     table, cv = stats["abs_sq_table"], stats["cell_volume"]
     k = int(0.9 / cv)
-    order = np.argsort(table.ravel())[::-1][:k]
-    flat = np.zeros(table.size, dtype=bool)
-    flat[order] = True
-    mask = flat.reshape(table.shape)
+    mask = np.sort(np.argsort(table.ravel())[::-1][:k])
     assert 0.5 <= mask_measure(stats, mask) < 1.0
     rep = concentration_check(stats, mask)
     assert rep.margin >= -1e-6
@@ -878,7 +1056,7 @@ def test_concentration_peak_mask_still_holds():
 
 def test_concentration_rejects_measure_out_of_range():
     f, stats = _unit_gaussian_field(8)
-    full = np.ones(stats["abs_sq_table"].shape, dtype=bool)
+    full = np.arange(stats["abs_sq_table"].size)
     with pytest.raises(ValueError, match="measure"):
         concentration_check(stats, full)
 
@@ -897,8 +1075,7 @@ def test_epsilon_concentration_greedy_masks():
 
 def test_epsilon_concentration_trivial_and_hypothesis():
     f, stats = _unit_gaussian_field(8)
-    tiny = np.zeros(stats["abs_sq_table"].shape, dtype=bool)
-    tiny[0, 0, 0, 0] = True
+    tiny = np.array([0])
     rep = epsilon_concentration_check(stats, tiny, 1.0)
     assert rep.lhs == 0.0 and rep.margin >= 0
     with pytest.raises(ValueError, match="hypothesis"):
@@ -970,9 +1147,7 @@ def test_report_serialization_roundtrip():
 
 def test_mask_measure_is_the_count_times_the_table_cell_volume():
     f, stats = _unit_gaussian_field(8)
-    mask = np.zeros(stats["abs_sq_table"].shape, dtype=bool)
-    mask[0, 0, 0, 0] = True
-    mask[1, 2, 3, 4] = True
+    mask = np.ravel_multi_index(([0, 1], [0, 2], [0, 3], [0, 4]), stats["table_shape"])
     assert mask_measure(stats, mask) == 2 * stats["cell_volume"]
 
 
@@ -983,18 +1158,23 @@ def test_mask_measure_is_the_count_times_the_table_cell_volume():
     lambda stats, mask: epsilon_concentration_check(stats, mask, 1.0),
 ], ids=["concentration", "eps-concentration"])
 def test_concentration_checks_refuse_a_mask_not_shaped_like_the_table(check, shape):
+    """A mask is a 1-D array of flat indices; an array shaped like a table,
+    or like anything else, is refused."""
     f, stats = _unit_gaussian_field(8)
-    assert stats["abs_sq_table"].shape == (8, 8, 8, 8)
+    assert stats["table_shape"] == (8, 8, 8, 8)
     mask = np.zeros(shape, dtype=bool)
     mask.flat[0] = True
-    with pytest.raises(ValueError, match="the \\|G\\|\\^2 table's shape"):
+    with pytest.raises(ValueError, match="strictly increasing 1-D array of flat"):
         check(stats, mask)
 
 
-def test_mask_measure_refuses_a_mask_that_is_not_boolean():
+@pytest.mark.parametrize("mask", [np.array([0.0, 3.0]), np.array([True, False]),
+                                  np.array([3, 1]), np.array([1, 1]), np.array([[1, 2]])],
+                         ids=["float", "boolean", "unsorted", "repeated", "2-d"])
+def test_mask_measure_refuses_a_mask_that_is_not_sorted_flat_indices(mask):
     f, stats = _unit_gaussian_field(8)
-    with pytest.raises(ValueError, match="boolean"):
-        mask_measure(stats, np.zeros(stats["abs_sq_table"].shape, dtype=int))
+    with pytest.raises(ValueError, match="strictly increasing 1-D array of flat"):
+        mask_measure(stats, mask)
 
 
 @pytest.mark.parametrize("check", [
