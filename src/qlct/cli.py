@@ -155,8 +155,7 @@ def cmd_qlct(args) -> int:
 def cmd_gabor_analyze(args) -> int:
     # the input may sit in the output directory, under a name analysis writes
     _refuse_overwriting([args.input], f"its input {args.input}",
-                        *(os.path.join(args.output, name)
-                          for name in (*gabor.DIRECTORY_FILES, "coeffs.f64.part")))
+                        *(os.path.join(args.output, name) for name in gabor.DIRECTORY_FILES))
     p = _parse_params(args)
     f = signal.load(args.input)
     if args.method == "direct":
@@ -180,12 +179,14 @@ def cmd_gabor_analyze(args) -> int:
 
 
 def _refuse_overwriting(inputs, what: str, *outputs) -> None:
-    """Refuse, before anything is read, an output path that resolves by
-    `os.path.realpath` to one of the `inputs`, which `what` names."""
+    """Refuse, before anything is read, an output path or its `.part` file
+    (see `signal.replacing`) that resolves to one of the `inputs` (`what`)."""
     inputs = {os.path.realpath(path) for path in inputs}
     for path in outputs:
-        if os.path.realpath(path) in inputs:
-            raise FormatError(f"output {path} would overwrite {what}")
+        target = os.path.realpath(path)
+        for name, real in ((path, target), (f"{path}.part", os.path.realpath(target + ".part"))):
+            if real in inputs:
+                raise FormatError(f"output {name} would overwrite {what}")
 
 
 def cmd_gabor_synthesize(args) -> int:
@@ -493,6 +494,10 @@ SUITES = {
     "moment-concentration": suite_moment_concentration,
 }
 VERIFY_NAMES = list(SUITES)
+#: The `families.default_grid` sizes of the suites that read neither --grid nor --dx.
+FIXED_GRIDS = {"gabor-plancherel": "32x32", "log": "32x32", "lemma-log": "32x32",
+               "lieb": "32x32 and 64x64", "young": "16x16", "hausdorff-young": "32x32",
+               "concentration": "32x32", "eps-concentration": "32x32"}
 
 #: The Gabor fields each suite sweeps, under QFT, as (family, grid, request,
 #: build) specs: a tag for the suite, the field's grid, its sums, and
@@ -589,6 +594,8 @@ def cmd_verify(args) -> int:
         print(f"field passes: {'FAIL' if out.failures else 'pass'} ({len(out.reports)} reports)")
     for name in names:
         start = len(out.reports)
+        if name in FIXED_GRIDS and (args.grid is not None or args.dx is not None):
+            print(f"suite {name} reads neither --grid nor --dx: it runs on {FIXED_GRIDS[name]}")
         # popped, so a suite's signals and passes are freed once it has run
         SUITES[name](cfg, out, plan.pop(name, []))
         reports = out.reports[start:]

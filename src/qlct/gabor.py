@@ -87,7 +87,7 @@ from .quat import (from_complex_pair, pair_abs_sq, qabs_sq, qconj, qmul,
 from .qlct2d import (BLOCK_BYTES, FastPlan, QLCTParams, _direct, _fast_plan, _halves,
                      _join, _two_sided_fast, forward_grid)
 from .signal import (FormatError, Grid2D, GridMismatchError, NumericError, QSignal2D,
-                     all_finite, check_payload_size, load, save, translate,
+                     all_finite, check_payload_size, load, replacing, save, translate,
                      write_payload)
 
 
@@ -572,21 +572,19 @@ def save_coefficients(G: GaborCoefficients, phi: QSignal2D, dirpath) -> str:
     """Write the payload, then the window, then the manifest; return the
     manifest's path.
 
-    The rows go one at a time to `coeffs.f64.part`, each checked finite
-    and folded into the crc32 as it is written, and the file replaces
-    `coeffs.f64` only after the last row. A failed pass (a non-finite row
-    raises NumericError) removes it and every directory this call made,
-    so the directory is left as it was found."""
+    The rows go one at a time through `replacing`, each checked finite
+    and folded into the crc32 as it is written, so `coeffs.f64` is
+    replaced only after the last row. A failed pass (a non-finite row
+    raises NumericError) also removes every directory this call made, so
+    the directory is left as it was found."""
     made, top = [], os.path.abspath(dirpath)
     while not os.path.exists(top):
         made.append(top)
         top = os.path.dirname(top)
     os.makedirs(dirpath, exist_ok=True)
-    payload = os.path.join(dirpath, "coeffs.f64")
-    part = payload + ".part"
     crc = 0
     try:
-        with open(part, "wb") as fh:
+        with replacing(os.path.join(dirpath, "coeffs.f64")) as fh:
             for iy1, row in enumerate(G.rows()):
                 row = np.ascontiguousarray(row, dtype="<f8")
                 if not all_finite(row):
@@ -594,15 +592,7 @@ def save_coefficients(G: GaborCoefficients, phi: QSignal2D, dirpath) -> str:
                                        f"nothing written to {dirpath}")
                 crc = zlib.crc32(row, crc)
                 write_payload(fh, row)
-        # renaming over an existing file makes ext4 (auto_da_alloc) start
-        # the new file's writeback first, about 20 ms for a 32 MiB payload
-        # on a 2-vCPU host; removing the old one first does not
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(payload)
-        os.replace(part, payload)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(part)
         for path in made:  # innermost first
             with contextlib.suppress(OSError):
                 os.rmdir(path)
@@ -618,7 +608,7 @@ def save_coefficients(G: GaborCoefficients, phi: QSignal2D, dirpath) -> str:
         "payload_crc32": crc,
     }
     path = os.path.join(dirpath, "manifest.json")
-    with open(path, "w") as fh:
+    with replacing(path, "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
     return path
 
@@ -690,14 +680,14 @@ def export_pgm(field: np.ndarray, path) -> None:
     lo, hi = float(field.min()), float(field.max())
     span = hi - lo if hi > lo else 1.0
     levels = np.round((field - lo) / span * 255.0).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(f"P5\n{field.shape[1]} {field.shape[0]}\n255\n".encode())
         fh.write(levels.tobytes())
-    with open(str(path) + ".json", "w") as fh:
-        json.dump({"min": lo, "max": hi,
-                   "rows": field.shape[0], "cols": field.shape[1]},
+    with replacing(str(path) + ".json", "w") as fh:
+        json.dump({"min": lo, "max": hi, "rows": field.shape[0], "cols": field.shape[1]},
                   fh, sort_keys=True, indent=2)
 
 
 def export_field_csv(field: np.ndarray, path) -> None:
-    np.savetxt(path, np.asarray(field, dtype=float), delimiter=",", fmt="%.17g")
+    with replacing(path) as fh:
+        np.savetxt(fh, np.asarray(field, dtype=float), delimiter=",", fmt="%.17g")

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .signal import replacing
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -132,16 +132,8 @@ def reports_to_csv(reports: list[InequalityReport], fh) -> None:
 
 
 def write_reports(reports: list[InequalityReport], json_path, csv_path) -> None:
-    """Write the JSON and the CSV of `reports`, each encoded into a `.part`
-    file that replaces its path only once it is whole, so a failed encode
-    leaves no partial report."""
+    """Write the JSON and the CSV of `reports`, each through `replacing`,
+    so a failed encode leaves no partial report."""
     for path, write in ((json_path, reports_to_json), (csv_path, reports_to_csv)):
-        part = f"{path}.part"
-        try:
-            with open(part, "w") as fh:
-                write(reports, fh)
-            os.replace(part, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(part)
-            raise
+        with replacing(path, "w") as fh:
+            write(reports, fh)

@@ -434,7 +434,8 @@ def test_an_output_onto_the_input_directory_exits_2_leaving_it(tmp_path, capsys,
     assert _contents(coef) == before
 
 
-@pytest.mark.parametrize("name", ["window.qsig", "coeffs.f64", "coeffs.f64.part"])
+@pytest.mark.parametrize("name", ["window.qsig", "coeffs.f64", "coeffs.f64.part",
+                                  "manifest.json.part"])
 @pytest.mark.parametrize("into", [".", "new/.."])
 def test_gabor_analyze_refuses_an_input_it_would_write_over(tmp_path, capsys, name, into):
     """An input inside the output directory, under a name analysis writes,
@@ -503,6 +504,29 @@ def test_an_output_aliasing_the_input_by_symlink_exits_2_leaving_it(tmp_path, ca
         err = capsys.readouterr().err
         assert err == f"error: output {output} would overwrite its input {src}\n", err
     assert src.read_bytes() == before
+
+
+def test_an_output_whose_part_file_is_the_input_exits_2_before_reading_it(tmp_path, capsys):
+    """An output is written to `<output>.part` first, so an input of that
+    name is refused before it is read: here it is no QSIG file at all."""
+    src = tmp_path / "x.qsig.part"
+    src.write_bytes(b"not a signal")
+    out = tmp_path / "x.qsig"
+    assert main(["forward", "-i", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: output {out}.part would overwrite its input {src}\n"
+    assert src.read_bytes() == b"not a signal" and not out.exists()
+
+
+def test_a_symlinked_output_keeps_its_link_and_its_target_gets_the_bytes(tmp_path, capsys):
+    src, link, old = tmp_path / "f.qsig", tmp_path / "link.qsig", tmp_path / "old.qsig"
+    write_gaussian(src)
+    write_gaussian(old, n=8)
+    link.symlink_to(old)
+    for output in (link, tmp_path / "plain.qsig"):
+        assert main(["forward", "-i", str(src), "-o", str(output)]) == 0
+    assert link.is_symlink() and link.resolve() == old
+    assert old.read_bytes() == (tmp_path / "plain.qsig").read_bytes()
+    assert not list(tmp_path.glob("*.part"))
 
 
 @pytest.mark.parametrize("kind", ["max_over_y", "max_over_omega"])
@@ -738,6 +762,30 @@ def test_verify_young_writes_reports(tmp_path, capsys):
     assert len(reports) == 15  # each pass's residual, and 5 trials x 2 exponent pairs
     assert min(r["margin"] for r in reports) >= -1e-6
     assert (tmp_path / "young.csv").exists()
+
+
+def test_verify_names_each_suite_that_ignores_grid_and_dx(capsys):
+    assert main(["verify", "young", "--dx", "1e5"]) == 0
+    out = capsys.readouterr().out
+    assert "suite young reads neither --grid nor --dx: it runs on 16x16\n" in out
+    assert main(["verify", "lemma-log"]) == 0
+    assert "reads neither" not in capsys.readouterr().out
+    assert main(["verify", "plancherel", "--grid", "16x16", "--trials", "1"]) == 0
+    assert "reads neither" not in capsys.readouterr().out
+
+
+def test_the_fixed_grids_are_the_suites_own():
+    """Every suite but the three that read --grid and --dx is named with
+    its fixed grid, which is that of every field it declares."""
+    assert set(cli.VERIFY_NAMES) - set(cli.FIXED_GRIDS) == {
+        "plancherel", "heisenberg", "moment-concentration"}
+    cfg = cli.VerifyConfig(n1=8, n2=8, dx=0.5)
+    for name, text in cli.FIXED_GRIDS.items():
+        if name in cli.SUITE_FIELDS:
+            grids = sorted({f"{g.n1}x{g.n2}" for _, g, _, _ in cli.SUITE_FIELDS[name](cfg)})
+            assert " and ".join(grids) == text, name
+            assert all(g == families.default_grid(g.n1)
+                       for _, g, _, _ in cli.SUITE_FIELDS[name](cfg)), name
 
 
 def test_verify_runs_share_no_field_entries(monkeypatch, capsys):

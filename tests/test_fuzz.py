@@ -1,5 +1,5 @@
-"""Fuzzed inputs to the two payload readers and to the matrices, through
-the CLI.
+"""Fuzzed inputs to the two payload readers, to the matrices and to the
+Gabor commands' arguments, through the CLI.
 
 An 8x8 QSIG file goes through `forward`, and an 8x8 coefficient directory
 through `gabor synthesize` and `gabor spectrogram`, after a truncation, a single-bit flip, or an
@@ -9,23 +9,30 @@ stderr; any exception or warning escaping `main` fails the test. Any
 damage to the coefficient payload must exit 2: the manifest's crc32
 catches the flips that leave every value finite. The same holds for
 `forward --check` of the 8x8 Gaussian under det-1 matrices of any
-magnitude, and a run that exits 0 prints a Plancherel ratio of 1.
+magnitude, and a run that exits 0 prints a Plancherel ratio of 1; and for
+`gabor analyze`, `spectrogram` and `synthesize` of QSIG signals of 2 to 9
+samples per axis, under any window spec, stride and slice, where a run
+that exits 0 writes finite outputs and no run leaves a `.part` file.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import struct
 import tempfile
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlct.cli import main
 from qlct.families import gaussian
-from qlct.signal import Grid2D, save
+from qlct.gabor import load_coefficients
+from qlct.signal import Grid2D, load, save
 
 FILES = ("coeffs.f64", "manifest.json", "window.qsig")
 
@@ -51,8 +58,11 @@ def pristine(tmp_path_factory):
 
 def _run(argv, out=None):
     err = io.StringIO()
-    with contextlib.redirect_stdout(out or io.StringIO()), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out or io.StringIO()), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
         code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
     return code, err.getvalue()
 
 
@@ -174,3 +184,71 @@ def test_fuzzed_matrices_through_forward_check(pristine, a1, a2):
     if code == 0:
         ratio = float(out.getvalue().removeprefix("plancherel ratio "))
         assert abs(ratio - 1.0) <= 1e-9, (matrix, ratio)
+
+
+positives = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
+numbers = st.one_of(magnitudes, st.sampled_from([0.0, -0.0, math.nan]))
+
+
+def _window_text(kind, values, center):
+    key = "sigma" if kind == "gaussian" else "width"
+    text = f"{kind}:{key}={','.join(map(repr, values))}"
+    return text + (f",center={','.join(map(repr, center))}" if center else "")
+
+
+def _windows(params, centers):
+    return st.builds(_window_text, st.sampled_from(["gaussian", "rect", "hann"]),
+                     st.lists(params, min_size=1, max_size=2),
+                     st.one_of(st.none(), st.lists(centers, min_size=1, max_size=2)))
+
+
+# half the specs are valid, so most runs get past the window
+windows = st.one_of(_windows(positives, st.one_of(st.just(0.0), magnitudes)),
+                    _windows(numbers, numbers))
+slices = st.one_of(
+    st.sampled_from(["max_over_y", "max_over_omega"]),
+    st.builds("{}={},{}".format, st.sampled_from(["fix_y", "fix_omega"]),
+              st.integers(-2, 10), st.integers(-2, 10)),
+    st.text(max_size=12))
+
+
+@st.composite
+def gabor_runs(draw):
+    n1, n2 = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    # half the strides are valid, from 1 to min(n1, n2) - 1
+    stride = draw(st.one_of(st.integers(1, max(1, min(n1, n2) - 1)),
+                            st.integers(0, max(n1, n2))))
+    return n1, n2, draw(windows), stride, draw(slices)
+
+
+def _no_part_left(root):
+    assert not [name for _, _, names in os.walk(root) for name in names
+                if name.endswith(".part")]
+
+
+@settings(max_examples=150)
+@given(run=gabor_runs())
+def test_fuzzed_gabor_arguments(run):
+    n1, n2, window, stride, kind = run
+    with tempfile.TemporaryDirectory() as tmp:
+        src, coef = os.path.join(tmp, "f.qsig"), os.path.join(tmp, "coef")
+        save(src, gaussian(Grid2D.centered(n1, n2, 0.5, 0.5), 1.0))
+        # --opt=value, since argparse reads a leading "-" as an option
+        code = _check(*_run(["gabor", "analyze", "-i", src, "-o", coef,
+                             f"--window={window}", f"--stride={stride}"]))
+        _no_part_left(tmp)
+        if code != 0:
+            return
+        G, phi = load_coefficients(coef)
+        assert all(np.isfinite(row).all() for row in G.rows())
+        assert np.isfinite(phi.samples).all()
+        spec, back = os.path.join(tmp, "spec.pgm"), os.path.join(tmp, "back.qsig")
+        if _check(*_run(["gabor", "spectrogram", "-i", coef, "-o", spec,
+                         f"--slice={kind}"])) == 0:
+            with open(spec + ".json") as fh:
+                scale = json.load(fh)
+            assert math.isfinite(scale["min"]) and math.isfinite(scale["max"])
+            assert np.isfinite(np.loadtxt(spec + ".csv", delimiter=",", ndmin=2)).all()
+        if _check(*_run(["gabor", "synthesize", "-i", coef, "-o", back])) == 0:
+            assert np.isfinite(load(back).samples).all()
+        _no_part_left(tmp)

@@ -205,3 +205,99 @@ def test_an_unread_helper_is_caught():
                "b": "from .a import used\nclass Traced:\n    pass\nY = Z = 2\n"}
     bench = ["BINDINGS = [('qlct.b', 'Traced')]\nprint(b.Y)\n"]
     assert unread_names(modules, bench) == ["a.helper", "b.Z"]
+
+
+def _dotted(func) -> str:
+    """`open`, `np.savetxt`, `fh.write_text`: the called name as written."""
+    if isinstance(func, ast.Attribute):
+        return f"{_dotted(func.value)}.{func.attr}"
+    return func.id if isinstance(func, ast.Name) else "?"
+
+
+def _may_write(call) -> bool:
+    """Whether an `open` call's mode may write: any mode but a constant
+    with no w, a, x or +."""
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+class _FileWrites(ast.NodeVisitor):
+    """The file writes of a module that do not go through `replacing`."""
+
+    #: writer -> (position, keyword) of the file it writes
+    TARGETS = {"np.savetxt": (0, "fname"), "numpy.savetxt": (0, "fname"),
+               "json.dump": (1, "fp")}
+
+    def __init__(self):
+        self.found, self.handles, self.in_helper = [], [], False
+
+    def visit_FunctionDef(self, node):
+        outer, self.in_helper = self.in_helper, self.in_helper or node.name == "replacing"
+        self.generic_visit(node)
+        self.in_helper = outer
+
+    def visit_With(self, node):
+        bound = [item.optional_vars.id for item in node.items
+                 if isinstance(item.context_expr, ast.Call)
+                 and _dotted(item.context_expr.func).split(".")[-1] == "replacing"
+                 and isinstance(item.optional_vars, ast.Name)]
+        self.handles += bound
+        self.generic_visit(node)
+        del self.handles[len(self.handles) - len(bound):]
+
+    def visit_Call(self, node):
+        name = _dotted(node.func)
+        if name in ("open", "io.open") and _may_write(node) and not self.in_helper:
+            self.found.append(f"line {node.lineno}: {name}")
+        elif name.split(".")[-1] in ("write_text", "write_bytes"):
+            self.found.append(f"line {node.lineno}: {name}")
+        elif name in self.TARGETS:
+            at, key = self.TARGETS[name]
+            target = node.args[at] if len(node.args) > at else next(
+                (k.value for k in node.keywords if k.arg == key), None)
+            if not (isinstance(target, ast.Name) and target.id in self.handles):
+                self.found.append(f"line {node.lineno}: {name}")
+        self.generic_visit(node)
+
+
+def unguarded_writes(source: str) -> list[str]:
+    """`line N: <call>` for each call in source that writes a file past
+    `signal.replacing`: an `open` that may write, outside `replacing`
+    itself; a `write_text` or `write_bytes`; and an `np.savetxt` or
+    `json.dump` aimed at anything but a handle that an enclosing
+    `with replacing(...) as fh` binds."""
+    visitor = _FileWrites()
+    visitor.visit(ast.parse(source))
+    return visitor.found
+
+
+def test_every_file_is_written_through_the_helper():
+    # so every output is whole or absent, never cut short
+    writes = {path.name: unguarded_writes(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in writes.items() if lines} == {}
+    helpers = [path.name for path in sorted(SRC.glob("*.py"))
+               if "replacing" in defined_names(path.read_text())]
+    assert helpers == ["signal.py"]
+
+
+def test_a_write_past_the_helper_is_caught():
+    source = ("import json\nimport numpy as np\nfrom .signal import replacing\n"
+              "def opener(path, mode):\n"
+              "    return open(path, mode)\n"
+              "def f(path, d, a):\n"
+              "    with open(path) as fh, open(path, 'rb'), open(path, mode='r'):\n"
+              "        pass\n"
+              "    with open(path, 'wb') as fh:\n"
+              "        json.dump(d, fh)\n"
+              "    with replacing(path, 'w') as fh, replacing(path) as out:\n"
+              "        json.dump(d, fh)\n"
+              "        np.savetxt(out, a)\n"
+              "        np.savetxt(path, a)\n"
+              "    np.savetxt(fname=fh, X=a)\n"
+              "    open(path, mode='r+')\n"
+              "    path.write_bytes(b'')\n")
+    assert unguarded_writes(source) == [
+        "line 5: open", "line 9: open", "line 10: json.dump", "line 14: np.savetxt",
+        "line 15: np.savetxt", "line 16: open", "line 17: path.write_bytes"]

@@ -15,9 +15,16 @@ def _write(path, reports):
 
 
 def _digit_moved(value: float, at: int) -> float:
-    """value with character `at` of its repr, a digit, moved up by one (9 to 0)."""
+    """value with character `at` of its repr, a digit, moved up by one (9 to
+    0); where that names value itself (a last digit below its float's
+    resolution), the next float in the direction the digit moved."""
     text = repr(value)
-    return float(text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:])
+    digit = int(text[at])
+    moved = float(text[:at] + str((digit + 1) % 10) + text[at + 1:])
+    if moved == value:
+        moved = math.nextafter(value, math.copysign(math.inf, value if digit < 9 else -value))
+    assert moved != value
+    return moved
 
 
 def test_identical_files_print_nothing(capsys):

@@ -1,10 +1,13 @@
+import builtins
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qlct.families import (dilated_gaussian, gaussian, gaussian_chirp,
+from qlct import gabor, signal
+from qlct.families import (PARAM_SETS, dilated_gaussian, gaussian, gaussian_chirp,
                            random_smooth)
+from qlct.report import gated, lower_bound, write_reports
 from qlct.signal import (FormatError, Grid2D, QSignal2D, WindowSpec, load,
                          make_window, parse_window_spec, sample, save,
                          shift_slices, translate)
@@ -382,3 +385,99 @@ def test_signal_is_immutable():
         f.samples[0, 0, 0] = 2.0
     with pytest.raises(AttributeError):
         f.grid = grid4()
+
+
+class _Fault(Exception):
+    pass
+
+
+class _FailingFile:
+    """A file whose second write raises once the first went through;
+    numpy's `tofile` writes through `fileno`, so that counts as a write."""
+
+    def __init__(self, fh):
+        self._fh, self._writes = fh, 0
+
+    def _count(self):
+        self._writes += 1
+        if self._writes == 2:
+            raise _Fault
+
+    def write(self, data):
+        self._count()
+        return self._fh.write(data)
+
+    def fileno(self):
+        self._count()
+        return self._fh.fileno()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+def _write_qsig(path, seed):
+    save(path, random_smooth(grid4(), np.random.default_rng(seed)))
+
+
+def _write_coefficients(path, seed):
+    f = random_smooth(grid4(), np.random.default_rng(seed))
+    phi = make_window(WindowSpec("gaussian", (1.0, 1.0)), f.grid)
+    gabor.save_coefficients(gabor.gabor_stream(f, phi, PARAM_SETS["fourier"]), phi,
+                            path.parent)
+
+
+def _write_spectrogram(path, seed):
+    field = np.random.default_rng(seed).random((3, 5))
+    stem = str(path).removesuffix(".json").removesuffix(".csv")
+    gabor.export_pgm(field, stem)
+    gabor.export_field_csv(field, stem + ".csv")
+
+
+def _write_reports(path, seed):
+    reps = [gated(lower_bound(f"r{i}", seed + i, 0.5), "margin", 0.0) for i in range(3)]
+    write_reports(reps, path.parent / "r.json", path.parent / "r.csv")
+
+
+#: Each file qlct writes, by its name and a call that writes it with its
+#: siblings from a seed.
+WRITERS = {"f.qsig": _write_qsig, "coeffs.f64": _write_coefficients,
+           "manifest.json": _write_coefficients, "s.pgm": _write_spectrogram,
+           "s.pgm.json": _write_spectrogram, "s.pgm.csv": _write_spectrogram,
+           "r.json": _write_reports, "r.csv": _write_reports}
+
+
+@pytest.mark.parametrize("existed", [True, False], ids=["over-old", "new"])
+@pytest.mark.parametrize("name", list(WRITERS))
+def test_a_writer_that_fails_partway_leaves_the_old_target(tmp_path, monkeypatch, name,
+                                                           existed):
+    """Every writer goes through `replacing`: one that raises after its
+    first write leaves its target as it was (or absent) and no .part, and
+    its next run writes the bytes a fresh one does."""
+    target, write = tmp_path / "out" / name, WRITERS[name]
+    target.parent.mkdir()
+    if existed:
+        write(target, seed=1)
+    before = target.read_bytes() if existed else None
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = builtins.open(file, mode, *args, **kwargs)
+        return _FailingFile(fh) if file == f"{target}.part" else fh
+
+    with monkeypatch.context() as m:
+        m.setattr(signal, "open", failing_open, raising=False)
+        with pytest.raises(_Fault):
+            write(target, seed=2)
+    assert (target.read_bytes() if target.exists() else None) == before
+    assert not list(tmp_path.rglob("*.part"))
+    write(target, seed=2)
+    fresh = tmp_path / "fresh" / name
+    fresh.parent.mkdir()
+    write(fresh, seed=2)
+    assert target.read_bytes() == fresh.read_bytes()
+
