@@ -494,10 +494,11 @@ SUITES = {
     "moment-concentration": suite_moment_concentration,
 }
 VERIFY_NAMES = list(SUITES)
-#: The `families.default_grid` sizes of the suites that read neither --grid nor --dx.
-FIXED_GRIDS = {"gabor-plancherel": "32x32", "log": "32x32", "lemma-log": "32x32",
-               "lieb": "32x32 and 64x64", "young": "16x16", "hausdorff-young": "32x32",
-               "concentration": "32x32", "eps-concentration": "32x32"}
+#: The suites that read neither --grid nor --dx, each with the grid it runs
+#: on, or with None when that is the grids of its `SUITE_FIELDS` specs.
+FIXED_GRIDS = {"gabor-plancherel": None, "log": None, "lemma-log": "32x32", "lieb": None,
+               "young": None, "hausdorff-young": "32x32", "concentration": None,
+               "eps-concentration": None}
 
 #: The Gabor fields each suite sweeps, under QFT, as (family, grid, request,
 #: build) specs: a tag for the suite, the field's grid, its sums, and
@@ -595,7 +596,9 @@ def cmd_verify(args) -> int:
     for name in names:
         start = len(out.reports)
         if name in FIXED_GRIDS and (args.grid is not None or args.dx is not None):
-            print(f"suite {name} reads neither --grid nor --dx: it runs on {FIXED_GRIDS[name]}")
+            grids = FIXED_GRIDS[name] or " and ".join(f"{n1}x{n2}" for n1, n2 in sorted(
+                {(g.n1, g.n2) for _, g, _, _ in SUITE_FIELDS[name](cfg)}))
+            print(f"suite {name} reads neither --grid nor --dx: it runs on {grids}")
         # popped, so a suite's signals and passes are freed once it has run
         SUITES[name](cfg, out, plan.pop(name, []))
         reports = out.reports[start:]

@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import shutil
 import struct
 from dataclasses import dataclass, field
 
@@ -335,22 +336,32 @@ def read_payload(fh, shape: tuple[int, ...], name) -> np.ndarray:
 
 @contextlib.contextmanager
 def replacing(path, mode: str = "wb"):
-    """Write to `<target>.part`, where target is path with its symlinks
-    resolved, then replace target with it; on any exception remove it."""
+    """Write `<target>.part`, target being path with its symlinks resolved,
+    and on a clean exit put it in target's place with target's mode bits;
+    on an exception remove it. A path that exists but is not a regular
+    file this process may write (os.devnull, a FIFO, a read-only file) is
+    opened in place instead, so it is written or refused as by `open`."""
+    if os.path.exists(path) and not (os.path.isfile(path) and os.access(path, os.W_OK)):
+        with open(path, mode) as fh:
+            yield fh
+        return
     target = os.path.realpath(path)
     part = target + ".part"
     try:
         with open(part, mode) as fh:
             yield fh
-        # a rename over a file makes ext4 (auto_da_alloc) write the new one
-        # back first, about 20 ms for 32 MiB on 2 vCPUs; a remove first does not
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(target)
-        os.replace(part, target)
+        if os.path.exists(target):
+            shutil.copymode(target, part)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(part)
         raise
+    # a remove first keeps ext4 (auto_da_alloc) from writing the part back
+    # before the rename (20 ms for 32 MiB on 2 vCPUs); a kill between the
+    # two leaves no target, and the new bytes whole in the part
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(target)
+    os.replace(part, target)
 
 
 def save(path, f: QSignal2D) -> None:

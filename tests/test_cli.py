@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import stat
 import struct
 import time
 import tracemalloc
@@ -506,6 +507,17 @@ def test_an_output_aliasing_the_input_by_symlink_exits_2_leaving_it(tmp_path, ca
     assert src.read_bytes() == before
 
 
+def test_forward_to_the_null_device_exits_0_and_leaves_it_a_device(tmp_path, capsys):
+    """`-o os.devnull` with `--check` prints the Plancherel ratio alone:
+    the device is written in place, not replaced through a `.part` file."""
+    src = tmp_path / "f.qsig"
+    write_gaussian(src, n=8)
+    assert main(["forward", "-i", str(src), "-o", os.devnull, "--check"]) == 0
+    assert "plancherel" in capsys.readouterr().out.lower()
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert not os.path.exists(os.devnull + ".part")
+
+
 def test_an_output_whose_part_file_is_the_input_exits_2_before_reading_it(tmp_path, capsys):
     """An output is written to `<output>.part` first, so an input of that
     name is refused before it is read: here it is no QSIG file at all."""
@@ -768,24 +780,15 @@ def test_verify_names_each_suite_that_ignores_grid_and_dx(capsys):
     assert main(["verify", "young", "--dx", "1e5"]) == 0
     out = capsys.readouterr().out
     assert "suite young reads neither --grid nor --dx: it runs on 16x16\n" in out
+    assert main(["verify", "lieb", "--grid", "8x8"]) == 0
+    assert "suite lieb reads neither --grid nor --dx: it runs on 32x32 and 64x64\n" in (
+        capsys.readouterr().out)
+    assert set(cli.VERIFY_NAMES) - set(cli.FIXED_GRIDS) == {
+        "plancherel", "heisenberg", "moment-concentration"}
     assert main(["verify", "lemma-log"]) == 0
     assert "reads neither" not in capsys.readouterr().out
     assert main(["verify", "plancherel", "--grid", "16x16", "--trials", "1"]) == 0
     assert "reads neither" not in capsys.readouterr().out
-
-
-def test_the_fixed_grids_are_the_suites_own():
-    """Every suite but the three that read --grid and --dx is named with
-    its fixed grid, which is that of every field it declares."""
-    assert set(cli.VERIFY_NAMES) - set(cli.FIXED_GRIDS) == {
-        "plancherel", "heisenberg", "moment-concentration"}
-    cfg = cli.VerifyConfig(n1=8, n2=8, dx=0.5)
-    for name, text in cli.FIXED_GRIDS.items():
-        if name in cli.SUITE_FIELDS:
-            grids = sorted({f"{g.n1}x{g.n2}" for _, g, _, _ in cli.SUITE_FIELDS[name](cfg)})
-            assert " and ".join(grids) == text, name
-            assert all(g == families.default_grid(g.n1)
-                       for _, g, _, _ in cli.SUITE_FIELDS[name](cfg)), name
 
 
 def test_verify_runs_share_no_field_entries(monkeypatch, capsys):

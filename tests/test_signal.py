@@ -1,4 +1,7 @@
 import builtins
+import os
+import stat
+import threading
 import tracemalloc
 
 import numpy as np
@@ -481,3 +484,43 @@ def test_a_writer_that_fails_partway_leaves_the_old_target(tmp_path, monkeypatch
     write(fresh, seed=2)
     assert target.read_bytes() == fresh.read_bytes()
 
+
+
+def test_a_fifo_output_is_written_in_place(tmp_path):
+    """A path that is no regular file gets the bytes through itself: no
+    `.part` file is made beside it, and a FIFO stays a FIFO."""
+    field = np.random.default_rng(0).random((3, 5))
+    plain, fifo = tmp_path / "plain.csv", tmp_path / "fifo.csv"
+    gabor.export_field_csv(field, plain)
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    gabor.export_field_csv(field, fifo)
+    reader.join(timeout=10)
+    assert got == [plain.read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo.csv", "plain.csv"]
+
+
+def test_a_replaced_output_keeps_its_mode_and_a_read_only_one_is_refused_as_open_would(
+        tmp_path):
+    rng = np.random.default_rng(0)
+    out = tmp_path / "f.qsig"
+    save(out, random_smooth(grid4(), rng))
+    out.chmod(0o640)
+    new = random_smooth(grid4(), rng)
+    save(out, new)
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o640
+    assert np.array_equal(load(out).samples, new.samples)
+    out.chmod(0o444)
+    before = out.read_bytes()
+    if os.access(out, os.W_OK):  # a superuser may write any file
+        save(out, random_smooth(grid4(), rng))
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o444
+        assert out.read_bytes() != before
+    else:
+        with pytest.raises(PermissionError):
+            save(out, random_smooth(grid4(), rng))
+        assert out.read_bytes() == before
+    assert not list(tmp_path.glob("*.part"))
