@@ -160,8 +160,7 @@ def cmd_gabor_analyze(args) -> int:
     f = signal.load(args.input)
     if args.method == "direct":
         _check_budget("the input grid", f.grid.n1, f.grid.n2, args.method)
-    y = gabor.translation_grid(f.grid, args.stride)
-    nbytes = f.grid.n1 * f.grid.n2 * y.n1 * y.n2 * 32
+    nbytes = math.prod(gabor.table_geometry(f.grid, p, args.stride)[0]) * 32
     if nbytes > COEFF_BUDGET_BYTES and not args.force:
         raise FormatError(f"stride-{args.stride} analysis of a {f.grid.n1}x{f.grid.n2} "
                           f"signal stores {nbytes} bytes ({nbytes / 2**20:.1f} MiB) of "
@@ -529,7 +528,7 @@ def verify_plan(cfg: VerifyConfig, names) -> dict[str, list]:
              for spec in SUITE_FIELDS[name](cfg)]
     for _, _, grid, _, _ in specs:
         # a stride-1 pass under QFT: n1 n2 translations of n1 x n2 cells
-        cells = (grid.n1 * grid.n2)**2
+        cells = math.prod(gabor.table_geometry(grid, QFT)[0])
         if cells > VERIFY_PASS_CELLS:
             raise FormatError(f"a Gabor pass on the {grid.n1}x{grid.n2} grid sweeps "
                               f"{cells} cells, above the {VERIFY_PASS_CELLS} cell bound "

@@ -54,11 +54,12 @@ reads them back one at a time, and synthesis and `spectrogram` consume
 them in order, so no command holds more than a row of the field. Only
 `gabor_analyze` builds the dense array, by collecting the rows, for
 library use. The `qlct verify` suites stream through `iter_gabor_blocks`,
-and none holds the (n1*n2)^2 float64 |G|^2 table (8 MiB at 32x32, the
-budget of a library `abs_sq_table` request): `gabor_field_stats` keeps,
-block by block, only the cells a `cells` request names, those at or above
-a floor set from the windowed energy and those at given flat indices, and
-the concentration masks read those cells (see `uncertainty`).
+and none holds the (n1*n2)^2 float64 |G|^2 table (8 MiB at 32x32): a
+`gabor_field_stats` pass hands out |G|^2 cells only through its `cells`
+request, keeping block by block those at or above a floor set from the
+windowed energy and those at given flat indices, and the concentration
+masks read those cells (see `uncertainty`). A capture at or above the
+field's energy has floor 0 and keeps the whole table, in flat order.
 
 A coefficient directory, known to this module only, holds `coeffs.f64`
 (the raw little-endian float64 field in `AXIS_ORDER`, shaped by the
@@ -338,12 +339,6 @@ def gabor_synthesize(G: GaborCoefficients, phi: QSignal2D) -> QSignal2D:
     return QSignal2D(grid, acc)
 
 
-#: Largest |G|^2 table a pass copies out for `abs_sq_table`: the stride-1
-#: field of a 32x32 signal, 32^4 float64 cells (8 MiB). No `qlct verify`
-#: suite asks for one; their masks read the cells of a `cells` request.
-TABLE_BUDGET_BYTES = 32**4 * 8
-
-
 def table_geometry(grid: Grid2D, p: QLCTParams, y_stride: int = 1) -> tuple[tuple, float]:
     """Shape (ny1, ny2, nw1, nw2) and cell volume domega dy of the |G|^2
     table of a pass over grid, known before the pass runs."""
@@ -378,35 +373,35 @@ def _kept_cells(block: np.ndarray, start: int, floor: float | None, wanted: np.n
 def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
                       s_values: tuple[float, ...] = (),
                       pprimes: tuple[float, ...] = (),
-                      log_omega: bool = False, abs_sq_table: bool = False,
-                      cells: tuple | None = None,
+                      log_omega: bool = False, cells: tuple | None = None,
                       method: str = "fast", y_stride: int = 1) -> dict:
     """One streamed pass over the Gabor field collecting the weighted sums
     every check needs: total energy, sup |G|, |omega|/|y|/joint moments,
-    p'-th power sums, the ln|omega| weighted energy, with abs_sq_table
-    |G|^2 itself, and with cells the cells a mask reads.
+    p'-th power sums, the ln|omega| weighted energy and, with cells, the
+    |G|^2 cells a mask reads.
 
     Each block's |P|^2 + |M|^2, without its unit-phase post-chirps, is
     reduced while it is in cache: one sum, max and `np.vecdot` per
     translation and omega-weight into (ny1, ny2) tables, whose sums are
     the totals; |G|^2 = 2(|P|^2 + |M|^2), so 2 then scales the totals,
-    the peak, the table and the cells, and 2^(p'/2) the p'-th power sums.
+    the peak and the cells, and 2^(p'/2) the p'-th power sums.
     For f and phi with no j or k part under a2 = 0, M is P's omega2
     mirror (see `iter_gabor_blocks`), so the pass runs half the FFTs and
-    its table is even in omega2 up to the order of its four squares.
+    its |G|^2 is even in omega2 up to the order of its four squares.
     `plancherel_by_y_residual` is the largest gap between the energy of
     each translation, sum_omega |G(omega, y)|^2 domega, and
     `_windowed_energy`, over the largest right side; that estimate, taken
-    before the loop, sums to `windowed_energy`. The |G|^2 table is indexed
-    (y1, y2, omega1, omega2), `table_shape`; one above
-    `TABLE_BUDGET_BYTES` raises ValueError before the pass starts.
+    before the loop, sums to `windowed_energy`.
 
-    cells = (capture, indices) keeps, block by block, the |G|^2 cells at
-    or above `cell_floor(windowed_energy, capture, ...)` (none for a
-    capture of None) and those at the flat table indices `indices`, as
-    the flat-ordered arrays `cell_index` and `cell_value`, and records
-    the capture as `cell_capture`. A capture near or above the field's
-    energy keeps every cell.
+    cells = (capture, indices) is the one way a pass hands out |G|^2
+    cells. It keeps, block by block, those at or above
+    `cell_floor(windowed_energy, capture, ...)` (none for a capture of
+    None) and those at the flat indices `indices` of the table indexed
+    (y1, y2, omega1, omega2), `table_shape`, as the flat-ordered arrays
+    `cell_index` and `cell_value`, and records the capture as
+    `cell_capture`. On a finite field, a capture near or above its energy
+    (math.inf, say) has floor 0 and keeps every cell, so its `cell_value`
+    is the whole table, flat.
 
     A sum not requested is None (empty for the per-order sums). `f`, `phi`,
     `params` and `method` are the inputs it swept, by reference. Every
@@ -419,13 +414,6 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
     y_grid = translation_grid(f.grid, y_stride)
     table_shape, cellvol = table_geometry(f.grid, p, y_stride)
     n_cells = math.prod(table_shape)
-    if abs_sq_table:
-        nbytes = 8 * n_cells
-        if nbytes > TABLE_BUDGET_BYTES:
-            raise ValueError(f"the |G|^2 table of a {f.grid.n1}x{f.grid.n2} field at "
-                             f"stride {y_stride} takes {nbytes} bytes, above the "
-                             f"{TABLE_BUDGET_BYTES} byte budget")
-        table = np.empty((*y_grid.shape, omega_grid.n1 * omega_grid.n2))
     rhs = _windowed_energy(f, phi, y_stride)
     windowed = float(rhs.sum()) * y_grid.cell_area
     capture = cell_index = cell_value = None
@@ -463,8 +451,6 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
             (mod2**(pp / 2)).sum(axis=1, out=t_power[pp][at])
         if log_omega:
             np.vecdot(mod2, log_w, out=t_log[at])
-        if abs_sq_table:
-            np.multiply(mod2, 2.0, out=table[at])
         if cells is not None:
             block = np.multiply(mod2, 2.0, out=twice[:len(P)].reshape(mod2.shape))
             kept.append(_kept_cells(block, (iy1 * shape[1] + sl.start) * mod2.shape[1],
@@ -489,7 +475,6 @@ def gabor_field_stats(f: QSignal2D, phi: QSignal2D, p: QLCTParams, *,
         "moment_joint": {s: total(t_joint[s]) for s in s_values},
         "power_sums": {pp: total(t_power[pp], 2.0**(pp / 2)) for pp in pprimes},
         "log_omega_sum": total(t_log) if log_omega else None,
-        "abs_sq_table": table.reshape(table_shape) if abs_sq_table else None,
         "cell_index": cell_index, "cell_value": cell_value, "cell_capture": capture,
         "table_shape": table_shape,
         "cell_volume": cellvol, "method": method, "f": f, "phi": phi, "params": p,

@@ -309,8 +309,9 @@ def all_finite(values: np.ndarray) -> bool:
 
 
 def write_payload(fh, values: np.ndarray) -> None:
-    """Write values to fh as raw little-endian float64, without a bytes copy."""
-    np.ascontiguousarray(values, dtype="<f8").tofile(fh)
+    """Write values to fh as raw little-endian float64, without a bytes
+    copy, through fh.write, so a pipe that has no file position takes them."""
+    fh.write(np.ascontiguousarray(values, dtype="<f8").data)
 
 
 def check_payload_size(fh, shape: tuple[int, ...], name) -> None:

@@ -188,7 +188,6 @@ def _union(requests: list[dict]) -> dict:
     return {"s_values": tuple(sorted({s for r in requests for s in r.get("s_values", ())})),
             "pprimes": tuple(sorted({pp for r in requests for pp in r.get("pprimes", ())})),
             "log_omega": any(r.get("log_omega", False) for r in requests),
-            "abs_sq_table": any(r.get("abs_sq_table", False) for r in requests),
             "cells": (max(captures, default=None), np.unique(np.concatenate(
                 [np.asarray(indices, np.int64) for _, indices in cells]))) if cells else None}
 

@@ -3,7 +3,8 @@
 None of them runs in `qlct` itself: `lct_direct` is the O(N^2) 1D oracle
 of `lct1d.lct_fast`, `gabor_analyze_at` the Gabor field at one
 translation, windowed and transformed on its own by either path,
-`modulus_sq` the |G|^2 of a dense Gabor field,
+`modulus_sq` the |G|^2 of a dense Gabor field, `abs_sq_table` the
+|G|^2 table of a pass, read from the cells of a full-capture request,
 `moment` the dense twin of the weighted moments of
 `gabor.gabor_field_stats`, `random_mask` and `greedy_minimal_mask` the
 boolean masks over a whole |G|^2 table that `uncertainty`'s masks, which
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from qlct.gabor import GaborCoefficients
+from qlct.gabor import GaborCoefficients, gabor_field_stats
 from qlct.lct1d import Grid1D, LCTParams, ZeroBError, _check_sign, kernel_matrix
 from qlct.qlct2d import QLCTParams, qlct_forward
 from qlct.quat import qabs_sq, qconj, qmul
@@ -81,6 +82,18 @@ def modulus_sq(G: GaborCoefficients) -> np.ndarray:
     return qabs_sq(np.asarray(G.coeffs))
 
 
+def abs_sq_table(f: QSignal2D, phi: QSignal2D, p: QLCTParams,
+                 **request) -> tuple[np.ndarray, dict]:
+    """(table, stats) of a `gabor_field_stats` pass asking `request` and
+    the full-capture cells (math.inf, ()), whose floor 0 keeps every cell:
+    table is its `cell_value`, checked to be every flat index in order,
+    shaped (y1, y2, omega1, omega2) as `table_shape`."""
+    stats = gabor_field_stats(f, phi, p, cells=(math.inf, ()), **request)
+    shape = stats["table_shape"]
+    np.testing.assert_array_equal(stats["cell_index"], np.arange(math.prod(shape)))
+    return stats["cell_value"].reshape(shape), stats
+
+
 def cell_volume(G: GaborCoefficients) -> float:
     """Quadrature weight domega dy of one cell of a dense Gabor field."""
     return G.omega_grid.cell_area * G.y_grid.cell_area
@@ -110,12 +123,11 @@ def moment(G: GaborCoefficients, which: str, s: float) -> float:
     return float(np.sum(weight * mod2) * cell_volume(G))
 
 
-def random_mask(stats: dict, target_measure: float,
+def random_mask(table: np.ndarray, cv: float, target_measure: float,
                 rng: np.random.Generator) -> np.ndarray:
-    """Boolean mask of uniformly random cells of the |G|^2 table of `stats`
-    totalling approximately target_measure, drawn by flat index over the
-    table's (y1, y2, omega1, omega2) with one `rng.choice` call."""
-    table, cv = stats["abs_sq_table"], stats["cell_volume"]
+    """Boolean mask of uniformly random cells of a |G|^2 table of cells of
+    volume cv totalling approximately target_measure, drawn by flat index
+    over the table's (y1, y2, omega1, omega2) with one `rng.choice` call."""
     total = table.size
     count = max(1, min(total, round(target_measure / cv)))
     mask = np.zeros(table.shape, dtype=bool)
@@ -123,11 +135,10 @@ def random_mask(stats: dict, target_measure: float,
     return mask
 
 
-def greedy_minimal_mask(stats: dict, capture: float) -> np.ndarray:
-    """The k largest cells of the |G|^2 table of `stats`, with k read off
-    the running energy of the whole table sorted in descending order, and
-    ties at the k-th value taken in flat order (a stable sort)."""
-    table, cv = stats["abs_sq_table"], stats["cell_volume"]
+def greedy_minimal_mask(table: np.ndarray, cv: float, capture: float) -> np.ndarray:
+    """The k largest cells of a |G|^2 table of cells of volume cv, with k
+    read off the running energy of the whole table sorted in descending
+    order, and ties at the k-th value taken in flat order (a stable sort)."""
     flat = table.reshape(-1)
     order = np.argsort(-flat, kind="stable")
     csum = np.cumsum(flat[order])

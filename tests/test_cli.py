@@ -4,6 +4,8 @@ import json
 import os
 import stat
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -518,6 +520,22 @@ def test_forward_to_the_null_device_exits_0_and_leaves_it_a_device(tmp_path, cap
     assert not os.path.exists(os.devnull + ".part")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_forward_to_stdout_through_a_pipe_writes_the_bytes_of_a_file_output(tmp_path):
+    """`-o /dev/stdout` into a pipe, which has no file position, exits 0
+    with the bytes `-o` a file gets."""
+    src, out = tmp_path / "f.qsig", tmp_path / "F.qsig"
+    write_gaussian(src, n=8)
+    assert main(["forward", "-i", str(src), "-o", str(out)]) == 0
+    path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(cli.__file__)),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "qlct.cli", "forward", "-i", str(src),
+                          "-o", "/dev/stdout"], capture_output=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == out.read_bytes()
+
+
 def test_an_output_whose_part_file_is_the_input_exits_2_before_reading_it(tmp_path, capsys):
     """An output is written to `<output>.part` first, so an input of that
     name is refused before it is read: here it is no QSIG file at all."""
@@ -610,6 +628,16 @@ def test_gabor_memory_guard_counts_bytes_at_any_stride(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--force" in err
     assert str(48 * 48 * 24 * 24 * 32) in err  # the estimate in bytes
+    assert not (tmp_path / "coef").exists()
+    # stride 3 keeps ceil(64 / 3) = 22 translations per axis
+    write_gaussian(src, n=64, dx=0.25)
+    assert main(["gabor", "analyze", "-i", str(src), "--stride", "3",
+                 "-o", str(tmp_path / "coef")]) == 2
+    nbytes = 64 * 64 * 22 * 22 * 32
+    assert capsys.readouterr().err == (
+        f"error: stride-3 analysis of a 64x64 signal stores {nbytes} bytes "
+        f"({nbytes / 2**20:.1f} MiB) of coefficients, above the {cli.COEFF_BUDGET_BYTES} "
+        "byte budget; pass --force or use a larger --stride\n")
     assert not (tmp_path / "coef").exists()
 
 
@@ -1031,6 +1059,11 @@ def test_verify_refuses_a_gabor_pass_above_the_cell_bound_before_any_pass(
         cli.verify_plan(cli.VerifyConfig(128, 128), ["heisenberg"])
     with pytest.raises(cli.FormatError, match="cell bound"):
         cli.verify_plan(cli.VerifyConfig(129, 128), ["heisenberg"])
+    # a stride-1 pass on n1 x n2 sweeps (n1 n2)^2 cells
+    with pytest.raises(cli.FormatError) as err:
+        cli.verify_plan(cli.VerifyConfig(128, 129), ["heisenberg"])
+    assert str(err.value) == (f"a Gabor pass on the 128x129 grid sweeps {(128 * 129)**2} "
+                              f"cells, above the {128**4} cell bound (the 128x128 field)")
 
 
 @pytest.mark.parametrize("argv", [["verify", "heisenberg", "--grid", "2048x2048"],

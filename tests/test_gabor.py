@@ -21,7 +21,7 @@ from qlct.signal import (FormatError, Grid2D, NumericError, QSignal2D, WindowSpe
                          make_window, translate)
 from qlct.quat import pair_abs_sq, qabs_sq, qconj, qmul
 
-from oracles import gabor_analyze_at, modulus_sq
+from oracles import abs_sq_table, gabor_analyze_at, modulus_sq
 from test_qlct2d import MIXED_CASES
 
 
@@ -615,17 +615,16 @@ def test_field_stats_without_post_chirps_match_direct(name, stride, window):
     phi = gaussian(grid, 0.8) if window == "real" else quaternion_window(grid)
     p = PARAM_SETS[name]
     kwargs = dict(s_values=(0.5, 1.0), pprimes=(1.5, 2.0, 3.0), log_omega=True,
-                  abs_sq_table=True, y_stride=stride)
-    sf = gabor_field_stats(f, phi, p, method="fast", **kwargs)
-    sd = gabor_field_stats(f, phi, p, method="direct", **kwargs)
+                  y_stride=stride)
+    tf, sf = abs_sq_table(f, phi, p, method="fast", **kwargs)
+    td, sd = abs_sq_table(f, phi, p, method="direct", **kwargs)
     for key in ("energy", "max_abs", "log_omega_sum"):
         assert sf[key] == pytest.approx(sd[key], rel=1e-9), key
     for key in ("moment_omega", "moment_y", "moment_joint", "power_sums"):
         assert sf[key].keys() == sd[key].keys()
         for k in sd[key]:
             assert sf[key][k] == pytest.approx(sd[key][k], rel=1e-9), (key, k)
-    err = np.max(np.abs(sf["abs_sq_table"] - sd["abs_sq_table"]))
-    assert err <= 1e-9 * np.max(sd["abs_sq_table"])
+    assert np.max(np.abs(tf - td)) <= 1e-9 * np.max(td)
     assert sf["plancherel_by_y_residual"] <= 1e-12
 
 
@@ -808,11 +807,13 @@ def iplane_window(grid):
     return QSignal2D(grid, samples * gaussian(grid, 0.8).samples[..., :1])
 
 
-_MIRROR_KWARGS = dict(s_values=(0.5, 1.0), pprimes=(1.5, 3.0), log_omega=True,
-                      abs_sq_table=True)
+_MIRROR_KWARGS = dict(s_values=(0.5, 1.0), pprimes=(1.5, 3.0), log_omega=True)
 
 
-def _assert_stats_match(sf, sd):
+def _assert_stats_match(fast, direct):
+    """Every sum and the |G|^2 table of the (table, stats) pairs agree at
+    the oracle's tolerance."""
+    (tf, sf), (td, sd) = fast, direct
     for key in ("energy", "max_abs", "log_omega_sum"):
         if sd[key] is not None:
             assert sf[key] == pytest.approx(sd[key], rel=1e-9), key
@@ -820,8 +821,7 @@ def _assert_stats_match(sf, sd):
         assert sf[key].keys() == sd[key].keys()
         for k in sd[key]:
             assert sf[key][k] == pytest.approx(sd[key][k], rel=1e-9), (key, k)
-    err = np.max(np.abs(sf["abs_sq_table"] - sd["abs_sq_table"]))
-    assert err <= 1e-9 * np.max(sd["abs_sq_table"])
+    assert np.max(np.abs(tf - td)) <= 1e-9 * np.max(td)
 
 
 @pytest.mark.parametrize("name", list(_MIRROR_PARAMS))
@@ -835,13 +835,11 @@ def test_mirrored_pass_matches_direct(name, n1, n2, stride, window):
     p = _MIRROR_PARAMS[name]
     # an odd grid samples omega = 0, where ln|omega| has no value
     kwargs = dict(_MIRROR_KWARGS, y_stride=stride, log_omega=n1 % 2 == 0)
-    sf = gabor_field_stats(f, phi, p, method="fast", **kwargs)
-    sd = gabor_field_stats(f, phi, p, method="direct", **kwargs)
-    _assert_stats_match(sf, sd)
+    table, sf = fast = abs_sq_table(f, phi, p, method="fast", **kwargs)
+    _assert_stats_match(fast, abs_sq_table(f, phi, p, method="direct", **kwargs))
     assert sf["plancherel_by_y_residual"] <= 1e-12
     # |G|^2 is even in omega2; the table's cells k and n2 - 1 - k add the
     # same four squares in another order, so they agree to rounding
-    table = sf["abs_sq_table"]
     np.testing.assert_allclose(table, table[..., ::-1], rtol=4 * np.finfo(float).eps)
 
 
@@ -857,15 +855,14 @@ def test_mirror_one_omega2_column_off_disagrees_with_direct(monkeypatch):
             assert np.shares_memory(P, M)  # the pass took the mirror
             yield iy1, sl, P, np.roll(P[..., ::-1], 1, -1)
 
-    sd = gabor_field_stats(f, phi, p, method="direct", **_MIRROR_KWARGS)
-    _assert_stats_match(gabor_field_stats(f, phi, p, **_MIRROR_KWARGS), sd)
+    td, sd = direct = abs_sq_table(f, phi, p, method="direct", **_MIRROR_KWARGS)
+    _assert_stats_match(abs_sq_table(f, phi, p, **_MIRROR_KWARGS), direct)
     monkeypatch.setattr(gabor, "iter_gabor_blocks", off_by_one)
-    sf = gabor_field_stats(f, phi, p, **_MIRROR_KWARGS)
+    tf, sf = abs_sq_table(f, phi, p, **_MIRROR_KWARGS)
     assert sf["energy"] == pytest.approx(sd["energy"], rel=1e-9)
     assert sf["moment_omega"][1.0] != pytest.approx(sd["moment_omega"][1.0], rel=1e-9)
     assert sf["log_omega_sum"] != pytest.approx(sd["log_omega_sum"], rel=1e-9)
-    err = np.max(np.abs(sf["abs_sq_table"] - sd["abs_sq_table"]))
-    assert err > 1e-9 * np.max(sd["abs_sq_table"])
+    assert np.max(np.abs(tf - td)) > 1e-9 * np.max(td)
 
 
 @pytest.mark.parametrize("name", [*_MIRROR_PARAMS, "neg-b"])

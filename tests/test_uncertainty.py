@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import tracemalloc
@@ -165,7 +166,7 @@ def test_streamed_stats_keep_the_qabs_sq_summation_order():
     for p, phi, halves in ((FOURIER2, normalized(gaussian(grid, 1.0)), _folded_halves),
                            (PARAM_SETS["generic"], qwin, _pass_halves),
                            (PARAM_SETS["neg-b"], qwin, _pass_halves)):
-        stats = gabor_field_stats(f, phi, p, s_values=s_values, abs_sq_table=True)
+        table, stats = oracles.abs_sq_table(f, phi, p, s_values=s_values)
         og = forward_grid(grid, p)
         yg = translation_grid(grid)
         w1, w2 = og.meshgrid()
@@ -177,7 +178,7 @@ def test_streamed_stats_keep_the_qabs_sq_summation_order():
         mj = {s: np.empty(yg.shape) for s in s_values}
         for i1, (P, M) in enumerate(halves(f, phi, p)):
             mod2 = qabs_sq(from_complex_pair(P, M))
-            np.testing.assert_array_equal(stats["abs_sq_table"][i1], 2.0 * mod2)
+            np.testing.assert_array_equal(table[i1], 2.0 * mod2)
             for i2 in range(yg.n2):
                 cell = mod2[i2].ravel()
                 y_r2[i1, i2] = y1[i1]**2 + y2[i2]**2
@@ -287,9 +288,19 @@ def test_memo_key_separates_every_field_input(passes):
     fields = [(sig, win, p, {"s_values": (1.0,), **kw}) for sig, win, p, kw in requests]
     stats = sweep_fields(fields + fields)
     assert passes == [{"s_values": (1.0,), **kw, "pprimes": (), "log_omega": False,
-                       "abs_sq_table": False, "cells": None} for *_, kw in requests]
+                       "cells": None} for *_, kw in requests]
     assert len({id(st) for st in stats}) == len(requests)
     assert all(a is b for a, b in zip(stats, stats[len(requests):]))
+
+
+def test_the_union_asks_every_request_option_of_a_pass():
+    """`_union` names every request keyword of `gabor_field_stats` (those
+    `_field_key` leaves as sums: all but method and y_stride), so a pass
+    option added later cannot be dropped by `sweep_fields` unseen."""
+    options = [name for name, param in inspect.signature(gabor_field_stats).parameters.items()
+               if param.kind is inspect.Parameter.KEYWORD_ONLY]
+    assert options[-2:] == ["method", "y_stride"]
+    assert set(uncertainty._union([])) == set(options[:-2])
 
 
 def _assert_serves(got, want, where):
@@ -300,8 +311,6 @@ def _assert_serves(got, want, where):
         assert {k: got[key][k] for k in want[key]} == want[key], (where, key)
     if want["log_omega_sum"] is not None:
         assert got["log_omega_sum"] == want["log_omega_sum"], where
-    if want["abs_sq_table"] is not None:
-        np.testing.assert_array_equal(got["abs_sq_table"], want["abs_sq_table"])
     if want["cell_index"] is not None:
         # the union keeps at least the cells a lone request keeps, with their bits
         at = np.searchsorted(got["cell_index"], want["cell_index"])
@@ -312,28 +321,32 @@ def _assert_serves(got, want, where):
 def test_memo_serves_each_request_bit_equal_to_a_fresh_pass(passes):
     """One pass over the union of a field's requests serves them all,
     repeats included, from its read-only arrays, and each request reads
-    the bits of a lone fresh pass asking it, its |G|^2 table and its cells
-    included: the union of cell requests keeps the largest capture and
-    every index."""
+    the bits of a lone fresh pass asking it, its cells included: the union
+    of cell requests keeps the largest capture and every index. With
+    full-capture requests, which keep the whole |G|^2 table, that capture
+    is math.inf and every request still reads its lone pass's bits."""
     grid = default_grid(8)
     f = random_smooth(grid, np.random.default_rng(80))
     phi = normalized(gaussian(grid, 1.0))
     requests = [{"s_values": (1.0,)}, {"pprimes": (1.5,), "log_omega": True},
                 {"s_values": (1.0,), "pprimes": (1.5,)}, {"log_omega": True}, {},
-                {"abs_sq_table": True}, {"s_values": (0.5, 1.0), "abs_sq_table": True},
+                {"s_values": (0.5, 1.0)},
                 {"cells": (0.5, [4000, 3])}, {"cells": (None, [17, 3])}, {"cells": (0.25, ())}]
-    union = {"s_values": (0.5, 1.0), "pprimes": (1.5,), "log_omega": True,
-             "abs_sq_table": True}
-    served = sweep_fields([(f, phi, FOURIER2, kw) for kw in requests + requests])
-    [asked] = passes
-    capture, indices = asked.pop("cells")
-    assert asked == union and capture == 0.5
-    np.testing.assert_array_equal(indices, [3, 17, 4000])
-    assert all(got is served[0] for got in served)
-    assert not served[0]["abs_sq_table"].flags.writeable
-    assert not served[0]["cell_value"].flags.writeable
-    for got, kw in zip(served, requests + requests):
-        _assert_serves(got, gabor_field_stats(f, phi, FOURIER2, **kw), kw)
+    tables = [{"cells": (math.inf, ())}, {"s_values": (0.5,), "cells": (math.inf, [5])}]
+    union = {"s_values": (0.5, 1.0), "pprimes": (1.5,), "log_omega": True}
+    for asks, largest, every in ((requests, 0.5, [3, 17, 4000]),
+                                 (requests + tables, math.inf, [3, 5, 17, 4000])):
+        passes.clear()
+        served = sweep_fields([(f, phi, FOURIER2, kw) for kw in asks + asks])
+        [asked] = passes
+        capture, indices = asked.pop("cells")
+        assert asked == union and capture == largest
+        np.testing.assert_array_equal(indices, every)
+        assert all(got is served[0] for got in served)
+        assert not served[0]["cell_index"].flags.writeable
+        assert not served[0]["cell_value"].flags.writeable
+        for got, kw in zip(served, asks + asks):
+            _assert_serves(got, gabor_field_stats(f, phi, FOURIER2, **kw), kw)
 
 
 def test_a_declared_scope_makes_one_pass_per_distinct_field(passes):
@@ -363,8 +376,7 @@ def test_a_declared_scope_makes_one_pass_per_distinct_field(passes):
     greedy_minimal_mask(shared, 0.5)
     assert len(passes) == 3, passes
     assert passes[0].pop("cells")[0] == 0.5
-    assert passes[0] == {"s_values": (1.0,), "pprimes": (1.5, 2.0), "log_omega": True,
-                         "abs_sq_table": False}
+    assert passes[0] == {"s_values": (1.0,), "pprimes": (1.5, 2.0), "log_omega": True}
     assert calls[-1]().params["method"] == "direct"
     assert not shared["cell_index"].flags.writeable
 
@@ -695,11 +707,11 @@ def test_hausdorff_young_notes_exactly_the_failed_printed_bounds():
 # concentration
 
 def _unit_gaussian_field(n=16):
-    """The unit Gaussian against itself, with its |G|^2 table, keeping
-    every cell (a capture above the field's energy keeps them all)."""
+    """(f, table, stats): the unit Gaussian against itself, its |G|^2
+    table and a pass keeping every cell, a full-capture request."""
     grid = Grid2D.centered(n, n, 8.0 / n, 8.0 / n)
     f = normalized(gaussian(grid, 1.0))
-    return f, gabor_field_stats(f, f, FOURIER2, abs_sq_table=True, cells=(2.0, ()))
+    return f, *oracles.abs_sq_table(f, f, FOURIER2)
 
 
 def _table_stats(table, cv, capture, indices=()):
@@ -709,7 +721,7 @@ def _table_stats(table, cv, capture, indices=()):
     energy = float(np.sum(table)) * cv
     floor = gabor.cell_floor(energy, capture, table.size, cv)
     index, value = gabor._kept_cells(table, 0, floor, np.asarray(indices, np.int64))
-    return {"abs_sq_table": table, "cell_volume": cv, "table_shape": table.shape,
+    return {"cell_volume": cv, "table_shape": table.shape,
             "energy": energy, "windowed_energy": energy, "cell_capture": capture,
             "cell_index": index, "cell_value": value}
 
@@ -720,13 +732,13 @@ def test_abs_sq_table_is_the_dense_modulus_indexed_y_first():
     f = random_quaternion_signal(grid, np.random.default_rng(54))
     phi = _quaternion_window(grid)
     p = PARAM_SETS["generic"]
-    stats = gabor_field_stats(f, phi, p, abs_sq_table=True)
+    table, stats = oracles.abs_sq_table(f, phi, p)
     dense = modulus_sq(gabor_analyze(f, phi, p, 1))
-    assert stats["abs_sq_table"].shape == dense.shape == stats["table_shape"] == (8, 6, 8, 6)
+    assert table.shape == dense.shape == stats["table_shape"] == (8, 6, 8, 6)
     assert gabor.table_geometry(grid, p) == (stats["table_shape"], stats["cell_volume"])
-    np.testing.assert_allclose(stats["abs_sq_table"], dense, rtol=1e-13,
-                               atol=1e-15 * dense.max())
-    assert gabor_field_stats(f, phi, p)["abs_sq_table"] is None
+    np.testing.assert_allclose(table, dense, rtol=1e-13, atol=1e-15 * dense.max())
+    # a pass with no cells request hands out none
+    assert gabor_field_stats(f, phi, p)["cell_index"] is None
 
 
 def test_kept_cells_are_the_tables_cells_in_flat_order():
@@ -736,9 +748,9 @@ def test_kept_cells_are_the_tables_cells_in_flat_order():
     f = random_quaternion_signal(grid, np.random.default_rng(60))
     p = PARAM_SETS["generic"]
     wanted = [5, 2303, 77, 0, 1200]
-    stats = gabor_field_stats(f, _quaternion_window(grid), p, abs_sq_table=True,
-                              cells=(0.3, wanted))
-    flat = stats["abs_sq_table"].ravel()
+    table, _ = oracles.abs_sq_table(f, _quaternion_window(grid), p)
+    stats = gabor_field_stats(f, _quaternion_window(grid), p, cells=(0.3, wanted))
+    flat = table.ravel()
     floor = gabor.cell_floor(stats["windowed_energy"], 0.3, flat.size, stats["cell_volume"])
     keep = flat >= floor
     keep[wanted] = True
@@ -763,9 +775,10 @@ def test_random_mask_draws_the_cells_of_the_dense_order():
     assert 100 < np.count_nonzero(dense) < dense.size // 2
     np.testing.assert_array_equal(mask, np.flatnonzero(dense))
     f = normalized(gaussian(grid, 1.0))
-    stats = gabor_field_stats(f, f, FOURIER2, abs_sq_table=True, cells=(None, mask))
+    stats = gabor_field_stats(f, f, FOURIER2, cells=(None, mask))
     assert mask_measure(stats, mask) == np.count_nonzero(dense) * cv
-    np.testing.assert_array_equal(stats["cell_value"], stats["abs_sq_table"].ravel()[mask])
+    table, _ = oracles.abs_sq_table(f, f, FOURIER2)
+    np.testing.assert_array_equal(stats["cell_value"], table.ravel()[mask])
 
 
 def test_random_mask_keeps_numpys_floyd_draws_and_draws_more_in_its_own_size():
@@ -808,8 +821,8 @@ def test_random_mask_beyond_floyd_is_uniform_over_the_cells():
 
 
 def test_greedy_mask_takes_the_argsort_count_of_largest_cells():
-    f, stats = _unit_gaussian_field()
-    table, cv = stats["abs_sq_table"], stats["cell_volume"]
+    f, table, stats = _unit_gaussian_field()
+    cv = stats["cell_volume"]
     flat = table.ravel()
     order = np.argsort(flat)[::-1]
     csum = np.cumsum(flat[order]) * cv
@@ -825,24 +838,26 @@ def test_greedy_mask_takes_the_argsort_count_of_largest_cells():
 
 
 def _random_tables(seed, count):
-    """(stats, capture) pairs of random tables with a random dynamic range,
-    a fifth of them flat, each asked a capture below its energy."""
+    """(table, cv, capture) of random tables of cell volume cv with a
+    random dynamic range, a fifth of them flat, each asked a capture below
+    its energy."""
     rng = np.random.default_rng(seed)
     for k in range(count):
         shape = tuple(rng.integers(1, 7, size=4))
         table = rng.random(shape)**rng.uniform(1.0, 40.0) if k % 5 else np.full(shape, 0.25)
         cv = rng.uniform(0.01, 2.0)
         capture = rng.uniform(0.0, 1.0) * np.sum(table) * cv
-        yield _table_stats(table, cv, capture), capture
+        yield table, cv, capture
 
 
 def test_greedy_mask_takes_the_sorting_oracles_count_and_measure():
     """The same cells, hence the same k and measure, as the whole-table
     sort, on random tables of any dynamic range."""
-    for stats, capture in _random_tables(57, 300):
-        mask, ref = greedy_minimal_mask(stats, capture), oracles.greedy_minimal_mask(stats, capture)
+    for table, cv, capture in _random_tables(57, 300):
+        stats = _table_stats(table, cv, capture)
+        mask, ref = greedy_minimal_mask(stats, capture), oracles.greedy_minimal_mask(table, cv, capture)
         np.testing.assert_array_equal(mask, np.flatnonzero(ref))
-        assert mask_measure(stats, mask) == np.count_nonzero(ref) * stats["cell_volume"]
+        assert mask_measure(stats, mask) == np.count_nonzero(ref) * cv
 
 
 def test_greedy_mask_takes_ties_at_the_boundary_in_flat_order():
@@ -852,20 +867,19 @@ def test_greedy_mask_takes_ties_at_the_boundary_in_flat_order():
     stats = _table_stats(table, 0.5, 2.0)
     # the 2.0 cell and two of the tied 1.0 cells capture 2.0
     mask = greedy_minimal_mask(stats, 2.0)
-    np.testing.assert_array_equal(np.flatnonzero(oracles.greedy_minimal_mask(stats, 2.0)), [7, 30, 77])
+    np.testing.assert_array_equal(np.flatnonzero(oracles.greedy_minimal_mask(table, 0.5, 2.0)),
+                                  [7, 30, 77])
     np.testing.assert_array_equal(mask, [7, 30, 77])
 
 
 def test_greedy_mask_refuses_what_the_oracle_refuses():
     rng = np.random.default_rng(58)
     zero = np.zeros((4, 3, 4, 3))
-    cases = [(_table_stats(zero, 0.3, 0.5), 0.5),
-             (_table_stats(rng.random((5, 4, 3, 2)), 0.7, 1e3), 1e3)]
-    for stats, capture in cases:
+    for table, cv, capture in ((zero, 0.3, 0.5), (rng.random((5, 4, 3, 2)), 0.7, 1e3)):
         with pytest.raises(ValueError, match="cannot capture") as got:
-            greedy_minimal_mask(stats, capture)
+            greedy_minimal_mask(_table_stats(table, cv, capture), capture)
         with pytest.raises(ValueError) as want:
-            oracles.greedy_minimal_mask(stats, capture)
+            oracles.greedy_minimal_mask(table, cv, capture)
         assert str(got.value) == str(want.value)
     # a capture of nothing is the largest cell, the first in flat order on a zero table
     np.testing.assert_array_equal(greedy_minimal_mask(_table_stats(zero, 0.3, 0.0), 0.0), [0])
@@ -935,18 +949,19 @@ def test_cell_masks_are_the_table_oracles_bit_for_bit(name, f, phi, p):
     energy = gabor_field_stats(f, phi, p)["energy"]
     captures = (0.0, 0.5 * energy, 0.9 * energy)
     union = np.unique(np.concatenate(list(masks.values())))
-    stats = gabor_field_stats(f, phi, p, abs_sq_table=True, cells=(max(captures), union))
-    table = stats["abs_sq_table"]
+    stats = gabor_field_stats(f, phi, p, cells=(max(captures), union))
+    table, _ = oracles.abs_sq_table(f, phi, p)
     if name == "verify-gaussian":  # a concentrated field keeps few cells
         assert len(stats["cell_index"]) < table.size // 20
     for m, mask in masks.items():
-        ref = oracles.random_mask(stats, m, np.random.default_rng(65))
+        ref = oracles.random_mask(table, cv, m, np.random.default_rng(65))
         np.testing.assert_array_equal(mask, np.flatnonzero(ref))
         if mask_measure(stats, mask) < 1.0:
             comp = concentration_check(stats, mask).params["complement_energy"]
             assert comp == pytest.approx(float(np.sum(table[~ref]) * cv), rel=1e-12)
     for capture in captures:
-        mask, ref = greedy_minimal_mask(stats, capture), oracles.greedy_minimal_mask(stats, capture)
+        mask = greedy_minimal_mask(stats, capture)
+        ref = oracles.greedy_minimal_mask(table, cv, capture)
         np.testing.assert_array_equal(mask, np.flatnonzero(ref))
         assert mask_measure(stats, mask) == np.count_nonzero(ref) * cv
         captured = epsilon_concentration_check(stats, mask, 1.0).params["captured"]
@@ -960,7 +975,7 @@ def test_cell_masks_are_the_table_oracles_bit_for_bit(name, f, phi, p):
     with pytest.raises(ValueError, match="cannot capture") as got:
         greedy_minimal_mask(gabor_field_stats(f, phi, p, cells=(over, ())), over)
     with pytest.raises(ValueError) as want:
-        oracles.greedy_minimal_mask(stats, over)
+        oracles.greedy_minimal_mask(table, cv, over)
     assert str(got.value) == str(want.value)
 
 
@@ -970,13 +985,14 @@ def test_cell_masks_are_the_table_oracles_on_a_flat_table():
     for capture in (0.0, 0.3, 7.0):
         stats = _table_stats(table, 0.2, capture)
         mask = greedy_minimal_mask(stats, capture)
-        np.testing.assert_array_equal(mask, np.flatnonzero(oracles.greedy_minimal_mask(stats, capture)))
+        np.testing.assert_array_equal(
+            mask, np.flatnonzero(oracles.greedy_minimal_mask(table, 0.2, capture)))
         np.testing.assert_array_equal(mask, np.arange(len(mask)))
 
 
 def test_complement_energy_is_the_gathered_complements():
-    f, stats = _unit_gaussian_field()
-    table, cv = stats["abs_sq_table"], stats["cell_volume"]
+    f, table, stats = _unit_gaussian_field()
+    cv = stats["cell_volume"]
     rng = np.random.default_rng(59)
     masks = [random_mask(table.size, cv, m, rng) for m in (0.25, 0.5, 0.9)]
     masks.append(np.sort(np.argsort(table.ravel())[-int(0.9 / cv):]))
@@ -989,7 +1005,7 @@ def test_complement_energy_is_the_gathered_complements():
 
 def test_mask_readers_need_the_cells():
     f = _unit_gaussian8()
-    stats = gabor_field_stats(f, f, FOURIER2, abs_sq_table=True)
+    stats = gabor_field_stats(f, f, FOURIER2, s_values=(1.0,))
     mask = np.arange(8)
     for read in (lambda: greedy_minimal_mask(stats, 0.5),
                  lambda: mask_measure(stats, mask),
@@ -1004,30 +1020,10 @@ def test_mask_readers_need_the_cells():
             mask_measure(kept, mask)
 
 
-def test_a_table_above_its_budget_is_refused_before_the_pass(monkeypatch, capsys):
-    f = normalized(gaussian(default_grid(64), 1.0))
-
-    def no_pass(*args, **kwargs):
-        raise AssertionError("the pass started")
-
-    with monkeypatch.context() as mp:
-        mp.setattr(gabor, "iter_gabor_blocks", no_pass)
-        with pytest.raises(ValueError, match="byte budget") as err:
-            gabor_field_stats(f, f, FOURIER2, abs_sq_table=True)
-    assert "\n" not in str(err.value)
-    assert f"{64**4 * 8} bytes" in str(err.value)
-    assert gabor.TABLE_BUDGET_BYTES == 32**4 * 8
-    # the concentration suites ask for no table: they run with no table budget
-    monkeypatch.setattr(gabor, "TABLE_BUDGET_BYTES", 0)
-    assert main(["verify", "concentration"]) == 0
-    assert main(["verify", "eps-concentration"]) == 0
-    assert capsys.readouterr().err == ""
-
-
 def test_concentration_single_tiny_cell_margin_near_zero():
     # as the measure shrinks the bound degenerates to Plancherel, so the
     # margin is O(cell volume)
-    f, stats = _unit_gaussian_field()
+    f, _, stats = _unit_gaussian_field()
     mask = np.array([0])
     rep = concentration_check(stats, mask)
     assert abs(rep.margin) <= mask_measure(stats, mask) == stats["cell_volume"]
@@ -1035,7 +1031,7 @@ def test_concentration_single_tiny_cell_margin_near_zero():
 
 def test_concentration_random_masks():
     rng = np.random.default_rng(53)
-    f, stats = _unit_gaussian_field()
+    f, _, stats = _unit_gaussian_field()
     for m in (0.25, 0.5, 0.9):
         mask = random_mask(math.prod(stats["table_shape"]), stats["cell_volume"], m, rng)
         assert 0 < mask_measure(stats, mask) < 1
@@ -1045,8 +1041,8 @@ def test_concentration_random_masks():
 
 def test_concentration_peak_mask_still_holds():
     # a mask sitting right on the energy peak with measure near 0.9
-    f, stats = _unit_gaussian_field(32)
-    table, cv = stats["abs_sq_table"], stats["cell_volume"]
+    f, table, stats = _unit_gaussian_field(32)
+    cv = stats["cell_volume"]
     k = int(0.9 / cv)
     mask = np.sort(np.argsort(table.ravel())[::-1][:k])
     assert 0.5 <= mask_measure(stats, mask) < 1.0
@@ -1055,14 +1051,14 @@ def test_concentration_peak_mask_still_holds():
 
 
 def test_concentration_rejects_measure_out_of_range():
-    f, stats = _unit_gaussian_field(8)
-    full = np.arange(stats["abs_sq_table"].size)
+    f, table, stats = _unit_gaussian_field(8)
+    full = np.arange(table.size)
     with pytest.raises(ValueError, match="measure"):
         concentration_check(stats, full)
 
 
 def test_epsilon_concentration_greedy_masks():
-    f, stats = _unit_gaussian_field()
+    f, _, stats = _unit_gaussian_field()
     measures = {}
     for eps in (0.5, 0.1):
         mask = greedy_minimal_mask(stats, 1.0 - eps)
@@ -1074,7 +1070,7 @@ def test_epsilon_concentration_greedy_masks():
 
 
 def test_epsilon_concentration_trivial_and_hypothesis():
-    f, stats = _unit_gaussian_field(8)
+    f, _, stats = _unit_gaussian_field(8)
     tiny = np.array([0])
     rep = epsilon_concentration_check(stats, tiny, 1.0)
     assert rep.lhs == 0.0 and rep.margin >= 0
@@ -1146,7 +1142,7 @@ def test_report_serialization_roundtrip():
 
 
 def test_mask_measure_is_the_count_times_the_table_cell_volume():
-    f, stats = _unit_gaussian_field(8)
+    f, _, stats = _unit_gaussian_field(8)
     mask = np.ravel_multi_index(([0, 1], [0, 2], [0, 3], [0, 4]), stats["table_shape"])
     assert mask_measure(stats, mask) == 2 * stats["cell_volume"]
 
@@ -1160,7 +1156,7 @@ def test_mask_measure_is_the_count_times_the_table_cell_volume():
 def test_concentration_checks_refuse_a_mask_not_shaped_like_the_table(check, shape):
     """A mask is a 1-D array of flat indices; an array shaped like a table,
     or like anything else, is refused."""
-    f, stats = _unit_gaussian_field(8)
+    f, _, stats = _unit_gaussian_field(8)
     assert stats["table_shape"] == (8, 8, 8, 8)
     mask = np.zeros(shape, dtype=bool)
     mask.flat[0] = True
@@ -1172,7 +1168,7 @@ def test_concentration_checks_refuse_a_mask_not_shaped_like_the_table(check, sha
                                   np.array([3, 1]), np.array([1, 1]), np.array([[1, 2]])],
                          ids=["float", "boolean", "unsorted", "repeated", "2-d"])
 def test_mask_measure_refuses_a_mask_that_is_not_sorted_flat_indices(mask):
-    f, stats = _unit_gaussian_field(8)
+    f, _, stats = _unit_gaussian_field(8)
     with pytest.raises(ValueError, match="strictly increasing 1-D array of flat"):
         mask_measure(stats, mask)
 
